@@ -3,8 +3,7 @@
 //!
 //! Experiments are *data*: a serializable [`ExperimentSpec`] (designs ×
 //! workloads × swept parameters × seeds) executed by a multi-threaded
-//! [`LabRunner`]. The legacy one-off binaries (`fig8`, `validate`, …) remain
-//! as thin wrappers over `pktbuf-lab paper <name>`.
+//! [`LabRunner`]. The paper's figures and tables are `pktbuf-lab paper <name>`.
 //!
 //! ```text
 //! pktbuf-lab run   --spec lab.json [--threads N] [--json out.json] [--csv out.csv]
@@ -134,7 +133,6 @@ same sweep syntax as below):
     --link-capacity <SWEEP>  credits (= FIFO slots) per link     (default 8)
     --link-latency <N>       one-way link latency, slots         (default 1)
     --egress-period <N>      slots per egress cell, 1 = line rate (default 1)
-    --workers <N>            per-stage worker threads inside each run (default 1)
     --faults <FILE>          arm a fault plan in every run: a JSON list of fault
                              events ('-' = stdin; see README 'Fault injection')
     --faults-json <FILE>     write the per-run fault ledgers as JSON ('-' = stdout)
@@ -147,7 +145,7 @@ same sweep syntax as below):
                              latency + occupancy histograms and series sampling
                              every 64 slots (the JSON report gains an 'obs'
                              section, the CSV its latency percentile columns;
-                             the report stays worker-count-invariant)
+                             the report stays --threads-invariant)
     --series <STRIDE>        sample per-stage throughput/occupancy/stall series
                              every STRIDE slots (arms --obs if it is not)
     --series-csv <FILE>      write the per-run, per-stage series samples as CSV
@@ -1068,13 +1066,6 @@ fn clos_command(args: &[String]) -> Result<(), String> {
                 let v = value("--egress-period")?;
                 edits.push(Box::new(move |s| {
                     s.egress_period = parse_int(&v, "--egress-period")?;
-                    Ok(())
-                }));
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                edits.push(Box::new(move |s| {
-                    s.workers = parse_int(&v, "--workers")?;
                     Ok(())
                 }));
             }

@@ -1,7 +1,7 @@
-//! Shared helpers for the experiment binaries and Criterion benches that
-//! regenerate every table and figure of the paper's evaluation.
+//! The `pktbuf-lab` CLI and the shared helpers that regenerate every table
+//! and figure of the paper's evaluation (`pktbuf-lab paper <artefact>`).
 //!
-//! | Binary          | Paper artefact | What it prints |
+//! | Artefact        | In the paper   | What it prints |
 //! |-----------------|----------------|----------------|
 //! | `dram_only`     | §1 motivation  | peak vs. guaranteed SDRAM bandwidth, 1–32 chips |
 //! | `fig8`          | Figure 8       | RADS h-SRAM access time and area vs. lookahead |

@@ -1,9 +1,7 @@
 //! The paper's evaluation artefacts as callable functions.
 //!
 //! Every figure, table and validation experiment lives here exactly once;
-//! the eight legacy binaries (`fig8`, `validate`, …) and the `pktbuf-lab paper`
-//! subcommand are thin wrappers around these functions, so their stdout is
-//! identical however an artefact is invoked.
+//! the `pktbuf-lab paper <artefact>` subcommand calls these functions.
 //!
 //! The slot-level experiments are expressed through the declarative spec
 //! layer ([`sim::spec::ExperimentSpec`] + [`sim::lab::LabRunner`]) where the
@@ -357,7 +355,7 @@ pub fn validate() -> (ExperimentReport, ExperimentReport) {
     }
     println!("{}", table.render());
     println!("Every row must report zero misses, drops and conflicts (the DRAM-only baseline,");
-    println!("by contrast, misses heavily — see the `dram_only` binary).");
+    println!("by contrast, misses heavily — see `pktbuf-lab paper dram_only`).");
     (live, preloaded)
 }
 

@@ -4,9 +4,9 @@
 //! the slot it starts at and an optional duration (omitted = permanent).
 //! The plan is pure data: armed into a [`crate::ClosFabric`] via
 //! [`crate::ClosFabric::arm_faults`] *before* the run, it makes every fault
-//! fire at exactly its scheduled slot on every execution schedule, so a
-//! faulted run stays byte-identical across worker counts and bit-identical
-//! to the skip-free reference — chaos you can replay.
+//! fire at exactly its scheduled slot whether the slot is stepped or
+//! fast-forwarded over, so a faulted run stays bit-identical to the
+//! skip-free reference — chaos you can replay.
 //!
 //! # Fault taxonomy
 //!

@@ -6,8 +6,9 @@
 //! is chosen for two properties the reports depend on:
 //!
 //! - **Associative, commutative merge.** A merge is element-wise addition of
-//!   bucket counts plus min/max/sum folds, so per-worker partial histograms
-//!   combine into the same bytes regardless of worker count or merge order.
+//!   bucket counts plus min/max/sum folds, so partial histograms (one per
+//!   egress output, one per closed-loop source) combine into the same bytes
+//!   regardless of how many there are or of the merge order.
 //! - **No allocation after construction.** The bucket array is inline; the
 //!   hot-path `record` is a shift, a few adds and a compare.
 //!
@@ -88,8 +89,8 @@ impl Log2Histogram {
     }
 
     /// Fold another histogram into this one. Element-wise over buckets, so the
-    /// operation is associative and commutative: merging per-worker partials
-    /// in any order yields byte-identical state.
+    /// operation is associative and commutative: merging partials in any
+    /// order yields byte-identical state.
     pub fn merge(&mut self, other: &Self) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;

@@ -5,8 +5,8 @@
 //! RNG, no allocation after arm time):
 //!
 //! - [`Log2Histogram`] — fixed-shape latency/occupancy histograms whose merge
-//!   is associative and commutative, so per-worker partials combine into
-//!   byte-identical reports regardless of worker count;
+//!   is associative and commutative, so per-output and per-source partials
+//!   combine into byte-identical reports in any merge order;
 //! - [`SeriesRing`] — slot-sampled time-series of per-stage throughput,
 //!   occupancy and stall causes in preallocated rings;
 //! - [`FlightRecorder`] — a bounded ring of typed cell-lifecycle events

@@ -10,8 +10,8 @@
 //! Idle fast-forward support: the engine may skip whole windows in which
 //! nothing can move. [`SeriesRing::advance_idle`] synthesizes the samples
 //! those windows would have produced (zero throughput and stalls, constant
-//! occupancy), so a fast-forwarded serial run and a fully stepped
-//! multi-worker run emit byte-identical series.
+//! occupancy), so a fast-forwarded run and a fully stepped reference run
+//! emit byte-identical series.
 
 /// One sample of a per-stage time-series window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! recorder (single-writer, like every other per-stage structure); at dump
 //! time the per-stage rings are merged and sorted by
 //! [`TraceEvent::sort_key`], which is a total order, so the merged timeline
-//! is independent of worker count.
+//! is independent of the order the rings are merged in.
 //!
 //! [`chrome_trace_json`] renders a merged timeline in the Chrome trace-event
 //! format (`chrome://tracing`, Perfetto): stages map to `pid`, switches to

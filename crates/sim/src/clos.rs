@@ -506,9 +506,6 @@ pub struct ClosScenario {
     /// Base RNG seed; the port `i` of ingress switch `s` seeds its
     /// generator with [`traffic::plane_seed`]`(seed, s, i)`.
     pub seed: u64,
-    /// Worker threads of the per-run execution schedule (1 = serial; the
-    /// report is byte-identical for any value).
-    pub workers: usize,
     /// Configuration knobs applied to every stage buffer.
     pub overrides: ConfigOverrides,
     /// Deterministic fault plan armed before slot 0 (empty = fault-free; an
@@ -546,7 +543,6 @@ impl ClosScenario {
             link_latency: 1,
             arrival_slots: 3_000,
             seed: 1,
-            workers: 1,
             overrides: ConfigOverrides::none(),
             faults: FaultPlan::none(),
             transport: None,
@@ -710,28 +706,17 @@ impl ClosScenario {
         Ok(())
     }
 
-    /// Runs the scenario to completion with the scenario's own worker count.
+    /// Runs the scenario to completion.
     ///
     /// # Panics
     ///
     /// Panics when [`ClosScenario::validate`] would return an error.
     pub fn run(&self) -> ClosRunReport {
-        self.run_with_workers(self.workers)
+        self.dispatch_design(RunMode::Driver)
     }
 
-    /// Runs the scenario with an explicit worker count (the report is
-    /// byte-identical for any value — pinned by the fabric crate's
-    /// differential tests and re-checked here).
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`ClosScenario::validate`] would return an error.
-    pub fn run_with_workers(&self, workers: usize) -> ClosRunReport {
-        self.dispatch_design(RunMode::Workers(workers.max(1)))
-    }
-
-    /// Runs the skip-free single-threaded reference twin
-    /// ([`ClosFabric::run_reference`]).
+    /// Runs the skip-free reference twin ([`ClosFabric::run_reference`]; a
+    /// closed-loop scenario has no such twin and runs the driver).
     ///
     /// # Panics
     ///
@@ -787,7 +772,7 @@ impl ClosScenario {
 
     fn run_clos<B, F>(&self, mode: RunMode, mut build: F) -> ClosRunReport
     where
-        B: PacketBuffer + Send,
+        B: PacketBuffer,
         F: FnMut(&ClosScenario, usize) -> B,
     {
         let mut fabric = ClosFabric::new(self.clos_config(), |stage| {
@@ -801,14 +786,8 @@ impl ClosScenario {
         }
         let ext = self.external_ports();
         if let Some(t) = &self.transport {
-            // Closed-loop demand is deterministic, so the skip-free
-            // reference twin is simply the serial schedule.
             fabric.enable_transport(t.to_config());
-            let workers = match mode {
-                RunMode::Workers(workers) => workers,
-                RunMode::Reference => 1,
-            };
-            return fabric.run_transport(&mut t.sources(ext), self.arrival_slots, workers);
+            return fabric.run_transport(&mut t.sources(ext), self.arrival_slots, 1);
         }
         let n = self.radix as u64;
         let load = self.load();
@@ -817,9 +796,7 @@ impl ClosScenario {
             ($arrivals:expr) => {{
                 let mut arrivals = $arrivals;
                 match mode {
-                    RunMode::Workers(workers) => {
-                        fabric.run(&mut arrivals, self.arrival_slots, workers)
-                    }
+                    RunMode::Driver => fabric.run(&mut arrivals, self.arrival_slots, 1),
                     RunMode::Reference => fabric.run_reference(&mut arrivals, self.arrival_slots),
                 }
             }};
@@ -856,9 +833,9 @@ impl ClosScenario {
 /// Which execution engine a scenario run uses.
 #[derive(Debug, Clone, Copy)]
 enum RunMode {
-    /// The production engine at a given worker count.
-    Workers(usize),
-    /// The skip-free single-threaded reference twin.
+    /// The production slot-loop driver.
+    Driver,
+    /// The skip-free reference twin.
     Reference,
 }
 
@@ -867,7 +844,7 @@ enum RunMode {
 impl Serialize for ClosScenario {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosScenario", 21)?;
+        let mut st = serializer.serialize_struct("ClosScenario", 20)?;
         st.serialize_field("radix", &self.radix)?;
         st.serialize_field("ingress_switches", &self.ingress_switches)?;
         st.serialize_field("middle_switches", &self.middle_switches)?;
@@ -886,7 +863,6 @@ impl Serialize for ClosScenario {
         st.serialize_field("link_latency", &self.link_latency)?;
         st.serialize_field("arrival_slots", &self.arrival_slots)?;
         st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("workers", &self.workers)?;
         st.serialize_field("overrides", &self.overrides)?;
         if !self.faults.is_empty() {
             st.serialize_field("faults", &self.faults)?;
@@ -938,7 +914,9 @@ impl<'de> Deserialize<'de> for ClosScenario {
                         "link_latency" => scenario.link_latency = map.next_value()?,
                         "arrival_slots" => scenario.arrival_slots = map.next_value()?,
                         "seed" => scenario.seed = map.next_value()?,
-                        "workers" => scenario.workers = map.next_value()?,
+                        // Written by versions that had a per-stage worker
+                        // pipeline; reports never depended on it.
+                        "workers" => drop(map.next_value::<u64>()?),
                         "overrides" => scenario.overrides = map.next_value()?,
                         "faults" => scenario.faults = map.next_value()?,
                         "transport" => scenario.transport = Some(map.next_value()?),
@@ -1002,9 +980,6 @@ pub struct ClosSpec {
     pub link_latency: u64,
     /// Live-arrival slots per run.
     pub arrival_slots: u64,
-    /// Per-run worker threads (the lab already shards across runs, so 1 is
-    /// the right default; the report is worker-count-invariant regardless).
-    pub workers: u64,
     /// Seeds to cross (innermost axis).
     pub seeds: Vec<u64>,
     /// Configuration knobs applied to every stage buffer.
@@ -1093,7 +1068,6 @@ impl ClosSpec {
                                                     link_latency: self.link_latency,
                                                     arrival_slots: self.arrival_slots,
                                                     seed: *seed,
-                                                    workers: self.workers.max(1) as usize,
                                                     overrides: self.overrides,
                                                     faults: self.faults.clone(),
                                                     transport: self.transport,
@@ -1176,7 +1150,6 @@ impl Default for ClosSpecBuilder {
                 egress_period: 1,
                 link_latency: 1,
                 arrival_slots: 3_000,
-                workers: 1,
                 seeds: vec![1],
                 overrides: ConfigOverrides::none(),
                 faults: FaultPlan::none(),
@@ -1296,12 +1269,6 @@ impl ClosSpecBuilder {
         self
     }
 
-    /// Sets the per-run worker-thread count.
-    pub fn workers(mut self, workers: u64) -> Self {
-        self.spec.workers = workers;
-        self
-    }
-
     /// Sets the seeds axis.
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.spec.seeds = seeds.into_iter().collect();
@@ -1346,7 +1313,7 @@ impl ClosSpecBuilder {
 impl Serialize for ClosSpec {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosSpec", 22)?;
+        let mut st = serializer.serialize_struct("ClosSpec", 21)?;
         st.serialize_field("name", &self.name)?;
         st.serialize_field("designs", &self.designs)?;
         st.serialize_field("workloads", &self.workloads)?;
@@ -1365,7 +1332,6 @@ impl Serialize for ClosSpec {
         st.serialize_field("egress_period", &self.egress_period)?;
         st.serialize_field("link_latency", &self.link_latency)?;
         st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("workers", &self.workers)?;
         st.serialize_field("seeds", &self.seeds)?;
         st.serialize_field("overrides", &self.overrides)?;
         if !self.faults.is_empty() {
@@ -1414,7 +1380,9 @@ impl<'de> Deserialize<'de> for ClosSpec {
                         "egress_period" => spec.egress_period = map.next_value()?,
                         "link_latency" => spec.link_latency = map.next_value()?,
                         "arrival_slots" => spec.arrival_slots = map.next_value()?,
-                        "workers" => spec.workers = map.next_value()?,
+                        // Written by versions that had a per-stage worker
+                        // pipeline (`--print-spec` always emitted 1).
+                        "workers" => drop(map.next_value::<u64>()?),
                         "seeds" => spec.seeds = map.next_value()?,
                         "overrides" => spec.overrides = map.next_value()?,
                         "faults" => spec.faults = map.next_value()?,
@@ -1762,10 +1730,7 @@ mod tests {
     fn worker_counts_and_reference_agree() {
         let scenario = quick();
         let reference = scenario.run_reference();
-        for workers in [1usize, 2, 3] {
-            let report = scenario.run_with_workers(workers);
-            assert_eq!(report, reference, "workers={workers} diverged");
-        }
+        assert_eq!(scenario.run(), reference);
         assert!(reference.zero_loss);
     }
 
@@ -1792,15 +1757,12 @@ mod tests {
             ..ClosScenario::small_transport()
         };
         assert!(scenario.validate().is_ok());
-        let reference = scenario.run_reference();
-        let transport = reference.transport.as_ref().expect("transport report");
+        let report = scenario.run();
+        let transport = report.transport.as_ref().expect("transport report");
         assert!(transport.injected_cells > 1_000, "{transport:?}");
         assert_eq!(transport.duplicate_deliveries, 0);
-        assert!(reference.transport_conservation_holds());
-        assert!(reference.conservation_holds());
-        for workers in [1usize, 3] {
-            assert_eq!(scenario.run_with_workers(workers), reference);
-        }
+        assert!(report.transport_conservation_holds());
+        assert!(report.conservation_holds());
     }
 
     #[test]
@@ -2042,6 +2004,12 @@ mod tests {
         let back = ClosSpec::from_json(&json).unwrap();
         assert_eq!(back, spec);
         assert_eq!(back.to_json(), json);
+        // Specs saved before the per-stage worker pipeline was removed carry
+        // `"workers": 1`: the key still loads, its value is discarded, and
+        // it is never written again.
+        assert!(!json.contains("\"workers\""));
+        let legacy = json.replacen('{', "{\n  \"workers\": 1,", 1);
+        assert_eq!(ClosSpec::from_json(&legacy).unwrap(), spec);
         // A minimal spec takes the builder defaults.
         let minimal = ClosSpec::from_json("{\"name\": \"tiny\"}").unwrap();
         assert_eq!(minimal.name, "tiny");
@@ -2064,6 +2032,13 @@ mod tests {
         assert!(!json.contains("\"faults\""), "empty plan stays implicit");
         let back: ClosScenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, scenario);
+        // The legacy `"workers"` key loads and is dropped, like the spec's.
+        assert!(!json.contains("\"workers\""));
+        let legacy = json.replacen('{', "{\n  \"workers\": 3,", 1);
+        assert_eq!(
+            serde_json::from_str::<ClosScenario>(&legacy).unwrap(),
+            scenario
+        );
         let minimal: ClosScenario = serde_json::from_str("{\"radix\": 8}").unwrap();
         assert_eq!(minimal.radix, 8);
         assert_eq!(minimal.dispatch, DispatchChoice::Spray);
@@ -2125,9 +2100,7 @@ mod tests {
         let ledger = reference.faults.as_ref().expect("armed plans report");
         assert_eq!(ledger.events.len(), 1);
         assert!(ledger.stalled_cell_slots > 0, "{ledger:?}");
-        for workers in [1usize, 3] {
-            assert_eq!(scenario.run_with_workers(workers), reference);
-        }
+        assert_eq!(scenario.run(), reference);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   the `pktbuf-lab` CLI) and the technology evaluation.
 //!
 //! See `README.md` for a tour of the workspace, the design notes, and how to
-//! run the tests, benches and experiment binaries.
+//! run the tests, the benchmark and the `pktbuf-lab` experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

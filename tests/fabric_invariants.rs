@@ -74,7 +74,8 @@ proptest! {
     /// cell appears in the fault ledger (refused at a dead ingress port or
     /// dropped on a full link under drop-on-full); stranded cells stay
     /// inside the degraded-mode conservation balance either way. The same
-    /// seed replays bit-identically, including across worker counts.
+    /// seed replays bit-identically, including through the skip-free
+    /// reference twin.
     #[test]
     fn faulted_clos_ledgers_every_missing_cell_and_replays(
         radix in 2usize..=4,
@@ -170,9 +171,10 @@ proptest! {
         if !kill_ingress && !drop_on_full {
             prop_assert!(report.zero_loss, "{scenario:?}: {report:?}");
         }
-        // Same-seed replay is bit-identical, whatever the worker count.
+        // Same-seed replay is bit-identical, and so is the skip-free
+        // reference twin.
         prop_assert_eq!(&scenario.run(), &report);
-        prop_assert_eq!(&scenario.run_with_workers(3), &report);
+        prop_assert_eq!(&scenario.run_reference(), &report);
     }
 
     /// Chaos invariant for the closed loop: a random fault plan under the
@@ -180,10 +182,9 @@ proptest! {
     /// closes both the transport ledger (`injected = acked + in flight +
     /// queued retransmissions + abandoned`) and the fabric conservation
     /// balance, explains the fabric's deliveries as unique cells plus
-    /// filtered duplicates, and replays bit-identically across worker
-    /// counts. Permanent faults may abandon cells (the retry budget is
-    /// small by design here) — abandonment must stay inside the ledger,
-    /// never silent.
+    /// filtered duplicates, and replays bit-identically. Permanent faults
+    /// may abandon cells (the retry budget is small by design here) —
+    /// abandonment must stay inside the ledger, never silent.
     #[test]
     fn faulted_closed_loop_delivers_exactly_once_and_replays(
         radix in 2usize..=4,
@@ -277,16 +278,15 @@ proptest! {
         if !death_permanent && !kill_ingress {
             prop_assert_eq!(t.gave_up_cells, 0, "{:?}: {:?}", scenario, t);
         }
-        // Same-seed replay is bit-identical, whatever the worker count.
+        // Same-seed replay is bit-identical.
         prop_assert_eq!(&scenario.run(), &report);
-        prop_assert_eq!(&scenario.run_with_workers(3), &report);
     }
 
     /// Observability invariant over random Clos shapes: arming every probe —
     /// histograms, series, flight recorder — changes nothing about the run's
-    /// results and stays worker-count-invariant (per-worker histogram
-    /// partials merge to the single-worker report, the merged trace is
-    /// identical), while an all-off obs layer leaves the whole report
+    /// results and stays schedule-invariant (the fast-forwarding driver and
+    /// the skip-free reference twin report the same histograms, series and
+    /// merged trace), while an all-off obs layer leaves the whole report
     /// byte-identical to an unarmed run.
     #[test]
     fn armed_clos_probes_are_schedule_invariant_and_off_is_free(
@@ -314,8 +314,8 @@ proptest! {
         let off = ClosScenario { obs: Some(ObsScenario::default()), ..base.clone() };
         prop_assert_eq!(&off.run(), &baseline);
         // Every probe armed: the traffic results are unchanged, the probes
-        // report real measurements, and any schedule produces the same
-        // report bit for bit.
+        // report real measurements, and driver and reference produce the
+        // same report bit for bit.
         let armed = ClosScenario {
             obs: Some(ObsScenario {
                 series_stride,
@@ -341,9 +341,7 @@ proptest! {
         let latency = obs.latency.as_ref().expect("latency probes were armed");
         prop_assert_eq!(latency.count, report.delivered);
         prop_assert!(latency.p50 <= latency.p95 && latency.p99 <= latency.max);
-        for workers in [1usize, 2, 3] {
-            prop_assert_eq!(&armed.run_with_workers(workers), &report);
-        }
+        prop_assert_eq!(&armed.run(), &report);
     }
 }
 
