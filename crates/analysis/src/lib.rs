@@ -2,7 +2,7 @@
 //!
 //! The repository's core guarantees are enforced *dynamically* — a counting
 //! allocator proves the slot loop allocation-free, differential suites pin
-//! the chunked/per-slot/mono/dyn engines bit-identical, and the `LabRunner`
+//! the chunked and per-slot engines bit-identical, and the `LabRunner`
 //! tests prove reports thread-count-invariant. Those tests catch erosion
 //! only when a run happens to cross the eroded path. This crate makes the
 //! same invariants **structural properties of the source**, checked on every
@@ -42,8 +42,9 @@
 //!   fail once a run exercises the missing design.
 //! * **`impl-sync`** (error) — every `impl PacketBuffer for …` must
 //!   override the configured batch methods (`step_batch`, `advance_idle`):
-//!   a new design silently inheriting the per-slot defaults is a 10×
-//!   regression the bench gate would attribute to noise. Backstops
+//!   a new design silently inheriting the per-slot defaults loses the
+//!   idle fast-forward and the fused batch loop (3.6× on the benchmark's
+//!   `buf_bursty_idle`, invisible on the dense workloads). Backstops
 //!   `crates/sim/tests/chunked_equivalence.rs`.
 //!
 //! # Waivers

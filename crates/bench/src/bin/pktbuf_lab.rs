@@ -38,7 +38,6 @@ fn main() -> ExitCode {
     let result = match command {
         "run" => run_command(rest, false),
         "sweep" => run_command(rest, true),
-        "bench" => bench_command(rest),
         "fabric" => fabric_command(rest),
         "clos" => clos_command(rest),
         "analyze" => analyze_command(rest),
@@ -71,7 +70,6 @@ USAGE:
     pktbuf-lab sweep  [SPEC FLAGS] [OUTPUT FLAGS]  same, and print the per-run table
     pktbuf-lab fabric [FABRIC FLAGS]               run N×N VOQ switch-fabric experiments
     pktbuf-lab clos   [CLOS FLAGS]                 run three-stage Clos fabric experiments
-    pktbuf-lab bench  [BENCH FLAGS]                run the hot-path benchmark suite
     pktbuf-lab analyze [ANALYZE FLAGS]             check the source-level invariants
     pktbuf-lab paper  <ARTEFACT>                   regenerate a paper artefact
     pktbuf-lab spec                                print a template spec JSON
@@ -159,21 +157,6 @@ same sweep syntax as below):
     --rate, -b/-B/--banks, --slots, --seeds, --name, --threads, --json, --csv
                              as for `run`/`sweep`
 
-BENCH FLAGS (all designs x all workloads + drain/idle showcase points, both
-engines — chunked and per-slot — per point; fails if the chunked engine is
-slower than per-slot anywhere, beyond a fixed 10% same-run noise floor):
-    --smoke                  short runs for CI (default: >= 1M slots per run)
-    --out <FILE>             write the JSON artifact (default BENCH_hotpath.json)
-    --no-out                 measure and print only, write nothing
-    --repeat <N>             repeat the matrix N times, keep best-of-N per entry
-    --before <FILE>          embed FILE as the 'before' section and compute speedups
-    --compare <FILE>         fail on a slots/sec regression vs FILE
-    --max-regression <PCT>   regression tolerance (default 15)
-    --tag <TAG>              append a trajectory entry (e.g. PR-4) carrying the
-                             previous artifact's history forward; refuses a tag
-                             that is already recorded
-    --force                  allow --tag to append under an already-recorded tag
-
 SPEC FLAGS (inline specs; every axis accepts 'v', 'v1,v2,…', 'a..b*factor', 'a..b+step'):
     --spec <FILE>            read the spec from a JSON file ('-' = stdin); other spec flags override it
     --name <NAME>            experiment name
@@ -215,51 +198,6 @@ fn template_spec() -> ExperimentSpec {
         .seeds([1, 101])
         .build()
         .expect("the template spec is valid")
-}
-
-fn bench_command(args: &[String]) -> Result<(), String> {
-    use bench::hotpath::{run_bench, BenchOptions, BENCH_DEFAULT_OUT};
-    let mut options = BenchOptions {
-        out: Some(BENCH_DEFAULT_OUT.to_owned()),
-        ..BenchOptions::default()
-    };
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--smoke" => options.smoke = true,
-            "--out" => options.out = Some(value("--out")?),
-            "--no-out" => options.out = None,
-            "--before" => options.before = Some(value("--before")?),
-            "--compare" => options.compare = Some(value("--compare")?),
-            "--tag" => options.tag = Some(value("--tag")?),
-            "--force" => options.force = true,
-            "--repeat" => {
-                let v = value("--repeat")?;
-                options.repeat = Some(
-                    v.parse()
-                        .map_err(|_| format!("--repeat: {v:?} is not a count"))?,
-                );
-            }
-            "--max-regression" => {
-                let v = value("--max-regression")?;
-                options.max_regression_pct = Some(
-                    v.parse()
-                        .map_err(|_| format!("--max-regression: {v:?} is not a number"))?,
-                );
-            }
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-    match run_bench(&options) {
-        Ok(true) => Ok(()),
-        Ok(false) => Err("bench regression check failed".to_owned()),
-        Err(message) => Err(message),
-    }
 }
 
 fn analyze_command(args: &[String]) -> Result<(), String> {
@@ -522,7 +460,7 @@ fn fabric_command(args: &[String]) -> Result<(), String> {
         println!("{}", spec.to_json());
         return Ok(());
     }
-    let machine_stdout = output.machine_stdout()?;
+    let machine_stdout = output.machine_stdout(&[])?;
     let mut runner = LabRunner::new();
     if let Some(threads) = output.threads {
         runner = runner.with_threads(threads);
@@ -707,11 +645,9 @@ const CLOS_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Renders every armed run's per-stage time-series as the `--series-csv`
 /// artifact: one row per sample, identified by run index and stage.
-///
-/// # Errors
-///
-/// Fails when no run armed the series probes (`--series`/`--obs`).
-fn clos_series_csv(report: &ClosLabReport) -> Result<String, String> {
+/// (`clos_command` refuses `--series-csv` without armed series probes before
+/// the run.)
+fn clos_series_csv(report: &ClosLabReport) -> String {
     let mut table = TextTable::new(vec![
         "index",
         "stage",
@@ -720,14 +656,12 @@ fn clos_series_csv(report: &ClosLabReport) -> Result<String, String> {
         "occupancy",
         "credit_stall_slots",
     ]);
-    let mut sampled = false;
     for run in &report.runs {
         let Some(obs) = &run.report.obs else { continue };
         for stage in &obs.stages {
             let Some(series) = &stage.series else {
                 continue;
             };
-            sampled = true;
             for (i, slot) in series.slots.iter().enumerate() {
                 table.push_row(vec![
                     run.index.to_string(),
@@ -740,12 +674,7 @@ fn clos_series_csv(report: &ClosLabReport) -> Result<String, String> {
             }
         }
     }
-    if !sampled {
-        return Err(
-            "--series-csv needs armed series probes: pass --series <stride> or --obs".to_owned(),
-        );
-    }
-    Ok(table.to_csv())
+    table.to_csv()
 }
 
 /// The flight-recorder leg of `clos --smoke --trace-json`: re-runs the
@@ -1196,7 +1125,26 @@ fn clos_command(args: &[String]) -> Result<(), String> {
         println!("{}", spec.to_json());
         return Ok(());
     }
-    let machine_stdout = output.machine_stdout()?;
+    // Every artifact check runs before the first simulated slot: a sweep is
+    // never discarded on a flag combination that could have been refused up
+    // front.
+    let machine_stdout = output.machine_stdout(&[
+        ("--faults-json", faults_json.as_deref()),
+        ("--recovery-json", recovery_json.as_deref()),
+        ("--series-csv", series_csv.as_deref()),
+        ("--trace-json", trace_json.as_deref()),
+    ])?;
+    if recovery_json.is_some() && !smoke {
+        return Err(
+            "--recovery-json needs --smoke (only the smoke suite runs the recovery leg)".to_owned(),
+        );
+    }
+    let series_armed = spec.obs.is_some_and(|o| o.to_config().series_enabled());
+    if series_csv.is_some() && !series_armed {
+        return Err(
+            "--series-csv needs armed series probes: pass --series <stride> or --obs".to_owned(),
+        );
+    }
     let mut runner = LabRunner::new();
     if let Some(threads) = output.threads {
         runner = runner.with_threads(threads);
@@ -1239,13 +1187,7 @@ fn clos_command(args: &[String]) -> Result<(), String> {
         };
         write_artifact(path, &clos_fault_ledgers_json(&sources), "fault ledgers")?;
     }
-    if let Some(path) = &recovery_json {
-        let Some((healthy, faulted)) = &recovery_legs else {
-            return Err(
-                "--recovery-json needs --smoke (only the smoke suite runs the recovery leg)"
-                    .to_owned(),
-            );
-        };
+    if let (Some(path), Some((healthy, faulted))) = (&recovery_json, &recovery_legs) {
         write_artifact(
             path,
             &clos_recovery_json(healthy, faulted),
@@ -1253,7 +1195,7 @@ fn clos_command(args: &[String]) -> Result<(), String> {
         )?;
     }
     if let Some(path) = &series_csv {
-        write_artifact(path, &clos_series_csv(&report)?, "series samples")?;
+        write_artifact(path, &clos_series_csv(&report), "series samples")?;
     }
     if let Some(path) = &trace_json {
         // Written before the gates, like every other smoke artifact, so a
@@ -1658,7 +1600,7 @@ fn paper_command(args: &[String]) -> Result<(), String> {
 
 fn run_command(args: &[String], print_runs: bool) -> Result<(), String> {
     let (spec, output) = parse_spec_args(args)?;
-    let machine_stdout = output.machine_stdout()?;
+    let machine_stdout = output.machine_stdout(&[])?;
     let mut runner = LabRunner::new();
     if let Some(threads) = output.threads {
         runner = runner.with_threads(threads);
@@ -1876,4 +1818,19 @@ fn print_summary(report: &ExperimentReport, print_runs: bool, to_stderr: bool) {
         agg.peak_head_sram_cells,
         agg.peak_rr_entries,
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `pktbuf-lab spec` prints exactly the committed schema fixture (which
+    /// `tests/schema_fixtures.rs` in turn round-trips through the parser).
+    #[test]
+    fn template_spec_is_the_committed_fixture() {
+        assert_eq!(
+            format!("{}\n", template_spec().to_json()),
+            include_str!("../../../../tests/fixtures/spec_template.json")
+        );
+    }
 }

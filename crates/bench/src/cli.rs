@@ -1,21 +1,17 @@
 //! Shared guard rails of the `pktbuf-lab` subcommands.
 //!
-//! Every subcommand that writes machine-readable artifacts shares the same
-//! failure modes, and each used to carry its own copy of the protections:
+//! Every subcommand that writes machine-readable artifacts shares one
+//! failure mode, **stdout conflicts** — two artifacts sent to `'-'` cannot
+//! both stream to stdout (the concatenation is neither valid JSON nor valid
+//! CSV), and a stdout-bound artifact must move the human summary to stderr.
+//! Checked *before* a run starts, so a long sweep is never discarded on
+//! output.
 //!
-//! * **stdout conflicts** — `--json -` and `--csv -` cannot both stream to
-//!   stdout (the concatenation is neither valid JSON nor valid CSV), and a
-//!   stdout-bound artifact must move the human summary to stderr. Checked
-//!   *before* a run starts, so a long sweep is never discarded on output.
-//! * **history collisions** — re-recording a `--tag` that a trajectory
-//!   already carries would make the per-PR performance history ambiguous;
-//!   the guard refuses unless `--force` is passed.
-//!
-//! [`OutputOptions`] and [`guard_fresh_tag`] centralise both, next to the
-//! artifact read/write and flag-parsing helpers every subcommand uses, so a
-//! new subcommand (e.g. `clos`) inherits the full guard set by construction.
+//! [`OutputOptions::machine_stdout`] centralises the check over *every*
+//! artifact destination a subcommand has (the shared `--json`/`--csv` plus
+//! whatever extra artifact flags it declares), next to the artifact
+//! read/write and flag-parsing helpers every subcommand uses.
 
-use serde_json::Value;
 use sim::spec::Sweep;
 
 /// Parsed `--threads`/`--json`/`--csv` output options shared by the `run`,
@@ -33,18 +29,31 @@ pub struct OutputOptions {
 impl OutputOptions {
     /// Whether a machine-readable artifact targets stdout (`'-'`) — the
     /// human summary then moves to stderr so the stream stays valid
-    /// JSON/CSV. Checked *before* a run starts: two artifacts cannot share
-    /// stdout (the concatenation would be neither), and discovering that
-    /// only after a long sweep would discard it.
+    /// JSON/CSV. `extra` lists the subcommand's other artifact flags as
+    /// `(flag, destination)` pairs, so the guard sees every destination
+    /// beside the shared `--json`/`--csv`. Checked *before* a run starts: two
+    /// artifacts cannot share stdout (the concatenation would be neither),
+    /// and discovering that only after a long sweep would discard it.
     ///
     /// # Errors
     ///
-    /// Errors when both `--json -` and `--csv -` were requested.
-    pub fn machine_stdout(&self) -> Result<bool, String> {
-        if self.json.as_deref() == Some("-") && self.csv.as_deref() == Some("-") {
-            return Err("--json - and --csv - cannot both write to stdout".to_owned());
+    /// Errors when more than one artifact was sent to `'-'`, naming the
+    /// first two flags.
+    pub fn machine_stdout(&self, extra: &[(&str, Option<&str>)]) -> Result<bool, String> {
+        let shared = [
+            ("--json", self.json.as_deref()),
+            ("--csv", self.csv.as_deref()),
+        ];
+        let mut on_stdout = shared
+            .iter()
+            .chain(extra)
+            .filter(|(_, destination)| *destination == Some("-"))
+            .map(|(flag, _)| *flag);
+        let first = on_stdout.next();
+        if let (Some(a), Some(b)) = (first, on_stdout.next()) {
+            return Err(format!("{a} - and {b} - cannot both write to stdout"));
         }
-        Ok(self.json.as_deref() == Some("-") || self.csv.as_deref() == Some("-"))
+        Ok(first.is_some())
     }
 
     /// Writes the JSON/CSV artifacts that were requested; the renderers run
@@ -106,50 +115,6 @@ pub fn read_spec_text(path: &str) -> Result<String, String> {
     }
 }
 
-/// Loads a JSON artifact (bench history, spec, …) from `path`.
-///
-/// # Errors
-///
-/// Errors when the file cannot be read or does not parse as JSON.
-pub fn load_artifact(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path:?}: {e}"))
-}
-
-/// Whether a previously recorded artifact's trajectory already carries an
-/// entry under `tag`.
-pub fn trajectory_has_tag(artifact: &Value, tag: &str) -> bool {
-    let Some(Value::Array(rows)) = artifact.as_object().and_then(|o| o.get("trajectory")) else {
-        return false;
-    };
-    rows.iter().any(|row| {
-        row.as_object()
-            .and_then(|o| o.get("tag"))
-            .and_then(Value::as_str)
-            == Some(tag)
-    })
-}
-
-/// The `--tag` re-recording guard: refuses to append a trajectory entry
-/// under a tag the previous artifact already carries, unless `force`.
-/// Run it *before* the (minutes-long) measurement, not after.
-///
-/// # Errors
-///
-/// Errors when `previous` already has an entry tagged `tag` and `force` is
-/// not set.
-pub fn guard_fresh_tag(previous: Option<&Value>, tag: &str, force: bool) -> Result<(), String> {
-    if let Some(previous) = previous {
-        if !force && trajectory_has_tag(previous, tag) {
-            return Err(format!(
-                "trajectory already has an entry tagged {tag:?}; re-recording would \
-                 make the per-PR history ambiguous (pass --force to append anyway)"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Parses one unsigned-integer flag value.
 ///
 /// # Errors
@@ -205,30 +170,43 @@ mod tests {
 
     #[test]
     fn stdout_conflict_is_refused_before_any_run() {
-        assert!(options(Some("-"), Some("-")).machine_stdout().is_err());
-        assert!(!options(None, None).machine_stdout().unwrap());
-        assert!(options(Some("-"), None).machine_stdout().unwrap());
-        assert!(options(None, Some("-")).machine_stdout().unwrap());
+        assert!(options(Some("-"), Some("-")).machine_stdout(&[]).is_err());
+        assert!(!options(None, None).machine_stdout(&[]).unwrap());
+        assert!(options(Some("-"), None).machine_stdout(&[]).unwrap());
+        assert!(options(None, Some("-")).machine_stdout(&[]).unwrap());
         assert!(!options(Some("a.json"), Some("b.csv"))
-            .machine_stdout()
+            .machine_stdout(&[])
             .unwrap());
     }
 
     #[test]
-    fn fresh_tag_guard_refuses_duplicates_unless_forced() {
-        let artifact = serde_json::from_str::<Value>(
-            "{\"trajectory\":[{\"tag\":\"PR-6\"},{\"tag\":\"baseline\"}]}",
-        )
-        .unwrap();
-        assert!(trajectory_has_tag(&artifact, "PR-6"));
-        assert!(!trajectory_has_tag(&artifact, "PR-7"));
-        assert!(guard_fresh_tag(Some(&artifact), "PR-6", false).is_err());
-        assert!(guard_fresh_tag(Some(&artifact), "PR-6", true).is_ok());
-        assert!(guard_fresh_tag(Some(&artifact), "PR-7", false).is_ok());
-        assert!(guard_fresh_tag(None, "PR-6", false).is_ok());
-        // No trajectory section: nothing to collide with.
-        let empty = serde_json::from_str::<Value>("{}").unwrap();
-        assert!(guard_fresh_tag(Some(&empty), "PR-6", false).is_ok());
+    fn the_stdout_guard_sees_every_artifact_destination() {
+        // --json, --csv and three extra artifact flags, each unset / a file /
+        // '-': the whole 3^5 matrix. At most one '-' passes, any '-' claims
+        // stdout, and a conflict names the two flags.
+        let choices = [None, Some("f"), Some("-")];
+        for combo in 0..3usize.pow(5) {
+            let dest: Vec<Option<&str>> =
+                (0..5).map(|i| choices[combo / 3usize.pow(i) % 3]).collect();
+            let extra = [
+                ("--faults-json", dest[2]),
+                ("--series-csv", dest[3]),
+                ("--trace-json", dest[4]),
+            ];
+            let got = options(dest[0], dest[1]).machine_stdout(&extra);
+            match dest.iter().filter(|d| **d == Some("-")).count() {
+                0 => assert!(!got.unwrap(), "{dest:?}"),
+                1 => assert!(got.unwrap(), "{dest:?}"),
+                _ => assert!(got.unwrap_err().contains("cannot both write"), "{dest:?}"),
+            }
+        }
+        let err = options(None, Some("-"))
+            .machine_stdout(&[("--faults-json", None), ("--trace-json", Some("-"))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "--csv - and --trace-json - cannot both write to stdout"
+        );
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! | `validate`      | §5 claims      | slot-level zero-miss / conflict-free validation |
 //! | `fragmentation` | §6             | DRAM utilisation with and without renaming |
 //! | `ablation_dsa`  | design ablation| oldest-first vs. FIFO vs. random DSA |
+//!
+//! Despite the crate's name nothing here measures host performance: that is
+//! the `benchmark/` package declared by `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 
 use pktbuf_model::{CfdsConfig, LineRate};
 
 pub mod cli;
-pub mod hotpath;
 pub mod paper;
 
 /// The OC-768 evaluation point of §7 (Q = 128, B = 8).

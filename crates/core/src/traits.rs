@@ -165,6 +165,23 @@ pub trait PacketBuffer {
     /// the availability array backing the request oracle) out of the loop —
     /// with **identical observable behaviour**, which the differential suite
     /// in `sim` pins down.
+    ///
+    /// The overrides are load-bearing; do not re-propose deleting them from
+    /// the dense `sim.per_slot_engine_ratio` (≈ 1.05) alone. Measured on the
+    /// deletion (PR 18, paired interleaved 24 s runs, `sim_fingerprint`
+    /// equal): falling back to this default moves `buf_bursty_idle`
+    /// 7.53 → 26.2 ns per buffer-step (3.6×, 0/3 pairs lower). The fused
+    /// loops buy two things:
+    ///
+    /// 1. the **skip-scan shortcut** — when nothing is requestable anywhere
+    ///    (an O(1) total) a skippable generator's Q-probe scan is skipped.
+    ///    That is most of the 3.6×, but hoisting just that line into this
+    ///    default still leaves `buf_bursty_idle` at 7.71 → 9.26 ns (+18.6 %,
+    ///    0/10 pairs lower; `buf_worstcase` 118.1 → 122.8 ns, inside the
+    ///    parent's quartiles);
+    /// 2. **no per-slot hand-off** — no [`SlotOutcome`] materialised and no
+    ///    counter written through memory each slot (they live in locals for
+    ///    the batch), which is that remaining +18.6 %.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],

@@ -36,8 +36,9 @@ macro_rules! label_table {
 
 /// Every generator pairing reachable through the `traffic` crate's shipped
 /// generators: 5 arrival sources × 4 request sources. Scenario-built
-/// workloads use 10 of these (see `Workload::engine_label`); the rest cover
-/// hand-composed engines.
+/// workloads use 9 of these (`scenario_workloads_resolve_to_known_labels`
+/// pins that every one resolves here, never through [`DYNAMIC_LABELS`]); the
+/// rest cover hand-composed engines.
 static KNOWN_LABELS: &[(&str, &str, &str)] = label_table![
     ("uniform", "adversarial-round-robin"),
     ("uniform", "uniform-random"),
@@ -123,23 +124,21 @@ impl SimulationReport {
 
 /// Drives a packet buffer with workload generators.
 ///
-/// The engine is generic over the buffer type. The default parameter keeps
-/// the type-erased entry point (`SimulationEngine::new` over
-/// `&mut dyn PacketBuffer`) that the CLI uses, while
-/// [`SimulationEngine::new_mono`] monomorphises the whole slot loop for a
-/// concrete buffer type — no per-slot virtual dispatch — which is what
-/// [`crate::scenario::Scenario`] and the benchmarks run.
+/// The engine is generic over the buffer type: [`SimulationEngine::new_mono`]
+/// over a concrete buffer monomorphises the whole slot loop — no per-slot
+/// virtual dispatch — which is what [`crate::scenario::Scenario`], the lab
+/// runner and the benchmark run; over a `&mut dyn PacketBuffer` the same
+/// constructor gives runtime composition on the per-slot loop.
 ///
 /// Two loop shapes exist: [`SimulationEngine::run`] is the slot-by-slot
-/// reference (available on both entry points) and
+/// reference (any buffer, sized or not) and
 /// [`SimulationEngine::run_chunked`] is the production batch engine (chunked
 /// arrival generation, fused `step_batch` loops, idle fast-forward; concrete
-/// buffers only). All paths produce bit-identical reports, pinned by the
-/// `mono_dyn_equivalence` and `chunked_equivalence` test suites.
-pub struct SimulationEngine<'a, B: PacketBuffer + ?Sized = dyn PacketBuffer + 'a> {
+/// buffers only). Both produce bit-identical reports, pinned by the
+/// `chunked_equivalence` test suite.
+pub struct SimulationEngine<'a, B: PacketBuffer + ?Sized> {
     buffer: &'a mut B,
     record_grants: bool,
-    workload_label: Option<&'static str>,
 }
 
 impl<'a, B: PacketBuffer + ?Sized> std::fmt::Debug for SimulationEngine<'a, B> {
@@ -151,25 +150,14 @@ impl<'a, B: PacketBuffer + ?Sized> std::fmt::Debug for SimulationEngine<'a, B> {
     }
 }
 
-impl<'a> SimulationEngine<'a> {
-    /// Creates a type-erased engine around `buffer` (the CLI entry point).
-    pub fn new(buffer: &'a mut (dyn PacketBuffer + 'a)) -> Self {
-        SimulationEngine {
-            buffer,
-            record_grants: false,
-            workload_label: None,
-        }
-    }
-}
-
 impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
-    /// Creates a monomorphized engine around a concrete buffer type: the
-    /// fast path used by the lab runner and the benchmarks.
+    /// Creates an engine around `buffer`. With a concrete buffer type the
+    /// slot loop is monomorphized: the fast path used by the lab runner and
+    /// the benchmark.
     pub fn new_mono(buffer: &'a mut B) -> Self {
         SimulationEngine {
             buffer,
             record_grants: false,
-            workload_label: None,
         }
     }
 
@@ -180,15 +168,6 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
         self
     }
 
-    /// Supplies the report's workload label up front (callers that know the
-    /// workload statically hoist the `"{arrivals}+{requests}"` naming out of
-    /// `run`). Must match what `run` would derive from the generator names —
-    /// the mono/dyn differential tests pin this.
-    pub fn with_workload_label(mut self, label: &'static str) -> Self {
-        self.workload_label = Some(label);
-        self
-    }
-
     /// Runs the workload **slot by slot**: `active_slots` slots with both
     /// generators running, followed by a drain phase (arrivals stop, requests
     /// continue while any queue still has requestable cells, then the
@@ -196,7 +175,7 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
     ///
     /// This is the reference engine. [`SimulationEngine::run_chunked`]
     /// produces bit-identical reports by processing slots in batches; the
-    /// differential suites pin the two (and the type-erased path) together.
+    /// `chunked_equivalence` suite pins the two together.
     ///
     /// Generic over the generator types for the same reason the engine is
     /// generic over the buffer: concrete generators compile to a slot loop
@@ -216,10 +195,7 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
         active_slots: u64,
     ) -> SimulationReport {
         let mut grant_log = self.record_grants.then(Vec::new); // analyze: allow(hotpath-alloc) — grant-log setup at run entry, before the slot loop
-        let workload = match self.workload_label {
-            Some(label) => label,
-            None => workload_label(arrivals.name(), requests.name()),
-        };
+        let workload = workload_label(arrivals.name(), requests.name());
         let buffer = self.buffer;
         // The drain flush horizon is a fixed property of the pipeline; query
         // it once instead of once per drain decision.
@@ -378,10 +354,7 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
         requests: &mut R,
         active_slots: u64,
     ) -> SimulationReport {
-        let workload = match self.workload_label {
-            Some(label) => label,
-            None => workload_label(arrivals.name(), requests.name()),
-        };
+        let workload = workload_label(arrivals.name(), requests.name());
         let mut sink = GrantSink::new(self.record_grants);
         let buffer = self.buffer;
         // The drain flush horizon is a fixed property of the pipeline; query
@@ -458,9 +431,38 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, Workload};
     use pktbuf::{CfdsBuffer, PacketBuffer, RadsBuffer};
     use pktbuf_model::{CfdsConfig, LineRate, RadsConfig};
     use traffic::{AdversarialRoundRobin, UniformArrivals};
+
+    #[test]
+    fn scenario_workloads_resolve_to_known_labels() {
+        // Every generator pair a `Scenario` can build must hit the
+        // compile-time table: a miss would send report construction through
+        // the allocating, leaking `DYNAMIC_LABELS` path on every lab run.
+        for workload in Workload::all() {
+            for (arrival_slots, preload) in [(300, 0), (0, 16)] {
+                let report = Scenario {
+                    workload,
+                    arrival_slots,
+                    preload_cells_per_queue: preload,
+                    ..Scenario::small_cfds()
+                }
+                .run();
+                assert!(
+                    KNOWN_LABELS.iter().any(|(_, _, l)| *l == report.workload),
+                    "{workload:?} (live={}) reports {:?}, not in KNOWN_LABELS",
+                    arrival_slots > 0,
+                    report.workload
+                );
+            }
+        }
+    }
+
+    // Both tests drive the engine fully type-erased — `&mut dyn PacketBuffer`
+    // with `&mut dyn` generators — so the trait's object safety and the
+    // per-slot loop over unsized types stay compiled and exercised.
 
     #[test]
     fn engine_runs_rads_end_to_end() {
@@ -472,15 +474,14 @@ mod tests {
             dram: Default::default(),
         };
         let mut buf = RadsBuffer::new(cfg);
-        let mut arrivals = UniformArrivals::new(4, 0.8, 42);
-        let mut requests = AdversarialRoundRobin::new(4);
-        let report = SimulationEngine::new(&mut buf).record_grants(true).run(
-            &mut arrivals,
-            &mut requests,
-            2_000,
-        );
+        let buffer: &mut dyn PacketBuffer = &mut buf;
+        let arrivals: &mut dyn ArrivalGenerator = &mut UniformArrivals::new(4, 0.8, 42);
+        let requests: &mut dyn RequestGenerator = &mut AdversarialRoundRobin::new(4);
+        let report = SimulationEngine::new_mono(buffer)
+            .record_grants(true)
+            .run(arrivals, requests, 2_000);
         assert_eq!(report.design, "RADS");
-        assert!(report.workload.contains("uniform"));
+        assert_eq!(report.workload, "uniform+adversarial-round-robin");
         assert!(report.stats.is_loss_free(), "{:?}", report.stats);
         assert!(report.stats.grants > 0);
         assert!(report.grants_per_slot() > 0.0);
@@ -500,9 +501,10 @@ mod tests {
             .build()
             .unwrap();
         let mut buf = CfdsBuffer::new(cfg);
-        let mut arrivals = UniformArrivals::new(4, 0.8, 7);
-        let mut requests = AdversarialRoundRobin::new(4);
-        let report = SimulationEngine::new(&mut buf).run(&mut arrivals, &mut requests, 2_000);
+        let buffer: &mut dyn PacketBuffer = &mut buf;
+        let arrivals: &mut dyn ArrivalGenerator = &mut UniformArrivals::new(4, 0.8, 7);
+        let requests: &mut dyn RequestGenerator = &mut AdversarialRoundRobin::new(4);
+        let report = SimulationEngine::new_mono(buffer).run(arrivals, requests, 2_000);
         assert_eq!(report.design, "CFDS");
         assert!(report.stats.is_loss_free(), "{:?}", report.stats);
         assert_eq!(report.stats.bank_conflicts, 0);

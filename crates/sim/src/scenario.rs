@@ -129,26 +129,6 @@ impl Workload {
             Workload::GreedyDrain,
         ]
     }
-
-    /// The engine's `"{arrivals}+{requests}"` report label for this workload,
-    /// precomputed so per-run report construction does not format it afresh.
-    /// `live_arrivals` selects between the live arrival generator and the
-    /// preload-only stub.
-    pub fn engine_label(self, live_arrivals: bool) -> &'static str {
-        match (self, live_arrivals) {
-            (Workload::AdversarialRoundRobin, true) => "uniform+adversarial-round-robin",
-            (Workload::AdversarialRoundRobin | Workload::Bursty, false) => {
-                "preload-only+adversarial-round-robin"
-            }
-            (Workload::UniformRandom, true) => "uniform+uniform-random",
-            (Workload::UniformRandom, false) => "preload-only+uniform-random",
-            (Workload::Bursty, true) => "bursty+adversarial-round-robin",
-            (Workload::Hotspot, true) => "hotspot+hotspot",
-            (Workload::Hotspot, false) => "preload-only+hotspot",
-            (Workload::GreedyDrain, true) => "uniform+greedy-queue-drain",
-            (Workload::GreedyDrain, false) => "preload-only+greedy-queue-drain",
-        }
-    }
 }
 
 impl fmt::Display for Workload {
@@ -249,9 +229,8 @@ pub struct Scenario {
     pub overrides: ConfigOverrides,
 }
 
-/// Workload parameters shared by the type-erased generator builders and the
-/// monomorphized dispatch — one source of truth, so the two run paths cannot
-/// drift apart (the `mono_dyn_equivalence` tests additionally pin this).
+/// Arrival load of the drain-style workloads (adversarial round-robin,
+/// greedy drain, hotspot).
 const DRAIN_ARRIVAL_LOAD: f64 = 0.9;
 /// Arrival load of the uniform-random workload.
 const UNIFORM_ARRIVAL_LOAD: f64 = 0.8;
@@ -387,61 +366,6 @@ impl Scenario {
         buf
     }
 
-    /// Builds the buffer under test behind the type-erased trait (the CLI
-    /// composition path; the scenario runners below use the concrete
-    /// builders and the monomorphized engine instead).
-    pub fn build_buffer(&self) -> Box<dyn PacketBuffer + Send> {
-        match self.design {
-            DesignKind::DramOnly => Box::new(self.build_dram_only()),
-            DesignKind::Rads => Box::new(self.build_rads()),
-            DesignKind::Cfds => Box::new(self.build_cfds()),
-        }
-    }
-
-    fn build_arrivals(&self) -> Box<dyn ArrivalGenerator + Send> {
-        let q = self.num_queues;
-        let seed = stream_seed(self.seed, 0);
-        match self.workload {
-            Workload::AdversarialRoundRobin | Workload::GreedyDrain => {
-                Box::new(UniformArrivals::new(q, DRAIN_ARRIVAL_LOAD, seed))
-            }
-            Workload::UniformRandom => {
-                Box::new(UniformArrivals::new(q, UNIFORM_ARRIVAL_LOAD, seed))
-            }
-            Workload::Bursty => Box::new(BurstyArrivals::new(
-                q,
-                BURST_ON_SLOTS,
-                BURST_OFF_SLOTS,
-                seed,
-            )),
-            Workload::Hotspot => Box::new(HotspotArrivals::new(
-                q,
-                DRAIN_ARRIVAL_LOAD,
-                hot_queue_count(q),
-                HOT_FRACTION,
-                seed,
-            )),
-        }
-    }
-
-    fn build_requests(&self) -> Box<dyn RequestGenerator + Send> {
-        let q = self.num_queues;
-        let seed = stream_seed(self.seed, 1);
-        match self.workload {
-            Workload::AdversarialRoundRobin | Workload::Bursty => {
-                Box::new(AdversarialRoundRobin::new(q))
-            }
-            Workload::UniformRandom => Box::new(UniformRandomRequests::new(q, REQUEST_LOAD, seed)),
-            Workload::Hotspot => Box::new(HotspotRequests::new(
-                q,
-                hot_queue_count(q),
-                HOT_FRACTION,
-                seed,
-            )),
-            Workload::GreedyDrain => Box::new(GreedyQueueDrain::new(q)),
-        }
-    }
-
     /// Runs the scenario to completion and returns the report.
     ///
     /// # Panics
@@ -460,9 +384,9 @@ impl Scenario {
     }
 
     /// Drives one concrete buffer through the monomorphized engine,
-    /// dispatching once per run to concrete generator types (the same
-    /// constructions as [`Scenario::build_arrivals`] /
-    /// [`Scenario::build_requests`], minus the per-slot virtual dispatch).
+    /// dispatching once per run to concrete generator types: this and
+    /// [`Scenario::run_with_requests`] are the one workload → generator
+    /// mapping (requests here, arrivals there).
     fn run_engine<B: PacketBuffer>(
         &self,
         buffer: &mut B,
@@ -501,9 +425,7 @@ impl Scenario {
         mode: EngineMode,
     ) -> SimulationReport {
         let q = self.num_queues;
-        let engine = SimulationEngine::new_mono(buffer)
-            .record_grants(record)
-            .with_workload_label(self.workload.engine_label(self.arrival_slots > 0));
+        let engine = SimulationEngine::new_mono(buffer).record_grants(record);
         if self.arrival_slots == 0 {
             let mut no_arrivals = NoArrivals { num_queues: q };
             return dispatch_engine(mode, engine, &mut no_arrivals, &mut requests, 0);
@@ -553,9 +475,8 @@ impl Scenario {
     /// **chunked** engine ([`SimulationEngine::run_chunked`]) for the
     /// concrete buffer type: batch arrival generation, fused slot batches,
     /// idle fast-forward. [`Scenario::run_per_slot_with_grant_log`] keeps the
-    /// monomorphized per-slot engine and
-    /// [`Scenario::run_dyn_with_grant_log`] the type-erased one; all three
-    /// produce bit-identical reports (pinned by the differential suites).
+    /// monomorphized per-slot engine; the two produce bit-identical reports
+    /// (pinned by the `chunked_equivalence` suite).
     ///
     /// # Panics
     ///
@@ -581,33 +502,6 @@ impl Scenario {
             DesignKind::DramOnly => self.run_engine(&mut self.build_dram_only(), record, mode),
             DesignKind::Rads => self.run_engine(&mut self.build_rads(), record, mode),
             DesignKind::Cfds => self.run_engine(&mut self.build_cfds(), record, mode),
-        }
-    }
-
-    /// Runs the scenario through the type-erased engine (`&mut dyn
-    /// PacketBuffer`), exactly as an embedder composing buffers at runtime
-    /// would. Exists so the differential tests can pin the monomorphized
-    /// fast path to this reference behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both a preload and live arrivals are requested.
-    pub fn run_dyn_with_grant_log(&self, record: bool) -> SimulationReport {
-        self.assert_exclusive();
-        let mut buffer = self.build_buffer();
-        let mut requests = self.build_requests();
-        if self.arrival_slots > 0 {
-            let mut arrivals = self.build_arrivals();
-            SimulationEngine::new(buffer.as_mut())
-                .record_grants(record)
-                .run(arrivals.as_mut(), requests.as_mut(), self.arrival_slots)
-        } else {
-            let mut no_arrivals = NoArrivals {
-                num_queues: self.num_queues,
-            };
-            SimulationEngine::new(buffer.as_mut())
-                .record_grants(record)
-                .run(&mut no_arrivals, requests.as_mut(), 0)
         }
     }
 }

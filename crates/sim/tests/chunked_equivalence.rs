@@ -3,9 +3,6 @@
 //! `SimulationReport`s — including grant logs — for every design × workload,
 //! with live arrivals and with preloaded drains, and at chunk-boundary edge
 //! cases (runs shorter than a chunk, runs one slot off a chunk multiple).
-//!
-//! Together with `mono_dyn_equivalence` (chunked vs the type-erased per-slot
-//! path) this pins all three engine paths to each other.
 
 use sim::scenario::{DesignKind, Scenario, Workload};
 use sim::{SimulationReport, CHUNK_SLOTS};
