@@ -1,8 +1,7 @@
 //! Diagnostics and the JSON artifact.
 //!
-//! The [`AnalysisReport`] round-trips through the vendored `serde_json`
-//! (hand-written `Serialize`/`Deserialize`, like the spec/report chain in
-//! `sim`) so CI can upload `analysis.json` and tooling can diff runs.
+//! The [`AnalysisReport`] round-trips through the vendored `serde_json` so CI
+//! can upload `analysis.json` and tooling can diff runs.
 
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -148,6 +147,8 @@ impl AnalysisReport {
     }
 }
 
+// Hand-written (the derive spells an enum by its variant names): severities
+// are lower-case.
 impl Serialize for Diagnostic {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -212,6 +213,8 @@ impl<'de> Deserialize<'de> for Diagnostic {
     }
 }
 
+// Hand-written (the derive has no computed fields): the three counts are
+// derived on the way out and recomputed, not trusted, on the way in.
 impl Serialize for AnalysisReport {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;

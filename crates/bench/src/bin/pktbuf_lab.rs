@@ -725,6 +725,8 @@ struct ClosFaultRecord<'a> {
     ledger: &'a sim::FaultLedger,
 }
 
+// Hand-written, like `ClosRecoveryRecord` below: the derive takes no
+// lifetime parameters, and these records borrow from the lab reports.
 impl Serialize for ClosFaultRecord<'_> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;

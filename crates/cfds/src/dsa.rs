@@ -2,7 +2,6 @@
 
 use crate::orr::OngoingRequestsRegister;
 use crate::rr::RequestsRegister;
-use serde::{Deserialize, Serialize};
 
 /// A DRAM Scheduler Algorithm selects which pending request of the Requests
 /// Register to issue next, subject to the locked banks in the Ongoing
@@ -17,7 +16,7 @@ pub trait DramSchedulerAlgorithm {
 }
 
 /// Enumerates the available DSA policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DsaPolicy {
     /// The paper's policy: the *oldest* request addressed to an unlocked bank
     /// (wake-up/select, like a superscalar issue queue).

@@ -1,7 +1,6 @@
 //! The Ongoing Requests Register (ORR).
 
 use dram_sim::BankId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The Ongoing Requests Register: a shift register holding the identifiers of
@@ -11,7 +10,7 @@ use std::collections::VecDeque;
 /// the register shifts by one position at *every* opportunity — recording the
 /// issued bank, or an empty slot when nothing was issued — and a bank is
 /// locked while its identifier is anywhere in the register.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OngoingRequestsRegister {
     slots: VecDeque<Option<BankId>>,
     capacity: usize,

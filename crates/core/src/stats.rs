@@ -41,8 +41,8 @@ pub struct BufferStats {
     pub max_dss_delay_slots: u64,
 }
 
-// Hand-written so that reports really encode (the vendored serde derive only
-// type-checks). Field order matches the declaration; keep the two in sync.
+// Hand-written (the derive has no computed fields): the counters in
+// declaration order, then the derived `loss_free` verdict.
 impl Serialize for BufferStats {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;

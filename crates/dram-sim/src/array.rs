@@ -3,14 +3,13 @@
 use crate::bank::{Bank, BankConflict};
 use crate::request::BankId;
 use crate::stats::DramStats;
-use serde::{Deserialize, Serialize};
 
 /// An array of `M` DRAM banks sharing the same timing parameters.
 ///
 /// This is the timing-only view of the DRAM used by both RADS (which treats
 /// the whole array as a single resource accessed every `B` slots) and CFDS
 /// (which overlaps accesses to distinct banks every `b` slots).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BankArray {
     banks: Vec<Bank>,
     busy_slots: u64,

@@ -1,13 +1,12 @@
 //! A single DRAM bank timing state machine.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 use crate::request::BankId;
 
 /// State of a bank at a given slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankState {
     /// The bank can accept a new access.
     Idle,
@@ -50,7 +49,7 @@ impl Error for BankConflict {}
 /// The bank only models *timing*: it is busy for a fixed number of slots after
 /// each access (the DRAM random access time expressed in slots) and rejects
 /// overlapping accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bank {
     id: BankId,
     state: BankState,

@@ -8,7 +8,6 @@ use std::fmt;
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct BankId(pub u32);
 
 impl BankId {
@@ -32,7 +31,6 @@ impl fmt::Display for BankId {
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct GroupId(pub u32);
 
 impl GroupId {

@@ -2072,7 +2072,7 @@ impl<B: PacketBuffer> ClosFabric<B> {
 
 /// One stage's outcome: its switches' full [`FabricRunReport`]s plus the
 /// stage's inbound-link and credit accounting.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosStageReport {
     /// Stage label ("ingress" / "middle" / "egress").
     pub stage: &'static str,
@@ -2092,26 +2092,11 @@ pub struct ClosStageReport {
     pub switches: Vec<FabricRunReport>,
 }
 
-impl Serialize for ClosStageReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosStageReport", 7)?;
-        st.serialize_field("stage", &self.stage)?;
-        st.serialize_field("crossbar_utilization", &self.crossbar_utilization)?;
-        st.serialize_field("link_resident_cells", &self.link_resident_cells)?;
-        st.serialize_field("link_dropped_cells", &self.link_dropped_cells)?;
-        st.serialize_field("peak_link_depth", &self.peak_link_depth)?;
-        st.serialize_field("credit_stall_slots", &self.credit_stall_slots)?;
-        st.serialize_field("switches", &self.switches)?;
-        st.end()
-    }
-}
-
 /// Serializable per-stage time-series: the columnar samples of one
 /// [`SeriesRing`]. Sample `i` covers the `stride` slots ending at
 /// `slots[i]`: `transmitted` and `stalls` accumulate over the window,
 /// `occupancy` is read at the sample slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SeriesReport {
     /// Slots between samples.
     pub stride: u64,
@@ -2142,51 +2127,22 @@ impl SeriesReport {
     }
 }
 
-impl Serialize for SeriesReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("SeriesReport", 6)?;
-        st.serialize_field("stride", &self.stride)?;
-        st.serialize_field("dropped", &self.dropped)?;
-        st.serialize_field("slots", &self.slots)?;
-        st.serialize_field("transmitted", &self.transmitted)?;
-        st.serialize_field("occupancy", &self.occupancy)?;
-        st.serialize_field("stalls", &self.stalls)?;
-        st.end()
-    }
-}
-
 /// One stage's observability outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosStageObsReport {
     /// Stage label ("ingress" / "middle" / "egress").
     pub stage: &'static str,
     /// VOQ backlog depth histogram (recorded at every enqueue); present
     /// only when the occupancy probes were armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub voq_backlog: Option<HistogramReport>,
     /// Outbound link occupancy histogram (recorded at every transmit onto
     /// a link); absent at the egress stage, which has no outbound links.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub link_occupancy: Option<HistogramReport>,
     /// Slot-sampled throughput/occupancy/stall series, when armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub series: Option<SeriesReport>,
-}
-
-impl Serialize for ClosStageObsReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosStageObsReport", 4)?;
-        st.serialize_field("stage", &self.stage)?;
-        if let Some(hist) = &self.voq_backlog {
-            st.serialize_field("voq_backlog", hist)?;
-        }
-        if let Some(hist) = &self.link_occupancy {
-            st.serialize_field("link_occupancy", hist)?;
-        }
-        if let Some(series) = &self.series {
-            st.serialize_field("series", series)?;
-        }
-        st.end()
-    }
 }
 
 /// The merged flight-recorder timeline of one run.
@@ -2201,8 +2157,9 @@ pub struct TraceReport {
     pub events: Vec<TraceEvent>,
 }
 
-/// [`TraceEvent`] lives in the zero-dependency `obs` crate, so its serde
-/// wiring lives here.
+/// [`TraceEvent`] lives in the zero-dependency `obs` crate and cannot derive
+/// there, so its serde wiring — and that of the [`TraceReport`] holding it —
+/// is written by hand here.
 struct SerTraceEvent<'a>(&'a TraceEvent);
 
 impl Serialize for SerTraceEvent<'_> {
@@ -2247,34 +2204,21 @@ impl Serialize for TraceReport {
 
 /// The observability section of a [`ClosRunReport`]; present only when
 /// [`ClosFabric::arm_obs`] armed probes for the run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosObsReport {
     /// External end-to-end latency histogram merged over every egress
     /// output line, when the latency probes were armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency: Option<HistogramReport>,
     /// Per-stage probes: ingress, middle, egress.
     pub stages: Vec<ClosStageObsReport>,
     /// The merged flight-recorder timeline, when the recorder was armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceReport>,
 }
 
-impl Serialize for ClosObsReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosObsReport", 3)?;
-        if let Some(latency) = &self.latency {
-            st.serialize_field("latency", latency)?;
-        }
-        st.serialize_field("stages", &self.stages)?;
-        if let Some(trace) = &self.trace {
-            st.serialize_field("trace", trace)?;
-        }
-        st.end()
-    }
-}
-
 /// The result of one whole Clos run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosRunReport {
     /// Radix `N` of the ingress/egress switches.
     pub radix: usize,
@@ -2343,15 +2287,18 @@ pub struct ClosRunReport {
     /// The per-fault ledger; `None` when no fault plan was armed (and the
     /// field is then omitted from the serialized report, keeping
     /// fault-free reports byte-identical to pre-fault-framework output).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultLedger>,
     /// The end-to-end transport report; `None` on open-loop runs (and the
     /// field is then omitted from the serialized report, keeping open-loop
     /// reports byte-identical to pre-transport output).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub transport: Option<TransportReport>,
     /// Observability probes' outcome; present only when
     /// [`ClosFabric::arm_obs`] armed probes for the run (and omitted from
     /// serialization otherwise, keeping uninstrumented reports
     /// byte-identical to the pre-obs schema).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub obs: Option<ClosObsReport>,
 }
 
@@ -2462,55 +2409,6 @@ impl ClosRunReport {
             && t.duplicate_deliveries == 0
             && t.duplicates_filtered <= t.retransmitted_cells
             && t.retransmitted_cells <= t.timeouts_fired
-    }
-}
-
-impl Serialize for ClosRunReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosRunReport", 28)?;
-        st.serialize_field("radix", &self.radix)?;
-        st.serialize_field("ingress_switches", &self.ingress_switches)?;
-        st.serialize_field("middle_switches", &self.middle_switches)?;
-        st.serialize_field("external_ports", &self.external_ports)?;
-        st.serialize_field("dispatch", &self.dispatch)?;
-        st.serialize_field("discipline", &self.discipline)?;
-        st.serialize_field("arbiter", &self.arbiter)?;
-        st.serialize_field("link_capacity", &self.link_capacity)?;
-        st.serialize_field("link_latency", &self.link_latency)?;
-        st.serialize_field("slots", &self.slots)?;
-        st.serialize_field("active_slots", &self.active_slots)?;
-        st.serialize_field("arrivals", &self.arrivals)?;
-        st.serialize_field("delivered", &self.delivered)?;
-        st.serialize_field("lost_cells", &self.lost_cells)?;
-        st.serialize_field("link_dropped_cells", &self.link_dropped_cells)?;
-        st.serialize_field("resident_cells", &self.resident_cells)?;
-        st.serialize_field("link_resident_cells", &self.link_resident_cells)?;
-        st.serialize_field("reordered_cells", &self.reordered_cells)?;
-        st.serialize_field("reordered_flows", &self.reordered_flows)?;
-        st.serialize_field("active_flows", &self.active_flows)?;
-        st.serialize_field("credit_stall_slots", &self.credit_stall_slots)?;
-        st.serialize_field("peak_link_depth", &self.peak_link_depth)?;
-        st.serialize_field("mean_latency_slots", &self.mean_latency_slots)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("zero_loss", &self.zero_loss)?;
-        st.serialize_field("stages", &self.stages)?;
-        st.serialize_field("arrivals_matrix", &self.arrivals_matrix)?;
-        st.serialize_field("delivered_matrix", &self.delivered_matrix)?;
-        // Only faulted runs carry a ledger; omitting the field keeps
-        // fault-free reports byte-identical to pre-fault-framework output.
-        if let Some(faults) = &self.faults {
-            st.serialize_field("faults", faults)?;
-        }
-        // Likewise: only closed-loop runs carry a transport report.
-        if let Some(transport) = &self.transport {
-            st.serialize_field("transport", transport)?;
-        }
-        // And only instrumented runs carry an obs section.
-        if let Some(obs) = &self.obs {
-            st.serialize_field("obs", obs)?;
-        }
-        st.end()
     }
 }
 

@@ -557,7 +557,7 @@ impl StageFaults {
 }
 
 /// One fault's accounted impact, as reported in the [`FaultLedger`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultImpact {
     /// Index of the event in the plan (= ledger order).
     pub index: usize,
@@ -583,31 +583,11 @@ pub struct FaultImpact {
     pub slowed_slots: u64,
 }
 
-impl Serialize for FaultImpact {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FaultImpact", 10)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("fault", &self.fault)?;
-        st.serialize_field("target", &self.target)?;
-        st.serialize_field("start", &self.start)?;
-        st.serialize_field("duration", &self.duration)?;
-        st.serialize_field("refused_cells", &self.refused_cells)?;
-        st.serialize_field("dropped_cells", &self.dropped_cells)?;
-        st.serialize_field("stranded_cells", &self.stranded_cells)?;
-        st.serialize_field("stalled_cell_slots", &self.stalled_cell_slots)?;
-        st.serialize_field("slowed_slots", &self.slowed_slots)?;
-        st.end()
-    }
-}
-
 /// The per-fault accounting attached to a faulted run's report: one
 /// [`FaultImpact`] per plan event plus fabric-wide totals. The conservation
 /// check balances against these totals — see the module docs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultLedger {
-    /// Per-event impact, in plan order.
-    pub events: Vec<FaultImpact>,
     /// Total cells refused at dead external ingress lines.
     pub refused_cells: u64,
     /// Total cells dropped at full link FIFOs.
@@ -618,6 +598,8 @@ pub struct FaultLedger {
     pub stalled_cell_slots: u64,
     /// Total gated-with-backlog slots across slowed outputs.
     pub slowed_slots: u64,
+    /// Per-event impact, in plan order.
+    pub events: Vec<FaultImpact>,
 }
 
 impl FaultLedger {
@@ -652,22 +634,9 @@ impl FaultLedger {
     }
 }
 
-impl Serialize for FaultLedger {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FaultLedger", 6)?;
-        st.serialize_field("refused_cells", &self.refused_cells)?;
-        st.serialize_field("dropped_cells", &self.dropped_cells)?;
-        st.serialize_field("stranded_cells", &self.stranded_cells)?;
-        st.serialize_field("stalled_cell_slots", &self.stalled_cell_slots)?;
-        st.serialize_field("slowed_slots", &self.slowed_slots)?;
-        st.serialize_field("events", &self.events)?;
-        st.end()
-    }
-}
-
-// Hand-written serde: an event is a flat object tagged by its "fault"
-// label; a plan is a bare array of events. Unknown fields are rejected.
+// Hand-written (the derive has no flattened, internally tagged enums): an
+// event is a flat object whose "fault" label picks the variant and with it
+// the keys that must be present. Unknown fields are rejected.
 impl Serialize for FaultEvent {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -795,6 +764,8 @@ impl<'de> Deserialize<'de> for FaultEvent {
     }
 }
 
+// Hand-written (the derive writes a named-field struct as a map): a plan is
+// the bare array of its events.
 impl Serialize for FaultPlan {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         self.events.serialize(serializer)

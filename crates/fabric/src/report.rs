@@ -3,12 +3,12 @@
 
 use obs::Log2Histogram;
 use pktbuf::BufferStats;
-use serde::{Serialize, Serializer};
+use serde::Serialize;
 
 /// Serializable summary of a [`Log2Histogram`]: sample count, exact extrema,
 /// integer-rank percentiles and the raw log2 bucket counts. Derived at report
 /// time; absent from reports when the corresponding probe was not armed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramReport {
     /// Recorded samples.
     pub count: u64,
@@ -41,23 +41,8 @@ impl HistogramReport {
     }
 }
 
-impl Serialize for HistogramReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("HistogramReport", 7)?;
-        st.serialize_field("count", &self.count)?;
-        st.serialize_field("min", &self.min)?;
-        st.serialize_field("max", &self.max)?;
-        st.serialize_field("p50", &self.p50)?;
-        st.serialize_field("p95", &self.p95)?;
-        st.serialize_field("p99", &self.p99)?;
-        st.serialize_field("buckets", &self.buckets)?;
-        st.end()
-    }
-}
-
 /// One ingress port's outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PortReport {
     /// Design of the port's buffer ("RADS", "CFDS", "DRAM-only").
     pub design: &'static str,
@@ -73,21 +58,8 @@ pub struct PortReport {
     pub stats: BufferStats,
 }
 
-impl Serialize for PortReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("PortReport", 5)?;
-        st.serialize_field("design", &self.design)?;
-        st.serialize_field("arrivals", &self.arrivals)?;
-        st.serialize_field("grants", &self.grants)?;
-        st.serialize_field("resident_cells", &self.resident_cells)?;
-        st.serialize_field("stats", &self.stats)?;
-        st.end()
-    }
-}
-
 /// One egress port's outcome.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EgressReport {
     /// Cells transmitted onto the output line.
     pub transmitted: u64,
@@ -99,38 +71,21 @@ pub struct EgressReport {
     pub mean_latency_slots: f64,
     /// Histogram-derived median latency in slots; present only when the
     /// port's latency histogram was armed (`ObsConfig` latency probes).
+    /// Like every instrumented-only field it is omitted (not `null`) when
+    /// unarmed, so the off path serializes byte-identically to the pre-obs
+    /// schema.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p50_slots: Option<u64>,
     /// Histogram-derived 95th-percentile latency, when armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p95_slots: Option<u64>,
     /// Histogram-derived 99th-percentile latency, when armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p99_slots: Option<u64>,
 }
 
-impl Serialize for EgressReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("EgressReport", 4)?;
-        st.serialize_field("transmitted", &self.transmitted)?;
-        st.serialize_field("peak_queue_depth", &self.peak_queue_depth)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("mean_latency_slots", &self.mean_latency_slots)?;
-        // Instrumented-only fields are omitted (not null) when unarmed so the
-        // off path serializes byte-identically to the pre-obs schema.
-        if let Some(p50) = &self.latency_p50_slots {
-            st.serialize_field("latency_p50_slots", p50)?;
-        }
-        if let Some(p95) = &self.latency_p95_slots {
-            st.serialize_field("latency_p95_slots", p95)?;
-        }
-        if let Some(p99) = &self.latency_p99_slots {
-            st.serialize_field("latency_p99_slots", p99)?;
-        }
-        st.end()
-    }
-}
-
 /// The result of one whole fabric run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FabricRunReport {
     /// Number of ports.
     pub ports: usize,
@@ -164,10 +119,6 @@ pub struct FabricRunReport {
     pub mean_latency_slots: f64,
     /// Largest end-to-end latency observed on any output, slots.
     pub max_latency_slots: u64,
-    /// Merged end-to-end latency histogram over every output (count, min,
-    /// max, p50/p95/p99, log2 buckets); present only when the latency
-    /// probes were armed.
-    pub latency_histogram: Option<HistogramReport>,
     /// Whether every worst-case guarantee held on every port.
     pub zero_loss: bool,
     /// Per-ingress-port outcomes.
@@ -179,6 +130,11 @@ pub struct FabricRunReport {
     pub arrivals_matrix: Vec<u64>,
     /// Row-major `ports × ports`: departures from input `i`'s VOQ `j`.
     pub departures_matrix: Vec<u64>,
+    /// Merged end-to-end latency histogram over every output (count, min,
+    /// max, p50/p95/p99, log2 buckets); present only when the latency
+    /// probes were armed, and omitted otherwise.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub latency_histogram: Option<HistogramReport>,
 }
 
 impl FabricRunReport {
@@ -227,36 +183,5 @@ impl FabricRunReport {
             && outputs_ok
             && self.arrivals == self.transmitted + self.resident_cells + dropped + deficit;
         balanced.then_some(deficit)
-    }
-}
-
-impl Serialize for FabricRunReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricRunReport", 18)?;
-        st.serialize_field("ports", &self.ports)?;
-        st.serialize_field("arbiter", &self.arbiter)?;
-        st.serialize_field("slots", &self.slots)?;
-        st.serialize_field("active_slots", &self.active_slots)?;
-        st.serialize_field("arrivals", &self.arrivals)?;
-        st.serialize_field("matches", &self.matches)?;
-        st.serialize_field("grants", &self.grants)?;
-        st.serialize_field("transmitted", &self.transmitted)?;
-        st.serialize_field("lost_cells", &self.lost_cells)?;
-        st.serialize_field("resident_cells", &self.resident_cells)?;
-        st.serialize_field("crossbar_utilization", &self.crossbar_utilization)?;
-        st.serialize_field("mean_latency_slots", &self.mean_latency_slots)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("zero_loss", &self.zero_loss)?;
-        st.serialize_field("per_port", &self.per_port)?;
-        st.serialize_field("per_output", &self.per_output)?;
-        st.serialize_field("arrivals_matrix", &self.arrivals_matrix)?;
-        st.serialize_field("departures_matrix", &self.departures_matrix)?;
-        // Omitted entirely when the latency probes were not armed, keeping
-        // uninstrumented reports byte-identical to the pre-obs schema.
-        if let Some(latency) = &self.latency_histogram {
-            st.serialize_field("latency_histogram", latency)?;
-        }
-        st.end()
     }
 }

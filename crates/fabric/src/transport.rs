@@ -39,8 +39,7 @@
 //! sender keeps retransmitting it until the stale copies themselves fill a
 //! DRAM batch, which turns every trickle flow into a timeout storm.
 
-use serde::ser::SerializeStruct as _;
-use serde::{Serialize, Serializer};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Parameters of the reliable transport layered over a Clos run.
@@ -181,7 +180,7 @@ impl SinkState {
 
 /// Transport-level results of a closed-loop Clos run, attached to
 /// `ClosRunReport` when the transport is enabled.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TransportReport {
     /// Initial/minimum RTO the sources ran with, in slots.
     pub rto_initial: u64,
@@ -223,45 +222,15 @@ pub struct TransportReport {
     /// source, when the latency probes were armed via `ClosFabric::arm_obs`.
     /// Unlike the fabric-level latency histogram — which times each
     /// *delivered copy* from its last injection — this spans retransmissions
-    /// and resurrections, so recovery tails are not under-counted.
+    /// and resurrections, so recovery tails are not under-counted. Omitted
+    /// when unarmed, keeping uninstrumented transport reports byte-identical.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub first_injection_latency: Option<crate::HistogramReport>,
-}
-
-impl Serialize for TransportReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("TransportReport", 17)?;
-        st.serialize_field("rto_initial", &self.rto_initial)?;
-        st.serialize_field("rto_cap", &self.rto_cap)?;
-        st.serialize_field("max_retries", &self.max_retries)?;
-        st.serialize_field("cwnd_init", &self.cwnd_init)?;
-        st.serialize_field("cwnd_max", &self.cwnd_max)?;
-        st.serialize_field("goodput_bucket", &self.goodput_bucket)?;
-        st.serialize_field("injected_cells", &self.injected_cells)?;
-        st.serialize_field("retransmitted_cells", &self.retransmitted_cells)?;
-        st.serialize_field("timeouts_fired", &self.timeouts_fired)?;
-        st.serialize_field("acked_cells", &self.acked_cells)?;
-        st.serialize_field("delivered_unique", &self.delivered_unique)?;
-        st.serialize_field("duplicates_filtered", &self.duplicates_filtered)?;
-        st.serialize_field("duplicate_deliveries", &self.duplicate_deliveries)?;
-        st.serialize_field("gave_up_cells", &self.gave_up_cells)?;
-        st.serialize_field("in_flight_at_end", &self.in_flight_at_end)?;
-        st.serialize_field(
-            "retransmissions_outstanding_at_end",
-            &self.retransmissions_outstanding_at_end,
-        )?;
-        st.serialize_field("goodput", &self.goodput)?;
-        // Omitted when the latency probes were not armed, keeping
-        // uninstrumented transport reports byte-identical.
-        if let Some(latency) = &self.first_injection_latency {
-            st.serialize_field("first_injection_latency", latency)?;
-        }
-        st.end()
-    }
 }
 
 /// Time-to-recover: how long after the last fault window closed did the
 /// faulted run's goodput regain ≥95% of the fault-free twin's?
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RecoveryReport {
     /// Slot at which the last finite fault window closed.
     pub fault_close_slot: u64,
@@ -275,35 +244,17 @@ pub struct RecoveryReport {
     /// `recovery_slot - fault_close_slot`, if recovery was observed.
     pub slots_to_recover: Option<u64>,
     /// Faulted run's transport-layer latency median (first injection to
-    /// ack), in slots; present when its latency probes were armed.
+    /// ack), in slots; present when its latency probes were armed (the
+    /// percentiles are omitted otherwise, keeping pre-obs recovery reports
+    /// byte-identical; the two recovery slots above print `null`).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p50_slots: Option<u64>,
     /// Faulted run's transport-layer 95th-percentile latency, when armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p95_slots: Option<u64>,
     /// Faulted run's transport-layer 99th-percentile latency, when armed.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub latency_p99_slots: Option<u64>,
-}
-
-impl Serialize for RecoveryReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("RecoveryReport", 5)?;
-        st.serialize_field("fault_close_slot", &self.fault_close_slot)?;
-        st.serialize_field("bucket_slots", &self.bucket_slots)?;
-        st.serialize_field("recovered", &self.recovered)?;
-        st.serialize_field("recovery_slot", &self.recovery_slot)?;
-        st.serialize_field("slots_to_recover", &self.slots_to_recover)?;
-        // Omitted when the faulted run carried no latency probes, keeping
-        // pre-obs recovery reports byte-identical.
-        if let Some(p50) = &self.latency_p50_slots {
-            st.serialize_field("latency_p50_slots", p50)?;
-        }
-        if let Some(p95) = &self.latency_p95_slots {
-            st.serialize_field("latency_p95_slots", p95)?;
-        }
-        if let Some(p99) = &self.latency_p99_slots {
-            st.serialize_field("latency_p99_slots", p99)?;
-        }
-        st.end()
-    }
 }
 
 impl RecoveryReport {

@@ -132,6 +132,8 @@ impl fmt::Display for Cell {
     }
 }
 
+// Hand-written (the derive has no `skip`, and decoding must go through the
+// constructor): a cell is its three metadata fields, without the payload.
 impl Serialize for Cell {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;

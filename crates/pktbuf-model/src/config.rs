@@ -3,7 +3,7 @@
 use crate::error::ConfigError;
 use crate::rate::LineRate;
 use crate::time::Nanoseconds;
-use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Deserialize, Serialize};
 
 /// DRAM timing parameters relevant to the buffer design.
 ///
@@ -276,17 +276,27 @@ impl CfdsConfig {
 /// store rather than the dimensioning maths), so [`ConfigOverrides::apply_rads`]
 /// and [`ConfigOverrides::apply_cfds`] ignore it; the buffer construction site
 /// is expected to honour it where the design supports a capacity limit.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+///
+/// An overrides object serialises only the knobs that are set, and rejects
+/// unknown keys when read back (typos in spec files should fail loudly, not
+/// silently override nothing).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ConfigOverrides {
     /// Explicit lookahead length in slots (default: the ECQF minimum).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub lookahead: Option<usize>,
     /// CFDS physical-queue oversubscription factor `k` (§6).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub physical_queue_factor: Option<usize>,
     /// DRAM random access time in nanoseconds.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dram_random_access_ns: Option<f64>,
     /// DRAM address/command cycle time in nanoseconds.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dram_address_cycle_ns: Option<f64>,
     /// Total DRAM capacity in cells (buffer-level; CFDS only today).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dram_capacity_cells: Option<u64>,
 }
 
@@ -336,79 +346,6 @@ impl ConfigOverrides {
         }
         let base = builder.dram;
         builder.dram(self.dram_timing(base))
-    }
-}
-
-// Hand-written serde: an overrides object serialises only the knobs that are
-// set, and rejects unknown keys when read back (typos in spec files should
-// fail loudly, not silently override nothing).
-impl Serialize for ConfigOverrides {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let len = usize::from(self.lookahead.is_some())
-            + usize::from(self.physical_queue_factor.is_some())
-            + usize::from(self.dram_random_access_ns.is_some())
-            + usize::from(self.dram_address_cycle_ns.is_some())
-            + usize::from(self.dram_capacity_cells.is_some());
-        let mut st = serializer.serialize_struct("ConfigOverrides", len)?;
-        if let Some(v) = self.lookahead {
-            st.serialize_field("lookahead", &v)?;
-        }
-        if let Some(v) = self.physical_queue_factor {
-            st.serialize_field("physical_queue_factor", &v)?;
-        }
-        if let Some(v) = self.dram_random_access_ns {
-            st.serialize_field("dram_random_access_ns", &v)?;
-        }
-        if let Some(v) = self.dram_address_cycle_ns {
-            st.serialize_field("dram_address_cycle_ns", &v)?;
-        }
-        if let Some(v) = self.dram_capacity_cells {
-            st.serialize_field("dram_capacity_cells", &v)?;
-        }
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ConfigOverrides {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ConfigOverrides;
-            fn expecting(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-                f.write_str("a configuration-overrides object")
-            }
-            fn visit_unit<E: de::Error>(self) -> Result<Self::Value, E> {
-                Ok(ConfigOverrides::none())
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
-                let mut out = ConfigOverrides::none();
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "lookahead" => out.lookahead = Some(map.next_value()?),
-                        "physical_queue_factor" => {
-                            out.physical_queue_factor = Some(map.next_value()?);
-                        }
-                        "dram_random_access_ns" => {
-                            out.dram_random_access_ns = Some(map.next_value()?);
-                        }
-                        "dram_address_cycle_ns" => {
-                            out.dram_address_cycle_ns = Some(map.next_value()?);
-                        }
-                        "dram_capacity_cells" => out.dram_capacity_cells = Some(map.next_value()?),
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown override {other:?} (expected lookahead, \
-                                 physical_queue_factor, dram_random_access_ns, \
-                                 dram_address_cycle_ns or dram_capacity_cells)"
-                            )))
-                        }
-                    }
-                }
-                Ok(out)
-            }
-        }
-        deserializer.deserialize_any(V)
     }
 }
 

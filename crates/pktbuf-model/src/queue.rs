@@ -16,7 +16,6 @@ use std::fmt;
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct LogicalQueueId(u32);
 
 /// Identifier of a *physical* queue inside the DRAM organisation.
@@ -26,7 +25,6 @@ pub struct LogicalQueueId(u32);
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct PhysicalQueueId(u32);
 
 /// Whether an identifier names a logical or a physical queue.

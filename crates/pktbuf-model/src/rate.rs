@@ -157,9 +157,10 @@ impl FromStr for LineRate {
     }
 }
 
-// Hand-written serde impls (the vendored derive cannot encode enum payloads):
-// a line rate is a JSON string in its `Display` form, and `FromStr` accepts
-// that form back; bare JSON numbers are accepted as Gb/s.
+// Hand-written (the derive has no data-carrying variants, and would spell the
+// others by variant name): a line rate is a JSON string in its `Display`
+// form, and `FromStr` accepts that form back; bare JSON numbers are accepted
+// as Gb/s.
 impl Serialize for LineRate {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_str(&self.to_string())

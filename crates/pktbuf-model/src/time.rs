@@ -11,7 +11,6 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-#[serde(transparent)]
 pub struct Slot(pub u64);
 
 impl Slot {
@@ -77,7 +76,6 @@ impl fmt::Display for Slot {
 /// Used by the technology model (the `cacti_lite` crate) and by the conversion between
 /// DRAM timing parameters and slot counts.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
 pub struct Nanoseconds(pub f64);
 
 impl Nanoseconds {
@@ -113,7 +111,6 @@ impl fmt::Display for Nanoseconds {
 /// Thin wrapper distinguishing "a slot length" from other nanosecond
 /// quantities; converts slot counts to wall-clock delays.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
 pub struct SlotDuration(Nanoseconds);
 
 impl SlotDuration {

@@ -153,7 +153,11 @@ serde_via_string!(TransportMode, "a transport mode name (sweep, incast)");
 /// with `rads_granularity = 1` — because batched writeback parks sub-batch
 /// tails as permanent residents that a reliable sender would retransmit
 /// forever; [`ClosScenario::validate`] enforces this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// As JSON, omitted keys keep the [`Default`] values and unknown keys are
+/// rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct TransportScenario {
     /// Demand pattern of every source.
     pub mode: TransportMode,
@@ -218,59 +222,6 @@ impl TransportScenario {
     }
 }
 
-impl Serialize for TransportScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("TransportScenario", 8)?;
-        st.serialize_field("mode", &self.mode)?;
-        st.serialize_field("incast_target", &self.incast_target)?;
-        st.serialize_field("rto_initial", &self.rto_initial)?;
-        st.serialize_field("rto_cap", &self.rto_cap)?;
-        st.serialize_field("max_retries", &self.max_retries)?;
-        st.serialize_field("cwnd_init", &self.cwnd_init)?;
-        st.serialize_field("cwnd_max", &self.cwnd_max)?;
-        st.serialize_field("goodput_bucket", &self.goodput_bucket)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for TransportScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = TransportScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a transport scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<TransportScenario, A::Error> {
-                let mut t = TransportScenario::default();
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "mode" => t.mode = map.next_value()?,
-                        "incast_target" => t.incast_target = map.next_value()?,
-                        "rto_initial" => t.rto_initial = map.next_value()?,
-                        "rto_cap" => t.rto_cap = map.next_value()?,
-                        "max_retries" => t.max_retries = map.next_value()?,
-                        "cwnd_init" => t.cwnd_init = map.next_value()?,
-                        "cwnd_max" => t.cwnd_max = map.next_value()?,
-                        "goodput_bucket" => t.goodput_bucket = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown transport scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(t)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
 /// The observability layer of a Clos scenario: which deterministic probes
 /// ([`obs::ObsConfig`]) the run arms before slot 0. The default arms
 /// nothing, and an all-off scenario leaves the run byte-identical to an
@@ -279,7 +230,11 @@ impl<'de> Deserialize<'de> for TransportScenario {
 /// The flight-recorder flow filter is not an experiment axis — a scenario
 /// either records every flow inside the slot window or none; per-flow
 /// filtering stays a programmatic [`obs::TraceFilter`] concern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// As JSON, omitted keys keep the [`Default`] (all-off) values and unknown
+/// keys are rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ObsScenario {
     /// Arm end-to-end latency histograms (and first-injection latency under
     /// transport).
@@ -345,54 +300,6 @@ impl ObsScenario {
     /// True when no probe is armed (the scenario is then a no-op).
     pub fn is_off(self) -> bool {
         self.to_config().is_off()
-    }
-}
-
-impl Serialize for ObsScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ObsScenario", 7)?;
-        st.serialize_field("latency_hist", &self.latency_hist)?;
-        st.serialize_field("occupancy_hist", &self.occupancy_hist)?;
-        st.serialize_field("series_stride", &self.series_stride)?;
-        st.serialize_field("series_capacity", &self.series_capacity)?;
-        st.serialize_field("trace_capacity", &self.trace_capacity)?;
-        st.serialize_field("trace_from_slot", &self.trace_from_slot)?;
-        st.serialize_field("trace_to_slot", &self.trace_to_slot)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ObsScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ObsScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("an observability scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<ObsScenario, A::Error> {
-                let mut o = ObsScenario::default();
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "latency_hist" => o.latency_hist = map.next_value()?,
-                        "occupancy_hist" => o.occupancy_hist = map.next_value()?,
-                        "series_stride" => o.series_stride = map.next_value()?,
-                        "series_capacity" => o.series_capacity = map.next_value()?,
-                        "trace_capacity" => o.trace_capacity = map.next_value()?,
-                        "trace_from_slot" => o.trace_from_slot = map.next_value()?,
-                        "trace_to_slot" => o.trace_to_slot = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown obs scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(o)
-            }
-        }
-        deserializer.deserialize_any(V)
     }
 }
 
@@ -466,7 +373,7 @@ impl std::error::Error for ClosScenarioError {}
 
 /// A fully specified Clos run: one expanded point of a [`ClosSpec`], or a
 /// hand-built one-off.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosScenario {
     /// Radix `N` of each ingress/egress switch; external ports = `r·N`.
     pub radix: usize,
@@ -509,14 +416,18 @@ pub struct ClosScenario {
     /// Configuration knobs applied to every stage buffer.
     pub overrides: ConfigOverrides,
     /// Deterministic fault plan armed before slot 0 (empty = fault-free; an
-    /// empty plan leaves the run byte-identical to an unarmed one).
+    /// empty plan leaves the run byte-identical to an unarmed one, and is
+    /// not written — as `transport` and `obs` are not when `None`).
+    #[serde(skip_serializing_if = "FaultPlan::is_empty")]
     pub faults: FaultPlan,
     /// Closed-loop reliable transport (`None` = open-loop; the run is then
     /// byte-identical to a pre-transport one). When present, the open-loop
     /// `workload`, `load_percent` and `seed` axes are ignored.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub transport: Option<TransportScenario>,
     /// Deterministic probes armed before slot 0 (`None` or all-off leaves
     /// the run byte-identical to an unarmed one).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub obs: Option<ObsScenario>,
 }
 
@@ -839,44 +750,10 @@ enum RunMode {
     Reference,
 }
 
-// Hand-written serde: a scenario is a flat JSON object; only `radix` is
-// required, everything else takes the `small()` defaults.
-impl Serialize for ClosScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosScenario", 20)?;
-        st.serialize_field("radix", &self.radix)?;
-        st.serialize_field("ingress_switches", &self.ingress_switches)?;
-        st.serialize_field("middle_switches", &self.middle_switches)?;
-        st.serialize_field("design", &self.design)?;
-        st.serialize_field("workload", &self.workload)?;
-        st.serialize_field("dispatch", &self.dispatch)?;
-        st.serialize_field("arbiter", &self.arbiter)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("link_capacity", &self.link_capacity)?;
-        st.serialize_field("link_latency", &self.link_latency)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        if !self.faults.is_empty() {
-            st.serialize_field("faults", &self.faults)?;
-        }
-        if let Some(transport) = &self.transport {
-            st.serialize_field("transport", transport)?;
-        }
-        if let Some(obs) = &self.obs {
-            st.serialize_field("obs", obs)?;
-        }
-        st.end()
-    }
-}
-
+// Hand-written (the derive's container `default` makes every key optional
+// and has no key to read and discard): a scenario is a flat JSON object in
+// which only `radix` is required, everything else takes the `small()`
+// defaults, and the legacy `workers` key is accepted and ignored.
 impl<'de> Deserialize<'de> for ClosScenario {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;
@@ -1310,6 +1187,10 @@ impl ClosSpecBuilder {
     }
 }
 
+// Hand-written in both directions (the derive has no constant field and no
+// key to read and discard): a Clos spec carries a `"kind": "clos"` tag,
+// checked when read back; omitted keys keep the builder defaults and the
+// legacy `workers` key is accepted and ignored.
 impl Serialize for ClosSpec {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -1411,7 +1292,7 @@ impl<'de> Deserialize<'de> for ClosSpec {
 }
 
 /// One executed Clos run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosRunRecord {
     /// Index of this run in the spec's expansion order.
     pub index: usize,
@@ -1421,19 +1302,8 @@ pub struct ClosRunRecord {
     pub report: ClosRunReport,
 }
 
-impl Serialize for ClosRunRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosRunRecord", 3)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("scenario", &self.scenario)?;
-        st.serialize_field("report", &self.report)?;
-        st.end()
-    }
-}
-
 /// Aggregate statistics over every run of a Clos experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ClosAggregate {
     /// Number of runs executed.
     pub runs: u64,
@@ -1463,50 +1333,17 @@ pub struct ClosAggregate {
     pub mean_latency_slots: f64,
 }
 
-impl Serialize for ClosAggregate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosAggregate", 13)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.serialize_field("zero_loss_runs", &self.zero_loss_runs)?;
-        st.serialize_field("all_zero_loss", &self.all_zero_loss)?;
-        st.serialize_field("conserving_runs", &self.conserving_runs)?;
-        st.serialize_field("all_conserving", &self.all_conserving)?;
-        st.serialize_field("total_arrivals", &self.total_arrivals)?;
-        st.serialize_field("total_delivered", &self.total_delivered)?;
-        st.serialize_field("total_lost_cells", &self.total_lost_cells)?;
-        st.serialize_field("total_reordered_cells", &self.total_reordered_cells)?;
-        st.serialize_field("total_credit_stall_slots", &self.total_credit_stall_slots)?;
-        st.serialize_field("peak_link_depth", &self.peak_link_depth)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("mean_latency_slots", &self.mean_latency_slots)?;
-        st.end()
-    }
-}
-
 /// The structured result of executing a whole [`ClosSpec`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClosLabReport {
     /// The spec that was executed.
     pub spec: ClosSpec,
     /// Combinations skipped during expansion.
     pub skipped_invalid: usize,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<ClosRunRecord>,
     /// Aggregates over `runs`.
     pub aggregate: ClosAggregate,
-}
-
-impl Serialize for ClosLabReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosLabReport", 4)?;
-        st.serialize_field("spec", &self.spec)?;
-        st.serialize_field("skipped_invalid", &self.skipped_invalid)?;
-        st.serialize_field("aggregate", &self.aggregate)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.end()
-    }
+    /// Per-run results, in expansion order.
+    pub runs: Vec<ClosRunRecord>,
 }
 
 impl ClosLabReport {

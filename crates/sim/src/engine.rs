@@ -95,8 +95,8 @@ pub fn workload_label(arrivals: &str, requests: &str) -> &'static str {
     label
 }
 
-// Hand-written so that reports really encode (the vendored derive only
-// type-checks). Reports are write-only: there is no Deserialize.
+// Hand-written (the derive has no computed fields): `grants_per_slot` is
+// derived from the counters. Reports are write-only: there is no Deserialize.
 impl Serialize for SimulationReport {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;

@@ -264,7 +264,7 @@ pub(crate) fn hot_output_count(ports: usize) -> usize {
 
 /// A fully specified fabric run: one expanded point of a [`FabricSpec`], or
 /// a hand-built one-off.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FabricScenario {
     /// Number of ingress (= egress) ports; each ingress buffer holds one VOQ
     /// per egress port.
@@ -536,31 +536,9 @@ impl FabricScenario {
     }
 }
 
-// Hand-written serde: a scenario is a flat JSON object; only `ports` is
-// required, everything else takes the `small()` defaults (with design,
-// workload and sizing defaults documented there).
-impl Serialize for FabricScenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricScenario", 14)?;
-        st.serialize_field("ports", &self.ports)?;
-        st.serialize_field("design", &self.design)?;
-        st.serialize_field("workload", &self.workload)?;
-        st.serialize_field("arbiter", &self.arbiter)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.end()
-    }
-}
-
+// Hand-written (the derive's container `default` makes every key optional):
+// a scenario is a flat JSON object in which only `ports` is required and
+// everything else takes the `small()` defaults.
 impl<'de> Deserialize<'de> for FabricScenario {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;
@@ -900,6 +878,9 @@ impl FabricSpecBuilder {
     }
 }
 
+// Hand-written in both directions (the derive has no constant field): a
+// fabric spec carries a `"kind": "fabric"` tag, checked when read back, and
+// omitted keys keep the builder defaults.
 impl Serialize for FabricSpec {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -976,7 +957,7 @@ impl<'de> Deserialize<'de> for FabricSpec {
 }
 
 /// One executed fabric run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FabricRunRecord {
     /// Index of this run in the spec's expansion order.
     pub index: usize,
@@ -986,19 +967,8 @@ pub struct FabricRunRecord {
     pub report: FabricRunReport,
 }
 
-impl Serialize for FabricRunRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricRunRecord", 3)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("scenario", &self.scenario)?;
-        st.serialize_field("report", &self.report)?;
-        st.end()
-    }
-}
-
 /// Aggregate statistics over every run of a fabric experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct FabricAggregate {
     /// Number of runs executed.
     pub runs: u64,
@@ -1024,48 +994,17 @@ pub struct FabricAggregate {
     pub peak_egress_depth: u64,
 }
 
-impl Serialize for FabricAggregate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricAggregate", 11)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.serialize_field("zero_loss_runs", &self.zero_loss_runs)?;
-        st.serialize_field("all_zero_loss", &self.all_zero_loss)?;
-        st.serialize_field("total_arrivals", &self.total_arrivals)?;
-        st.serialize_field("total_transmitted", &self.total_transmitted)?;
-        st.serialize_field("total_lost_cells", &self.total_lost_cells)?;
-        st.serialize_field("total_resident_cells", &self.total_resident_cells)?;
-        st.serialize_field("mean_crossbar_utilization", &self.mean_crossbar_utilization)?;
-        st.serialize_field("min_crossbar_utilization", &self.min_crossbar_utilization)?;
-        st.serialize_field("max_latency_slots", &self.max_latency_slots)?;
-        st.serialize_field("peak_egress_depth", &self.peak_egress_depth)?;
-        st.end()
-    }
-}
-
 /// The structured result of executing a whole [`FabricSpec`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FabricLabReport {
     /// The spec that was executed.
     pub spec: FabricSpec,
     /// Combinations skipped during expansion.
     pub skipped_invalid: usize,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<FabricRunRecord>,
     /// Aggregates over `runs`.
     pub aggregate: FabricAggregate,
-}
-
-impl Serialize for FabricLabReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricLabReport", 4)?;
-        st.serialize_field("spec", &self.spec)?;
-        st.serialize_field("skipped_invalid", &self.skipped_invalid)?;
-        st.serialize_field("aggregate", &self.aggregate)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.end()
-    }
+    /// Per-run results, in expansion order.
+    pub runs: Vec<FabricRunRecord>,
 }
 
 impl FabricLabReport {

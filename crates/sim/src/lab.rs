@@ -11,13 +11,13 @@
 use crate::scenario::Scenario;
 use crate::spec::{ExperimentSpec, SpecError};
 use crate::SimulationReport;
-use serde::{Serialize, Serializer};
+use serde::Serialize;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One executed run: the scenario that was run and what happened.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunRecord {
     /// Index of this run in the spec's expansion order.
     pub index: usize,
@@ -27,19 +27,8 @@ pub struct RunRecord {
     pub report: SimulationReport,
 }
 
-impl Serialize for RunRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("RunRecord", 3)?;
-        st.serialize_field("index", &self.index)?;
-        st.serialize_field("scenario", &self.scenario)?;
-        st.serialize_field("report", &self.report)?;
-        st.end()
-    }
-}
-
 /// Aggregate statistics over every run of an experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct LabAggregate {
     /// Number of runs executed.
     pub runs: u64,
@@ -63,47 +52,17 @@ pub struct LabAggregate {
     pub all_loss_free: bool,
 }
 
-impl Serialize for LabAggregate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("LabAggregate", 10)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.serialize_field("loss_free_runs", &self.loss_free_runs)?;
-        st.serialize_field("total_grants", &self.total_grants)?;
-        st.serialize_field("total_misses", &self.total_misses)?;
-        st.serialize_field("total_drops", &self.total_drops)?;
-        st.serialize_field("total_bank_conflicts", &self.total_bank_conflicts)?;
-        st.serialize_field("peak_head_sram_cells", &self.peak_head_sram_cells)?;
-        st.serialize_field("peak_rr_entries", &self.peak_rr_entries)?;
-        st.serialize_field("mean_grants_per_slot", &self.mean_grants_per_slot)?;
-        st.serialize_field("all_loss_free", &self.all_loss_free)?;
-        st.end()
-    }
-}
-
 /// The structured result of executing a whole [`ExperimentSpec`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentReport {
     /// The spec that was executed (echoed so a report is self-describing).
     pub spec: ExperimentSpec,
     /// Combinations skipped during expansion (invalid configurations).
     pub skipped_invalid: usize,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<RunRecord>,
     /// Aggregates over `runs`.
     pub aggregate: LabAggregate,
-}
-
-impl Serialize for ExperimentReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ExperimentReport", 4)?;
-        st.serialize_field("spec", &self.spec)?;
-        st.serialize_field("skipped_invalid", &self.skipped_invalid)?;
-        st.serialize_field("aggregate", &self.aggregate)?;
-        st.serialize_field("runs", &self.runs)?;
-        st.end()
-    }
+    /// Per-run results, in expansion order.
+    pub runs: Vec<RunRecord>,
 }
 
 impl ExperimentReport {

@@ -165,8 +165,9 @@ impl FromStr for Workload {
     }
 }
 
-/// Implements string-shaped serde for a type with `Display` + `FromStr`
-/// (the vendored derive cannot encode enums).
+/// Implements string-shaped serde for a type with `Display` + `FromStr`:
+/// the documents spell names the `Display` way (`"DRAM-only"`, `"greedy-drain"`)
+/// and read them leniently, where a derived enum is its variant name only.
 macro_rules! serde_via_string {
     ($ty:ty, $expecting:literal) => {
         impl Serialize for $ty {
@@ -200,13 +201,20 @@ pub(crate) use serde_via_string;
 
 /// A fully specified experiment scenario: one expanded run of an
 /// [`crate::spec::ExperimentSpec`], or a hand-built one-off.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// As JSON a scenario is a flat object. The design, the workload and the
+/// four dimensioning parameters are required; `line_rate` (OC-3072),
+/// `overrides` (none), `preload_cells_per_queue` (0), `arrival_slots` (0) and
+/// `seed` (1) may be omitted; unknown keys are rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Scenario {
     /// Design under test.
     pub design: DesignKind,
     /// Workload applied.
     pub workload: Workload,
     /// Line rate of the interface (sets the slot duration).
+    #[serde(default)]
     pub line_rate: LineRate,
     /// Number of logical queues `Q`.
     pub num_queues: usize,
@@ -218,15 +226,24 @@ pub struct Scenario {
     pub num_banks: usize,
     /// Cells preloaded into the DRAM per queue before the run (rounded down to
     /// a multiple of the transfer granularity).
+    #[serde(default)]
     pub preload_cells_per_queue: u64,
     /// Slots during which the arrival generator is active. Preload and live
     /// arrivals are mutually exclusive (sequence numbers would clash).
+    #[serde(default)]
     pub arrival_slots: u64,
     /// Seed for the random workloads (arrivals use
     /// [`traffic::stream_seed`]`(seed, 0)`, requests stream 1).
+    #[serde(default = "default_seed")]
     pub seed: u64,
     /// Optional configuration knobs applied on top of the parameters above.
+    #[serde(default)]
     pub overrides: ConfigOverrides,
+}
+
+/// The seed of a scenario document that does not name one.
+fn default_seed() -> u64 {
+    1
 }
 
 /// Arrival load of the drain-style workloads (adversarial round-robin,
@@ -503,92 +520,6 @@ impl Scenario {
             DesignKind::Rads => self.run_engine(&mut self.build_rads(), record, mode),
             DesignKind::Cfds => self.run_engine(&mut self.build_cfds(), record, mode),
         }
-    }
-}
-
-// Hand-written serde (the vendored derive cannot encode data): a scenario is
-// a flat JSON object. When reading, `line_rate` (OC-3072), `overrides`
-// (none), `preload_cells_per_queue` (0), `arrival_slots` (0) and `seed` (1)
-// may be omitted and take those defaults; the design, workload and the four
-// dimensioning parameters are required.
-impl Serialize for Scenario {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("Scenario", 11)?;
-        st.serialize_field("design", &self.design)?;
-        st.serialize_field("workload", &self.workload)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("num_queues", &self.num_queues)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("preload_cells_per_queue", &self.preload_cells_per_queue)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Scenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = Scenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<Scenario, A::Error> {
-                let mut design = None;
-                let mut workload = None;
-                let mut line_rate = None;
-                let mut num_queues = None;
-                let mut granularity = None;
-                let mut rads_granularity = None;
-                let mut num_banks = None;
-                let mut preload = None;
-                let mut arrival_slots = None;
-                let mut seed = None;
-                let mut overrides = None;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "design" => design = Some(map.next_value()?),
-                        "workload" => workload = Some(map.next_value()?),
-                        "line_rate" => line_rate = Some(map.next_value()?),
-                        "num_queues" => num_queues = Some(map.next_value()?),
-                        "granularity" => granularity = Some(map.next_value()?),
-                        "rads_granularity" => rads_granularity = Some(map.next_value()?),
-                        "num_banks" => num_banks = Some(map.next_value()?),
-                        "preload_cells_per_queue" => preload = Some(map.next_value()?),
-                        "arrival_slots" => arrival_slots = Some(map.next_value()?),
-                        "seed" => seed = Some(map.next_value()?),
-                        "overrides" => overrides = Some(map.next_value()?),
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                let require =
-                    |name: &str| de::Error::custom(format_args!("missing field {name:?}"));
-                Ok(Scenario {
-                    design: design.ok_or_else(|| require("design"))?,
-                    workload: workload.ok_or_else(|| require("workload"))?,
-                    line_rate: line_rate.unwrap_or_default(),
-                    num_queues: num_queues.ok_or_else(|| require("num_queues"))?,
-                    granularity: granularity.ok_or_else(|| require("granularity"))?,
-                    rads_granularity: rads_granularity
-                        .ok_or_else(|| require("rads_granularity"))?,
-                    num_banks: num_banks.ok_or_else(|| require("num_banks"))?,
-                    preload_cells_per_queue: preload.unwrap_or(0),
-                    arrival_slots: arrival_slots.unwrap_or(0),
-                    seed: seed.unwrap_or(1),
-                    overrides: overrides.unwrap_or_default(),
-                })
-            }
-        }
-        deserializer.deserialize_any(V)
     }
 }
 

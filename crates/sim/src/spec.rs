@@ -221,9 +221,9 @@ impl FromStr for Sweep {
     }
 }
 
-// Serde: a sweep is a JSON number (fixed), array (list), object
-// (linear/geometric, told apart by their "step"/"factor" key), or a string in
-// the CLI syntax.
+// Hand-written (the derive has no untagged enums): a sweep is a JSON number
+// (fixed), array (list), object (linear/geometric, told apart by their
+// "step"/"factor" key), or a string in the CLI syntax.
 impl Serialize for Sweep {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
@@ -303,7 +303,7 @@ impl<'de> Deserialize<'de> for Sweep {
 
 /// A declarative, serializable experiment: designs × workloads × swept
 /// parameters × seeds, expanded into [`Scenario`]s.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentSpec {
     /// Experiment name (used in reports and file names).
     pub name: String,
@@ -569,27 +569,9 @@ impl ExperimentSpecBuilder {
     }
 }
 
-impl Serialize for ExperimentSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ExperimentSpec", 13)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("designs", &self.designs)?;
-        st.serialize_field("workloads", &self.workloads)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("num_queues", &self.num_queues)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("preload_cells_per_queue", &self.preload_cells_per_queue)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seeds", &self.seeds)?;
-        st.serialize_field("record_grants", &self.record_grants)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.end()
-    }
-}
-
+// Hand-written (the derive has no rule that looks at two keys): omitted keys
+// keep the builder defaults, except that a preload turns an *unwritten*
+// `arrival_slots` off.
 impl<'de> Deserialize<'de> for ExperimentSpec {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct V;

@@ -114,13 +114,3 @@ fn reports_are_bit_identical_for_identical_seeds_even_via_json() {
     }
     assert_eq!(a.to_json(), b.to_json());
 }
-
-/// The vendored `#[derive(Serialize)]` cannot encode data, so it must say so:
-/// it used to write unit, and a recorded `MatrixTrace` came out as `"null"`.
-#[test]
-fn stand_in_derived_types_refuse_to_encode_instead_of_writing_null() {
-    let mut trace = traffic::MatrixTrace::new(2);
-    trace.record_slot(&[Some((1, 0)), None]);
-    let err = serde_json::to_string(&trace).expect_err("a stand-in derive cannot encode");
-    assert!(err.to_string().contains("cannot encode data"), "{err}");
-}

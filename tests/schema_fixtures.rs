@@ -1,9 +1,9 @@
 //! Byte-level schema fixtures: the committed spec documents and one small
 //! seeded report per layer under `tests/fixtures/`, rebuilt here through the
 //! public builders and `LabRunner::with_threads(1)` and compared byte for
-//! byte. A change to a hand-written (or, later, derived) serde impl, a report
-//! field, a workload label or a simulated number shows up as a `git diff` of
-//! a fixture instead of having to be spotted by eye.
+//! byte. A change to a serde impl (derived or hand-written), a report field,
+//! a workload label or a simulated number shows up as a `git diff` of a
+//! fixture instead of having to be spotted by eye.
 //!
 //! Each fixture holds exactly what the CLI would print: `to_json()` plus the
 //! trailing newline. On a mismatch the test names the first differing line
@@ -12,6 +12,8 @@
 //! output of `pktbuf-lab spec`, is pinned to its builder by a unit test next
 //! to `template_spec` in the `pktbuf-lab` binary; here it only round-trips.)
 
+use future_packet_buffers::fabric::RecoveryReport;
+use future_packet_buffers::model::ConfigOverrides;
 use future_packet_buffers::sim::clos::{
     ClosSpec, ClosSpecBuilder, ObsScenario, TransportMode, TransportScenario,
 };
@@ -118,6 +120,68 @@ fn experiment_spec() -> ExperimentSpec {
         .expect("the experiment fixture spec is valid")
 }
 
+/// The experiment fixture with every [`ConfigOverrides`] knob set (the
+/// other fixtures leave all five at "keep the configuration's value").
+fn overrides_spec() -> ExperimentSpec {
+    ExperimentSpec::builder()
+        .name("fixture-overrides")
+        .designs([DesignKind::Rads, DesignKind::Cfds])
+        .workloads([Workload::Bursty])
+        .num_queues(Sweep::fixed(4))
+        .granularity(Sweep::fixed(2))
+        .rads_granularity(Sweep::fixed(4))
+        .num_banks(Sweep::fixed(8))
+        .arrival_slots(200)
+        .seeds([7])
+        .overrides(ConfigOverrides {
+            lookahead: Some(64),
+            physical_queue_factor: Some(2),
+            dram_random_access_ns: Some(51.2),
+            dram_address_cycle_ns: Some(1.6),
+            dram_capacity_cells: Some(4_096),
+        })
+        .build()
+        .expect("the overrides fixture spec is valid")
+}
+
+/// The toy Clos under the default closed-loop transport, measured against
+/// its fault-free twin: once over a windowed middle-switch death with the
+/// latency probes armed (goodput recovers, percentile keys present) and once
+/// with a port that never comes back and no probes (never recovers: `null`
+/// slots, percentile keys absent).
+fn recovery_reports() -> [RecoveryReport; 2] {
+    let transport = || toy_clos().transport(TransportScenario::default());
+    let flap = FaultKind::LinkFlap {
+        boundary: LinkBoundary::IngressMiddle,
+        switch: 1,
+        output: 0,
+    };
+    let runner = LabRunner::new().with_threads(1);
+    let run = |builder: ClosSpecBuilder| {
+        let spec = builder.build().expect("the recovery fixture spec is valid");
+        let report = runner.run_clos(&spec).expect("the spec expands");
+        report.runs.into_iter().next().expect("one run").report
+    };
+    let healthy = run(transport());
+    let recovered = run(transport()
+        .faults(FaultPlan::new([FaultEvent::windowed(
+            FaultKind::MiddleDeath { switch: 1 },
+            60,
+            50,
+        )]))
+        .obs(ObsScenario {
+            latency_hist: true,
+            ..ObsScenario::default()
+        }));
+    let lost = run(transport().faults(FaultPlan::new([
+        FaultEvent::windowed(flap, 60, 30),
+        FaultEvent::permanent(FaultKind::IngressPortDeath { port: 3 }, 100),
+    ])));
+    [&recovered, &lost].map(|faulted| {
+        RecoveryReport::measure(&healthy, faulted).expect("both twins ran the transport")
+    })
+}
+
 fn fabric_spec() -> FabricSpec {
     FabricSpec::builder()
         .name("fixture-fabric")
@@ -133,6 +197,11 @@ fn spec_documents_match_their_builders_and_round_trip() {
     let template = fixture("spec_template.json");
     let parsed = ExperimentSpec::from_json(&template).expect("the template parses");
     assert_matches_fixture("spec_template.json", &parsed.to_json());
+
+    let overrides = overrides_spec();
+    assert_matches_fixture("experiment_spec_overrides.json", &overrides.to_json());
+    let parsed = ExperimentSpec::from_json(&fixture("experiment_spec_overrides.json"));
+    assert_eq!(parsed.expect("the overrides fixture parses"), overrides);
 
     let fabric = FabricSpec::builder().build().expect("the default is valid");
     assert_matches_fixture("fabric_spec_default.json", &fabric.to_json());
@@ -161,6 +230,8 @@ fn seeded_reports_match_their_fixtures_byte_for_byte() {
     let runner = LabRunner::new().with_threads(1);
     let report = runner.run(&experiment_spec()).expect("the spec expands");
     assert_matches_fixture("experiment_report.json", &report.to_json());
+    let report = runner.run(&overrides_spec()).expect("the spec expands");
+    assert_matches_fixture("experiment_report_overrides.json", &report.to_json());
     let report = runner.run_fabric(&fabric_spec()).expect("the spec expands");
     assert_matches_fixture("fabric_report.json", &report.to_json());
     // Transport, faults and obs all armed: every optional report section.
@@ -168,4 +239,17 @@ fn seeded_reports_match_their_fixtures_byte_for_byte() {
         .run_clos(&full_clos_spec())
         .expect("the spec expands");
     assert_matches_fixture("clos_report.json", &report.to_json());
+}
+
+#[test]
+fn recovery_reports_match_their_fixture_in_both_shapes() {
+    let [recovered, lost] = recovery_reports();
+    assert!(recovered.recovered && recovered.latency_p50_slots.is_some());
+    assert!(!lost.recovered && lost.latency_p50_slots.is_none());
+    let json = serde_json::to_string_pretty(&[recovered, lost][..]).expect("reports encode");
+    assert_matches_fixture("recovery_reports.json", &json);
+    for key in ["\"recovery_slot\": null", "\"slots_to_recover\": null"] {
+        assert!(json.contains(key), "a missed recovery prints {key}");
+    }
+    assert_eq!(json.matches("latency_p50_slots").count(), 1);
 }
