@@ -3,7 +3,7 @@
 //!
 //! Experiments are *data*: a serializable [`ExperimentSpec`] (designs ×
 //! workloads × swept parameters × seeds) executed by a multi-threaded
-//! [`LabRunner`]. The paper's figures and tables are `pktbuf-lab paper <name>`.
+//! [`sim::lab::LabRunner`]. The paper's figures and tables are `pktbuf-lab paper <name>`.
 //!
 //! ```text
 //! pktbuf-lab run   --spec lab.json [--threads N] [--json out.json] [--csv out.csv]
@@ -14,8 +14,10 @@
 //! ```
 
 use bench::cli::{
-    parse_int, parse_list, parse_sweep, read_spec_text, write_artifact, OutputOptions,
+    emit, lab_command, parse_int, parse_list_or_all, parse_seeds, parse_sweep, read_spec_text, set,
+    write_artifact, Artifacts, LabLayer, SpecFlag,
 };
+use pktbuf_model::LineRate;
 use serde::{Serialize, Serializer};
 use sim::clos::{ClosLabReport, ClosSpec, DispatchChoice, ObsScenario, TransportScenario};
 use sim::fabric::{ArbiterChoice, FabricDesign, FabricLabReport, FabricSpec, FabricWorkload};
@@ -36,10 +38,10 @@ fn main() -> ExitCode {
         }
     };
     let result = match command {
-        "run" => run_command(rest, false),
-        "sweep" => run_command(rest, true),
-        "fabric" => fabric_command(rest),
-        "clos" => clos_command(rest),
+        "run" => lab_command(&RunLayer { print_runs: false }, rest),
+        "sweep" => lab_command(&RunLayer { print_runs: true }, rest),
+        "fabric" => lab_command(&FabricLayer, rest),
+        "clos" => lab_command(&ClosLayer, rest),
         "analyze" => analyze_command(rest),
         "paper" => paper_command(rest),
         "spec" => {
@@ -227,14 +229,7 @@ fn analyze_command(args: &[String]) -> Result<(), String> {
     let report = analysis::analyze_workspace(&root, &config)?;
     // Machine artifact on stdout moves the human lines to stderr, exactly
     // like the run/fabric reports.
-    let machine_stdout = json_out.as_deref() == Some("-");
-    let emit = |line: &str| {
-        if machine_stdout {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+    let emit = |line: &str| emit(json_out.as_deref() == Some("-"), line);
     for diag in &report.diagnostics {
         if !diag.waived || show_waived {
             emit(&diag.to_string());
@@ -287,191 +282,89 @@ fn fabric_smoke_spec() -> FabricSpec {
         .expect("the fabric smoke spec is valid")
 }
 
-fn fabric_command(args: &[String]) -> Result<(), String> {
-    type FabricEdit = Box<dyn FnOnce(&mut FabricSpec) -> Result<(), String>>;
-    let mut base: Option<FabricSpec> = None;
-    let mut output = OutputOptions {
-        threads: None,
-        json: None,
-        csv: None,
-    };
-    let mut smoke = false;
-    let mut print_spec = false;
-    let mut edits: Vec<FabricEdit> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--print-spec" => print_spec = true,
-            "--spec" => {
-                let text = read_spec_text(&value("--spec")?)?;
-                base = Some(FabricSpec::from_json(&text).map_err(|e| e.to_string())?);
-            }
-            "--name" => {
-                let v = value("--name")?;
-                edits.push(Box::new(move |s| {
-                    s.name = v;
-                    Ok(())
-                }));
-            }
-            "--ports" => {
-                let v = value("--ports")?;
-                edits.push(Box::new(move |s| {
-                    s.ports = parse_sweep(&v, "--ports")?;
-                    Ok(())
-                }));
-            }
-            "--designs" => {
-                let v = value("--designs")?;
-                edits.push(Box::new(move |s| {
-                    s.designs = if v.eq_ignore_ascii_case("all") {
-                        FabricDesign::all().to_vec()
-                    } else {
-                        parse_list(&v, "fabric design")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--workloads" => {
-                let v = value("--workloads")?;
-                edits.push(Box::new(move |s| {
-                    s.workloads = if v.eq_ignore_ascii_case("all") {
-                        FabricWorkload::all().to_vec()
-                    } else {
-                        parse_list(&v, "fabric workload")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--arbiters" => {
-                let v = value("--arbiters")?;
-                edits.push(Box::new(move |s| {
-                    s.arbiters = if v.eq_ignore_ascii_case("all") {
-                        ArbiterChoice::all().to_vec()
-                    } else {
-                        parse_list(&v, "arbiter")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--iters" => {
-                let v = value("--iters")?;
-                edits.push(Box::new(move |s| {
-                    s.islip_iterations = parse_int(&v, "--iters")?;
-                    Ok(())
-                }));
-            }
-            "--load" => {
-                let v = value("--load")?;
-                edits.push(Box::new(move |s| {
-                    s.load_percent = parse_sweep(&v, "--load")?;
-                    Ok(())
-                }));
-            }
-            "--egress-period" => {
-                let v = value("--egress-period")?;
-                edits.push(Box::new(move |s| {
-                    s.egress_period = parse_int(&v, "--egress-period")?;
-                    Ok(())
-                }));
-            }
-            "--rate" => {
-                let v = value("--rate")?;
-                edits.push(Box::new(move |s| {
-                    s.line_rate = v.parse().map_err(|e| format!("--rate: {e}"))?;
-                    Ok(())
-                }));
-            }
-            "-b" | "--granularity" => {
-                let v = value("--granularity")?;
-                edits.push(Box::new(move |s| {
-                    s.granularity = parse_sweep(&v, "--granularity")?;
-                    Ok(())
-                }));
-            }
-            "-B" | "--rads-granularity" => {
-                let v = value("--rads-granularity")?;
-                edits.push(Box::new(move |s| {
-                    s.rads_granularity = parse_sweep(&v, "--rads-granularity")?;
-                    Ok(())
-                }));
-            }
-            "--banks" => {
-                let v = value("--banks")?;
-                edits.push(Box::new(move |s| {
-                    s.num_banks = parse_sweep(&v, "--banks")?;
-                    Ok(())
-                }));
-            }
-            "--slots" => {
-                let v = value("--slots")?;
-                edits.push(Box::new(move |s| {
-                    s.arrival_slots = parse_int(&v, "--slots")?;
-                    Ok(())
-                }));
-            }
-            "--seeds" => {
-                let v = value("--seeds")?;
-                edits.push(Box::new(move |s| {
-                    s.seeds = v
-                        .split(',')
-                        .map(|part| parse_int(part, "--seeds"))
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    Ok(())
-                }));
-            }
-            "--threads" => {
-                output.threads = Some(parse_int(&value("--threads")?, "--threads")? as usize);
-            }
-            "--json" => output.json = Some(value("--json")?),
-            "--csv" => output.csv = Some(value("--csv")?),
-            other => return Err(format!("unknown fabric flag {other:?}")),
+/// Parses the `--rate` flag value.
+fn parse_rate(text: &str) -> Result<LineRate, String> {
+    text.parse().map_err(|e| format!("--rate: {e}"))
+}
+
+// The list flags `fabric` and `clos` share.
+fn fabric_designs(text: &str) -> Result<Vec<FabricDesign>, String> {
+    parse_list_or_all(text, "fabric design", FabricDesign::all())
+}
+fn fabric_workloads(text: &str) -> Result<Vec<FabricWorkload>, String> {
+    parse_list_or_all(text, "fabric workload", FabricWorkload::all())
+}
+fn arbiters(text: &str) -> Result<Vec<ArbiterChoice>, String> {
+    parse_list_or_all(text, "arbiter", ArbiterChoice::all())
+}
+
+/// `pktbuf-lab fabric`.
+struct FabricLayer;
+
+impl LabLayer for FabricLayer {
+    type Spec = FabricSpec;
+    const WHAT: &'static str = "fabric ";
+    const FLAGS: &'static [SpecFlag<FabricSpec>] = &[
+        SpecFlag::value(&["--name"], |s, v| set(&mut s.name, Ok(v.to_owned()))),
+        SpecFlag::value(&["--ports"], |s, v| {
+            set(&mut s.ports, parse_sweep(v, "--ports"))
+        }),
+        SpecFlag::value(&["--designs"], |s, v| {
+            set(&mut s.designs, fabric_designs(v))
+        }),
+        SpecFlag::value(&["--workloads"], |s, v| {
+            set(&mut s.workloads, fabric_workloads(v))
+        }),
+        SpecFlag::value(&["--arbiters"], |s, v| set(&mut s.arbiters, arbiters(v))),
+        SpecFlag::value(&["--iters"], |s, v| {
+            set(&mut s.islip_iterations, parse_int(v, "--iters"))
+        }),
+        SpecFlag::value(&["--load"], |s, v| {
+            set(&mut s.load_percent, parse_sweep(v, "--load"))
+        }),
+        SpecFlag::value(&["--egress-period"], |s, v| {
+            set(&mut s.egress_period, parse_int(v, "--egress-period"))
+        }),
+        SpecFlag::value(&["--rate"], |s, v| set(&mut s.line_rate, parse_rate(v))),
+        SpecFlag::value(&["-b", "--granularity"], |s, v| {
+            set(&mut s.granularity, parse_sweep(v, "--granularity"))
+        }),
+        SpecFlag::value(&["-B", "--rads-granularity"], |s, v| {
+            set(
+                &mut s.rads_granularity,
+                parse_sweep(v, "--rads-granularity"),
+            )
+        }),
+        SpecFlag::value(&["--banks"], |s, v| {
+            set(&mut s.num_banks, parse_sweep(v, "--banks"))
+        }),
+        SpecFlag::value(&["--slots"], |s, v| {
+            set(&mut s.arrival_slots, parse_int(v, "--slots"))
+        }),
+        SpecFlag::value(&["--seeds"], |s, v| set(&mut s.seeds, parse_seeds(v))),
+    ];
+
+    fn smoke_spec(&self) -> Option<FabricSpec> {
+        Some(fabric_smoke_spec())
+    }
+
+    fn summary(&self, report: &FabricLabReport, to_stderr: bool) {
+        print_fabric_summary(report, to_stderr);
+    }
+
+    fn finish(
+        &self,
+        _runner: &LabRunner,
+        report: &FabricLabReport,
+        _artifacts: &Artifacts,
+        smoke: bool,
+        _to_stderr: bool,
+    ) -> Result<(), String> {
+        if smoke {
+            gate_fabric_smoke(report)?;
         }
+        Ok(())
     }
-    let mut spec = if smoke {
-        // The smoke suite is a *fixed* acceptance gate: letting spec flags
-        // through would let a typo (or a well-meaning CI edit) weaken the
-        // gated scenario while still reporting "gate held".
-        if base.is_some() || !edits.is_empty() {
-            return Err(
-                "--smoke runs the fixed gate suite; drop --spec and the spec flags \
-                 (--threads/--json/--csv remain available)"
-                    .to_owned(),
-            );
-        }
-        fabric_smoke_spec()
-    } else {
-        base.unwrap_or_else(|| {
-            FabricSpec::builder()
-                .build()
-                .expect("the default fabric spec is valid")
-        })
-    };
-    for edit in edits {
-        edit(&mut spec)?;
-    }
-    spec.expand().map_err(|e| e.to_string())?;
-    if print_spec {
-        println!("{}", spec.to_json());
-        return Ok(());
-    }
-    let machine_stdout = output.machine_stdout(&[])?;
-    let mut runner = LabRunner::new();
-    if let Some(threads) = output.threads {
-        runner = runner.with_threads(threads);
-    }
-    let report = runner.run_fabric(&spec).map_err(|e| e.to_string())?;
-    print_fabric_summary(&report, machine_stdout);
-    output.write_reports("fabric ", || report.to_json(), || report.to_csv())?;
-    if smoke {
-        gate_fabric_smoke(&report)?;
-    }
-    Ok(())
 }
 
 /// The `fabric --smoke` acceptance gates: zero lost cells everywhere, and
@@ -515,13 +408,7 @@ fn gate_fabric_smoke(report: &FabricLabReport) -> Result<(), String> {
 }
 
 fn print_fabric_summary(report: &FabricLabReport, to_stderr: bool) {
-    let emit = |line: &str| {
-        if to_stderr {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+    let emit = |line: &str| emit(to_stderr, line);
     let mut table = TextTable::new(vec![
         "run",
         "ports",
@@ -645,7 +532,7 @@ const CLOS_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Renders every armed run's per-stage time-series as the `--series-csv`
 /// artifact: one row per sample, identified by run index and stage.
-/// (`clos_command` refuses `--series-csv` without armed series probes before
+/// (`ClosLayer::check` refuses `--series-csv` without armed series probes before
 /// the run.)
 fn clos_series_csv(report: &ClosLabReport) -> String {
     let mut table = TextTable::new(vec![
@@ -868,362 +755,201 @@ fn clos_fault_ledgers_json(reports: &[&ClosLabReport]) -> String {
     serde_json::to_string_pretty(&records).expect("fault ledgers always serialize")
 }
 
-fn clos_command(args: &[String]) -> Result<(), String> {
-    type ClosEdit = Box<dyn FnOnce(&mut ClosSpec) -> Result<(), String>>;
-    let mut base: Option<ClosSpec> = None;
-    let mut output = OutputOptions::default();
-    let mut smoke = false;
-    let mut print_spec = false;
-    let mut faults_json: Option<String> = None;
-    let mut recovery_json: Option<String> = None;
-    let mut series_csv: Option<String> = None;
-    let mut trace_json: Option<String> = None;
-    let mut edits: Vec<ClosEdit> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--smoke" => smoke = true,
-            "--print-spec" => print_spec = true,
-            "--spec" => {
-                let text = read_spec_text(&value("--spec")?)?;
-                base = Some(ClosSpec::from_json(&text).map_err(|e| e.to_string())?);
+/// Reads the `--faults` plan: a JSON list of fault events.
+fn read_fault_plan(path: &str) -> Result<FaultPlan, String> {
+    serde_json::from_str(&read_spec_text(path)?).map_err(|e| format!("--faults: {e}"))
+}
+
+/// `--series <stride>`: arms the probes if `--obs` has not, and samples
+/// every `stride` slots into rings of at least 1024 samples.
+fn arm_series(spec: &mut ClosSpec, stride: &str) -> Result<(), String> {
+    let stride = parse_int(stride, "--series")?;
+    if stride == 0 {
+        return Err("--series needs a stride of at least 1 slot".to_owned());
+    }
+    let o = spec.obs.get_or_insert_with(ObsScenario::standard);
+    o.series_stride = stride;
+    o.series_capacity = o.series_capacity.max(1024);
+    Ok(())
+}
+
+/// `pktbuf-lab clos`.
+struct ClosLayer;
+
+impl LabLayer for ClosLayer {
+    type Spec = ClosSpec;
+    const WHAT: &'static str = "clos ";
+    const FLAGS: &'static [SpecFlag<ClosSpec>] = &[
+        SpecFlag::value(&["--name"], |s, v| set(&mut s.name, Ok(v.to_owned()))),
+        SpecFlag::value(&["--radix"], |s, v| {
+            set(&mut s.radix, parse_sweep(v, "--radix"))
+        }),
+        SpecFlag::value(&["--ingress"], |s, v| {
+            set(&mut s.ingress_switches, parse_sweep(v, "--ingress"))
+        }),
+        SpecFlag::value(&["--middle"], |s, v| {
+            set(&mut s.middle_switches, parse_sweep(v, "--middle"))
+        }),
+        SpecFlag::value(&["--designs"], |s, v| {
+            set(&mut s.designs, fabric_designs(v))
+        }),
+        SpecFlag::value(&["--workloads"], |s, v| {
+            set(&mut s.workloads, fabric_workloads(v))
+        }),
+        SpecFlag::value(&["--dispatches"], |s, v| {
+            set(
+                &mut s.dispatches,
+                parse_list_or_all(v, "dispatch policy", DispatchChoice::all()),
+            )
+        }),
+        SpecFlag::value(&["--arbiters"], |s, v| set(&mut s.arbiters, arbiters(v))),
+        SpecFlag::value(&["--iters"], |s, v| {
+            set(&mut s.islip_iterations, parse_int(v, "--iters"))
+        }),
+        SpecFlag::value(&["--load"], |s, v| {
+            set(&mut s.load_percent, parse_sweep(v, "--load"))
+        }),
+        SpecFlag::value(&["--link-capacity"], |s, v| {
+            set(&mut s.link_capacity, parse_sweep(v, "--link-capacity"))
+        }),
+        SpecFlag::value(&["--link-latency"], |s, v| {
+            set(&mut s.link_latency, parse_int(v, "--link-latency"))
+        }),
+        SpecFlag::value(&["--egress-period"], |s, v| {
+            set(&mut s.egress_period, parse_int(v, "--egress-period"))
+        }),
+        SpecFlag::value(&["--rate"], |s, v| set(&mut s.line_rate, parse_rate(v))),
+        SpecFlag::value(&["-b", "--granularity"], |s, v| {
+            set(&mut s.granularity, parse_int(v, "--granularity"))
+        }),
+        SpecFlag::value(&["-B", "--rads-granularity"], |s, v| {
+            set(&mut s.rads_granularity, parse_int(v, "--rads-granularity"))
+        }),
+        SpecFlag::value(&["--banks"], |s, v| {
+            set(&mut s.num_banks, parse_int(v, "--banks"))
+        }),
+        SpecFlag::value(&["--slots"], |s, v| {
+            set(&mut s.arrival_slots, parse_int(v, "--slots"))
+        }),
+        SpecFlag::value(&["--seeds"], |s, v| set(&mut s.seeds, parse_seeds(v))),
+        SpecFlag::value(&["--faults"], |s, v| set(&mut s.faults, read_fault_plan(v))),
+        // The transport needs cut-through buffers fabric-wide.
+        SpecFlag::switch(&["--transport"], |s| {
+            s.transport = Some(TransportScenario::default());
+            s.rads_granularity = 1;
+        }),
+        SpecFlag::switch(&["--obs"], |s| {
+            s.obs.get_or_insert_with(ObsScenario::standard);
+        }),
+        SpecFlag::value(&["--series"], arm_series),
+    ];
+    const ARTIFACT_FLAGS: &'static [&'static str] = &[
+        "--faults-json",
+        "--recovery-json",
+        "--series-csv",
+        "--trace-json",
+    ];
+
+    fn smoke_spec(&self) -> Option<ClosSpec> {
+        Some(clos_smoke_spec())
+    }
+
+    fn arm(&self, spec: &mut ClosSpec, artifacts: &Artifacts, smoke: bool) {
+        if artifacts.get("--trace-json").is_some() && !smoke {
+            // `--trace-json` without `--smoke` arms the recorder in the spec
+            // itself (the smoke suite instead re-runs its degraded leg traced,
+            // keeping the gated runs byte-identical to an unarmed suite).
+            let o = spec.obs.get_or_insert_with(ObsScenario::standard);
+            if o.trace_capacity == 0 {
+                o.trace_capacity = CLOS_TRACE_CAPACITY;
             }
-            "--name" => {
-                let v = value("--name")?;
-                edits.push(Box::new(move |s| {
-                    s.name = v;
-                    Ok(())
-                }));
-            }
-            "--radix" => {
-                let v = value("--radix")?;
-                edits.push(Box::new(move |s| {
-                    s.radix = parse_sweep(&v, "--radix")?;
-                    Ok(())
-                }));
-            }
-            "--ingress" => {
-                let v = value("--ingress")?;
-                edits.push(Box::new(move |s| {
-                    s.ingress_switches = parse_sweep(&v, "--ingress")?;
-                    Ok(())
-                }));
-            }
-            "--middle" => {
-                let v = value("--middle")?;
-                edits.push(Box::new(move |s| {
-                    s.middle_switches = parse_sweep(&v, "--middle")?;
-                    Ok(())
-                }));
-            }
-            "--designs" => {
-                let v = value("--designs")?;
-                edits.push(Box::new(move |s| {
-                    s.designs = if v.eq_ignore_ascii_case("all") {
-                        FabricDesign::all().to_vec()
-                    } else {
-                        parse_list(&v, "fabric design")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--workloads" => {
-                let v = value("--workloads")?;
-                edits.push(Box::new(move |s| {
-                    s.workloads = if v.eq_ignore_ascii_case("all") {
-                        FabricWorkload::all().to_vec()
-                    } else {
-                        parse_list(&v, "fabric workload")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--dispatches" => {
-                let v = value("--dispatches")?;
-                edits.push(Box::new(move |s| {
-                    s.dispatches = if v.eq_ignore_ascii_case("all") {
-                        DispatchChoice::all().to_vec()
-                    } else {
-                        parse_list(&v, "dispatch policy")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--arbiters" => {
-                let v = value("--arbiters")?;
-                edits.push(Box::new(move |s| {
-                    s.arbiters = if v.eq_ignore_ascii_case("all") {
-                        ArbiterChoice::all().to_vec()
-                    } else {
-                        parse_list(&v, "arbiter")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--iters" => {
-                let v = value("--iters")?;
-                edits.push(Box::new(move |s| {
-                    s.islip_iterations = parse_int(&v, "--iters")?;
-                    Ok(())
-                }));
-            }
-            "--load" => {
-                let v = value("--load")?;
-                edits.push(Box::new(move |s| {
-                    s.load_percent = parse_sweep(&v, "--load")?;
-                    Ok(())
-                }));
-            }
-            "--link-capacity" => {
-                let v = value("--link-capacity")?;
-                edits.push(Box::new(move |s| {
-                    s.link_capacity = parse_sweep(&v, "--link-capacity")?;
-                    Ok(())
-                }));
-            }
-            "--link-latency" => {
-                let v = value("--link-latency")?;
-                edits.push(Box::new(move |s| {
-                    s.link_latency = parse_int(&v, "--link-latency")?;
-                    Ok(())
-                }));
-            }
-            "--egress-period" => {
-                let v = value("--egress-period")?;
-                edits.push(Box::new(move |s| {
-                    s.egress_period = parse_int(&v, "--egress-period")?;
-                    Ok(())
-                }));
-            }
-            "--rate" => {
-                let v = value("--rate")?;
-                edits.push(Box::new(move |s| {
-                    s.line_rate = v.parse().map_err(|e| format!("--rate: {e}"))?;
-                    Ok(())
-                }));
-            }
-            "-b" | "--granularity" => {
-                let v = value("--granularity")?;
-                edits.push(Box::new(move |s| {
-                    s.granularity = parse_int(&v, "--granularity")?;
-                    Ok(())
-                }));
-            }
-            "-B" | "--rads-granularity" => {
-                let v = value("--rads-granularity")?;
-                edits.push(Box::new(move |s| {
-                    s.rads_granularity = parse_int(&v, "--rads-granularity")?;
-                    Ok(())
-                }));
-            }
-            "--banks" => {
-                let v = value("--banks")?;
-                edits.push(Box::new(move |s| {
-                    s.num_banks = parse_int(&v, "--banks")?;
-                    Ok(())
-                }));
-            }
-            "--slots" => {
-                let v = value("--slots")?;
-                edits.push(Box::new(move |s| {
-                    s.arrival_slots = parse_int(&v, "--slots")?;
-                    Ok(())
-                }));
-            }
-            "--seeds" => {
-                let v = value("--seeds")?;
-                edits.push(Box::new(move |s| {
-                    s.seeds = v
-                        .split(',')
-                        .map(|part| parse_int(part, "--seeds"))
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    Ok(())
-                }));
-            }
-            "--faults" => {
-                let text = read_spec_text(&value("--faults")?)?;
-                let plan: FaultPlan =
-                    serde_json::from_str(&text).map_err(|e| format!("--faults: {e}"))?;
-                edits.push(Box::new(move |s| {
-                    s.faults = plan;
-                    Ok(())
-                }));
-            }
-            "--faults-json" => faults_json = Some(value("--faults-json")?),
-            "--transport" => {
-                edits.push(Box::new(|s| {
-                    s.transport = Some(TransportScenario::default());
-                    s.rads_granularity = 1;
-                    Ok(())
-                }));
-            }
-            "--recovery-json" => recovery_json = Some(value("--recovery-json")?),
-            "--obs" => {
-                edits.push(Box::new(|s| {
-                    s.obs.get_or_insert_with(ObsScenario::standard);
-                    Ok(())
-                }));
-            }
-            "--series" => {
-                let v = value("--series")?;
-                edits.push(Box::new(move |s| {
-                    let stride = parse_int(&v, "--series")?;
-                    if stride == 0 {
-                        return Err("--series needs a stride of at least 1 slot".to_owned());
-                    }
-                    let o = s.obs.get_or_insert_with(ObsScenario::standard);
-                    o.series_stride = stride;
-                    o.series_capacity = o.series_capacity.max(1024);
-                    Ok(())
-                }));
-            }
-            "--series-csv" => series_csv = Some(value("--series-csv")?),
-            "--trace-json" => trace_json = Some(value("--trace-json")?),
-            "--threads" => {
-                output.threads = Some(parse_int(&value("--threads")?, "--threads")? as usize);
-            }
-            "--json" => output.json = Some(value("--json")?),
-            "--csv" => output.csv = Some(value("--csv")?),
-            other => return Err(format!("unknown clos flag {other:?}")),
         }
     }
-    let mut spec = if smoke {
-        // The smoke suite is a *fixed* acceptance gate, exactly like
-        // `fabric --smoke`: spec flags cannot weaken the gated scenario.
-        if base.is_some() || !edits.is_empty() {
+
+    fn check(&self, spec: &ClosSpec, artifacts: &Artifacts, smoke: bool) -> Result<(), String> {
+        if artifacts.get("--recovery-json").is_some() && !smoke {
             return Err(
-                "--smoke runs the fixed gate suite; drop --spec and the spec flags \
-                 (--threads/--json/--csv remain available)"
+                "--recovery-json needs --smoke (only the smoke suite runs the recovery leg)"
                     .to_owned(),
             );
         }
-        clos_smoke_spec()
-    } else {
-        base.unwrap_or_else(|| {
-            ClosSpec::builder()
-                .build()
-                .expect("the default clos spec is valid")
-        })
-    };
-    for edit in edits {
-        edit(&mut spec)?;
-    }
-    if trace_json.is_some() && !smoke {
-        // `--trace-json` without `--smoke` arms the recorder in the spec
-        // itself (the smoke suite instead re-runs its degraded leg traced,
-        // keeping the gated runs byte-identical to an unarmed suite).
-        let o = spec.obs.get_or_insert_with(ObsScenario::standard);
-        if o.trace_capacity == 0 {
-            o.trace_capacity = CLOS_TRACE_CAPACITY;
+        let series_armed = spec.obs.is_some_and(|o| o.to_config().series_enabled());
+        if artifacts.get("--series-csv").is_some() && !series_armed {
+            return Err(
+                "--series-csv needs armed series probes: pass --series <stride> or --obs"
+                    .to_owned(),
+            );
         }
+        Ok(())
     }
-    spec.expand().map_err(|e| e.to_string())?;
-    if print_spec {
-        println!("{}", spec.to_json());
-        return Ok(());
+
+    fn summary(&self, report: &ClosLabReport, to_stderr: bool) {
+        print_clos_summary(report, to_stderr);
     }
-    // Every artifact check runs before the first simulated slot: a sweep is
-    // never discarded on a flag combination that could have been refused up
-    // front.
-    let machine_stdout = output.machine_stdout(&[
-        ("--faults-json", faults_json.as_deref()),
-        ("--recovery-json", recovery_json.as_deref()),
-        ("--series-csv", series_csv.as_deref()),
-        ("--trace-json", trace_json.as_deref()),
-    ])?;
-    if recovery_json.is_some() && !smoke {
-        return Err(
-            "--recovery-json needs --smoke (only the smoke suite runs the recovery leg)".to_owned(),
-        );
-    }
-    let series_armed = spec.obs.is_some_and(|o| o.to_config().series_enabled());
-    if series_csv.is_some() && !series_armed {
-        return Err(
-            "--series-csv needs armed series probes: pass --series <stride> or --obs".to_owned(),
-        );
-    }
-    let mut runner = LabRunner::new();
-    if let Some(threads) = output.threads {
-        runner = runner.with_threads(threads);
-    }
-    let report = runner.run_clos(&spec).map_err(|e| e.to_string())?;
-    print_clos_summary(&report, machine_stdout);
-    output.write_reports("clos ", || report.to_json(), || report.to_csv())?;
-    let fault_report = if smoke {
-        // The degraded-mode leg: same Clos, fixed fault plan. Run and write
-        // the ledger artifact *before* gating either leg, so a gate failure
+
+    fn finish(
+        &self,
+        runner: &LabRunner,
+        report: &ClosLabReport,
+        artifacts: &Artifacts,
+        smoke: bool,
+        to_stderr: bool,
+    ) -> Result<(), String> {
+        // The further legs of the smoke suite. Each is run, and every
+        // artifact written, *before* any leg is gated, so a gate failure
         // still leaves the evidence on disk for CI to upload.
-        let fault_spec = clos_fault_smoke_spec();
-        let fault_report = runner.run_clos(&fault_spec).map_err(|e| e.to_string())?;
-        print_clos_summary(&fault_report, machine_stdout);
-        Some(fault_report)
-    } else {
-        None
-    };
-    let recovery_legs = if smoke {
-        // The end-to-end recovery leg: the closed-loop reliable transport
-        // over a cut-through Clos, once fault-free and once under the fixed
-        // death+flap plan. Run both and write the artifact *before* gating,
-        // so a gate failure still leaves the evidence on disk.
-        let healthy = runner
-            .run_clos(&clos_transport_smoke_spec())
-            .map_err(|e| e.to_string())?;
-        print_clos_summary(&healthy, machine_stdout);
-        let faulted = runner
-            .run_clos(&clos_recovery_fault_smoke_spec())
-            .map_err(|e| e.to_string())?;
-        print_clos_summary(&faulted, machine_stdout);
-        Some((healthy, faulted))
-    } else {
-        None
-    };
-    if let Some(path) = &faults_json {
-        let sources: Vec<&ClosLabReport> = match &fault_report {
-            Some(faulted) => vec![&report, faulted],
-            None => vec![&report],
+        let leg = |spec: ClosSpec| -> Result<ClosLabReport, String> {
+            let report = runner.run(&spec).map_err(|e| e.to_string())?;
+            print_clos_summary(&report, to_stderr);
+            Ok(report)
         };
-        write_artifact(path, &clos_fault_ledgers_json(&sources), "fault ledgers")?;
-    }
-    if let (Some(path), Some((healthy, faulted))) = (&recovery_json, &recovery_legs) {
-        write_artifact(
-            path,
-            &clos_recovery_json(healthy, faulted),
-            "recovery reports",
-        )?;
-    }
-    if let Some(path) = &series_csv {
-        write_artifact(path, &clos_series_csv(&report), "series samples")?;
-    }
-    if let Some(path) = &trace_json {
-        // Written before the gates, like every other smoke artifact, so a
-        // gate failure still leaves the trace on disk for CI to upload.
-        let dump = if smoke {
-            let (_, faulted) = recovery_legs.as_ref().expect("smoke ran the recovery legs");
-            clos_smoke_trace(faulted)?
+        let smoke_legs = if smoke {
+            // The degraded-mode leg: same Clos, fixed fault plan. Then the
+            // end-to-end recovery leg: the closed-loop reliable transport
+            // over a cut-through Clos, once fault-free and once under the
+            // fixed death+flap plan.
+            Some((
+                leg(clos_fault_smoke_spec())?,
+                leg(clos_transport_smoke_spec())?,
+                leg(clos_recovery_fault_smoke_spec())?,
+            ))
         } else {
-            report
-                .runs
-                .first()
-                .and_then(|run| run.report.trace_json())
-                .ok_or_else(|| "the spec produced no traced run".to_owned())?
+            None
         };
-        write_artifact(path, &dump, "flight-recorder trace")?;
+        if let Some(path) = artifacts.get("--faults-json") {
+            let sources: Vec<&ClosLabReport> = match &smoke_legs {
+                Some((faulted, _, _)) => vec![report, faulted],
+                None => vec![report],
+            };
+            write_artifact(path, &clos_fault_ledgers_json(&sources), "fault ledgers")?;
+        }
+        if let (Some(path), Some((_, healthy, faulted))) =
+            (artifacts.get("--recovery-json"), &smoke_legs)
+        {
+            let json = clos_recovery_json(healthy, faulted);
+            write_artifact(path, &json, "recovery reports")?;
+        }
+        if let Some(path) = artifacts.get("--series-csv") {
+            write_artifact(path, &clos_series_csv(report), "series samples")?;
+        }
+        if let Some(path) = artifacts.get("--trace-json") {
+            let dump = match &smoke_legs {
+                Some((_, _, faulted)) => clos_smoke_trace(faulted)?,
+                None => report
+                    .runs
+                    .first()
+                    .and_then(|run| run.report.trace_json())
+                    .ok_or_else(|| "the spec produced no traced run".to_owned())?,
+            };
+            write_artifact(path, &dump, "flight-recorder trace")?;
+        }
+        if let Some((fault_report, healthy, faulted)) = &smoke_legs {
+            gate_clos_smoke(report)?;
+            gate_clos_fault_smoke(fault_report, report)?;
+            gate_clos_recovery_smoke(healthy, faulted)?;
+        }
+        Ok(())
     }
-    if smoke {
-        gate_clos_smoke(&report)?;
-        gate_clos_fault_smoke(
-            fault_report.as_ref().expect("smoke ran the fault leg"),
-            &report,
-        )?;
-        let (healthy, faulted) = recovery_legs.as_ref().expect("smoke ran the recovery legs");
-        gate_clos_recovery_smoke(healthy, faulted)?;
-    }
-    Ok(())
 }
 
 /// The end-to-end recovery gates of `clos --smoke`: pairing each faulted
@@ -1483,13 +1209,7 @@ fn gate_clos_smoke(report: &ClosLabReport) -> Result<(), String> {
 }
 
 fn print_clos_summary(report: &ClosLabReport, to_stderr: bool) {
-    let emit = |line: &str| {
-        if to_stderr {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+    let emit = |line: &str| emit(to_stderr, line);
     let mut table = TextTable::new(vec![
         "run",
         "N",
@@ -1600,171 +1320,73 @@ fn paper_command(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn run_command(args: &[String], print_runs: bool) -> Result<(), String> {
-    let (spec, output) = parse_spec_args(args)?;
-    let machine_stdout = output.machine_stdout(&[])?;
-    let mut runner = LabRunner::new();
-    if let Some(threads) = output.threads {
-        runner = runner.with_threads(threads);
-    }
-    let report = runner.run(&spec).map_err(|e| e.to_string())?;
-    print_summary(&report, print_runs, machine_stdout);
-    output.write_reports("", || report.to_json(), || report.to_csv())
+/// `pktbuf-lab run` and `sweep`: the same command, `sweep` also printing the
+/// per-run table.
+struct RunLayer {
+    print_runs: bool,
 }
 
-/// A deferred spec mutation from one inline flag.
-type SpecEdit = Box<dyn FnOnce(&mut ExperimentSpec) -> Result<(), String>>;
+impl LabLayer for RunLayer {
+    type Spec = ExperimentSpec;
+    const WHAT: &'static str = "";
+    const UNKNOWN_FLAG_HINT: &'static str = " (try `pktbuf-lab help`)";
+    const FLAGS: &'static [SpecFlag<ExperimentSpec>] = &[
+        SpecFlag::value(&["--name"], |s, v| set(&mut s.name, Ok(v.to_owned()))),
+        SpecFlag::value(&["--designs"], |s, v| {
+            set(
+                &mut s.designs,
+                parse_list_or_all(v, "design", DesignKind::all()),
+            )
+        }),
+        SpecFlag::value(&["--workloads"], |s, v| {
+            set(
+                &mut s.workloads,
+                parse_list_or_all(v, "workload", Workload::all()),
+            )
+        }),
+        SpecFlag::value(&["--rate"], |s, v| set(&mut s.line_rate, parse_rate(v))),
+        SpecFlag::value(&["--queues"], |s, v| {
+            set(&mut s.num_queues, parse_sweep(v, "--queues"))
+        }),
+        SpecFlag::value(&["-b", "--granularity"], |s, v| {
+            set(&mut s.granularity, parse_sweep(v, "--granularity"))
+        }),
+        SpecFlag::value(&["-B", "--rads-granularity"], |s, v| {
+            set(
+                &mut s.rads_granularity,
+                parse_sweep(v, "--rads-granularity"),
+            )
+        }),
+        SpecFlag::value(&["--banks"], |s, v| {
+            set(&mut s.num_banks, parse_sweep(v, "--banks"))
+        }),
+        // The two phases exclude each other: asking for one switches the
+        // other off.
+        SpecFlag::value(&["--slots"], |s, v| {
+            s.arrival_slots = parse_int(v, "--slots")?;
+            if s.arrival_slots > 0 {
+                s.preload_cells_per_queue = 0;
+            }
+            Ok(())
+        }),
+        SpecFlag::value(&["--preload"], |s, v| {
+            s.preload_cells_per_queue = parse_int(v, "--preload")?;
+            if s.preload_cells_per_queue > 0 {
+                s.arrival_slots = 0;
+            }
+            Ok(())
+        }),
+        SpecFlag::value(&["--seeds"], |s, v| set(&mut s.seeds, parse_seeds(v))),
+        SpecFlag::switch(&["--record-grants"], |s| s.record_grants = true),
+    ];
 
-fn parse_spec_args(args: &[String]) -> Result<(ExperimentSpec, OutputOptions), String> {
-    let mut base: Option<ExperimentSpec> = None;
-    let mut output = OutputOptions {
-        threads: None,
-        json: None,
-        csv: None,
-    };
-    // Inline flags are collected first, then applied over the (optional)
-    // spec-file base, so `--spec file --seeds 9` reseeds a saved experiment.
-    let mut edits: Vec<SpecEdit> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--spec" => {
-                let text = read_spec_text(&value("--spec")?)?;
-                base = Some(ExperimentSpec::from_json(&text).map_err(|e| e.to_string())?);
-            }
-            "--name" => {
-                let v = value("--name")?;
-                edits.push(Box::new(move |s| {
-                    s.name = v;
-                    Ok(())
-                }));
-            }
-            "--designs" => {
-                let v = value("--designs")?;
-                edits.push(Box::new(move |s| {
-                    s.designs = if v.eq_ignore_ascii_case("all") {
-                        DesignKind::all().to_vec()
-                    } else {
-                        parse_list(&v, "design")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--workloads" => {
-                let v = value("--workloads")?;
-                edits.push(Box::new(move |s| {
-                    s.workloads = if v.eq_ignore_ascii_case("all") {
-                        Workload::all().to_vec()
-                    } else {
-                        parse_list(&v, "workload")?
-                    };
-                    Ok(())
-                }));
-            }
-            "--rate" => {
-                let v = value("--rate")?;
-                edits.push(Box::new(move |s| {
-                    s.line_rate = v.parse().map_err(|e| format!("--rate: {e}"))?;
-                    Ok(())
-                }));
-            }
-            "--queues" => {
-                let v = value("--queues")?;
-                edits.push(Box::new(move |s| {
-                    s.num_queues = parse_sweep(&v, "--queues")?;
-                    Ok(())
-                }));
-            }
-            "-b" | "--granularity" => {
-                let v = value("--granularity")?;
-                edits.push(Box::new(move |s| {
-                    s.granularity = parse_sweep(&v, "--granularity")?;
-                    Ok(())
-                }));
-            }
-            "-B" | "--rads-granularity" => {
-                let v = value("--rads-granularity")?;
-                edits.push(Box::new(move |s| {
-                    s.rads_granularity = parse_sweep(&v, "--rads-granularity")?;
-                    Ok(())
-                }));
-            }
-            "--banks" => {
-                let v = value("--banks")?;
-                edits.push(Box::new(move |s| {
-                    s.num_banks = parse_sweep(&v, "--banks")?;
-                    Ok(())
-                }));
-            }
-            "--slots" => {
-                let v = value("--slots")?;
-                edits.push(Box::new(move |s| {
-                    s.arrival_slots = parse_int(&v, "--slots")?;
-                    if s.arrival_slots > 0 {
-                        s.preload_cells_per_queue = 0;
-                    }
-                    Ok(())
-                }));
-            }
-            "--preload" => {
-                let v = value("--preload")?;
-                edits.push(Box::new(move |s| {
-                    s.preload_cells_per_queue = parse_int(&v, "--preload")?;
-                    if s.preload_cells_per_queue > 0 {
-                        s.arrival_slots = 0;
-                    }
-                    Ok(())
-                }));
-            }
-            "--seeds" => {
-                let v = value("--seeds")?;
-                edits.push(Box::new(move |s| {
-                    s.seeds = v
-                        .split(',')
-                        .map(|part| parse_int(part, "--seeds"))
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    Ok(())
-                }));
-            }
-            "--record-grants" => {
-                edits.push(Box::new(|s| {
-                    s.record_grants = true;
-                    Ok(())
-                }));
-            }
-            "--threads" => {
-                output.threads = Some(parse_int(&value("--threads")?, "--threads")? as usize);
-            }
-            "--json" => output.json = Some(value("--json")?),
-            "--csv" => output.csv = Some(value("--csv")?),
-            other => return Err(format!("unknown flag {other:?} (try `pktbuf-lab help`)")),
-        }
+    fn summary(&self, report: &ExperimentReport, to_stderr: bool) {
+        print_summary(report, self.print_runs, to_stderr);
     }
-    let mut spec = base.unwrap_or_else(|| {
-        ExperimentSpec::builder()
-            .build()
-            .expect("the default spec is valid")
-    });
-    for edit in edits {
-        edit(&mut spec)?;
-    }
-    spec.expand().map_err(|e| e.to_string())?;
-    Ok((spec, output))
 }
 
 fn print_summary(report: &ExperimentReport, print_runs: bool, to_stderr: bool) {
-    let emit = |line: &str| {
-        if to_stderr {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
+    let emit = |line: &str| emit(to_stderr, line);
     if print_runs {
         let mut table = TextTable::new(vec![
             "run",

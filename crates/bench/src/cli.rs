@@ -11,7 +11,14 @@
 //! artifact destination a subcommand has (the shared `--json`/`--csv` plus
 //! whatever extra artifact flags it declares), next to the artifact
 //! read/write and flag-parsing helpers every subcommand uses.
+//!
+//! The experiment subcommands (`run`/`sweep`, `fabric`, `clos`) also share
+//! their whole control flow: [`lab_command`] is the one flag loop and the one
+//! parse → expand → run → report → gate sequence, and a [`LabLayer`] is what
+//! a subcommand adds to it — a table of [`SpecFlag`]s, a summary, a gate.
 
+use sim::experiment::{self, Experiment};
+use sim::lab::{LabReport, LabRunner};
 use sim::spec::Sweep;
 
 /// Parsed `--threads`/`--json`/`--csv` output options shared by the `run`,
@@ -154,6 +161,278 @@ where
     } else {
         Ok(items)
     }
+}
+
+/// Parses the `--seeds` flag value: a comma-separated list of integers.
+///
+/// # Errors
+///
+/// Errors when an item is not an unsigned integer.
+pub fn parse_seeds(text: &str) -> Result<Vec<u64>, String> {
+    text.split(',')
+        .map(|part| parse_int(part, "--seeds"))
+        .collect()
+}
+
+/// Parses a list flag value; the word `all` stands for every item of `all`.
+///
+/// # Errors
+///
+/// As [`parse_list`].
+pub fn parse_list_or_all<T, const N: usize>(
+    text: &str,
+    what: &str,
+    all: [T; N],
+) -> Result<Vec<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    if text.eq_ignore_ascii_case("all") {
+        Ok(all.into())
+    } else {
+        parse_list(text, what)
+    }
+}
+
+/// Stores a parsed flag value in the spec field it belongs to.
+///
+/// # Errors
+///
+/// Passes the parse error through.
+pub fn set<T>(field: &mut T, parsed: Result<T, String>) -> Result<(), String> {
+    *field = parsed?;
+    Ok(())
+}
+
+/// Prints one line of a human summary: to stderr when a machine-readable
+/// artifact owns stdout.
+pub fn emit(to_stderr: bool, line: &str) {
+    if to_stderr {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+}
+
+/// What a spec flag does to the spec it edits.
+#[derive(Debug)]
+enum SpecEdit<S> {
+    /// The flag is followed by a value.
+    Value(fn(&mut S, &str) -> Result<(), String>),
+    /// The flag stands alone.
+    Switch(fn(&mut S)),
+}
+
+/// One row of a subcommand's flag table.
+#[derive(Debug)]
+pub struct SpecFlag<S> {
+    names: &'static [&'static str],
+    edit: SpecEdit<S>,
+}
+
+impl<S> SpecFlag<S> {
+    /// A flag followed by a value, under every spelling in `names` (errors
+    /// name the last one); `apply` parses the value into the spec.
+    pub const fn value(
+        names: &'static [&'static str],
+        apply: fn(&mut S, &str) -> Result<(), String>,
+    ) -> Self {
+        SpecFlag {
+            names,
+            edit: SpecEdit::Value(apply),
+        }
+    }
+
+    /// A flag that stands alone.
+    pub const fn switch(names: &'static [&'static str], apply: fn(&mut S)) -> Self {
+        SpecFlag {
+            names,
+            edit: SpecEdit::Switch(apply),
+        }
+    }
+}
+
+/// The destinations given for a layer's own artifact flags
+/// ([`LabLayer::ARTIFACT_FLAGS`]), in that order.
+#[derive(Debug)]
+pub struct Artifacts(Vec<(&'static str, Option<String>)>);
+
+impl Artifacts {
+    /// Where `flag`'s artifact goes, if the flag was given.
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, destination)| destination.as_deref())
+    }
+}
+
+/// What one experiment subcommand adds to [`lab_command`].
+pub trait LabLayer {
+    /// The layer's spec type.
+    type Spec: Experiment + 'static;
+    /// The subcommand's name in messages, with its trailing space:
+    /// `"fabric "`, or `""` for `run`/`sweep`.
+    const WHAT: &'static str;
+    /// Appended to the unknown-flag error.
+    const UNKNOWN_FLAG_HINT: &'static str = "";
+    /// The spec flags.
+    const FLAGS: &'static [SpecFlag<Self::Spec>];
+    /// Flags naming the destination of an artifact of the layer's own, next
+    /// to the shared `--json`/`--csv` (`'-'` = stdout, like theirs).
+    const ARTIFACT_FLAGS: &'static [&'static str] = &[];
+
+    /// The fixed spec of the layer's acceptance gate. `Some`: the subcommand
+    /// also takes `--smoke` (run and gate this spec; spec flags are refused)
+    /// and `--print-spec`.
+    fn smoke_spec(&self) -> Option<Self::Spec> {
+        None
+    }
+
+    /// Edits the spec for the artifacts asked for, before it is expanded or
+    /// printed.
+    fn arm(&self, _spec: &mut Self::Spec, _artifacts: &Artifacts, _smoke: bool) {}
+
+    /// Refuses artifact flags the run could not honour, before it starts.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag and what it needs.
+    fn check(
+        &self,
+        _spec: &Self::Spec,
+        _artifacts: &Artifacts,
+        _smoke: bool,
+    ) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Prints the human summary of a report.
+    fn summary(&self, report: &LabReport<Self::Spec>, to_stderr: bool);
+
+    /// Runs what follows the main report, which is already summarised and
+    /// written: further legs on the same `runner`, the layer's own artifacts,
+    /// and — last, so a failure leaves the evidence written — the gates.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unwritable artifact or a failed gate.
+    fn finish(
+        &self,
+        _runner: &LabRunner,
+        _report: &LabReport<Self::Spec>,
+        _artifacts: &Artifacts,
+        _smoke: bool,
+        _to_stderr: bool,
+    ) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Runs one experiment subcommand over `args`: reads the flags; takes the
+/// gate suite's fixed spec (`--smoke`, which refuses spec flags) or else the
+/// `--spec` file or the layer's default, edited by the spec flags in
+/// command-line order; expands it; prints it and stops (`--print-spec`) or
+/// checks the artifact destinations, runs it, prints the summary, writes the
+/// reports and hands over to [`LabLayer::finish`].
+///
+/// # Errors
+///
+/// Reports the first flag, spec, artifact or gate problem.
+pub fn lab_command<L: LabLayer>(layer: &L, args: &[String]) -> Result<(), String> {
+    let smoke_spec = layer.smoke_spec();
+    let mut base: Option<L::Spec> = None;
+    let mut output = OutputOptions::default();
+    let (mut smoke, mut print_spec) = (false, false);
+    let mut artifacts = Artifacts(L::ARTIFACT_FLAGS.iter().map(|flag| (*flag, None)).collect());
+    // Spec flags are collected first and applied over the base afterwards,
+    // so `--seeds 9 --spec file` reseeds the saved experiment like
+    // `--spec file --seeds 9` does.
+    let mut edits: Vec<(&SpecEdit<L::Spec>, &str)> = Vec::new();
+    let gated = smoke_spec.is_some();
+    let mut iter = args.iter();
+    while let Some(flag) = iter.next() {
+        let mut value = |name: &str| {
+            iter.next()
+                .ok_or_else(|| format!("{name} needs a value"))
+                .map(String::as_str)
+        };
+        match flag.as_str() {
+            "--smoke" if gated => smoke = true,
+            "--print-spec" if gated => print_spec = true,
+            "--spec" => {
+                let text = read_spec_text(value("--spec")?)?;
+                base = Some(experiment::from_json(&text).map_err(|e| e.to_string())?);
+            }
+            "--threads" => {
+                output.threads = Some(parse_int(value("--threads")?, "--threads")? as usize);
+            }
+            "--json" => output.json = Some(value("--json")?.to_owned()),
+            "--csv" => output.csv = Some(value("--csv")?.to_owned()),
+            other => {
+                if let Some(slot) = artifacts.0.iter_mut().find(|(name, _)| *name == other) {
+                    slot.1 = Some(value(slot.0)?.to_owned());
+                } else if let Some(flag) = L::FLAGS.iter().find(|f| f.names.contains(&other)) {
+                    let long = flag.names.last().expect("a flag has a spelling");
+                    edits.push(match flag.edit {
+                        SpecEdit::Value(_) => (&flag.edit, value(long)?),
+                        SpecEdit::Switch(_) => (&flag.edit, ""),
+                    });
+                } else {
+                    return Err(format!(
+                        "unknown {}flag {other:?}{}",
+                        L::WHAT,
+                        L::UNKNOWN_FLAG_HINT
+                    ));
+                }
+            }
+        }
+    }
+    let mut spec = match smoke_spec {
+        // The smoke suite is a *fixed* acceptance gate: letting spec flags
+        // through would let a typo (or a well-meaning CI edit) weaken the
+        // gated scenario while still reporting "gate held".
+        Some(_) if smoke && (base.is_some() || !edits.is_empty()) => {
+            return Err(
+                "--smoke runs the fixed gate suite; drop --spec and the spec flags \
+                 (--threads/--json/--csv remain available)"
+                    .to_owned(),
+            );
+        }
+        Some(fixed) if smoke => fixed,
+        _ => base.unwrap_or_default(),
+    };
+    for (edit, value) in edits {
+        match edit {
+            SpecEdit::Value(apply) => apply(&mut spec, value)?,
+            SpecEdit::Switch(apply) => apply(&mut spec),
+        }
+    }
+    layer.arm(&mut spec, &artifacts, smoke);
+    experiment::expand(&spec).map_err(|e| e.to_string())?;
+    if print_spec {
+        println!("{}", experiment::to_json(&spec));
+        return Ok(());
+    }
+    // Every artifact check runs before the first simulated slot: a sweep is
+    // never discarded on a flag combination that could have been refused up
+    // front.
+    let destinations: Vec<(&str, Option<&str>)> = artifacts
+        .0
+        .iter()
+        .map(|(flag, destination)| (*flag, destination.as_deref()))
+        .collect();
+    let to_stderr = output.machine_stdout(&destinations)?;
+    layer.check(&spec, &artifacts, smoke)?;
+    let mut runner = LabRunner::new();
+    if let Some(threads) = output.threads {
+        runner = runner.with_threads(threads);
+    }
+    let report = runner.run(&spec).map_err(|e| e.to_string())?;
+    layer.summary(&report, to_stderr);
+    output.write_reports(L::WHAT, || report.to_json(), || report.to_csv())?;
+    layer.finish(&runner, &report, &artifacts, smoke, to_stderr)
 }
 
 #[cfg(test)]

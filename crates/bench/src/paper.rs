@@ -359,7 +359,7 @@ pub fn validate() -> (ExperimentReport, ExperimentReport) {
     (live, preloaded)
 }
 
-fn validate_row(run: &sim::lab::RunRecord, preloaded: bool) -> Vec<String> {
+fn validate_row(run: &sim::lab::RunRecord<ExperimentSpec>, preloaded: bool) -> Vec<String> {
     let r = &run.report;
     let design = if preloaded {
         format!("{} (preloaded)", r.design)

@@ -1,0 +1,296 @@
+//! Flag → spec oracle for `pktbuf-lab run`/`fabric`/`clos`, driven through
+//! the real binary. `tests/schema_fixtures.rs` pins what a spec or a report
+//! looks like as bytes; nothing there says that `--load` still reaches
+//! `load_percent`. Here every spec flag of a subcommand is set to a
+//! non-default value and the document the binary prints is compared byte for
+//! byte with a committed fixture under the workspace's `tests/fixtures/`, next
+//! to the exact text of the parser's own errors.
+//!
+//! On a mismatch the test names the first differing line and leaves the fresh
+//! bytes under `CARGO_TARGET_TMPDIR`; copy that file over the fixture when
+//! the change is intended.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// Runs `pktbuf-lab` with `args`; returns (exit code, stdout, stderr).
+fn lab(args: &[&str]) -> (Option<i32>, String, String) {
+    let output = Command::new(env!("CARGO_BIN_EXE_pktbuf-lab"))
+        .args(args)
+        .output()
+        .expect("pktbuf-lab runs");
+    let text = |bytes| String::from_utf8(bytes).expect("output is UTF-8");
+    (
+        output.status.code(),
+        text(output.stdout),
+        text(output.stderr),
+    )
+}
+
+/// The stdout of a `pktbuf-lab` call that must succeed.
+fn lab_stdout(args: &[&str]) -> String {
+    let (code, stdout, stderr) = lab(args);
+    assert_eq!(code, Some(0), "{args:?} failed:\n{stderr}");
+    stdout
+}
+
+/// The stderr of a `pktbuf-lab` call that must be refused with nothing on
+/// stdout (no run started, no document printed).
+fn lab_refusal(args: &[&str]) -> String {
+    let (code, stdout, stderr) = lab(args);
+    assert_eq!(code, Some(2), "{args:?} was not refused:\n{stdout}");
+    assert!(
+        stdout.is_empty(),
+        "{args:?} printed before failing:\n{stdout}"
+    );
+    stderr
+}
+
+fn fixture_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name)
+}
+
+fn assert_matches_fixture(name: &str, actual: &str) {
+    let path = fixture_path(name);
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path:?}: {e}"));
+    if actual == committed {
+        return;
+    }
+    let line = actual
+        .lines()
+        .zip(committed.lines())
+        .position(|(a, c)| a != c)
+        .unwrap_or_else(|| actual.lines().count().min(committed.lines().count()));
+    let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&fresh, actual).expect("the test tmpdir is writable");
+    panic!(
+        "tests/fixtures/{name} differs from what the binary printed, first at line {}:\n  \
+         committed: {:?}\n  printed:   {:?}\nthe printed bytes are in {fresh:?}",
+        line + 1,
+        committed.lines().nth(line),
+        actual.lines().nth(line),
+    );
+}
+
+/// Writes `content` to a file of this test's own under the target tmpdir.
+fn scratch_file(name: &str, content: &str) -> String {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, content).expect("the test tmpdir is writable");
+    path.to_str().expect("the tmpdir is UTF-8").to_owned()
+}
+
+/// Splits a command line written as one string.
+fn words(line: &str) -> Vec<&str> {
+    line.split_whitespace().collect()
+}
+
+/// Every `fabric` spec flag, each at a non-default value.
+const FABRIC_FLAGS: &str = "fabric --name cli-fabric --ports 4,6 --designs rads,mixed \
+    --workloads hotspot,bursty --arbiters maximal,islip --iters 3 --load 50..70+10 \
+    --egress-period 2 --rate oc768 -b 2,4 -B 8..16*2 --banks 16,32 --slots 1234 --seeds 3,5 \
+    --print-spec";
+
+/// Every `clos` spec flag but `--transport` (it needs cut-through buffers,
+/// so it cannot sit beside a non-default `-B`; see
+/// `clos_transport_flag_forces_cut_through_in_command_line_order`), each at a
+/// non-default value. `--faults <file>` is appended by the test.
+const CLOS_FLAGS: &str = "clos --name cli-clos --radix 2,3 --ingress 2..4+1 --middle 2 \
+    --designs rads,dram-only --workloads incast,hotspot --dispatches flowhash,occupancy-spray \
+    --arbiters maximal --iters 2 --load 40,60 --link-capacity 4..16*4 --link-latency 3 \
+    --egress-period 2 --rate oc192 -b 4 -B 16 --banks 32 --slots 777 --seeds 9,11 --obs \
+    --series 25 --trace-json unwritten.json --print-spec";
+
+/// Every `run` spec flag at toy size. `--slots` then `--preload`: the later
+/// phase flag switches the earlier one off, so the spec runs the preload with
+/// no live arrivals.
+const RUN_FLAGS: &str = "run --name cli-run --designs rads,cfds --workloads bursty --rate oc768 \
+    --queues 4 -b 2 -B 4 --banks 8 --slots 300 --preload 8 --seeds 2,4 --record-grants \
+    --threads 1 --json -";
+
+const FAULT_PLAN: &str = r#"[
+  {"fault": "middle-death", "switch": 1, "start": 100, "duration": 50},
+  {"fault": "link-flap", "boundary": "middle-egress", "switch": 0, "output": 1, "start": 300, "duration": 20}
+]"#;
+
+#[test]
+fn every_fabric_flag_reaches_its_field() {
+    let printed = lab_stdout(&words(FABRIC_FLAGS));
+    assert_matches_fixture("cli_fabric_print_spec.json", &printed);
+}
+
+#[test]
+fn every_clos_flag_reaches_its_field() {
+    let plan = scratch_file("cli_clos_faults.json", FAULT_PLAN);
+    let mut args = words(CLOS_FLAGS);
+    args.extend(["--faults", &plan]);
+    assert_matches_fixture("cli_clos_print_spec.json", &lab_stdout(&args));
+}
+
+#[test]
+fn every_run_flag_reaches_its_field_and_the_report() {
+    assert_matches_fixture("cli_run_report.json", &lab_stdout(&words(RUN_FLAGS)));
+}
+
+#[test]
+fn clos_transport_flag_forces_cut_through_in_command_line_order() {
+    let spec = |args: &[&str]| sim::ClosSpec::from_json(&lab_stdout(args)).expect("a Clos spec");
+    let forced = spec(&["clos", "-B", "16", "--transport", "--print-spec"]);
+    assert_eq!(forced.rads_granularity, 1);
+    assert_eq!(forced.transport, Some(sim::TransportScenario::default()));
+    // The other way round `-B` wins, and no combination is cut-through.
+    let stderr = lab_refusal(&["clos", "--transport", "-B", "16", "--print-spec"]);
+    assert_eq!(
+        stderr,
+        "pktbuf-lab: no combination of the swept parameters forms a valid configuration\n"
+    );
+}
+
+#[test]
+fn a_saved_spec_is_the_base_and_flags_edit_it_wherever_they_stand() {
+    let tiny = scratch_file(
+        "cli_tiny_run_spec.json",
+        r#"{"name": "tiny", "num_queues": 4, "granularity": 2, "rads_granularity": 4,
+            "num_banks": 8, "arrival_slots": 200, "seeds": [1, 2, 3]}"#,
+    );
+    let after = lab_stdout(&["run", "--spec", &tiny, "--seeds", "9", "--json", "-"]);
+    let before = lab_stdout(&["run", "--seeds", "9", "--spec", &tiny, "--json", "-"]);
+    assert_eq!(after, before);
+    assert!(after.contains("\"seeds\": [\n      9\n    ]"), "{after}");
+    assert!(after.contains("\"name\": \"tiny\""), "{after}");
+    // The print-spec fixtures are documents a parent build wrote: they load
+    // as `--spec`, print back unchanged, and take edits from either side.
+    for (command, fixture) in [
+        ("fabric", "cli_fabric_print_spec.json"),
+        ("clos", "cli_clos_print_spec.json"),
+    ] {
+        let saved = fixture_path(fixture);
+        let saved = saved.to_str().expect("the fixture path is UTF-8");
+        assert_matches_fixture(
+            fixture,
+            &lab_stdout(&[command, "--spec", saved, "--print-spec"]),
+        );
+        let after = lab_stdout(&[command, "--spec", saved, "--seeds", "9", "--print-spec"]);
+        let before = lab_stdout(&[command, "--seeds", "9", "--spec", saved, "--print-spec"]);
+        assert_eq!(after, before, "{command}");
+        assert!(after.contains("\"seeds\": [\n    9\n  ]"), "{after}");
+    }
+}
+
+#[test]
+fn legacy_and_foreign_spec_documents() {
+    let clos = std::fs::read_to_string(fixture_path("cli_clos_print_spec.json")).unwrap();
+    // A Clos spec saved while the per-stage worker pipeline existed.
+    let legacy = scratch_file(
+        "cli_clos_legacy_workers.json",
+        &clos.replacen('{', "{\n  \"workers\": 1,", 1),
+    );
+    assert_matches_fixture(
+        "cli_clos_print_spec.json",
+        &lab_stdout(&["clos", "--spec", &legacy, "--print-spec"]),
+    );
+    // Each layer refuses the others' documents, whole or by the tag alone.
+    let clos_path = fixture_path("cli_clos_print_spec.json");
+    let fabric_path = fixture_path("cli_fabric_print_spec.json");
+    for (command, foreign) in [
+        ("fabric", &clos_path),
+        ("clos", &fabric_path),
+        ("run", &fabric_path),
+    ] {
+        let stderr = lab_refusal(&[command, "--spec", foreign.to_str().unwrap()]);
+        assert!(stderr.starts_with("pktbuf-lab: spec JSON: "), "{stderr}");
+    }
+    let tag_only = |kind: &str| {
+        scratch_file(
+            &format!("cli_kind_{kind}.json"),
+            &format!("{{\"kind\": \"{kind}\"}}"),
+        )
+    };
+    let stderr = lab_refusal(&["fabric", "--spec", &tag_only("clos")]);
+    assert!(stderr.contains("(kind \"clos\")"), "{stderr}");
+    let stderr = lab_refusal(&["clos", "--spec", &tag_only("fabric")]);
+    assert!(stderr.contains("(kind \"fabric\")"), "{stderr}");
+    lab_refusal(&["run", "--spec", &tag_only("fabric")]);
+    lab_stdout(&["fabric", "--spec", &tag_only("fabric"), "--print-spec"]);
+}
+
+#[test]
+fn parser_errors_keep_their_exact_text() {
+    for (args, message) in [
+        (
+            &["run", "--bogus"][..],
+            "unknown flag \"--bogus\" (try `pktbuf-lab help`)",
+        ),
+        (
+            &["sweep", "--bogus"],
+            "unknown flag \"--bogus\" (try `pktbuf-lab help`)",
+        ),
+        (&["fabric", "--bogus"], "unknown fabric flag \"--bogus\""),
+        (&["clos", "--bogus"], "unknown clos flag \"--bogus\""),
+        // `run`/`sweep` have no gate suite and nothing to print but reports.
+        (
+            &["run", "--smoke"],
+            "unknown flag \"--smoke\" (try `pktbuf-lab help`)",
+        ),
+        (
+            &["run", "--print-spec"],
+            "unknown flag \"--print-spec\" (try `pktbuf-lab help`)",
+        ),
+        (&["fabric", "--ports"], "--ports needs a value"),
+        (&["clos", "--radix"], "--radix needs a value"),
+        (&["run", "--queues"], "--queues needs a value"),
+        // A short alias reports under the long name.
+        (&["fabric", "-b"], "--granularity needs a value"),
+        (&["clos", "-B"], "--rads-granularity needs a value"),
+        (&["fabric", "--json"], "--json needs a value"),
+        (
+            &["fabric", "--ports", "4..8"],
+            "--ports: bad sweep: range \"4..8\" needs '*factor' (geometric) or '+step' (linear)",
+        ),
+        (
+            &["clos", "--link-capacity", "x"],
+            "--link-capacity: bad sweep: \"x\" is not an unsigned integer",
+        ),
+        (
+            &["run", "--slots", "many"],
+            "--slots: \"many\" is not an unsigned integer",
+        ),
+        (
+            &["clos", "--seeds", "1,x"],
+            "--seeds: \"x\" is not an unsigned integer",
+        ),
+        (
+            &["clos", "--series", "0"],
+            "--series needs a stride of at least 1 slot",
+        ),
+        // Values are parsed after the whole line is read: an unknown flag
+        // further right is reported first.
+        (
+            &["fabric", "--ports", "4..8", "--bogus"],
+            "unknown fabric flag \"--bogus\"",
+        ),
+    ] {
+        assert_eq!(
+            lab_refusal(args),
+            format!("pktbuf-lab: {message}\n"),
+            "{args:?}"
+        );
+    }
+}
+
+#[test]
+fn smoke_refuses_spec_flags() {
+    let fixed = "pktbuf-lab: --smoke runs the fixed gate suite; drop --spec and the spec flags \
+                 (--threads/--json/--csv remain available)\n";
+    assert_eq!(lab_refusal(&["fabric", "--smoke", "--ports", "4"]), fixed);
+    assert_eq!(lab_refusal(&["fabric", "--ports", "4", "--smoke"]), fixed);
+    assert_eq!(lab_refusal(&["clos", "--smoke", "--radix", "4"]), fixed);
+    assert_eq!(lab_refusal(&["clos", "--obs", "--smoke"]), fixed);
+    let saved = fixture_path("cli_clos_print_spec.json");
+    assert_eq!(
+        lab_refusal(&["clos", "--smoke", "--spec", saved.to_str().unwrap()]),
+        fixed
+    );
+}

@@ -6,8 +6,10 @@
 //! [`fabric::ClosFabric`] of `r` ingress, `m` middle and `r` egress
 //! [`fabric::VoqSwitch`]es — see the `fabric::clos` module docs for the
 //! topology and the credit flow control), and a [`ClosSpec`] sweeps those
-//! axes into a cartesian product that [`LabRunner::run_clos`] executes
-//! deterministically across worker threads.
+//! axes into a cartesian product that
+//! [`LabRunner::run`](crate::lab::LabRunner::run) executes deterministically
+//! across worker threads — the Clos layer of the shared stack in
+//! [`crate::experiment`].
 //!
 //! The scenario reuses the fabric axes wholesale — [`FabricDesign`] for the
 //! per-stage buffer designs, [`FabricWorkload`] for the external traffic
@@ -21,11 +23,12 @@
 //! per ingress switch, one stream per port) so that sweeping the geometry
 //! never makes two ports share an RNG stream.
 
+use crate::experiment::{self, Axis, Expansion, Experiment};
 use crate::fabric::{
     hot_output_count, ArbiterChoice, FabricDesign, FabricWorkload, FABRIC_BURST_CELLS,
     FABRIC_HOT_FRACTION,
 };
-use crate::lab::{run_sharded, LabRunner};
+use crate::lab::{LabReport, RunRecord};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
@@ -373,7 +376,11 @@ impl std::error::Error for ClosScenarioError {}
 
 /// A fully specified Clos run: one expanded point of a [`ClosSpec`], or a
 /// hand-built one-off.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// As JSON, omitted keys keep the [`ClosScenario::small`] values and unknown
+/// keys are rejected.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ClosScenario {
     /// Radix `N` of each ingress/egress switch; external ports = `r·N`.
     pub radix: usize,
@@ -429,6 +436,12 @@ pub struct ClosScenario {
     /// the run byte-identical to an unarmed one).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub obs: Option<ObsScenario>,
+}
+
+impl Default for ClosScenario {
+    fn default() -> Self {
+        ClosScenario::small()
+    }
 }
 
 impl ClosScenario {
@@ -750,75 +763,15 @@ enum RunMode {
     Reference,
 }
 
-// Hand-written (the derive's container `default` makes every key optional
-// and has no key to read and discard): a scenario is a flat JSON object in
-// which only `radix` is required, everything else takes the `small()`
-// defaults, and the legacy `workers` key is accepted and ignored.
-impl<'de> Deserialize<'de> for ClosScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ClosScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a Clos scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<ClosScenario, A::Error> {
-                let mut scenario = ClosScenario::small();
-                let mut saw_radix = false;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "radix" => {
-                            scenario.radix = map.next_value()?;
-                            saw_radix = true;
-                        }
-                        "ingress_switches" => scenario.ingress_switches = map.next_value()?,
-                        "middle_switches" => scenario.middle_switches = map.next_value()?,
-                        "design" => scenario.design = map.next_value()?,
-                        "workload" => scenario.workload = map.next_value()?,
-                        "dispatch" => scenario.dispatch = map.next_value()?,
-                        "arbiter" => scenario.arbiter = map.next_value()?,
-                        "islip_iterations" => scenario.islip_iterations = map.next_value()?,
-                        "line_rate" => scenario.line_rate = map.next_value()?,
-                        "granularity" => scenario.granularity = map.next_value()?,
-                        "rads_granularity" => scenario.rads_granularity = map.next_value()?,
-                        "num_banks" => scenario.num_banks = map.next_value()?,
-                        "load_percent" => scenario.load_percent = map.next_value()?,
-                        "egress_period" => scenario.egress_period = map.next_value()?,
-                        "link_capacity" => scenario.link_capacity = map.next_value()?,
-                        "link_latency" => scenario.link_latency = map.next_value()?,
-                        "arrival_slots" => scenario.arrival_slots = map.next_value()?,
-                        "seed" => scenario.seed = map.next_value()?,
-                        // Written by versions that had a per-stage worker
-                        // pipeline; reports never depended on it.
-                        "workers" => drop(map.next_value::<u64>()?),
-                        "overrides" => scenario.overrides = map.next_value()?,
-                        "faults" => scenario.faults = map.next_value()?,
-                        "transport" => scenario.transport = Some(map.next_value()?),
-                        "obs" => scenario.obs = Some(map.next_value()?),
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown Clos scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                if !saw_radix {
-                    return Err(de::Error::custom("missing field \"radix\""));
-                }
-                Ok(scenario)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
 /// A declarative, serializable Clos experiment: designs × workloads ×
 /// dispatches × arbiters × swept geometry/provisioning × seeds, expanded
 /// into [`ClosScenario`]s.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// As JSON, omitted keys keep the builder defaults, unknown keys are
+/// rejected, and the document carries a `"kind": "clos"` tag; an empty fault
+/// plan and absent `transport` / `obs` layers are not written.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct ClosSpec {
     /// Experiment name (used in reports and file names).
     pub name: String,
@@ -864,13 +817,16 @@ pub struct ClosSpec {
     /// Fault plan armed in every expanded run (empty = fault-free;
     /// combinations whose geometry the plan does not fit are skipped like
     /// any other invalid point).
+    #[serde(skip_serializing_if = "FaultPlan::is_empty")]
     pub faults: FaultPlan,
     /// Closed-loop transport layered over every expanded run (`None` =
     /// open-loop; combinations without cut-through buffers are skipped like
     /// any other invalid point).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub transport: Option<TransportScenario>,
     /// Deterministic probes armed in every expanded run (`None` or all-off
     /// leaves each run byte-identical to an unarmed one).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub obs: Option<ObsScenario>,
 }
 
@@ -882,101 +838,22 @@ impl ClosSpec {
         ClosSpecBuilder::default()
     }
 
-    /// Expands the spec into the cartesian product of its axes, in a fixed
-    /// documented order: designs ▸ workloads ▸ dispatches ▸ arbiters ▸
-    /// radix ▸ ingress switches ▸ middle switches ▸ load ▸ link capacity ▸
-    /// seeds (left outermost). Invalid combinations (e.g. `m > N` from
-    /// crossed geometry sweeps) are skipped and counted.
+    /// Expands the spec ([`experiment::expand`]) in the order designs ▸
+    /// workloads ▸ dispatches ▸ arbiters ▸ radix ▸ ingress switches ▸ middle
+    /// switches ▸ load ▸ link capacity ▸ seeds (left outermost). Invalid
+    /// combinations (e.g. `m > N` from crossed geometry sweeps) are skipped
+    /// and counted.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when an axis is empty or malformed, or when
-    /// every combination is invalid.
-    pub fn expand(&self) -> Result<ClosExpansion, SpecError> {
-        if self.designs.is_empty() {
-            return Err(SpecError::EmptyAxis("designs"));
-        }
-        if self.workloads.is_empty() {
-            return Err(SpecError::EmptyAxis("workloads"));
-        }
-        if self.dispatches.is_empty() {
-            return Err(SpecError::EmptyAxis("dispatches"));
-        }
-        if self.arbiters.is_empty() {
-            return Err(SpecError::EmptyAxis("arbiters"));
-        }
-        if self.seeds.is_empty() {
-            return Err(SpecError::EmptyAxis("seeds"));
-        }
-        let radixes = self.radix.values()?;
-        let ingresses = self.ingress_switches.values()?;
-        let middles = self.middle_switches.values()?;
-        let loads = self.load_percent.values()?;
-        let capacities = self.link_capacity.values()?;
-        let mut runs = Vec::new();
-        let mut skipped_invalid = 0usize;
-        for design in &self.designs {
-            for workload in &self.workloads {
-                for dispatch in &self.dispatches {
-                    for arbiter in &self.arbiters {
-                        for n in &radixes {
-                            for r in &ingresses {
-                                for m in &middles {
-                                    for load in &loads {
-                                        for capacity in &capacities {
-                                            for seed in &self.seeds {
-                                                let scenario = ClosScenario {
-                                                    radix: *n as usize,
-                                                    ingress_switches: *r as usize,
-                                                    middle_switches: *m as usize,
-                                                    design: *design,
-                                                    workload: *workload,
-                                                    dispatch: *dispatch,
-                                                    arbiter: *arbiter,
-                                                    islip_iterations: self.islip_iterations,
-                                                    line_rate: self.line_rate,
-                                                    granularity: self.granularity as usize,
-                                                    rads_granularity: self.rads_granularity
-                                                        as usize,
-                                                    num_banks: self.num_banks as usize,
-                                                    load_percent: *load,
-                                                    egress_period: self.egress_period,
-                                                    link_capacity: *capacity as usize,
-                                                    link_latency: self.link_latency,
-                                                    arrival_slots: self.arrival_slots,
-                                                    seed: *seed,
-                                                    overrides: self.overrides,
-                                                    faults: self.faults.clone(),
-                                                    transport: self.transport,
-                                                    obs: self.obs,
-                                                };
-                                                if scenario.validate().is_ok() {
-                                                    runs.push(scenario);
-                                                } else {
-                                                    skipped_invalid += 1;
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if runs.is_empty() {
-            return Err(SpecError::NoValidRuns);
-        }
-        Ok(ClosExpansion {
-            runs,
-            skipped_invalid,
-        })
+    /// As [`experiment::expand`].
+    pub fn expand(&self) -> Result<Expansion<ClosScenario>, SpecError> {
+        experiment::expand(self)
     }
 
     /// Renders the spec as pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("a Clos spec always serializes")
+        experiment::to_json(self)
     }
 
     /// Parses a spec from JSON text.
@@ -986,55 +863,45 @@ impl ClosSpec {
     /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
     /// fields.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        serde_json::from_str(text).map_err(|e| SpecError::Json(e.to_string()))
+        experiment::from_json(text)
     }
 }
 
-/// The result of expanding a Clos spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClosExpansion {
-    /// The valid runs, in expansion order.
-    pub runs: Vec<ClosScenario>,
-    /// Combinations skipped because they were invalid.
-    pub skipped_invalid: usize,
+impl Default for ClosSpec {
+    /// The [`ClosSpec::builder`] defaults.
+    fn default() -> Self {
+        ClosSpec {
+            name: "clos".to_owned(),
+            designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
+            workloads: vec![FabricWorkload::Uniform],
+            dispatches: vec![DispatchChoice::Spray],
+            arbiters: vec![ArbiterChoice::Islip],
+            line_rate: LineRate::Oc3072,
+            radix: Sweep::Fixed(4),
+            ingress_switches: Sweep::Fixed(4),
+            middle_switches: Sweep::Fixed(4),
+            load_percent: Sweep::Fixed(80),
+            link_capacity: Sweep::Fixed(8),
+            granularity: 2,
+            rads_granularity: 8,
+            num_banks: 16,
+            islip_iterations: 0,
+            egress_period: 1,
+            link_latency: 1,
+            arrival_slots: 3_000,
+            seeds: vec![1],
+            overrides: ConfigOverrides::none(),
+            faults: FaultPlan::none(),
+            transport: None,
+            obs: None,
+        }
+    }
 }
 
 /// Builder for [`ClosSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClosSpecBuilder {
     spec: ClosSpec,
-}
-
-impl Default for ClosSpecBuilder {
-    fn default() -> Self {
-        ClosSpecBuilder {
-            spec: ClosSpec {
-                name: "clos".to_owned(),
-                designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
-                workloads: vec![FabricWorkload::Uniform],
-                dispatches: vec![DispatchChoice::Spray],
-                arbiters: vec![ArbiterChoice::Islip],
-                line_rate: LineRate::Oc3072,
-                radix: Sweep::Fixed(4),
-                ingress_switches: Sweep::Fixed(4),
-                middle_switches: Sweep::Fixed(4),
-                load_percent: Sweep::Fixed(80),
-                link_capacity: Sweep::Fixed(8),
-                granularity: 2,
-                rads_granularity: 8,
-                num_banks: 16,
-                islip_iterations: 0,
-                egress_period: 1,
-                link_latency: 1,
-                arrival_slots: 3_000,
-                seeds: vec![1],
-                overrides: ConfigOverrides::none(),
-                faults: FaultPlan::none(),
-                transport: None,
-                obs: None,
-            },
-        }
-    }
 }
 
 impl ClosSpecBuilder {
@@ -1187,121 +1054,6 @@ impl ClosSpecBuilder {
     }
 }
 
-// Hand-written in both directions (the derive has no constant field and no
-// key to read and discard): a Clos spec carries a `"kind": "clos"` tag,
-// checked when read back; omitted keys keep the builder defaults and the
-// legacy `workers` key is accepted and ignored.
-impl Serialize for ClosSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("ClosSpec", 21)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("designs", &self.designs)?;
-        st.serialize_field("workloads", &self.workloads)?;
-        st.serialize_field("dispatches", &self.dispatches)?;
-        st.serialize_field("arbiters", &self.arbiters)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("radix", &self.radix)?;
-        st.serialize_field("ingress_switches", &self.ingress_switches)?;
-        st.serialize_field("middle_switches", &self.middle_switches)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("link_capacity", &self.link_capacity)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("link_latency", &self.link_latency)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seeds", &self.seeds)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        if !self.faults.is_empty() {
-            st.serialize_field("faults", &self.faults)?;
-        }
-        if let Some(transport) = &self.transport {
-            st.serialize_field("transport", transport)?;
-        }
-        if let Some(obs) = &self.obs {
-            st.serialize_field("obs", obs)?;
-        }
-        st.serialize_field("kind", &"clos")?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for ClosSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = ClosSpec;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a Clos-spec object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<ClosSpec, A::Error> {
-                // Unknown fields are rejected; omitted fields keep the
-                // builder defaults, so a minimal spec file stays minimal.
-                let mut spec = ClosSpecBuilder::default().spec;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "name" => spec.name = map.next_value()?,
-                        "designs" => spec.designs = map.next_value()?,
-                        "workloads" => spec.workloads = map.next_value()?,
-                        "dispatches" => spec.dispatches = map.next_value()?,
-                        "arbiters" => spec.arbiters = map.next_value()?,
-                        "line_rate" => spec.line_rate = map.next_value()?,
-                        "radix" => spec.radix = map.next_value()?,
-                        "ingress_switches" => spec.ingress_switches = map.next_value()?,
-                        "middle_switches" => spec.middle_switches = map.next_value()?,
-                        "load_percent" => spec.load_percent = map.next_value()?,
-                        "link_capacity" => spec.link_capacity = map.next_value()?,
-                        "granularity" => spec.granularity = map.next_value()?,
-                        "rads_granularity" => spec.rads_granularity = map.next_value()?,
-                        "num_banks" => spec.num_banks = map.next_value()?,
-                        "islip_iterations" => spec.islip_iterations = map.next_value()?,
-                        "egress_period" => spec.egress_period = map.next_value()?,
-                        "link_latency" => spec.link_latency = map.next_value()?,
-                        "arrival_slots" => spec.arrival_slots = map.next_value()?,
-                        // Written by versions that had a per-stage worker
-                        // pipeline (`--print-spec` always emitted 1).
-                        "workers" => drop(map.next_value::<u64>()?),
-                        "seeds" => spec.seeds = map.next_value()?,
-                        "overrides" => spec.overrides = map.next_value()?,
-                        "faults" => spec.faults = map.next_value()?,
-                        "transport" => spec.transport = Some(map.next_value()?),
-                        "obs" => spec.obs = Some(map.next_value()?),
-                        "kind" => {
-                            let kind: String = map.next_value()?;
-                            if kind != "clos" {
-                                return Err(de::Error::custom(format_args!(
-                                    "not a Clos spec (kind {kind:?})"
-                                )));
-                            }
-                        }
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown Clos spec field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(spec)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
-/// One executed Clos run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ClosRunRecord {
-    /// Index of this run in the spec's expansion order.
-    pub index: usize,
-    /// The exact parameters of the run.
-    pub scenario: ClosScenario,
-    /// The Clos outcome.
-    pub report: ClosRunReport,
-}
-
 /// Aggregate statistics over every run of a Clos experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ClosAggregate {
@@ -1334,172 +1086,183 @@ pub struct ClosAggregate {
 }
 
 /// The structured result of executing a whole [`ClosSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ClosLabReport {
-    /// The spec that was executed.
-    pub spec: ClosSpec,
-    /// Combinations skipped during expansion.
-    pub skipped_invalid: usize,
-    /// Aggregates over `runs`.
-    pub aggregate: ClosAggregate,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<ClosRunRecord>,
-}
+pub type ClosLabReport = LabReport<ClosSpec>;
 
-impl ClosLabReport {
-    /// Renders the report as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("a Clos report always serializes")
+impl Experiment for ClosSpec {
+    type Scenario = ClosScenario;
+    type Report = ClosRunReport;
+    type Aggregate = ClosAggregate;
+
+    const KIND: Option<&'static str> = Some("clos");
+    // `workers`: written while a per-stage worker pipeline existed
+    // (`--print-spec` always emitted 1); reports never depended on it.
+    const RETIRED_KEYS: &'static [&'static str] = &["workers"];
+    const CSV_HEADER: &'static [&'static str] = &[
+        "index",
+        "radix",
+        "ingress_switches",
+        "middle_switches",
+        "external_ports",
+        "design",
+        "workload",
+        "dispatch",
+        "arbiter",
+        "load_percent",
+        "link_capacity",
+        "seed",
+        "slots",
+        "arrivals",
+        "delivered",
+        "lost_cells",
+        "resident_cells",
+        "link_resident_cells",
+        "reordered_cells",
+        "credit_stall_slots",
+        "peak_link_depth",
+        "mean_latency_slots",
+        "max_latency_slots",
+        "latency_p50_slots",
+        "latency_p95_slots",
+        "latency_p99_slots",
+        "zero_loss",
+        "conserving",
+    ];
+
+    fn axes(&self) -> Vec<Axis<'_>> {
+        vec![
+            Axis::Choices("designs", self.designs.len()),
+            Axis::Choices("workloads", self.workloads.len()),
+            Axis::Choices("dispatches", self.dispatches.len()),
+            Axis::Choices("arbiters", self.arbiters.len()),
+            Axis::Sweep("radix", &self.radix),
+            Axis::Sweep("ingress_switches", &self.ingress_switches),
+            Axis::Sweep("middle_switches", &self.middle_switches),
+            Axis::Sweep("load_percent", &self.load_percent),
+            Axis::Sweep("link_capacity", &self.link_capacity),
+            Axis::Choices("seeds", self.seeds.len()),
+        ]
     }
 
-    /// Renders one CSV row per run (with a header).
-    pub fn to_csv(&self) -> String {
-        let mut table = crate::report::TextTable::new(vec![
-            "index",
-            "radix",
-            "ingress_switches",
-            "middle_switches",
-            "external_ports",
-            "design",
-            "workload",
-            "dispatch",
-            "arbiter",
-            "load_percent",
-            "link_capacity",
-            "seed",
-            "slots",
-            "arrivals",
-            "delivered",
-            "lost_cells",
-            "resident_cells",
-            "link_resident_cells",
-            "reordered_cells",
-            "credit_stall_slots",
-            "peak_link_depth",
-            "mean_latency_slots",
-            "max_latency_slots",
-            "latency_p50_slots",
-            "latency_p95_slots",
-            "latency_p99_slots",
-            "zero_loss",
-            "conserving",
-        ]);
-        for run in &self.runs {
-            let s = &run.scenario;
+    fn scenario_at(&self, point: &[u64]) -> ClosScenario {
+        let &[design, workload, dispatch, arbiter, n, r, m, load, capacity, seed] = point else {
+            unreachable!("one value per axis");
+        };
+        ClosScenario {
+            radix: n as usize,
+            ingress_switches: r as usize,
+            middle_switches: m as usize,
+            design: self.designs[design as usize],
+            workload: self.workloads[workload as usize],
+            dispatch: self.dispatches[dispatch as usize],
+            arbiter: self.arbiters[arbiter as usize],
+            islip_iterations: self.islip_iterations,
+            line_rate: self.line_rate,
+            granularity: self.granularity as usize,
+            rads_granularity: self.rads_granularity as usize,
+            num_banks: self.num_banks as usize,
+            load_percent: load,
+            egress_period: self.egress_period,
+            link_capacity: capacity as usize,
+            link_latency: self.link_latency,
+            arrival_slots: self.arrival_slots,
+            seed: self.seeds[seed as usize],
+            overrides: self.overrides,
+            faults: self.faults.clone(),
+            transport: self.transport,
+            obs: self.obs,
+        }
+    }
+
+    fn is_valid(scenario: &ClosScenario) -> bool {
+        scenario.validate().is_ok()
+    }
+
+    fn run_scenario(&self, scenario: &ClosScenario) -> ClosRunReport {
+        scenario.run()
+    }
+
+    fn aggregate(runs: &[RunRecord<Self>]) -> ClosAggregate {
+        let mut agg = ClosAggregate {
+            all_zero_loss: true,
+            all_conserving: true,
+            ..ClosAggregate::default()
+        };
+        let mut latency_sum = 0.0f64;
+        for run in runs {
             let r = &run.report;
-            // Percentile columns are empty unless the run armed the latency
-            // probes (obs is an opt-in axis, not a default cost).
-            let latency = r.obs.as_ref().and_then(|o| o.latency.as_ref());
-            let pct = |f: fn(&::fabric::HistogramReport) -> u64| {
-                latency.map(|h| f(h).to_string()).unwrap_or_default()
-            };
-            table.push_row(vec![
-                run.index.to_string(),
-                s.radix.to_string(),
-                s.ingress_switches.to_string(),
-                s.middle_switches.to_string(),
-                r.external_ports.to_string(),
-                s.design.to_string(),
-                s.workload.to_string(),
-                s.dispatch.to_string(),
-                s.arbiter.to_string(),
-                s.load_percent.to_string(),
-                s.link_capacity.to_string(),
-                s.seed.to_string(),
-                r.slots.to_string(),
-                r.arrivals.to_string(),
-                r.delivered.to_string(),
-                r.lost_cells.to_string(),
-                r.resident_cells.to_string(),
-                r.link_resident_cells.to_string(),
-                r.reordered_cells.to_string(),
-                r.credit_stall_slots.to_string(),
-                r.peak_link_depth.to_string(),
-                format!("{:.3}", r.mean_latency_slots),
-                r.max_latency_slots.to_string(),
-                pct(|h| h.p50),
-                pct(|h| h.p95),
-                pct(|h| h.p99),
-                r.zero_loss.to_string(),
-                r.conservation_holds().to_string(),
-            ]);
-        }
-        table.to_csv()
-    }
-}
-
-impl LabRunner {
-    /// Expands `spec` and executes every Clos run, exactly like
-    /// [`LabRunner::run_fabric`]: runs shard over the worker threads through
-    /// an atomic cursor and results are stored by index, so the report is
-    /// identical whatever the worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] when the spec does not expand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn run_clos(&self, spec: &ClosSpec) -> Result<ClosLabReport, SpecError> {
-        let expansion = spec.expand()?;
-        let runs = run_sharded(self.threads(), expansion.runs.len(), |index| {
-            let scenario = expansion.runs[index].clone();
-            let report = scenario.run();
-            ClosRunRecord {
-                index,
-                scenario,
-                report,
+            agg.runs += 1;
+            if r.zero_loss {
+                agg.zero_loss_runs += 1;
+            } else {
+                agg.all_zero_loss = false;
             }
-        });
-        let aggregate = aggregate_clos(&runs);
-        Ok(ClosLabReport {
-            spec: spec.clone(),
-            skipped_invalid: expansion.skipped_invalid,
-            runs,
-            aggregate,
-        })
+            if r.conservation_holds() {
+                agg.conserving_runs += 1;
+            } else {
+                agg.all_conserving = false;
+            }
+            agg.total_arrivals += r.arrivals;
+            agg.total_delivered += r.delivered;
+            agg.total_lost_cells += r.lost_cells;
+            agg.total_reordered_cells += r.reordered_cells;
+            agg.total_credit_stall_slots += r.credit_stall_slots;
+            agg.peak_link_depth = agg.peak_link_depth.max(r.peak_link_depth);
+            agg.max_latency_slots = agg.max_latency_slots.max(r.max_latency_slots);
+            latency_sum += r.mean_latency_slots;
+        }
+        if agg.runs > 0 {
+            agg.mean_latency_slots = latency_sum / agg.runs as f64;
+        }
+        agg
     }
-}
 
-fn aggregate_clos(runs: &[ClosRunRecord]) -> ClosAggregate {
-    let mut agg = ClosAggregate {
-        all_zero_loss: true,
-        all_conserving: true,
-        ..ClosAggregate::default()
-    };
-    let mut latency_sum = 0.0f64;
-    for run in runs {
+    fn csv_row(run: &RunRecord<Self>) -> Vec<String> {
+        let s = &run.scenario;
         let r = &run.report;
-        agg.runs += 1;
-        if r.zero_loss {
-            agg.zero_loss_runs += 1;
-        } else {
-            agg.all_zero_loss = false;
-        }
-        if r.conservation_holds() {
-            agg.conserving_runs += 1;
-        } else {
-            agg.all_conserving = false;
-        }
-        agg.total_arrivals += r.arrivals;
-        agg.total_delivered += r.delivered;
-        agg.total_lost_cells += r.lost_cells;
-        agg.total_reordered_cells += r.reordered_cells;
-        agg.total_credit_stall_slots += r.credit_stall_slots;
-        agg.peak_link_depth = agg.peak_link_depth.max(r.peak_link_depth);
-        agg.max_latency_slots = agg.max_latency_slots.max(r.max_latency_slots);
-        latency_sum += r.mean_latency_slots;
+        // Percentile columns are empty unless the run armed the latency
+        // probes (obs is an opt-in axis, not a default cost).
+        let latency = r.obs.as_ref().and_then(|o| o.latency.as_ref());
+        let pct = |f: fn(&::fabric::HistogramReport) -> u64| {
+            latency.map(|h| f(h).to_string()).unwrap_or_default()
+        };
+        vec![
+            run.index.to_string(),
+            s.radix.to_string(),
+            s.ingress_switches.to_string(),
+            s.middle_switches.to_string(),
+            r.external_ports.to_string(),
+            s.design.to_string(),
+            s.workload.to_string(),
+            s.dispatch.to_string(),
+            s.arbiter.to_string(),
+            s.load_percent.to_string(),
+            s.link_capacity.to_string(),
+            s.seed.to_string(),
+            r.slots.to_string(),
+            r.arrivals.to_string(),
+            r.delivered.to_string(),
+            r.lost_cells.to_string(),
+            r.resident_cells.to_string(),
+            r.link_resident_cells.to_string(),
+            r.reordered_cells.to_string(),
+            r.credit_stall_slots.to_string(),
+            r.peak_link_depth.to_string(),
+            format!("{:.3}", r.mean_latency_slots),
+            r.max_latency_slots.to_string(),
+            pct(|h| h.p50),
+            pct(|h| h.p95),
+            pct(|h| h.p99),
+            r.zero_loss.to_string(),
+            r.conservation_holds().to_string(),
+        ]
     }
-    if agg.runs > 0 {
-        agg.mean_latency_slots = latency_sum / agg.runs as f64;
-    }
-    agg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::checks;
+    use crate::lab::LabRunner;
 
     fn quick() -> ClosScenario {
         ClosScenario {
@@ -1729,12 +1492,12 @@ mod tests {
             spec: ClosSpec::builder().build().unwrap(),
             skipped_invalid: 0,
             runs: vec![
-                ClosRunRecord {
+                RunRecord {
                     index: 0,
                     scenario: armed,
                     report: report.clone(),
                 },
-                ClosRunRecord {
+                RunRecord {
                     index: 1,
                     scenario: quick(),
                     report: baseline,
@@ -1837,23 +1600,14 @@ mod tests {
             .seeds([1, 101])
             .build()
             .unwrap();
-        let json = spec.to_json();
-        let back = ClosSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), json);
+        checks::spec_documents_round_trip(&spec);
         // Specs saved before the per-stage worker pipeline was removed carry
         // `"workers": 1`: the key still loads, its value is discarded, and
         // it is never written again.
+        let json = spec.to_json();
         assert!(!json.contains("\"workers\""));
         let legacy = json.replacen('{', "{\n  \"workers\": 1,", 1);
         assert_eq!(ClosSpec::from_json(&legacy).unwrap(), spec);
-        // A minimal spec takes the builder defaults.
-        let minimal = ClosSpec::from_json("{\"name\": \"tiny\"}").unwrap();
-        assert_eq!(minimal.name, "tiny");
-        assert_eq!(minimal.radix, Sweep::Fixed(4));
-        // Unknown fields and foreign kinds are rejected.
-        assert!(ClosSpec::from_json("{\"mystery\": 1}").is_err());
-        assert!(ClosSpec::from_json("{\"kind\": \"fabric\"}").is_err());
     }
 
     #[test]
@@ -1869,17 +1623,10 @@ mod tests {
         assert!(!json.contains("\"faults\""), "empty plan stays implicit");
         let back: ClosScenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, scenario);
-        // The legacy `"workers"` key loads and is dropped, like the spec's.
-        assert!(!json.contains("\"workers\""));
-        let legacy = json.replacen('{', "{\n  \"workers\": 3,", 1);
-        assert_eq!(
-            serde_json::from_str::<ClosScenario>(&legacy).unwrap(),
-            scenario
-        );
         let minimal: ClosScenario = serde_json::from_str("{\"radix\": 8}").unwrap();
         assert_eq!(minimal.radix, 8);
         assert_eq!(minimal.dispatch, DispatchChoice::Spray);
-        assert!(serde_json::from_str::<ClosScenario>("{}").is_err());
+        assert!(serde_json::from_str::<ClosScenario>("{\"mystery\": 1}").is_err());
     }
 
     #[test]
@@ -1962,7 +1709,7 @@ mod tests {
         let expansion = spec.expand().unwrap();
         assert_eq!(expansion.runs.len(), 2);
         assert!(expansion.runs.iter().all(|run| run.faults == plan));
-        let report = LabRunner::new().with_threads(2).run_clos(&spec).unwrap();
+        let report = LabRunner::new().with_threads(2).run(&spec).unwrap();
         assert!(report.aggregate.all_conserving, "{:?}", report.aggregate);
         assert!(report.runs.iter().all(|run| run.report.faults.is_some()));
     }
@@ -1978,16 +1725,16 @@ mod tests {
             .arrival_slots(600)
             .build()
             .unwrap();
-        let single = LabRunner::new().with_threads(1).run_clos(&spec).unwrap();
-        let multi = LabRunner::new().with_threads(4).run_clos(&spec).unwrap();
-        assert_eq!(single, multi);
-        assert_eq!(single.to_json(), multi.to_json());
-        assert_eq!(single.to_csv(), multi.to_csv());
-        assert_eq!(single.runs.len(), 6);
-        assert!(single.aggregate.all_zero_loss);
-        assert!(single.aggregate.all_conserving);
-        let csv = single.to_csv();
-        assert_eq!(csv.lines().count(), 1 + single.runs.len());
-        assert!(csv.starts_with("index,radix,ingress_switches"));
+        checks::thread_count_does_not_change_the_report(&spec, 6);
+        let report = LabRunner::new().run(&spec).unwrap();
+        assert!(report.aggregate.all_zero_loss);
+        assert!(report.aggregate.all_conserving);
+    }
+
+    #[test]
+    fn oversized_sweeps_are_refused_not_materialised() {
+        checks::oversized_products_are_refused::<ClosSpec>(|spec, [a, b, c]| {
+            (spec.radix, spec.load_percent, spec.link_capacity) = (a, b, c);
+        });
     }
 }

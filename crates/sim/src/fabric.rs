@@ -6,8 +6,9 @@
 //! VOQ-switch run (a `fabric::VoqSwitch`) — port count, per-port buffer
 //! design (mixed allowed), traffic pattern, arbiter, egress line rate — and
 //! a [`FabricSpec`] sweeps those axes into a cartesian product that
-//! [`LabRunner::run_fabric`] executes deterministically across worker
-//! threads.
+//! [`LabRunner::run`](crate::lab::LabRunner::run) executes deterministically
+//! across worker threads — the switch layer of the shared stack in
+//! [`crate::experiment`].
 //!
 //! The four fabric workloads:
 //!
@@ -43,7 +44,8 @@
 //!   groups and do not exhibit this (see ROADMAP: fabric-aware latency
 //!   register sizing).
 
-use crate::lab::{run_sharded, LabRunner};
+use crate::experiment::{self, Axis, Expansion, Experiment};
+use crate::lab::{LabReport, RunRecord};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::FabricRunReport;
@@ -264,7 +266,11 @@ pub(crate) fn hot_output_count(ports: usize) -> usize {
 
 /// A fully specified fabric run: one expanded point of a [`FabricSpec`], or
 /// a hand-built one-off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+///
+/// As JSON, omitted keys keep the [`FabricScenario::small`] values and
+/// unknown keys are rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct FabricScenario {
     /// Number of ingress (= egress) ports; each ingress buffer holds one VOQ
     /// per egress port.
@@ -297,6 +303,12 @@ pub struct FabricScenario {
     pub seed: u64,
     /// Configuration knobs applied to every port buffer.
     pub overrides: ConfigOverrides,
+}
+
+impl Default for FabricScenario {
+    fn default() -> Self {
+        FabricScenario::small()
+    }
 }
 
 impl FabricScenario {
@@ -536,62 +548,13 @@ impl FabricScenario {
     }
 }
 
-// Hand-written (the derive's container `default` makes every key optional):
-// a scenario is a flat JSON object in which only `ports` is required and
-// everything else takes the `small()` defaults.
-impl<'de> Deserialize<'de> for FabricScenario {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = FabricScenario;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a fabric scenario object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(
-                self,
-                mut map: A,
-            ) -> Result<FabricScenario, A::Error> {
-                let mut scenario = FabricScenario::small();
-                let mut saw_ports = false;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "ports" => {
-                            scenario.ports = map.next_value()?;
-                            saw_ports = true;
-                        }
-                        "design" => scenario.design = map.next_value()?,
-                        "workload" => scenario.workload = map.next_value()?,
-                        "arbiter" => scenario.arbiter = map.next_value()?,
-                        "islip_iterations" => scenario.islip_iterations = map.next_value()?,
-                        "line_rate" => scenario.line_rate = map.next_value()?,
-                        "granularity" => scenario.granularity = map.next_value()?,
-                        "rads_granularity" => scenario.rads_granularity = map.next_value()?,
-                        "num_banks" => scenario.num_banks = map.next_value()?,
-                        "load_percent" => scenario.load_percent = map.next_value()?,
-                        "egress_period" => scenario.egress_period = map.next_value()?,
-                        "arrival_slots" => scenario.arrival_slots = map.next_value()?,
-                        "seed" => scenario.seed = map.next_value()?,
-                        "overrides" => scenario.overrides = map.next_value()?,
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown fabric scenario field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                if !saw_ports {
-                    return Err(de::Error::custom("missing field \"ports\""));
-                }
-                Ok(scenario)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
 /// A declarative, serializable fabric experiment: designs × workloads ×
 /// arbiters × swept parameters × seeds, expanded into [`FabricScenario`]s.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// As JSON, omitted keys keep the builder defaults, unknown keys are
+/// rejected, and the document carries a `"kind": "fabric"` tag.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct FabricSpec {
     /// Experiment name (used in reports and file names).
     pub name: String,
@@ -632,98 +595,22 @@ impl FabricSpec {
         FabricSpecBuilder::default()
     }
 
-    /// Expands the spec into the cartesian product of its axes, in a fixed
-    /// documented order: designs ▸ workloads ▸ arbiters ▸ ports ▸ load ▸
-    /// granularity ▸ RADS granularity ▸ banks ▸ seeds (left outermost).
-    /// Invalid combinations are skipped and counted; the CFDS-only axes
-    /// (`granularity`, `num_banks`) collapse to their first value for
-    /// fabrics without CFDS ports.
+    /// Expands the spec ([`experiment::expand`]) in the order designs ▸
+    /// workloads ▸ arbiters ▸ ports ▸ load ▸ granularity ▸ RADS granularity ▸
+    /// banks ▸ seeds (left outermost). Invalid combinations are skipped and
+    /// counted; the CFDS-only axes (`granularity`, `num_banks`) collapse to
+    /// their first value for fabrics without CFDS ports.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when an axis is empty or malformed, or when
-    /// every combination is invalid.
-    pub fn expand(&self) -> Result<FabricExpansion, SpecError> {
-        if self.designs.is_empty() {
-            return Err(SpecError::EmptyAxis("designs"));
-        }
-        if self.workloads.is_empty() {
-            return Err(SpecError::EmptyAxis("workloads"));
-        }
-        if self.arbiters.is_empty() {
-            return Err(SpecError::EmptyAxis("arbiters"));
-        }
-        if self.seeds.is_empty() {
-            return Err(SpecError::EmptyAxis("seeds"));
-        }
-        let ports = self.ports.values()?;
-        let loads = self.load_percent.values()?;
-        let granularities = self.granularity.values()?;
-        let rads_granularities = self.rads_granularity.values()?;
-        let banks = self.num_banks.values()?;
-        let mut runs = Vec::new();
-        let mut skipped_invalid = 0usize;
-        for design in &self.designs {
-            // `b` and `M` only matter where CFDS ports exist; crossing the
-            // pure-RADS/DRAM-only fabrics with them would repeat identical
-            // runs and over-weight those designs in the aggregate.
-            let (granularities, banks): (&[u64], &[u64]) = match design {
-                FabricDesign::Fixed(DesignKind::DramOnly)
-                | FabricDesign::Fixed(DesignKind::Rads) => (&granularities[..1], &banks[..1]),
-                FabricDesign::Fixed(DesignKind::Cfds) | FabricDesign::Mixed => {
-                    (&granularities, &banks)
-                }
-            };
-            for workload in &self.workloads {
-                for arbiter in &self.arbiters {
-                    for n in &ports {
-                        for load in &loads {
-                            for b in granularities {
-                                for big_b in &rads_granularities {
-                                    for m in banks {
-                                        for seed in &self.seeds {
-                                            let scenario = FabricScenario {
-                                                ports: *n as usize,
-                                                design: *design,
-                                                workload: *workload,
-                                                arbiter: *arbiter,
-                                                islip_iterations: self.islip_iterations,
-                                                line_rate: self.line_rate,
-                                                granularity: *b as usize,
-                                                rads_granularity: *big_b as usize,
-                                                num_banks: *m as usize,
-                                                load_percent: *load,
-                                                egress_period: self.egress_period,
-                                                arrival_slots: self.arrival_slots,
-                                                seed: *seed,
-                                                overrides: self.overrides,
-                                            };
-                                            if scenario.validate().is_ok() {
-                                                runs.push(scenario);
-                                            } else {
-                                                skipped_invalid += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if runs.is_empty() {
-            return Err(SpecError::NoValidRuns);
-        }
-        Ok(FabricExpansion {
-            runs,
-            skipped_invalid,
-        })
+    /// As [`experiment::expand`].
+    pub fn expand(&self) -> Result<Expansion<FabricScenario>, SpecError> {
+        experiment::expand(self)
     }
 
     /// Renders the spec as pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("a fabric spec always serializes")
+        experiment::to_json(self)
     }
 
     /// Parses a spec from JSON text.
@@ -733,47 +620,37 @@ impl FabricSpec {
     /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
     /// fields.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        serde_json::from_str(text).map_err(|e| SpecError::Json(e.to_string()))
+        experiment::from_json(text)
     }
 }
 
-/// The result of expanding a fabric spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FabricExpansion {
-    /// The valid runs, in expansion order.
-    pub runs: Vec<FabricScenario>,
-    /// Combinations skipped because they were invalid.
-    pub skipped_invalid: usize,
+impl Default for FabricSpec {
+    /// The [`FabricSpec::builder`] defaults.
+    fn default() -> Self {
+        FabricSpec {
+            name: "fabric".to_owned(),
+            designs: vec![FabricDesign::Fixed(DesignKind::Cfds)],
+            workloads: vec![FabricWorkload::Uniform],
+            arbiters: vec![ArbiterChoice::Islip],
+            line_rate: LineRate::Oc3072,
+            ports: Sweep::Fixed(8),
+            load_percent: Sweep::Fixed(90),
+            granularity: Sweep::Fixed(4),
+            rads_granularity: Sweep::Fixed(16),
+            num_banks: Sweep::Fixed(64),
+            islip_iterations: 0,
+            egress_period: 1,
+            arrival_slots: 10_000,
+            seeds: vec![1],
+            overrides: ConfigOverrides::none(),
+        }
+    }
 }
 
 /// Builder for [`FabricSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FabricSpecBuilder {
     spec: FabricSpec,
-}
-
-impl Default for FabricSpecBuilder {
-    fn default() -> Self {
-        FabricSpecBuilder {
-            spec: FabricSpec {
-                name: "fabric".to_owned(),
-                designs: vec![FabricDesign::Fixed(DesignKind::Cfds)],
-                workloads: vec![FabricWorkload::Uniform],
-                arbiters: vec![ArbiterChoice::Islip],
-                line_rate: LineRate::Oc3072,
-                ports: Sweep::Fixed(8),
-                load_percent: Sweep::Fixed(90),
-                granularity: Sweep::Fixed(4),
-                rads_granularity: Sweep::Fixed(16),
-                num_banks: Sweep::Fixed(64),
-                islip_iterations: 0,
-                egress_period: 1,
-                arrival_slots: 10_000,
-                seeds: vec![1],
-                overrides: ConfigOverrides::none(),
-            },
-        }
-    }
 }
 
 impl FabricSpecBuilder {
@@ -878,95 +755,6 @@ impl FabricSpecBuilder {
     }
 }
 
-// Hand-written in both directions (the derive has no constant field): a
-// fabric spec carries a `"kind": "fabric"` tag, checked when read back, and
-// omitted keys keep the builder defaults.
-impl Serialize for FabricSpec {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct as _;
-        let mut st = serializer.serialize_struct("FabricSpec", 16)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("designs", &self.designs)?;
-        st.serialize_field("workloads", &self.workloads)?;
-        st.serialize_field("arbiters", &self.arbiters)?;
-        st.serialize_field("line_rate", &self.line_rate)?;
-        st.serialize_field("ports", &self.ports)?;
-        st.serialize_field("load_percent", &self.load_percent)?;
-        st.serialize_field("granularity", &self.granularity)?;
-        st.serialize_field("rads_granularity", &self.rads_granularity)?;
-        st.serialize_field("num_banks", &self.num_banks)?;
-        st.serialize_field("islip_iterations", &self.islip_iterations)?;
-        st.serialize_field("egress_period", &self.egress_period)?;
-        st.serialize_field("arrival_slots", &self.arrival_slots)?;
-        st.serialize_field("seeds", &self.seeds)?;
-        st.serialize_field("overrides", &self.overrides)?;
-        st.serialize_field("kind", &"fabric")?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for FabricSpec {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> de::Visitor<'de> for V {
-            type Value = FabricSpec;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a fabric-spec object")
-            }
-            fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<FabricSpec, A::Error> {
-                // Unknown fields are rejected; omitted fields keep the
-                // builder defaults, so a minimal spec file stays minimal.
-                let mut spec = FabricSpecBuilder::default().spec;
-                while let Some(key) = map.next_key::<String>()? {
-                    match key.as_str() {
-                        "name" => spec.name = map.next_value()?,
-                        "designs" => spec.designs = map.next_value()?,
-                        "workloads" => spec.workloads = map.next_value()?,
-                        "arbiters" => spec.arbiters = map.next_value()?,
-                        "line_rate" => spec.line_rate = map.next_value()?,
-                        "ports" => spec.ports = map.next_value()?,
-                        "load_percent" => spec.load_percent = map.next_value()?,
-                        "granularity" => spec.granularity = map.next_value()?,
-                        "rads_granularity" => spec.rads_granularity = map.next_value()?,
-                        "num_banks" => spec.num_banks = map.next_value()?,
-                        "islip_iterations" => spec.islip_iterations = map.next_value()?,
-                        "egress_period" => spec.egress_period = map.next_value()?,
-                        "arrival_slots" => spec.arrival_slots = map.next_value()?,
-                        "seeds" => spec.seeds = map.next_value()?,
-                        "overrides" => spec.overrides = map.next_value()?,
-                        "kind" => {
-                            let kind: String = map.next_value()?;
-                            if kind != "fabric" {
-                                return Err(de::Error::custom(format_args!(
-                                    "not a fabric spec (kind {kind:?})"
-                                )));
-                            }
-                        }
-                        other => {
-                            return Err(de::Error::custom(format_args!(
-                                "unknown fabric spec field {other:?}"
-                            )))
-                        }
-                    }
-                }
-                Ok(spec)
-            }
-        }
-        deserializer.deserialize_any(V)
-    }
-}
-
-/// One executed fabric run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FabricRunRecord {
-    /// Index of this run in the spec's expansion order.
-    pub index: usize,
-    /// The exact parameters of the run.
-    pub scenario: FabricScenario,
-    /// The fabric outcome.
-    pub report: FabricRunReport,
-}
-
 /// Aggregate statistics over every run of a fabric experiment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct FabricAggregate {
@@ -995,150 +783,155 @@ pub struct FabricAggregate {
 }
 
 /// The structured result of executing a whole [`FabricSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct FabricLabReport {
-    /// The spec that was executed.
-    pub spec: FabricSpec,
-    /// Combinations skipped during expansion.
-    pub skipped_invalid: usize,
-    /// Aggregates over `runs`.
-    pub aggregate: FabricAggregate,
-    /// Per-run results, in expansion order.
-    pub runs: Vec<FabricRunRecord>,
-}
+pub type FabricLabReport = LabReport<FabricSpec>;
 
-impl FabricLabReport {
-    /// Renders the report as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("a fabric report always serializes")
+impl Experiment for FabricSpec {
+    type Scenario = FabricScenario;
+    type Report = FabricRunReport;
+    type Aggregate = FabricAggregate;
+
+    const KIND: Option<&'static str> = Some("fabric");
+    const CSV_HEADER: &'static [&'static str] = &[
+        "index",
+        "ports",
+        "design",
+        "workload",
+        "arbiter",
+        "load_percent",
+        "egress_period",
+        "seed",
+        "slots",
+        "arrivals",
+        "transmitted",
+        "lost_cells",
+        "resident_cells",
+        "matches",
+        "crossbar_utilization",
+        "mean_latency_slots",
+        "max_latency_slots",
+        "zero_loss",
+    ];
+
+    fn axes(&self) -> Vec<Axis<'_>> {
+        vec![
+            Axis::Choices("designs", self.designs.len()),
+            Axis::Choices("workloads", self.workloads.len()),
+            Axis::Choices("arbiters", self.arbiters.len()),
+            Axis::Sweep("ports", &self.ports),
+            Axis::Sweep("load_percent", &self.load_percent),
+            Axis::CfdsSweep("granularity", &self.granularity),
+            Axis::Sweep("rads_granularity", &self.rads_granularity),
+            Axis::CfdsSweep("num_banks", &self.num_banks),
+            Axis::Choices("seeds", self.seeds.len()),
+        ]
     }
 
-    /// Renders one CSV row per run (with a header).
-    pub fn to_csv(&self) -> String {
-        let mut table = crate::report::TextTable::new(vec![
-            "index",
-            "ports",
-            "design",
-            "workload",
-            "arbiter",
-            "load_percent",
-            "egress_period",
-            "seed",
-            "slots",
-            "arrivals",
-            "transmitted",
-            "lost_cells",
-            "resident_cells",
-            "matches",
-            "crossbar_utilization",
-            "mean_latency_slots",
-            "max_latency_slots",
-            "zero_loss",
-        ]);
-        for run in &self.runs {
-            let s = &run.scenario;
+    fn has_cfds(scenario: &FabricScenario) -> bool {
+        match scenario.design {
+            FabricDesign::Fixed(DesignKind::DramOnly | DesignKind::Rads) => false,
+            FabricDesign::Fixed(DesignKind::Cfds) | FabricDesign::Mixed => true,
+        }
+    }
+
+    fn scenario_at(&self, point: &[u64]) -> FabricScenario {
+        let &[design, workload, arbiter, n, load, b, big_b, m, seed] = point else {
+            unreachable!("one value per axis");
+        };
+        FabricScenario {
+            ports: n as usize,
+            design: self.designs[design as usize],
+            workload: self.workloads[workload as usize],
+            arbiter: self.arbiters[arbiter as usize],
+            islip_iterations: self.islip_iterations,
+            line_rate: self.line_rate,
+            granularity: b as usize,
+            rads_granularity: big_b as usize,
+            num_banks: m as usize,
+            load_percent: load,
+            egress_period: self.egress_period,
+            arrival_slots: self.arrival_slots,
+            seed: self.seeds[seed as usize],
+            overrides: self.overrides,
+        }
+    }
+
+    fn is_valid(scenario: &FabricScenario) -> bool {
+        scenario.validate().is_ok()
+    }
+
+    fn run_scenario(&self, scenario: &FabricScenario) -> FabricRunReport {
+        scenario.run()
+    }
+
+    fn aggregate(runs: &[RunRecord<Self>]) -> FabricAggregate {
+        let mut agg = FabricAggregate {
+            all_zero_loss: true,
+            min_crossbar_utilization: f64::INFINITY,
+            ..FabricAggregate::default()
+        };
+        let mut utilization_sum = 0.0f64;
+        for run in runs {
             let r = &run.report;
-            table.push_row(vec![
-                run.index.to_string(),
-                s.ports.to_string(),
-                s.design.to_string(),
-                s.workload.to_string(),
-                s.arbiter.to_string(),
-                s.load_percent.to_string(),
-                s.egress_period.to_string(),
-                s.seed.to_string(),
-                r.slots.to_string(),
-                r.arrivals.to_string(),
-                r.transmitted.to_string(),
-                r.lost_cells.to_string(),
-                r.resident_cells.to_string(),
-                r.matches.to_string(),
-                format!("{:.6}", r.crossbar_utilization),
-                format!("{:.3}", r.mean_latency_slots),
-                r.max_latency_slots.to_string(),
-                r.zero_loss.to_string(),
-            ]);
-        }
-        table.to_csv()
-    }
-}
-
-impl LabRunner {
-    /// Expands `spec` and executes every fabric run, exactly like
-    /// [`LabRunner::run`] does for single-buffer experiments: runs shard
-    /// over the worker threads through an atomic cursor and results are
-    /// stored by index, so the report is identical whatever the worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] when the spec does not expand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn run_fabric(&self, spec: &FabricSpec) -> Result<FabricLabReport, SpecError> {
-        let expansion = spec.expand()?;
-        let runs = run_sharded(self.threads(), expansion.runs.len(), |index| {
-            let scenario = expansion.runs[index];
-            let report = scenario.run();
-            FabricRunRecord {
-                index,
-                scenario,
-                report,
+            agg.runs += 1;
+            if r.zero_loss {
+                agg.zero_loss_runs += 1;
+            } else {
+                agg.all_zero_loss = false;
             }
-        });
-        let aggregate = aggregate_fabric(&runs);
-        Ok(FabricLabReport {
-            spec: spec.clone(),
-            skipped_invalid: expansion.skipped_invalid,
-            runs,
-            aggregate,
-        })
-    }
-}
-
-fn aggregate_fabric(runs: &[FabricRunRecord]) -> FabricAggregate {
-    let mut agg = FabricAggregate {
-        all_zero_loss: true,
-        min_crossbar_utilization: f64::INFINITY,
-        ..FabricAggregate::default()
-    };
-    let mut utilization_sum = 0.0f64;
-    for run in runs {
-        let r = &run.report;
-        agg.runs += 1;
-        if r.zero_loss {
-            agg.zero_loss_runs += 1;
-        } else {
-            agg.all_zero_loss = false;
+            agg.total_arrivals += r.arrivals;
+            agg.total_transmitted += r.transmitted;
+            agg.total_lost_cells += r.lost_cells;
+            agg.total_resident_cells += r.resident_cells;
+            utilization_sum += r.crossbar_utilization;
+            agg.min_crossbar_utilization = agg.min_crossbar_utilization.min(r.crossbar_utilization);
+            agg.max_latency_slots = agg.max_latency_slots.max(r.max_latency_slots);
+            agg.peak_egress_depth = agg.peak_egress_depth.max(
+                r.per_output
+                    .iter()
+                    .map(|o| o.peak_queue_depth)
+                    .max()
+                    .unwrap_or(0),
+            );
         }
-        agg.total_arrivals += r.arrivals;
-        agg.total_transmitted += r.transmitted;
-        agg.total_lost_cells += r.lost_cells;
-        agg.total_resident_cells += r.resident_cells;
-        utilization_sum += r.crossbar_utilization;
-        agg.min_crossbar_utilization = agg.min_crossbar_utilization.min(r.crossbar_utilization);
-        agg.max_latency_slots = agg.max_latency_slots.max(r.max_latency_slots);
-        agg.peak_egress_depth = agg.peak_egress_depth.max(
-            r.per_output
-                .iter()
-                .map(|o| o.peak_queue_depth)
-                .max()
-                .unwrap_or(0),
-        );
+        if agg.runs > 0 {
+            agg.mean_crossbar_utilization = utilization_sum / agg.runs as f64;
+        } else {
+            agg.min_crossbar_utilization = 0.0;
+        }
+        agg
     }
-    if agg.runs > 0 {
-        agg.mean_crossbar_utilization = utilization_sum / agg.runs as f64;
-    } else {
-        agg.min_crossbar_utilization = 0.0;
+
+    fn csv_row(run: &RunRecord<Self>) -> Vec<String> {
+        let s = &run.scenario;
+        let r = &run.report;
+        vec![
+            run.index.to_string(),
+            s.ports.to_string(),
+            s.design.to_string(),
+            s.workload.to_string(),
+            s.arbiter.to_string(),
+            s.load_percent.to_string(),
+            s.egress_period.to_string(),
+            s.seed.to_string(),
+            r.slots.to_string(),
+            r.arrivals.to_string(),
+            r.transmitted.to_string(),
+            r.lost_cells.to_string(),
+            r.resident_cells.to_string(),
+            r.matches.to_string(),
+            format!("{:.6}", r.crossbar_utilization),
+            format!("{:.3}", r.mean_latency_slots),
+            r.max_latency_slots.to_string(),
+            r.zero_loss.to_string(),
+        ]
     }
-    agg
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::checks;
+    use crate::lab::LabRunner;
 
     #[test]
     fn small_fabric_scenario_is_zero_loss_and_conserving() {
@@ -1297,17 +1090,7 @@ mod tests {
             .seeds([1, 101])
             .build()
             .unwrap();
-        let json = spec.to_json();
-        let back = FabricSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.to_json(), json);
-        // A minimal spec takes the builder defaults.
-        let minimal = FabricSpec::from_json("{\"name\": \"tiny\"}").unwrap();
-        assert_eq!(minimal.name, "tiny");
-        assert_eq!(minimal.ports, Sweep::Fixed(8));
-        // Unknown fields and foreign kinds are rejected.
-        assert!(FabricSpec::from_json("{\"mystery\": 1}").is_err());
-        assert!(FabricSpec::from_json("{\"kind\": \"experiment\"}").is_err());
+        checks::spec_documents_round_trip(&spec);
     }
 
     #[test]
@@ -1325,7 +1108,7 @@ mod tests {
         let minimal: FabricScenario = serde_json::from_str("{\"ports\": 8}").unwrap();
         assert_eq!(minimal.ports, 8);
         assert_eq!(minimal.workload, FabricWorkload::Uniform);
-        assert!(serde_json::from_str::<FabricScenario>("{}").is_err());
+        assert!(serde_json::from_str::<FabricScenario>("{\"mystery\": 1}").is_err());
     }
 
     #[test]
@@ -1341,16 +1124,16 @@ mod tests {
             .arrival_slots(600)
             .build()
             .unwrap();
-        let single = LabRunner::new().with_threads(1).run_fabric(&spec).unwrap();
-        let multi = LabRunner::new().with_threads(4).run_fabric(&spec).unwrap();
-        assert_eq!(single, multi);
-        assert_eq!(single.to_json(), multi.to_json());
-        assert_eq!(single.to_csv(), multi.to_csv());
-        assert_eq!(single.runs.len(), 4);
-        assert!(single.aggregate.all_zero_loss);
-        assert!(single.aggregate.mean_crossbar_utilization > 0.0);
-        let csv = single.to_csv();
-        assert_eq!(csv.lines().count(), 1 + single.runs.len());
-        assert!(csv.starts_with("index,ports,design"));
+        checks::thread_count_does_not_change_the_report(&spec, 4);
+        let report = LabRunner::new().run(&spec).unwrap();
+        assert!(report.aggregate.all_zero_loss);
+        assert!(report.aggregate.mean_crossbar_utilization > 0.0);
+    }
+
+    #[test]
+    fn oversized_sweeps_are_refused_not_materialised() {
+        checks::oversized_products_are_refused::<FabricSpec>(|spec, [a, b, c]| {
+            (spec.ports, spec.load_percent, spec.num_banks) = (a, b, c);
+        });
     }
 }

@@ -1,126 +1,82 @@
-//! The experiment runner: executes an expanded [`ExperimentSpec`] across a
-//! pool of worker threads and collects structured results.
+//! The experiment runner: executes an expanded spec of any layer
+//! ([`Experiment`]) across a pool of worker threads and collects structured
+//! results.
 //!
-//! [`LabRunner`] is deliberately simple: every run owns its buffer and its
-//! generators (a [`crate::SimulationEngine`] drives exactly one run), so runs
-//! are embarrassingly parallel. Workers pull run indices from a shared atomic
-//! counter and write each [`RunRecord`] back into its slot, which makes the
-//! report **bit-identical regardless of the worker count** — the property the
-//! determinism tests pin down.
+//! [`LabRunner`] is deliberately simple: every run owns its buffers and its
+//! generators, so runs are embarrassingly parallel. Workers pull run indices
+//! from a shared atomic counter and write each [`RunRecord`] back into its
+//! slot, which makes the report **bit-identical regardless of the worker
+//! count** — the property the determinism tests pin down.
 
-use crate::scenario::Scenario;
+use crate::experiment::{self, Experiment};
+use crate::report::TextTable;
 use crate::spec::{ExperimentSpec, SpecError};
-use crate::SimulationReport;
-use serde::Serialize;
+use serde::ser::SerializeStruct as _;
+use serde::{Serialize, Serializer};
+use serde_json::{Map, Value};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One executed run: the scenario that was run and what happened.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct RunRecord {
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunRecord<E: Experiment> {
     /// Index of this run in the spec's expansion order.
     pub index: usize,
     /// The exact parameters of the run.
-    pub scenario: Scenario,
-    /// The simulation outcome.
-    pub report: SimulationReport,
+    pub scenario: E::Scenario,
+    /// The outcome.
+    pub report: E::Report,
 }
 
-/// Aggregate statistics over every run of an experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
-pub struct LabAggregate {
-    /// Number of runs executed.
-    pub runs: u64,
-    /// Runs that upheld every worst-case guarantee.
-    pub loss_free_runs: u64,
-    /// Total cells granted across runs.
-    pub total_grants: u64,
-    /// Total misses across runs (0 wherever the paper claims zero-miss).
-    pub total_misses: u64,
-    /// Total drops across runs.
-    pub total_drops: u64,
-    /// Total bank conflicts across runs (must stay 0 for CFDS).
-    pub total_bank_conflicts: u64,
-    /// Largest head-SRAM occupancy any run observed (cells).
-    pub peak_head_sram_cells: u64,
-    /// Largest requests-register occupancy any run observed (entries).
-    pub peak_rr_entries: u64,
-    /// Mean grants/slot over the runs (unweighted).
-    pub mean_grants_per_slot: f64,
-    /// Whether every run was loss-free.
-    pub all_loss_free: bool,
+// Hand-written (the derive takes no type parameters).
+impl<E: Experiment> Serialize for RunRecord<E> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut st = serializer.serialize_struct("RunRecord", 3)?;
+        st.serialize_field("index", &self.index)?;
+        st.serialize_field("scenario", &self.scenario)?;
+        st.serialize_field("report", &self.report)?;
+        st.end()
+    }
 }
 
-/// The structured result of executing a whole [`ExperimentSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ExperimentReport {
+/// The structured result of executing a whole spec.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LabReport<E: Experiment> {
     /// The spec that was executed (echoed so a report is self-describing).
-    pub spec: ExperimentSpec,
+    pub spec: E,
     /// Combinations skipped during expansion (invalid configurations).
     pub skipped_invalid: usize,
     /// Aggregates over `runs`.
-    pub aggregate: LabAggregate,
+    pub aggregate: E::Aggregate,
     /// Per-run results, in expansion order.
-    pub runs: Vec<RunRecord>,
+    pub runs: Vec<RunRecord<E>>,
 }
 
-impl ExperimentReport {
-    /// Renders the report as pretty JSON.
+/// The report of a single-buffer experiment.
+pub type ExperimentReport = LabReport<ExperimentSpec>;
+
+impl<E: Experiment> LabReport<E> {
+    /// Renders the report as pretty JSON; the echoed `"spec"` is the
+    /// document [`experiment::to_json`] writes, `"kind"` tag included.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("an experiment report always serializes")
+        fn value(part: impl Serialize) -> Value {
+            serde_json::to_value(part).expect("a report always serializes")
+        }
+        let mut document = Map::new();
+        document.insert("spec", experiment::to_value(&self.spec));
+        document.insert("skipped_invalid", value(self.skipped_invalid));
+        document.insert("aggregate", value(&self.aggregate));
+        document.insert("runs", value(&self.runs));
+        Value::Object(document).to_json_string_pretty()
     }
 
     /// Renders one CSV row per run (with a header), for spreadsheet-side
     /// analysis.
     pub fn to_csv(&self) -> String {
-        let mut table = crate::report::TextTable::new(vec![
-            "index",
-            "design",
-            "workload",
-            "line_rate_gbps",
-            "num_queues",
-            "granularity",
-            "rads_granularity",
-            "num_banks",
-            "preload_cells_per_queue",
-            "arrival_slots",
-            "seed",
-            "slots",
-            "grants",
-            "misses",
-            "drops",
-            "bank_conflicts",
-            "peak_head_sram_cells",
-            "peak_rr_entries",
-            "grants_per_slot",
-            "loss_free",
-        ]);
+        let mut table = TextTable::new(E::CSV_HEADER.to_vec());
         for run in &self.runs {
-            let s = &run.scenario;
-            let r = &run.report;
-            table.push_row(vec![
-                run.index.to_string(),
-                s.design.to_string(),
-                s.workload.to_string(),
-                format!("{}", s.line_rate.gbps()),
-                s.num_queues.to_string(),
-                s.granularity.to_string(),
-                s.rads_granularity.to_string(),
-                s.num_banks.to_string(),
-                s.preload_cells_per_queue.to_string(),
-                s.arrival_slots.to_string(),
-                s.seed.to_string(),
-                r.slots.to_string(),
-                r.stats.grants.to_string(),
-                r.stats.misses.to_string(),
-                r.stats.drops.to_string(),
-                r.stats.bank_conflicts.to_string(),
-                r.stats.peak_head_sram_cells.to_string(),
-                r.stats.peak_rr_entries.to_string(),
-                format!("{:.6}", r.grants_per_slot()),
-                r.stats.is_loss_free().to_string(),
-            ]);
+            table.push_row(E::csv_row(run));
         }
         table.to_csv()
     }
@@ -130,7 +86,6 @@ impl ExperimentReport {
 #[derive(Debug, Clone)]
 pub struct LabRunner {
     threads: NonZeroUsize,
-    record_grants: Option<bool>,
 }
 
 impl Default for LabRunner {
@@ -145,19 +100,12 @@ impl LabRunner {
         LabRunner {
             threads: std::thread::available_parallelism()
                 .unwrap_or(NonZeroUsize::new(1).expect("1 is non-zero")),
-            record_grants: None,
         }
     }
 
     /// Limits the runner to `threads` workers (clamped to ≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = NonZeroUsize::new(threads.max(1)).expect("clamped to >= 1");
-        self
-    }
-
-    /// Overrides the spec's `record_grants` flag for every run.
-    pub fn record_grants(mut self, record: bool) -> Self {
-        self.record_grants = Some(record);
         self
     }
 
@@ -179,30 +127,23 @@ impl LabRunner {
     /// # Panics
     ///
     /// Panics if a worker thread panics (a run itself panicking is a bug in
-    /// the buffer under test, and hiding it would taint the whole report).
-    pub fn run(&self, spec: &ExperimentSpec) -> Result<ExperimentReport, SpecError> {
-        let expansion = spec.expand()?;
-        let record = self.record_grants.unwrap_or(spec.record_grants);
+    /// the system under test, and hiding it would taint the whole report).
+    pub fn run<E: Experiment>(&self, spec: &E) -> Result<LabReport<E>, SpecError> {
+        let expansion = experiment::expand(spec)?;
         let runs = run_sharded(self.threads.get(), expansion.runs.len(), |index| {
-            let scenario = expansion.runs[index];
-            let report = scenario.run_with_grant_log(record);
+            let scenario = expansion.runs[index].clone();
+            let report = spec.run_scenario(&scenario);
             RunRecord {
                 index,
                 scenario,
                 report,
             }
         });
-        let aggregate = aggregate(&runs);
-        // Echo the *effective* spec: if the runner overrode record_grants,
-        // the self-describing report must say so, or re-running the echoed
-        // spec would produce a different artifact.
-        let mut spec = spec.clone();
-        spec.record_grants = record;
-        Ok(ExperimentReport {
-            spec,
+        Ok(LabReport {
+            spec: spec.clone(),
             skipped_invalid: expansion.skipped_invalid,
+            aggregate: E::aggregate(&runs),
             runs,
-            aggregate,
         })
     }
 }
@@ -211,15 +152,14 @@ impl LabRunner {
 ///
 /// Workers pull indices from a shared atomic cursor and results are stored
 /// by index, so the output is **identical whatever the worker count or
-/// scheduling order** — the shared substrate of [`LabRunner::run`] and
-/// [`LabRunner::run_fabric`](crate::fabric), and the property the
-/// determinism tests pin down.
+/// scheduling order** — the substrate of [`LabRunner::run`], and the
+/// property the determinism tests pin down.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (a run panicking is a bug in the system
 /// under test, and hiding it would taint the whole report).
-pub(crate) fn run_sharded<T, F>(workers: usize, total: usize, run: F) -> Vec<T>
+fn run_sharded<T, F>(workers: usize, total: usize, run: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -251,37 +191,10 @@ where
         .collect()
 }
 
-fn aggregate(runs: &[RunRecord]) -> LabAggregate {
-    let mut agg = LabAggregate {
-        all_loss_free: true,
-        ..LabAggregate::default()
-    };
-    let mut grants_per_slot_sum = 0.0f64;
-    for run in runs {
-        let stats = &run.report.stats;
-        agg.runs += 1;
-        if stats.is_loss_free() {
-            agg.loss_free_runs += 1;
-        } else {
-            agg.all_loss_free = false;
-        }
-        agg.total_grants += stats.grants;
-        agg.total_misses += stats.misses;
-        agg.total_drops += stats.drops;
-        agg.total_bank_conflicts += stats.bank_conflicts;
-        agg.peak_head_sram_cells = agg.peak_head_sram_cells.max(stats.peak_head_sram_cells);
-        agg.peak_rr_entries = agg.peak_rr_entries.max(stats.peak_rr_entries);
-        grants_per_slot_sum += run.report.grants_per_slot();
-    }
-    if agg.runs > 0 {
-        agg.mean_grants_per_slot = grants_per_slot_sum / agg.runs as f64;
-    }
-    agg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::checks;
     use crate::scenario::{DesignKind, Workload};
     use crate::spec::Sweep;
 
@@ -316,26 +229,20 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_report() {
-        let spec = small_spec();
-        let single = LabRunner::new().with_threads(1).run(&spec).unwrap();
-        let multi = LabRunner::new().with_threads(4).run(&spec).unwrap();
-        assert!(LabRunner::new().with_threads(4).threads() >= 2);
-        assert_eq!(single, multi);
-        // Byte-identical serialized artefacts, not just PartialEq.
-        assert_eq!(single.to_json(), multi.to_json());
-        assert_eq!(single.to_csv(), multi.to_csv());
+        checks::thread_count_does_not_change_the_report(&small_spec(), 8);
     }
 
     #[test]
     fn identical_seeds_give_bit_identical_reports() {
-        let spec = small_spec();
-        let a = LabRunner::new().record_grants(true).run(&spec).unwrap();
-        let b = LabRunner::new().record_grants(true).run(&spec).unwrap();
+        let mut spec = small_spec();
+        spec.record_grants = true;
+        let a = LabRunner::new().run(&spec).unwrap();
+        let b = LabRunner::new().run(&spec).unwrap();
         assert_eq!(a, b);
         // And a different seed really changes the stochastic runs.
         let mut other = spec;
         other.seeds = vec![6];
-        let c = LabRunner::new().record_grants(true).run(&other).unwrap();
+        let c = LabRunner::new().run(&other).unwrap();
         assert_ne!(
             a.runs.last().unwrap().report.grant_log,
             c.runs.last().unwrap().report.grant_log,

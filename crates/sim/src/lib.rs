@@ -9,7 +9,9 @@
 //!   engine-level counters.
 //! * [`scenario`] defines ready-made experiment scenarios (which design, which
 //!   workload, how many slots, how much preload) so that examples, integration
-//!   tests and the benchmark harness all run exactly the same code.
+//!   tests and the benchmark harness all run exactly the same code;
+//!   [`experiment`] and [`lab`] sweep and run them (and the [`fabric`] and
+//!   [`clos`] layers' scenarios) as declarative experiments.
 //! * [`techeval`] combines the dimensioning formulas (`mma::sizing`,
 //!   `cfds::sizing`) with the physical SRAM model (`cacti-lite`) to produce
 //!   the area/access-time/delay numbers behind Figures 8, 10 and 11 and
@@ -63,6 +65,33 @@
 //! assert_eq!(report.runs.len(), 4);
 //! assert!(report.aggregate.all_loss_free);
 //! ```
+//!
+//! # Adding a layer
+//!
+//! The single buffer ([`spec::ExperimentSpec`]), the `N×N` switch
+//! ([`FabricSpec`]) and the three-stage Clos ([`ClosSpec`]) are one stack
+//! applied three times: each is a spec struct implementing
+//! [`experiment::Experiment`], and expansion, spec documents, run records,
+//! reports and the runner are written once around that trait. A new layer is
+//! a spec struct — `Default` (what an omitted key means),
+//! `#[derive(Serialize, Deserialize)] #[serde(default, deny_unknown_fields)]`
+//! — and the trait's items, nothing else:
+//!
+//! | Item | Says |
+//! |------|------|
+//! | `type Scenario`, `Report`, `Aggregate` | one run's parameters, one run's outcome, the statistics over all runs |
+//! | `const KIND`, `RETIRED_KEYS` | the spec document's `"kind"` tag; keys older versions wrote (both optional) |
+//! | `axes` | the product's axes, outermost first: list fields and [`Sweep`]s |
+//! | `check` | a constraint on the spec as a whole (optional) |
+//! | `has_cfds` | which designs the CFDS-only axes collapse for (optional) |
+//! | `scenario_at` | the scenario at one point of the product |
+//! | `is_valid` | whether that point is a configuration that can run |
+//! | `run_scenario` | the run |
+//! | `aggregate` | the statistics |
+//! | `CSV_HEADER`, `csv_row` | the CSV columns |
+//!
+//! `LabRunner::run(&spec)`, `experiment::{expand, to_json, from_json}` and
+//! `pktbuf-lab`'s `lab_command` then work on it unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,6 +99,7 @@
 
 pub mod clos;
 mod engine;
+pub mod experiment;
 pub mod fabric;
 pub mod lab;
 pub mod report;

@@ -4,14 +4,18 @@
 //! experiment: which designs and workloads to cross, which parameter axes to
 //! sweep ([`Sweep`]), how long to run, and which seeds to use. It expands into
 //! a cartesian product of [`Scenario`]s that [`crate::lab::LabRunner`]
-//! executes — experiments are *data*, not hand-wired binaries.
+//! executes — experiments are *data*, not hand-wired binaries. It is the
+//! single-buffer layer of the shared stack in [`crate::experiment`].
 //!
 //! Specs round-trip through JSON (see [`ExperimentSpec::to_json`] /
 //! [`ExperimentSpec::from_json`]) and every axis value also parses from the
 //! compact CLI syntax of [`Sweep`]'s `FromStr` (`64`, `64,128,256`,
 //! `64..1024*2`, `64..256+64`).
 
+use crate::experiment::{self, Axis, Expansion, Experiment};
+use crate::lab::RunRecord;
 use crate::scenario::{DesignKind, Scenario, Workload};
+use crate::SimulationReport;
 use pktbuf_model::{ConfigOverrides, LineRate};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -28,6 +32,14 @@ pub enum SpecError {
     PreloadAndArrivals,
     /// Every combination in the cartesian product was invalid.
     NoValidRuns,
+    /// The axes multiply to more combinations than
+    /// [`MAX_COMBINATIONS`](crate::experiment::MAX_COMBINATIONS).
+    TooManyCombinations {
+        /// Product of the axis lengths (saturating).
+        combinations: u128,
+        /// The fixed limit.
+        limit: u64,
+    },
     /// The JSON text was malformed or did not match the spec shape.
     Json(String),
 }
@@ -45,6 +57,14 @@ impl fmt::Display for SpecError {
             SpecError::NoValidRuns => write!(
                 f,
                 "no combination of the swept parameters forms a valid configuration"
+            ),
+            SpecError::TooManyCombinations {
+                combinations,
+                limit,
+            } => write!(
+                f,
+                "the swept axes multiply to {combinations} combinations; \
+                 the limit is {limit}"
             ),
             SpecError::Json(msg) => write!(f, "spec JSON: {msg}"),
         }
@@ -101,22 +121,18 @@ impl Sweep {
         }
     }
 
-    /// Expands the axis into its values, in sweep order.
+    /// How many values the axis has, worked out without listing them (a
+    /// linear range counts as `(end − start) / step + 1`, saturating).
     ///
     /// # Errors
     ///
     /// Returns [`SpecError::BadSweep`] when the parameters cannot produce a
     /// non-empty, finite list.
-    pub fn values(&self) -> Result<Vec<u64>, SpecError> {
+    pub fn count(&self) -> Result<u64, SpecError> {
         match self {
-            Sweep::Fixed(v) => Ok(vec![*v]),
-            Sweep::List(vs) => {
-                if vs.is_empty() {
-                    Err(SpecError::BadSweep("empty value list".into()))
-                } else {
-                    Ok(vs.clone())
-                }
-            }
+            Sweep::Fixed(_) => Ok(1),
+            Sweep::List(vs) if vs.is_empty() => Err(SpecError::BadSweep("empty value list".into())),
+            Sweep::List(vs) => Ok(vs.len() as u64),
             Sweep::Linear { start, end, step } => {
                 if *step == 0 {
                     return Err(SpecError::BadSweep("linear step must be > 0".into()));
@@ -126,7 +142,7 @@ impl Sweep {
                         "linear range {start}..{end} is empty"
                     )));
                 }
-                Ok((*start..=*end).step_by(*step as usize).collect())
+                Ok(((end - start) / step).saturating_add(1))
             }
             Sweep::Geometric { start, end, factor } => {
                 if *factor < 2 {
@@ -137,19 +153,35 @@ impl Sweep {
                         "geometric range {start}..{end} is empty"
                     )));
                 }
-                let mut out = Vec::new();
-                let mut v = *start;
-                while v <= *end {
-                    out.push(v);
-                    match v.checked_mul(*factor) {
-                        Some(next) => v = next,
-                        None => break,
-                    }
-                }
-                Ok(out)
+                Ok(geometric(*start, *end, *factor).count() as u64)
             }
         }
     }
+
+    /// Expands the axis into its values, in sweep order. The list is
+    /// allocated as [`Sweep::count`] says: bound that first where the sweep
+    /// comes from outside the program, as [`experiment::expand`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::BadSweep`] when the parameters cannot produce a
+    /// non-empty, finite list.
+    pub fn values(&self) -> Result<Vec<u64>, SpecError> {
+        self.count()?;
+        Ok(match self {
+            Sweep::Fixed(v) => vec![*v],
+            Sweep::List(vs) => vs.clone(),
+            Sweep::Linear { start, end, step } => (*start..=*end).step_by(*step as usize).collect(),
+            Sweep::Geometric { start, end, factor } => geometric(*start, *end, *factor).collect(),
+        })
+    }
+}
+
+/// `start, start·factor, … ≤ end`, stopping where the next value would not
+/// fit a `u64` (so at most 64 values).
+fn geometric(start: u64, end: u64, factor: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some(start), move |v| v.checked_mul(factor))
+        .take_while(move |v| *v <= end)
 }
 
 impl fmt::Display for Sweep {
@@ -341,91 +373,25 @@ impl ExperimentSpec {
         ExperimentSpecBuilder::default()
     }
 
-    /// Expands the spec into the cartesian product of its axes, in a fixed
-    /// documented order: designs ▸ workloads ▸ queues ▸ granularity ▸ RADS
-    /// granularity ▸ banks ▸ seeds (left outermost). Combinations that do not
-    /// form a valid configuration (a sweep can produce e.g. `b ∤ B`) are
-    /// skipped and counted. For RADS and DRAM-only runs the CFDS-only axes
-    /// (`granularity`, `num_banks`) collapse to their first value — those
-    /// parameters do not affect the simulation, and repeating it would skew
-    /// the aggregate.
+    /// Expands the spec ([`experiment::expand`]) in the order designs ▸
+    /// workloads ▸ queues ▸ granularity ▸ RADS granularity ▸ banks ▸ seeds
+    /// (left outermost). Combinations that do not form a valid configuration
+    /// (a sweep can produce e.g. `b ∤ B`) are skipped and counted. For RADS
+    /// and DRAM-only runs the CFDS-only axes (`granularity`, `num_banks`)
+    /// collapse to their first value — those parameters do not affect the
+    /// simulation, and repeating it would skew the aggregate.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when an axis is empty or malformed, when preload
-    /// and live arrivals are both requested, or when *every* combination is
-    /// invalid.
-    pub fn expand(&self) -> Result<Expansion, SpecError> {
-        if self.designs.is_empty() {
-            return Err(SpecError::EmptyAxis("designs"));
-        }
-        if self.workloads.is_empty() {
-            return Err(SpecError::EmptyAxis("workloads"));
-        }
-        if self.seeds.is_empty() {
-            return Err(SpecError::EmptyAxis("seeds"));
-        }
-        if self.preload_cells_per_queue > 0 && self.arrival_slots > 0 {
-            return Err(SpecError::PreloadAndArrivals);
-        }
-        let queues = self.num_queues.values()?;
-        let granularities = self.granularity.values()?;
-        let rads_granularities = self.rads_granularity.values()?;
-        let banks = self.num_banks.values()?;
-        let mut runs = Vec::new();
-        let mut skipped_invalid = 0usize;
-        for design in &self.designs {
-            // `b` and `M` are CFDS-only parameters; crossing RADS/DRAM-only
-            // with them would execute the same simulation |b|·|M| times over
-            // (wasting compute and over-weighting those designs in the
-            // aggregate), so the axes collapse to their first value there.
-            let (granularities, banks): (&[u64], &[u64]) = match design {
-                DesignKind::Cfds => (&granularities, &banks),
-                DesignKind::DramOnly | DesignKind::Rads => (&granularities[..1], &banks[..1]),
-            };
-            for workload in &self.workloads {
-                for q in &queues {
-                    for b in granularities {
-                        for big_b in &rads_granularities {
-                            for m in banks {
-                                for seed in &self.seeds {
-                                    let scenario = Scenario {
-                                        design: *design,
-                                        workload: *workload,
-                                        line_rate: self.line_rate,
-                                        num_queues: *q as usize,
-                                        granularity: *b as usize,
-                                        rads_granularity: *big_b as usize,
-                                        num_banks: *m as usize,
-                                        preload_cells_per_queue: self.preload_cells_per_queue,
-                                        arrival_slots: self.arrival_slots,
-                                        seed: *seed,
-                                        overrides: self.overrides,
-                                    };
-                                    if scenario.validate().is_ok() {
-                                        runs.push(scenario);
-                                    } else {
-                                        skipped_invalid += 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if runs.is_empty() {
-            return Err(SpecError::NoValidRuns);
-        }
-        Ok(Expansion {
-            runs,
-            skipped_invalid,
-        })
+    /// As [`experiment::expand`]; [`SpecError::PreloadAndArrivals`] when
+    /// preload and live arrivals are both requested.
+    pub fn expand(&self) -> Result<Expansion<Scenario>, SpecError> {
+        experiment::expand(self)
     }
 
     /// Renders the spec as pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("an experiment spec always serializes")
+        experiment::to_json(self)
     }
 
     /// Parses a spec from JSON text.
@@ -435,45 +401,194 @@ impl ExperimentSpec {
     /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
     /// fields.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        serde_json::from_str(text).map_err(|e| SpecError::Json(e.to_string()))
+        experiment::from_json(text)
     }
 }
 
-/// The result of expanding a spec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Expansion {
-    /// The valid runs, in expansion order.
-    pub runs: Vec<Scenario>,
-    /// Combinations skipped because they violated a configuration constraint.
-    pub skipped_invalid: usize,
+/// Aggregate statistics over every run of an experiment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+pub struct LabAggregate {
+    /// Number of runs executed.
+    pub runs: u64,
+    /// Runs that upheld every worst-case guarantee.
+    pub loss_free_runs: u64,
+    /// Total cells granted across runs.
+    pub total_grants: u64,
+    /// Total misses across runs (0 wherever the paper claims zero-miss).
+    pub total_misses: u64,
+    /// Total drops across runs.
+    pub total_drops: u64,
+    /// Total bank conflicts across runs (must stay 0 for CFDS).
+    pub total_bank_conflicts: u64,
+    /// Largest head-SRAM occupancy any run observed (cells).
+    pub peak_head_sram_cells: u64,
+    /// Largest requests-register occupancy any run observed (entries).
+    pub peak_rr_entries: u64,
+    /// Mean grants/slot over the runs (unweighted).
+    pub mean_grants_per_slot: f64,
+    /// Whether every run was loss-free.
+    pub all_loss_free: bool,
+}
+
+impl Experiment for ExperimentSpec {
+    type Scenario = Scenario;
+    type Report = SimulationReport;
+    type Aggregate = LabAggregate;
+
+    const CSV_HEADER: &'static [&'static str] = &[
+        "index",
+        "design",
+        "workload",
+        "line_rate_gbps",
+        "num_queues",
+        "granularity",
+        "rads_granularity",
+        "num_banks",
+        "preload_cells_per_queue",
+        "arrival_slots",
+        "seed",
+        "slots",
+        "grants",
+        "misses",
+        "drops",
+        "bank_conflicts",
+        "peak_head_sram_cells",
+        "peak_rr_entries",
+        "grants_per_slot",
+        "loss_free",
+    ];
+
+    fn axes(&self) -> Vec<Axis<'_>> {
+        vec![
+            Axis::Choices("designs", self.designs.len()),
+            Axis::Choices("workloads", self.workloads.len()),
+            Axis::Sweep("num_queues", &self.num_queues),
+            Axis::CfdsSweep("granularity", &self.granularity),
+            Axis::Sweep("rads_granularity", &self.rads_granularity),
+            Axis::CfdsSweep("num_banks", &self.num_banks),
+            Axis::Choices("seeds", self.seeds.len()),
+        ]
+    }
+
+    fn check(&self) -> Result<(), SpecError> {
+        if self.preload_cells_per_queue > 0 && self.arrival_slots > 0 {
+            return Err(SpecError::PreloadAndArrivals);
+        }
+        Ok(())
+    }
+
+    fn has_cfds(scenario: &Scenario) -> bool {
+        scenario.design == DesignKind::Cfds
+    }
+
+    fn scenario_at(&self, point: &[u64]) -> Scenario {
+        let &[design, workload, q, b, big_b, m, seed] = point else {
+            unreachable!("one value per axis");
+        };
+        Scenario {
+            design: self.designs[design as usize],
+            workload: self.workloads[workload as usize],
+            line_rate: self.line_rate,
+            num_queues: q as usize,
+            granularity: b as usize,
+            rads_granularity: big_b as usize,
+            num_banks: m as usize,
+            preload_cells_per_queue: self.preload_cells_per_queue,
+            arrival_slots: self.arrival_slots,
+            seed: self.seeds[seed as usize],
+            overrides: self.overrides,
+        }
+    }
+
+    fn is_valid(scenario: &Scenario) -> bool {
+        scenario.validate().is_ok()
+    }
+
+    fn run_scenario(&self, scenario: &Scenario) -> SimulationReport {
+        scenario.run_with_grant_log(self.record_grants)
+    }
+
+    fn aggregate(runs: &[RunRecord<Self>]) -> LabAggregate {
+        let mut agg = LabAggregate {
+            all_loss_free: true,
+            ..LabAggregate::default()
+        };
+        let mut grants_per_slot_sum = 0.0f64;
+        for run in runs {
+            let stats = &run.report.stats;
+            agg.runs += 1;
+            if stats.is_loss_free() {
+                agg.loss_free_runs += 1;
+            } else {
+                agg.all_loss_free = false;
+            }
+            agg.total_grants += stats.grants;
+            agg.total_misses += stats.misses;
+            agg.total_drops += stats.drops;
+            agg.total_bank_conflicts += stats.bank_conflicts;
+            agg.peak_head_sram_cells = agg.peak_head_sram_cells.max(stats.peak_head_sram_cells);
+            agg.peak_rr_entries = agg.peak_rr_entries.max(stats.peak_rr_entries);
+            grants_per_slot_sum += run.report.grants_per_slot();
+        }
+        if agg.runs > 0 {
+            agg.mean_grants_per_slot = grants_per_slot_sum / agg.runs as f64;
+        }
+        agg
+    }
+
+    fn csv_row(run: &RunRecord<Self>) -> Vec<String> {
+        let s = &run.scenario;
+        let r = &run.report;
+        vec![
+            run.index.to_string(),
+            s.design.to_string(),
+            s.workload.to_string(),
+            format!("{}", s.line_rate.gbps()),
+            s.num_queues.to_string(),
+            s.granularity.to_string(),
+            s.rads_granularity.to_string(),
+            s.num_banks.to_string(),
+            s.preload_cells_per_queue.to_string(),
+            s.arrival_slots.to_string(),
+            s.seed.to_string(),
+            r.slots.to_string(),
+            r.stats.grants.to_string(),
+            r.stats.misses.to_string(),
+            r.stats.drops.to_string(),
+            r.stats.bank_conflicts.to_string(),
+            r.stats.peak_head_sram_cells.to_string(),
+            r.stats.peak_rr_entries.to_string(),
+            format!("{:.6}", r.grants_per_slot()),
+            r.stats.is_loss_free().to_string(),
+        ]
+    }
+}
+
+impl Default for ExperimentSpec {
+    /// The [`ExperimentSpec::builder`] defaults.
+    fn default() -> Self {
+        ExperimentSpec {
+            name: "experiment".to_owned(),
+            designs: vec![DesignKind::Cfds],
+            workloads: vec![Workload::AdversarialRoundRobin],
+            line_rate: LineRate::Oc3072,
+            num_queues: Sweep::Fixed(32),
+            granularity: Sweep::Fixed(4),
+            rads_granularity: Sweep::Fixed(16),
+            num_banks: Sweep::Fixed(64),
+            preload_cells_per_queue: 0,
+            arrival_slots: 10_000,
+            seeds: vec![1],
+            record_grants: false,
+            overrides: ConfigOverrides::none(),
+        }
+    }
 }
 
 /// Builder for [`ExperimentSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentSpecBuilder {
     spec: ExperimentSpec,
-}
-
-impl Default for ExperimentSpecBuilder {
-    fn default() -> Self {
-        ExperimentSpecBuilder {
-            spec: ExperimentSpec {
-                name: "experiment".to_owned(),
-                designs: vec![DesignKind::Cfds],
-                workloads: vec![Workload::AdversarialRoundRobin],
-                line_rate: LineRate::Oc3072,
-                num_queues: Sweep::Fixed(32),
-                granularity: Sweep::Fixed(4),
-                rads_granularity: Sweep::Fixed(16),
-                num_banks: Sweep::Fixed(64),
-                preload_cells_per_queue: 0,
-                arrival_slots: 10_000,
-                seeds: vec![1],
-                record_grants: false,
-                overrides: ConfigOverrides::none(),
-            },
-        }
-    }
 }
 
 impl ExperimentSpecBuilder {
@@ -586,7 +701,7 @@ impl<'de> Deserialize<'de> for ExperimentSpec {
             ) -> Result<ExperimentSpec, A::Error> {
                 // Unknown fields are rejected; omitted fields keep the
                 // builder defaults, so a minimal spec file stays minimal.
-                let mut spec = ExperimentSpecBuilder::default().spec;
+                let mut spec = ExperimentSpec::default();
                 let mut arrival_slots_written = false;
                 while let Some(key) = map.next_key::<String>()? {
                     match key.as_str() {
@@ -632,6 +747,7 @@ impl<'de> Deserialize<'de> for ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::checks;
 
     #[test]
     fn sweeps_expand_in_order() {
@@ -655,6 +771,37 @@ mod tests {
             .unwrap(),
             vec![10, 20, 30]
         );
+    }
+
+    #[test]
+    fn sweeps_count_their_values_without_listing_them() {
+        for sweep in [
+            Sweep::fixed(64),
+            Sweep::list([3, 1, 2]),
+            Sweep::doubling(64, 1000),
+            Sweep::doubling(1, u64::MAX),
+            Sweep::Linear {
+                start: 10,
+                end: 35,
+                step: 10,
+            },
+        ] {
+            let values = sweep.values().unwrap();
+            assert_eq!(sweep.count().unwrap(), values.len() as u64, "{sweep}");
+        }
+        let whole_range = Sweep::Linear {
+            start: 0,
+            end: u64::MAX,
+            step: 1,
+        };
+        assert_eq!(whole_range.count().unwrap(), u64::MAX, "saturates");
+    }
+
+    #[test]
+    fn oversized_sweeps_are_refused_not_materialised() {
+        checks::oversized_products_are_refused::<ExperimentSpec>(|spec, [a, b, c]| {
+            (spec.num_queues, spec.rads_granularity, spec.num_banks) = (a, b, c);
+        });
     }
 
     #[test]
@@ -800,11 +947,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let json = spec.to_json();
-        let back = ExperimentSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        // And the JSON itself is stable under a second round trip.
-        assert_eq!(back.to_json(), json);
+        checks::spec_documents_round_trip(&spec);
     }
 
     #[test]

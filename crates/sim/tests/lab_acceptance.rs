@@ -38,9 +38,9 @@ fn rads_and_cfds_grant_logs_are_equivalent_under_every_workload() {
 
 /// The acceptance sweep: ≥ 24 expanded runs across designs, workloads and
 /// queue counts, all zero-miss / zero-drop / conflict-free where the paper
-/// claims it, and byte-identical whether run on 1 thread or many.
+/// claims it.
 #[test]
-fn a_two_dozen_run_sweep_is_loss_free_and_thread_count_invariant() {
+fn a_two_dozen_run_sweep_is_loss_free() {
     let spec = ExperimentSpec::builder()
         .name("acceptance-sweep")
         .designs([DesignKind::Rads, DesignKind::Cfds])
@@ -60,27 +60,20 @@ fn a_two_dozen_run_sweep_is_loss_free_and_thread_count_invariant() {
         expansion.runs.len()
     );
 
-    let single = LabRunner::new().with_threads(1).run(&spec).unwrap();
-    let multi = LabRunner::new().with_threads(4).run(&spec).unwrap();
-
+    let report = LabRunner::new().run(&spec).unwrap();
     assert!(
-        single.aggregate.all_loss_free,
+        report.aggregate.all_loss_free,
         "every run must be loss-free: {:?}",
-        single
+        report
             .runs
             .iter()
             .filter(|r| !r.report.stats.is_loss_free())
             .map(|r| (r.scenario.design, r.scenario.workload, r.report.stats))
             .collect::<Vec<_>>()
     );
-    assert_eq!(single.aggregate.total_misses, 0);
-    assert_eq!(single.aggregate.total_drops, 0);
-    assert_eq!(single.aggregate.total_bank_conflicts, 0);
-
-    // Byte-identical artefacts regardless of worker count.
-    assert_eq!(single, multi);
-    assert_eq!(single.to_json(), multi.to_json());
-    assert_eq!(single.to_csv(), multi.to_csv());
+    assert_eq!(report.aggregate.total_misses, 0);
+    assert_eq!(report.aggregate.total_drops, 0);
+    assert_eq!(report.aggregate.total_bank_conflicts, 0);
 }
 
 /// Identical seeds must reproduce bit-identical `SimulationReport`s through

@@ -6,11 +6,10 @@ use future_packet_buffers::sim::clos::{
     ClosScenario, DispatchChoice, ObsScenario, TransportMode, TransportScenario,
 };
 use future_packet_buffers::sim::fabric::{
-    ArbiterChoice, FabricDesign, FabricScenario, FabricSpec, FabricWorkload,
+    ArbiterChoice, FabricDesign, FabricScenario, FabricWorkload,
 };
-use future_packet_buffers::sim::lab::LabRunner;
 use future_packet_buffers::sim::scenario::DesignKind;
-use future_packet_buffers::sim::{FaultEvent, FaultKind, FaultPlan, LinkBoundary, Sweep};
+use future_packet_buffers::sim::{FaultEvent, FaultKind, FaultPlan, LinkBoundary};
 use proptest::prelude::*;
 
 proptest! {
@@ -343,32 +342,6 @@ proptest! {
         prop_assert!(latency.p50 <= latency.p95 && latency.p99 <= latency.max);
         prop_assert_eq!(&armed.run(), &report);
     }
-}
-
-/// The lab report over a fabric spec is identical whatever the worker count
-/// (the satellite determinism requirement, pinned at the artifact level).
-#[test]
-fn fabric_lab_report_is_identical_across_thread_counts() {
-    let spec = FabricSpec::builder()
-        .name("root-determinism")
-        .designs([FabricDesign::Fixed(DesignKind::Cfds), FabricDesign::Mixed])
-        .workloads([FabricWorkload::Uniform, FabricWorkload::Incast])
-        .arbiters(ArbiterChoice::all())
-        .ports(Sweep::fixed(4))
-        .load_percent(Sweep::fixed(70))
-        .granularity(Sweep::fixed(2))
-        .rads_granularity(Sweep::fixed(8))
-        .num_banks(Sweep::fixed(16))
-        .arrival_slots(500)
-        .build()
-        .unwrap();
-    let single = LabRunner::new().with_threads(1).run_fabric(&spec).unwrap();
-    let multi = LabRunner::new().with_threads(3).run_fabric(&spec).unwrap();
-    assert_eq!(single, multi);
-    assert_eq!(single.to_json(), multi.to_json());
-    assert_eq!(single.to_csv(), multi.to_csv());
-    assert_eq!(single.runs.len(), 8);
-    assert!(single.aggregate.all_zero_loss, "{:?}", single.aggregate);
 }
 
 /// The acceptance scenario at test scale: a 16×16 per-port-CFDS fabric under

@@ -159,7 +159,7 @@ fn recovery_reports() -> [RecoveryReport; 2] {
     let runner = LabRunner::new().with_threads(1);
     let run = |builder: ClosSpecBuilder| {
         let spec = builder.build().expect("the recovery fixture spec is valid");
-        let report = runner.run_clos(&spec).expect("the spec expands");
+        let report = runner.run(&spec).expect("the spec expands");
         report.runs.into_iter().next().expect("one run").report
     };
     let healthy = run(transport());
@@ -232,12 +232,10 @@ fn seeded_reports_match_their_fixtures_byte_for_byte() {
     assert_matches_fixture("experiment_report.json", &report.to_json());
     let report = runner.run(&overrides_spec()).expect("the spec expands");
     assert_matches_fixture("experiment_report_overrides.json", &report.to_json());
-    let report = runner.run_fabric(&fabric_spec()).expect("the spec expands");
+    let report = runner.run(&fabric_spec()).expect("the spec expands");
     assert_matches_fixture("fabric_report.json", &report.to_json());
     // Transport, faults and obs all armed: every optional report section.
-    let report = runner
-        .run_clos(&full_clos_spec())
-        .expect("the spec expands");
+    let report = runner.run(&full_clos_spec()).expect("the spec expands");
     assert_matches_fixture("clos_report.json", &report.to_json());
 }
 

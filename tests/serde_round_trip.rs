@@ -17,7 +17,8 @@ use future_packet_buffers::model::{
     BufferSizing, Cell, CfdsConfig, ConfigOverrides, DramTiming, LineRate, LogicalQueueId,
     Nanoseconds, PhysicalQueueId, QueueKind, RadsConfig, Slot, SlotDuration,
 };
-use future_packet_buffers::sim::clos::{ObsScenario, TransportScenario};
+use future_packet_buffers::sim::clos::{ClosScenario, ClosSpec, ObsScenario, TransportScenario};
+use future_packet_buffers::sim::fabric::{FabricScenario, FabricSpec};
 use future_packet_buffers::sim::scenario::Scenario;
 use future_packet_buffers::sim::techeval::{cfds_point, evaluate_sram_impl};
 use future_packet_buffers::srambuf::{PointerTable, SramImplKind, SramImplSpec};
@@ -142,4 +143,10 @@ fn every_derive_site_round_trips_through_json() {
     round_trip(&Scenario::small_cfds());
     round_trip(&TransportScenario::default());
     round_trip(&ObsScenario::standard());
+    round_trip(&FabricScenario::small());
+    round_trip(&ClosScenario::small_transport());
+    // The derived spec documents; `to_json` / `from_json` add and check the
+    // `"kind"` tag around them.
+    assert!(!round_trip(&FabricSpec::default()).contains("kind"));
+    round_trip(&ClosSpec::default());
 }
