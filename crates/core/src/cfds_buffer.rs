@@ -11,7 +11,7 @@ use cfds::{
 };
 use dram_sim::{AccessKind, AddressMapper, BankArray, DramStore, GroupId, InterleavingConfig};
 use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
-use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId};
+use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId, RequestLedger};
 use sram_buf::SharedBuffer;
 use std::collections::VecDeque;
 
@@ -88,10 +88,7 @@ pub struct CfdsBuffer {
     head_sram: HeadSram,
     pending_deliveries: VecDeque<PendingDelivery>,
     /// Cells written to DRAM minus requests accepted, per logical queue.
-    available: Vec<u64>,
-    /// Σ `available` — O(1) emptiness probe for the batch loop and the
-    /// chunked engine's fast-forward check.
-    available_total: u64,
+    available: RequestLedger,
     verifier: DeliveryVerifier,
     stats: BufferStats,
 }
@@ -167,8 +164,7 @@ impl CfdsBuffer {
                 .head_sram
                 .build_enum(q, head_capacity, cfg.banks_per_group(), b),
             pending_deliveries: VecDeque::new(),
-            available: vec![0; q],
-            available_total: 0,
+            available: RequestLedger::new(q),
             verifier: DeliveryVerifier::new(q),
             stats: BufferStats::default(),
             cfg,
@@ -227,8 +223,7 @@ impl CfdsBuffer {
             cells.len().is_multiple_of(b),
             "preload length must be a multiple of the granularity"
         );
-        self.available[queue.as_usize()] += cells.len() as u64;
-        self.available_total += cells.len() as u64;
+        self.available.credit(queue, cells.len() as u64);
         for chunk in cells.chunks(b) {
             let preferred = self.store.groups_with_room();
             let store = &self.store;
@@ -331,7 +326,6 @@ impl CfdsBuffer {
             }
         };
         self.renaming.note_block_written(queue);
-        let qi = queue.as_usize();
         let mut cells = self.pool.take(b);
         self.tail.pop_block_into(queue, b, &mut cells);
         let request = self.dss.submit_write(physical, now);
@@ -339,8 +333,7 @@ impl CfdsBuffer {
         self.group_pending[group.index()] += 1;
         self.pending_writes
             .insert(physical.index(), request.block_ordinal, cells);
-        self.available[qi] += b as u64;
-        self.available_total += b as u64;
+        self.available.credit(queue, b as u64);
     }
 
     #[inline]
@@ -469,11 +462,7 @@ impl PacketBuffer for CfdsBuffer {
         // 3. Arbiter request: lookahead, then the latency register.
         let due = if let Some(queue) = request {
             self.stats.requests += 1;
-            let qi = queue.as_usize();
-            if self.available[qi] > 0 {
-                self.available[qi] -= 1;
-                self.available_total -= 1;
-            }
+            self.available.debit(queue);
             self.head_mma.on_request(Some(queue)).due
         } else {
             self.head_mma.on_request(None).due
@@ -518,7 +507,7 @@ impl PacketBuffer for CfdsBuffer {
     }
 
     fn requestable_cells(&self, queue: LogicalQueueId) -> u64 {
-        self.available[queue.as_usize()]
+        self.available.get(queue)
     }
 
     fn pipeline_delay_slots(&self) -> usize {
@@ -534,9 +523,8 @@ impl PacketBuffer for CfdsBuffer {
     }
 
     /// Fused batch loop: same slot sequence as [`CfdsBuffer::step`], with the
-    /// per-slot invariants (granularity, the availability slice backing the
-    /// request oracle) hoisted out of the loop and no `SlotOutcome`
-    /// materialised per slot.
+    /// granularity hoisted out of the loop, the availability ledger itself as
+    /// the request oracle and no `SlotOutcome` materialised per slot.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],
@@ -557,16 +545,15 @@ impl PacketBuffer for CfdsBuffer {
         for arrival in arrivals.iter_mut() {
             // The closed-loop request probe comes first, exactly as in the
             // per-slot engine (the oracle observes the availability as of the
-            // end of the previous slot); it is the availability array itself,
-            // so the generator's scan is direct loads.
+            // end of the previous slot); it is the availability ledger
+            // itself, so the generator's scan is a pass over its bitmask.
             // When nothing is requestable anywhere, a skippable generator's
-            // Q-probe scan is provably fruitless and side-effect-free — skip
-            // it on the O(1) total instead.
-            let request = if skippable && self.available_total == 0 {
+            // call is provably fruitless and side-effect-free — skip it on
+            // the O(1) total instead.
+            let request = if skippable && self.available.total() == 0 {
                 None
             } else {
-                let available = &self.available;
-                requests.next_request(now, &|q: LogicalQueueId| available[q.as_usize()])
+                requests.next_request(now, &self.available)
             };
             report.note(request.is_some());
 
@@ -589,11 +576,7 @@ impl PacketBuffer for CfdsBuffer {
             // 3. The request enters the head MMA.
             let due = if let Some(queue) = request {
                 delta.requests += 1;
-                let qi = queue.as_usize();
-                if self.available[qi] > 0 {
-                    self.available[qi] -= 1;
-                    self.available_total -= 1;
-                }
+                self.available.debit(queue);
                 self.head_mma.on_request(Some(queue)).due
             } else {
                 self.head_mma.on_request(None).due
@@ -675,7 +658,7 @@ impl PacketBuffer for CfdsBuffer {
     }
 
     fn requestable_total(&self) -> u64 {
-        self.available_total
+        self.available.total()
     }
 }
 

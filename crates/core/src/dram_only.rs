@@ -9,7 +9,7 @@
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
 use crate::verify::DeliveryVerifier;
-use pktbuf_model::{Cell, LogicalQueueId, RadsConfig};
+use pktbuf_model::{Cell, LogicalQueueId, RadsConfig, RequestLedger};
 use std::collections::VecDeque;
 
 /// A packet buffer whose only storage is the DRAM itself.
@@ -24,10 +24,8 @@ pub struct DramOnlyBuffer {
     /// Arrivals waiting for the write port.
     write_backlog: VecDeque<Cell>,
     slot: u64,
-    available: Vec<u64>,
-    /// Σ `available` — O(1) emptiness probe for the batch loop and the
-    /// chunked engine's fast-forward check.
-    available_total: u64,
+    /// Cells written to DRAM minus requests accepted, per queue.
+    available: RequestLedger,
     stats: BufferStats,
     verifier: DeliveryVerifier,
 }
@@ -43,8 +41,7 @@ impl DramOnlyBuffer {
             write_busy_until: 0,
             write_backlog: VecDeque::new(),
             slot: 0,
-            available: vec![0; cfg.num_queues],
-            available_total: 0,
+            available: RequestLedger::new(cfg.num_queues),
             stats: BufferStats::default(),
             verifier: DeliveryVerifier::new(cfg.num_queues),
             cfg,
@@ -59,8 +56,7 @@ impl DramOnlyBuffer {
 
     /// Preloads `cells` into `queue` (they count as already written to DRAM).
     pub fn preload(&mut self, queue: LogicalQueueId, cells: Vec<Cell>) {
-        self.available[queue.as_usize()] += cells.len() as u64;
-        self.available_total += cells.len() as u64;
+        self.available.credit(queue, cells.len() as u64);
         self.queues[queue.as_usize()].extend(cells);
     }
 }
@@ -80,10 +76,8 @@ impl PacketBuffer for DramOnlyBuffer {
         }
         if self.write_busy_until <= t {
             if let Some(cell) = self.write_backlog.pop_front() {
-                let q = cell.queue().as_usize();
-                self.available[q] += 1;
-                self.available_total += 1;
-                self.queues[q].push_back(cell);
+                self.available.credit(cell.queue(), 1);
+                self.queues[cell.queue().as_usize()].push_back(cell);
                 self.write_busy_until = t + self.cfg.granularity as u64;
                 self.stats.dram_writes += 1;
             }
@@ -94,10 +88,7 @@ impl PacketBuffer for DramOnlyBuffer {
         if let Some(queue) = request {
             self.stats.requests += 1;
             let qi = queue.as_usize();
-            if self.available[qi] > 0 {
-                self.available[qi] -= 1;
-                self.available_total -= 1;
-            }
+            self.available.debit(queue);
             if self.read_busy_until <= t {
                 if let Some(cell) = self.queues[qi].pop_front() {
                     self.read_busy_until = t + self.cfg.granularity as u64;
@@ -128,7 +119,7 @@ impl PacketBuffer for DramOnlyBuffer {
     }
 
     fn requestable_cells(&self, queue: LogicalQueueId) -> u64 {
-        self.available[queue.as_usize()]
+        self.available.get(queue)
     }
 
     fn pipeline_delay_slots(&self) -> usize {
@@ -144,8 +135,8 @@ impl PacketBuffer for DramOnlyBuffer {
     }
 
     /// Fused batch loop: same slot sequence as [`DramOnlyBuffer::step`], with
-    /// the granularity and the availability slice backing the request oracle
-    /// hoisted out of the loop and no `SlotOutcome` materialised per slot.
+    /// the granularity hoisted out of the loop, the availability ledger itself
+    /// as the request oracle and no `SlotOutcome` materialised per slot.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],
@@ -166,13 +157,12 @@ impl PacketBuffer for DramOnlyBuffer {
             // engine: the oracle observes the availability as of the end of
             // the previous slot, before this slot's write port completes.
             // When nothing is requestable anywhere, a skippable generator's
-            // Q-probe scan is provably fruitless and side-effect-free — skip
-            // it on the O(1) total instead.
-            let request = if skippable && self.available_total == 0 {
+            // call is provably fruitless and side-effect-free — skip it on
+            // the O(1) total instead.
+            let request = if skippable && self.available.total() == 0 {
                 None
             } else {
-                let available = &self.available;
-                requests.next_request(t, &|q: LogicalQueueId| available[q.as_usize()])
+                requests.next_request(t, &self.available)
             };
             report.note(request.is_some());
 
@@ -182,10 +172,8 @@ impl PacketBuffer for DramOnlyBuffer {
             }
             if write_busy_until <= t {
                 if let Some(cell) = self.write_backlog.pop_front() {
-                    let q = cell.queue().as_usize();
-                    self.available[q] += 1;
-                    self.available_total += 1;
-                    self.queues[q].push_back(cell);
+                    self.available.credit(cell.queue(), 1);
+                    self.queues[cell.queue().as_usize()].push_back(cell);
                     write_busy_until = t + access_time;
                     delta.dram_writes += 1;
                 }
@@ -193,10 +181,7 @@ impl PacketBuffer for DramOnlyBuffer {
             if let Some(queue) = request {
                 delta.requests += 1;
                 let qi = queue.as_usize();
-                if self.available[qi] > 0 {
-                    self.available[qi] -= 1;
-                    self.available_total -= 1;
-                }
+                self.available.debit(queue);
                 if read_busy_until <= t {
                     if let Some(cell) = self.queues[qi].pop_front() {
                         read_busy_until = t + access_time;
@@ -250,7 +235,7 @@ impl PacketBuffer for DramOnlyBuffer {
     }
 
     fn requestable_total(&self) -> u64 {
-        self.available_total
+        self.available.total()
     }
 }
 

@@ -9,7 +9,7 @@ use crate::verify::DeliveryVerifier;
 use dram_sim::{AddressMapper, DramStore, InterleavingConfig};
 use mma::sizing::rads_sram_size_cells;
 use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
-use pktbuf_model::{Cell, LogicalQueueId, PhysicalQueueId, RadsConfig};
+use pktbuf_model::{Cell, LogicalQueueId, PhysicalQueueId, RadsConfig, RequestLedger};
 use sram_buf::SharedBuffer;
 use std::collections::VecDeque;
 
@@ -48,10 +48,7 @@ pub struct RadsBuffer {
     /// Per-queue index of the next block read from DRAM toward the head SRAM.
     head_block_seq: Vec<u64>,
     /// Cells written to DRAM minus requests accepted, per queue.
-    available: Vec<u64>,
-    /// Σ `available` — O(1) emptiness probe for the batch loop and the
-    /// chunked engine's fast-forward check.
-    available_total: u64,
+    available: RequestLedger,
     verifier: DeliveryVerifier,
     stats: BufferStats,
 }
@@ -109,8 +106,7 @@ impl RadsBuffer {
             head_sram: kind.build_enum(q, head_capacity, 1, b),
             pending_deliveries: VecDeque::new(),
             head_block_seq: vec![0; q],
-            available: vec![0; q],
-            available_total: 0,
+            available: RequestLedger::new(q),
             verifier: DeliveryVerifier::new(q),
             stats: BufferStats::default(),
             cfg,
@@ -138,8 +134,7 @@ impl RadsBuffer {
             cells.len().is_multiple_of(b),
             "preload length must be a multiple of the granularity"
         );
-        self.available[queue.as_usize()] += cells.len() as u64;
-        self.available_total += cells.len() as u64;
+        self.available.credit(queue, cells.len() as u64);
         let physical = PhysicalQueueId::new(queue.index());
         for chunk in cells.chunks(b) {
             self.dram
@@ -196,15 +191,13 @@ impl RadsBuffer {
             None
         };
         if let Some(queue) = writeback {
-            let qi = queue.as_usize();
             let mut cells = self.pool.take(b);
             self.tail.pop_block_into(queue, b, &mut cells);
             let physical = PhysicalQueueId::new(queue.index());
             self.dram
                 .write_block(physical, cells)
                 .expect("unbounded RADS DRAM accepts writebacks"); // analyze: allow(panic-freedom) — the RADS DRAM is configured unbounded and always accepts writebacks
-            self.available[qi] += b as u64;
-            self.available_total += b as u64;
+            self.available.credit(queue, b as u64);
             self.stats.dram_writes += 1;
         }
         // Replenishment: DRAM → head SRAM, delivered one random access time
@@ -264,11 +257,7 @@ impl PacketBuffer for RadsBuffer {
         let mut due = None;
         if let Some(queue) = request {
             self.stats.requests += 1;
-            let qi = queue.as_usize();
-            if self.available[qi] > 0 {
-                self.available[qi] -= 1;
-                self.available_total -= 1;
-            }
+            self.available.debit(queue);
             due = self.head_mma.on_request(Some(queue)).due;
         } else {
             due = self.head_mma.on_request(None).due.or(due);
@@ -309,7 +298,7 @@ impl PacketBuffer for RadsBuffer {
     }
 
     fn requestable_cells(&self, queue: LogicalQueueId) -> u64 {
-        self.available[queue.as_usize()]
+        self.available.get(queue)
     }
 
     fn pipeline_delay_slots(&self) -> usize {
@@ -325,9 +314,8 @@ impl PacketBuffer for RadsBuffer {
     }
 
     /// Fused batch loop: same slot sequence as [`RadsBuffer::step`], with the
-    /// per-slot invariants (granularity, the availability slice backing the
-    /// request oracle) hoisted out of the loop and no `SlotOutcome`
-    /// materialised per slot.
+    /// granularity hoisted out of the loop, the availability ledger itself as
+    /// the request oracle and no `SlotOutcome` materialised per slot.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],
@@ -348,16 +336,15 @@ impl PacketBuffer for RadsBuffer {
         for arrival in arrivals.iter_mut() {
             // The closed-loop request probe comes first, exactly as in the
             // per-slot engine (the oracle observes the availability as of the
-            // end of the previous slot); it is the availability array itself,
-            // so the generator's scan is direct loads.
+            // end of the previous slot); it is the availability ledger
+            // itself, so the generator's scan is a pass over its bitmask.
             // When nothing is requestable anywhere, a skippable generator's
-            // Q-probe scan is provably fruitless and side-effect-free — skip
-            // it on the O(1) total instead.
-            let request = if skippable && self.available_total == 0 {
+            // call is provably fruitless and side-effect-free — skip it on
+            // the O(1) total instead.
+            let request = if skippable && self.available.total() == 0 {
                 None
             } else {
-                let available = &self.available;
-                requests.next_request(now, &|q: LogicalQueueId| available[q.as_usize()])
+                requests.next_request(now, &self.available)
             };
             report.note(request.is_some());
 
@@ -380,11 +367,7 @@ impl PacketBuffer for RadsBuffer {
             // 3. The request enters the head MMA.
             let due = if let Some(queue) = request {
                 delta.requests += 1;
-                let qi = queue.as_usize();
-                if self.available[qi] > 0 {
-                    self.available[qi] -= 1;
-                    self.available_total -= 1;
-                }
+                self.available.debit(queue);
                 self.head_mma.on_request(Some(queue)).due
             } else {
                 self.head_mma.on_request(None).due
@@ -456,7 +439,7 @@ impl PacketBuffer for RadsBuffer {
     }
 
     fn requestable_total(&self) -> u64 {
-        self.available_total
+        self.available.total()
     }
 }
 

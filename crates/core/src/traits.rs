@@ -1,7 +1,7 @@
 //! The common interface of all packet-buffer memory systems.
 
 use crate::stats::BufferStats;
-use pktbuf_model::{Cell, LogicalQueueId};
+use pktbuf_model::{Cell, LogicalQueueId, RequestOracle};
 
 /// What happened during one slot of buffer operation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -26,17 +26,25 @@ impl SlotOutcome {
 /// availability, consumed by [`PacketBuffer::step_batch`].
 ///
 /// This mirrors the request-generator interface of the `traffic` crate with a
-/// *generic* oracle: inside a fused batch loop the oracle is the buffer's own
-/// availability array, so the whole probe sequence monomorphizes to direct
-/// array reads. (`sim` adapts `traffic::RequestGenerator` to this trait; the
-/// indirection keeps `pktbuf` independent of the workload crate.)
+/// *generic* [`RequestOracle`]. Inside a fused batch loop the oracle is the
+/// buffer's own [`pktbuf_model::RequestLedger`], whose
+/// [`RequestOracle::first_from`] is a word scan of its non-zero bitmask, so
+/// "the next queue with cells" costs the same whether one queue or all of
+/// them have any. A closure `Fn(LogicalQueueId) -> u64` is an oracle too
+/// (the per-slot reference loop below passes one over
+/// [`PacketBuffer::requestable_cells`]) and answers `first_from` with the
+/// trait's default, a linear probe of at most `span` queues: a closure can
+/// only be asked about one queue at a time, and that probe is the reference
+/// the mask scan is tested against. (`sim` adapts
+/// `traffic::RequestGenerator` to this trait; the indirection keeps `pktbuf`
+/// independent of the workload crate.)
 pub trait RequestSource {
     /// Returns the queue requested at `slot`, if any. `requestable` reports
     /// how many further cells of a queue the arbiter may request; sources
     /// must not request a queue whose count is zero.
-    fn next_request<F>(&mut self, slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_request<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized;
+        O: RequestOracle + ?Sized;
 
     /// Whether a call that returns `None` because no queue is requestable
     /// leaves the source bit-identical (see
@@ -161,27 +169,38 @@ pub trait PacketBuffer {
     ///
     /// The default implementation is the per-slot reference: it loops over
     /// [`PacketBuffer::step`]. The buffer designs override it with fused
-    /// loops that hoist per-slot invariant loads (configuration, ring bases,
-    /// the availability array backing the request oracle) out of the loop —
-    /// with **identical observable behaviour**, which the differential suite
-    /// in `sim` pins down.
+    /// loops that hoist per-slot invariant loads (configuration, ring bases)
+    /// out of the loop and hand the request source their availability ledger
+    /// itself — with **identical observable behaviour**, which the
+    /// differential suite in `sim` pins down.
     ///
-    /// The overrides are load-bearing; do not re-propose deleting them from
-    /// the dense `sim.per_slot_engine_ratio` (≈ 1.05) alone. Measured on the
-    /// deletion (PR 18, paired interleaved 24 s runs, `sim_fingerprint`
-    /// equal): falling back to this default moves `buf_bursty_idle`
-    /// 7.53 → 26.2 ns per buffer-step (3.6×, 0/3 pairs lower). The fused
-    /// loops buy two things:
+    /// The overrides are load-bearing; do not re-propose deleting them.
+    /// Measured on the deletion (PR 18, paired interleaved 24 s runs,
+    /// `sim_fingerprint` equal): falling back to this default moves
+    /// `buf_bursty_idle` 7.53 → 26.2 ns per buffer-step (3.6×, 0/3 pairs
+    /// lower). The fused loops buy three things:
     ///
     /// 1. the **skip-scan shortcut** — when nothing is requestable anywhere
-    ///    (an O(1) total) a skippable generator's Q-probe scan is skipped.
-    ///    That is most of the 3.6×, but hoisting just that line into this
-    ///    default still leaves `buf_bursty_idle` at 7.71 → 9.26 ns (+18.6 %,
-    ///    0/10 pairs lower; `buf_worstcase` 118.1 → 122.8 ns, inside the
-    ///    parent's quartiles);
-    /// 2. **no per-slot hand-off** — no [`SlotOutcome`] materialised and no
+    ///    (the ledger's O(1) total) a skippable generator is not called at
+    ///    all. That is most of the 3.6×, but hoisting just that line into
+    ///    this default still leaves `buf_bursty_idle` at 7.71 → 9.26 ns
+    ///    (+18.6 %, 0/10 pairs lower);
+    /// 2. the **mask scan** (PR 23) — when something is requestable, the
+    ///    oracle the generator gets is the design's
+    ///    [`pktbuf_model::RequestLedger`], so "the first queue with cells
+    ///    from the cursor on" is a shift and a `trailing_zeros` over its
+    ///    non-zero bitmask. This default can only offer a closure over
+    ///    [`PacketBuffer::requestable_cells`], which answers one queue at a
+    ///    time, so the same question costs up to Q probes — on the paper's
+    ///    worst case, where a round-robin drain runs every queue dry
+    ///    together, nearly all Q of them every slot. Paired on
+    ///    `buf_worstcase` (Q = 64): 104.3 → 70.5 ns per buffer-step (10/10
+    ///    pairs lower), and the same-run `sim.per_slot_engine_ratio` (this
+    ///    default over the fused loops) went 1.07–1.10 → 1.49–1.59 there,
+    ///    which CI gates;
+    /// 3. **no per-slot hand-off** — no [`SlotOutcome`] materialised and no
     ///    counter written through memory each slot (they live in locals for
-    ///    the batch), which is that remaining +18.6 %.
+    ///    the batch), which is the +18.6 % that remains in (1).
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],

@@ -112,7 +112,7 @@ impl PacketBuffer for PortBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pktbuf_model::{LineRate, RadsConfig};
+    use pktbuf_model::{LineRate, RadsConfig, RequestOracle};
 
     #[test]
     fn port_buffer_forwards_the_contract() {
@@ -140,12 +140,12 @@ mod tests {
     struct Greedy;
 
     impl RequestSource for Greedy {
-        fn next_request<F>(&mut self, _slot: u64, requestable: &F) -> Option<LogicalQueueId>
+        fn next_request<O>(&mut self, _slot: u64, requestable: &O) -> Option<LogicalQueueId>
         where
-            F: Fn(LogicalQueueId) -> u64 + ?Sized,
+            O: RequestOracle + ?Sized,
         {
             let q = LogicalQueueId::new(0);
-            (requestable(q) > 0).then_some(q)
+            (requestable.cells(q) > 0).then_some(q)
         }
     }
 

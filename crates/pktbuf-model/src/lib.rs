@@ -13,6 +13,9 @@
 //!   time-slot duration (§2).
 //! * [`Slot`] — the synchronous time base of the buffer (one cell transmission
 //!   time at the line rate).
+//! * [`RequestLedger`] / [`RequestOracle`] — the set of cells the arbiter may
+//!   still request (§2: only cells that are in the buffer), and the question
+//!   request generators ask of it.
 //! * [`RadsConfig`] / [`CfdsConfig`] — dimensioning parameters of the two memory
 //!   architectures (Table 1 of the paper).
 //!
@@ -44,6 +47,7 @@
 mod cell;
 mod config;
 mod error;
+mod ledger;
 mod queue;
 mod rate;
 mod time;
@@ -53,6 +57,7 @@ pub use config::{
     BufferSizing, CfdsConfig, CfdsConfigBuilder, ConfigOverrides, DramTiming, RadsConfig,
 };
 pub use error::{ConfigError, ModelError};
+pub use ledger::{RequestLedger, RequestOracle};
 pub use queue::{LogicalQueueId, PhysicalQueueId, QueueKind};
 pub use rate::{LineRate, ParseLineRateError};
 pub use time::{Nanoseconds, Slot, SlotDuration};

@@ -1,7 +1,7 @@
 //! The slot-level simulation engine.
 
 use pktbuf::{BufferStats, GrantSink, PacketBuffer, RequestSource};
-use pktbuf_model::{Cell, LogicalQueueId};
+use pktbuf_model::{Cell, LogicalQueueId, RequestOracle};
 use serde::{Serialize, Serializer};
 use std::sync::Mutex;
 use traffic::{ArrivalGenerator, RequestGenerator};
@@ -263,9 +263,9 @@ pub struct GeneratorSource<'r, R>(pub &'r mut R);
 
 impl<R: RequestGenerator> RequestSource for GeneratorSource<'_, R> {
     #[inline]
-    fn next_request<F>(&mut self, slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_request<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized,
+        O: RequestOracle + ?Sized,
     {
         self.0.next_inline(slot, requestable)
     }

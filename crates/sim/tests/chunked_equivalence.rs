@@ -104,3 +104,30 @@ fn drain_termination_is_seed_robust() {
         }
     }
 }
+
+/// Queue counts beyond one 64-bit word: the chunked engine's generators scan
+/// the buffers' requestable bitmask across word boundaries (and, for the
+/// hotspot workload, a hot prefix shorter than a word), while the per-slot
+/// engine probes `requestable_cells` queue by queue.
+#[test]
+fn multi_word_queue_counts_are_byte_identical() {
+    for num_queues in [65, 130] {
+        for design in DesignKind::all() {
+            for workload in Workload::all() {
+                // Live arrivals, then a preloaded drain (all queues run dry
+                // together: the scan's sparse end).
+                for (preload_cells_per_queue, arrival_slots) in [(0, 1_500), (8, 0)] {
+                    let scenario = Scenario {
+                        num_queues,
+                        design,
+                        workload,
+                        preload_cells_per_queue,
+                        arrival_slots,
+                        ..base()
+                    };
+                    assert_identical(&scenario);
+                }
+            }
+        }
+    }
+}

@@ -17,9 +17,11 @@
 //!   scheduler drains all queues in lock-step so that they all run dry at the
 //!   same time, putting maximum pressure on the MMA.
 //!
-//! Request generators receive a `requestable` oracle so that they never ask
-//! for a cell that is not in the buffer's head path — the system-model
-//! assumption the paper (and any real switch fabric) operates under.
+//! Request generators receive a `requestable` oracle
+//! ([`pktbuf_model::RequestOracle`]: a buffer's `RequestLedger`, or any
+//! closure `Fn(LogicalQueueId) -> u64`) so that they never ask for a cell
+//! that is not in the buffer's head path — the system-model assumption the
+//! paper (and any real switch fabric) operates under.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Arbiter request generators (switch-fabric side).
 
-use pktbuf_model::LogicalQueueId;
+use pktbuf_model::{LogicalQueueId, RequestOracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,20 +19,22 @@ pub trait RequestGenerator {
     ) -> Option<LogicalQueueId>;
 
     /// Monomorphizable variant of [`RequestGenerator::next`]: the oracle is a
-    /// generic `Fn` instead of `&dyn Fn`, so when both the generator and the
-    /// oracle are concrete (the chunked engine's fused slot loop) the whole
-    /// probe sequence inlines down to direct array reads — no per-probe
+    /// generic [`RequestOracle`] instead of `&dyn Fn`. When it is a buffer's
+    /// own `RequestLedger` (the chunked engine's fused slot loop) the
+    /// generator's "first queue with cells from here" is one scan of the
+    /// ledger's bitmask; a closure oracle answers the same question with the
+    /// trait's linear probe, inlined down to direct calls — no per-probe
     /// virtual dispatch.
     ///
     /// The default forwards to [`RequestGenerator::next`]; the hot generators
     /// in this crate implement the real logic here and make `next` the
     /// forwarding direction, so the two entry points cannot drift apart.
-    fn next_inline<F>(&mut self, slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_inline<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized,
+        O: RequestOracle + ?Sized,
         Self: Sized,
     {
-        self.next(slot, &|q| requestable(q))
+        self.next(slot, &|q| requestable.cells(q))
     }
 
     /// Whether a call that returns `None` because *no queue has requestable
@@ -76,27 +78,20 @@ impl RequestGenerator for AdversarialRoundRobin {
         self.next_inline(slot, requestable)
     }
 
-    fn next_inline<F>(&mut self, _slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_inline<O>(&mut self, _slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized,
+        O: RequestOracle + ?Sized,
     {
-        // Try each queue once, starting from the round-robin pointer, and
-        // request the first one that still has cells to give. The cursor
-        // wraps by comparison — this runs once per slot and a division by
-        // the (runtime) queue count would dominate the generator.
-        let mut qi = self.next as usize;
-        for _ in 0..self.num_queues {
-            let q = LogicalQueueId::new(qi as u32);
-            qi += 1;
-            if qi == self.num_queues {
-                qi = 0;
-            }
-            if requestable(q) > 0 {
-                self.next = qi as u32;
-                return Some(q);
-            }
+        // Request the first queue from the round-robin pointer on that still
+        // has cells to give. The cursor wraps by comparison — this runs once
+        // per slot and a division by the (runtime) queue count would
+        // dominate the generator.
+        let q = requestable.first_from(self.next as usize, self.num_queues)?;
+        self.next = q.index() + 1;
+        if self.next as usize == self.num_queues {
+            self.next = 0;
         }
-        None
+        Some(q)
     }
 
     fn idle_skippable(&self) -> bool {
@@ -137,28 +132,17 @@ impl RequestGenerator for UniformRandomRequests {
         self.next_inline(slot, requestable)
     }
 
-    fn next_inline<F>(&mut self, _slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_inline<O>(&mut self, _slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized,
+        O: RequestOracle + ?Sized,
     {
         if self.rng.gen::<f64>() >= self.load {
             return None;
         }
-        // Sample a starting point and walk forward to the first queue with
-        // available cells — unbiased enough for workload purposes and O(Q)
-        // worst case.
-        let mut qi = self.rng.gen_range(0..self.num_queues);
-        for _ in 0..self.num_queues {
-            let q = LogicalQueueId::new(qi as u32);
-            qi += 1;
-            if qi == self.num_queues {
-                qi = 0;
-            }
-            if requestable(q) > 0 {
-                return Some(q);
-            }
-        }
-        None
+        // Sample a starting point and take the first queue with available
+        // cells from there on — unbiased enough for workload purposes.
+        let start = self.rng.gen_range(0..self.num_queues);
+        requestable.first_from(start, self.num_queues)
     }
 
     fn name(&self) -> &'static str {
@@ -194,23 +178,13 @@ impl RequestGenerator for GreedyQueueDrain {
         self.next_inline(slot, requestable)
     }
 
-    fn next_inline<F>(&mut self, _slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_inline<O>(&mut self, _slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized,
+        O: RequestOracle + ?Sized,
     {
-        let mut qi = self.current as usize;
-        for _ in 0..self.num_queues {
-            let q = LogicalQueueId::new(qi as u32);
-            qi += 1;
-            if qi == self.num_queues {
-                qi = 0;
-            }
-            if requestable(q) > 0 {
-                self.current = q.index();
-                return Some(q);
-            }
-        }
-        None
+        let q = requestable.first_from(self.current as usize, self.num_queues)?;
+        self.current = q.index();
+        Some(q)
     }
 
     fn idle_skippable(&self) -> bool {
@@ -255,28 +229,16 @@ impl RequestGenerator for HotspotRequests {
         self.next_inline(slot, requestable)
     }
 
-    fn next_inline<F>(&mut self, _slot: u64, requestable: &F) -> Option<LogicalQueueId>
+    fn next_inline<O>(&mut self, _slot: u64, requestable: &O) -> Option<LogicalQueueId>
     where
-        F: Fn(LogicalQueueId) -> u64 + ?Sized,
+        O: RequestOracle + ?Sized,
     {
         let (start, span) = if self.rng.gen::<f64>() < self.hot_fraction {
             (self.rng.gen_range(0..self.hot_queues), self.hot_queues)
         } else {
             (self.rng.gen_range(0..self.num_queues), self.num_queues)
         };
-        let span = span.max(1);
-        let mut qi = start % span;
-        for _ in 0..self.num_queues {
-            let q = LogicalQueueId::new(qi as u32);
-            qi += 1;
-            if qi == span {
-                qi = 0;
-            }
-            if requestable(q) > 0 {
-                return Some(q);
-            }
-        }
-        None
+        requestable.first_from(start, span)
     }
 
     fn name(&self) -> &'static str {
@@ -287,9 +249,115 @@ impl RequestGenerator for HotspotRequests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pktbuf_model::RequestLedger;
+    use std::cell::Cell;
 
     fn q(i: u32) -> LogicalQueueId {
         LogicalQueueId::new(i)
+    }
+
+    /// Drives two copies of a generator (`make` twice) over a ledger that
+    /// fills in bursts and drains by the requests themselves — one copy asks
+    /// the ledger (mask scan), the other a closure over the same counts
+    /// (linear probe) — and checks they request the same queue every slot.
+    fn assert_ledger_and_closure_agree<G: RequestGenerator>(make: impl Fn() -> G) {
+        const QUEUES: usize = 130;
+        let (mut masked, mut probed) = (make(), make());
+        let mut ledger = RequestLedger::new(QUEUES);
+        let mut refill = StdRng::seed_from_u64(99);
+        let mut requested = 0;
+        for slot in 0..4_000 {
+            // Mostly drained, so queues keep running dry and the cyclic scan
+            // keeps crossing word boundaries to find the next one.
+            if refill.gen_range(0..4u32) == 0 {
+                let queue = q(refill.gen_range(0..QUEUES as u32));
+                ledger.credit(queue, refill.gen_range(1..4u64));
+            }
+            let by_mask = masked.next_inline(slot, &ledger);
+            let by_probe = probed.next(slot, &|queue| ledger.get(queue));
+            assert_eq!(by_mask, by_probe, "{} at slot {slot}", masked.name());
+            if let Some(queue) = by_mask {
+                assert!(ledger.get(queue) > 0);
+                ledger.debit(queue);
+                requested += 1;
+            }
+        }
+        assert!(
+            requested > 500,
+            "{}: only {requested} requests",
+            masked.name()
+        );
+    }
+
+    #[test]
+    fn generators_request_the_same_queues_from_a_ledger_as_from_a_closure() {
+        assert_ledger_and_closure_agree(|| AdversarialRoundRobin::new(130));
+        assert_ledger_and_closure_agree(|| GreedyQueueDrain::new(130));
+        assert_ledger_and_closure_agree(|| UniformRandomRequests::new(130, 0.9, 5));
+        assert_ledger_and_closure_agree(|| HotspotRequests::new(130, 17, 0.8, 5));
+    }
+
+    /// The hot set is the only place a generator scans less than all queues:
+    /// when it is chosen and empty, each of its queues is probed once — the
+    /// loop used to go round it `num_queues / hot_queues` times — and the
+    /// requests are the ones the old loop made.
+    #[test]
+    fn hotspot_probes_each_queue_of_the_span_at_most_once() {
+        const QUEUES: usize = 64;
+        const HOT: usize = 8;
+        // The previous implementation, kept here as the reference.
+        fn old_next(
+            g: &mut HotspotRequests,
+            requestable: &dyn Fn(LogicalQueueId) -> u64,
+        ) -> Option<LogicalQueueId> {
+            let (start, span) = if g.rng.gen::<f64>() < g.hot_fraction {
+                (g.rng.gen_range(0..g.hot_queues), g.hot_queues)
+            } else {
+                (g.rng.gen_range(0..g.num_queues), g.num_queues)
+            };
+            let mut qi = start % span;
+            for _ in 0..g.num_queues {
+                let queue = LogicalQueueId::new(qi as u32);
+                qi += 1;
+                if qi == span {
+                    qi = 0;
+                }
+                if requestable(queue) > 0 {
+                    return Some(queue);
+                }
+            }
+            None
+        }
+
+        let mut new = HotspotRequests::new(QUEUES, HOT, 0.7, 13);
+        let mut old = HotspotRequests::new(QUEUES, HOT, 0.7, 13);
+        let probes = Cell::new(0usize);
+        let mut fruitless_hot_scans = 0;
+        for slot in 0..2_000u64 {
+            // The hot set is empty every other stretch of 50 slots; queue 40
+            // always has cells.
+            let hot_has_cells = (slot / 50) % 2 == 0;
+            let cells = |queue: LogicalQueueId| {
+                probes.set(probes.get() + 1);
+                match queue.as_usize() {
+                    40 => 1,
+                    5 if hot_has_cells => 2,
+                    _ => 0,
+                }
+            };
+            probes.set(0);
+            let picked = new.next(slot, &cells);
+            let probed = probes.get();
+            assert_eq!(picked, old_next(&mut old, &cells), "slot {slot}");
+            if picked.is_none() {
+                // Only a scan of the (empty) hot set can come back empty.
+                assert_eq!(probed, HOT, "slot {slot}");
+                fruitless_hot_scans += 1;
+            } else {
+                assert!(probed <= QUEUES, "slot {slot}: {probed} probes");
+            }
+        }
+        assert!(fruitless_hot_scans > 100);
     }
 
     #[test]
