@@ -1,28 +1,16 @@
-//! The CFDS (Conflict-Free DRAM System) buffer front end — the paper's
-//! contribution (§5, §6) assembled into a complete packet buffer.
+//! The CFDS (Conflict-Free DRAM System) buffer — the paper's contribution
+//! (§5, §6) assembled into a complete packet buffer: the shared SRAM front
+//! end at granularity `b < B` over a banked DRAM behind the conflict-free
+//! scheduler, with the latency register and queue renaming.
 
-use crate::hotpath::{countdown_after, periods_crossed, BlockPool, PendingTable, TailCellArena};
-use crate::hsram::{HeadSram, HeadSramKind};
-use crate::stats::BufferStats;
-use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
-use crate::verify::DeliveryVerifier;
+use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
+use crate::hotpath::PendingTable;
+use crate::hsram::HeadSramKind;
 use cfds::{
     sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, LatencyRegister, RenamingTable,
 };
 use dram_sim::{AccessKind, AddressMapper, BankArray, DramStore, GroupId, InterleavingConfig};
-use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
-use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId, RequestLedger};
-use sram_buf::SharedBuffer;
-use std::collections::VecDeque;
-
-/// A block in flight from the DRAM to the head SRAM.
-#[derive(Debug, Clone)]
-struct PendingDelivery {
-    deliver_slot: u64,
-    queue: LogicalQueueId,
-    block_index: u64,
-    cells: Vec<Cell>,
-}
+use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId};
 
 /// Construction options for a [`CfdsBuffer`].
 #[derive(Debug, Clone, Copy)]
@@ -51,20 +39,13 @@ impl Default for CfdsBufferOptions {
 /// The CFDS packet buffer: tail SRAM + banked DRAM behind a conflict-free
 /// scheduler + head SRAM, with DRAM transfers of `b` cells every `b` slots in
 /// each direction.
-pub struct CfdsBuffer {
+pub type CfdsBuffer = HybridBuffer<CfdsDram>;
+
+/// The CFDS back end: the banked DRAM, its scheduler (DSS), queue renaming
+/// and the latency register that restores in-order delivery.
+#[derive(Debug)]
+pub struct CfdsDram {
     cfg: CfdsConfig,
-    slot: u64,
-    /// Slots until the next granularity period (avoids a division per slot;
-    /// hits zero exactly when `slot % b == 0`).
-    until_period: u64,
-    // Tail side: an intrusive cell arena with per-queue FIFO chains and an
-    // incrementally maintained occupancy array (see [`crate::hotpath`]).
-    tail: TailCellArena,
-    tail_capacity: usize,
-    tail_mma: ThresholdTailMma,
-    /// Recycles the block buffers that cycle tail → DRAM → head SRAM.
-    pool: BlockPool,
-    // DRAM and its scheduler.
     banks: BankArray,
     store: DramStore,
     dss: DramSchedulerSubsystem,
@@ -80,27 +61,7 @@ pub struct CfdsBuffer {
     read_tags: PendingTable<(LogicalQueueId, u64)>,
     /// Per-logical-queue count of read blocks submitted so far.
     read_blocks_submitted: Vec<u64>,
-    // Head side. The MMA policy and the SRAM organisation are concrete types
-    // (ECQF, a two-variant enum) so the per-slot notifications and the
-    // per-grant pop never cross a vtable.
-    head_mma: HeadMmaSubsystem<EcqfMma>,
     latency: LatencyRegister,
-    head_sram: HeadSram,
-    pending_deliveries: VecDeque<PendingDelivery>,
-    /// Cells written to DRAM minus requests accepted, per logical queue.
-    available: RequestLedger,
-    verifier: DeliveryVerifier,
-    stats: BufferStats,
-}
-
-impl std::fmt::Debug for CfdsBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CfdsBuffer")
-            .field("cfg", &self.cfg)
-            .field("slot", &self.slot)
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 impl CfdsBuffer {
@@ -123,16 +84,6 @@ impl CfdsBuffer {
         cfg.validate().expect("invalid CFDS configuration");
         let q = cfg.num_queues;
         let b = cfg.granularity;
-        let big_b = cfg.rads_granularity;
-        let lookahead = cfg.effective_lookahead();
-        let latency_slots = cfds_sizing::latency_slots(&cfg);
-        // The functional head SRAM is not capacity-limited: dimensioning is
-        // checked by comparing the measured peak occupancy against the
-        // analytical bound (see `analytical_head_sram`), so that a sizing or
-        // policy bug surfaces as a measurement, not as an artificial overflow
-        // (the ablation DSA policies deliberately exceed the bound).
-        let head_capacity = usize::MAX / 4;
-        let tail_capacity = 2 * ThresholdTailMma::required_sram_cells(q, b);
         let interleaving = InterleavingConfig::from_cfds(&cfg);
         let mapper = AddressMapper::with_block_cells(interleaving, b);
         let store = match options.dram_capacity_cells {
@@ -143,68 +94,54 @@ impl CfdsBuffer {
         // opportunities per b-slot period, so a bank stays locked for
         // 2·(B/b) − 1 subsequent opportunities.
         let dss = DramSchedulerSubsystem::new(mapper, 2 * cfg.banks_per_group(), options.dsa);
-        CfdsBuffer {
-            slot: 0,
-            until_period: 0,
-            tail: TailCellArena::new(q, tail_capacity, b),
-            tail_capacity,
-            tail_mma: ThresholdTailMma::new(b),
-            pool: BlockPool::new(),
-            banks: BankArray::new(cfg.num_banks, big_b as u64),
-            store,
-            dss,
-            renaming: RenamingTable::new(q, cfg.num_physical_queues(), cfg.num_groups()),
-            pending_writes: PendingTable::new(cfg.num_physical_queues()),
-            group_pending: vec![0; cfg.num_groups()],
-            read_tags: PendingTable::new(cfg.num_physical_queues()),
-            read_blocks_submitted: vec![0; q],
-            head_mma: HeadMmaSubsystem::with_policy(EcqfMma::new(b), lookahead, q),
-            latency: LatencyRegister::new(latency_slots),
-            head_sram: options
-                .head_sram
-                .build_enum(q, head_capacity, cfg.banks_per_group(), b),
-            pending_deliveries: VecDeque::new(),
-            available: RequestLedger::new(q),
-            verifier: DeliveryVerifier::new(q),
-            stats: BufferStats::default(),
-            cfg,
+        HybridBuffer {
+            front: Front::new(
+                q,
+                b,
+                cfg.effective_lookahead(),
+                options.head_sram,
+                cfg.banks_per_group(),
+            ),
+            back: CfdsDram {
+                banks: BankArray::new(cfg.num_banks, cfg.rads_granularity as u64),
+                store,
+                dss,
+                renaming: RenamingTable::new(q, cfg.num_physical_queues(), cfg.num_groups()),
+                pending_writes: PendingTable::new(cfg.num_physical_queues()),
+                group_pending: vec![0; cfg.num_groups()],
+                read_tags: PendingTable::new(cfg.num_physical_queues()),
+                read_blocks_submitted: vec![0; q],
+                latency: LatencyRegister::new(cfds_sizing::latency_slots(&cfg)),
+                cfg,
+            },
         }
-    }
-
-    /// The configuration this buffer was built from.
-    pub fn config(&self) -> &CfdsConfig {
-        &self.cfg
-    }
-
-    /// Peak head-SRAM occupancy observed so far (cells).
-    pub fn peak_head_sram(&self) -> usize {
-        self.head_sram.peak_occupancy()
     }
 
     /// Analytical head-SRAM requirement (equation (4)), in cells.
     pub fn analytical_head_sram(&self) -> usize {
-        cfds_sizing::sram_cells(&self.cfg, self.cfg.effective_lookahead())
+        let cfg = &self.back.cfg;
+        cfds_sizing::sram_cells(cfg, cfg.effective_lookahead())
     }
 
     /// Analytical Requests-Register size (equation (1)).
     pub fn analytical_rr_size(&self) -> usize {
-        cfds_sizing::rr_size(&self.cfg)
+        cfds_sizing::rr_size(&self.back.cfg)
     }
 
     /// Peak Requests-Register occupancy observed so far.
     pub fn peak_rr_occupancy(&self) -> usize {
-        self.dss.peak_rr_occupancy()
+        self.back.dss.peak_rr_occupancy()
     }
 
     /// Fraction of the DRAM block capacity currently in use.
     pub fn dram_utilisation(&self) -> f64 {
-        self.store.utilisation()
+        self.back.store.utilisation()
     }
 
     /// Number of physical queues currently chained to `queue` by the renaming
     /// layer.
     pub fn renaming_chain_length(&self, queue: LogicalQueueId) -> usize {
-        self.renaming.chain_length(queue)
+        self.back.renaming.chain_length(queue)
     }
 
     /// Preloads `cells` of `queue` directly into the DRAM through the
@@ -218,17 +155,18 @@ impl CfdsBuffer {
     // this is a setup-only path, so the extra copy inside is irrelevant.
     #[allow(clippy::needless_pass_by_value)]
     pub fn preload_dram(&mut self, queue: LogicalQueueId, cells: Vec<Cell>) {
-        let b = self.cfg.granularity;
+        let back = &mut self.back;
+        let b = back.cfg.granularity;
         assert!(
             cells.len().is_multiple_of(b),
             "preload length must be a multiple of the granularity"
         );
-        self.available.credit(queue, cells.len() as u64);
+        self.front.available.credit(queue, cells.len() as u64);
         for chunk in cells.chunks(b) {
-            let preferred = self.store.groups_with_room();
-            let store = &self.store;
-            let group_pending = &self.group_pending;
-            let physical = self
+            let preferred = back.store.groups_with_room();
+            let store = &back.store;
+            let group_pending = &back.group_pending;
+            let physical = back
                 .renaming
                 .physical_for_write(
                     queue,
@@ -239,51 +177,23 @@ impl CfdsBuffer {
                     &preferred,
                 )
                 .expect("preload found no DRAM room");
-            self.renaming.note_block_written(queue);
-            self.store
+            back.renaming.note_block_written(queue);
+            back.store
                 .write_block(physical, chunk.to_vec())
                 .expect("preload write fits the group");
-            self.dss.set_ordinals(
+            back.dss.set_ordinals(
                 physical,
-                self.store.head_ordinal(physical),
-                self.store.next_write_ordinal(physical),
+                back.store.head_ordinal(physical),
+                back.store.next_write_ordinal(physical),
             );
         }
     }
+}
 
-    #[inline]
-    fn deliver_due(&mut self, now: u64) {
-        while self
-            .pending_deliveries
-            .front()
-            .is_some_and(|front| front.deliver_slot <= now)
-        {
-            let Some(d) = self.pending_deliveries.pop_front() else {
-                break;
-            };
-            self.head_sram
-                .insert_block_cells(d.queue, d.block_index, &d.cells)
-                .expect("head SRAM is functionally unbounded"); // analyze: allow(panic-freedom) — the head SRAM is configured functionally unbounded; occupancy is measured, not capped
-            self.pool.put(d.cells);
-            self.stats.peak_head_sram_cells = self
-                .stats
-                .peak_head_sram_cells
-                .max(self.head_sram.occupancy() as u64);
-        }
-    }
-
-    #[inline]
-    fn submit_writeback(&mut self, now: u64) {
-        let b = self.cfg.granularity;
-        // The arena tracks threshold crossings: when no queue holds a full
-        // batch the MMA cannot select anything — skip the scan outright.
-        if !self.tail.any_eligible() {
-            return;
-        }
-        let Some(queue) = self
-            .tail_mma
-            .select_masked(self.tail.occupancies(), self.tail.eligible_words())
-        else {
+impl CfdsDram {
+    #[inline(always)]
+    fn submit_writeback(&mut self, front: &mut Front, now: u64) {
+        let Some(queue) = front.writeback_candidate() else {
             return;
         };
         // Keep the write stream of this queue out of the group its read
@@ -319,33 +229,28 @@ impl CfdsBuffer {
                 ) {
                     Ok(p) => p,
                     Err(_) => {
-                        self.stats.blocked_writebacks += 1;
+                        front.stats.blocked_writebacks += 1;
                         return;
                     }
                 }
             }
         };
         self.renaming.note_block_written(queue);
-        let mut cells = self.pool.take(b);
-        self.tail.pop_block_into(queue, b, &mut cells);
+        let cells = front.take_writeback(queue);
         let request = self.dss.submit_write(physical, now);
         let group = self.store.mapper().group_of_queue(physical);
         self.group_pending[group.index()] += 1;
         self.pending_writes
             .insert(physical.index(), request.block_ordinal, cells);
-        self.available.credit(queue, b as u64);
     }
 
-    #[inline]
-    fn submit_replenishment(&mut self, now: u64) {
-        let b = self.cfg.granularity;
-        let Some(queue) = self.head_mma.select_replenishment() else {
+    #[inline(always)]
+    fn submit_replenishment(&mut self, front: &mut Front, now: u64) {
+        let Some(queue) = front.head_mma.select_replenishment() else {
             return;
         };
         let Some(physical) = self.renaming.physical_for_read(queue) else {
-            // Nothing in DRAM for this queue: roll the credit back.
-            self.head_mma.preload(queue, -(b as i64));
-            self.stats.unfulfilled_replenishments += 1;
+            front.unfulfilled(queue);
             return;
         };
         self.renaming.note_block_read(queue);
@@ -360,8 +265,8 @@ impl CfdsBuffer {
         );
     }
 
-    #[inline]
-    fn issue_opportunities(&mut self, now: u64) {
+    #[inline(always)]
+    fn issue_opportunities(&mut self, front: &mut Front, now: u64) {
         let big_b = self.cfg.rads_granularity as u64;
         for _ in 0..2 {
             let Some(issued) = self.dss.issue(now) else {
@@ -370,10 +275,10 @@ impl CfdsBuffer {
             let physical = PhysicalQueueId::new(issued.request.queue.index());
             let ordinal = issued.request.block_ordinal;
             if self.banks.start_access(issued.bank, now).is_err() {
-                self.stats.bank_conflicts += 1;
+                front.stats.bank_conflicts += 1;
             }
-            self.stats.max_dss_delay_slots =
-                self.stats.max_dss_delay_slots.max(issued.delay_slots());
+            front.stats.max_dss_delay_slots =
+                front.stats.max_dss_delay_slots.max(issued.delay_slots());
             match issued.request.kind {
                 AccessKind::Write => {
                     let group = self.store.mapper().group_of_queue(physical);
@@ -385,8 +290,8 @@ impl CfdsBuffer {
                             issued.request.block_ordinal,
                             cells,
                         ) {
-                            Ok(()) => self.stats.dram_writes += 1,
-                            Err(_) => self.stats.blocked_writebacks += 1,
+                            Ok(()) => front.stats.dram_writes += 1,
+                            Err(_) => front.stats.blocked_writebacks += 1,
                         }
                     }
                     // A missing entry means the block was already forwarded to
@@ -418,8 +323,8 @@ impl CfdsBuffer {
                                 .expect("forwarded block exists among pending writes")
                         }
                     };
-                    self.stats.dram_reads += 1;
-                    self.pending_deliveries.push_back(PendingDelivery {
+                    front.stats.dram_reads += 1;
+                    front.pending_deliveries.push_back(PendingDelivery {
                         deliver_slot: now + big_b,
                         queue,
                         block_index,
@@ -428,243 +333,60 @@ impl CfdsBuffer {
                 }
             }
         }
-        self.stats.peak_rr_entries = self
+        front.stats.peak_rr_entries = front
             .stats
             .peak_rr_entries
             .max(self.dss.peak_rr_occupancy() as u64);
-        self.stats.dss_stalls = self.dss.stats().stalls;
+        front.stats.dss_stalls = self.dss.stats().stalls;
     }
 }
 
-impl PacketBuffer for CfdsBuffer {
-    fn step(&mut self, arrival: Option<Cell>, request: Option<LogicalQueueId>) -> SlotOutcome {
-        let now = self.slot;
-        self.slot += 1;
-        self.stats.slots += 1;
-        let mut outcome = SlotOutcome::default();
+impl BackEnd for CfdsDram {
+    type Config = CfdsConfig;
+    const TYPE_NAME: &'static str = "CfdsBuffer";
+    const DESIGN: &'static str = "CFDS";
 
-        // 1. Blocks whose DRAM access completed reach the head SRAM.
-        self.deliver_due(now);
-
-        // 2. Arrival into the tail SRAM.
-        if let Some(cell) = arrival {
-            if self.tail.len() < self.tail_capacity {
-                self.tail.push(cell);
-                self.stats.peak_tail_sram_cells =
-                    self.stats.peak_tail_sram_cells.max(self.tail.len() as u64);
-                self.stats.arrivals += 1;
-            } else {
-                self.stats.drops += 1;
-                outcome.dropped_arrival = Some(cell);
-            }
-        }
-
-        // 3. Arbiter request: lookahead, then the latency register.
-        let due = if let Some(queue) = request {
-            self.stats.requests += 1;
-            self.available.debit(queue);
-            self.head_mma.on_request(Some(queue)).due
-        } else {
-            self.head_mma.on_request(None).due
-        };
-        let emerged = self.latency.push(due);
-
-        // 4. Every b slots: MMA decisions and DSS issue opportunities.
-        if self.until_period == 0 {
-            self.until_period = self.cfg.granularity as u64;
-            self.submit_writeback(now);
-            self.submit_replenishment(now);
-            self.issue_opportunities(now);
-        }
-        self.until_period -= 1;
-
-        // 5. Serve the request that completed both the lookahead and the
-        //    latency register.
-        if let Some(queue) = emerged {
-            match self.head_sram.pop_front(queue) {
-                Some(cell) => {
-                    if !self.verifier.check(queue, &cell) {
-                        self.stats.order_violations += 1;
-                    }
-                    self.stats.grants += 1;
-                    outcome.granted = Some(cell);
-                }
-                None => {
-                    self.stats.misses += 1;
-                    outcome.miss = Some(queue);
-                }
-            }
-        }
-        outcome
+    fn config(&self) -> &CfdsConfig {
+        &self.cfg
     }
 
-    fn current_slot(&self) -> u64 {
-        self.slot
+    /// Every b slots: MMA decisions and the DSS's two issue opportunities.
+    #[inline(always)]
+    fn period_ops(&mut self, front: &mut Front, now: u64) {
+        self.submit_writeback(front, now);
+        self.submit_replenishment(front, now);
+        self.issue_opportunities(front, now);
     }
 
-    fn num_queues(&self) -> usize {
-        self.cfg.num_queues
+    /// The latency register: a request leaving the lookahead is served once
+    /// its block is certain to have arrived, whatever the DSS delay.
+    #[inline(always)]
+    fn delay(&mut self, due: Option<LogicalQueueId>) -> Option<LogicalQueueId> {
+        self.latency.push(due)
     }
 
-    fn requestable_cells(&self, queue: LogicalQueueId) -> u64 {
-        self.available.get(queue)
-    }
-
-    fn pipeline_delay_slots(&self) -> usize {
-        self.cfg.effective_lookahead() + self.latency.capacity()
-    }
-
-    fn stats(&self) -> &BufferStats {
-        &self.stats
-    }
-
-    fn design_name(&self) -> &'static str {
-        "CFDS"
-    }
-
-    /// Fused batch loop: same slot sequence as [`CfdsBuffer::step`], with the
-    /// granularity hoisted out of the loop, the availability ledger itself as
-    /// the request oracle and no `SlotOutcome` materialised per slot.
-    fn step_batch<R: RequestSource>(
-        &mut self,
-        arrivals: &mut [Option<Cell>],
-        requests: &mut R,
-        grants: &mut GrantSink,
-    ) -> BatchReport {
-        let b = self.cfg.granularity as u64;
-        let skippable = requests.idle_skippable();
-        let mut report = BatchReport::default();
-        // Slot-grained counters live in locals for the whole batch: the calls
-        // into the delivery/period machinery take `&mut self`, which would
-        // otherwise force every per-slot counter through memory each
-        // iteration. Flushed once after the loop.
-        let mut now = self.slot;
-        let mut until_period = self.until_period;
-        let mut delta = BufferStats::default();
-        let mut peak_tail = self.stats.peak_tail_sram_cells;
-        for arrival in arrivals.iter_mut() {
-            // The closed-loop request probe comes first, exactly as in the
-            // per-slot engine (the oracle observes the availability as of the
-            // end of the previous slot); it is the availability ledger
-            // itself, so the generator's scan is a pass over its bitmask.
-            // When nothing is requestable anywhere, a skippable generator's
-            // call is provably fruitless and side-effect-free — skip it on
-            // the O(1) total instead.
-            let request = if skippable && self.available.total() == 0 {
-                None
-            } else {
-                requests.next_request(now, &self.available)
-            };
-            report.note(request.is_some());
-
-            // 1. Due deliveries reach the head SRAM.
-            if !self.pending_deliveries.is_empty() {
-                self.deliver_due(now);
-            }
-
-            // 2. Arrival into the tail SRAM.
-            if let Some(cell) = arrival.take() {
-                if self.tail.len() < self.tail_capacity {
-                    self.tail.push(cell);
-                    peak_tail = peak_tail.max(self.tail.len() as u64);
-                    delta.arrivals += 1;
-                } else {
-                    delta.drops += 1;
-                }
-            }
-
-            // 3. The request enters the head MMA.
-            let due = if let Some(queue) = request {
-                delta.requests += 1;
-                self.available.debit(queue);
-                self.head_mma.on_request(Some(queue)).due
-            } else {
-                self.head_mma.on_request(None).due
-            };
-            let emerged = self.latency.push(due);
-
-            // 4. MMA decisions and DSS issue opportunities every b slots.
-            if until_period == 0 {
-                until_period = b;
-                self.submit_writeback(now);
-                self.submit_replenishment(now);
-                self.issue_opportunities(now);
-            }
-            until_period -= 1;
-
-            // 5. Serve the request that completed the whole delay pipeline.
-            if let Some(queue) = emerged {
-                match self.head_sram.pop_front(queue) {
-                    Some(cell) => {
-                        if !self.verifier.check(queue, &cell) {
-                            delta.order_violations += 1;
-                        }
-                        delta.grants += 1;
-                        grants.push(queue.index());
-                    }
-                    None => {
-                        delta.misses += 1;
-                    }
-                }
-            }
-            now += 1;
-        }
-        self.slot = now;
-        self.until_period = until_period;
-        self.stats.slots += arrivals.len() as u64;
-        self.stats.peak_tail_sram_cells = peak_tail;
-        self.stats.arrivals += delta.arrivals;
-        self.stats.drops += delta.drops;
-        self.stats.requests += delta.requests;
-        self.stats.grants += delta.grants;
-        self.stats.misses += delta.misses;
-        self.stats.order_violations += delta.order_violations;
-        report
-    }
-
-    fn advance_idle(&mut self, slots: u64) {
-        if slots == 0 {
-            return;
-        }
-        if !self.is_quiescent() {
-            for _ in 0..slots {
-                self.step(None, None);
-            }
-            return;
-        }
-        // Quiescent: a skipped slot rotates the (all-idle) lookahead and
-        // latency registers, counts down the period and — at boundaries —
-        // finds nothing to write back (no eligible tail batch), nothing to
-        // replenish (ECQF with an empty pending set selects `None`) and an
-        // empty RR whose two issue opportunities only age the ORR lock
-        // window. All pure counter/cursor motion, applied arithmetically.
-        let b = self.cfg.granularity as u64;
-        debug_assert!(self.pending_writes.is_empty() && self.read_tags.is_empty());
-        self.slot += slots;
-        self.stats.slots += slots;
-        self.head_mma.advance_idle(slots);
-        self.latency.advance_idle(slots);
-        let periods = periods_crossed(self.until_period, slots, b);
-        self.dss.advance_idle(2 * periods);
-        self.until_period = countdown_after(self.until_period, slots, b);
+    fn delay_slots(&self) -> usize {
+        self.latency.capacity()
     }
 
     fn is_quiescent(&self) -> bool {
-        self.pending_deliveries.is_empty()
-            && !self.tail.any_eligible()
-            && self.head_mma.lookahead().pending_len() == 0
-            && self.dss.pending() == 0
-            && self.latency.in_flight() == 0
+        self.dss.pending() == 0 && self.latency.in_flight() == 0
     }
 
-    fn requestable_total(&self) -> u64 {
-        self.available.total()
+    /// A quiescent slot rotates the (all-idle) latency register; at a period
+    /// boundary the empty RR's two issue opportunities only age the ORR lock
+    /// window.
+    fn advance_idle(&mut self, slots: u64, periods: u64) {
+        debug_assert!(self.pending_writes.is_empty() && self.read_tags.is_empty());
+        self.latency.advance_idle(slots);
+        self.dss.advance_idle(2 * periods);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PacketBuffer;
     use pktbuf_model::LineRate;
 
     fn small_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {

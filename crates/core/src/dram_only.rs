@@ -6,6 +6,7 @@
 //! direction. This front end models exactly that and is used by the E1
 //! experiment to reproduce the introduction's motivation numbers.
 
+use crate::front::{Locals, SlotLoop, SlotSink};
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
 use crate::verify::DeliveryVerifier;
@@ -34,7 +35,12 @@ impl DramOnlyBuffer {
     /// Creates a DRAM-only buffer for the given configuration (only the number
     /// of queues and the granularity — i.e. the random access time in slots —
     /// are used).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration does not validate.
     pub fn new(cfg: RadsConfig) -> Self {
+        cfg.validate().expect("invalid DRAM-only configuration");
         DramOnlyBuffer {
             queues: vec![VecDeque::new(); cfg.num_queues],
             read_busy_until: 0,
@@ -61,53 +67,91 @@ impl DramOnlyBuffer {
     }
 }
 
-impl PacketBuffer for DramOnlyBuffer {
-    fn step(&mut self, arrival: Option<Cell>, request: Option<LogicalQueueId>) -> SlotOutcome {
-        let t = self.slot;
-        self.slot += 1;
-        self.stats.slots += 1;
-        let mut outcome = SlotOutcome::default();
+impl SlotLoop for DramOnlyBuffer {
+    /// The write and read ports' busy-until horizons.
+    type Regs = (u64, u64);
+
+    #[inline]
+    fn load(&self) -> Locals<(u64, u64)> {
+        Locals {
+            now: self.slot,
+            regs: (self.write_busy_until, self.read_busy_until),
+            delta: BufferStats::default(),
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, locals: &Locals<(u64, u64)>) {
+        self.slot = locals.now;
+        (self.write_busy_until, self.read_busy_until) = locals.regs;
+        self.stats.absorb(&locals.delta);
+    }
+
+    #[inline]
+    fn requestable(&self) -> &RequestLedger {
+        &self.available
+    }
+
+    #[inline(always)]
+    fn slot<K: SlotSink>(
+        &mut self,
+        locals: &mut Locals<(u64, u64)>,
+        arrival: &mut Option<Cell>,
+        request: Option<LogicalQueueId>,
+        out: &mut K,
+    ) {
+        let t = locals.now;
+        let access_time = self.cfg.granularity as u64;
+        let (write_busy_until, read_busy_until) = &mut locals.regs;
+        let delta = &mut locals.delta;
 
         // Arrivals queue for the write port; each write occupies the DRAM for
         // a full random access time (worst case: no row locality).
-        if let Some(cell) = arrival {
-            self.stats.arrivals += 1;
+        if let Some(cell) = arrival.take() {
+            delta.arrivals += 1;
             self.write_backlog.push_back(cell);
         }
-        if self.write_busy_until <= t {
+        if *write_busy_until <= t {
             if let Some(cell) = self.write_backlog.pop_front() {
                 self.available.credit(cell.queue(), 1);
                 self.queues[cell.queue().as_usize()].push_back(cell);
-                self.write_busy_until = t + self.cfg.granularity as u64;
-                self.stats.dram_writes += 1;
+                *write_busy_until = t + access_time;
+                delta.dram_writes += 1;
             }
         }
 
         // A request can only be served if the read port is free; otherwise it
         // is a miss (the cell was not produced in time).
         if let Some(queue) = request {
-            self.stats.requests += 1;
-            let qi = queue.as_usize();
+            delta.requests += 1;
             self.available.debit(queue);
-            if self.read_busy_until <= t {
-                if let Some(cell) = self.queues[qi].pop_front() {
-                    self.read_busy_until = t + self.cfg.granularity as u64;
-                    self.stats.dram_reads += 1;
-                    self.stats.grants += 1;
-                    if !self.verifier.check(queue, &cell) {
-                        self.stats.order_violations += 1;
-                    }
-                    outcome.granted = Some(cell);
-                } else {
-                    self.stats.misses += 1;
-                    outcome.miss = Some(queue);
-                }
+            let cell = if *read_busy_until <= t {
+                self.queues[queue.as_usize()].pop_front()
             } else {
-                self.stats.misses += 1;
-                outcome.miss = Some(queue);
+                None
+            };
+            match cell {
+                Some(cell) => {
+                    *read_busy_until = t + access_time;
+                    delta.dram_reads += 1;
+                    delta.grants += 1;
+                    if !self.verifier.check(queue, &cell) {
+                        delta.order_violations += 1;
+                    }
+                    out.grant(queue, cell);
+                }
+                None => {
+                    delta.misses += 1;
+                    out.miss(queue);
+                }
             }
         }
-        outcome
+    }
+}
+
+impl PacketBuffer for DramOnlyBuffer {
+    fn step(&mut self, arrival: Option<Cell>, request: Option<LogicalQueueId>) -> SlotOutcome {
+        self.run_slot(arrival, request)
     }
 
     fn current_slot(&self) -> u64 {
@@ -134,84 +178,13 @@ impl PacketBuffer for DramOnlyBuffer {
         "DRAM-only"
     }
 
-    /// Fused batch loop: same slot sequence as [`DramOnlyBuffer::step`], with
-    /// the granularity hoisted out of the loop, the availability ledger itself
-    /// as the request oracle and no `SlotOutcome` materialised per slot.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],
         requests: &mut R,
         grants: &mut GrantSink,
     ) -> BatchReport {
-        let access_time = self.cfg.granularity as u64;
-        let skippable = requests.idle_skippable();
-        let mut report = BatchReport::default();
-        // The clock, the port horizons and the slot-grained counters live in
-        // locals for the whole batch and are flushed once after the loop.
-        let mut t = self.slot;
-        let mut write_busy_until = self.write_busy_until;
-        let mut read_busy_until = self.read_busy_until;
-        let mut delta = BufferStats::default();
-        for arrival in arrivals.iter_mut() {
-            // The request probe comes first, exactly as in the per-slot
-            // engine: the oracle observes the availability as of the end of
-            // the previous slot, before this slot's write port completes.
-            // When nothing is requestable anywhere, a skippable generator's
-            // call is provably fruitless and side-effect-free — skip it on
-            // the O(1) total instead.
-            let request = if skippable && self.available.total() == 0 {
-                None
-            } else {
-                requests.next_request(t, &self.available)
-            };
-            report.note(request.is_some());
-
-            if let Some(cell) = arrival.take() {
-                delta.arrivals += 1;
-                self.write_backlog.push_back(cell);
-            }
-            if write_busy_until <= t {
-                if let Some(cell) = self.write_backlog.pop_front() {
-                    self.available.credit(cell.queue(), 1);
-                    self.queues[cell.queue().as_usize()].push_back(cell);
-                    write_busy_until = t + access_time;
-                    delta.dram_writes += 1;
-                }
-            }
-            if let Some(queue) = request {
-                delta.requests += 1;
-                let qi = queue.as_usize();
-                self.available.debit(queue);
-                if read_busy_until <= t {
-                    if let Some(cell) = self.queues[qi].pop_front() {
-                        read_busy_until = t + access_time;
-                        delta.dram_reads += 1;
-                        delta.grants += 1;
-                        if !self.verifier.check(queue, &cell) {
-                            delta.order_violations += 1;
-                        }
-                        grants.push(queue.index());
-                    } else {
-                        delta.misses += 1;
-                    }
-                } else {
-                    delta.misses += 1;
-                }
-            }
-            t += 1;
-        }
-        self.slot = t;
-        self.write_busy_until = write_busy_until;
-        self.read_busy_until = read_busy_until;
-        self.stats.slots += arrivals.len() as u64;
-        self.stats.arrivals += delta.arrivals;
-        self.stats.dram_writes += delta.dram_writes;
-        self.stats.dram_reads += delta.dram_reads;
-        self.stats.requests += delta.requests;
-        self.stats.grants += delta.grants;
-        self.stats.misses += delta.misses;
-        self.stats.order_violations += delta.order_violations;
-        report
+        self.run_batch(arrivals, requests, grants)
     }
 
     fn advance_idle(&mut self, slots: u64) {
@@ -304,5 +277,14 @@ mod tests {
         assert_eq!(b.stats().dram_writes, 2);
         assert_eq!(b.requestable_cells(q(2)), 2);
         assert_eq!(b.stats().arrivals, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DRAM-only configuration")]
+    fn zero_granularity_is_rejected() {
+        DramOnlyBuffer::new(RadsConfig {
+            granularity: 0,
+            ..cfg()
+        });
     }
 }

@@ -1,0 +1,513 @@
+//! The hybrid SRAM front end RADS (§3) and CFDS (§5) share, and the one slot
+//! loop every design runs.
+//!
+//! CFDS keeps RADS's front end — tail SRAM and threshold tail MMA, ECQF
+//! lookahead, head SRAM — and changes only what sits behind it. [`Front`]
+//! owns that state and [`HybridBuffer`] writes the slot once: deliver,
+//! arrive, request, back-end delay, period ops every `b` slots, serve. A
+//! [`BackEnd`] supplies what differs — its period ops, CFDS's latency
+//! register as the delay, its share of quiescence, idle fast-forward and
+//! pipeline delay — and is monomorphized: nothing in the slot dispatches on
+//! it. [`SlotLoop`] runs a design's single slot body as `step` and as the
+//! fused `step_batch`; the DRAM-only baseline has its own body on the same
+//! skeleton.
+
+use crate::hotpath::{countdown_after, periods_crossed, BlockPool, TailCellArena};
+use crate::hsram::{HeadSram, HeadSramKind};
+use crate::stats::BufferStats;
+use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
+use crate::verify::DeliveryVerifier;
+use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
+use pktbuf_model::{Cell, LogicalQueueId, RequestLedger};
+use sram_buf::SharedBuffer;
+use std::collections::VecDeque;
+
+/// The slot-grained state a slot loop keeps in locals: the clock, the
+/// design's registers and the per-slot counters (`delta`, added to the
+/// buffer's statistics on [`SlotLoop::store`]).
+pub(crate) struct Locals<R> {
+    pub(crate) now: u64,
+    pub(crate) regs: R,
+    pub(crate) delta: BufferStats,
+}
+
+/// Where a slot body hands what the slot produced: `step` keeps all of it as
+/// its [`SlotOutcome`]; the fused `step_batch` logs the granted queue into
+/// its [`GrantSink`] and drops the cells on the spot, so no outcome is
+/// materialised per slot.
+pub(crate) trait SlotSink {
+    /// A cell of `queue` granted to the arbiter.
+    fn grant(&mut self, queue: LogicalQueueId, cell: Cell);
+
+    /// A due request whose cell was not in the head path.
+    fn miss(&mut self, _queue: LogicalQueueId) {}
+
+    /// An arrival the buffer had no room for.
+    fn drop_arrival(&mut self, _cell: Cell) {}
+}
+
+impl SlotSink for SlotOutcome {
+    #[inline(always)]
+    fn grant(&mut self, _queue: LogicalQueueId, cell: Cell) {
+        self.granted = Some(cell);
+    }
+
+    #[inline(always)]
+    fn miss(&mut self, queue: LogicalQueueId) {
+        self.miss = Some(queue);
+    }
+
+    #[inline(always)]
+    fn drop_arrival(&mut self, cell: Cell) {
+        self.dropped_arrival = Some(cell);
+    }
+}
+
+impl SlotSink for GrantSink {
+    #[inline(always)]
+    fn grant(&mut self, queue: LogicalQueueId, _cell: Cell) {
+        self.push(queue.index());
+    }
+}
+
+/// A design's slot body and the state it keeps in [`Locals`].
+pub(crate) trait SlotLoop {
+    /// Registers kept in locals across a batch (period countdown, port
+    /// horizons).
+    type Regs;
+
+    /// The clock and registers as of now, with zero counters.
+    fn load(&self) -> Locals<Self::Regs>;
+
+    /// Writes the clock and registers back and adds the counters.
+    fn store(&mut self, locals: &Locals<Self::Regs>);
+
+    /// The requestable set, which is also the request oracle.
+    fn requestable(&self) -> &RequestLedger;
+
+    /// One slot at `locals.now`, handing its results to `out`; the caller
+    /// advances the clock. The arrival is taken where it lies (a batch's
+    /// ring entry) when the body reaches it: moving it in up front copied
+    /// the 48-byte `Option<Cell>` to the stack every slot.
+    fn slot<K: SlotSink>(
+        &mut self,
+        locals: &mut Locals<Self::Regs>,
+        arrival: &mut Option<Cell>,
+        request: Option<LogicalQueueId>,
+        out: &mut K,
+    );
+
+    /// [`PacketBuffer::step`]: the slot body once.
+    #[inline]
+    fn run_slot(
+        &mut self,
+        mut arrival: Option<Cell>,
+        request: Option<LogicalQueueId>,
+    ) -> SlotOutcome {
+        let mut locals = self.load();
+        let mut outcome = SlotOutcome::default();
+        self.slot(&mut locals, &mut arrival, request, &mut outcome);
+        locals.now += 1;
+        locals.delta.slots += 1;
+        self.store(&locals);
+        outcome
+    }
+
+    /// [`PacketBuffer::step_batch`]: the slot body over a whole chunk, with
+    /// the requestable ledger itself as the oracle.
+    #[inline]
+    fn run_batch<R: RequestSource>(
+        &mut self,
+        arrivals: &mut [Option<Cell>],
+        requests: &mut R,
+        grants: &mut GrantSink,
+    ) -> BatchReport {
+        let skippable = requests.idle_skippable();
+        let mut report = BatchReport::default();
+        let mut locals = self.load();
+        for arrival in arrivals.iter_mut() {
+            // The closed-loop request probe comes first, exactly as in the
+            // per-slot engine (the oracle observes the availability as of
+            // the end of the previous slot); it is the availability ledger
+            // itself, so the generator's scan is a pass over its bitmask.
+            // When nothing is requestable anywhere, a skippable generator's
+            // call is provably fruitless and side-effect-free — skip it on
+            // the O(1) total instead.
+            let request = if skippable && self.requestable().total() == 0 {
+                None
+            } else {
+                requests.next_request(locals.now, self.requestable())
+            };
+            report.note(request.is_some());
+            self.slot(&mut locals, arrival, request, grants);
+            locals.now += 1;
+        }
+        locals.delta.slots += arrivals.len() as u64;
+        self.store(&locals);
+        report
+    }
+}
+
+/// A block in flight from the DRAM to the head SRAM.
+#[derive(Debug)]
+pub(crate) struct PendingDelivery {
+    pub(crate) deliver_slot: u64,
+    pub(crate) queue: LogicalQueueId,
+    pub(crate) block_index: u64,
+    pub(crate) cells: Vec<Cell>,
+}
+
+/// The SRAM front end: tail SRAM and tail MMA, ECQF head MMA with its
+/// lookahead, head SRAM, the blocks in flight to it, and the requestable
+/// ledger.
+#[derive(Debug)]
+pub struct Front {
+    pub(crate) slot: u64,
+    /// Slots until the next granularity period (avoids a division per slot;
+    /// hits zero exactly when `slot % b == 0`).
+    until_period: u64,
+    /// The granularity `b` (`B` for RADS).
+    period: u64,
+    // Tail side: an intrusive cell arena with per-queue FIFO chains and an
+    // incrementally maintained occupancy array (see [`crate::hotpath`]).
+    tail: TailCellArena,
+    tail_mma: ThresholdTailMma,
+    /// Recycles the block buffers that cycle tail → DRAM → head SRAM.
+    pool: BlockPool,
+    // Head side. The MMA policy and the SRAM organisation are concrete types
+    // (ECQF, a two-variant enum) so the per-slot notifications and the
+    // per-grant pop never cross a vtable.
+    pub(crate) head_mma: HeadMmaSubsystem<EcqfMma>,
+    pub(crate) head_sram: HeadSram,
+    pub(crate) pending_deliveries: VecDeque<PendingDelivery>,
+    /// Cells written to DRAM minus requests accepted, per logical queue.
+    pub(crate) available: RequestLedger,
+    verifier: DeliveryVerifier,
+    pub(crate) stats: BufferStats,
+}
+
+impl Front {
+    /// A front end for `num_queues` queues at granularity `b`; the head SRAM
+    /// is `kind` with `lanes` insertion lanes.
+    pub(crate) fn new(
+        num_queues: usize,
+        b: usize,
+        lookahead: usize,
+        kind: HeadSramKind,
+        lanes: usize,
+    ) -> Self {
+        // The functional head SRAM is not capacity-limited: dimensioning is
+        // checked by comparing the measured peak occupancy against the
+        // analytical bound, so that a sizing or policy bug surfaces as a
+        // measurement, not as an artificial overflow (the ablation DSA
+        // policies deliberately exceed the bound).
+        let head_capacity = usize::MAX / 4;
+        let tail_capacity = 2 * ThresholdTailMma::required_sram_cells(num_queues, b);
+        Front {
+            slot: 0,
+            until_period: 0,
+            period: b as u64,
+            tail: TailCellArena::new(num_queues, tail_capacity, b),
+            tail_mma: ThresholdTailMma::new(b),
+            pool: BlockPool::new(),
+            head_mma: HeadMmaSubsystem::with_policy(EcqfMma::new(b), lookahead, num_queues),
+            head_sram: kind.build(num_queues, head_capacity, lanes, b),
+            pending_deliveries: VecDeque::new(),
+            available: RequestLedger::new(num_queues),
+            verifier: DeliveryVerifier::new(num_queues),
+            stats: BufferStats::default(),
+        }
+    }
+
+    // The slot-path helpers below and the back ends' period ops are
+    // `#[inline(always)]`: shared by every design's `step` and `step_batch`,
+    // with plain `#[inline]` LLVM stopped inlining them into the fused loops
+    // as it did each per-design copy, which cost `buf_worstcase` 2.5–4 %
+    // (paired runs).
+
+    /// The queue the tail MMA writes back this period, if any. The arena
+    /// tracks threshold crossings, so the scan is skipped whenever no queue
+    /// holds a full batch.
+    #[inline(always)]
+    pub(crate) fn writeback_candidate(&self) -> Option<LogicalQueueId> {
+        if !self.tail.any_eligible() {
+            return None;
+        }
+        self.tail_mma
+            .select_masked(self.tail.occupancies(), self.tail.eligible_words())
+    }
+
+    /// Moves the oldest block of `queue` out of the tail SRAM (into a pooled
+    /// buffer) on its way to DRAM; its cells become requestable.
+    #[inline(always)]
+    pub(crate) fn take_writeback(&mut self, queue: LogicalQueueId) -> Vec<Cell> {
+        let b = self.period as usize;
+        let mut cells = self.pool.take(b);
+        self.tail.pop_block_into(queue, b, &mut cells);
+        self.available.credit(queue, b as u64);
+        cells
+    }
+
+    /// The replenishment the head MMA selected found nothing in DRAM (its
+    /// cells are still on the tail path): roll the credit back.
+    #[inline]
+    pub(crate) fn unfulfilled(&mut self, queue: LogicalQueueId) {
+        self.head_mma.preload(queue, -(self.period as i64));
+        self.stats.unfulfilled_replenishments += 1;
+    }
+
+    #[inline(always)]
+    fn deliver_due(&mut self, now: u64) {
+        while self
+            .pending_deliveries
+            .front()
+            .is_some_and(|front| front.deliver_slot <= now)
+        {
+            let Some(d) = self.pending_deliveries.pop_front() else {
+                break;
+            };
+            self.head_sram
+                .insert_block_cells(d.queue, d.block_index, &d.cells)
+                .expect("head SRAM is functionally unbounded"); // analyze: allow(panic-freedom) — the head SRAM is configured functionally unbounded; occupancy is measured, not capped
+            self.pool.put(d.cells);
+            self.stats.peak_head_sram_cells = self
+                .stats
+                .peak_head_sram_cells
+                .max(self.head_sram.occupancy() as u64);
+        }
+    }
+}
+
+/// What a DRAM back end behind the [`Front`] supplies.
+pub trait BackEnd {
+    /// The configuration the buffer is built from.
+    type Config: std::fmt::Debug;
+    /// The buffer's `Debug` name.
+    const TYPE_NAME: &'static str;
+    /// [`PacketBuffer::design_name`].
+    const DESIGN: &'static str;
+
+    /// The configuration the buffer was built from.
+    fn config(&self) -> &Self::Config;
+
+    /// The DRAM work of one granularity period, at its first slot `now`.
+    fn period_ops(&mut self, front: &mut Front, now: u64);
+
+    /// Delays the request that left the lookahead on its way to the head
+    /// SRAM; returns the one to serve this slot. RADS adds no delay.
+    #[inline(always)]
+    fn delay(&mut self, due: Option<LogicalQueueId>) -> Option<LogicalQueueId> {
+        due
+    }
+
+    /// Slots [`BackEnd::delay`] adds to the lookahead's.
+    fn delay_slots(&self) -> usize {
+        0
+    }
+
+    /// Whether the back end holds nothing in flight.
+    fn is_quiescent(&self) -> bool {
+        true
+    }
+
+    /// Fast-forwards `slots` quiescent slots crossing `periods` period
+    /// boundaries.
+    fn advance_idle(&mut self, _slots: u64, _periods: u64) {}
+}
+
+/// A hybrid SRAM/DRAM packet buffer: the shared [`Front`] over back end `D`.
+pub struct HybridBuffer<D> {
+    pub(crate) front: Front,
+    pub(crate) back: D,
+}
+
+impl<D: BackEnd> std::fmt::Debug for HybridBuffer<D> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct(D::TYPE_NAME)
+            .field("cfg", self.back.config())
+            .field("slot", &self.front.slot)
+            .field("stats", &self.front.stats)
+            .finish()
+    }
+}
+
+impl<D: BackEnd> HybridBuffer<D> {
+    /// The configuration this buffer was built from.
+    pub fn config(&self) -> &D::Config {
+        self.back.config()
+    }
+
+    /// Peak head-SRAM occupancy observed so far (cells).
+    pub fn peak_head_sram(&self) -> usize {
+        self.front.head_sram.peak_occupancy()
+    }
+}
+
+impl<D: BackEnd> SlotLoop for HybridBuffer<D> {
+    /// The period countdown.
+    type Regs = u64;
+
+    #[inline]
+    fn load(&self) -> Locals<u64> {
+        Locals {
+            now: self.front.slot,
+            regs: self.front.until_period,
+            delta: BufferStats::default(),
+        }
+    }
+
+    #[inline]
+    fn store(&mut self, locals: &Locals<u64>) {
+        let front = &mut self.front;
+        front.slot = locals.now;
+        front.until_period = locals.regs;
+        front.stats.absorb(&locals.delta);
+    }
+
+    #[inline]
+    fn requestable(&self) -> &RequestLedger {
+        &self.front.available
+    }
+
+    #[inline(always)]
+    fn slot<K: SlotSink>(
+        &mut self,
+        locals: &mut Locals<u64>,
+        arrival: &mut Option<Cell>,
+        request: Option<LogicalQueueId>,
+        out: &mut K,
+    ) {
+        let front = &mut self.front;
+        let now = locals.now;
+        let delta = &mut locals.delta;
+
+        // 1. Blocks whose DRAM access completed reach the head SRAM.
+        if !front.pending_deliveries.is_empty() {
+            front.deliver_due(now);
+        }
+
+        // 2. One cell may arrive from the line into the tail SRAM.
+        if let Some(cell) = arrival.take() {
+            if !front.tail.is_full() {
+                front.tail.push(cell);
+                delta.peak_tail_sram_cells =
+                    delta.peak_tail_sram_cells.max(front.tail.len() as u64);
+                delta.arrivals += 1;
+            } else {
+                delta.drops += 1;
+                out.drop_arrival(cell);
+            }
+        }
+
+        // 3. One request may arrive from the arbiter; it enters the
+        //    lookahead, and the request that leaves it (if any) passes the
+        //    back end's delay on its way to the head SRAM.
+        let due = if let Some(queue) = request {
+            delta.requests += 1;
+            front.available.debit(queue);
+            front.head_mma.on_request(Some(queue)).due
+        } else {
+            front.head_mma.on_request(None).due
+        };
+        let due = self.back.delay(due);
+
+        // 4. Every b slots: the back end's DRAM work.
+        if locals.regs == 0 {
+            locals.regs = front.period;
+            self.back.period_ops(front, now);
+        }
+        locals.regs -= 1;
+
+        // 5. Serve the request that completed the whole delay pipeline.
+        if let Some(queue) = due {
+            match front.head_sram.pop_front(queue) {
+                Some(cell) => {
+                    if !front.verifier.check(queue, &cell) {
+                        delta.order_violations += 1;
+                    }
+                    delta.grants += 1;
+                    out.grant(queue, cell);
+                }
+                None => {
+                    delta.misses += 1;
+                    out.miss(queue);
+                }
+            }
+        }
+    }
+}
+
+impl<D: BackEnd> PacketBuffer for HybridBuffer<D> {
+    fn step(&mut self, arrival: Option<Cell>, request: Option<LogicalQueueId>) -> SlotOutcome {
+        self.run_slot(arrival, request)
+    }
+
+    fn current_slot(&self) -> u64 {
+        self.front.slot
+    }
+
+    fn num_queues(&self) -> usize {
+        self.front.available.num_queues()
+    }
+
+    fn requestable_cells(&self, queue: LogicalQueueId) -> u64 {
+        self.front.available.get(queue)
+    }
+
+    fn pipeline_delay_slots(&self) -> usize {
+        self.front.head_mma.lookahead().capacity() + self.back.delay_slots()
+    }
+
+    fn stats(&self) -> &BufferStats {
+        &self.front.stats
+    }
+
+    fn design_name(&self) -> &'static str {
+        D::DESIGN
+    }
+
+    fn step_batch<R: RequestSource>(
+        &mut self,
+        arrivals: &mut [Option<Cell>],
+        requests: &mut R,
+        grants: &mut GrantSink,
+    ) -> BatchReport {
+        self.run_batch(arrivals, requests, grants)
+    }
+
+    fn advance_idle(&mut self, slots: u64) {
+        if slots == 0 {
+            return;
+        }
+        if !self.is_quiescent() {
+            for _ in 0..slots {
+                self.step(None, None);
+            }
+            return;
+        }
+        // Quiescent: every skipped slot only rotates the (all-idle)
+        // lookahead, counts down the period and — at period boundaries —
+        // finds nothing eligible to write back and nothing critical to
+        // replenish (ECQF selects `None` with an empty pending set). All of
+        // that is pure counter/cursor motion, applied here arithmetically;
+        // the back end does the same for its own registers.
+        let front = &mut self.front;
+        let periods = periods_crossed(front.until_period, slots, front.period);
+        front.slot += slots;
+        front.stats.slots += slots;
+        front.head_mma.advance_idle(slots);
+        front.until_period = countdown_after(front.until_period, slots, front.period);
+        self.back.advance_idle(slots, periods);
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.front.pending_deliveries.is_empty()
+            && !self.front.tail.any_eligible()
+            && self.front.head_mma.lookahead().pending_len() == 0
+            && self.back.is_quiescent()
+    }
+
+    fn requestable_total(&self) -> u64 {
+        self.front.available.total()
+    }
+}

@@ -21,23 +21,9 @@ pub enum HeadSramKind {
 }
 
 impl HeadSramKind {
-    /// Builds the functional buffer: `lanes` is `B/b` (1 for RADS) and
-    /// `cells_per_block` is the DRAM transfer granularity.
-    pub fn build(
-        self,
-        num_queues: usize,
-        capacity_cells: usize,
-        lanes: usize,
-        cells_per_block: usize,
-    ) -> Box<dyn SharedBuffer + Send> {
-        match self.build_enum(num_queues, capacity_cells, lanes, cells_per_block) {
-            HeadSram::Cam(buffer) => Box::new(buffer),
-            HeadSram::LinkedList(buffer) => Box::new(buffer),
-        }
-    }
-
-    /// Builds the enum-dispatched form used inside the buffer front ends.
-    pub(crate) fn build_enum(
+    /// Builds the head SRAM of the buffer front end: `lanes` is `B/b` (1 for
+    /// RADS) and `cells_per_block` is the DRAM transfer granularity.
+    pub(crate) fn build(
         self,
         num_queues: usize,
         capacity_cells: usize,

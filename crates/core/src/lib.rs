@@ -17,6 +17,16 @@
 //!   conflicts, a latency register that restores in-order delivery, and queue
 //!   renaming that defeats DRAM fragmentation.
 //!
+//! RADS and CFDS are one SRAM front end (tail SRAM and tail MMA, ECQF
+//! lookahead, head SRAM) over two DRAM back ends, as in the paper: their
+//! slot — deliver, arrive, request, back-end delay, DRAM period ops, serve —
+//! is written once, in the crate-private `front` module, and each back end
+//! supplies only its period ops, its delay (CFDS's latency register), its
+//! share of idle fast-forward and quiescence, and preload. The DRAM-only
+//! baseline has a slot body of its own. Each design's `step` and fused
+//! [`PacketBuffer::step_batch`] run its one body through one shared
+//! skeleton.
+//!
 //! Every buffer continuously checks its own worst-case guarantees (zero miss,
 //! zero drop, FIFO order, zero bank conflicts) through [`BufferStats`] and the
 //! built-in [`DeliveryVerifier`].
@@ -71,6 +81,7 @@
 
 mod cfds_buffer;
 mod dram_only;
+mod front;
 pub mod hotpath;
 mod hsram;
 mod rads;

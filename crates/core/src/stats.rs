@@ -100,6 +100,21 @@ impl BufferStats {
             && self.order_violations == 0
             && self.bank_conflicts == 0
     }
+
+    /// Adds the slot-grained counters a slot loop kept in locals (`delta`);
+    /// the tail-SRAM peak is a maximum.
+    pub(crate) fn absorb(&mut self, delta: &BufferStats) {
+        self.slots += delta.slots;
+        self.arrivals += delta.arrivals;
+        self.drops += delta.drops;
+        self.requests += delta.requests;
+        self.grants += delta.grants;
+        self.misses += delta.misses;
+        self.order_violations += delta.order_violations;
+        self.dram_reads += delta.dram_reads;
+        self.dram_writes += delta.dram_writes;
+        self.peak_tail_sram_cells = self.peak_tail_sram_cells.max(delta.peak_tail_sram_cells);
+    }
 }
 
 #[cfg(test)]

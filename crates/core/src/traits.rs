@@ -168,39 +168,24 @@ pub trait PacketBuffer {
     /// cell's queue is pushed into `grants`.
     ///
     /// The default implementation is the per-slot reference: it loops over
-    /// [`PacketBuffer::step`]. The buffer designs override it with fused
-    /// loops that hoist per-slot invariant loads (configuration, ring bases)
-    /// out of the loop and hand the request source their availability ledger
-    /// itself — with **identical observable behaviour**, which the
-    /// differential suite in `sim` pins down.
+    /// [`PacketBuffer::step`]. Every design in this crate forwards instead to
+    /// one fused loop, written once over the design's own slot body (the same
+    /// body its `step` runs), with **identical observable behaviour** — which
+    /// `pktbuf`'s `slot_paths` and `sim`'s `chunked_equivalence` suites pin
+    /// down. It keeps the clock and the slot-grained counters in locals for
+    /// the batch instead of handing a [`SlotOutcome`] back per slot, hands
+    /// the request source the design's [`pktbuf_model::RequestLedger`] as
+    /// its oracle (a shift and a `trailing_zeros` over a bitmask, where this
+    /// default's closure over [`PacketBuffer::requestable_cells`] probes up
+    /// to Q queues), and skips a skippable source outright when nothing is
+    /// requestable.
     ///
-    /// The overrides are load-bearing; do not re-propose deleting them.
-    /// Measured on the deletion (PR 18, paired interleaved 24 s runs,
-    /// `sim_fingerprint` equal): falling back to this default moves
-    /// `buf_bursty_idle` 7.53 → 26.2 ns per buffer-step (3.6×, 0/3 pairs
-    /// lower). The fused loops buy three things:
-    ///
-    /// 1. the **skip-scan shortcut** — when nothing is requestable anywhere
-    ///    (the ledger's O(1) total) a skippable generator is not called at
-    ///    all. That is most of the 3.6×, but hoisting just that line into
-    ///    this default still leaves `buf_bursty_idle` at 7.71 → 9.26 ns
-    ///    (+18.6 %, 0/10 pairs lower);
-    /// 2. the **mask scan** (PR 23) — when something is requestable, the
-    ///    oracle the generator gets is the design's
-    ///    [`pktbuf_model::RequestLedger`], so "the first queue with cells
-    ///    from the cursor on" is a shift and a `trailing_zeros` over its
-    ///    non-zero bitmask. This default can only offer a closure over
-    ///    [`PacketBuffer::requestable_cells`], which answers one queue at a
-    ///    time, so the same question costs up to Q probes — on the paper's
-    ///    worst case, where a round-robin drain runs every queue dry
-    ///    together, nearly all Q of them every slot. Paired on
-    ///    `buf_worstcase` (Q = 64): 104.3 → 70.5 ns per buffer-step (10/10
-    ///    pairs lower), and the same-run `sim.per_slot_engine_ratio` (this
-    ///    default over the fused loops) went 1.07–1.10 → 1.49–1.59 there,
-    ///    which CI gates;
-    /// 3. **no per-slot hand-off** — no [`SlotOutcome`] materialised and no
-    ///    counter written through memory each slot (they live in locals for
-    ///    the batch), which is the +18.6 % that remains in (1).
+    /// The fused loop is load-bearing; do not re-propose deleting it. Falling
+    /// back to this default cost 3.6× on `buf_bursty_idle` (PR 18), still
+    /// +18.6 % with the skip-scan shortcut hoisted in, and the mask scan is
+    /// worth −32 % on `buf_worstcase` (PR 23), which CI gates through
+    /// `sim.per_slot_engine_ratio` — README "Performance" has the paired
+    /// tables.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],
