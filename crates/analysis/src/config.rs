@@ -1,12 +1,11 @@
-//! `analysis.toml`: which files are hot, which modules feed reports, and
-//! which cross-file families must stay in sync.
+//! `analysis.toml`: which files are hot and which modules feed reports.
 //!
 //! The parser is a hand-rolled TOML *subset* in the spirit of the vendored
 //! dependency stand-ins (the container has no crates.io access): `[table]`
-//! and `[[array-of-tables]]` headers, `key = "string"`, `key = integer`,
-//! `key = true/false`, and (possibly multi-line) string arrays. That is all
-//! the checked-in configuration needs; anything else is a parse error so
-//! config drift is loud.
+//! headers, `key = "string"`, `key = integer`, `key = true/false`, and
+//! (possibly multi-line) string arrays. That is all the checked-in
+//! configuration needs; anything else — an `[[array-of-tables]]` header
+//! included — is a parse error so config drift is loud.
 
 use std::collections::BTreeMap;
 
@@ -26,13 +25,11 @@ pub enum TomlValue {
 /// A `key = value` table (order-stable via `BTreeMap`).
 pub type TomlTable = BTreeMap<String, TomlValue>;
 
-/// The parsed document: named tables plus arrays-of-tables.
+/// The parsed document: named tables.
 #[derive(Debug, Default)]
 pub struct TomlDoc {
     /// `[name]` tables.
     pub tables: BTreeMap<String, TomlTable>,
-    /// `[[name]]` arrays of tables, in document order.
-    pub table_arrays: BTreeMap<String, Vec<TomlTable>>,
     /// Keys written before any table header.
     pub root: TomlTable,
 }
@@ -55,36 +52,6 @@ pub struct Config {
     /// Identifier stems that mark slot/ordinal arithmetic for the
     /// truncating-cast check.
     pub ordinal_stems: Vec<String>,
-    /// Enum families that must stay variant-complete across files.
-    pub enum_sync: Vec<EnumSyncSpec>,
-    /// Trait impls that must carry specific method overrides.
-    pub impl_sync: Vec<ImplSyncSpec>,
-}
-
-/// `[[enum_sync]]`: every variant of `source_enum` must appear as a variant
-/// of `target_enum` (name-for-name), across crate boundaries rustc cannot
-/// check.
-#[derive(Debug, Clone)]
-pub struct EnumSyncSpec {
-    /// File declaring the source-of-truth enum.
-    pub source_file: String,
-    /// Source enum name.
-    pub source_enum: String,
-    /// File declaring the enum that must mirror it.
-    pub target_file: String,
-    /// Mirroring enum name.
-    pub target_enum: String,
-}
-
-/// `[[impl_sync]]`: every non-test `impl <trait> for …` in the workspace
-/// must define all of `methods` (or carry a waiver explaining why the
-/// default is intentional).
-#[derive(Debug, Clone)]
-pub struct ImplSyncSpec {
-    /// Trait name (last path segment as written at the impl).
-    pub trait_name: String,
-    /// Methods every impl must override.
-    pub methods: Vec<String>,
 }
 
 impl Config {
@@ -108,8 +75,6 @@ impl Config {
             setup_functions: Vec::new(),
             determinism_paths: Vec::new(),
             ordinal_stems: vec!["slot".into(), "ordinal".into(), "seq".into()],
-            enum_sync: Vec::new(),
-            impl_sync: Vec::new(),
         };
         for (name, table) in &doc.tables {
             match name.as_str() {
@@ -135,32 +100,6 @@ impl Config {
                     check_keys(table, &["paths", "ordinal_stems"], "determinism")?;
                 }
                 other => return Err(format!("unknown section [{other}] in analysis.toml")),
-            }
-        }
-        for (name, tables) in &doc.table_arrays {
-            match name.as_str() {
-                "enum_sync" => {
-                    for table in tables {
-                        config.enum_sync.push(EnumSyncSpec {
-                            source_file: as_str(require(table, "source_file", "enum_sync")?)?,
-                            source_enum: as_str(require(table, "source_enum", "enum_sync")?)?,
-                            target_file: as_str(require(table, "target_file", "enum_sync")?)?,
-                            target_enum: as_str(require(table, "target_enum", "enum_sync")?)?,
-                        });
-                    }
-                }
-                "impl_sync" => {
-                    for table in tables {
-                        config.impl_sync.push(ImplSyncSpec {
-                            trait_name: as_str(require(table, "trait", "impl_sync")?)?,
-                            methods: as_str_array(
-                                require(table, "methods", "impl_sync")?,
-                                "methods",
-                            )?,
-                        });
-                    }
-                }
-                other => return Err(format!("unknown section [[{other}]] in analysis.toml")),
             }
         }
         Ok(config)
@@ -193,13 +132,6 @@ fn check_keys(table: &TomlTable, allowed: &[&str], section: &str) -> Result<(), 
     Ok(())
 }
 
-fn as_str(value: &TomlValue) -> Result<String, String> {
-    match value {
-        TomlValue::Str(s) => Ok(s.clone()),
-        other => Err(format!("expected a string, found {other:?}")),
-    }
-}
-
 fn as_str_array(value: &TomlValue, key: &str) -> Result<Vec<String>, String> {
     match value {
         TomlValue::StrArray(items) => Ok(items.clone()),
@@ -213,7 +145,6 @@ pub fn parse_toml(text: &str) -> Result<TomlDoc, String> {
     enum Target {
         Root,
         Table(String),
-        ArrayTable(String),
     }
     let mut doc = TomlDoc::default();
     let mut target = Target::Root;
@@ -224,18 +155,11 @@ pub fn parse_toml(text: &str) -> Result<TomlDoc, String> {
         if line.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("[[") {
-            let name = rest
-                .strip_suffix("]]")
-                .ok_or_else(|| format!("line {line_no}: malformed [[section]] header"))?
-                .trim()
-                .to_owned();
-            doc.table_arrays
-                .entry(name.clone())
-                .or_default()
-                .push(TomlTable::new());
-            target = Target::ArrayTable(name);
-            continue;
+        if line.starts_with("[[") {
+            return Err(format!(
+                "line {line_no}: unknown section {line} in analysis.toml (no array of \
+                 tables is read)"
+            ));
         }
         if let Some(rest) = line.strip_prefix('[') {
             let name = rest
@@ -267,11 +191,6 @@ pub fn parse_toml(text: &str) -> Result<TomlDoc, String> {
         let table = match &target {
             Target::Root => &mut doc.root,
             Target::Table(name) => doc.tables.get_mut(name).expect("header created the table"),
-            Target::ArrayTable(name) => doc
-                .table_arrays
-                .get_mut(name)
-                .and_then(|v| v.last_mut())
-                .expect("header created the table"),
         };
         if table.insert(key.clone(), value).is_some() {
             return Err(format!("line {line_no}: duplicate key {key:?}"));
@@ -411,16 +330,6 @@ setup_functions = ["new", "with_*"]
 
 [determinism]
 paths = ["crates/sim/src"]
-
-[[enum_sync]]
-source_file = "a.rs"
-source_enum = "DesignKind"
-target_file = "b.rs"
-target_enum = "PortBuffer"
-
-[[impl_sync]]
-trait = "PacketBuffer"
-methods = ["step_batch", "advance_idle"]
 "#;
 
     #[test]
@@ -431,8 +340,7 @@ methods = ["step_batch", "advance_idle"]
         assert!(config.is_setup_function("new"));
         assert!(config.is_setup_function("with_capacity"));
         assert!(!config.is_setup_function("step"));
-        assert_eq!(config.enum_sync.len(), 1);
-        assert_eq!(config.impl_sync[0].methods.len(), 2);
+        assert_eq!(config.determinism_paths, vec!["crates/sim/src"]);
     }
 
     #[test]
@@ -440,6 +348,15 @@ methods = ["step_batch", "advance_idle"]
         assert!(Config::from_toml("[mystery]\nx = 1\n").is_err());
         assert!(Config::from_toml("[hotpath]\nfiles = []\nbogus = 1\n").is_err());
         assert!(Config::from_toml("[determinism]\n").is_err()); // missing paths
+                                                                // The cross-file rules rustc replaced: a stale analysis.toml that
+                                                                // still configures them fails loudly instead of checking nothing.
+        for stale in [
+            "[[enum_sync]]\nsource_enum = \"DesignKind\"\n",
+            "[[impl_sync]]\ntrait = \"PacketBuffer\"\n",
+        ] {
+            let err = Config::from_toml(stale).expect_err(stale);
+            assert!(err.contains("unknown section [["), "{err}");
+        }
     }
 
     #[test]

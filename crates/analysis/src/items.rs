@@ -1,11 +1,13 @@
 //! A lightweight item parser over the token stream.
 //!
 //! It recovers just the structure the rules need: function spans (with
-//! names), `impl` blocks (trait + type + method names), `enum` definitions
-//! (variant names), and which spans are test code (`#[cfg(test)]` items,
-//! `#[test]` functions, `mod tests`). It is *not* a full grammar — bodies
-//! are tracked by delimiter balancing, which the lexer makes safe by
-//! swallowing literals and comments.
+//! names, inside modules, `impl` and `trait` bodies alike) and which spans
+//! are test code (`#[cfg(test)]` items, `#[test]` functions, `mod tests`).
+//! It is *not* a full grammar — bodies are tracked by delimiter balancing,
+//! which the lexer makes safe by swallowing literals and comments. Which
+//! trait methods an `impl` defines and which variants an `enum` has are
+//! rustc's to check (required trait methods, exhaustive `match`), so the
+//! parser does not record them.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -21,36 +23,6 @@ pub struct FnItem {
     pub line: u32,
     /// Whether the function lives in test code.
     pub in_test: bool,
-    /// Index into [`ParsedFile::impls`] when this is an `impl` method.
-    pub impl_index: Option<usize>,
-}
-
-/// An `impl` block header.
-#[derive(Debug, Clone)]
-pub struct ImplItem {
-    /// Trait name (last path segment) for `impl Trait for Type`, else `None`.
-    pub trait_name: Option<String>,
-    /// Implementing type name (last path segment before generics).
-    pub type_name: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: u32,
-    /// Whether the impl lives in test code.
-    pub in_test: bool,
-    /// Names of the methods defined in this block.
-    pub methods: Vec<String>,
-}
-
-/// An `enum` definition.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// The enum's name.
-    pub name: String,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
-    /// Whether the enum lives in test code.
-    pub in_test: bool,
 }
 
 /// The structural view of one file.
@@ -58,10 +30,6 @@ pub struct EnumItem {
 pub struct ParsedFile {
     /// Every function with a recovered span.
     pub fns: Vec<FnItem>,
-    /// Every `impl` block.
-    pub impls: Vec<ImplItem>,
-    /// Every `enum` definition.
-    pub enums: Vec<EnumItem>,
 }
 
 /// Parses the token stream of one file.
@@ -72,7 +40,7 @@ pub fn parse(tokens: &[Token]) -> ParsedFile {
         out: &mut parsed,
     };
     let mut i = 0;
-    parser.items(&mut i, false, None);
+    parser.items(&mut i, false);
     parsed
 }
 
@@ -83,9 +51,8 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     /// Parses items until end-of-tokens or an unmatched `}` (the caller's
-    /// closing brace). `in_test` marks the whole scope as test code;
-    /// `impl_index` is set while inside an `impl` body.
-    fn items(&mut self, i: &mut usize, in_test: bool, impl_index: Option<usize>) {
+    /// closing brace). `in_test` marks the whole scope as test code.
+    fn items(&mut self, i: &mut usize, in_test: bool) {
         // Test-ness granted by an attribute applies to the next item only.
         let mut pending_test = false;
         while *i < self.tokens.len() {
@@ -98,7 +65,7 @@ impl Parser<'_> {
                 TokenKind::Punct('{') => {
                     // A stray block at item level (e.g. inside a macro body).
                     *i += 1;
-                    self.items(i, in_test || pending_test, impl_index);
+                    self.items(i, in_test || pending_test);
                     self.expect_close(i);
                     pending_test = false;
                 }
@@ -107,26 +74,19 @@ impl Parser<'_> {
                 }
                 TokenKind::Ident(word) => match word.as_str() {
                     "fn" => {
-                        self.function(i, in_test || pending_test, impl_index);
+                        self.function(i, in_test || pending_test);
                         pending_test = false;
                     }
                     "mod" => {
-                        self.module(i, in_test || pending_test, impl_index);
+                        self.module(i, in_test || pending_test);
                         pending_test = false;
                     }
-                    "impl" => {
-                        self.impl_block(i, in_test || pending_test);
-                        pending_test = false;
-                    }
-                    "enum" => {
-                        self.enum_def(i, in_test || pending_test);
-                        pending_test = false;
-                    }
-                    "trait" => {
+                    "impl" | "trait" => {
                         self.skip_to_body_and_recurse(i, in_test || pending_test);
                         pending_test = false;
                     }
-                    "struct" | "union" | "type" | "static" | "const" | "use" | "extern" => {
+                    "struct" | "enum" | "union" | "type" | "static" | "const" | "use"
+                    | "extern" => {
                         self.skip_item(i);
                         pending_test = false;
                     }
@@ -204,7 +164,7 @@ impl Parser<'_> {
     }
 
     /// `fn name …` — records the item and consumes through the body.
-    fn function(&mut self, i: &mut usize, in_test: bool, impl_index: Option<usize>) {
+    fn function(&mut self, i: &mut usize, in_test: bool) {
         let line = self.tokens[*i].line;
         *i += 1; // fn
         let name = match self.tokens.get(*i).and_then(|t| t.ident()) {
@@ -219,7 +179,7 @@ impl Parser<'_> {
             match self.tokens[*i].kind {
                 TokenKind::Punct(';') => {
                     *i += 1;
-                    self.record_fn(name, 0..0, line, in_test, impl_index);
+                    self.record_fn(name, 0..0, line, in_test);
                     return;
                 }
                 TokenKind::Punct('{') => break,
@@ -228,36 +188,25 @@ impl Parser<'_> {
             }
         }
         if *i >= self.tokens.len() {
-            self.record_fn(name, 0..0, line, in_test, impl_index);
+            self.record_fn(name, 0..0, line, in_test);
             return;
         }
         let body_start = *i + 1;
         self.balanced(i); // the body { … }
         let body_end = i.saturating_sub(1);
-        self.record_fn(name, body_start..body_end, line, in_test, impl_index);
+        self.record_fn(name, body_start..body_end, line, in_test);
     }
 
-    fn record_fn(
-        &mut self,
-        name: String,
-        body: std::ops::Range<usize>,
-        line: u32,
-        in_test: bool,
-        impl_index: Option<usize>,
-    ) {
-        if let Some(idx) = impl_index {
-            self.out.impls[idx].methods.push(name.clone());
-        }
+    fn record_fn(&mut self, name: String, body: std::ops::Range<usize>, line: u32, in_test: bool) {
         self.out.fns.push(FnItem {
             name,
             body,
             line,
             in_test,
-            impl_index,
         });
     }
 
-    fn module(&mut self, i: &mut usize, in_test: bool, impl_index: Option<usize>) {
+    fn module(&mut self, i: &mut usize, in_test: bool) {
         *i += 1; // mod
         let name = self.tokens.get(*i).and_then(|t| t.ident()).unwrap_or("");
         // `mod tests` without the cfg attribute is still, by convention,
@@ -267,7 +216,7 @@ impl Parser<'_> {
         match self.tokens.get(*i).map(|t| &t.kind) {
             Some(TokenKind::Punct('{')) => {
                 *i += 1;
-                self.items(i, is_test, impl_index);
+                self.items(i, is_test);
                 self.expect_close(i);
             }
             Some(TokenKind::Punct(';')) => *i += 1,
@@ -275,141 +224,10 @@ impl Parser<'_> {
         }
     }
 
-    /// `impl … {` — extracts trait/type names and recurses into the body.
-    fn impl_block(&mut self, i: &mut usize, in_test: bool) {
-        let line = self.tokens[*i].line;
-        *i += 1; // impl
-                 // Collect path idents, tracking angle-bracket depth so generic
-                 // arguments don't pollute the trait/type names.
-        let mut angle: i32 = 0;
-        let mut before_for: Vec<String> = Vec::new();
-        let mut after_for: Vec<String> = Vec::new();
-        let mut saw_for = false;
-        while *i < self.tokens.len() {
-            match &self.tokens[*i].kind {
-                TokenKind::Punct('{') => break,
-                TokenKind::Punct('<') => {
-                    angle += 1;
-                    *i += 1;
-                }
-                TokenKind::Punct('>') => {
-                    angle -= 1;
-                    *i += 1;
-                }
-                TokenKind::Punct('(') | TokenKind::Punct('[') => self.balanced(i),
-                TokenKind::Ident(word) if word == "for" && angle <= 0 => {
-                    saw_for = true;
-                    *i += 1;
-                }
-                TokenKind::Ident(word) if word == "where" && angle <= 0 => {
-                    // The rest of the header is bounds; scan to the body.
-                    while *i < self.tokens.len() && !self.tokens[*i].is_punct('{') {
-                        if self.open_delim(*i) && !self.tokens[*i].is_punct('{') {
-                            self.balanced(i);
-                        } else {
-                            *i += 1;
-                        }
-                    }
-                    break;
-                }
-                TokenKind::Ident(word) if angle <= 0 => {
-                    if saw_for {
-                        after_for.push(word.clone());
-                    } else {
-                        before_for.push(word.clone());
-                    }
-                    *i += 1;
-                }
-                _ => *i += 1,
-            }
-        }
-        let (trait_name, type_name) = if saw_for {
-            (before_for.pop(), after_for.pop().unwrap_or_default())
-        } else {
-            (None, before_for.pop().unwrap_or_default())
-        };
-        let impl_index = self.out.impls.len();
-        self.out.impls.push(ImplItem {
-            trait_name,
-            type_name,
-            line,
-            in_test,
-            methods: Vec::new(),
-        });
-        if matches!(
-            self.tokens.get(*i).map(|t| &t.kind),
-            Some(TokenKind::Punct('{'))
-        ) {
-            *i += 1;
-            self.items(i, in_test, Some(impl_index));
-            self.expect_close(i);
-        }
-    }
-
-    fn enum_def(&mut self, i: &mut usize, in_test: bool) {
-        let line = self.tokens[*i].line;
-        *i += 1; // enum
-        let name = match self.tokens.get(*i).and_then(|t| t.ident()) {
-            Some(name) => name.to_owned(),
-            None => return,
-        };
-        *i += 1;
-        // Skip generics/where to the body.
-        while *i < self.tokens.len() && !self.tokens[*i].is_punct('{') {
-            *i += 1;
-        }
-        if *i >= self.tokens.len() {
-            return;
-        }
-        *i += 1; // '{'
-        let mut variants = Vec::new();
-        let mut expect_variant = true;
-        while *i < self.tokens.len() {
-            match &self.tokens[*i].kind {
-                TokenKind::Punct('}') => {
-                    *i += 1;
-                    break;
-                }
-                TokenKind::Punct('#') => {
-                    self.attribute(i);
-                }
-                TokenKind::Punct('{') | TokenKind::Punct('(') => {
-                    self.balanced(i); // variant payload
-                }
-                TokenKind::Punct('=') => {
-                    // Discriminant expression: skip to the separating comma.
-                    while *i < self.tokens.len()
-                        && !self.tokens[*i].is_punct(',')
-                        && !self.tokens[*i].is_punct('}')
-                    {
-                        *i += 1;
-                    }
-                }
-                TokenKind::Punct(',') => {
-                    expect_variant = true;
-                    *i += 1;
-                }
-                TokenKind::Ident(word) => {
-                    if expect_variant {
-                        variants.push(word.clone());
-                        expect_variant = false;
-                    }
-                    *i += 1;
-                }
-                _ => *i += 1,
-            }
-        }
-        self.out.enums.push(EnumItem {
-            name,
-            variants,
-            line,
-            in_test,
-        });
-    }
-
-    /// `trait Name … { items }` — method declarations inside get recorded.
+    /// `impl … { items }` / `trait Name … { items }` — the methods (and a
+    /// trait's bodiless declarations) inside get recorded.
     fn skip_to_body_and_recurse(&mut self, i: &mut usize, in_test: bool) {
-        *i += 1; // trait
+        *i += 1; // impl / trait
         while *i < self.tokens.len() && !self.tokens[*i].is_punct('{') {
             match self.tokens[*i].kind {
                 TokenKind::Punct('(') | TokenKind::Punct('[') => self.balanced(i),
@@ -421,7 +239,7 @@ impl Parser<'_> {
             Some(TokenKind::Punct('{'))
         ) {
             *i += 1;
-            self.items(i, in_test, None);
+            self.items(i, in_test);
             self.expect_close(i);
         }
     }
@@ -484,32 +302,35 @@ mod tests {
     }
 
     #[test]
-    fn impl_blocks_capture_trait_type_and_methods() {
+    fn impl_bodies_record_their_methods() {
         let parsed = parse_src(
-            "impl<T: Clone> PacketBuffer for MyBuf<T> where T: Send {\n\
+            "impl<T: Fn(u8) -> [u8; 2]> PacketBuffer for MyBuf<T> where T: Send {\n\
                fn step(&mut self) {}\n\
                fn step_batch(&mut self) {}\n\
              }\n\
+             #[cfg(test)]\n\
              impl MyBuf<u32> { fn helper(&self) {} }",
         );
-        assert_eq!(parsed.impls.len(), 2);
-        let tr = &parsed.impls[0];
-        assert_eq!(tr.trait_name.as_deref(), Some("PacketBuffer"));
-        assert_eq!(tr.type_name, "MyBuf");
-        assert_eq!(tr.methods, vec!["step", "step_batch"]);
-        let inherent = &parsed.impls[1];
-        assert_eq!(inherent.trait_name, None);
-        assert_eq!(inherent.methods, vec!["helper"]);
+        let names: Vec<(&str, bool)> = parsed
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.in_test))
+            .collect();
+        assert_eq!(
+            names,
+            vec![("step", false), ("step_batch", false), ("helper", true)]
+        );
     }
 
     #[test]
-    fn enums_capture_variants_with_payloads_and_discriminants() {
+    fn enum_bodies_are_skipped_as_items() {
         let parsed = parse_src(
             "pub enum DesignKind { DramOnly, Rads, Cfds }\n\
-             enum Mixed { A(u32), B { x: u64 }, C = 4, D }",
+             enum Mixed { A(u32), B { x: u64 }, C = 4, D }\n\
+             fn after() {}",
         );
-        assert_eq!(parsed.enums[0].variants, vec!["DramOnly", "Rads", "Cfds"]);
-        assert_eq!(parsed.enums[1].variants, vec!["A", "B", "C", "D"]);
+        let names: Vec<&str> = parsed.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after"]);
     }
 
     #[test]

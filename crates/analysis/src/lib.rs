@@ -35,17 +35,12 @@
 //! * **`truncating-cast`** (warning) — `slot/ordinal/seq … as u32`-style
 //!   narrowing in determinism scope. Backstops the proptest ordinal-range
 //!   suites, which only reach the ordinals their generators draw.
-//! * **`enum-sync`** (error) — configured enum pairs (e.g. every
-//!   `DesignKind` variant must have a `fabric::PortBuffer` arm) stay
-//!   variant-complete across crates, where rustc's exhaustiveness checks
-//!   cannot reach. Backstops the fabric differential tests that would only
-//!   fail once a run exercises the missing design.
-//! * **`impl-sync`** (error) — every `impl PacketBuffer for …` must
-//!   override the configured batch methods (`step_batch`, `advance_idle`):
-//!   a new design silently inheriting the per-slot defaults loses the
-//!   idle fast-forward and the fused batch loop (3.6× on the benchmark's
-//!   `buf_bursty_idle`, invisible on the dense workloads). Backstops
-//!   `crates/sim/tests/chunked_equivalence.rs`.
+//!
+//! Cross-file completeness is left to rustc, the cheaper checker: every
+//! `DesignKind` has a `fabric::PortBuffer` variant because one exhaustive
+//! `match` in `sim` builds a port of each, and every `PacketBuffer` impl
+//! carries the batch fast paths (`step_batch`, `advance_idle`, …) because
+//! the trait has no default bodies for them.
 //!
 //! # Waivers
 //!
@@ -141,7 +136,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// it, and the fixture tests feed it directly.
 pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> AnalysisReport {
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut parsed_files: Vec<(String, items::ParsedFile)> = Vec::new();
     let mut waiver_sets: Vec<(String, waiver::WaiverSet)> = Vec::new();
 
     for (path, text) in sources {
@@ -169,7 +163,6 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
         if rules::is_determinism_path(config, path) {
             rules::determinism(&ctx, config, &mut diagnostics);
         }
-        parsed_files.push((path.clone(), parsed));
         waiver_sets.push((path.clone(), waivers));
     }
 
@@ -188,9 +181,6 @@ pub fn analyze_sources(sources: &[(String, String)], config: &Config) -> Analysi
             ));
         }
     }
-
-    rules::enum_sync(&parsed_files, config, &mut diagnostics);
-    rules::impl_sync(&parsed_files, config, &mut diagnostics);
 
     // Waiver resolution: a diagnostic is waived by a same-file waiver that
     // covers its line and names its rule.

@@ -8,8 +8,6 @@
 //! | `unchecked-indexing` | warning | hot files | `clippy::indexing_slicing` + debug asserts |
 //! | `determinism` | error | report-feeding modules | thread-count-invariance tests |
 //! | `truncating-cast` | warning | report-feeding modules | proptest ordinal ranges |
-//! | `enum-sync` | error | configured enum pairs | fabric differential tests |
-//! | `impl-sync` | error | configured trait impls | chunked-equivalence tests |
 
 use crate::config::Config;
 use crate::items::ParsedFile;
@@ -41,8 +39,7 @@ pub fn is_determinism_path(config: &Config, path: &str) -> bool {
 }
 
 /// Token index ranges that belong to test code (bodies of `#[cfg(test)]` /
-/// `#[test]` functions). Cross-file rules use item-level `in_test` flags
-/// instead.
+/// `#[test]` functions).
 fn test_ranges(parsed: &ParsedFile) -> Vec<std::ops::Range<usize>> {
     parsed
         .fns
@@ -365,94 +362,6 @@ fn path_is(tokens: &[Token], i: usize, name: &str) -> bool {
         && tokens[i].is_punct(':')
         && tokens[i - 1].is_punct(':')
         && tokens[i - 2].ident() == Some(name)
-}
-
-/// `enum-sync`: a source-of-truth enum's variants must all appear in its
-/// configured mirror (cross-crate drift rustc cannot see).
-pub fn enum_sync(files: &[(String, ParsedFile)], config: &Config, out: &mut Vec<Diagnostic>) {
-    for spec in &config.enum_sync {
-        let find = |file: &str, name: &str| {
-            files
-                .iter()
-                .find(|(path, _)| path == file)
-                .and_then(|(_, parsed)| parsed.enums.iter().find(|e| e.name == name && !e.in_test))
-        };
-        let Some(source) = find(&spec.source_file, &spec.source_enum) else {
-            out.push(Diagnostic::new(
-                "enum-sync",
-                Severity::Error,
-                &spec.source_file,
-                1,
-                format!(
-                    "configured source enum `{}` not found in this file — \
-                     analysis.toml has drifted from the source tree",
-                    spec.source_enum
-                ),
-            ));
-            continue;
-        };
-        let Some(target) = find(&spec.target_file, &spec.target_enum) else {
-            out.push(Diagnostic::new(
-                "enum-sync",
-                Severity::Error,
-                &spec.target_file,
-                1,
-                format!(
-                    "configured target enum `{}` not found in this file — \
-                     analysis.toml has drifted from the source tree",
-                    spec.target_enum
-                ),
-            ));
-            continue;
-        };
-        for variant in &source.variants {
-            if !target.variants.contains(variant) {
-                out.push(Diagnostic::new(
-                    "enum-sync",
-                    Severity::Error,
-                    &spec.target_file,
-                    target.line,
-                    format!(
-                        "enum `{}` has no `{variant}` arm, but `{}::{variant}` exists \
-                         in {} — the dispatch family drifted across crates",
-                        spec.target_enum, spec.source_enum, spec.source_file
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// `impl-sync`: every non-test impl of a configured trait must override the
-/// listed methods (the chunked-engine fast paths are per-design overrides; a
-/// new design silently inheriting the slow default is exactly the drift this
-/// catches).
-pub fn impl_sync(files: &[(String, ParsedFile)], config: &Config, out: &mut Vec<Diagnostic>) {
-    for spec in &config.impl_sync {
-        for (path, parsed) in files {
-            for imp in &parsed.impls {
-                if imp.in_test || imp.trait_name.as_deref() != Some(spec.trait_name.as_str()) {
-                    continue;
-                }
-                for method in &spec.methods {
-                    if !imp.methods.contains(method) {
-                        out.push(Diagnostic::new(
-                            "impl-sync",
-                            Severity::Error,
-                            path,
-                            imp.line,
-                            format!(
-                                "`impl {} for {}` does not override `{method}`: the \
-                                 batch fast paths are per-design overrides; implement \
-                                 it or waive with why the default is intended",
-                                spec.trait_name, imp.type_name
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

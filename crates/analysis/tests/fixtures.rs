@@ -195,72 +195,6 @@ fn truncating_cast_warns_on_narrowed_ordinal_arithmetic() {
     assert_eq!(report.error_count(), 0);
 }
 
-// ---------------------------------------------------------------- cross-file sync
-
-const SYNC_TOML: &str = "[[enum_sync]]\n\
-                         source_file = \"a.rs\"\n\
-                         source_enum = \"DesignKind\"\n\
-                         target_file = \"b.rs\"\n\
-                         target_enum = \"PortBuffer\"\n";
-
-#[test]
-fn enum_sync_fires_when_a_variant_has_no_target_arm() {
-    let cfg = config(SYNC_TOML);
-    let complete = sources(&[
-        ("a.rs", "pub enum DesignKind { DramOnly, Rads, Cfds }\n"),
-        (
-            "b.rs",
-            "pub enum PortBuffer { DramOnly(A), Rads(B), Cfds(C) }\n",
-        ),
-    ]);
-    assert_eq!(analyze_sources(&complete, &cfg).error_count(), 0);
-
-    let drifted = sources(&[
-        (
-            "a.rs",
-            "pub enum DesignKind { DramOnly, Rads, Cfds, Hsram }\n",
-        ),
-        (
-            "b.rs",
-            "pub enum PortBuffer { DramOnly(A), Rads(B), Cfds(C) }\n",
-        ),
-    ]);
-    let report = analyze_sources(&drifted, &cfg);
-    assert_eq!(report.error_count(), 1);
-    let diag = &report.diagnostics[0];
-    assert_eq!(diag.rule, "enum-sync");
-    assert_eq!(diag.file, "b.rs");
-    assert!(diag.message.contains("Hsram"), "{}", diag.message);
-}
-
-#[test]
-fn impl_sync_fires_when_an_impl_misses_a_batch_override() {
-    let cfg = config("[[impl_sync]]\ntrait = \"PacketBuffer\"\nmethods = [\"step_batch\"]\n");
-    let complete = sources(&[(
-        "buf.rs",
-        "impl PacketBuffer for NewDesign {\n\
-         fn step(&mut self) {}\n\
-         fn step_batch(&mut self) {}\n\
-         }\n",
-    )]);
-    assert_eq!(analyze_sources(&complete, &cfg).error_count(), 0);
-
-    let drifted = sources(&[(
-        "buf.rs",
-        "impl PacketBuffer for NewDesign {\n\
-         fn step(&mut self) {}\n\
-         }\n",
-    )]);
-    let report = analyze_sources(&drifted, &cfg);
-    assert_eq!(report.error_count(), 1);
-    assert_eq!(report.diagnostics[0].rule, "impl-sync");
-    assert!(
-        report.diagnostics[0].message.contains("step_batch"),
-        "{}",
-        report.diagnostics[0].message
-    );
-}
-
 // ---------------------------------------------------------------- config drift
 
 #[test]

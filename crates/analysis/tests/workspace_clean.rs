@@ -70,14 +70,6 @@ fn poisoning_a_real_hot_file_fails_the_gate() {
             (rel.clone(), text)
         })
         .collect();
-    // The enum-sync spec needs its source file present too.
-    for spec in &config.enum_sync {
-        if !sources.iter().any(|(p, _)| *p == spec.source_file) {
-            let text = std::fs::read_to_string(root.join(&spec.source_file))
-                .expect("enum-sync source reads");
-            sources.push((spec.source_file.clone(), text));
-        }
-    }
 
     let baseline = analysis::analyze_sources(&sources, &config);
     assert_eq!(

@@ -31,7 +31,7 @@ impl SlotOutcome {
 /// [`RequestOracle::first_from`] is a word scan of its non-zero bitmask, so
 /// "the next queue with cells" costs the same whether one queue or all of
 /// them have any. A closure `Fn(LogicalQueueId) -> u64` is an oracle too
-/// (the per-slot reference loop below passes one over
+/// (the per-slot engine and the `slot_paths` reference pass one over
 /// [`PacketBuffer::requestable_cells`]) and answers `first_from` with the
 /// trait's default, a linear probe of at most `span` queues: a closure can
 /// only be asked about one queue at a time, and that probe is the reference
@@ -160,32 +160,35 @@ pub trait PacketBuffer {
     /// Human-readable name of the design ("RADS", "CFDS", …).
     fn design_name(&self) -> &'static str;
 
-    /// Advances the buffer by a whole batch of slots in one call.
+    /// Advances the buffer by a whole batch of slots in one call, with
+    /// **observable behaviour identical** to one [`PacketBuffer::step`] per
+    /// slot — which `pktbuf`'s `slot_paths` and `sim`'s
+    /// `chunked_equivalence` suites pin down, `slot_paths` being the
+    /// per-slot reference.
     ///
     /// Entry `i` of `arrivals` is the arrival of the `i`-th slot (taken out of
     /// the slice, so the caller's ring can be refilled); `requests` is probed
     /// once per slot exactly as the per-slot engine would; every granted
     /// cell's queue is pushed into `grants`.
     ///
-    /// The default implementation is the per-slot reference: it loops over
-    /// [`PacketBuffer::step`]. Every design in this crate forwards instead to
-    /// one fused loop, written once over the design's own slot body (the same
-    /// body its `step` runs), with **identical observable behaviour** — which
-    /// `pktbuf`'s `slot_paths` and `sim`'s `chunked_equivalence` suites pin
-    /// down. It keeps the clock and the slot-grained counters in locals for
-    /// the batch instead of handing a [`SlotOutcome`] back per slot, hands
-    /// the request source the design's [`pktbuf_model::RequestLedger`] as
-    /// its oracle (a shift and a `trailing_zeros` over a bitmask, where this
-    /// default's closure over [`PacketBuffer::requestable_cells`] probes up
-    /// to Q queues), and skips a skippable source outright when nothing is
-    /// requestable.
+    /// Every design in this crate forwards to one fused loop, written once
+    /// over the design's own slot body (the same body its `step` runs). It
+    /// keeps the clock and the slot-grained counters in locals for the batch
+    /// instead of handing a [`SlotOutcome`] back per slot, hands the request
+    /// source the design's [`pktbuf_model::RequestLedger`] as its oracle (a
+    /// shift and a `trailing_zeros` over a bitmask, where a closure over
+    /// [`PacketBuffer::requestable_cells`] probes up to Q queues), and skips
+    /// a skippable source outright when nothing is requestable.
     ///
-    /// The fused loop is load-bearing; do not re-propose deleting it. Falling
+    /// The fused loop is load-bearing; do not re-propose deleting it or
+    /// putting a per-slot loop over `step` back as a trait default. Falling
     /// back to this default cost 3.6× on `buf_bursty_idle` (PR 18), still
     /// +18.6 % with the skip-scan shortcut hoisted in, and the mask scan is
     /// worth −32 % on `buf_worstcase` (PR 23), which CI gates through
     /// `sim.per_slot_engine_ratio` — README "Performance" has the paired
-    /// tables.
+    /// tables. The method is required so that a wrapper or a new design
+    /// that forgets it fails to compile instead of silently running that
+    /// loop.
     fn step_batch<R: RequestSource>(
         &mut self,
         arrivals: &mut [Option<Cell>],
@@ -193,35 +196,16 @@ pub trait PacketBuffer {
         grants: &mut GrantSink,
     ) -> BatchReport
     where
-        Self: Sized,
-    {
-        let mut report = BatchReport::default();
-        for arrival in arrivals.iter_mut() {
-            let slot = self.current_slot();
-            let request =
-                requests.next_request(slot, &|q: LogicalQueueId| self.requestable_cells(q));
-            report.note(request.is_some());
-            let outcome = self.step(arrival.take(), request);
-            if let Some(cell) = &outcome.granted {
-                grants.push(cell.queue().index());
-            }
-        }
-        report
-    }
+        Self: Sized;
 
     /// Advances the buffer by `slots` slots in which neither an arrival nor a
     /// request occurs: exactly equivalent to `slots` calls of
     /// [`PacketBuffer::step`]`(None, None)`.
     ///
-    /// The default implementation is that loop. Designs override it with an
-    /// O(1) arithmetic fast-forward that is taken when the buffer
+    /// Designs take an O(1) arithmetic fast-forward when the buffer
     /// [`PacketBuffer::is_quiescent`] — the chunked engine uses this to
     /// collapse drain tails and idle stretches.
-    fn advance_idle(&mut self, slots: u64) {
-        for _ in 0..slots {
-            self.step(None, None);
-        }
-    }
+    fn advance_idle(&mut self, slots: u64);
 
     /// Whether an idle slot (`step(None, None)`) provably changes nothing
     /// except the slot counters: no block in flight to the head SRAM, no
@@ -230,18 +214,12 @@ pub trait PacketBuffer {
     /// requestable cells is frozen, so a contract-abiding request generator
     /// returns `None` forever until the next arrival.
     ///
-    /// `false` is always a safe answer; the default returns `false`.
-    fn is_quiescent(&self) -> bool {
-        false
-    }
+    /// `false` is always a safe answer.
+    fn is_quiescent(&self) -> bool;
 
     /// Total requestable cells over all queues
     /// (Σ [`PacketBuffer::requestable_cells`]).
-    fn requestable_total(&self) -> u64 {
-        (0..self.num_queues() as u32)
-            .map(|q| self.requestable_cells(LogicalQueueId::new(q)))
-            .sum()
-    }
+    fn requestable_total(&self) -> u64;
 }
 
 #[cfg(test)]

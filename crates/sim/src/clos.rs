@@ -24,23 +24,19 @@
 //! never makes two ports share an RNG stream.
 
 use crate::experiment::{self, Axis, Expansion, Experiment};
-use crate::fabric::{
-    hot_output_count, ArbiterChoice, FabricDesign, FabricWorkload, FABRIC_BURST_CELLS,
-    FABRIC_HOT_FRACTION,
-};
+use crate::fabric::{ArbiterChoice, FabricDesign, FabricWorkload};
 use crate::lab::{LabReport, RunRecord};
+use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
-use ::fabric::{
-    ClosConfig, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError, PortBuffer,
-};
+use ::fabric::{ClosConfig, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError};
 use pktbuf::PacketBuffer;
-use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, DramTiming, LineRate, RadsConfig};
+use pktbuf_model::{ConfigError, ConfigOverrides, LineRate, RadsConfig};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
-use traffic::{plane_seed, BurstyArrivals, HotspotArrivals, IncastArrivals, UniformArrivals};
+use traffic::ArrivalGenerator;
 
 /// Which ingress dispatch policy a Clos scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -504,45 +500,20 @@ impl ClosScenario {
         }
     }
 
-    /// The RADS configuration of a `num_queues`-VOQ stage buffer, with the
-    /// same fabric lookahead margin as
-    /// [`crate::fabric::FabricScenario::rads_config`]: `B` slots on top of
-    /// the ECQF minimum, because a crossbar arbiter can land a due request
-    /// inside the DRAM in-flight window.
-    pub fn rads_config(&self, num_queues: usize) -> RadsConfig {
-        let ecqf_minimum = num_queues * (self.rads_granularity - 1) + 1;
-        self.overrides.apply_rads(RadsConfig {
+    fn provisioning(&self) -> Provisioning {
+        Provisioning {
             line_rate: self.line_rate,
-            num_queues,
-            granularity: self.rads_granularity,
-            lookahead: Some(ecqf_minimum + self.rads_granularity),
-            dram: DramTiming::paper_design_point(),
-        })
+            granularity: self.granularity,
+            rads_granularity: self.rads_granularity,
+            num_banks: self.num_banks,
+            overrides: self.overrides,
+        }
     }
 
-    /// The CFDS configuration of a `num_queues`-VOQ stage buffer, or the
-    /// reason it is invalid (same margins and oversubscription as
-    /// [`crate::fabric::FabricScenario::try_cfds_config`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the parameters violate the CFDS
-    /// constraints (sweeps may produce such combinations; the spec layer
-    /// skips them).
-    pub fn try_cfds_config(&self, num_queues: usize) -> Result<CfdsConfig, ConfigError> {
-        let ecqf_minimum = num_queues * (self.granularity - 1) + 1;
-        self.overrides
-            .apply_cfds(
-                CfdsConfig::builder()
-                    .line_rate(self.line_rate)
-                    .num_queues(num_queues)
-                    .physical_queue_factor(2)
-                    .granularity(self.granularity)
-                    .rads_granularity(self.rads_granularity)
-                    .num_banks(self.num_banks)
-                    .lookahead(ecqf_minimum + self.rads_granularity),
-            )
-            .build()
+    /// The RADS configuration of a `num_queues`-VOQ stage buffer: `B` slots
+    /// of lookahead above the ECQF minimum, like every switch and Clos port.
+    pub fn rads_config(&self, num_queues: usize) -> RadsConfig {
+        self.provisioning().rads_config(num_queues)
     }
 
     /// The fabric-crate Clos configuration (geometry, dispatch, links,
@@ -606,28 +577,9 @@ impl ClosScenario {
                 ));
             }
         }
-        let needs = |kind: DesignKind, queues: usize| -> Result<(), ClosScenarioError> {
-            match kind {
-                DesignKind::Cfds => self
-                    .try_cfds_config(queues)
-                    .map(drop)
-                    .map_err(ClosScenarioError::Config),
-                DesignKind::DramOnly | DesignKind::Rads => self
-                    .rads_config(queues)
-                    .validate()
-                    .map_err(ClosScenarioError::Config),
-            }
-        };
-        for queues in [self.radix, self.ingress_switches] {
-            match self.design {
-                FabricDesign::Fixed(kind) => needs(kind, queues)?,
-                FabricDesign::Mixed => {
-                    needs(DesignKind::Cfds, queues)?;
-                    needs(DesignKind::Rads, queues)?;
-                }
-            }
-        }
-        Ok(())
+        self.provisioning()
+            .validate(self.design, &[self.radix, self.ingress_switches])
+            .map_err(ClosScenarioError::Config)
     }
 
     /// Runs the scenario to completion.
@@ -636,7 +588,7 @@ impl ClosScenario {
     ///
     /// Panics when [`ClosScenario::validate`] would return an error.
     pub fn run(&self) -> ClosRunReport {
-        self.dispatch_design(RunMode::Driver)
+        self.run_in(RunMode::Driver)
     }
 
     /// Runs the skip-free reference twin ([`ClosFabric::run_reference`]; a
@@ -646,111 +598,12 @@ impl ClosScenario {
     ///
     /// Panics when [`ClosScenario::validate`] would return an error.
     pub fn run_reference(&self) -> ClosRunReport {
-        self.dispatch_design(RunMode::Reference)
+        self.run_in(RunMode::Reference)
     }
 
-    fn build_port(&self, kind: DesignKind, queues: usize) -> PortBuffer {
-        match kind {
-            DesignKind::DramOnly => pktbuf::DramOnlyBuffer::new(self.rads_config(queues)).into(),
-            DesignKind::Rads => pktbuf::RadsBuffer::new(self.rads_config(queues)).into(),
-            DesignKind::Cfds => pktbuf::CfdsBuffer::new(
-                self.try_cfds_config(queues)
-                    .expect("validated CFDS configuration"),
-            )
-            .into(),
-        }
-    }
-
-    fn dispatch_design(&self, mode: RunMode) -> ClosRunReport {
-        match self.design {
-            FabricDesign::Fixed(DesignKind::DramOnly) => self.run_clos(mode, |scenario, queues| {
-                pktbuf::DramOnlyBuffer::new(scenario.rads_config(queues))
-            }),
-            FabricDesign::Fixed(DesignKind::Rads) => self.run_clos(mode, |scenario, queues| {
-                pktbuf::RadsBuffer::new(scenario.rads_config(queues))
-            }),
-            FabricDesign::Fixed(DesignKind::Cfds) => self.run_clos(mode, |scenario, queues| {
-                pktbuf::CfdsBuffer::new(
-                    scenario
-                        .try_cfds_config(queues)
-                        .expect("validated CFDS configuration"),
-                )
-            }),
-            FabricDesign::Mixed => {
-                // Alternate CFDS and RADS over the deterministic build order
-                // (per switch, per port), the Clos analogue of the mixed
-                // single-switch fabric.
-                let mut next = 0usize;
-                self.run_clos(mode, move |scenario, queues| {
-                    let kind = if next.is_multiple_of(2) {
-                        DesignKind::Cfds
-                    } else {
-                        DesignKind::Rads
-                    };
-                    next += 1;
-                    scenario.build_port(kind, queues)
-                })
-            }
-        }
-    }
-
-    fn run_clos<B, F>(&self, mode: RunMode, mut build: F) -> ClosRunReport
-    where
-        B: PacketBuffer,
-        F: FnMut(&ClosScenario, usize) -> B,
-    {
-        let mut fabric = ClosFabric::new(self.clos_config(), |stage| {
-            build(self, self.stage_queue_count(stage))
-        });
-        if !self.faults.is_empty() {
-            fabric.arm_faults(&self.faults);
-        }
-        if let Some(o) = &self.obs {
-            fabric.arm_obs(&o.to_config());
-        }
-        let ext = self.external_ports();
-        if let Some(t) = &self.transport {
-            fabric.enable_transport(t.to_config());
-            return fabric.run_transport(&mut t.sources(ext), self.arrival_slots, 1);
-        }
-        let n = self.radix as u64;
-        let load = self.load();
-        let seed_for = |g: usize| plane_seed(self.seed, g as u64 / n, g as u64 % n);
-        macro_rules! drive {
-            ($arrivals:expr) => {{
-                let mut arrivals = $arrivals;
-                match mode {
-                    RunMode::Driver => fabric.run(&mut arrivals, self.arrival_slots, 1),
-                    RunMode::Reference => fabric.run_reference(&mut arrivals, self.arrival_slots),
-                }
-            }};
-        }
-        match self.workload {
-            FabricWorkload::Uniform => drive!((0..ext)
-                .map(|g| UniformArrivals::new(ext, load, seed_for(g)))
-                .collect::<Vec<_>>()),
-            FabricWorkload::Hotspot => drive!((0..ext)
-                .map(|g| HotspotArrivals::new(
-                    ext,
-                    load,
-                    hot_output_count(ext),
-                    FABRIC_HOT_FRACTION,
-                    seed_for(g),
-                ))
-                .collect::<Vec<_>>()),
-            FabricWorkload::Incast => {
-                let fraction = IncastArrivals::admissible_fraction(ext, load);
-                drive!((0..ext)
-                    .map(|g| IncastArrivals::new(ext, load, 0, fraction, seed_for(g)))
-                    .collect::<Vec<_>>())
-            }
-            FabricWorkload::Bursty => {
-                let gap = FABRIC_BURST_CELLS * (1.0 - load) / load.max(f64::MIN_POSITIVE);
-                drive!((0..ext)
-                    .map(|g| BurstyArrivals::new(ext, FABRIC_BURST_CELLS, gap, seed_for(g)))
-                    .collect::<Vec<_>>())
-            }
-        }
+    fn run_in(&self, mode: RunMode) -> ClosRunReport {
+        self.provisioning()
+            .dispatch(self.design, ClosRun(self, mode))
     }
 }
 
@@ -761,6 +614,53 @@ enum RunMode {
     Driver,
     /// The skip-free reference twin.
     Reference,
+}
+
+/// A Clos run in progress — first the scenario, then the fabric built from
+/// it — and the engine that runs it.
+#[derive(Debug)]
+struct ClosRun<T>(T, RunMode);
+
+impl BuildPorts for ClosRun<&ClosScenario> {
+    type Output = ClosRunReport;
+
+    fn build<B: PacketBuffer>(self, mut build: impl FnMut(usize) -> B) -> ClosRunReport {
+        let ClosRun(s, mode) = self;
+        let mut fabric =
+            ClosFabric::new(s.clos_config(), |stage| build(s.stage_queue_count(stage)));
+        if !s.faults.is_empty() {
+            fabric.arm_faults(&s.faults);
+        }
+        if let Some(o) = &s.obs {
+            fabric.arm_obs(&o.to_config());
+        }
+        let ext = s.external_ports();
+        if let Some(t) = &s.transport {
+            fabric.enable_transport(t.to_config());
+            return fabric.run_transport(&mut t.sources(ext), s.arrival_slots, 1);
+        }
+        let traffic = Traffic {
+            workload: s.workload,
+            ports: ext,
+            radix: s.radix,
+            load: s.load(),
+            seed: s.seed,
+            arrival_slots: s.arrival_slots,
+        };
+        traffic.drive(ClosRun(fabric, mode))
+    }
+}
+
+impl<B: PacketBuffer> DriveArrivals for ClosRun<ClosFabric<B>> {
+    type Output = ClosRunReport;
+
+    fn drive<A: ArrivalGenerator>(self, arrivals: &mut [A], slots: u64) -> ClosRunReport {
+        let ClosRun(mut fabric, mode) = self;
+        match mode {
+            RunMode::Driver => fabric.run(arrivals, slots, 1),
+            RunMode::Reference => fabric.run_reference(arrivals, slots),
+        }
+    }
 }
 
 /// A declarative, serializable Clos experiment: designs × workloads ×
@@ -1566,6 +1466,24 @@ mod tests {
             bad_cfds.validate(),
             Err(ClosScenarioError::Config(_))
         ));
+        // A zero granularity is a configuration error, not an overflow.
+        let zero_b = ClosScenario {
+            granularity: 0,
+            ..bad_cfds
+        };
+        let zero_big_b = ClosScenario {
+            rads_granularity: 0,
+            ..ClosScenario::small()
+        };
+        for zeroed in [zero_b, zero_big_b] {
+            assert!(
+                matches!(
+                    zeroed.validate(),
+                    Err(ClosScenarioError::Config(ConfigError::ZeroParameter(_)))
+                ),
+                "{zeroed:?}"
+            );
+        }
     }
 
     #[test]

@@ -46,16 +46,17 @@
 
 use crate::experiment::{self, Axis, Expansion, Experiment};
 use crate::lab::{LabReport, RunRecord};
+use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::FabricRunReport;
-use ::fabric::{ArbiterKind, FabricConfig, PortBuffer, VoqSwitch};
+use ::fabric::{ArbiterKind, FabricConfig, VoqSwitch};
 use pktbuf::PacketBuffer;
-use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, DramTiming, LineRate, RadsConfig};
+use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, LineRate};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
-use traffic::{stream_seed, BurstyArrivals, HotspotArrivals, IncastArrivals, UniformArrivals};
+use traffic::ArrivalGenerator;
 
 /// Which traffic matrix a fabric scenario applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,16 +255,6 @@ impl fmt::Display for FabricScenarioError {
 
 impl std::error::Error for FabricScenarioError {}
 
-/// Mean on-burst length (cells) of the bursty fabric workload.
-pub(crate) const FABRIC_BURST_CELLS: f64 = 32.0;
-/// Fraction of hotspot traffic aimed at the hot outputs.
-pub(crate) const FABRIC_HOT_FRACTION: f64 = 0.75;
-
-/// Number of hot outputs in the hotspot fabric workload.
-pub(crate) fn hot_output_count(ports: usize) -> usize {
-    ports.div_ceil(8)
-}
-
 /// A fully specified fabric run: one expanded point of a [`FabricSpec`], or
 /// a hand-built one-off.
 ///
@@ -338,40 +329,20 @@ impl FabricScenario {
         (self.load_percent as f64 / 100.0).clamp(0.0, 1.0)
     }
 
-    /// The RADS configuration of this scenario's RADS/DRAM-only ports.
-    ///
-    /// Fabric ports provision `B` slots of lookahead on top of the ECQF
-    /// minimum `Q(B−1)+1` (overridable through
-    /// [`ConfigOverrides::lookahead`]). The minimum assumes the block chosen
-    /// at a replenishment decision is usable immediately; in this workspace
-    /// the DRAM read is in flight for `B` further slots, and a crossbar
-    /// arbiter — unlike the single-buffer request generators — can produce
-    /// a *jittered* lock-step drain (a port loses the odd matching round)
-    /// that lands a due request exactly inside that in-flight window. One
-    /// extra access time of notice restores the margin; a by-definition
-    /// ECQF replay of such a trace misses without it, so this is a property
-    /// of the model, not of this implementation.
-    pub fn rads_config(&self) -> RadsConfig {
-        let ecqf_minimum = self.ports * (self.rads_granularity - 1) + 1;
-        self.overrides.apply_rads(RadsConfig {
+    fn provisioning(&self) -> Provisioning {
+        Provisioning {
             line_rate: self.line_rate,
-            num_queues: self.ports,
-            granularity: self.rads_granularity,
-            lookahead: Some(ecqf_minimum + self.rads_granularity),
-            dram: DramTiming::paper_design_point(),
-        })
+            granularity: self.granularity,
+            rads_granularity: self.rads_granularity,
+            num_banks: self.num_banks,
+            overrides: self.overrides,
+        }
     }
 
     /// The CFDS configuration of this scenario's CFDS ports, or the reason
-    /// it is invalid.
-    ///
-    /// Fabric ports default to a physical-queue oversubscription factor of
-    /// `k = 2` (overridable through
-    /// [`ConfigOverrides::physical_queue_factor`]): a fabric buffer has only
-    /// `N` VOQs, and with `k = 1` a long single-destination burst starves
-    /// the renaming table of free names (its read and write chains must live
-    /// in different groups) — exactly the fragmentation §6's
-    /// oversubscription exists to absorb.
+    /// it is invalid: `B` slots of lookahead above the ECQF minimum and
+    /// `k = 2` physical queues per VOQ, both overridable through
+    /// [`ConfigOverrides`].
     ///
     /// # Errors
     ///
@@ -379,24 +350,7 @@ impl FabricScenario {
     /// constraints (sweeps may produce such combinations; the spec layer
     /// skips them).
     pub fn try_cfds_config(&self) -> Result<CfdsConfig, ConfigError> {
-        // Same in-flight margin as `rads_config`, at the CFDS granularity:
-        // the ECQF minimum `Q(b−1)+1` assumes a replenishment decision is
-        // usable immediately, while the selected b-block is in the DRAM for
-        // one random access time (`B` slots); an arbiter-jittered lock-step
-        // drain can land a due request inside that window.
-        let ecqf_minimum = self.ports * (self.granularity - 1) + 1;
-        self.overrides
-            .apply_cfds(
-                CfdsConfig::builder()
-                    .line_rate(self.line_rate)
-                    .num_queues(self.ports)
-                    .physical_queue_factor(2)
-                    .granularity(self.granularity)
-                    .rads_granularity(self.rads_granularity)
-                    .num_banks(self.num_banks)
-                    .lookahead(ecqf_minimum + self.rads_granularity),
-            )
-            .build()
+        self.provisioning().try_cfds_config(self.ports)
     }
 
     /// Checks that the scenario can be built and run.
@@ -412,25 +366,9 @@ impl FabricScenario {
         if self.load_percent == 0 || self.load_percent > 100 {
             return Err(FabricScenarioError::BadLoad(self.load_percent));
         }
-        let needs = |kind: DesignKind| -> Result<(), FabricScenarioError> {
-            match kind {
-                DesignKind::Cfds => self
-                    .try_cfds_config()
-                    .map(drop)
-                    .map_err(FabricScenarioError::Config),
-                DesignKind::DramOnly | DesignKind::Rads => self
-                    .rads_config()
-                    .validate()
-                    .map_err(FabricScenarioError::Config),
-            }
-        };
-        match self.design {
-            FabricDesign::Fixed(kind) => needs(kind),
-            FabricDesign::Mixed => {
-                needs(DesignKind::Cfds)?;
-                needs(DesignKind::Rads)
-            }
-        }
+        self.provisioning()
+            .validate(self.design, &[self.ports])
+            .map_err(FabricScenarioError::Config)
     }
 
     /// The fabric configuration (ports, egress rate, arbiter).
@@ -439,18 +377,6 @@ impl FabricScenario {
             ports: self.ports,
             egress_period: self.egress_period.max(1),
             arbiter: self.arbiter.to_kind(self.islip_iterations as usize),
-        }
-    }
-
-    fn build_port(&self, kind: DesignKind) -> PortBuffer {
-        match kind {
-            DesignKind::DramOnly => pktbuf::DramOnlyBuffer::new(self.rads_config()).into(),
-            DesignKind::Rads => pktbuf::RadsBuffer::new(self.rads_config()).into(),
-            DesignKind::Cfds => pktbuf::CfdsBuffer::new(
-                self.try_cfds_config()
-                    .expect("validated CFDS configuration"),
-            )
-            .into(),
         }
     }
 
@@ -463,88 +389,32 @@ impl FabricScenario {
     ///
     /// Panics when [`FabricScenario::validate`] would return an error.
     pub fn run(&self) -> FabricRunReport {
-        match self.design {
-            FabricDesign::Fixed(DesignKind::DramOnly) => {
-                self.run_switch(|scenario, _| pktbuf::DramOnlyBuffer::new(scenario.rads_config()))
-            }
-            FabricDesign::Fixed(DesignKind::Rads) => {
-                self.run_switch(|scenario, _| pktbuf::RadsBuffer::new(scenario.rads_config()))
-            }
-            FabricDesign::Fixed(DesignKind::Cfds) => self.run_switch(|scenario, _| {
-                pktbuf::CfdsBuffer::new(
-                    scenario
-                        .try_cfds_config()
-                        .expect("validated CFDS configuration"),
-                )
-            }),
-            FabricDesign::Mixed => self.run_switch(|scenario, port| {
-                scenario.build_port(FabricDesign::Mixed.design_for_port(port))
-            }),
-        }
+        self.provisioning().dispatch(self.design, self)
     }
+}
 
-    fn run_switch<B, F>(&self, build: F) -> FabricRunReport
-    where
-        B: PacketBuffer,
-        F: Fn(&FabricScenario, usize) -> B,
-    {
-        let buffers: Vec<B> = (0..self.ports).map(|p| build(self, p)).collect();
-        let mut switch = VoqSwitch::new(self.fabric_config(), buffers);
-        let ports = self.ports;
-        let load = self.load();
-        match self.workload {
-            FabricWorkload::Uniform => {
-                let mut arrivals: Vec<UniformArrivals> = (0..ports)
-                    .map(|p| UniformArrivals::new(ports, load, stream_seed(self.seed, p as u64)))
-                    .collect();
-                switch.run(&mut arrivals, self.arrival_slots)
-            }
-            FabricWorkload::Hotspot => {
-                let mut arrivals: Vec<HotspotArrivals> = (0..ports)
-                    .map(|p| {
-                        HotspotArrivals::new(
-                            ports,
-                            load,
-                            hot_output_count(ports),
-                            FABRIC_HOT_FRACTION,
-                            stream_seed(self.seed, p as u64),
-                        )
-                    })
-                    .collect();
-                switch.run(&mut arrivals, self.arrival_slots)
-            }
-            FabricWorkload::Incast => {
-                let fraction = IncastArrivals::admissible_fraction(ports, load);
-                let mut arrivals: Vec<IncastArrivals> = (0..ports)
-                    .map(|p| {
-                        IncastArrivals::new(
-                            ports,
-                            load,
-                            0,
-                            fraction,
-                            stream_seed(self.seed, p as u64),
-                        )
-                    })
-                    .collect();
-                switch.run(&mut arrivals, self.arrival_slots)
-            }
-            FabricWorkload::Bursty => {
-                // Mean gap chosen so the long-run on-fraction equals the
-                // offered load; per-port seeds give independent phases.
-                let gap = FABRIC_BURST_CELLS * (1.0 - load) / load.max(f64::MIN_POSITIVE);
-                let mut arrivals: Vec<BurstyArrivals> = (0..ports)
-                    .map(|p| {
-                        BurstyArrivals::new(
-                            ports,
-                            FABRIC_BURST_CELLS,
-                            gap,
-                            stream_seed(self.seed, p as u64),
-                        )
-                    })
-                    .collect();
-                switch.run(&mut arrivals, self.arrival_slots)
-            }
-        }
+impl BuildPorts for &FabricScenario {
+    type Output = FabricRunReport;
+
+    fn build<B: PacketBuffer>(self, mut build: impl FnMut(usize) -> B) -> FabricRunReport {
+        let buffers = (0..self.ports).map(|_| build(self.ports)).collect();
+        let traffic = Traffic {
+            workload: self.workload,
+            ports: self.ports,
+            radix: self.ports,
+            load: self.load(),
+            seed: self.seed,
+            arrival_slots: self.arrival_slots,
+        };
+        traffic.drive(VoqSwitch::new(self.fabric_config(), buffers))
+    }
+}
+
+impl<B: PacketBuffer> DriveArrivals for VoqSwitch<B> {
+    type Output = FabricRunReport;
+
+    fn drive<A: ArrivalGenerator>(mut self, arrivals: &mut [A], slots: u64) -> FabricRunReport {
+        self.run(arrivals, slots)
     }
 }
 
@@ -1044,6 +914,25 @@ mod tests {
             ..FabricScenario::small()
         };
         assert!(bad_cfds.validate().is_err());
+        // A zero granularity is a configuration error, not an overflow.
+        let zero_b = FabricScenario {
+            granularity: 0,
+            ..FabricScenario::small()
+        };
+        let zero_big_b = FabricScenario {
+            design: FabricDesign::Fixed(DesignKind::Rads),
+            rads_granularity: 0,
+            ..FabricScenario::small()
+        };
+        for zeroed in [zero_b, zero_big_b] {
+            assert!(
+                matches!(
+                    zeroed.validate(),
+                    Err(FabricScenarioError::Config(ConfigError::ZeroParameter(_)))
+                ),
+                "{zeroed:?}"
+            );
+        }
     }
 
     #[test]

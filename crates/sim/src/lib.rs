@@ -92,6 +92,15 @@
 //!
 //! `LabRunner::run(&spec)`, `experiment::{expand, to_json, from_json}` and
 //! `pktbuf-lab`'s `lab_command` then work on it unchanged.
+//!
+//! # Adding a design
+//!
+//! A buffer design is a [`scenario::DesignKind`] variant, one arm of the
+//! crate-private `build_port` match that makes every switch and Clos port,
+//! and one `fabric::PortBuffer` variant for mixed fabrics. The compiler
+//! points at each — the new variant leaves the match non-exhaustive, and
+//! its arm needs a `PortBuffer` conversion — and then at every other match
+//! that names the designs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,6 +111,7 @@ mod engine;
 pub mod experiment;
 pub mod fabric;
 pub mod lab;
+mod ports;
 pub mod report;
 pub mod scenario;
 pub mod spec;

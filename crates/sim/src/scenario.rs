@@ -369,14 +369,7 @@ impl Scenario {
 
     /// Builds the CFDS buffer for this scenario, preloaded as requested.
     pub fn build_cfds(&self) -> CfdsBuffer {
-        let options = CfdsBufferOptions {
-            dram_capacity_cells: self
-                .overrides
-                .dram_capacity_cells
-                .map(|c| usize::try_from(c).unwrap_or(usize::MAX)),
-            ..CfdsBufferOptions::default()
-        };
-        let mut buf = CfdsBuffer::with_options(self.cfds_config(), options);
+        let mut buf = CfdsBuffer::with_options(self.cfds_config(), cfds_options(&self.overrides));
         for (q, cells) in traffic::preload_cells(self.num_queues, self.preload_amount()) {
             buf.preload_dram(q, cells);
         }
@@ -520,6 +513,18 @@ impl Scenario {
             DesignKind::Rads => self.run_engine(&mut self.build_rads(), record, mode),
             DesignKind::Cfds => self.run_engine(&mut self.build_cfds(), record, mode),
         }
+    }
+}
+
+/// The CFDS buffer options `overrides` asks for: the buffer-level
+/// `dram_capacity_cells` limit that [`ConfigOverrides::apply_cfds`] leaves to
+/// the construction site.
+pub(crate) fn cfds_options(overrides: &ConfigOverrides) -> CfdsBufferOptions {
+    CfdsBufferOptions {
+        dram_capacity_cells: overrides
+            .dram_capacity_cells
+            .map(|c| usize::try_from(c).unwrap_or(usize::MAX)),
+        ..CfdsBufferOptions::default()
     }
 }
 

@@ -1,14 +1,15 @@
-//! Byte-level schema fixtures: the committed spec documents and one small
-//! seeded report per layer under `tests/fixtures/`, rebuilt here through the
-//! public builders and `LabRunner::with_threads(1)` and compared byte for
-//! byte. A change to a serde impl (derived or hand-written), a report field,
-//! a workload label or a simulated number shows up as a `git diff` of a
-//! fixture instead of having to be spotted by eye.
+//! Byte-level schema fixtures: the committed spec documents, one small
+//! seeded report per layer and the switch and Clos design matrices under
+//! `tests/fixtures/`, rebuilt here through the public builders and
+//! `LabRunner::with_threads(1)` and compared byte for byte. A change to a
+//! serde impl (derived or hand-written), a report field, a workload label or
+//! a simulated number shows up as a `git diff` of a fixture instead of
+//! having to be spotted by eye.
 //!
 //! Each fixture holds exactly what the CLI would print: `to_json()` plus the
-//! trailing newline. On a mismatch the test names the first differing line
-//! and leaves the fresh bytes under `CARGO_TARGET_TMPDIR`; copy that file
-//! over the fixture when the change is intended. (`spec_template.json`, the
+//! trailing newline, or `to_csv()`. On a mismatch the test names the first
+//! differing line and leaves the fresh bytes under `CARGO_TARGET_TMPDIR`;
+//! copy that file over the fixture when the change is intended. (`spec_template.json`, the
 //! output of `pktbuf-lab spec`, is pinned to its builder by a unit test next
 //! to `template_spec` in the `pktbuf-lab` binary; here it only round-trips.)
 
@@ -237,6 +238,57 @@ fn seeded_reports_match_their_fixtures_byte_for_byte() {
     // Transport, faults and obs all armed: every optional report section.
     let report = runner.run(&full_clos_spec()).expect("the spec expands");
     assert_matches_fixture("clos_report.json", &report.to_json());
+}
+
+/// Every fabric design × every fabric workload on a 4-port switch and on a
+/// Clos with r = m = N = 2: the oracle for the code that turns a design
+/// into port buffers and a workload into generators (`Mixed` included,
+/// which no other fixture runs).
+#[test]
+fn design_matrices_match_their_fixtures() {
+    let runner = LabRunner::new().with_threads(1);
+    let fabric = FabricSpec::builder()
+        .name("fixture-fabric-matrix")
+        .designs(FabricDesign::all())
+        .workloads(FabricWorkload::all())
+        .ports(Sweep::fixed(4))
+        .granularity(Sweep::fixed(2))
+        .rads_granularity(Sweep::fixed(8))
+        .num_banks(Sweep::fixed(16))
+        .arrival_slots(300)
+        .seeds([7])
+        .build()
+        .expect("the fabric matrix spec is valid");
+    let clos = ClosSpec::builder()
+        .name("fixture-clos-matrix")
+        .designs(FabricDesign::all())
+        .workloads(FabricWorkload::all())
+        .radix(Sweep::fixed(2))
+        .ingress_switches(Sweep::fixed(2))
+        .middle_switches(Sweep::fixed(2))
+        .arrival_slots(300)
+        .seeds([7])
+        .build()
+        .expect("the Clos matrix spec is valid");
+    let fabric = runner.run(&fabric).expect("the spec expands");
+    let clos = runner.run(&clos).expect("the spec expands");
+    for (name, skipped, runs, csv) in [
+        (
+            "fabric_design_matrix.csv",
+            fabric.skipped_invalid,
+            fabric.runs.len(),
+            fabric.to_csv(),
+        ),
+        (
+            "clos_design_matrix.csv",
+            clos.skipped_invalid,
+            clos.runs.len(),
+            clos.to_csv(),
+        ),
+    ] {
+        assert_eq!((skipped, runs), (0, 16), "{name}: every pair runs");
+        assert_matches_fixture(name, csv.trim_end());
+    }
 }
 
 #[test]
