@@ -88,7 +88,7 @@ pub(crate) trait SlotLoop {
     /// One slot at `locals.now`, handing its results to `out`; the caller
     /// advances the clock. The arrival is taken where it lies (a batch's
     /// ring entry) when the body reaches it: moving it in up front copied
-    /// the 48-byte `Option<Cell>` to the stack every slot.
+    /// the `Option<Cell>` to the stack every slot.
     fn slot<K: SlotSink>(
         &mut self,
         locals: &mut Locals<Self::Regs>,
@@ -267,7 +267,7 @@ impl Front {
                 break;
             };
             self.head_sram
-                .insert_block_cells(d.queue, d.block_index, &d.cells)
+                .insert_block(d.queue, d.block_index, &d.cells)
                 .expect("head SRAM is functionally unbounded"); // analyze: allow(panic-freedom) — the head SRAM is configured functionally unbounded; occupancy is measured, not capped
             self.pool.put(d.cells);
             self.stats.peak_head_sram_cells = self

@@ -53,7 +53,7 @@ impl HeadSramKind {
 
 /// The head SRAM of a buffer front end, dispatched by enum instead of through
 /// a `Box<dyn SharedBuffer>`: `pop_front` sits on the per-grant hot path and
-/// `insert_block_cells` on the per-delivery path, and a two-variant match is
+/// `insert_block` on the per-delivery path, and a two-variant match is
 /// a perfectly predicted branch where a vtable call is an optimization
 /// barrier inside the fused batch loops.
 #[derive(Debug)]
@@ -78,18 +78,9 @@ impl SharedBuffer for HeadSram {
         &mut self,
         queue: pktbuf_model::LogicalQueueId,
         ordinal: u64,
-        cells: Vec<pktbuf_model::Cell>,
-    ) -> Result<(), sram_buf::BufferError> {
-        dispatch!(self, b => b.insert_block(queue, ordinal, cells))
-    }
-
-    fn insert_block_cells(
-        &mut self,
-        queue: pktbuf_model::LogicalQueueId,
-        ordinal: u64,
         cells: &[pktbuf_model::Cell],
     ) -> Result<(), sram_buf::BufferError> {
-        dispatch!(self, b => b.insert_block_cells(queue, ordinal, cells))
+        dispatch!(self, b => b.insert_block(queue, ordinal, cells))
     }
 
     fn push_cell(
@@ -137,8 +128,8 @@ mod tests {
         for kind in [HeadSramKind::GlobalCam, HeadSramKind::UnifiedLinkedList] {
             let mut b = kind.build(2, 64, 2, 4);
             let q = LogicalQueueId::new(1);
-            b.insert_block(q, 0, (0..4).map(|i| Cell::new(q, i, 0)).collect())
-                .unwrap();
+            let block: Vec<Cell> = (0..4).map(|i| Cell::new(q, i, 0)).collect();
+            b.insert_block(q, 0, &block).unwrap();
             assert_eq!(b.pop_front(q).unwrap().seq(), 0);
             assert_eq!(b.capacity(), 64);
         }

@@ -15,6 +15,13 @@ pub struct SlotOutcome {
     pub dropped_arrival: Option<Cell>,
 }
 
+// `step` returns one outcome per buffer per slot, 192 of them a slot in the
+// r = m = N = 8 Clos: two 32-byte `Option<Cell>`s and the miss.
+const _: () = assert!(
+    std::mem::size_of::<SlotOutcome>() <= 72,
+    "SlotOutcome must stay within 72 bytes (it was 104 with a 40-byte Cell)"
+);
+
 impl SlotOutcome {
     /// Whether this slot completed without a miss or a drop.
     pub fn is_clean(&self) -> bool {

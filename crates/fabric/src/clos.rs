@@ -1131,7 +1131,7 @@ impl<A: ArrivalGenerator> LineSource for OpenLoop<'_, A> {
     ) {
         if allow_new {
             for (line, ring) in lines.iter_mut().zip(self.rings.iter_mut()) {
-                *line = ring[self.cursor].take();
+                *line = ring[self.cursor];
             }
             self.cursor += 1;
         }

@@ -200,7 +200,7 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             } else {
                 for s in 0..len {
                     for (slot_arrival, ring) in slot_arrivals.iter_mut().zip(rings.iter_mut()) {
-                        *slot_arrival = ring[s].take();
+                        *slot_arrival = ring[s];
                     }
                     self.step_slot(&mut slot_arrivals);
                 }

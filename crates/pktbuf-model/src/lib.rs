@@ -5,7 +5,8 @@
 //! High-Performance Memory Systems for Future Packet Buffers"* (García, Corbal,
 //! Cerdà, Valero — MICRO 2003):
 //!
-//! * [`Cell`] — the fixed 64-byte unit into which packets are segmented (§2).
+//! * [`Cell`] — the fixed 64-byte unit into which packets are segmented (§2),
+//!   modelled by its identity alone (a 24-byte `Copy` value).
 //! * [`LogicalQueueId`] / [`PhysicalQueueId`] — Virtual Output Queue identifiers.
 //!   Logical names are what the switch-fabric scheduler uses; physical names are
 //!   what the CFDS renaming layer maps them onto (§6).
@@ -52,7 +53,7 @@ mod queue;
 mod rate;
 mod time;
 
-pub use cell::{Cell, CellPayload, CELL_BYTES};
+pub use cell::{Cell, CELL_BYTES};
 pub use config::{
     BufferSizing, CfdsConfig, CfdsConfigBuilder, ConfigOverrides, DramTiming, RadsConfig,
 };

@@ -121,17 +121,17 @@ impl GlobalCamBuffer {
     fn note_peak(&mut self) {
         self.peak = self.peak.max(self.occupancy());
     }
+}
 
-    /// Shared implementation of block insertion over any cell source.
-    fn insert_block_inner(
+impl SharedBuffer for GlobalCamBuffer {
+    fn insert_block(
         &mut self,
         queue: LogicalQueueId,
         ordinal: u64,
-        len: usize,
-        cells: impl Iterator<Item = Cell>,
+        cells: &[Cell],
     ) -> Result<(), BufferError> {
         let idx = self.check_queue(queue)?;
-        if self.occupancy() + len > self.capacity {
+        if self.occupancy() + cells.len() > self.capacity {
             return Err(BufferError::Full {
                 capacity: self.capacity,
             });
@@ -145,12 +145,10 @@ impl GlobalCamBuffer {
             // In-order delivery (the overwhelmingly common case): the block
             // extends the window's end, so append the cells in one pass
             // without per-cell position bookkeeping.
-            for cell in cells {
-                ring.ring.push_back(Some(cell));
-                self.ring_cells += 1;
-            }
+            ring.ring.extend(cells.iter().copied().map(Some));
+            self.ring_cells += cells.len();
         } else {
-            for (i, cell) in cells.enumerate() {
+            for (i, &cell) in cells.iter().enumerate() {
                 self.put(idx, queue, base + i as u64, cell);
             }
         }
@@ -161,27 +159,6 @@ impl GlobalCamBuffer {
         }
         self.note_peak();
         Ok(())
-    }
-}
-
-impl SharedBuffer for GlobalCamBuffer {
-    fn insert_block(
-        &mut self,
-        queue: LogicalQueueId,
-        ordinal: u64,
-        cells: Vec<Cell>,
-    ) -> Result<(), BufferError> {
-        let len = cells.len();
-        self.insert_block_inner(queue, ordinal, len, cells.into_iter())
-    }
-
-    fn insert_block_cells(
-        &mut self,
-        queue: LogicalQueueId,
-        ordinal: u64,
-        cells: &[Cell],
-    ) -> Result<(), BufferError> {
-        self.insert_block_inner(queue, ordinal, cells.len(), cells.iter().cloned())
     }
 
     fn push_cell(&mut self, queue: LogicalQueueId, cell: Cell) -> Result<(), BufferError> {
@@ -255,8 +232,8 @@ mod tests {
     fn in_order_blocks_drain_fifo() {
         let q = LogicalQueueId::new(0);
         let mut b = GlobalCamBuffer::with_block_size(2, 64, 4);
-        b.insert_block(q, 0, cells(0, 0, 4)).unwrap();
-        b.insert_block(q, 1, cells(0, 4, 4)).unwrap();
+        b.insert_block(q, 0, &cells(0, 0, 4)).unwrap();
+        b.insert_block(q, 1, &cells(0, 4, 4)).unwrap();
         for i in 0..8 {
             assert_eq!(b.pop_front(q).unwrap().seq(), i);
         }
@@ -267,15 +244,15 @@ mod tests {
     fn out_of_order_blocks_still_drain_fifo() {
         let q = LogicalQueueId::new(1);
         let mut b = GlobalCamBuffer::with_block_size(2, 64, 4);
-        b.insert_block(q, 2, cells(1, 8, 4)).unwrap();
-        b.insert_block(q, 0, cells(1, 0, 4)).unwrap();
+        b.insert_block(q, 2, &cells(1, 8, 4)).unwrap();
+        b.insert_block(q, 0, &cells(1, 0, 4)).unwrap();
         // Block 1 missing: only block 0's cells are available.
         assert_eq!(b.available(q), 4);
         for i in 0..4 {
             assert_eq!(b.pop_front(q).unwrap().seq(), i);
         }
         assert!(b.pop_front(q).is_none(), "cell 4 not yet resident");
-        b.insert_block(q, 1, cells(1, 4, 4)).unwrap();
+        b.insert_block(q, 1, &cells(1, 4, 4)).unwrap();
         assert_eq!(b.available(q), 8);
         for i in 4..12 {
             assert_eq!(b.pop_front(q).unwrap().seq(), i);
@@ -286,15 +263,21 @@ mod tests {
     fn capacity_and_duplicates_are_enforced() {
         let q = LogicalQueueId::new(0);
         let mut b = GlobalCamBuffer::with_block_size(1, 4, 4);
-        b.insert_block(q, 0, cells(0, 0, 4)).unwrap();
+        b.insert_block(q, 0, &cells(0, 0, 4)).unwrap();
         assert!(matches!(
-            b.insert_block(q, 1, cells(0, 4, 4)),
+            b.insert_block(q, 1, &cells(0, 4, 4)),
             Err(BufferError::Full { .. })
         ));
         let mut b = GlobalCamBuffer::with_block_size(1, 64, 4);
-        b.insert_block(q, 0, cells(0, 0, 4)).unwrap();
+        b.insert_block(q, 0, &cells(0, 0, 4)).unwrap();
         assert!(matches!(
-            b.insert_block(q, 0, cells(0, 0, 4)),
+            b.insert_block(q, 0, &cells(0, 0, 4)),
+            Err(BufferError::DuplicateBlock { .. })
+        ));
+        // An out-of-order block is detected as a duplicate too.
+        b.insert_block(q, 9, &cells(0, 36, 4)).unwrap();
+        assert!(matches!(
+            b.insert_block(q, 9, &cells(0, 36, 4)),
             Err(BufferError::DuplicateBlock { .. })
         ));
     }
@@ -323,30 +306,6 @@ mod tests {
         ));
         assert_eq!(b.available(bad), 0);
         assert!(b.pop_front(bad).is_none());
-    }
-
-    #[test]
-    fn insert_block_cells_matches_insert_block() {
-        let q = LogicalQueueId::new(0);
-        let mut by_vec = GlobalCamBuffer::with_block_size(1, 64, 4);
-        let mut by_slice = GlobalCamBuffer::with_block_size(1, 64, 4);
-        for ordinal in [2u64, 0, 1] {
-            let block = cells(0, ordinal * 4, 4);
-            by_slice.insert_block_cells(q, ordinal, &block).unwrap();
-            by_vec.insert_block(q, ordinal, block).unwrap();
-        }
-        assert_eq!(by_vec.occupancy(), by_slice.occupancy());
-        assert_eq!(by_vec.available(q), by_slice.available(q));
-        for _ in 0..12 {
-            assert_eq!(by_vec.pop_front(q), by_slice.pop_front(q));
-        }
-        // Duplicate detection works through the slice path too.
-        let block = cells(0, 0, 4);
-        by_slice.insert_block_cells(q, 9, &block).unwrap();
-        assert!(matches!(
-            by_slice.insert_block_cells(q, 9, &block),
-            Err(BufferError::DuplicateBlock { .. })
-        ));
     }
 
     #[test]

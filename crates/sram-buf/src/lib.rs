@@ -28,8 +28,8 @@
 //!
 //! let q = LogicalQueueId::new(3);
 //! let mut buf = GlobalCamBuffer::with_block_size(8, 1024, 2);
-//! buf.insert_block(q, 1, vec![Cell::new(q, 2, 0), Cell::new(q, 3, 0)]).unwrap();
-//! buf.insert_block(q, 0, vec![Cell::new(q, 0, 0), Cell::new(q, 1, 0)]).unwrap();
+//! buf.insert_block(q, 1, &[Cell::new(q, 2, 0), Cell::new(q, 3, 0)]).unwrap();
+//! buf.insert_block(q, 0, &[Cell::new(q, 0, 0), Cell::new(q, 1, 0)]).unwrap();
 //! // Cells come out in FIFO order even though block 1 arrived first.
 //! assert_eq!(buf.pop_front(q).unwrap().seq(), 0);
 //! assert_eq!(buf.pop_front(q).unwrap().seq(), 1);

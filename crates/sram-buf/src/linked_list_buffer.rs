@@ -157,7 +157,7 @@ impl SharedBuffer for UnifiedLinkedListBuffer {
         &mut self,
         queue: LogicalQueueId,
         ordinal: u64,
-        cells: Vec<Cell>,
+        cells: &[Cell],
     ) -> Result<(), BufferError> {
         let qi = self.check_queue(queue)?;
         if cells.len() > self.free_count {
@@ -167,7 +167,7 @@ impl SharedBuffer for UnifiedLinkedListBuffer {
         }
         let lane = (ordinal % self.lanes as u64) as usize;
         let list = self.list_index(qi, lane);
-        for cell in cells {
+        for &cell in cells {
             self.append_to_list(list, cell)?;
         }
         Ok(())
@@ -291,10 +291,10 @@ mod tests {
         let mut b = UnifiedLinkedListBuffer::with_lanes(2, 64, 4, 2);
         // Blocks arrive out of order: 1, 0, 3, 2 (same-lane blocks stay in
         // order, which the DRAM banking guarantees).
-        b.insert_block(q, 1, cells(1, 2, 2)).unwrap();
-        b.insert_block(q, 0, cells(1, 0, 2)).unwrap();
-        b.insert_block(q, 3, cells(1, 6, 2)).unwrap();
-        b.insert_block(q, 2, cells(1, 4, 2)).unwrap();
+        b.insert_block(q, 1, &cells(1, 2, 2)).unwrap();
+        b.insert_block(q, 0, &cells(1, 0, 2)).unwrap();
+        b.insert_block(q, 3, &cells(1, 6, 2)).unwrap();
+        b.insert_block(q, 2, &cells(1, 4, 2)).unwrap();
         for i in 0..8 {
             assert_eq!(b.pop_front(q).unwrap().seq(), i, "cell {i}");
         }
@@ -304,14 +304,14 @@ mod tests {
     fn available_respects_missing_block() {
         let q = LogicalQueueId::new(0);
         let mut b = UnifiedLinkedListBuffer::with_lanes(1, 64, 4, 2);
-        b.insert_block(q, 0, cells(0, 0, 2)).unwrap();
-        b.insert_block(q, 2, cells(0, 4, 2)).unwrap();
+        b.insert_block(q, 0, &cells(0, 0, 2)).unwrap();
+        b.insert_block(q, 2, &cells(0, 4, 2)).unwrap();
         // Block 1 missing: only the first block is contiguously available.
         assert_eq!(b.available(q), 2);
         assert_eq!(b.pop_front(q).unwrap().seq(), 0);
         assert_eq!(b.pop_front(q).unwrap().seq(), 1);
         assert!(b.pop_front(q).is_none());
-        b.insert_block(q, 1, cells(0, 2, 2)).unwrap();
+        b.insert_block(q, 1, &cells(0, 2, 2)).unwrap();
         assert_eq!(b.available(q), 4);
         for i in 2..6 {
             assert_eq!(b.pop_front(q).unwrap().seq(), i);
@@ -330,7 +330,7 @@ mod tests {
             Err(BufferError::Full { .. })
         ));
         assert!(matches!(
-            b.insert_block(q, 5, cells(0, 10, 2)),
+            b.insert_block(q, 5, &cells(0, 10, 2)),
             Err(BufferError::Full { .. })
         ));
         assert_eq!(b.peak_occupancy(), 3);
@@ -342,9 +342,9 @@ mod tests {
         let qa = LogicalQueueId::new(0);
         let qb = LogicalQueueId::new(1);
         let mut b = UnifiedLinkedListBuffer::with_lanes(2, 64, 2, 2);
-        b.insert_block(qa, 0, cells(0, 0, 2)).unwrap();
-        b.insert_block(qb, 0, cells(1, 0, 2)).unwrap();
-        b.insert_block(qb, 1, cells(1, 2, 2)).unwrap();
+        b.insert_block(qa, 0, &cells(0, 0, 2)).unwrap();
+        b.insert_block(qb, 0, &cells(1, 0, 2)).unwrap();
+        b.insert_block(qb, 1, &cells(1, 2, 2)).unwrap();
         assert_eq!(b.pop_front(qa).unwrap().queue(), qa);
         assert_eq!(b.pop_front(qb).unwrap().queue(), qb);
         assert_eq!(b.occupancy(), 4);

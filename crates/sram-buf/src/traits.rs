@@ -58,6 +58,10 @@ pub trait SharedBuffer {
     /// ordinal `ordinal`. Blocks may arrive out of ordinal order; cells inside
     /// a block are in FIFO order.
     ///
+    /// The cells are copied into the buffer's own storage, so the caller
+    /// keeps its block buffer (typically a pooled `Vec<Cell>`) and nothing is
+    /// allocated per block.
+    ///
     /// # Errors
     ///
     /// Returns [`BufferError::Full`] when the buffer has insufficient space,
@@ -67,29 +71,8 @@ pub trait SharedBuffer {
         &mut self,
         queue: LogicalQueueId,
         ordinal: u64,
-        cells: Vec<Cell>,
-    ) -> Result<(), BufferError>;
-
-    /// Slice-borrowing variant of [`SharedBuffer::insert_block`] for the
-    /// allocation-free hot path: the caller keeps ownership of its block
-    /// buffer (typically a pooled `Vec<Cell>`) and the implementation copies
-    /// the cells into its own storage.
-    ///
-    /// The default implementation clones the slice into a fresh `Vec` and
-    /// delegates; hot-path implementations override it to avoid the
-    /// allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SharedBuffer::insert_block`].
-    fn insert_block_cells(
-        &mut self,
-        queue: LogicalQueueId,
-        ordinal: u64,
         cells: &[Cell],
-    ) -> Result<(), BufferError> {
-        self.insert_block(queue, ordinal, cells.to_vec())
-    }
+    ) -> Result<(), BufferError>;
 
     /// Appends one cell at the tail of `queue` (in-order path).
     ///

@@ -12,7 +12,7 @@
 //! arena, writeback, DRAM scheduler, head SRAM, grants — stays active while
 //! counting.
 
-use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
+use pktbuf::{CfdsBuffer, DramOnlyBuffer, HeadSramKind, PacketBuffer, RadsBuffer};
 use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -134,6 +134,11 @@ fn steady_state_slot_loop_is_allocation_free() {
     };
     let mut rads = RadsBuffer::new(rads_cfg);
     assert_steady_state_alloc_free(&mut rads, "RADS", 2, true);
+
+    // The same RADS over the linked-list head SRAM: every block delivery
+    // copies its cells out of the pooled block buffer into the lists.
+    let mut rads_ll = RadsBuffer::with_head_sram(rads_cfg, HeadSramKind::UnifiedLinkedList);
+    assert_steady_state_alloc_free(&mut rads_ll, "RADS (linked-list head SRAM)", 2, true);
 
     let cfds_cfg = CfdsConfig::builder()
         .line_rate(LineRate::Oc3072)

@@ -89,8 +89,8 @@ proptest! {
             let cells: Vec<Cell> = (0..cells_per_block)
                 .map(|i| Cell::new(queue, (b * cells_per_block + i) as u64, 0))
                 .collect();
-            cam.insert_block(queue, *b as u64, cells.clone()).unwrap();
-            lll.insert_block(queue, *b as u64, cells).unwrap();
+            cam.insert_block(queue, *b as u64, &cells).unwrap();
+            lll.insert_block(queue, *b as u64, &cells).unwrap();
         }
         for expected in 0..total as u64 {
             prop_assert_eq!(cam.pop_front(queue).unwrap().seq(), expected);
