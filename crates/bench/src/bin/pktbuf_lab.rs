@@ -93,7 +93,7 @@ rate-limited egress; sweepable axes accept the same sweep syntax as below):
                              uniform at 95% load, both arbiters): fails unless every
                              run is zero-loss and iSLIP sustains >= 90% crossbar
                              utilisation under the admissible uniform load
-    --ports <SWEEP>          fabric port count N                 (default 8)
+    --ports <SWEEP>          fabric port count N, 2..=64         (default 8)
     --designs <LIST|all>     dram-only, rads, cfds, mixed        (default cfds)
     --workloads <LIST|all>   uniform, hotspot, incast, bursty    (default uniform)
     --arbiters <LIST|all>    islip, maximal                      (default islip)
@@ -121,8 +121,8 @@ same sweep syntax as below):
                              a fixed death+flap plan — and fails unless delivery
                              is exactly-once, the transport ledger closes, and
                              goodput recovers within a bounded window
-    --radix <SWEEP>          switch radix N                      (default 4)
-    --ingress <SWEEP>        ingress (= egress) switches r       (default 4)
+    --radix <SWEEP>          switch radix N, 2..=64              (default 4)
+    --ingress <SWEEP>        ingress = egress switches r, 2..=64 (default 4)
     --middle <SWEEP>         middle switches m (<= N)            (default 4)
     --designs <LIST|all>     dram-only, rads, cfds, mixed        (default rads)
     --workloads <LIST|all>   uniform, hotspot, incast, bursty    (default uniform)

@@ -144,8 +144,39 @@ fn clos_transport_flag_forces_cut_through_in_command_line_order() {
     let stderr = lab_refusal(&["clos", "--transport", "-B", "16", "--print-spec"]);
     assert_eq!(
         stderr,
-        "pktbuf-lab: no combination of the swept parameters forms a valid configuration\n"
+        "pktbuf-lab: no combination of the swept parameters forms a valid configuration; \
+         first invalid point: closed-loop transport needs cut-through stage buffers: a \
+         RADS-family design with rads_granularity = 1 (batched writeback parks sub-batch \
+         tails as permanent residents that a reliable sender would retransmit forever)\n"
     );
+}
+
+#[test]
+fn oversized_crossbars_are_refused_with_the_reason() {
+    let no_valid = "pktbuf-lab: no combination of the swept parameters forms a valid \
+                    configuration; first invalid point: ";
+    for (args, reason) in [
+        (
+            &["fabric", "--ports", "128"][..],
+            "a crossbar takes 2 to 64 ports, got 128",
+        ),
+        (
+            &["clos", "--radix", "65"],
+            "the radix N sizes the ingress and egress switches: a crossbar takes 2 to 64 \
+             ports, got 65",
+        ),
+        (
+            &["clos", "--ingress", "65"],
+            "the ingress switch count r sizes the middle switches: a crossbar takes 2 to 64 \
+             ports, got 65",
+        ),
+    ] {
+        assert_eq!(
+            lab_refusal(args),
+            format!("{no_valid}{reason}\n"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

@@ -24,13 +24,24 @@
 //! # Data layout
 //!
 //! The eligibility matrix lives in bitmasks, as in the hardware arbiters
-//! this models: one row of `⌈ports / 64⌉` words per input (`rows[i]` bit
-//! `j`), its transpose per output (`cols[j]` bit `i`), and one-row masks of
-//! the still-unmatched inputs and outputs. "Nearest to the round-robin
-//! pointer" is then an AND, a shift and a `trailing_zeros`, so an iteration
-//! costs O(ports) word operations, not O(ports²) probes. Every port count
-//! runs the same code (one word per row up to 64 ports); the unit tests fuzz
-//! it against the cell-by-cell matcher it replaced.
+//! this models: one `u64` row per input (`rows[i]` bit `j`), its transpose
+//! per output (`cols[j]` bit `i`), and one word each for the still-unmatched
+//! inputs and outputs. "Nearest to the round-robin pointer" is then an AND,
+//! a shift, a select and a `trailing_zeros`, with no loop and no branch, so
+//! an iteration costs O(ports) word operations, not O(ports²) probes.
+//!
+//! That is why a crossbar takes at most [`MAX_CROSSBAR_PORTS`] = 64 ports:
+//! one machine word per row, like hardware iSLIP schedulers, which work on
+//! port-wide bit vectors. A larger fabric is built from smaller crossbars,
+//! as the three-stage [`crate::ClosFabric`] does, rather than by widening
+//! one. The unit tests fuzz both kernels against the cell-by-cell matcher
+//! they replaced.
+
+use std::hint::select_unpredictable;
+use std::mem;
+
+/// The most ports one crossbar takes: one `u64` mask word per row.
+pub const MAX_CROSSBAR_PORTS: usize = u64::BITS as usize;
 
 /// Which crossbar scheduling algorithm a fabric runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,35 +77,27 @@ impl ArbiterKind {
     }
 }
 
-/// Bits per mask word.
-const WORD: usize = u64::BITS as usize;
-
 /// `k % n` for `k < 2 * n`, without the division.
 fn wrap(k: usize, n: usize) -> usize {
     k - n * usize::from(k >= n)
 }
 
-/// The first position at or cyclically after `start` that is set in both
-/// `a` and `b` (equally long masks): the round-robin pick.
-fn first_at_or_after(a: &[u64], b: &[u64], start: usize) -> Option<usize> {
-    // `start`'s word from `start` up, the other words in cyclic order, then
-    // `start`'s word again, where only bits below `start` can be left.
-    (0..=a.len()).find_map(|k| {
-        let w = wrap(start / WORD + k, a.len());
-        let both = a[w] & b[w] & if k == 0 { !0 << (start % WORD) } else { !0 };
-        (both != 0).then(|| w * WORD + both.trailing_zeros() as usize)
-    })
+/// The round-robin pick from a non-empty `mask`: its lowest set bit at or
+/// above `ptr`, else (the cyclic wrap) its lowest set bit overall.
+fn round_robin(mask: u64, ptr: u32) -> usize {
+    let hi = mask & (!0 << ptr);
+    select_unpredictable(hi != 0, hi, mask).trailing_zeros() as usize
 }
 
-/// Calls `f` with every set position of `mask` (its words, lowest first),
-/// ascending.
-fn for_each_one(mask: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
-    for (w, mut rest) in mask.enumerate() {
-        while rest != 0 {
-            f(w * WORD + rest.trailing_zeros() as usize);
-            rest &= rest - 1;
-        }
-    }
+/// The set positions of `mask`, ascending.
+fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// The crossbar scheduler: pointer state plus scratch, sized once per fabric.
@@ -103,8 +106,6 @@ pub struct CrossbarArbiter {
     kind: ArbiterKind,
     ports: usize,
     iterations: usize,
-    /// Words per mask row, `⌈ports / 64⌉`.
-    words: usize,
     /// Per-output round-robin grant pointer (iSLIP).
     grant_ptr: Vec<u32>,
     /// Per-input round-robin accept pointer (iSLIP) / scan pointer (maximal).
@@ -114,33 +115,30 @@ pub struct CrossbarArbiter {
     /// Scratch (iSLIP): the transpose, `cols[j]` bit `i`.
     cols: Vec<u64>,
     /// Scratch (iSLIP): `grants[i]` bit `j` — output `j` granted to input `i`
-    /// in this iteration. Zero between calls, like `granted_in`.
+    /// in this iteration. Zero between iterations.
     grants: Vec<u64>,
-    /// Scratch (iSLIP): the inputs holding a grant.
-    granted_in: Vec<u64>,
-    /// Scratch (iSLIP): the unmatched inputs.
-    free_in: Vec<u64>,
-    /// Scratch: the unmatched outputs that are ready and requested.
-    free_out: Vec<u64>,
 }
 
 impl CrossbarArbiter {
     /// Creates an arbiter for a fabric of `ports` input and output ports.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= ports <= MAX_CROSSBAR_PORTS` (64).
     pub fn new(kind: ArbiterKind, ports: usize) -> Self {
-        let words = ports.div_ceil(WORD);
+        assert!(
+            (1..=MAX_CROSSBAR_PORTS).contains(&ports),
+            "a crossbar takes 1 to {MAX_CROSSBAR_PORTS} ports, got {ports}"
+        );
         CrossbarArbiter {
             kind,
             ports,
             iterations: kind.effective_iterations(ports),
-            words,
             grant_ptr: vec![0; ports],
             accept_ptr: vec![0; ports],
-            rows: vec![0; ports * words],
-            cols: vec![0; ports * words],
-            grants: vec![0; ports * words],
-            granted_in: vec![0; words],
-            free_in: vec![0; words],
-            free_out: vec![0; words],
+            rows: vec![0; ports],
+            cols: vec![0; ports],
+            grants: vec![0; ports],
         }
     }
 
@@ -160,7 +158,10 @@ impl CrossbarArbiter {
     /// `eligible` must be a pure function of the slot's buffer state: it is
     /// evaluated exactly once per `(i, j)` pair, row by row, up front — one
     /// sequential pass over each input's occupancy counters, packed into
-    /// that input's mask row; the matching itself never calls it.
+    /// that input's one-word mask row; the matching itself never calls it.
+    /// The crossbar has at most [`MAX_CROSSBAR_PORTS`] ports (checked by
+    /// [`CrossbarArbiter::new`]), so every row, column and free set is a
+    /// single `u64`.
     ///
     /// A call that matches nothing — no input has a cell for a ready output —
     /// returns before the matcher runs and leaves the arbiter bit-identical
@@ -172,7 +173,7 @@ impl CrossbarArbiter {
     /// # Panics
     ///
     /// Panics when a slice is not `ports` long: the masks would silently
-    /// drop the ports of a short one and shift past a word on a long one.
+    /// drop the ports of a short one and misindex a long one.
     pub fn schedule<F>(
         &mut self,
         slot: u64,
@@ -184,26 +185,21 @@ impl CrossbarArbiter {
     where
         F: Fn(usize, usize) -> bool,
     {
-        let (n, words) = (self.ports, self.words);
+        let n = self.ports;
         assert_eq!(output_ready.len(), n, "output_ready: one flag per output");
         assert_eq!(match_in.len(), n, "match_in: one entry per input");
         assert_eq!(match_out.len(), n, "match_out: one entry per output");
         match_in.fill(None);
         match_out.fill(None);
-        self.free_out.fill(0);
-        for i in 0..n {
-            for (w, ready) in output_ready.chunks(WORD).enumerate() {
-                let (mut row, mut bit) = (0, 1u64);
-                for (j, &ready) in (w * WORD..).zip(ready) {
-                    // `&`, not `&&`: the oracle is asked about unready outputs too.
-                    row |= bit & u64::from(eligible(i, j) & ready).wrapping_neg();
-                    bit <<= 1;
-                }
-                self.rows[i * words + w] = row;
-                self.free_out[w] |= row;
-            }
+        let ready = (0..n).fold(0u64, |mask, j| mask | u64::from(output_ready[j]) << j);
+        let mut requested = 0;
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            // Every pair is asked, unready outputs included.
+            let wants = (0..n).fold(0u64, |wants, j| wants | u64::from(eligible(i, j)) << j);
+            *row = wants & ready;
+            requested |= *row;
         }
-        if self.free_out.iter().all(|&word| word == 0) {
+        if requested == 0 {
             return 0;
         }
         let mut matched = 0;
@@ -213,67 +209,65 @@ impl CrossbarArbiter {
             matched += 1;
         };
         match self.kind {
-            ArbiterKind::Islip { .. } => self.islip(pair),
-            ArbiterKind::Maximal => self.maximal(slot, pair),
+            ArbiterKind::Islip { .. } => self.islip(requested, pair),
+            ArbiterKind::Maximal => self.maximal(slot, requested, pair),
         }
         matched
     }
 
-    fn islip(&mut self, mut pair: impl FnMut(usize, usize)) {
-        let (n, words) = (self.ports, self.words);
+    /// iSLIP over the ready, requested outputs `free_out`.
+    fn islip(&mut self, mut free_out: u64, mut pair: impl FnMut(usize, usize)) {
+        let n = self.ports;
         self.cols.fill(0);
-        for (i, row) in self.rows.chunks_exact(words).enumerate() {
-            for_each_one(row.iter().copied(), |j| {
-                self.cols[j * words + i / WORD] |= 1 << (i % WORD);
-            });
+        for (i, &row) in self.rows.iter().enumerate() {
+            for j in ones(row) {
+                self.cols[j] |= 1 << i;
+            }
         }
-        self.free_in.fill(!0);
+        let mut free_in = !0u64;
         for iteration in 0..self.iterations {
             // Grant: every unmatched ready output picks the requesting
             // unmatched input nearest (cyclically) to its grant pointer.
-            for_each_one(self.free_out.iter().copied(), |j| {
-                let wanted = &self.cols[j * words..][..words];
-                let start = self.grant_ptr[j] as usize;
-                if let Some(i) = first_at_or_after(wanted, &self.free_in, start) {
-                    self.grants[i * words + j / WORD] |= 1 << (j % WORD);
-                    self.granted_in[i / WORD] |= 1 << (i % WORD);
+            let mut granted = 0u64;
+            for j in ones(free_out) {
+                let wanted = self.cols[j] & free_in;
+                if wanted != 0 {
+                    let i = round_robin(wanted, self.grant_ptr[j]);
+                    self.grants[i] |= 1 << j;
+                    granted |= 1 << i;
                 }
-            });
-            // Accept: every input that received at least one grant accepts
-            // the granting output nearest to its accept pointer. Pointers
-            // advance only on first-iteration accepts (original iSLIP).
-            let mut accepted = false;
-            for_each_one(self.granted_in.iter_mut().map(std::mem::take), |i| {
-                let offers = &self.grants[i * words..][..words];
-                let start = self.accept_ptr[i] as usize;
-                if let Some(j) = first_at_or_after(offers, &self.free_out, start) {
-                    pair(i, j);
-                    self.free_in[i / WORD] &= !(1 << (i % WORD));
-                    self.free_out[j / WORD] &= !(1 << (j % WORD));
-                    if iteration == 0 {
-                        self.grant_ptr[j] = wrap(i + 1, n) as u32;
-                        self.accept_ptr[i] = wrap(j + 1, n) as u32;
-                    }
-                    accepted = true;
-                }
-            });
-            if !accepted {
+            }
+            if granted == 0 {
                 break;
             }
-            self.grants.fill(0);
+            // Accept: every input that received at least one grant accepts
+            // the granting output nearest to its accept pointer. Each output
+            // grants one input, so every offer is still free. Pointers
+            // advance only on first-iteration accepts (original iSLIP).
+            for i in ones(granted) {
+                let j = round_robin(mem::take(&mut self.grants[i]), self.accept_ptr[i]);
+                pair(i, j);
+                free_in &= !(1 << i);
+                free_out &= !(1 << j);
+                if iteration == 0 {
+                    self.grant_ptr[j] = wrap(i + 1, n) as u32;
+                    self.accept_ptr[i] = wrap(j + 1, n) as u32;
+                }
+            }
         }
     }
 
-    fn maximal(&mut self, slot: u64, mut pair: impl FnMut(usize, usize)) {
-        let (n, words) = (self.ports, self.words);
+    /// Greedy maximal matching over the ready, requested outputs `free_out`.
+    fn maximal(&mut self, slot: u64, mut free_out: u64, mut pair: impl FnMut(usize, usize)) {
+        let n = self.ports;
         let priority = (slot % n as u64) as usize;
         for k in 0..n {
             let i = wrap(priority + k, n);
-            let row = &self.rows[i * words..][..words];
-            let start = self.accept_ptr[i] as usize;
-            if let Some(j) = first_at_or_after(row, &self.free_out, start) {
+            let offers = self.rows[i] & free_out;
+            if offers != 0 {
+                let j = round_robin(offers, self.accept_ptr[i]);
                 pair(i, j);
-                self.free_out[j / WORD] &= !(1 << (j % WORD));
+                free_out &= !(1 << j);
                 self.accept_ptr[i] = wrap(j + 1, n) as u32;
             }
         }
@@ -451,12 +445,13 @@ mod tests {
     ];
 
     /// The mask kernels against the scalar reference, slot for slot on shared
-    /// pointer state: every port count around the word boundaries, both
-    /// algorithms, explicit iteration counts, random densities and credits.
+    /// pointer state: small port counts and the word edge (bit 63, the full
+    /// 64-bit mask), both algorithms, explicit iteration counts, random
+    /// densities and credits.
     #[test]
     fn mask_kernels_match_the_scalar_reference_slot_for_slot() {
         let mut rng = StdRng::seed_from_u64(0x15_11b);
-        for n in (1..=9).chain([16, 33, 63, 64, 65, 130]) {
+        for n in (1..=9).chain([16, 33, 63, 64]) {
             for kind in ALL_KINDS {
                 let mut new = CrossbarArbiter::new(kind, n);
                 let mut old = ScalarArbiter::new(kind, n);
@@ -484,7 +479,7 @@ mod tests {
     /// exactly one call per pair, row by row — unready outputs included.
     #[test]
     fn oracle_is_asked_once_per_pair_in_row_major_order() {
-        for n in [5, 65] {
+        for n in [5, 64] {
             for kind in ALL_KINDS {
                 let asked = std::cell::RefCell::new(Vec::new());
                 let ready: Vec<bool> = (0..n).map(|j| j % 3 != 0).collect();
@@ -511,7 +506,7 @@ mod tests {
     #[test]
     fn a_matchless_call_leaves_the_arbiter_bit_identical() {
         let mut rng = StdRng::seed_from_u64(0x1d1e);
-        for n in [5, 16, 65] {
+        for n in [5, 16, 64] {
             for kind in ALL_KINDS {
                 for idle_case in 0..3 {
                     let mut seen = CrossbarArbiter::new(kind, n);
@@ -551,6 +546,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a crossbar takes 1 to 64 ports, got 65")]
+    fn a_65_port_crossbar_is_refused() {
+        CrossbarArbiter::new(ArbiterKind::Islip { iterations: 0 }, 65);
     }
 
     fn schedule_with_lengths(ready: usize, match_in: usize, match_out: usize) {

@@ -1254,8 +1254,12 @@ impl<B: PacketBuffer> ClosFabric<B> {
     /// # Panics
     ///
     /// Panics when the geometry is invalid (`N < 2`, `r < 2`,
-    /// `m < 1`, `m > N`, `link_capacity < 1`) or a built buffer's queue
-    /// count does not match its stage's radix.
+    /// `m < 1`, `m > N`, `link_capacity < 1`), when `N` or `r` exceeds
+    /// [`MAX_CROSSBAR_PORTS`] (64: the ingress and egress switches are
+    /// `N`-port crossbars and the middle switches `r`-port ones), or when a
+    /// built buffer's queue count does not match its stage's radix.
+    ///
+    /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
     pub fn new<F: FnMut(ClosStage) -> B>(config: ClosConfig, mut build: F) -> Self {
         let ClosConfig {
             radix,

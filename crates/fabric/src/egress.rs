@@ -31,9 +31,17 @@ pub struct EgressPort {
     /// Deepest the transmit FIFO has been.
     peak_depth: usize,
     /// Optional log2 latency histogram; `None` (the default) records nothing
-    /// and keeps the port byte-identical to the uninstrumented path.
-    latency_hist: Option<Log2Histogram>,
+    /// and keeps the port byte-identical to the uninstrumented path. Boxed:
+    /// it is cold state, and inline it would be most of the port.
+    latency_hist: Option<Box<Log2Histogram>>,
 }
+
+// The switch walks every port's credit and FIFO each slot, so the port holds
+// only hot state: the inline histogram made it 640 bytes, 88 with the box.
+const _: () = assert!(
+    std::mem::size_of::<EgressPort>() <= 96,
+    "EgressPort must stay within 96 bytes (it was 640 with the latency histogram inline, 88 boxed)"
+);
 
 /// Number of accrual points (multiples of `period`) in `[0, end)`.
 fn accruals_before(end: u64, period: u64) -> u64 {
@@ -59,12 +67,12 @@ impl EgressPort {
     /// Arms the per-port latency histogram. Call before the first slot; the
     /// histogram then records every transmitted cell's end-to-end latency.
     pub fn arm_latency_hist(&mut self) {
-        self.latency_hist = Some(Log2Histogram::new());
+        self.latency_hist = Some(Box::default());
     }
 
     /// The armed latency histogram, if any.
     pub fn latency_hist(&self) -> Option<&Log2Histogram> {
-        self.latency_hist.as_ref()
+        self.latency_hist.as_deref()
     }
 
     /// Accrues the line-rate credit at the start of slot `slot`.

@@ -17,7 +17,9 @@
 //!   chunked arrival generation and an idle fast-forward.
 //! * [`CrossbarArbiter`] — iSLIP-style iterative matching
 //!   ([`ArbiterKind::Islip`]) and a greedy maximal-matching baseline
-//!   ([`ArbiterKind::Maximal`]).
+//!   ([`ArbiterKind::Maximal`]) over one `u64` mask per row, so a crossbar
+//!   takes up to [`MAX_CROSSBAR_PORTS`] = 64 ports; [`ClosFabric`] builds
+//!   larger fabrics from such crossbars.
 //! * [`EgressPort`] — credit-throttled output lines with end-to-end latency
 //!   accounting.
 //! * [`FabricRunReport`] — per-port, per-output and traffic-matrix-level
@@ -78,7 +80,7 @@ mod report;
 mod switch;
 pub mod transport;
 
-pub use arbiter::{ArbiterKind, CrossbarArbiter};
+pub use arbiter::{ArbiterKind, CrossbarArbiter, MAX_CROSSBAR_PORTS};
 pub use clos::{
     ClosConfig, ClosFabric, ClosObsReport, ClosRunReport, ClosStage, ClosStageObsReport,
     ClosStageReport, DispatchPolicy, SeriesReport, TraceReport,

@@ -121,8 +121,12 @@ impl<B: PacketBuffer> VoqSwitch<B> {
     ///
     /// # Panics
     ///
-    /// Panics when the port count does not match the configuration or any
+    /// Panics when the port count is outside `2..=`[`MAX_CROSSBAR_PORTS`]
+    /// (64, one mask word per arbiter row; build larger fabrics as a
+    /// [`crate::ClosFabric`]), does not match the configuration, or any
     /// buffer's queue count differs from the port count (VOQ shape).
+    ///
+    /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
     pub fn new(config: FabricConfig, buffers: Vec<B>) -> Self {
         let ports = config.ports;
         assert!(ports >= 2, "a fabric needs at least 2 ports");
@@ -621,11 +625,12 @@ mod tests {
     fn chunked_run_matches_the_reference_engine() {
         // Long idle gaps make most chunks pure-idle, exercising the
         // fast-forward against the skip-free reference. The wider crossbars
-        // (the shipped 16 ports and a non-power-of-two count) get shorter
-        // gaps — 700 slots at 3 ports — so that bursts of different inputs
-        // overlap there and the arbiter has contention to resolve.
+        // (the shipped 16 ports, a non-power-of-two count and the 64-port
+        // word edge: bit 63 and the full input mask) get shorter gaps — 700
+        // slots at 3 ports — so that bursts of different inputs overlap
+        // there and the arbiter has contention to resolve.
         for arbiter in [ArbiterKind::Islip { iterations: 0 }, ArbiterKind::Maximal] {
-            for ports in [3, 13, 16] {
+            for ports in [3, 13, 16, 64] {
                 let config = FabricConfig {
                     ports,
                     egress_period: 2,

@@ -30,7 +30,10 @@ use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
-use ::fabric::{ClosConfig, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError};
+use ::fabric::{
+    ClosConfig, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError,
+    MAX_CROSSBAR_PORTS,
+};
 use pktbuf::PacketBuffer;
 use pktbuf_model::{ConfigError, ConfigOverrides, LineRate, RadsConfig};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
@@ -305,10 +308,12 @@ impl ObsScenario {
 /// Why a Clos scenario is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClosScenarioError {
-    /// Ingress/egress switches need radix ≥ 2.
+    /// Ingress/egress switches are `N`-port crossbars: 2 ≤ `N` ≤
+    /// [`MAX_CROSSBAR_PORTS`].
     BadRadix(usize),
-    /// A Clos needs at least 2 ingress switches.
-    TooFewIngress(usize),
+    /// The `r` ingress switches make the middle switches `r`-port crossbars:
+    /// 2 ≤ `r` ≤ [`MAX_CROSSBAR_PORTS`].
+    IngressOutOfRange(usize),
     /// The middle stage must satisfy `1 ≤ m ≤ N`.
     BadMiddle(usize, usize),
     /// Offered load must stay in (0, 100] percent.
@@ -329,12 +334,16 @@ pub enum ClosScenarioError {
 impl fmt::Display for ClosScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClosScenarioError::BadRadix(n) => {
-                write!(f, "ingress/egress switches need radix >= 2, got {n}")
-            }
-            ClosScenarioError::TooFewIngress(r) => {
-                write!(f, "a Clos needs at least 2 ingress switches, got {r}")
-            }
+            ClosScenarioError::BadRadix(n) => write!(
+                f,
+                "the radix N sizes the ingress and egress switches: a crossbar takes 2 to \
+                 {MAX_CROSSBAR_PORTS} ports, got {n}"
+            ),
+            ClosScenarioError::IngressOutOfRange(r) => write!(
+                f,
+                "the ingress switch count r sizes the middle switches: a crossbar takes 2 to \
+                 {MAX_CROSSBAR_PORTS} ports, got {r}"
+            ),
             ClosScenarioError::BadMiddle(m, n) => {
                 write!(
                     f,
@@ -540,11 +549,12 @@ impl ClosScenario {
     /// Returns [`ClosScenarioError`] when the geometry, load, link
     /// provisioning or any stage buffer configuration is invalid.
     pub fn validate(&self) -> Result<(), ClosScenarioError> {
-        if self.radix < 2 {
+        let crossbar = 2..=MAX_CROSSBAR_PORTS;
+        if !crossbar.contains(&self.radix) {
             return Err(ClosScenarioError::BadRadix(self.radix));
         }
-        if self.ingress_switches < 2 {
-            return Err(ClosScenarioError::TooFewIngress(self.ingress_switches));
+        if !crossbar.contains(&self.ingress_switches) {
+            return Err(ClosScenarioError::IngressOutOfRange(self.ingress_switches));
         }
         if !(1..=self.radix).contains(&self.middle_switches) {
             return Err(ClosScenarioError::BadMiddle(
@@ -992,6 +1002,7 @@ impl Experiment for ClosSpec {
     type Scenario = ClosScenario;
     type Report = ClosRunReport;
     type Aggregate = ClosAggregate;
+    type Invalid = ClosScenarioError;
 
     const KIND: Option<&'static str> = Some("clos");
     // `workers`: written while a per-stage worker pipeline existed
@@ -1073,8 +1084,8 @@ impl Experiment for ClosSpec {
         }
     }
 
-    fn is_valid(scenario: &ClosScenario) -> bool {
-        scenario.validate().is_ok()
+    fn validate(scenario: &ClosScenario) -> Result<(), ClosScenarioError> {
+        scenario.validate()
     }
 
     fn run_scenario(&self, scenario: &ClosScenario) -> ClosRunReport {
@@ -1434,8 +1445,27 @@ mod tests {
                 ingress_switches: 1,
                 ..ClosScenario::small()
             }),
-            ClosScenarioError::TooFewIngress(1)
+            ClosScenarioError::IngressOutOfRange(1)
         );
+        // One word per arbiter row: N sizes the outer switches and r the
+        // middle ones, so each stops at 64.
+        for (radix, ingress_switches, verdict) in [
+            (64, 4, Ok(())),
+            (4, 64, Ok(())),
+            (65, 4, Err(ClosScenarioError::BadRadix(65))),
+            (4, 65, Err(ClosScenarioError::IngressOutOfRange(65))),
+        ] {
+            let scenario = ClosScenario {
+                radix,
+                ingress_switches,
+                ..ClosScenario::small()
+            };
+            assert_eq!(
+                scenario.validate(),
+                verdict,
+                "N = {radix}, r = {ingress_switches}"
+            );
+        }
         assert_eq!(
             bad(ClosScenario {
                 middle_switches: 5,

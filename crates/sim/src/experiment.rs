@@ -14,7 +14,7 @@ use crate::lab::RunRecord;
 use crate::spec::{SpecError, Sweep};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::fmt::Debug;
+use std::fmt::{self, Debug};
 
 /// Most combinations a spec's axes may multiply to. [`expand`] visits every
 /// combination (valid or not) and keeps the valid ones in memory, so the
@@ -86,6 +86,8 @@ pub trait Experiment:
     type Report: Debug + Clone + PartialEq + Serialize + Send;
     /// Statistics over every run of the experiment.
     type Aggregate: Debug + Clone + PartialEq + Serialize;
+    /// Why a scenario is invalid.
+    type Invalid: fmt::Display;
 
     /// The `"kind"` tag the layer's spec documents carry as their last key
     /// (`None`: untagged). A document tagged otherwise is refused.
@@ -118,9 +120,14 @@ pub trait Experiment:
     /// The scenario at `point`: one value per axis, in axis order.
     fn scenario_at(&self, point: &[u64]) -> Self::Scenario;
 
-    /// Whether `scenario` forms a valid configuration (sweeps cross freely,
-    /// so some points do not; they are skipped and counted).
-    fn is_valid(scenario: &Self::Scenario) -> bool;
+    /// Checks that `scenario` forms a valid configuration. Sweeps cross
+    /// freely, so some points do not: [`expand`] skips and counts them, and
+    /// keeps the first one's reason for [`SpecError::NoValidRuns`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the layer's reason the point is invalid.
+    fn validate(scenario: &Self::Scenario) -> Result<(), Self::Invalid>;
 
     /// Runs one scenario to completion.
     fn run_scenario(&self, scenario: &Self::Scenario) -> Self::Report;
@@ -150,7 +157,8 @@ pub struct Expansion<S> {
 ///
 /// Returns [`SpecError`] when an axis is empty or malformed, when
 /// [`Experiment::check`] fails, when the axes multiply to more than
-/// [`MAX_COMBINATIONS`], or when *every* combination is invalid.
+/// [`MAX_COMBINATIONS`], or when *every* combination is invalid (naming the
+/// first one's reason).
 pub fn expand<E: Experiment>(spec: &E) -> Result<Expansion<E::Scenario>, SpecError> {
     let axes = spec.axes();
     for axis in &axes {
@@ -177,13 +185,16 @@ pub fn expand<E: Experiment>(spec: &E) -> Result<Expansion<E::Scenario>, SpecErr
     let mut point: Vec<u64> = values.iter().map(|axis| axis[0]).collect();
     let mut runs = Vec::new();
     let mut skipped_invalid = 0usize;
+    let mut first_invalid = None;
     'product: loop {
         let scenario = spec.scenario_at(&point);
         let collapse = !E::has_cfds(&scenario);
-        if E::is_valid(&scenario) {
-            runs.push(scenario);
-        } else {
-            skipped_invalid += 1;
+        match E::validate(&scenario) {
+            Ok(()) => runs.push(scenario),
+            Err(reason) => {
+                skipped_invalid += 1;
+                first_invalid.get_or_insert_with(|| reason.to_string());
+            }
         }
         // Odometer step, innermost axis fastest.
         let mut k = axes.len();
@@ -206,7 +217,7 @@ pub fn expand<E: Experiment>(spec: &E) -> Result<Expansion<E::Scenario>, SpecErr
         }
     }
     if runs.is_empty() {
-        return Err(SpecError::NoValidRuns);
+        return Err(SpecError::NoValidRuns(first_invalid.unwrap_or_default()));
     }
     Ok(Expansion {
         runs,

@@ -50,7 +50,7 @@ use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::FabricRunReport;
-use ::fabric::{ArbiterKind, FabricConfig, VoqSwitch};
+use ::fabric::{ArbiterKind, FabricConfig, VoqSwitch, MAX_CROSSBAR_PORTS};
 use pktbuf::PacketBuffer;
 use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, LineRate};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
@@ -231,8 +231,8 @@ serde_via_string!(ArbiterChoice, "an arbiter name (islip, maximal)");
 /// Why a fabric scenario is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricScenarioError {
-    /// A fabric needs at least two ports.
-    TooFewPorts(usize),
+    /// A fabric is one crossbar: 2 to [`MAX_CROSSBAR_PORTS`] ports.
+    PortsOutOfRange(usize),
     /// Offered load must stay in (0, 100] percent.
     BadLoad(u64),
     /// A per-port buffer configuration is invalid.
@@ -242,8 +242,11 @@ pub enum FabricScenarioError {
 impl fmt::Display for FabricScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FabricScenarioError::TooFewPorts(p) => {
-                write!(f, "a fabric needs at least 2 ports, got {p}")
+            FabricScenarioError::PortsOutOfRange(p) => {
+                write!(
+                    f,
+                    "a crossbar takes 2 to {MAX_CROSSBAR_PORTS} ports, got {p}"
+                )
             }
             FabricScenarioError::BadLoad(pct) => {
                 write!(f, "offered load must be in (0, 100] percent, got {pct}")
@@ -360,8 +363,8 @@ impl FabricScenario {
     /// Returns [`FabricScenarioError`] when the port count, load or any
     /// per-port buffer configuration is invalid.
     pub fn validate(&self) -> Result<(), FabricScenarioError> {
-        if self.ports < 2 {
-            return Err(FabricScenarioError::TooFewPorts(self.ports));
+        if !(2..=MAX_CROSSBAR_PORTS).contains(&self.ports) {
+            return Err(FabricScenarioError::PortsOutOfRange(self.ports));
         }
         if self.load_percent == 0 || self.load_percent > 100 {
             return Err(FabricScenarioError::BadLoad(self.load_percent));
@@ -659,6 +662,7 @@ impl Experiment for FabricSpec {
     type Scenario = FabricScenario;
     type Report = FabricRunReport;
     type Aggregate = FabricAggregate;
+    type Invalid = FabricScenarioError;
 
     const KIND: Option<&'static str> = Some("fabric");
     const CSV_HEADER: &'static [&'static str] = &[
@@ -725,8 +729,8 @@ impl Experiment for FabricSpec {
         }
     }
 
-    fn is_valid(scenario: &FabricScenario) -> bool {
-        scenario.validate().is_ok()
+    fn validate(scenario: &FabricScenario) -> Result<(), FabricScenarioError> {
+        scenario.validate()
     }
 
     fn run_scenario(&self, scenario: &FabricScenario) -> FabricRunReport {
@@ -899,8 +903,20 @@ mod tests {
         };
         assert_eq!(
             too_small.validate(),
-            Err(FabricScenarioError::TooFewPorts(1))
+            Err(FabricScenarioError::PortsOutOfRange(1))
         );
+        // One word per arbiter row: 64 ports is the widest crossbar.
+        for (ports, verdict) in [
+            (64, Ok(())),
+            (65, Err(FabricScenarioError::PortsOutOfRange(65))),
+        ] {
+            let scenario = FabricScenario {
+                ports,
+                design: FabricDesign::Fixed(DesignKind::Rads),
+                ..FabricScenario::small()
+            };
+            assert_eq!(scenario.validate(), verdict, "{ports} ports");
+        }
         let silly_load = FabricScenario {
             load_percent: 150,
             ..FabricScenario::small()
@@ -964,6 +980,28 @@ mod tests {
         assert_eq!(rads_runs, 2 * 2, "granularity axis collapses for RADS");
         assert_eq!(cfds_runs, 2 * 2 * 2, "CFDS keeps the granularity axis");
         assert_eq!(expansion.skipped_invalid, 0);
+    }
+
+    #[test]
+    fn port_sweeps_stop_at_the_widest_crossbar() {
+        let spec = FabricSpec::builder()
+            .ports("32..128*2".parse().unwrap())
+            .arrival_slots(100)
+            .build()
+            .unwrap();
+        let expansion = spec.expand().unwrap();
+        let ports: Vec<usize> = expansion.runs.iter().map(|r| r.ports).collect();
+        assert_eq!(ports, [32, 64]);
+        assert_eq!(expansion.skipped_invalid, 1, "128 ports is refused");
+        // With no valid point left, the refusal says why.
+        let too_wide = FabricSpec {
+            ports: Sweep::fixed(128),
+            ..spec
+        };
+        assert_eq!(
+            too_wide.expand().unwrap_err(),
+            SpecError::NoValidRuns("a crossbar takes 2 to 64 ports, got 128".into())
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::experiment::{self, Axis, Expansion, Experiment};
 use crate::lab::RunRecord;
 use crate::scenario::{DesignKind, Scenario, Workload};
 use crate::SimulationReport;
-use pktbuf_model::{ConfigOverrides, LineRate};
+use pktbuf_model::{ConfigError, ConfigOverrides, LineRate};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
@@ -30,8 +30,9 @@ pub enum SpecError {
     BadSweep(String),
     /// Preload and live arrivals were both requested.
     PreloadAndArrivals,
-    /// Every combination in the cartesian product was invalid.
-    NoValidRuns,
+    /// Every combination in the cartesian product was invalid; the first
+    /// one's validation error.
+    NoValidRuns(String),
     /// The axes multiply to more combinations than
     /// [`MAX_COMBINATIONS`](crate::experiment::MAX_COMBINATIONS).
     TooManyCombinations {
@@ -54,9 +55,10 @@ impl fmt::Display for SpecError {
                 "preload_cells_per_queue and arrival_slots are mutually exclusive \
                  (their sequence numbers would clash)"
             ),
-            SpecError::NoValidRuns => write!(
+            SpecError::NoValidRuns(first) => write!(
                 f,
-                "no combination of the swept parameters forms a valid configuration"
+                "no combination of the swept parameters forms a valid configuration; \
+                 first invalid point: {first}"
             ),
             SpecError::TooManyCombinations {
                 combinations,
@@ -434,6 +436,7 @@ impl Experiment for ExperimentSpec {
     type Scenario = Scenario;
     type Report = SimulationReport;
     type Aggregate = LabAggregate;
+    type Invalid = ConfigError;
 
     const CSV_HEADER: &'static [&'static str] = &[
         "index",
@@ -500,8 +503,8 @@ impl Experiment for ExperimentSpec {
         }
     }
 
-    fn is_valid(scenario: &Scenario) -> bool {
-        scenario.validate().is_ok()
+    fn validate(scenario: &Scenario) -> Result<(), ConfigError> {
+        scenario.validate()
     }
 
     fn run_scenario(&self, scenario: &Scenario) -> SimulationReport {
