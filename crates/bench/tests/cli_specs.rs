@@ -180,6 +180,32 @@ fn oversized_crossbars_are_refused_with_the_reason() {
 }
 
 #[test]
+fn transport_parameters_past_their_bounds_are_refused() {
+    let full = std::fs::read_to_string(fixture_path("clos_spec_full.json")).unwrap();
+    for (field, value) in [
+        ("cwnd_max", "18014398509481984"),
+        ("rto_initial", "9223372036854775000"),
+    ] {
+        let spec = full.replacen(
+            &format!("\"{field}\": 32"),
+            &format!("\"{field}\": {value}"),
+            1,
+        );
+        assert_ne!(spec, full, "{field} is 32 in the fixture");
+        let path = scratch_file(&format!("cli_clos_huge_{field}.json"), &spec);
+        assert_eq!(
+            lab_refusal(&["clos", "--spec", &path]),
+            format!(
+                "pktbuf-lab: no combination of the swept parameters forms a valid \
+                 configuration; first invalid point: transport {field} must be at most \
+                 4294967296, got {value} (a larger value overflows the source's timer or \
+                 window arithmetic)\n"
+            )
+        );
+    }
+}
+
+#[test]
 fn a_saved_spec_is_the_base_and_flags_edit_it_wherever_they_stand() {
     let tiny = scratch_file(
         "cli_tiny_run_spec.json",

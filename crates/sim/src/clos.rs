@@ -329,6 +329,9 @@ pub enum ClosScenarioError {
     TransportNeedsCutThrough,
     /// The incast target must be an external port of the geometry.
     BadIncastTarget(u32, usize),
+    /// A transport field is above its bound ([`traffic::MAX_RTO_SLOTS`] or
+    /// [`traffic::MAX_CWND_CELLS`]): the field, the bound, the value.
+    TransportOutOfRange(&'static str, u64, u64),
 }
 
 impl fmt::Display for ClosScenarioError {
@@ -371,6 +374,13 @@ impl fmt::Display for ClosScenarioError {
                 write!(
                     f,
                     "incast target {t} is not an external port of the geometry (0..{ext})"
+                )
+            }
+            ClosScenarioError::TransportOutOfRange(field, bound, value) => {
+                write!(
+                    f,
+                    "transport {field} must be at most {bound}, got {value} (a larger value \
+                     overflows the source's timer or window arithmetic)"
                 )
             }
         }
@@ -547,7 +557,8 @@ impl ClosScenario {
     /// # Errors
     ///
     /// Returns [`ClosScenarioError`] when the geometry, load, link
-    /// provisioning or any stage buffer configuration is invalid.
+    /// provisioning, a transport parameter or any stage buffer configuration
+    /// is invalid.
     pub fn validate(&self) -> Result<(), ClosScenarioError> {
         let crossbar = 2..=MAX_CROSSBAR_PORTS;
         if !crossbar.contains(&self.radix) {
@@ -585,6 +596,17 @@ impl ClosScenario {
                     t.incast_target,
                     self.external_ports(),
                 ));
+            }
+            // The fields as given: `source_params` would clamp them.
+            let given = traffic::ClosedLoopConfig {
+                rto_initial: t.rto_initial,
+                rto_cap: t.rto_cap,
+                max_retries: t.max_retries,
+                cwnd_init: t.cwnd_init,
+                cwnd_max: t.cwnd_max,
+            };
+            if let Some((field, bound, value)) = given.out_of_range() {
+                return Err(ClosScenarioError::TransportOutOfRange(field, bound, value));
             }
         }
         self.provisioning()
@@ -1307,6 +1329,17 @@ mod tests {
         assert_eq!(
             bad_target.validate().unwrap_err(),
             ClosScenarioError::BadIncastTarget(99, 16)
+        );
+        let huge_window = ClosScenario {
+            transport: Some(TransportScenario {
+                cwnd_max: 1 << 54,
+                ..TransportScenario::default()
+            }),
+            ..ClosScenario::small_transport()
+        };
+        assert_eq!(
+            huge_window.validate().unwrap_err(),
+            ClosScenarioError::TransportOutOfRange("cwnd_max", traffic::MAX_CWND_CELLS, 1 << 54)
         );
     }
 

@@ -51,7 +51,9 @@ pub use arrivals::{
     ArrivalGenerator, BurstyArrivals, HotspotArrivals, IncastArrivals, RoundRobinArrivals,
     UniformArrivals,
 };
-pub use closedloop::{ClosedLoopConfig, ClosedLoopSource, DemandPattern};
+pub use closedloop::{
+    ClosedLoopConfig, ClosedLoopSource, DemandPattern, MAX_CWND_CELLS, MAX_RTO_SLOTS,
+};
 pub use requests::{
     AdversarialRoundRobin, GreedyQueueDrain, HotspotRequests, RequestGenerator,
     UniformRandomRequests,

@@ -17,7 +17,9 @@ use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsC
 use sim::SimulationEngine;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use traffic::{AdversarialRoundRobin, RoundRobinArrivals};
+use traffic::{
+    AdversarialRoundRobin, ClosedLoopConfig, ClosedLoopSource, DemandPattern, RoundRobinArrivals,
+};
 
 /// Counts every allocation and reallocation passed to the system allocator.
 struct CountingAllocator;
@@ -47,6 +49,30 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const WARMUP_SLOTS: u64 = 60_000;
 const MEASURED_SLOTS: u64 = 20_000;
+
+/// Slots from a cell's send to its ack in [`drive_source`].
+const ACK_DELAY: usize = 24;
+
+/// Drives `source` under the transport's per-slot contract (`on_ack`, then
+/// `expire_timers`, then `poll`) for `slots` slots from `*slot`: every cell
+/// is acked [`ACK_DELAY`] slots after it was sent, and new work is allowed in
+/// bursts of 16 slots every 64, so the window fills and empties each period.
+fn drive_source(
+    source: &mut ClosedLoopSource,
+    slots: u64,
+    slot: &mut u64,
+    acks: &mut [Option<(u32, u64)>; ACK_DELAY],
+) {
+    for _ in 0..slots {
+        let lane = *slot as usize % ACK_DELAY;
+        if let Some((dest, seq)) = acks[lane].take() {
+            source.on_ack(dest, seq, *slot);
+        }
+        source.expire_timers(*slot);
+        acks[lane] = source.poll(*slot, *slot % 64 < 16);
+        *slot += 1;
+    }
+}
 
 /// Drives `buffer` with a deterministic 50%-load arrival stream and a
 /// round-robin request stream (the paper's adversarial pattern), without any
@@ -196,4 +222,28 @@ fn steady_state_slot_loop_is_allocation_free() {
     assert_eq!(report.workload, "round-robin+adversarial-round-robin");
     assert_eq!(report.design, "RADS");
     assert!(report.grant_log.is_none());
+
+    // A closed-loop reliable source: up to 16 cells in flight each burst,
+    // acks and window growth every slot of it.
+    let mut source =
+        ClosedLoopSource::new(0, 64, DemandPattern::Sweep, ClosedLoopConfig::default());
+    let mut acks = [None; ACK_DELAY];
+    let mut slot = 0u64;
+    drive_source(&mut source, 200_000, &mut slot, &mut acks);
+    let (injected, acked) = (source.injected(), source.acked());
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    drive_source(&mut source, 100_000, &mut slot, &mut acks);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "closed-loop source: warm slot loop allocated {} times over 100000 slots",
+        after - before
+    );
+    assert!(
+        source.injected() > injected && source.acked() > acked,
+        "source did no work"
+    );
 }
