@@ -543,4 +543,25 @@ mod tests {
             .iter()
             .all(|r| r.arrival_slots == 0 && r.preload_cells_per_queue == 128));
     }
+
+    /// Pins E9's table: the only end-to-end check of the strict-FIFO and
+    /// random-eligible policies, so a changed tie-break or a dropped RNG
+    /// advance shows up here rather than only in the DSA unit tests.
+    #[test]
+    fn dsa_ablation_reproduces_its_table() {
+        // (policy, grants, misses, DSS stalls, peak RR, max DSS delay)
+        let expected = [
+            (DsaPolicy::OldestFirst, 18_896, 0, 928, 5, 6),
+            (DsaPolicy::FifoOnly, 5_900, 12_996, 12_532, 10_180, 11_898),
+            (DsaPolicy::RandomEligible { seed: 42 }, 18_896, 0, 914, 5, 6),
+        ];
+        for (policy, grants, misses, stalls, peak_rr, max_delay) in expected {
+            let (label, stats, rr, delay) = ablation_run(policy);
+            assert_eq!(
+                (stats.grants, stats.misses, stats.dss_stalls, rr, delay),
+                (grants, misses, stalls, peak_rr, max_delay),
+                "{label}"
+            );
+        }
+    }
 }

@@ -206,6 +206,49 @@ fn transport_parameters_past_their_bounds_are_refused() {
 }
 
 #[test]
+fn obs_ring_capacities_past_their_bounds_are_refused() {
+    let full = std::fs::read_to_string(fixture_path("clos_spec_full.json")).unwrap();
+    for (name, edits, field, value) in [
+        (
+            "trace",
+            &[(
+                "\"trace_capacity\": 4,",
+                "\"trace_capacity\": 18446744073709551615,",
+            )][..],
+            "trace_capacity",
+            "18446744073709551615",
+        ),
+        (
+            "series",
+            &[
+                ("\"series_stride\": 100,", "\"series_stride\": 1,"),
+                (
+                    "\"series_capacity\": 8,",
+                    "\"series_capacity\": 4611686018427387904,",
+                ),
+            ],
+            "series_capacity",
+            "4611686018427387904",
+        ),
+    ] {
+        let mut spec = full.clone();
+        for (from, to) in edits {
+            assert!(spec.contains(from), "the fixture has {from}");
+            spec = spec.replacen(from, to, 1);
+        }
+        let path = scratch_file(&format!("cli_clos_huge_{name}.json"), &spec);
+        assert_eq!(
+            lab_refusal(&["clos", "--spec", &path]),
+            format!(
+                "pktbuf-lab: no combination of the swept parameters forms a valid \
+                 configuration; first invalid point: obs {field} must be at most 4194304, got \
+                 {value} (each stage preallocates its ring at arm time)\n"
+            )
+        );
+    }
+}
+
+#[test]
 fn a_saved_spec_is_the_base_and_flags_edit_it_wherever_they_stand() {
     let tiny = scratch_file(
         "cli_tiny_run_spec.json",

@@ -3,18 +3,6 @@
 use crate::orr::OngoingRequestsRegister;
 use crate::rr::RequestsRegister;
 
-/// A DRAM Scheduler Algorithm selects which pending request of the Requests
-/// Register to issue next, subject to the locked banks in the Ongoing
-/// Requests Register.
-pub trait DramSchedulerAlgorithm {
-    /// Returns the position (0 = oldest) of the entry to issue, or `None` when
-    /// no pending request targets an unlocked bank (or the RR is empty).
-    fn choose(&mut self, rr: &RequestsRegister, orr: &OngoingRequestsRegister) -> Option<usize>;
-
-    /// Policy name for reports and ablations.
-    fn name(&self) -> &'static str;
-}
-
 /// Enumerates the available DSA policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DsaPolicy {
@@ -32,104 +20,55 @@ pub enum DsaPolicy {
     },
 }
 
-impl DsaPolicy {
-    /// Instantiates the policy behind a box (legacy form; the DSS itself
-    /// dispatches through [`DsaPolicy::instantiate_dispatch`]).
-    pub fn instantiate(self) -> Box<dyn DramSchedulerAlgorithm + Send> {
-        match self {
-            DsaPolicy::OldestFirst => Box::new(OldestFirstDsa),
-            DsaPolicy::FifoOnly => Box::new(FifoOnlyDsa),
-            DsaPolicy::RandomEligible { seed } => Box::new(RandomEligibleDsa::new(seed)),
-        }
-    }
-
-    /// Instantiates the enum-dispatched form used on the DSS issue path.
-    pub fn instantiate_dispatch(self) -> DsaDispatch {
-        match self {
-            DsaPolicy::OldestFirst => DsaDispatch::OldestFirst(OldestFirstDsa),
-            DsaPolicy::FifoOnly => DsaDispatch::FifoOnly(FifoOnlyDsa),
-            DsaPolicy::RandomEligible { seed } => {
-                DsaDispatch::RandomEligible(RandomEligibleDsa::new(seed))
-            }
-        }
-    }
-}
-
-/// The DSA policies as a closed enum: `choose` runs twice per granularity
-/// period on the DSS issue path, where a three-way predicted branch beats a
-/// `Box<dyn>` vtable call.
+/// The DSS's selection state: the configured policy plus the xorshift word
+/// `RandomEligible` draws from (the other policies never touch it).
 #[derive(Debug, Clone)]
-pub enum DsaDispatch {
-    /// See [`OldestFirstDsa`].
-    OldestFirst(OldestFirstDsa),
-    /// See [`FifoOnlyDsa`].
-    FifoOnly(FifoOnlyDsa),
-    /// See [`RandomEligibleDsa`].
-    RandomEligible(RandomEligibleDsa),
-}
-
-impl DramSchedulerAlgorithm for DsaDispatch {
-    #[inline]
-    fn choose(&mut self, rr: &RequestsRegister, orr: &OngoingRequestsRegister) -> Option<usize> {
-        match self {
-            DsaDispatch::OldestFirst(d) => d.choose(rr, orr),
-            DsaDispatch::FifoOnly(d) => d.choose(rr, orr),
-            DsaDispatch::RandomEligible(d) => d.choose(rr, orr),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            DsaDispatch::OldestFirst(d) => d.name(),
-            DsaDispatch::FifoOnly(d) => d.name(),
-            DsaDispatch::RandomEligible(d) => d.name(),
-        }
-    }
-}
-
-/// Oldest-ready-first selection (the paper's DSA).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OldestFirstDsa;
-
-impl DramSchedulerAlgorithm for OldestFirstDsa {
-    fn choose(&mut self, rr: &RequestsRegister, orr: &OngoingRequestsRegister) -> Option<usize> {
-        rr.iter().position(|e| !orr.is_locked(e.bank))
-    }
-
-    fn name(&self) -> &'static str {
-        "oldest-first"
-    }
-}
-
-/// Strict-FIFO selection (no reordering).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoOnlyDsa;
-
-impl DramSchedulerAlgorithm for FifoOnlyDsa {
-    fn choose(&mut self, rr: &RequestsRegister, orr: &OngoingRequestsRegister) -> Option<usize> {
-        let oldest = rr.iter().next()?;
-        if orr.is_locked(oldest.bank) {
-            None
-        } else {
-            Some(0)
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo-only"
-    }
-}
-
-/// Uniform choice among eligible requests.
-#[derive(Debug, Clone)]
-pub struct RandomEligibleDsa {
+pub(crate) struct Dsa {
+    policy: DsaPolicy,
     state: u64,
 }
 
-impl RandomEligibleDsa {
-    /// Creates the policy with a non-zero seed.
-    pub fn new(seed: u64) -> Self {
-        RandomEligibleDsa { state: seed.max(1) }
+impl Dsa {
+    pub(crate) fn new(policy: DsaPolicy) -> Self {
+        let state = match policy {
+            DsaPolicy::RandomEligible { seed } => seed.max(1),
+            DsaPolicy::OldestFirst | DsaPolicy::FifoOnly => 1,
+        };
+        Dsa { policy, state }
+    }
+
+    /// Returns the position (0 = oldest) of the RR entry to issue, or `None`
+    /// when no pending request may issue (or the RR is empty). Runs twice
+    /// per granularity period on the DSS issue path.
+    #[inline]
+    pub(crate) fn choose(
+        &mut self,
+        rr: &RequestsRegister,
+        orr: &OngoingRequestsRegister,
+    ) -> Option<usize> {
+        match self.policy {
+            DsaPolicy::OldestFirst => rr.iter().position(|e| !orr.is_locked(e.bank)),
+            DsaPolicy::FifoOnly => {
+                let oldest = rr.iter().next()?;
+                (!orr.is_locked(oldest.bank)).then_some(0)
+            }
+            DsaPolicy::RandomEligible { .. } => {
+                // Two passes instead of materialising the eligible set: count,
+                // then walk to the chosen one. Same pick as indexing the
+                // collected list (the RNG is only advanced when at least one
+                // entry is eligible).
+                let eligible = rr.iter().filter(|e| !orr.is_locked(e.bank)).count();
+                if eligible == 0 {
+                    return None;
+                }
+                let pick = (self.next_u64() % eligible as u64) as usize;
+                rr.iter()
+                    .enumerate()
+                    .filter(|(_, e)| !orr.is_locked(e.bank))
+                    .nth(pick)
+                    .map(|(i, _)| i)
+            }
+        }
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -141,27 +80,14 @@ impl RandomEligibleDsa {
         self.state = x;
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
-}
 
-impl DramSchedulerAlgorithm for RandomEligibleDsa {
-    fn choose(&mut self, rr: &RequestsRegister, orr: &OngoingRequestsRegister) -> Option<usize> {
-        // Two passes instead of materialising the eligible set: count, then
-        // walk to the chosen one. Same pick as indexing the collected list
-        // (the RNG is only advanced when at least one entry is eligible).
-        let eligible = rr.iter().filter(|e| !orr.is_locked(e.bank)).count();
-        if eligible == 0 {
-            return None;
+    /// Policy name for reports and ablations.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.policy {
+            DsaPolicy::OldestFirst => "oldest-first",
+            DsaPolicy::FifoOnly => "fifo-only",
+            DsaPolicy::RandomEligible { .. } => "random-eligible",
         }
-        let pick = (self.next_u64() % eligible as u64) as usize;
-        rr.iter()
-            .enumerate()
-            .filter(|(_, e)| !orr.is_locked(e.bank))
-            .nth(pick)
-            .map(|(i, _)| i)
-    }
-
-    fn name(&self) -> &'static str {
-        "random-eligible"
     }
 }
 
@@ -188,7 +114,7 @@ mod tests {
         let rr = rr_with(&[3, 5, 7]);
         let mut orr = OngoingRequestsRegister::new(2);
         orr.record_issue(BankId::new(3));
-        let mut dsa = OldestFirstDsa;
+        let mut dsa = Dsa::new(DsaPolicy::OldestFirst);
         assert_eq!(dsa.choose(&rr, &orr), Some(1));
         orr.record_issue(BankId::new(5));
         assert_eq!(dsa.choose(&rr, &orr), Some(2));
@@ -200,7 +126,7 @@ mod tests {
         let rr = rr_with(&[1, 1]);
         let mut orr = OngoingRequestsRegister::new(1);
         orr.record_issue(BankId::new(1));
-        let mut dsa = OldestFirstDsa;
+        let mut dsa = Dsa::new(DsaPolicy::OldestFirst);
         assert_eq!(dsa.choose(&rr, &orr), None);
         assert_eq!(dsa.choose(&RequestsRegister::new(), &orr), None);
     }
@@ -210,7 +136,7 @@ mod tests {
         let rr = rr_with(&[4, 9]);
         let mut orr = OngoingRequestsRegister::new(1);
         orr.record_issue(BankId::new(4));
-        let mut dsa = FifoOnlyDsa;
+        let mut dsa = Dsa::new(DsaPolicy::FifoOnly);
         // Bank 9 is free, but FIFO refuses to reorder.
         assert_eq!(dsa.choose(&rr, &orr), None);
         let empty_orr = OngoingRequestsRegister::new(1);
@@ -223,7 +149,7 @@ mod tests {
         let rr = rr_with(&[2, 6, 2, 6, 8]);
         let mut orr = OngoingRequestsRegister::new(1);
         orr.record_issue(BankId::new(2));
-        let mut dsa = RandomEligibleDsa::new(42);
+        let mut dsa = Dsa::new(DsaPolicy::RandomEligible { seed: 42 });
         for _ in 0..50 {
             let pos = dsa.choose(&rr, &orr).unwrap();
             assert!(
@@ -232,16 +158,5 @@ mod tests {
             );
         }
         assert_eq!(dsa.name(), "random-eligible");
-    }
-
-    #[test]
-    fn policies_instantiate() {
-        for p in [
-            DsaPolicy::OldestFirst,
-            DsaPolicy::FifoOnly,
-            DsaPolicy::RandomEligible { seed: 7 },
-        ] {
-            assert!(!p.instantiate().name().is_empty());
-        }
     }
 }

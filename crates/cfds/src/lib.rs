@@ -7,8 +7,8 @@
 //! random-access time worth of `B` cells) while still never hitting a busy
 //! bank:
 //!
-//! * [`RequestsRegister`] / [`OngoingRequestsRegister`] / [`DramSchedulerAlgorithm`]
-//!   — the issue-queue-like reorder stage (§5.3, §8.1).
+//! * [`RequestsRegister`] / [`OngoingRequestsRegister`] / [`DsaPolicy`] — the
+//!   issue-queue-like reorder stage and its selection policy (§5.3, §8.1).
 //! * [`DramSchedulerSubsystem`] — the assembled DSS: submits MMA requests,
 //!   assigns block ordinals and banks, and issues the oldest conflict-free
 //!   request every `b` slots.
@@ -50,9 +50,7 @@ mod rr;
 mod scheduler;
 pub mod sizing;
 
-pub use dsa::{
-    DramSchedulerAlgorithm, DsaDispatch, DsaPolicy, FifoOnlyDsa, OldestFirstDsa, RandomEligibleDsa,
-};
+pub use dsa::DsaPolicy;
 pub use latency::LatencyRegister;
 pub use orr::OngoingRequestsRegister;
 pub use renaming::{RenamingError, RenamingTable};

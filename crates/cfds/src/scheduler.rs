@@ -1,6 +1,6 @@
 //! The DRAM Scheduler Subsystem (DSS).
 
-use crate::dsa::{DramSchedulerAlgorithm, DsaDispatch, DsaPolicy};
+use crate::dsa::{Dsa, DsaPolicy};
 use crate::orr::OngoingRequestsRegister;
 use crate::rr::{RequestsRegister, RrEntry};
 use dram_sim::{AccessKind, AddressMapper, BankId, DramRequest};
@@ -63,7 +63,7 @@ impl DssStats {
 pub struct DramSchedulerSubsystem {
     rr: RequestsRegister,
     orr: OngoingRequestsRegister,
-    dsa: DsaDispatch,
+    dsa: Dsa,
     mapper: AddressMapper,
     /// Next block ordinal a *read* of each physical queue will fetch.
     next_read_ordinal: Vec<u64>,
@@ -93,7 +93,7 @@ impl DramSchedulerSubsystem {
         DramSchedulerSubsystem {
             rr: RequestsRegister::new(),
             orr: OngoingRequestsRegister::new(banks_per_group.saturating_sub(1)),
-            dsa: policy.instantiate_dispatch(),
+            dsa: Dsa::new(policy),
             mapper,
             next_read_ordinal: vec![0; nq],
             next_write_ordinal: vec![0; nq],

@@ -174,10 +174,9 @@ pub struct Front {
     tail_mma: ThresholdTailMma,
     /// Recycles the block buffers that cycle tail → DRAM → head SRAM.
     pool: BlockPool,
-    // Head side. The MMA policy and the SRAM organisation are concrete types
-    // (ECQF, a two-variant enum) so the per-slot notifications and the
-    // per-grant pop never cross a vtable.
-    pub(crate) head_mma: HeadMmaSubsystem<EcqfMma>,
+    // Head side: the ECQF head MMA and the SRAM organisation (a two-variant
+    // enum, so the per-grant pop never crosses a vtable).
+    pub(crate) head_mma: HeadMmaSubsystem,
     pub(crate) head_sram: HeadSram,
     pub(crate) pending_deliveries: VecDeque<PendingDelivery>,
     /// Cells written to DRAM minus requests accepted, per logical queue.

@@ -3242,6 +3242,37 @@ mod tests {
         }
     }
 
+    /// Ring capacities past `obs::MAX_SERIES_CAPACITY` /
+    /// `obs::MAX_TRACE_CAPACITY` are clamped at arm time instead of
+    /// overflowing the preallocation, and record what a ring sized for the
+    /// run records.
+    #[test]
+    fn hostile_obs_capacities_are_clamped_at_arm_time() {
+        let config = ClosConfig::new(3, 3, 2);
+        let sized = obs::ObsConfig {
+            series_stride: 1,
+            series_capacity: 4_096,
+            trace_capacity: 1 << 20,
+            ..obs::ObsConfig::standard()
+        };
+        let hostile = obs::ObsConfig {
+            series_capacity: usize::MAX,
+            trace_capacity: usize::MAX,
+            ..sized.clone()
+        };
+        let run = |oc: &obs::ObsConfig| {
+            let mut fabric = clos(config);
+            fabric.arm_obs(oc);
+            fabric.run(&mut uniform(&config, 0.8, 13), 1_000, 1)
+        };
+        let reference = run(&sized);
+        let report = run(&hostile);
+        assert_eq!(report, reference);
+        let trace = report.obs.as_ref().unwrap().trace.as_ref().unwrap();
+        assert!(!trace.events.is_empty());
+        assert_eq!(trace.dropped, 0);
+    }
+
     #[test]
     fn armed_probes_stay_schedule_invariant_and_report_real_measurements() {
         let config = ClosConfig::new(3, 3, 2);

@@ -2,7 +2,6 @@
 
 use crate::counters::OccupancyCounters;
 use crate::lookahead::LookaheadRegister;
-use crate::traits::HeadMma;
 use pktbuf_model::LogicalQueueId;
 
 /// The ECQF policy (§3): the queue whose occupancy counter is exhausted
@@ -24,7 +23,7 @@ use pktbuf_model::LogicalQueueId;
 /// # Incremental selection
 ///
 /// When driven through [`crate::HeadMmaSubsystem`] (which reports every
-/// counter/lookahead mutation via [`HeadMma::note_queue_changed`]), the policy
+/// queue whose counter or pending requests it mutates), the policy
 /// maintains a min tournament tree over the per-queue critical positions:
 /// each mutation updates one leaf in O(log Q) and selection reads the root in
 /// O(1). Used standalone — without change notifications — it falls back to a
@@ -147,10 +146,11 @@ impl EcqfMma {
         }
         best.map(|(_, qi)| LogicalQueueId::new(qi as u32))
     }
-}
 
-impl HeadMma for EcqfMma {
-    fn select(
+    /// Selects the queue to replenish — the earliest critical one — given
+    /// the current occupancy counters and lookahead contents. Returns `None`
+    /// when no queue goes critical within the lookahead.
+    pub fn select(
         &mut self,
         counters: &OccupancyCounters,
         lookahead: &LookaheadRegister,
@@ -174,20 +174,20 @@ impl HeadMma for EcqfMma {
         picked
     }
 
-    fn granularity(&self) -> usize {
+    /// Granularity (cells per replenishment) this policy was configured with.
+    pub fn granularity(&self) -> usize {
         self.granularity
     }
 
-    fn name(&self) -> &'static str {
+    /// Policy name (for reports and `Debug`).
+    pub fn name(&self) -> &'static str {
         "ECQF"
     }
 
-    fn note_queue_changed(
-        &mut self,
-        queue: LogicalQueueId,
-        _counters: &OccupancyCounters,
-        _lookahead: &LookaheadRegister,
-    ) {
+    /// Notes that `queue`'s counter or pending-request set just changed.
+    /// [`crate::HeadMmaSubsystem`] calls this after every mutation so the
+    /// critical-position tree stays in sync.
+    pub(crate) fn note_queue_changed(&mut self, queue: LogicalQueueId) {
         // Defer the leaf refresh to selection time: notifications arrive every
         // slot, selections once per granularity period. A queue already
         // marked dirty needs no second entry.
@@ -277,5 +277,45 @@ mod tests {
     fn zero_granularity_is_clamped() {
         let ecqf = EcqfMma::new(0);
         assert_eq!(ecqf.granularity(), 1);
+    }
+
+    /// The incremental tree must select exactly what the reference scan
+    /// selects, on every granularity period of random request streams
+    /// (idle slots, negative counters and Q > 64 included). The tree checks
+    /// itself with a `debug_assert`; this runs the comparison in release.
+    #[test]
+    fn tree_matches_the_reference_scan() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..40 {
+            let num_queues = 1 + next(130) as usize;
+            let granularity = 1 + next(6) as usize;
+            let lookahead = num_queues * (granularity - 1) + 1;
+            let mut mma = crate::HeadMmaSubsystem::with_policy(
+                EcqfMma::new(granularity),
+                lookahead,
+                num_queues,
+            );
+            for qi in 0..num_queues as u32 {
+                mma.preload(q(qi), next(2 * granularity as u64) as i64);
+            }
+            for slot in 0..2_000u64 {
+                let request = (next(8) != 0).then(|| q(next(num_queues as u64) as u32));
+                mma.on_request(request);
+                if slot % granularity as u64 == 0 {
+                    let expected = EcqfMma::scan_select(mma.counters(), mma.lookahead());
+                    assert_eq!(
+                        mma.select_replenishment(),
+                        expected,
+                        "case {case} (Q = {num_queues}, B = {granularity}), slot {slot}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -12,8 +12,8 @@
 //!   decremented when a request leaves the lookahead.
 //! * [`EcqfMma`] — Earliest Critical Queue First, the head MMA that minimises
 //!   SRAM size (requires the full lookahead `Q·(B−1)+1`).
-//! * [`MdqfMma`] — Most Deficit Queue First, which works with any lookahead
-//!   (including none) at the price of a larger SRAM.
+//! * [`HeadMmaSubsystem`] — lookahead, counters and ECQF assembled, as the
+//!   RADS and CFDS front ends drive them.
 //! * [`ThresholdTailMma`] — the simple tail MMA: write back any queue whose
 //!   tail-SRAM occupancy reached the granularity.
 //! * [`sizing`] — the RADS dimensioning formulas used by the evaluation
@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use mma::{EcqfMma, HeadMma, LookaheadRegister, OccupancyCounters};
+//! use mma::{EcqfMma, LookaheadRegister, OccupancyCounters};
 //! use pktbuf_model::LogicalQueueId;
 //!
 //! // Q = 4 queues, granularity B = 3, lookahead of 6 slots (the example of
@@ -51,16 +51,12 @@
 mod counters;
 mod ecqf;
 mod lookahead;
-mod mdqf;
 pub mod sizing;
 mod subsystem;
 mod tail;
-mod traits;
 
 pub use counters::OccupancyCounters;
 pub use ecqf::EcqfMma;
 pub use lookahead::LookaheadRegister;
-pub use mdqf::MdqfMma;
 pub use subsystem::{HeadMmaSubsystem, MmaEvent};
-pub use tail::{TailMma, ThresholdTailMma};
-pub use traits::{HeadMma, HeadMmaPolicy};
+pub use tail::ThresholdTailMma;

@@ -151,8 +151,8 @@ impl LookaheadRegister {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero — a zero-length lookahead is expressed by
-    /// not using a lookahead at all (see [`crate::MdqfMma`]).
+    /// Panics if `capacity` is zero: ECQF needs at least one slot of
+    /// lookahead to see a request before it is due.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "lookahead must have at least one slot");
         LookaheadRegister {

@@ -1,8 +1,8 @@
-//! The assembled head-MMA subsystem: lookahead + counters + policy.
+//! The assembled head-MMA subsystem: lookahead + counters + ECQF.
 
 use crate::counters::OccupancyCounters;
+use crate::ecqf::EcqfMma;
 use crate::lookahead::LookaheadRegister;
-use crate::traits::{HeadMma, HeadMmaPolicy};
 use pktbuf_model::LogicalQueueId;
 
 /// Event produced by one slot of MMA operation.
@@ -15,25 +15,18 @@ pub struct MmaEvent {
 }
 
 /// The head-MMA subsystem of Figure 3/Figure 5: a lookahead shift register, a
-/// set of occupancy counters and a replenishment policy.
+/// set of occupancy counters and the ECQF replenishment policy.
 ///
 /// The owner drives it with one [`HeadMmaSubsystem::on_request`] call per slot
 /// and one [`HeadMmaSubsystem::select_replenishment`] call every granularity
 /// period.
-///
-/// The subsystem is generic over the policy type: the default parameter keeps
-/// the type-erased `Box<dyn HeadMma>` form that [`HeadMmaSubsystem::new`]
-/// constructs from the [`HeadMmaPolicy`] enum, while
-/// [`HeadMmaSubsystem::with_policy`] takes a concrete policy so the buffer
-/// front ends monomorphize the per-slot `note_queue_changed` notifications
-/// (called once or twice every slot) instead of paying virtual dispatch.
-pub struct HeadMmaSubsystem<P: HeadMma + Send = Box<dyn HeadMma + Send>> {
+pub struct HeadMmaSubsystem {
     lookahead: LookaheadRegister,
     counters: OccupancyCounters,
-    policy: P,
+    policy: EcqfMma,
 }
 
-impl<P: HeadMma + Send> std::fmt::Debug for HeadMmaSubsystem<P> {
+impl std::fmt::Debug for HeadMmaSubsystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HeadMmaSubsystem")
             .field("policy", &self.policy.name())
@@ -45,22 +38,9 @@ impl<P: HeadMma + Send> std::fmt::Debug for HeadMmaSubsystem<P> {
 }
 
 impl HeadMmaSubsystem {
-    /// Creates a subsystem with the given policy, lookahead length and number
-    /// of queues.
-    pub fn new(
-        policy: HeadMmaPolicy,
-        granularity: usize,
-        lookahead: usize,
-        num_queues: usize,
-    ) -> Self {
-        HeadMmaSubsystem::with_policy(policy.instantiate(granularity), lookahead, num_queues)
-    }
-}
-
-impl<P: HeadMma + Send> HeadMmaSubsystem<P> {
-    /// Creates a subsystem around a concrete policy instance (the
-    /// monomorphized form used by the buffer front ends).
-    pub fn with_policy(policy: P, lookahead: usize, num_queues: usize) -> Self {
+    /// Creates a subsystem around `policy` with the given lookahead length
+    /// and number of queues.
+    pub fn with_policy(policy: EcqfMma, lookahead: usize, num_queues: usize) -> Self {
         HeadMmaSubsystem {
             lookahead: LookaheadRegister::new(lookahead),
             counters: OccupancyCounters::new(num_queues),
@@ -81,17 +61,15 @@ impl<P: HeadMma + Send> HeadMmaSubsystem<P> {
             }
             _ => MmaEvent::default(),
         };
-        // Report every touched queue so incremental policies stay in sync
-        // (the due queue lost a pending request and a counter unit, the
-        // pushed queue gained a pending request).
+        // Report every touched queue so ECQF's tree stays in sync (the due
+        // queue lost a pending request and a counter unit, the pushed queue
+        // gained a pending request).
         if let Some(due) = event.due {
-            self.policy
-                .note_queue_changed(due, &self.counters, &self.lookahead);
+            self.policy.note_queue_changed(due);
         }
         if let Some(queue) = request {
             if event.due != Some(queue) {
-                self.policy
-                    .note_queue_changed(queue, &self.counters, &self.lookahead);
+                self.policy.note_queue_changed(queue);
             }
         }
         event
@@ -103,8 +81,7 @@ impl<P: HeadMma + Send> HeadMmaSubsystem<P> {
     pub fn select_replenishment(&mut self) -> Option<LogicalQueueId> {
         let choice = self.policy.select(&self.counters, &self.lookahead)?;
         self.counters.add(choice, self.policy.granularity() as i64);
-        self.policy
-            .note_queue_changed(choice, &self.counters, &self.lookahead);
+        self.policy.note_queue_changed(choice);
         Some(choice)
     }
 
@@ -115,11 +92,9 @@ impl<P: HeadMma + Send> HeadMmaSubsystem<P> {
     /// such call only rotates the shift register and can never produce a due
     /// request, touch a counter, or notify the policy.
     ///
-    /// The caller is responsible for the pending-driven selection property:
-    /// ECQF selects `None` whenever the lookahead holds no pending request,
-    /// so skipped `select_replenishment` periods are unobservable for it.
-    /// MDQF does *not* have this property (it can select on counter deficit
-    /// alone) — owners driving MDQF must not skip its selection periods.
+    /// Skipping `select_replenishment` periods along with the slots is
+    /// unobservable: ECQF selects `None` whenever the lookahead holds no
+    /// pending request.
     ///
     /// # Panics
     ///
@@ -137,8 +112,7 @@ impl<P: HeadMma + Send> HeadMmaSubsystem<P> {
     /// initialise a warm buffer).
     pub fn preload(&mut self, queue: LogicalQueueId, cells: i64) {
         self.counters.add(queue, cells);
-        self.policy
-            .note_queue_changed(queue, &self.counters, &self.lookahead);
+        self.policy.note_queue_changed(queue);
     }
 
     /// Read access to the occupancy counters (for verification).
@@ -151,7 +125,7 @@ impl<P: HeadMma + Send> HeadMmaSubsystem<P> {
         &self.lookahead
     }
 
-    /// Granularity of the underlying policy.
+    /// Granularity of the replenishments.
     pub fn granularity(&self) -> usize {
         self.policy.granularity()
     }
@@ -168,7 +142,7 @@ mod debug_tests {
 
     #[test]
     fn debug_is_nonempty() {
-        let mma = HeadMmaSubsystem::new(HeadMmaPolicy::Ecqf, 2, 3, 2);
+        let mma = HeadMmaSubsystem::with_policy(EcqfMma::new(2), 3, 2);
         let s = format!("{mma:?}");
         assert!(s.contains("ECQF"));
     }
@@ -184,7 +158,7 @@ mod tests {
 
     #[test]
     fn requests_become_due_after_lookahead_delay() {
-        let mut mma = HeadMmaSubsystem::new(HeadMmaPolicy::Ecqf, 2, 3, 2);
+        let mut mma = HeadMmaSubsystem::with_policy(EcqfMma::new(2), 3, 2);
         mma.preload(q(0), 2);
         assert_eq!(mma.on_request(Some(q(0))).due, None);
         assert_eq!(mma.on_request(Some(q(1))).due, None);
@@ -196,7 +170,7 @@ mod tests {
 
     #[test]
     fn replenishment_credits_counter() {
-        let mut mma = HeadMmaSubsystem::new(HeadMmaPolicy::Ecqf, 4, 4, 2);
+        let mut mma = HeadMmaSubsystem::with_policy(EcqfMma::new(4), 4, 2);
         for _ in 0..4 {
             mma.on_request(Some(q(1)));
         }
@@ -210,7 +184,7 @@ mod tests {
 
     #[test]
     fn idle_slots_produce_no_due_request() {
-        let mut mma = HeadMmaSubsystem::new(HeadMmaPolicy::Mdqf, 2, 2, 1);
+        let mut mma = HeadMmaSubsystem::with_policy(EcqfMma::new(2), 2, 1);
         assert_eq!(mma.on_request(None).due, None);
         assert_eq!(mma.on_request(None).due, None);
         assert_eq!(mma.on_request(None).due, None);

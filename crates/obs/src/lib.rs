@@ -23,9 +23,10 @@ mod series;
 mod trace;
 
 pub use hist::{bucket_of, bucket_upper_bound, Log2Histogram, HIST_BUCKETS};
-pub use series::{SeriesRing, SeriesSample};
+pub use series::{SeriesRing, SeriesSample, MAX_SERIES_CAPACITY};
 pub use trace::{
     chrome_trace_json, merge_events, EventKind, FlightRecorder, TraceEvent, TraceFilter,
+    MAX_TRACE_CAPACITY,
 };
 
 /// Which probes to arm. [`ObsConfig::off`] (the `Default`) arms nothing and
@@ -111,6 +112,20 @@ impl ObsConfig {
         self.trace_capacity > 0
     }
 
+    /// The first ring capacity above its bound ([`MAX_SERIES_CAPACITY`] or
+    /// [`MAX_TRACE_CAPACITY`]), as `(field, bound, value)`, or `None` when
+    /// none is. The rings clamp such a capacity; a caller holding outside
+    /// input refuses it with this instead.
+    #[must_use]
+    pub fn out_of_range(&self) -> Option<(&'static str, usize, usize)> {
+        [
+            ("series_capacity", MAX_SERIES_CAPACITY, self.series_capacity),
+            ("trace_capacity", MAX_TRACE_CAPACITY, self.trace_capacity),
+        ]
+        .into_iter()
+        .find(|&(_, bound, value)| value > bound)
+    }
+
     /// The recorder filter this configuration describes.
     #[must_use]
     pub fn trace_filter(&self) -> TraceFilter {
@@ -124,7 +139,10 @@ impl ObsConfig {
 
 #[cfg(test)]
 mod tests {
-    use super::ObsConfig;
+    use super::{
+        FlightRecorder, ObsConfig, SeriesRing, SeriesSample, TraceEvent, TraceFilter,
+        MAX_SERIES_CAPACITY, MAX_TRACE_CAPACITY,
+    };
 
     #[test]
     fn off_is_default_and_arms_nothing() {
@@ -142,5 +160,41 @@ mod tests {
         assert!(std.latency_hist && std.occupancy_hist);
         assert!(std.series_enabled());
         assert!(!std.trace_enabled());
+    }
+
+    #[test]
+    fn ring_capacities_past_their_bounds_are_named_and_clamped() {
+        let within = ObsConfig {
+            series_stride: 1,
+            series_capacity: MAX_SERIES_CAPACITY,
+            trace_capacity: MAX_TRACE_CAPACITY,
+            ..ObsConfig::off()
+        };
+        assert_eq!(within.out_of_range(), None);
+        let hostile = ObsConfig {
+            series_capacity: usize::MAX,
+            trace_capacity: usize::MAX,
+            ..within.clone()
+        };
+        assert_eq!(
+            hostile.out_of_range(),
+            Some(("series_capacity", MAX_SERIES_CAPACITY, usize::MAX))
+        );
+        let trace_only = ObsConfig {
+            trace_capacity: MAX_TRACE_CAPACITY + 1,
+            ..within
+        };
+        assert_eq!(
+            trace_only.out_of_range(),
+            Some(("trace_capacity", MAX_TRACE_CAPACITY, MAX_TRACE_CAPACITY + 1))
+        );
+        // The byte costs the bounds' docs quote.
+        assert_eq!(std::mem::size_of::<SeriesSample>(), 32);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 40);
+        // The rings themselves clamp instead of overflowing the allocation.
+        let ring = SeriesRing::new(1, usize::MAX);
+        assert!(ring.samples().is_empty());
+        let recorder = FlightRecorder::new(usize::MAX, TraceFilter::default());
+        assert_eq!(recorder.dropped(), 0);
     }
 }

@@ -13,6 +13,11 @@
 //! occupancy), so a fast-forwarded run and a fully stepped reference run
 //! emit byte-identical series.
 
+/// Largest capacity a [`SeriesRing`] preallocates, in samples (2^22). A
+/// [`SeriesSample`] is four `u64`s (32 bytes), so a full ring reserves
+/// 128 MiB per stage; a larger requested capacity is clamped to this.
+pub const MAX_SERIES_CAPACITY: usize = 1 << 22;
+
 /// One sample of a per-stage time-series window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesSample {
@@ -42,7 +47,8 @@ pub struct SeriesRing {
 
 impl SeriesRing {
     /// A ring sampling every `stride` slots (clamped to at least 1), keeping
-    /// the first `capacity` samples. All storage is allocated here.
+    /// the first `capacity` samples (clamped to [`MAX_SERIES_CAPACITY`]).
+    /// All storage is allocated here.
     #[must_use]
     pub fn new(stride: u64, capacity: usize) -> Self {
         let stride = stride.max(1);
@@ -51,7 +57,7 @@ impl SeriesRing {
             next_sample: stride - 1,
             transmitted_accum: 0,
             stall_accum: 0,
-            samples: Vec::with_capacity(capacity),
+            samples: Vec::with_capacity(capacity.min(MAX_SERIES_CAPACITY)),
             dropped: 0,
         }
     }

@@ -50,6 +50,12 @@ impl EventKind {
     }
 }
 
+/// Largest capacity a [`FlightRecorder`] preallocates, in events (2^22). A
+/// [`TraceEvent`] is 40 bytes, so a full ring reserves 160 MiB per stage —
+/// four times the CLI's default `--trace-json` ring; a larger requested
+/// capacity is clamped to this.
+pub const MAX_TRACE_CAPACITY: usize = 1 << 22;
+
 /// One flight-recorder event. All coordinates are integers so dumps need no
 /// string escaping and sort keys are total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,12 +140,13 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder holding up to `capacity` events passing `filter`.
+    /// A recorder holding up to `capacity` events (clamped to
+    /// [`MAX_TRACE_CAPACITY`]) passing `filter`.
     #[must_use]
     pub fn new(capacity: usize, filter: TraceFilter) -> Self {
         Self {
             filter,
-            events: Vec::with_capacity(capacity),
+            events: Vec::with_capacity(capacity.min(MAX_TRACE_CAPACITY)),
             dropped: 0,
         }
     }

@@ -332,6 +332,9 @@ pub enum ClosScenarioError {
     /// A transport field is above its bound ([`traffic::MAX_RTO_SLOTS`] or
     /// [`traffic::MAX_CWND_CELLS`]): the field, the bound, the value.
     TransportOutOfRange(&'static str, u64, u64),
+    /// An obs ring capacity is above its bound ([`obs::MAX_SERIES_CAPACITY`]
+    /// or [`obs::MAX_TRACE_CAPACITY`]): the field, the bound, the value.
+    ObsOutOfRange(&'static str, usize, usize),
 }
 
 impl fmt::Display for ClosScenarioError {
@@ -381,6 +384,13 @@ impl fmt::Display for ClosScenarioError {
                     f,
                     "transport {field} must be at most {bound}, got {value} (a larger value \
                      overflows the source's timer or window arithmetic)"
+                )
+            }
+            ClosScenarioError::ObsOutOfRange(field, bound, value) => {
+                write!(
+                    f,
+                    "obs {field} must be at most {bound}, got {value} (each stage preallocates \
+                     its ring at arm time)"
                 )
             }
         }
@@ -608,6 +618,9 @@ impl ClosScenario {
             if let Some((field, bound, value)) = given.out_of_range() {
                 return Err(ClosScenarioError::TransportOutOfRange(field, bound, value));
             }
+        }
+        if let Some((field, bound, value)) = self.obs.and_then(|o| o.to_config().out_of_range()) {
+            return Err(ClosScenarioError::ObsOutOfRange(field, bound, value));
         }
         self.provisioning()
             .validate(self.design, &[self.radix, self.ingress_switches])

@@ -10,7 +10,7 @@
 //! * [`dram`] — banked DRAM simulator and the SDRAM baseline.
 //! * [`cacti`] — the 0.13 µm SRAM/CAM area and access-time model.
 //! * [`srambuf`] — functional shared-buffer organisations (CAM, linked list).
-//! * [`mma`] — lookahead, occupancy counters, ECQF/MDQF, tail MMA, sizing.
+//! * [`mma`] — lookahead, occupancy counters, ECQF, tail MMA, sizing.
 //! * [`cfds`] — requests register, DRAM scheduler, latency register, renaming.
 //! * [`buffers`] — the assembled `RadsBuffer`, `CfdsBuffer`, `DramOnlyBuffer`.
 //! * [`fabric`] — the `N×N` VOQ switch composing per-port buffers with a

@@ -12,7 +12,6 @@ use future_packet_buffers::dram::{
     AccessKind, AddressMapper, BankId, DramRequest, DramStats, GroupId, InterleavingConfig,
     MultiChipConfig, SdramChip, SdramTimingCycles,
 };
-use future_packet_buffers::mma::HeadMmaPolicy;
 use future_packet_buffers::model::{
     BufferSizing, Cell, CfdsConfig, ConfigOverrides, DramTiming, LineRate, LogicalQueueId,
     Nanoseconds, PhysicalQueueId, QueueKind, RadsConfig, Slot, SlotDuration,
@@ -103,13 +102,12 @@ fn every_derive_site_round_trips_through_json() {
     });
     round_trip(&estimate_sram(&organization, &node));
 
-    // sram-buf, mma, cfds, core
+    // sram-buf, cfds, core
     round_trip(&SramImplKind::UnifiedLinkedListTimeMux);
     round_trip(&SramImplSpec::for_kind(SramImplKind::GlobalCam, 512, 4_096));
     let mut pointers = PointerTable::new(2);
     pointers.push_tail(1, 17);
     round_trip(&pointers);
-    round_trip(&HeadMmaPolicy::Mdqf);
     round_trip(&RrEntry {
         request,
         bank: BankId::new(6),
