@@ -206,6 +206,46 @@ fn transport_parameters_past_their_bounds_are_refused() {
 }
 
 #[test]
+fn link_provisioning_past_its_bounds_is_refused() {
+    let full = std::fs::read_to_string(fixture_path("clos_spec_full.json")).unwrap();
+    for (name, from, field, bound, value) in [
+        (
+            "capacity_wraps_to_zero",
+            "\"link_capacity\": 8,",
+            "link_capacity",
+            "4294967295",
+            "4294967296",
+        ),
+        (
+            "capacity_wraps_to_one",
+            "\"link_capacity\": 8,",
+            "link_capacity",
+            "4294967295",
+            "4294967297",
+        ),
+        (
+            "latency",
+            "\"link_latency\": 1,",
+            "link_latency",
+            "4294967296",
+            "18446744073709551615",
+        ),
+    ] {
+        assert!(full.contains(from), "the fixture has {from}");
+        let spec = full.replacen(from, &format!("\"{field}\": {value},"), 1);
+        let path = scratch_file(&format!("cli_clos_link_{name}.json"), &spec);
+        assert_eq!(
+            lab_refusal(&["clos", "--spec", &path]),
+            format!(
+                "pktbuf-lab: no combination of the swept parameters forms a valid \
+                 configuration; first invalid point: {field} must be at most {bound}, got \
+                 {value} (a larger value overflows the link's credit or slot arithmetic)\n"
+            )
+        );
+    }
+}
+
+#[test]
 fn obs_ring_capacities_past_their_bounds_are_refused() {
     let full = std::fs::read_to_string(fixture_path("clos_spec_full.json")).unwrap();
     for (name, edits, field, value) in [

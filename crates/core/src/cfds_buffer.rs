@@ -5,7 +5,6 @@
 
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
 use crate::hotpath::PendingTable;
-use crate::hsram::HeadSramKind;
 use cfds::{
     sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, LatencyRegister, RenamingTable,
 };
@@ -15,8 +14,6 @@ use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId};
 /// Construction options for a [`CfdsBuffer`].
 #[derive(Debug, Clone, Copy)]
 pub struct CfdsBufferOptions {
-    /// Head-SRAM organisation.
-    pub head_sram: HeadSramKind,
     /// DSA policy (the paper's oldest-first by default; the others exist for
     /// the ablation benchmarks).
     pub dsa: DsaPolicy,
@@ -29,7 +26,6 @@ pub struct CfdsBufferOptions {
 impl Default for CfdsBufferOptions {
     fn default() -> Self {
         CfdsBufferOptions {
-            head_sram: HeadSramKind::GlobalCam,
             dsa: DsaPolicy::OldestFirst,
             dram_capacity_cells: None,
         }
@@ -65,8 +61,8 @@ pub struct CfdsDram {
 }
 
 impl CfdsBuffer {
-    /// Creates a CFDS buffer with default options (global-CAM head SRAM,
-    /// oldest-first DSA, unbounded DRAM).
+    /// Creates a CFDS buffer with default options (oldest-first DSA,
+    /// unbounded DRAM).
     ///
     /// # Panics
     ///
@@ -95,13 +91,7 @@ impl CfdsBuffer {
         // 2·(B/b) − 1 subsequent opportunities.
         let dss = DramSchedulerSubsystem::new(mapper, 2 * cfg.banks_per_group(), options.dsa);
         HybridBuffer {
-            front: Front::new(
-                q,
-                b,
-                cfg.effective_lookahead(),
-                options.head_sram,
-                cfg.banks_per_group(),
-            ),
+            front: Front::new(q, b, cfg.effective_lookahead()),
             back: CfdsDram {
                 banks: BankArray::new(cfg.num_banks, cfg.rads_granularity as u64),
                 store,

@@ -13,13 +13,12 @@
 //! skeleton.
 
 use crate::hotpath::{countdown_after, periods_crossed, BlockPool, TailCellArena};
-use crate::hsram::{HeadSram, HeadSramKind};
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
 use crate::verify::DeliveryVerifier;
 use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
 use pktbuf_model::{Cell, LogicalQueueId, RequestLedger};
-use sram_buf::SharedBuffer;
+use sram_buf::{GlobalCamBuffer, SharedBuffer};
 use std::collections::VecDeque;
 
 /// The slot-grained state a slot loop keeps in locals: the clock, the
@@ -174,10 +173,9 @@ pub struct Front {
     tail_mma: ThresholdTailMma,
     /// Recycles the block buffers that cycle tail → DRAM → head SRAM.
     pool: BlockPool,
-    // Head side: the ECQF head MMA and the SRAM organisation (a two-variant
-    // enum, so the per-grant pop never crosses a vtable).
+    // Head side: the ECQF head MMA and the global-CAM head SRAM.
     pub(crate) head_mma: HeadMmaSubsystem,
-    pub(crate) head_sram: HeadSram,
+    pub(crate) head_sram: GlobalCamBuffer,
     pub(crate) pending_deliveries: VecDeque<PendingDelivery>,
     /// Cells written to DRAM minus requests accepted, per logical queue.
     pub(crate) available: RequestLedger,
@@ -186,15 +184,8 @@ pub struct Front {
 }
 
 impl Front {
-    /// A front end for `num_queues` queues at granularity `b`; the head SRAM
-    /// is `kind` with `lanes` insertion lanes.
-    pub(crate) fn new(
-        num_queues: usize,
-        b: usize,
-        lookahead: usize,
-        kind: HeadSramKind,
-        lanes: usize,
-    ) -> Self {
+    /// A front end for `num_queues` queues at granularity `b`.
+    pub(crate) fn new(num_queues: usize, b: usize, lookahead: usize) -> Self {
         // The functional head SRAM is not capacity-limited: dimensioning is
         // checked by comparing the measured peak occupancy against the
         // analytical bound, so that a sizing or policy bug surfaces as a
@@ -210,7 +201,7 @@ impl Front {
             tail_mma: ThresholdTailMma::new(b),
             pool: BlockPool::new(),
             head_mma: HeadMmaSubsystem::with_policy(EcqfMma::new(b), lookahead, num_queues),
-            head_sram: kind.build(num_queues, head_capacity, lanes, b),
+            head_sram: GlobalCamBuffer::with_block_size(num_queues, head_capacity, b),
             pending_deliveries: VecDeque::new(),
             available: RequestLedger::new(num_queues),
             verifier: DeliveryVerifier::new(num_queues),

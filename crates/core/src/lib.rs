@@ -83,7 +83,6 @@ mod cfds_buffer;
 mod dram_only;
 mod front;
 pub mod hotpath;
-mod hsram;
 mod rads;
 mod stats;
 mod traits;
@@ -91,7 +90,6 @@ mod verify;
 
 pub use cfds_buffer::{CfdsBuffer, CfdsBufferOptions};
 pub use dram_only::DramOnlyBuffer;
-pub use hsram::HeadSramKind;
 pub use rads::RadsBuffer;
 pub use stats::BufferStats;
 pub use traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};

@@ -3,7 +3,6 @@
 //! SRAM front end over one DRAM accessed `B` cells at a time.
 
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
-use crate::hsram::HeadSramKind;
 use dram_sim::{AddressMapper, DramStore, InterleavingConfig};
 use mma::sizing::rads_sram_size_cells;
 use pktbuf_model::{Cell, LogicalQueueId, PhysicalQueueId, RadsConfig};
@@ -21,21 +20,12 @@ pub struct RadsDram {
 }
 
 impl RadsBuffer {
-    /// Creates a RADS buffer with the default (global CAM) head SRAM.
+    /// Creates a RADS buffer.
     ///
     /// # Panics
     ///
     /// Panics if the configuration does not validate.
     pub fn new(cfg: RadsConfig) -> Self {
-        RadsBuffer::with_head_sram(cfg, HeadSramKind::GlobalCam)
-    }
-
-    /// Creates a RADS buffer with an explicit head-SRAM organisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration does not validate.
-    pub fn with_head_sram(cfg: RadsConfig, kind: HeadSramKind) -> Self {
         cfg.validate().expect("invalid RADS configuration");
         let q = cfg.num_queues;
         // RADS treats the DRAM as a single resource; a one-bank mapping with
@@ -44,7 +34,7 @@ impl RadsBuffer {
             InterleavingConfig::new(1, 1, q).expect("one-bank interleaving is always valid"),
         );
         HybridBuffer {
-            front: Front::new(q, cfg.granularity, cfg.effective_lookahead(), kind, 1),
+            front: Front::new(q, cfg.granularity, cfg.effective_lookahead()),
             back: RadsDram {
                 dram: DramStore::new(mapper, usize::MAX / 4),
                 cfg,
@@ -251,31 +241,6 @@ mod tests {
         assert_eq!(buf.stats().grants, requests);
         assert_eq!(buf.stats().drops, 0);
         assert_eq!(buf.stats().order_violations, 0);
-    }
-
-    #[test]
-    fn linked_list_head_sram_behaves_identically() {
-        let q = 4;
-        let b = 4;
-        let mut cam = RadsBuffer::with_head_sram(small_cfg(q, b), HeadSramKind::GlobalCam);
-        let mut lll = RadsBuffer::with_head_sram(small_cfg(q, b), HeadSramKind::UnifiedLinkedList);
-        for buf in [&mut cam, &mut lll] {
-            preload_all(buf, q, 16);
-        }
-        let delay = cam.pipeline_delay_slots() as u64;
-        for t in 0..(q as u64 * 16 + delay + 10) {
-            let queue = lq((t % q as u64) as u32);
-            let req_cam = if cam.requestable_cells(queue) > 0 {
-                Some(queue)
-            } else {
-                None
-            };
-            let out_a = cam.step(None, req_cam);
-            let out_b = lll.step(None, req_cam);
-            assert_eq!(out_a.granted, out_b.granted, "slot {t}");
-            assert!(out_a.miss.is_none() && out_b.miss.is_none());
-        }
-        assert_eq!(cam.stats().grants, lll.stats().grants);
     }
 
     #[test]

@@ -149,6 +149,19 @@ impl ClosStage {
     }
 }
 
+/// Largest `link_capacity` a Clos accepts: a link's credits are counted in
+/// a `u32`, so a larger capacity would wrap to a smaller one (2^32 to zero
+/// credits, a link that never sends).
+pub const MAX_LINK_CAPACITY: usize = u32::MAX as usize;
+
+/// Largest `link_latency` a Clos accepts, 2^32 slots. A cell or credit sent
+/// at `slot` lands at `slot + link_latency`, and the drain waits up to
+/// `2·link_latency` slots past its flush before it declares a stall. With
+/// the latency at most 2^32 the first cannot wrap before the slot clock
+/// passes 2^64 − 2^32 and the second is at most 2^33 plus the flush; an
+/// unbounded latency wraps both.
+pub const MAX_LINK_LATENCY: u64 = 1 << 32;
+
 /// Static configuration of a three-stage Clos.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosConfig {
@@ -161,9 +174,11 @@ pub struct ClosConfig {
     pub middle_switches: usize,
     /// Ingress load-balancing policy.
     pub dispatch: DispatchPolicy,
-    /// Cells each inter-stage link FIFO holds (= credits per link).
+    /// Cells each inter-stage link FIFO holds (= credits per link), 1 to
+    /// [`MAX_LINK_CAPACITY`].
     pub link_capacity: usize,
-    /// One-way link propagation latency in slots (`0` is treated as `1`).
+    /// One-way link propagation latency in slots (`0` is treated as `1`), at
+    /// most [`MAX_LINK_LATENCY`].
     pub link_latency: u64,
     /// Slots per transmitted cell at each *external* output line.
     pub egress_period: u64,
@@ -1256,8 +1271,10 @@ impl<B: PacketBuffer> ClosFabric<B> {
     /// Panics when the geometry is invalid (`N < 2`, `r < 2`,
     /// `m < 1`, `m > N`, `link_capacity < 1`), when `N` or `r` exceeds
     /// [`MAX_CROSSBAR_PORTS`] (64: the ingress and egress switches are
-    /// `N`-port crossbars and the middle switches `r`-port ones), or when a
-    /// built buffer's queue count does not match its stage's radix.
+    /// `N`-port crossbars and the middle switches `r`-port ones), when
+    /// `link_capacity` exceeds [`MAX_LINK_CAPACITY`] or `link_latency`
+    /// exceeds [`MAX_LINK_LATENCY`], or when a built buffer's queue count
+    /// does not match its stage's radix.
     ///
     /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
     pub fn new<F: FnMut(ClosStage) -> B>(config: ClosConfig, mut build: F) -> Self {
@@ -1274,6 +1291,14 @@ impl<B: PacketBuffer> ClosFabric<B> {
             "middle switches must satisfy 1 <= m <= N"
         );
         assert!(config.link_capacity >= 1, "links need at least one credit");
+        assert!(
+            config.link_capacity <= MAX_LINK_CAPACITY,
+            "link_capacity must be at most {MAX_LINK_CAPACITY}"
+        );
+        assert!(
+            config.link_latency <= MAX_LINK_LATENCY,
+            "link_latency must be at most {MAX_LINK_LATENCY}"
+        );
         let mut config = config;
         config.link_latency = config.link_latency.max(1);
         let arbiter = config.arbiter;
@@ -2826,6 +2851,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "link_capacity must be at most 4294967295")]
+    fn link_capacity_above_the_credit_width_panics() {
+        let mut config = ClosConfig::new(3, 3, 3);
+        config.link_capacity = MAX_LINK_CAPACITY + 1;
+        let _ = clos(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "link_latency must be at most 4294967296")]
+    fn link_latency_above_its_bound_panics() {
+        let mut config = ClosConfig::new(3, 3, 3);
+        config.link_latency = u64::MAX;
+        let _ = clos(config);
+    }
+
+    #[test]
     #[should_panic(expected = "middle switches")]
     fn more_middle_switches_than_radix_panics() {
         let config = ClosConfig::new(3, 3, 4);
@@ -3258,7 +3299,7 @@ mod tests {
         let hostile = obs::ObsConfig {
             series_capacity: usize::MAX,
             trace_capacity: usize::MAX,
-            ..sized.clone()
+            ..sized
         };
         let run = |oc: &obs::ObsConfig| {
             let mut fabric = clos(config);

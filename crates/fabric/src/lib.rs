@@ -83,7 +83,8 @@ pub mod transport;
 pub use arbiter::{ArbiterKind, CrossbarArbiter, MAX_CROSSBAR_PORTS};
 pub use clos::{
     ClosConfig, ClosFabric, ClosObsReport, ClosRunReport, ClosStage, ClosStageObsReport,
-    ClosStageReport, DispatchPolicy, SeriesReport, TraceReport,
+    ClosStageReport, DispatchPolicy, SeriesReport, TraceReport, MAX_LINK_CAPACITY,
+    MAX_LINK_LATENCY,
 };
 pub use egress::EgressPort;
 pub use faults::{

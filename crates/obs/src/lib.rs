@@ -46,9 +46,6 @@ pub struct ObsConfig {
     pub series_capacity: usize,
     /// Flight-recorder ring capacity per stage; 0 disables the recorder.
     pub trace_capacity: usize,
-    /// Restrict the flight recorder to these `(src, dest)` flows; empty
-    /// records every flow.
-    pub trace_flows: Vec<(u32, u32)>,
     /// First slot (inclusive) the flight recorder is armed for.
     pub trace_from_slot: u64,
     /// Last slot (inclusive) the flight recorder is armed for.
@@ -72,7 +69,6 @@ impl ObsConfig {
             series_stride: 0,
             series_capacity: 0,
             trace_capacity: 0,
-            trace_flows: Vec::new(),
             trace_from_slot: 0,
             trace_to_slot: u64::MAX,
         }
@@ -130,7 +126,6 @@ impl ObsConfig {
     #[must_use]
     pub fn trace_filter(&self) -> TraceFilter {
         TraceFilter {
-            flows: self.trace_flows.clone(),
             from_slot: self.trace_from_slot,
             to_slot: self.trace_to_slot,
         }
@@ -174,7 +169,7 @@ mod tests {
         let hostile = ObsConfig {
             series_capacity: usize::MAX,
             trace_capacity: usize::MAX,
-            ..within.clone()
+            ..within
         };
         assert_eq!(
             hostile.out_of_range(),

@@ -96,12 +96,10 @@ impl TraceEvent {
     }
 }
 
-/// Arming filter for a [`FlightRecorder`]: restrict recording to selected
-/// flows and/or a slot window (e.g. a fault window plus margin).
+/// Arming filter for a [`FlightRecorder`]: restrict recording to a slot
+/// window (e.g. a fault window plus margin).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceFilter {
-    /// Record only these `(src, dest)` flows; empty records every flow.
-    pub flows: Vec<(u32, u32)>,
     /// First slot (inclusive) to record.
     pub from_slot: u64,
     /// Last slot (inclusive) to record.
@@ -111,7 +109,6 @@ pub struct TraceFilter {
 impl Default for TraceFilter {
     fn default() -> Self {
         Self {
-            flows: Vec::new(),
             from_slot: 0,
             to_slot: u64::MAX,
         }
@@ -119,13 +116,11 @@ impl Default for TraceFilter {
 }
 
 impl TraceFilter {
-    /// Does an event for `(src, dest)` at `slot` pass the filter?
+    /// Does an event at `slot` pass the filter?
     #[inline]
     #[must_use]
-    pub fn admits(&self, slot: u64, src: u32, dest: u32) -> bool {
-        slot >= self.from_slot
-            && slot <= self.to_slot
-            && (self.flows.is_empty() || self.flows.contains(&(src, dest)))
+    pub fn admits(&self, slot: u64) -> bool {
+        (self.from_slot..=self.to_slot).contains(&slot)
     }
 }
 
@@ -154,7 +149,7 @@ impl FlightRecorder {
     /// Record `event` if it passes the filter and the ring has room.
     #[inline]
     pub fn record(&mut self, event: TraceEvent) {
-        if !self.filter.admits(event.slot, event.src, event.dest) {
+        if !self.filter.admits(event.slot) {
             return;
         }
         if self.events.len() < self.events.capacity() {
@@ -244,17 +239,15 @@ mod tests {
     }
 
     #[test]
-    fn filter_admits_by_flow_and_window() {
+    fn filter_admits_by_window() {
         let f = TraceFilter {
-            flows: vec![(3, 4)],
             from_slot: 10,
             to_slot: 20,
         };
-        assert!(f.admits(10, 3, 4));
-        assert!(!f.admits(9, 3, 4));
-        assert!(!f.admits(21, 3, 4));
-        assert!(!f.admits(15, 3, 5));
-        assert!(TraceFilter::default().admits(0, 0, 0));
+        assert!(f.admits(10));
+        assert!(!f.admits(9));
+        assert!(!f.admits(21));
+        assert!(TraceFilter::default().admits(0));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
 use ::fabric::{
     ClosConfig, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError,
-    MAX_CROSSBAR_PORTS,
+    MAX_CROSSBAR_PORTS, MAX_LINK_CAPACITY, MAX_LINK_LATENCY,
 };
 use pktbuf::PacketBuffer;
 use pktbuf_model::{ConfigError, ConfigOverrides, LineRate, RadsConfig};
@@ -229,9 +229,8 @@ impl TransportScenario {
 /// nothing, and an all-off scenario leaves the run byte-identical to an
 /// unarmed one (the same discipline as an empty fault plan).
 ///
-/// The flight-recorder flow filter is not an experiment axis — a scenario
-/// either records every flow inside the slot window or none; per-flow
-/// filtering stays a programmatic [`obs::TraceFilter`] concern.
+/// The flight recorder filters by slot window only: a scenario records
+/// every flow inside the window or none.
 ///
 /// As JSON, omitted keys keep the [`Default`] (all-off) values and unknown
 /// keys are rejected.
@@ -285,7 +284,7 @@ impl ObsScenario {
         }
     }
 
-    /// The obs-crate probe configuration (every flow admitted).
+    /// The obs-crate probe configuration.
     pub fn to_config(self) -> obs::ObsConfig {
         obs::ObsConfig {
             latency_hist: self.latency_hist,
@@ -293,7 +292,6 @@ impl ObsScenario {
             series_stride: self.series_stride,
             series_capacity: self.series_capacity,
             trace_capacity: self.trace_capacity,
-            trace_flows: Vec::new(),
             trace_from_slot: self.trace_from_slot,
             trace_to_slot: self.trace_to_slot,
         }
@@ -320,6 +318,9 @@ pub enum ClosScenarioError {
     BadLoad(u64),
     /// Inter-stage links need at least one credit.
     BadLinkCapacity(usize),
+    /// A link field is above its bound ([`MAX_LINK_CAPACITY`] or
+    /// [`MAX_LINK_LATENCY`]): the field, the bound, the value.
+    LinkOutOfRange(&'static str, u64, u64),
     /// A per-stage buffer configuration is invalid.
     Config(ConfigError),
     /// The fault plan does not fit the geometry or is malformed.
@@ -361,6 +362,13 @@ impl fmt::Display for ClosScenarioError {
             }
             ClosScenarioError::BadLinkCapacity(c) => {
                 write!(f, "inter-stage links need at least one credit, got {c}")
+            }
+            ClosScenarioError::LinkOutOfRange(field, bound, value) => {
+                write!(
+                    f,
+                    "{field} must be at most {bound}, got {value} (a larger value overflows \
+                     the link's credit or slot arithmetic)"
+                )
             }
             ClosScenarioError::Config(e) => write!(f, "stage buffer configuration: {e}"),
             ClosScenarioError::Faults(e) => write!(f, "fault plan: {e}"),
@@ -588,6 +596,19 @@ impl ClosScenario {
         }
         if self.link_capacity < 1 {
             return Err(ClosScenarioError::BadLinkCapacity(self.link_capacity));
+        }
+        if let Some((field, bound, value)) = [
+            (
+                "link_capacity",
+                MAX_LINK_CAPACITY as u64,
+                self.link_capacity as u64,
+            ),
+            ("link_latency", MAX_LINK_LATENCY, self.link_latency),
+        ]
+        .into_iter()
+        .find(|&(_, bound, value)| value > bound)
+        {
+            return Err(ClosScenarioError::LinkOutOfRange(field, bound, value));
         }
         self.faults
             .validate(self.radix, self.ingress_switches, self.middle_switches)
@@ -1353,6 +1374,32 @@ mod tests {
         assert_eq!(
             huge_window.validate().unwrap_err(),
             ClosScenarioError::TransportOutOfRange("cwnd_max", traffic::MAX_CWND_CELLS, 1 << 54)
+        );
+    }
+
+    #[test]
+    fn validate_rejects_links_past_their_bounds() {
+        let at_bounds = ClosScenario {
+            link_capacity: MAX_LINK_CAPACITY,
+            link_latency: MAX_LINK_LATENCY,
+            ..ClosScenario::small()
+        };
+        assert_eq!(at_bounds.validate(), Ok(()));
+        let wide = ClosScenario {
+            link_capacity: MAX_LINK_CAPACITY + 1,
+            ..ClosScenario::small()
+        };
+        assert_eq!(
+            wide.validate().unwrap_err(),
+            ClosScenarioError::LinkOutOfRange("link_capacity", u64::from(u32::MAX), 1 << 32)
+        );
+        let slow = ClosScenario {
+            link_latency: u64::MAX,
+            ..ClosScenario::small()
+        };
+        assert_eq!(
+            slow.validate().unwrap_err(),
+            ClosScenarioError::LinkOutOfRange("link_latency", 1 << 32, u64::MAX)
         );
     }
 

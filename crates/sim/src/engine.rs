@@ -63,8 +63,8 @@ static KNOWN_LABELS: &[(&str, &str, &str)] = label_table![
 ];
 
 /// Labels interned at run time for generator names outside [`KNOWN_LABELS`]
-/// (custom generators, trace replay). Bounded by the number of *distinct*
-/// pairings ever simulated in the process.
+/// (custom generators). Bounded by the number of *distinct* pairings ever
+/// simulated in the process.
 static DYNAMIC_LABELS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// The report label for an `"{arrivals}+{requests}"` workload, as a static

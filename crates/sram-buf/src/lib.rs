@@ -17,8 +17,10 @@
 //!   like they rotate over the banks of a group, and two blocks that map to the
 //!   same lane (same bank) are always delivered in order.
 //!
-//! Both implement [`SharedBuffer`], so the packet-buffer front ends in the
-//! `pktbuf` crate are generic over the organisation.
+//! Both implement [`SharedBuffer`]. The packet-buffer front end in the
+//! `pktbuf` crate holds a [`GlobalCamBuffer`]: the linked list needs
+//! same-lane blocks in order, which CFDS's queue renaming does not keep. The
+//! linked list is the technology evaluation's comparison point.
 //!
 //! # Example
 //!

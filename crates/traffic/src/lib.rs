@@ -5,7 +5,7 @@
 //!
 //! * **Arrivals** ([`ArrivalGenerator`]): cells coming from the transmission
 //!   line, at most one per slot. Uniform, bursty (on/off), hotspot and
-//!   deterministic round-robin patterns are provided, plus trace replay.
+//!   deterministic round-robin patterns are provided.
 //! * **Closed-loop sources** ([`ClosedLoopSource`]): reliable senders with
 //!   per-flow sequence numbers, an AIMD congestion window and an RTO with
 //!   exponential backoff — the reactive workloads that let a fabric prove it
@@ -59,7 +59,7 @@ pub use requests::{
     UniformRandomRequests,
 };
 pub use seq::SeqTracker;
-pub use trace::{MatrixTrace, MatrixTraceArrivals, RecordedTrace, TraceArrivals, TraceRequests};
+pub use trace::{MatrixTrace, MatrixTraceArrivals};
 
 /// Derives the RNG seed for one stochastic stream of a workload from the
 /// workload's base seed.

@@ -1,141 +1,18 @@
-//! Trace recording and replay.
+//! Traffic-matrix recording and replay.
 
 use crate::arrivals::ArrivalGenerator;
-use crate::requests::RequestGenerator;
 use pktbuf_model::{Cell, LogicalQueueId};
 use serde::{Deserialize, Serialize};
-
-/// A recorded workload: per-slot arrivals and requests.
-///
-/// Traces make experiments exactly reproducible across designs: the same trace
-/// can be replayed against RADS, CFDS and the DRAM-only baseline and the
-/// delivered cell streams compared.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
-pub struct RecordedTrace {
-    /// Arrival at each slot (queue index), `None` for idle slots.
-    pub arrivals: Vec<Option<u32>>,
-    /// Request at each slot (queue index), `None` for idle slots.
-    pub requests: Vec<Option<u32>>,
-}
-
-impl RecordedTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        RecordedTrace::default()
-    }
-
-    /// Appends one slot.
-    pub fn push(&mut self, arrival: Option<u32>, request: Option<u32>) {
-        self.arrivals.push(arrival);
-        self.requests.push(request);
-    }
-
-    /// Number of recorded slots.
-    pub fn len(&self) -> usize {
-        self.arrivals.len().max(self.requests.len())
-    }
-
-    /// Whether the trace holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Replays the arrival side of a [`RecordedTrace`].
-#[derive(Debug, Clone)]
-pub struct TraceArrivals {
-    trace: Vec<Option<u32>>,
-    num_queues: usize,
-    seq: crate::seq::SeqTracker,
-}
-
-impl TraceArrivals {
-    /// Creates a replay source over `num_queues` queues.
-    pub fn new(trace: &RecordedTrace, num_queues: usize) -> Self {
-        TraceArrivals {
-            trace: trace.arrivals.clone(),
-            num_queues,
-            seq: crate::seq::SeqTracker::new(num_queues),
-        }
-    }
-}
-
-impl ArrivalGenerator for TraceArrivals {
-    fn next(&mut self, slot: u64) -> Option<Cell> {
-        let entry = self.trace.get(slot as usize).copied().flatten()?;
-        Some(self.seq.mint(LogicalQueueId::new(entry), slot))
-    }
-
-    fn num_queues(&self) -> usize {
-        self.num_queues
-    }
-
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-}
-
-/// Replays the request side of a [`RecordedTrace`].
-///
-/// A recorded request is only emitted when the buffer can still honour it; a
-/// blocked request is retried at the next slot (the replay therefore never
-/// violates the requestability rule even against a different design).
-#[derive(Debug, Clone)]
-pub struct TraceRequests {
-    trace: Vec<Option<u32>>,
-    cursor: usize,
-}
-
-impl TraceRequests {
-    /// Creates a replay source.
-    pub fn new(trace: &RecordedTrace) -> Self {
-        TraceRequests {
-            trace: trace.requests.clone(),
-            cursor: 0,
-        }
-    }
-
-    /// Whether every recorded request has been emitted.
-    pub fn finished(&self) -> bool {
-        self.cursor >= self.trace.len()
-    }
-}
-
-impl RequestGenerator for TraceRequests {
-    fn next(
-        &mut self,
-        _slot: u64,
-        requestable: &dyn Fn(LogicalQueueId) -> u64,
-    ) -> Option<LogicalQueueId> {
-        // Skip over idle entries.
-        while self.cursor < self.trace.len() && self.trace[self.cursor].is_none() {
-            self.cursor += 1;
-        }
-        let entry = *self.trace.get(self.cursor)?;
-        let q = LogicalQueueId::new(entry.expect("idle entries skipped above"));
-        if requestable(q) > 0 {
-            self.cursor += 1;
-            Some(q)
-        } else {
-            None
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-}
 
 /// A recorded *traffic matrix*: per-port, per-slot arrivals with explicit
 /// destinations **and sequence numbers**.
 ///
-/// [`RecordedTrace`] re-mints sequence numbers on replay, which is fine for
-/// open-loop workloads where seqs are a per-queue counter. A closed-loop
-/// transport reuses sequence numbers on retransmission, so its arrival
-/// stream cannot be reproduced by re-minting — the matrix trace therefore
-/// stores the exact `(dest, seq)` of every injected cell. Replaying one
-/// through a fabric (from slot 0, with the same fault plan armed) must
-/// reproduce the recorded run's delivery matrix bit-identically.
+/// A closed-loop transport reuses sequence numbers on retransmission, so its
+/// arrival stream cannot be reproduced by re-minting them per queue — the
+/// matrix trace therefore stores the exact `(dest, seq)` of every injected
+/// cell. Replaying one through a fabric (from slot 0, with the same fault
+/// plan armed) must reproduce the recorded run's delivery matrix
+/// bit-identically.
 #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
 pub struct MatrixTrace {
     /// `arrivals[port][slot]` is the cell injected at `port` in `slot` as
@@ -239,45 +116,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_records_and_replays_arrivals() {
-        let mut trace = RecordedTrace::new();
-        trace.push(Some(1), None);
-        trace.push(None, Some(1));
-        trace.push(Some(1), Some(1));
-        assert_eq!(trace.len(), 3);
-        assert!(!trace.is_empty());
-
-        let mut arr = TraceArrivals::new(&trace, 4);
-        assert_eq!(arr.next(0).unwrap().queue().index(), 1);
-        assert!(arr.next(1).is_none());
-        let c = arr.next(2).unwrap();
-        assert_eq!(c.seq(), 1, "second cell of queue 1");
-        assert!(arr.next(3).is_none(), "past the end of the trace");
-        assert_eq!(arr.name(), "trace");
-        assert_eq!(arr.num_queues(), 4);
-    }
-
-    #[test]
-    fn trace_requests_defer_until_requestable() {
-        let mut trace = RecordedTrace::new();
-        trace.push(None, Some(2));
-        trace.push(None, Some(2));
-        let mut reqs = TraceRequests::new(&trace);
-        let empty = |_q: LogicalQueueId| 0u64;
-        let ready = |_q: LogicalQueueId| 1u64;
-        // Not requestable yet: the entry is retried, not lost.
-        assert_eq!(reqs.next(0, &empty), None);
-        assert!(!reqs.finished());
-        assert_eq!(reqs.next(1, &ready).unwrap().index(), 2);
-        assert_eq!(reqs.next(2, &ready).unwrap().index(), 2);
-        assert!(reqs.finished());
-        assert_eq!(reqs.next(3, &ready), None);
-        assert_eq!(reqs.name(), "trace");
-    }
-
-    #[test]
     fn empty_trace_is_empty() {
-        assert!(RecordedTrace::new().is_empty());
         assert!(MatrixTrace::new(4).is_empty());
     }
 

@@ -2,7 +2,8 @@
 //! loop of every buffer design performs **zero heap allocations** — all
 //! steady-state state lives in preallocated, index-addressed structures
 //! (`pktbuf::hotpath`, the ring-based DRAM store and head SRAM, the pooled
-//! block buffers).
+//! block buffers). The linked-list SRAM organisation, which no buffer
+//! instantiates, is held to the same rule standalone.
 //!
 //! A counting global allocator wraps the system allocator; each design is
 //! driven through a warm-up phase (rings grow to their high-water marks, the
@@ -12,9 +13,10 @@
 //! arena, writeback, DRAM scheduler, head SRAM, grants — stays active while
 //! counting.
 
-use pktbuf::{CfdsBuffer, DramOnlyBuffer, HeadSramKind, PacketBuffer, RadsBuffer};
+use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
 use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
+use sram_buf::{SharedBuffer, UnifiedLinkedListBuffer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use traffic::{
@@ -72,6 +74,59 @@ fn drive_source(
         acks[lane] = source.poll(*slot, *slot % 64 < 16);
         *slot += 1;
     }
+}
+
+/// Cells per block (`b`) and lanes per queue (`B/b`) of the standalone
+/// linked-list SRAM: the CFDS geometry below, b = 2 and B = 8.
+const LL_BLOCK: usize = 2;
+const LL_LANES: usize = 4;
+
+/// Drives a linked-list SRAM of `seqs.len()` queues for `slots` slots from
+/// `*slot`: every [`LL_BLOCK`] slots one block of the next queue round-robin
+/// is inserted, block ordinals in order (so each lane fills in order, as the
+/// organisation requires), and every slot pops one cell of the next non-empty
+/// queue round-robin, checking FIFO order. Blocks are built on the stack.
+/// Returns the number of cells popped.
+fn drive_linked_list(
+    sram: &mut UnifiedLinkedListBuffer,
+    slots: u64,
+    slot: &mut u64,
+    seqs: &mut [u64],
+    expected: &mut [u64],
+) -> u64 {
+    let q = seqs.len();
+    let mut popped = 0;
+    for _ in 0..slots {
+        let t = *slot;
+        if t.is_multiple_of(LL_BLOCK as u64) {
+            let qi = (t / LL_BLOCK as u64) as usize % q;
+            let queue = LogicalQueueId::new(qi as u32);
+            let first = seqs[qi];
+            let block: [Cell; LL_BLOCK] =
+                std::array::from_fn(|i| Cell::new(queue, first + i as u64, t));
+            sram.insert_block(queue, first / LL_BLOCK as u64, &block)
+                .expect("linked-list SRAM has room");
+            seqs[qi] += LL_BLOCK as u64;
+        }
+        let start = t as usize % q;
+        if let Some(qi) = (0..q)
+            .map(|i| (start + i) % q)
+            .find(|&qi| sram.available(LogicalQueueId::new(qi as u32)) > 0)
+        {
+            let cell = sram
+                .pop_front(LogicalQueueId::new(qi as u32))
+                .expect("available cell pops");
+            assert_eq!(
+                cell.seq(),
+                expected[qi],
+                "linked list: queue {qi} out of order"
+            );
+            expected[qi] += 1;
+            popped += 1;
+        }
+        *slot += 1;
+    }
+    popped
 }
 
 /// Drives `buffer` with a deterministic 50%-load arrival stream and a
@@ -161,10 +216,30 @@ fn steady_state_slot_loop_is_allocation_free() {
     let mut rads = RadsBuffer::new(rads_cfg);
     assert_steady_state_alloc_free(&mut rads, "RADS", 2, true);
 
-    // The same RADS over the linked-list head SRAM: every block delivery
-    // copies its cells out of the pooled block buffer into the lists.
-    let mut rads_ll = RadsBuffer::with_head_sram(rads_cfg, HeadSramKind::UnifiedLinkedList);
-    assert_steady_state_alloc_free(&mut rads_ll, "RADS (linked-list head SRAM)", 2, true);
+    // The linked-list SRAM standalone, B/b lanes per queue: every block
+    // insertion copies its cells into the lists' preallocated entries.
+    let q = 16usize;
+    let mut sram = UnifiedLinkedListBuffer::with_lanes(q, 1024, LL_LANES, LL_BLOCK);
+    let (mut slot, mut seqs, mut expected) = (0u64, vec![0u64; q], vec![0u64; q]);
+    drive_linked_list(&mut sram, WARMUP_SLOTS, &mut slot, &mut seqs, &mut expected);
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let popped = drive_linked_list(
+        &mut sram,
+        MEASURED_SLOTS,
+        &mut slot,
+        &mut seqs,
+        &mut expected,
+    );
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "linked-list SRAM: warm insert/pop loop allocated {} times over {MEASURED_SLOTS} slots",
+        after - before
+    );
+    assert!(popped > 0, "linked-list SRAM: no cells popped during test");
 
     let cfds_cfg = CfdsConfig::builder()
         .line_rate(LineRate::Oc3072)
@@ -190,7 +265,6 @@ fn steady_state_slot_loop_is_allocation_free() {
     // the `SimulationReport` itself. The first run is the warm-up (rings and
     // pools grow to their high-water marks); the second, identical run must
     // not allocate at all.
-    let q = 16usize;
     let warmup_slots = 60_000u64; // multiple of q: seq offsets line up below
     let mut rads = RadsBuffer::new(rads_cfg);
     {
