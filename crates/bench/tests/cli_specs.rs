@@ -289,6 +289,77 @@ fn obs_ring_capacities_past_their_bounds_are_refused() {
 }
 
 #[test]
+fn overrides_past_their_allocation_bounds_are_refused() {
+    let no_valid = "pktbuf-lab: no combination of the swept parameters forms a valid \
+                    configuration; first invalid point: ";
+    let bound = "(a buffer allocates them up front)";
+    let lookahead = |value: &str| {
+        format!("lookahead of {value} slots is above the maximum of 4194304 slots {bound}")
+    };
+    let run_spec = |name: &str, designs: &str, overrides: &str| {
+        scratch_file(
+            &format!("cli_run_{name}.json"),
+            &format!(
+                r#"{{"name": "{name}", "designs": [{designs}], "num_queues": 4,
+                    "granularity": 2, "rads_granularity": 4, "num_banks": 8,
+                    "arrival_slots": 200, "seeds": [1], "overrides": {{{overrides}}}}}"#
+            ),
+        )
+    };
+    for (name, designs, overrides, reason) in [
+        (
+            "rads_long_lookahead",
+            r#""RADS""#,
+            r#""lookahead": 2147483648"#,
+            lookahead("2147483648"),
+        ),
+        (
+            "cfds_long_lookahead",
+            r#""CFDS""#,
+            r#""lookahead": 2147483648"#,
+            lookahead("2147483648"),
+        ),
+        (
+            "huge_lookahead",
+            r#""RADS", "CFDS""#,
+            r#""lookahead": 1000000000000"#,
+            lookahead("1000000000000"),
+        ),
+        (
+            "huge_physical_queue_factor",
+            r#""CFDS""#,
+            r#""physical_queue_factor": 1099511627776"#,
+            format!(
+                "k·Q of 4398046511104 physical queues is above the maximum of 1048576 \
+                 physical queues {bound}"
+            ),
+        ),
+    ] {
+        let path = run_spec(name, designs, overrides);
+        assert_eq!(
+            lab_refusal(&["run", "--spec", &path]),
+            format!("{no_valid}{reason}\n"),
+            "{name}"
+        );
+    }
+    let full = std::fs::read_to_string(fixture_path("clos_spec_full.json")).unwrap();
+    let spec = full.replacen(
+        "\"overrides\": {},",
+        "\"overrides\": {\"lookahead\": 2147483648},",
+        1,
+    );
+    assert_ne!(spec, full, "the fixture overrides nothing");
+    let path = scratch_file("cli_clos_long_lookahead.json", &spec);
+    assert_eq!(
+        lab_refusal(&["clos", "--spec", &path]),
+        format!(
+            "{no_valid}stage buffer configuration: {}\n",
+            lookahead("2147483648")
+        )
+    );
+}
+
+#[test]
 fn a_saved_spec_is_the_base_and_flags_edit_it_wherever_they_stand() {
     let tiny = scratch_file(
         "cli_tiny_run_spec.json",

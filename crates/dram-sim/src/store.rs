@@ -99,6 +99,9 @@ impl BlockSlot {
 /// tree nodes to allocate or free on the simulation hot path.
 #[derive(Debug, Clone, Default)]
 struct QueueBlocks {
+    /// The bank group the queue is statically mapped to, resolved once at
+    /// construction so a block access costs no division.
+    group: GroupId,
     /// Ordinal of ring position 0.
     base: u64,
     ring: VecDeque<BlockSlot>,
@@ -169,8 +172,13 @@ impl DramStore {
         let nq = mapper.config().num_physical_queues();
         let ng = mapper.config().num_groups();
         DramStore {
+            queues: (0..nq)
+                .map(|q| QueueBlocks {
+                    group: mapper.group_of_queue(PhysicalQueueId::new(q as u32)),
+                    ..QueueBlocks::default()
+                })
+                .collect(),
             mapper,
-            queues: vec![QueueBlocks::default(); nq],
             tail_ordinal: vec![0; nq],
             head_ordinal: vec![0; nq],
             group_occupancy: vec![0; ng],
@@ -235,14 +243,14 @@ impl DramStore {
         cells: Vec<Cell>,
     ) -> Result<(), StoreError> {
         let idx = self.check_queue(queue)?;
-        let group = self.mapper.group_of_queue(queue);
+        let q = &mut self.queues[idx];
+        let group = q.group;
         if self.group_occupancy[group.index()] >= self.group_capacity_blocks {
             return Err(StoreError::GroupFull {
                 group,
                 capacity_blocks: self.group_capacity_blocks,
             });
         }
-        let q = &mut self.queues[idx];
         if q.slot(ordinal).is_some_and(BlockSlot::is_present) {
             return Err(StoreError::BlockAlreadyPresent { queue, ordinal });
         }
@@ -305,8 +313,7 @@ impl DramStore {
         if ordinal >= self.head_ordinal[idx] {
             self.head_ordinal[idx] = ordinal + 1;
         }
-        let group = self.mapper.group_of_queue(queue);
-        self.group_occupancy[group.index()] -= 1;
+        self.group_occupancy[q.group.index()] -= 1;
         Ok(block)
     }
 

@@ -6,14 +6,19 @@
 //!
 //! * [`LookaheadRegister`] — the shift register holding the next `L` arbiter
 //!   requests, which lets the head MMA anticipate which queue will become
-//!   *critical* first.
+//!   *critical* first. Its ring links each queue's pending requests in
+//!   stream order and carries one bit per slot marking each queue's critical
+//!   request.
 //! * [`OccupancyCounters`] — the per-queue virtual occupancy counters:
 //!   incremented by the transfer granularity when a replenishment is ordered,
 //!   decremented when a request leaves the lookahead.
 //! * [`EcqfMma`] — Earliest Critical Queue First, the head MMA that minimises
-//!   SRAM size (requires the full lookahead `Q·(B−1)+1`).
+//!   SRAM size (requires the full lookahead `Q·(B−1)+1`). Its `select` is the
+//!   reference scan over every queue.
 //! * [`HeadMmaSubsystem`] — lookahead, counters and ECQF assembled, as the
-//!   RADS and CFDS front ends drive them.
+//!   RADS and CFDS front ends drive them: it moves the critical marks in O(1)
+//!   per request (O(B) per replenishment) and selects the first marked slot
+//!   after the ring head, which is exactly the scan's choice.
 //! * [`ThresholdTailMma`] — the simple tail MMA: write back any queue whose
 //!   tail-SRAM occupancy reached the granularity.
 //! * [`sizing`] — the RADS dimensioning formulas used by the evaluation
@@ -38,7 +43,7 @@
 //!     lookahead.push(Some(LogicalQueueId::new(q)));
 //! }
 //! lookahead.push(None);
-//! let mut ecqf = EcqfMma::new(3);
+//! let ecqf = EcqfMma::new(3);
 //! let decision = ecqf.select(&counters, &lookahead).expect("a critical queue");
 //! // Queue 1 of the paper (index 0 here) is the earliest critical queue.
 //! assert_eq!(decision.index(), 0);

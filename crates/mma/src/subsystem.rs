@@ -2,7 +2,7 @@
 
 use crate::counters::OccupancyCounters;
 use crate::ecqf::EcqfMma;
-use crate::lookahead::LookaheadRegister;
+use crate::lookahead::{LookaheadRegister, NIL};
 use pktbuf_model::LogicalQueueId;
 
 /// Event produced by one slot of MMA operation.
@@ -52,36 +52,56 @@ impl HeadMmaSubsystem {
     /// `None` for an idle slot) into the lookahead. If the lookahead is full,
     /// the request shifted out at the head is *due* and is returned in the
     /// event; its occupancy counter is decremented.
+    ///
+    /// The queue critical marks follow the counters: a due request was its
+    /// queue's critical one iff the counter was `≤ 0`, and then the queue's
+    /// next pending request takes over; a pushed request becomes critical iff
+    /// its queue had none and now holds `max(c, 0) + 1` pending requests.
+    #[inline]
     pub fn on_request(&mut self, request: Option<LogicalQueueId>) -> MmaEvent {
-        let shifted = self.lookahead.push(request);
-        let event = match shifted {
+        let due = match self.lookahead.push(request) {
             Some(Some(due)) => {
+                if self.counters.get(due) <= 0 {
+                    let qi = due.as_usize();
+                    let first = self.lookahead.chain(qi).first;
+                    self.lookahead.set_critical(qi, first, 0);
+                }
                 self.counters.take_one(due);
-                MmaEvent { due: Some(due) }
+                Some(due)
             }
-            _ => MmaEvent::default(),
+            _ => None,
         };
-        // Report every touched queue so ECQF's tree stays in sync (the due
-        // queue lost a pending request and a counter unit, the pushed queue
-        // gained a pending request).
-        if let Some(due) = event.due {
-            self.policy.note_queue_changed(due);
-        }
         if let Some(queue) = request {
-            if event.due != Some(queue) {
-                self.policy.note_queue_changed(queue);
+            let qi = queue.as_usize();
+            let chain = self.lookahead.chain(qi);
+            if chain.critical == NIL && i64::from(chain.len) == self.counters.get(queue).max(0) + 1
+            {
+                self.lookahead.set_critical(qi, chain.last, 0);
             }
         }
-        event
+        MmaEvent { due }
     }
 
     /// Granularity-period operation: ask the policy which queue to replenish.
     /// If a queue is selected its counter is credited with the granularity and
     /// the queue is returned so the owner can schedule the DRAM transfer.
     pub fn select_replenishment(&mut self) -> Option<LogicalQueueId> {
-        let choice = self.policy.select(&self.counters, &self.lookahead)?;
-        self.counters.add(choice, self.policy.granularity() as i64);
-        self.policy.note_queue_changed(choice);
+        let choice = self.lookahead.earliest_critical();
+        debug_assert_eq!(
+            choice,
+            self.policy.select(&self.counters, &self.lookahead),
+            "ECQF's critical-request bitmap diverged from the reference scan"
+        );
+        let choice = choice?;
+        let before = self.counters.get(choice);
+        let b = self.policy.granularity() as i64;
+        self.counters.add(choice, b);
+        // The critical request moves from the max(c, 0)-th pending one to
+        // the max(c + B, 0)-th.
+        let steps = ((before + b).max(0) - before.max(0)) as usize;
+        let qi = choice.as_usize();
+        let critical = self.lookahead.chain(qi).critical;
+        self.lookahead.set_critical(qi, critical, steps);
         Some(choice)
     }
 
@@ -90,7 +110,7 @@ impl HeadMmaSubsystem {
     /// [`HeadMmaSubsystem::on_request`]`(None)` **while no request is
     /// pending in the lookahead**, but O(1). With an all-idle lookahead, each
     /// such call only rotates the shift register and can never produce a due
-    /// request, touch a counter, or notify the policy.
+    /// request, touch a counter, or mark a critical request.
     ///
     /// Skipping `select_replenishment` periods along with the slots is
     /// unobservable: ECQF selects `None` whenever the lookahead holds no
@@ -109,10 +129,15 @@ impl HeadMmaSubsystem {
     }
 
     /// Credits `queue` with `cells` already present in the SRAM (used to
-    /// initialise a warm buffer).
+    /// initialise a warm buffer, or `-B` to roll back a replenishment that
+    /// found nothing to transfer). The queue's critical request is found
+    /// again by walking its chain.
     pub fn preload(&mut self, queue: LogicalQueueId, cells: i64) {
         self.counters.add(queue, cells);
-        self.policy.note_queue_changed(queue);
+        let k = self.counters.get(queue).max(0) as usize;
+        let qi = queue.as_usize();
+        let first = self.lookahead.chain(qi).first;
+        self.lookahead.set_critical(qi, first, k);
     }
 
     /// Read access to the occupancy counters (for verification).

@@ -57,6 +57,55 @@ impl Default for DramTiming {
     }
 }
 
+/// Longest lookahead a configuration may ask for, in slots. The lookahead
+/// ring holds an 8-byte entry per slot from construction and a 4-byte link
+/// per slot from the first request, so this caps one buffer's ring at
+/// 48 MiB. The longest zero-miss minimum of any shipped design point or paper
+/// figure is 15 873 slots (RADS, Q = 512, B = 32); 2^22 leaves room for
+/// sweeps.
+pub const MAX_LOOKAHEAD_SLOTS: usize = 1 << 22;
+
+/// Most physical queues (`k × Q`) a CFDS configuration may have. The DRAM
+/// store, the renaming table and the DRAM scheduler allocate state per
+/// physical queue at construction. The most any shipped design point uses is
+/// 2 048 (k = 2, Q = 1 024); 2^20 leaves room for sweeps.
+pub const MAX_PHYSICAL_QUEUES: usize = 1 << 20;
+
+/// ECQF zero-miss minimum lookahead `Q·(g − 1) + 1` (§3), `None` where it
+/// overflows (or `g` is zero).
+fn zero_miss_lookahead(num_queues: usize, granularity: usize) -> Option<usize> {
+    num_queues
+        .checked_mul(granularity.checked_sub(1)?)?
+        .checked_add(1)
+}
+
+/// Refuses an explicit lookahead below the zero-miss minimum, and any
+/// effective lookahead past [`MAX_LOOKAHEAD_SLOTS`].
+fn check_lookahead(
+    num_queues: usize,
+    granularity: usize,
+    lookahead: Option<usize>,
+) -> Result<(), ConfigError> {
+    let too_large = |requested| ConfigError::TooLarge {
+        parameter: "lookahead",
+        unit: "slots",
+        requested,
+        maximum: MAX_LOOKAHEAD_SLOTS,
+    };
+    let minimum = zero_miss_lookahead(num_queues, granularity).ok_or(too_large(None))?;
+    let effective = lookahead.unwrap_or(minimum);
+    if effective < minimum {
+        return Err(ConfigError::LookaheadTooShort {
+            requested: effective,
+            minimum,
+        });
+    }
+    if effective > MAX_LOOKAHEAD_SLOTS {
+        return Err(too_large(Some(effective)));
+    }
+    Ok(())
+}
+
 /// Derived sizing summary shared by RADS and CFDS front ends.
 ///
 /// Produced by the sizing routines in the `mma` and `cfds` crates; collected
@@ -115,8 +164,9 @@ impl RadsConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any parameter is zero or the lookahead is
-    /// below the ECQF zero-miss minimum.
+    /// Returns [`ConfigError`] if any parameter is zero, the lookahead is
+    /// below the ECQF zero-miss minimum, or it is past
+    /// [`MAX_LOOKAHEAD_SLOTS`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_queues == 0 {
             return Err(ConfigError::ZeroParameter("num_queues"));
@@ -124,21 +174,14 @@ impl RadsConfig {
         if self.granularity == 0 {
             return Err(ConfigError::ZeroParameter("granularity"));
         }
-        if let Some(l) = self.lookahead {
-            let min = self.min_lookahead();
-            if l < min {
-                return Err(ConfigError::LookaheadTooShort {
-                    requested: l,
-                    minimum: min,
-                });
-            }
-        }
-        Ok(())
+        check_lookahead(self.num_queues, self.granularity, self.lookahead)
     }
 
-    /// ECQF minimum lookahead `Q·(B − 1) + 1` (§3).
+    /// ECQF minimum lookahead `Q·(B − 1) + 1` (§3), saturating at
+    /// `usize::MAX` where that overflows (which [`RadsConfig::validate`]
+    /// refuses).
     pub fn min_lookahead(&self) -> usize {
-        self.num_queues * (self.granularity - 1) + 1
+        zero_miss_lookahead(self.num_queues, self.granularity).unwrap_or(usize::MAX)
     }
 
     /// Effective lookahead: the explicit value or the ECQF minimum.
@@ -189,9 +232,10 @@ impl CfdsConfig {
         self.num_banks / self.banks_per_group()
     }
 
-    /// Number of physical queues (`k × Q`).
+    /// Number of physical queues (`k × Q`), saturating at `usize::MAX` where
+    /// that overflows (which [`CfdsConfig::validate`] refuses).
     pub fn num_physical_queues(&self) -> usize {
-        self.physical_queue_factor * self.num_queues
+        self.physical_queue_factor.saturating_mul(self.num_queues)
     }
 
     /// Physical queues assigned to each group (ceiling).
@@ -200,9 +244,10 @@ impl CfdsConfig {
         self.num_physical_queues().div_ceil(g)
     }
 
-    /// ECQF minimum lookahead computed with the CFDS granularity `b`.
+    /// ECQF minimum lookahead computed with the CFDS granularity `b`,
+    /// saturating like [`RadsConfig::min_lookahead`].
     pub fn min_lookahead(&self) -> usize {
-        self.num_queues * (self.granularity - 1) + 1
+        zero_miss_lookahead(self.num_queues, self.granularity).unwrap_or(usize::MAX)
     }
 
     /// Effective lookahead: the explicit value or the ECQF minimum.
@@ -215,8 +260,9 @@ impl CfdsConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] when `b` does not divide `B`, `B/b` does not
-    /// divide `M`, any parameter is zero, or the lookahead is below the
-    /// zero-miss minimum.
+    /// divide `M`, any parameter is zero, `k × Q` is past
+    /// [`MAX_PHYSICAL_QUEUES`], or the lookahead is below the zero-miss
+    /// minimum or past [`MAX_LOOKAHEAD_SLOTS`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (v, name) in [
             (self.num_queues, "num_queues"),
@@ -228,6 +274,15 @@ impl CfdsConfig {
             if v == 0 {
                 return Err(ConfigError::ZeroParameter(name));
             }
+        }
+        let physical = self.physical_queue_factor.checked_mul(self.num_queues);
+        if physical.is_none_or(|n| n > MAX_PHYSICAL_QUEUES) {
+            return Err(ConfigError::TooLarge {
+                parameter: "k·Q",
+                unit: "physical queues",
+                requested: physical,
+                maximum: MAX_PHYSICAL_QUEUES,
+            });
         }
         if !self.rads_granularity.is_multiple_of(self.granularity) {
             return Err(ConfigError::GranularityNotDivisor {
@@ -242,16 +297,7 @@ impl CfdsConfig {
                 banks_per_group: bpg,
             });
         }
-        if let Some(l) = self.lookahead {
-            let min = self.min_lookahead();
-            if l < min {
-                return Err(ConfigError::LookaheadTooShort {
-                    requested: l,
-                    minimum: min,
-                });
-            }
-        }
-        Ok(())
+        check_lookahead(self.num_queues, self.granularity, self.lookahead)
     }
 
     /// The RADS configuration this CFDS instance is refining (same `Q`, same
@@ -494,6 +540,47 @@ mod tests {
         ));
         cfg.lookahead = Some(cfg.min_lookahead());
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn sizes_past_their_allocation_bounds_are_refused() {
+        let too_large = |parameter, unit, requested, maximum| ConfigError::TooLarge {
+            parameter,
+            unit,
+            requested,
+            maximum,
+        };
+        let lookahead = |requested| too_large("lookahead", "slots", requested, MAX_LOOKAHEAD_SLOTS);
+        let mut rads = RadsConfig::for_line_rate(LineRate::Oc768, 128);
+        rads.lookahead = Some(MAX_LOOKAHEAD_SLOTS);
+        assert_eq!(rads.validate(), Ok(()));
+        rads.lookahead = Some(MAX_LOOKAHEAD_SLOTS + 1);
+        assert_eq!(
+            rads.validate(),
+            Err(lookahead(Some(MAX_LOOKAHEAD_SLOTS + 1)))
+        );
+        // The default lookahead is the minimum, bounded the same way; a
+        // minimum that overflows saturates instead of wrapping.
+        rads.lookahead = None;
+        rads.num_queues = MAX_LOOKAHEAD_SLOTS;
+        assert_eq!(rads.validate(), Err(lookahead(Some(rads.min_lookahead()))));
+        rads.num_queues = usize::MAX / 2;
+        assert_eq!(rads.min_lookahead(), usize::MAX);
+        assert_eq!(rads.validate(), Err(lookahead(None)));
+
+        let physical =
+            |requested| too_large("k·Q", "physical queues", requested, MAX_PHYSICAL_QUEUES);
+        let cfds = |k: usize| CfdsConfig::builder().physical_queue_factor(k).build();
+        assert!(cfds(MAX_PHYSICAL_QUEUES / 512).is_ok());
+        assert_eq!(
+            cfds(MAX_PHYSICAL_QUEUES / 512 + 1).unwrap_err(),
+            physical(Some(MAX_PHYSICAL_QUEUES + 512))
+        );
+        assert_eq!(cfds(usize::MAX / 4).unwrap_err(), physical(None));
+        let long = CfdsConfig::builder()
+            .lookahead(MAX_LOOKAHEAD_SLOTS + 1)
+            .build();
+        assert_eq!(long.unwrap_err(), lookahead(Some(MAX_LOOKAHEAD_SLOTS + 1)));
     }
 
     #[test]

@@ -30,6 +30,19 @@ pub enum ConfigError {
         /// Minimum lookahead (slots).
         minimum: usize,
     },
+    /// A size past the bound that keeps what a buffer allocates at
+    /// construction sane ([`crate::MAX_LOOKAHEAD_SLOTS`],
+    /// [`crate::MAX_PHYSICAL_QUEUES`]).
+    TooLarge {
+        /// The size, as the configuration names it.
+        parameter: &'static str,
+        /// Its unit.
+        unit: &'static str,
+        /// The requested size; `None` when computing it overflows `usize`.
+        requested: Option<usize>,
+        /// The bound.
+        maximum: usize,
+    },
     /// Any other parameter inconsistency.
     Invalid(String),
 }
@@ -55,6 +68,21 @@ impl fmt::Display for ConfigError {
                 f,
                 "lookahead of {requested} slots is below the zero-miss minimum of {minimum} slots"
             ),
+            ConfigError::TooLarge {
+                parameter,
+                unit,
+                requested,
+                maximum,
+            } => {
+                match requested {
+                    Some(n) => write!(f, "{parameter} of {n} {unit}")?,
+                    None => write!(f, "{parameter} overflowing usize")?,
+                }
+                write!(
+                    f,
+                    " is above the maximum of {maximum} {unit} (a buffer allocates them up front)"
+                )
+            }
             ConfigError::Invalid(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
@@ -121,6 +149,29 @@ mod tests {
 
         let e = ConfigError::ZeroParameter("num_queues");
         assert!(e.to_string().contains("num_queues"));
+
+        let e = ConfigError::TooLarge {
+            parameter: "lookahead",
+            unit: "slots",
+            requested: Some(1 << 31),
+            maximum: 1 << 22,
+        };
+        assert_eq!(
+            e.to_string(),
+            "lookahead of 2147483648 slots is above the maximum of 4194304 slots (a buffer \
+             allocates them up front)"
+        );
+        let e = ConfigError::TooLarge {
+            parameter: "k·Q",
+            unit: "physical queues",
+            requested: None,
+            maximum: 1 << 20,
+        };
+        assert_eq!(
+            e.to_string(),
+            "k·Q overflowing usize is above the maximum of 1048576 physical queues (a buffer \
+             allocates them up front)"
+        );
     }
 
     #[test]

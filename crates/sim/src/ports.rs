@@ -46,11 +46,12 @@ impl Provisioning {
     /// the DRAM for `B` more slots, and a crossbar arbiter (unlike the
     /// single-buffer request generators) can jitter a lock-step drain so a
     /// due request lands inside that window; a by-definition ECQF replay of
-    /// such a trace misses without the margin. A zero granularity saturates
-    /// here and is rejected by the configuration check this feeds.
+    /// such a trace misses without the margin. A zero granularity, or a sum
+    /// that overflows, saturates here and is rejected by the configuration
+    /// check this feeds.
     fn lookahead(&self, queues: usize, granularity: usize) -> usize {
-        let ecqf_minimum = queues * granularity.saturating_sub(1) + 1;
-        ecqf_minimum + self.rads_granularity
+        let ecqf_minimum = queues.saturating_mul(granularity.saturating_sub(1)) + 1;
+        ecqf_minimum.saturating_add(self.rads_granularity)
     }
 
     pub(crate) fn rads_config(&self, queues: usize) -> RadsConfig {
