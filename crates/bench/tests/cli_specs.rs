@@ -360,6 +360,49 @@ fn overrides_past_their_allocation_bounds_are_refused() {
 }
 
 #[test]
+fn bank_counts_past_their_allocation_bound_are_refused() {
+    let refusal = |context: &str, banks: &str| {
+        format!(
+            "pktbuf-lab: no combination of the swept parameters forms a valid configuration; \
+             first invalid point: {context}num_banks of {banks} banks is above the maximum of \
+             65536 banks (a buffer allocates them up front)\n"
+        )
+    };
+    let fabric = std::fs::read_to_string(fixture_path("cli_fabric_print_spec.json")).unwrap();
+    let clos = std::fs::read_to_string(fixture_path("clos_spec_minimal.json")).unwrap();
+    for banks in ["2147483648", "4294967296", "9223372036854775808"] {
+        let run = format!(
+            r#"{{"name": "banks", "designs": ["CFDS"], "num_queues": 4, "granularity": 2,
+                "rads_granularity": 4, "num_banks": {banks}, "arrival_slots": 200,
+                "seeds": [1]}}"#
+        );
+        let fabric = fabric
+            .replacen("\"RADS\",\n    \"mixed\"", "\"CFDS\"", 1)
+            .replacen("16,\n    32", banks, 1);
+        let clos = clos
+            .replacen("\"RADS\"", "\"CFDS\"", 1)
+            .replacen("\"rads_granularity\": 1", "\"rads_granularity\": 4", 1)
+            .replacen("\"num_banks\": 16", &format!("\"num_banks\": {banks}"), 1);
+        for (command, spec, context) in [
+            ("run", run, ""),
+            ("fabric", fabric, "port buffer configuration: "),
+            ("clos", clos, "stage buffer configuration: "),
+        ] {
+            assert!(
+                spec.contains(banks) && spec.contains("\"CFDS\""),
+                "{command}: the spec was not edited"
+            );
+            let path = scratch_file(&format!("cli_{command}_banks_{banks}.json"), &spec);
+            assert_eq!(
+                lab_refusal(&[command, "--spec", &path]),
+                refusal(context, banks),
+                "{command} with {banks} banks"
+            );
+        }
+    }
+}
+
+#[test]
 fn a_saved_spec_is_the_base_and_flags_edit_it_wherever_they_stand() {
     let tiny = scratch_file(
         "cli_tiny_run_spec.json",

@@ -4,7 +4,7 @@
 //! scheduler, with the latency register and queue renaming.
 
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
-use crate::hotpath::PendingTable;
+use crate::hotpath::{PendingTable, SlabBlock};
 use cfds::{
     sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, LatencyRegister, RenamingTable,
 };
@@ -43,12 +43,13 @@ pub type CfdsBuffer = HybridBuffer<CfdsDram>;
 pub struct CfdsDram {
     cfg: CfdsConfig,
     banks: BankArray,
-    store: DramStore,
+    /// The banked DRAM's contents: handles into the front end's block slab.
+    store: DramStore<SlabBlock>,
     dss: DramSchedulerSubsystem,
     renaming: RenamingTable,
     /// Blocks whose write request has been submitted but not issued yet,
     /// indexed by (physical queue, block ordinal).
-    pending_writes: PendingTable<Vec<Cell>>,
+    pending_writes: PendingTable<SlabBlock>,
     /// Pending (submitted, un-issued) write blocks per group, for capacity
     /// accounting.
     group_pending: Vec<usize>,
@@ -168,8 +169,10 @@ impl CfdsBuffer {
                 )
                 .expect("preload found no DRAM room");
             back.renaming.note_block_written(queue);
+            let block = self.front.slab.alloc();
+            self.front.slab.cells_mut(block).copy_from_slice(chunk);
             back.store
-                .write_block(physical, chunk.to_vec())
+                .write_block(physical, block)
                 .expect("preload write fits the group");
             back.dss.set_ordinals(
                 physical,
@@ -226,12 +229,12 @@ impl CfdsDram {
             }
         };
         self.renaming.note_block_written(queue);
-        let cells = front.take_writeback(queue);
+        let block = front.take_writeback(queue);
         let request = self.dss.submit_write(physical, now);
         let group = self.store.mapper().group_of_queue(physical);
         self.group_pending[group.index()] += 1;
         self.pending_writes
-            .insert(physical.index(), request.block_ordinal, cells);
+            .insert(physical.index(), request.block_ordinal, block);
     }
 
     #[inline(always)]
@@ -274,14 +277,13 @@ impl CfdsDram {
                     let group = self.store.mapper().group_of_queue(physical);
                     self.group_pending[group.index()] =
                         self.group_pending[group.index()].saturating_sub(1);
-                    if let Some(cells) = self.pending_writes.remove(physical.index(), ordinal) {
-                        match self.store.write_block_at(
-                            physical,
-                            issued.request.block_ordinal,
-                            cells,
-                        ) {
+                    if let Some(block) = self.pending_writes.remove(physical.index(), ordinal) {
+                        match self.store.write_block_at(physical, ordinal, block) {
                             Ok(()) => front.stats.dram_writes += 1,
-                            Err(_) => front.stats.blocked_writebacks += 1,
+                            Err(_) => {
+                                front.slab.free(block);
+                                front.stats.blocked_writebacks += 1;
+                            }
                         }
                     }
                     // A missing entry means the block was already forwarded to
@@ -293,8 +295,8 @@ impl CfdsDram {
                         .read_tags
                         .remove(physical.index(), ordinal)
                         .expect("every issued read was tagged at submit time"); // analyze: allow(panic-freedom) — every issued read was tagged at submit time and untagged only here
-                    let cells = match self.store.read_block_at(physical, ordinal) {
-                        Ok(cells) => cells,
+                    let block = match self.store.read_block_at(physical, ordinal) {
+                        Ok(block) => block,
                         Err(_) => {
                             // Read overtook its producing write (ablation
                             // policies only): forward the data directly and
@@ -318,7 +320,7 @@ impl CfdsDram {
                         deliver_slot: now + big_b,
                         queue,
                         block_index,
-                        cells,
+                        block,
                     });
                 }
             }

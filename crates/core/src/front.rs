@@ -12,7 +12,7 @@
 //! fused `step_batch`; the DRAM-only baseline has its own body on the same
 //! skeleton.
 
-use crate::hotpath::{countdown_after, periods_crossed, BlockPool, TailCellArena};
+use crate::hotpath::{countdown_after, periods_crossed, BlockSlab, SlabBlock, TailCellArena};
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
 use crate::verify::DeliveryVerifier;
@@ -153,12 +153,12 @@ pub(crate) struct PendingDelivery {
     pub(crate) deliver_slot: u64,
     pub(crate) queue: LogicalQueueId,
     pub(crate) block_index: u64,
-    pub(crate) cells: Vec<Cell>,
+    pub(crate) block: SlabBlock,
 }
 
-/// The SRAM front end: tail SRAM and tail MMA, ECQF head MMA with its
-/// lookahead, head SRAM, the blocks in flight to it, and the requestable
-/// ledger.
+/// The SRAM front end: tail SRAM and tail MMA, the slab of blocks in flight
+/// to and from the DRAM, ECQF head MMA with its lookahead, head SRAM, the
+/// blocks due to reach it, and the requestable ledger.
 #[derive(Debug)]
 pub struct Front {
     pub(crate) slot: u64,
@@ -171,8 +171,8 @@ pub struct Front {
     // incrementally maintained occupancy array (see [`crate::hotpath`]).
     tail: TailCellArena,
     tail_mma: ThresholdTailMma,
-    /// Recycles the block buffers that cycle tail → DRAM → head SRAM.
-    pool: BlockPool,
+    /// Every block between the tail SRAM and the head SRAM.
+    pub(crate) slab: BlockSlab,
     // Head side: the ECQF head MMA and the global-CAM head SRAM.
     pub(crate) head_mma: HeadMmaSubsystem,
     pub(crate) head_sram: GlobalCamBuffer,
@@ -199,7 +199,7 @@ impl Front {
             period: b as u64,
             tail: TailCellArena::new(num_queues, tail_capacity, b),
             tail_mma: ThresholdTailMma::new(b),
-            pool: BlockPool::new(),
+            slab: BlockSlab::new(b),
             head_mma: HeadMmaSubsystem::with_policy(EcqfMma::new(b), lookahead, num_queues),
             head_sram: GlobalCamBuffer::with_block_size(num_queues, head_capacity, b),
             pending_deliveries: VecDeque::new(),
@@ -227,15 +227,14 @@ impl Front {
             .select_masked(self.tail.occupancies(), self.tail.eligible_words())
     }
 
-    /// Moves the oldest block of `queue` out of the tail SRAM (into a pooled
-    /// buffer) on its way to DRAM; its cells become requestable.
+    /// Moves the oldest block of `queue` out of the tail SRAM into a slab
+    /// block on its way to DRAM; its cells become requestable.
     #[inline(always)]
-    pub(crate) fn take_writeback(&mut self, queue: LogicalQueueId) -> Vec<Cell> {
-        let b = self.period as usize;
-        let mut cells = self.pool.take(b);
-        self.tail.pop_block_into(queue, b, &mut cells);
-        self.available.credit(queue, b as u64);
-        cells
+    pub(crate) fn take_writeback(&mut self, queue: LogicalQueueId) -> SlabBlock {
+        let block = self.slab.alloc();
+        self.tail.pop_into(queue, self.slab.cells_mut(block));
+        self.available.credit(queue, self.period);
+        block
     }
 
     /// The replenishment the head MMA selected found nothing in DRAM (its
@@ -257,9 +256,9 @@ impl Front {
                 break;
             };
             self.head_sram
-                .insert_block(d.queue, d.block_index, &d.cells)
+                .insert_block(d.queue, d.block_index, self.slab.cells(d.block))
                 .expect("head SRAM is functionally unbounded"); // analyze: allow(panic-freedom) — the head SRAM is configured functionally unbounded; occupancy is measured, not capped
-            self.pool.put(d.cells);
+            self.slab.free(d.block);
             self.stats.peak_head_sram_cells = self
                 .stats
                 .peak_head_sram_cells

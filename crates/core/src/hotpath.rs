@@ -11,9 +11,11 @@
 //!   occupancy `collect()`. Slots are stored record-contiguous: every access
 //!   is full-record, so one cache line per cell beats the
 //!   one-line-per-column cost of a columnar split.
-//! * [`BlockPool`] — a free list of `b`-cell block buffers so the
-//!   tail → DRAM → head-SRAM block cycle recycles the same allocations
-//!   forever instead of allocating and dropping a `Vec<Cell>` per transfer.
+//! * [`BlockSlab`] — every block a buffer has in flight, `b` cells each, in
+//!   one `Vec<Cell>` with an intrusive LIFO free list. A block travels tail
+//!   SRAM → DRAM → head SRAM as an 8-byte [`SlabBlock`] handle: its cells are
+//!   copied in at writeback and out at delivery only. The same links chain
+//!   a queue's blocks into a [`BlockFifo`], all RADS's DRAM needs.
 //! * [`PendingTable`] — a dense `(queue, ordinal)`-indexed table for
 //!   in-flight DRAM requests, replacing `HashMap<(u32, u64), _>`. In-flight
 //!   ordinals per queue form a narrow moving window, so `ordinal mod ways`
@@ -217,65 +219,144 @@ impl TailCellArena {
         Some(cell)
     }
 
-    /// Moves the `count` oldest cells of `queue` into `out` (appended in FIFO
-    /// order). `out` is a reusable scratch/pooled buffer; nothing is
-    /// allocated when its capacity suffices.
+    /// Moves the `out.len()` oldest cells of `queue` into `out`, in FIFO
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if the queue holds fewer than `count` cells — the tail MMA only
-    /// selects queues with a full batch.
-    pub fn pop_block_into(&mut self, queue: LogicalQueueId, count: usize, out: &mut Vec<Cell>) {
-        for _ in 0..count {
-            let cell = self
+    /// Panics if the queue holds fewer cells — the tail MMA only selects
+    /// queues with a full batch.
+    pub fn pop_into(&mut self, queue: LogicalQueueId, out: &mut [Cell]) {
+        for slot in out {
+            *slot = self
                 .pop_front(queue)
                 .expect("tail MMA selected a queue with a full batch"); // analyze: allow(panic-freedom) — documented # Panics contract: the tail MMA selects only queues holding a full batch
-            out.push(cell);
         }
     }
 }
 
-/// A free list of recycled block buffers (`Vec<Cell>`).
-///
-/// Blocks travel tail SRAM → pending write → DRAM → pending delivery → head
-/// SRAM; the pool closes that cycle so the same handful of `Vec`s circulate
-/// for the whole run.
-#[derive(Debug, Default)]
-pub struct BlockPool {
-    free: Vec<Vec<Cell>>,
+/// A block of a [`BlockSlab`]: the 8-byte handle the write path, the DRAM
+/// and the pending deliveries hold instead of its cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlabBlock {
+    index: u32,
+    cells: u32,
 }
 
-impl BlockPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        BlockPool::default()
+impl dram_sim::StoredBlock for SlabBlock {
+    fn cell_count(&self) -> usize {
+        self.cells as usize
     }
+}
 
-    /// Takes a cleared buffer with room for at least `cells` cells.
-    pub fn take(&mut self, cells: usize) -> Vec<Cell> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.reserve(cells);
-                buf
-            }
-            None => Vec::with_capacity(cells), // analyze: allow(hotpath-alloc) — pool-miss path: allocates only until the circulating block set is built during warmup
+/// A FIFO of [`SlabBlock`]s chained through their slab's links.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockFifo {
+    head: u32,
+    tail: u32,
+    /// Blocks popped so far: the head block's index in its queue's stream.
+    pub(crate) popped: u64,
+}
+
+impl BlockFifo {
+    /// A FIFO holding no block.
+    pub const EMPTY: BlockFifo = BlockFifo {
+        head: NIL,
+        tail: NIL,
+        popped: 0,
+    };
+}
+
+/// Every block one buffer has in flight: one `Vec<Cell>` cut into
+/// `block_cells`-cell blocks, and one link per block threading the LIFO free
+/// list or the block's [`BlockFifo`]. It grows a block whenever the free
+/// list runs dry, so it settles at the warm-up's high-water mark.
+#[derive(Debug)]
+pub struct BlockSlab {
+    /// Block `i`'s cells are `cells[i * block_cells..][..block_cells]`.
+    cells: Vec<Cell>,
+    /// Per block: the next free block, or the next block of its FIFO.
+    next: Vec<u32>,
+    free_head: u32,
+    block_cells: usize,
+}
+
+impl BlockSlab {
+    /// An empty slab of `block_cells`-cell blocks.
+    pub fn new(block_cells: usize) -> Self {
+        BlockSlab {
+            cells: Vec::new(),
+            next: Vec::new(),
+            free_head: NIL,
+            block_cells: block_cells.max(1),
         }
     }
 
-    /// Returns a buffer to the pool for reuse.
-    pub fn put(&mut self, mut buf: Vec<Cell>) {
-        buf.clear();
-        self.free.push(buf);
+    fn handle(&self, index: u32) -> SlabBlock {
+        SlabBlock {
+            index,
+            cells: self.block_cells as u32,
+        }
     }
 
-    /// Buffers currently parked in the pool.
-    pub fn parked(&self) -> usize {
-        self.free.len()
+    /// Takes a block, the most recently freed one first, holding whatever
+    /// it last carried.
+    pub fn alloc(&mut self) -> SlabBlock {
+        if self.free_head == NIL {
+            // Warm-up growth; both `Vec`s double, so it reallocates rarely.
+            self.free_head = self.next.len() as u32;
+            assert!(self.free_head != NIL, "block slab overflow");
+            self.next.push(NIL);
+            let blank = Cell::new(LogicalQueueId::new(0), 0, 0);
+            self.cells
+                .resize(self.cells.len() + self.block_cells, blank);
+        }
+        let index = self.free_head;
+        self.free_head = std::mem::replace(&mut self.next[index as usize], NIL);
+        self.handle(index)
+    }
+
+    /// Returns `block` to the free list.
+    pub fn free(&mut self, block: SlabBlock) {
+        self.next[block.index as usize] = self.free_head;
+        self.free_head = block.index;
+    }
+
+    /// The cells of `block`.
+    pub fn cells(&self, block: SlabBlock) -> &[Cell] {
+        let start = block.index as usize * self.block_cells;
+        &self.cells[start..start + block.cells as usize]
+    }
+
+    /// The cells of `block`, to fill.
+    pub fn cells_mut(&mut self, block: SlabBlock) -> &mut [Cell] {
+        let start = block.index as usize * self.block_cells;
+        &mut self.cells[start..start + block.cells as usize]
+    }
+
+    /// Appends `block` (allocated, in no FIFO) to `fifo`.
+    pub fn push_back(&mut self, fifo: &mut BlockFifo, block: SlabBlock) {
+        match fifo.tail {
+            NIL => fifo.head = block.index,
+            tail => self.next[tail as usize] = block.index,
+        }
+        fifo.tail = block.index;
+    }
+
+    /// Unlinks and returns the oldest block of `fifo`.
+    pub fn pop_front(&mut self, fifo: &mut BlockFifo) -> Option<SlabBlock> {
+        let index = fifo.head;
+        if index == NIL {
+            return None;
+        }
+        fifo.head = std::mem::replace(&mut self.next[index as usize], NIL);
+        if fifo.head == NIL {
+            fifo.tail = NIL;
+        }
+        fifo.popped += 1;
+        Some(self.handle(index))
     }
 }
-
-/// One slot of a [`PendingTable`] way set.
-type PendingSlot<T> = Option<(u64, T)>;
 
 /// A dense map from `(queue, block ordinal)` to an in-flight payload.
 ///
@@ -288,7 +369,7 @@ type PendingSlot<T> = Option<(u64, T)>;
 /// allocation- and hash-free).
 #[derive(Debug)]
 pub struct PendingTable<T> {
-    slots: Vec<PendingSlot<T>>,
+    slots: Vec<Option<(u64, T)>>,
     num_queues: usize,
     ways: usize,
     len: usize,
@@ -308,19 +389,9 @@ impl<T> PendingTable<T> {
         }
     }
 
-    /// Entries currently stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Current way count (for diagnostics/tests).
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 
     fn index(&self, queue: u32, ordinal: u64) -> usize {
@@ -356,51 +427,27 @@ impl<T> PendingTable<T> {
     /// Removes and returns the payload for `(queue, ordinal)`, if present.
     pub fn remove(&mut self, queue: u32, ordinal: u64) -> Option<T> {
         let idx = self.index(queue, ordinal);
-        if self.slots[idx]
-            .as_ref()
-            .is_some_and(|(tag, _)| *tag == ordinal)
-        {
-            let (_, value) = self.slots[idx].take()?;
-            self.len -= 1;
-            return Some(value);
+        let slot = &mut self.slots[idx];
+        if slot.as_ref()?.0 != ordinal {
+            return None;
         }
-        None
+        self.len -= 1;
+        slot.take().map(|(_, value)| value)
     }
 
+    /// Doubles the way count and reinserts every entry; an entry that still
+    /// collides doubles it again (amortised: the window settles in warm-up).
     fn grow(&mut self) {
         let old_ways = self.ways;
-        // Find the smallest doubled way count whose rehash is collision-free
-        // (doubling once is not always enough: ordinals that differ by a
-        // multiple of the new way count still collide).
-        let mut new_ways = old_ways * 2;
-        loop {
-            let mut used = vec![false; self.num_queues * new_ways]; // analyze: allow(hotpath-alloc) — rare rehash when two live ordinals collide; the window settles during warmup
-            let collision = self.slots.iter().enumerate().any(|(old_idx, slot)| {
-                let Some((ordinal, _)) = slot else {
-                    return false;
-                };
-                let queue = old_idx / old_ways;
-                let idx = queue * new_ways + (*ordinal & (new_ways as u64 - 1)) as usize;
-                std::mem::replace(&mut used[idx], true)
-            });
-            if !collision {
-                break;
+        self.ways *= 2;
+        let empty = std::iter::repeat_with(|| None).take(self.num_queues * self.ways);
+        let old = std::mem::replace(&mut self.slots, empty.collect()); // analyze: allow(hotpath-alloc) — rare rehash when two live ordinals collide; the window settles during warmup
+        self.len = 0;
+        for (old_idx, slot) in old.into_iter().enumerate() {
+            if let Some((ordinal, value)) = slot {
+                self.insert((old_idx / old_ways) as u32, ordinal, value);
             }
-            new_ways *= 2;
         }
-        self.ways = new_ways;
-        let mut slots: Vec<PendingSlot<T>> = std::iter::repeat_with(|| None)
-            .take(self.num_queues * new_ways)
-            .collect(); // analyze: allow(hotpath-alloc) — rare rehash when two live ordinals collide; the window settles during warmup
-        for (old_idx, slot) in self.slots.drain(..).enumerate() {
-            let Some((ordinal, value)) = slot else {
-                continue;
-            };
-            let queue = old_idx / old_ways;
-            let new_idx = queue * new_ways + (ordinal & (new_ways as u64 - 1)) as usize;
-            slots[new_idx] = Some((ordinal, value));
-        }
-        self.slots = slots;
     }
 }
 
@@ -465,10 +512,12 @@ mod tests {
                 arena.push(Cell::new(lq(0), round * 4 + i, 0));
             }
             assert!(arena.is_full());
-            let mut out = Vec::new();
-            arena.pop_block_into(lq(0), 4, &mut out);
-            assert_eq!(out.len(), 4);
-            assert_eq!(out[0].seq(), round * 4);
+            let mut out = [Cell::new(lq(9), 0, 0); 4];
+            arena.pop_into(lq(0), &mut out);
+            assert_eq!(
+                out.map(|c| c.seq()),
+                std::array::from_fn(|i| round * 4 + i as u64)
+            );
             assert!(arena.is_empty());
         }
     }
@@ -482,17 +531,86 @@ mod tests {
         }
     }
 
+    /// Fills `block` with cells `seq..seq + len` of queue 0.
+    fn fill(slab: &mut BlockSlab, block: SlabBlock, seq: u64) {
+        for (i, cell) in slab.cells_mut(block).iter_mut().enumerate() {
+            *cell = Cell::new(lq(0), seq + i as u64, seq);
+        }
+    }
+
+    fn seqs(slab: &BlockSlab, block: SlabBlock) -> Vec<u64> {
+        slab.cells(block).iter().map(|c| c.seq()).collect()
+    }
+
     #[test]
-    fn pool_recycles_buffers() {
-        let mut pool = BlockPool::new();
-        let mut a = pool.take(4);
-        a.push(Cell::new(lq(0), 0, 0));
-        pool.put(a);
-        assert_eq!(pool.parked(), 1);
-        let b = pool.take(4);
-        assert!(b.is_empty());
-        assert!(b.capacity() >= 4);
-        assert_eq!(pool.parked(), 0);
+    fn slab_reuses_the_last_freed_block_first() {
+        let mut slab = BlockSlab::new(3);
+        let blocks: Vec<SlabBlock> = (0..3).map(|_| slab.alloc()).collect();
+        assert_eq!(slab.next.len(), 3);
+        assert_eq!(dram_sim::StoredBlock::cell_count(&blocks[0]), 3);
+        slab.free(blocks[0]);
+        slab.free(blocks[2]);
+        // LIFO: the most recently freed block comes back first, and no new
+        // block is built while any is free.
+        assert_eq!(slab.alloc(), blocks[2]);
+        assert_eq!(slab.alloc(), blocks[0]);
+        assert_eq!(slab.next.len(), 3);
+        let fresh = slab.alloc();
+        assert!(!blocks.contains(&fresh));
+        assert_eq!(slab.next.len(), 4);
+    }
+
+    #[test]
+    fn slab_blocks_keep_their_cells_through_other_blocks_churn() {
+        let mut slab = BlockSlab::new(4);
+        let kept = slab.alloc();
+        fill(&mut slab, kept, 100);
+        // Allocate, fill and free other blocks, growing the slab (and so
+        // moving its storage) on the way.
+        for round in 0..50u64 {
+            let others: Vec<SlabBlock> = (0..=round % 7).map(|_| slab.alloc()).collect();
+            for (i, &b) in others.iter().enumerate() {
+                fill(&mut slab, b, 1000 * round + 10 * i as u64);
+                assert_eq!(seqs(&slab, b)[0], 1000 * round + 10 * i as u64);
+            }
+            for b in others {
+                slab.free(b);
+            }
+            assert_eq!(seqs(&slab, kept), [100, 101, 102, 103]);
+        }
+        assert_eq!(slab.next.len(), 8);
+    }
+
+    #[test]
+    fn block_fifos_chain_through_the_slab_in_order() {
+        let mut slab = BlockSlab::new(2);
+        let (mut a, mut b) = (BlockFifo::EMPTY, BlockFifo::EMPTY);
+        assert_eq!(slab.pop_front(&mut a), None);
+        for i in 0..6u64 {
+            let block = slab.alloc();
+            fill(&mut slab, block, 10 * i);
+            let fifo = if i % 2 == 0 { &mut a } else { &mut b };
+            slab.push_back(fifo, block);
+        }
+        for expected in [0, 20, 40] {
+            let block = slab.pop_front(&mut a).unwrap();
+            assert_eq!(seqs(&slab, block)[0], expected);
+            slab.free(block);
+        }
+        assert!(a.head == NIL && b.head != NIL);
+        // Freed blocks rejoin another FIFO without disturbing `b`.
+        let block = slab.alloc();
+        fill(&mut slab, block, 99);
+        slab.push_back(&mut a, block);
+        let mut drained = Vec::new();
+        while let Some(block) = slab.pop_front(&mut b) {
+            drained.push(seqs(&slab, block)[0]);
+        }
+        assert_eq!(drained, [10, 30, 50]);
+        let block = slab.pop_front(&mut a).unwrap();
+        assert_eq!(seqs(&slab, block), [99, 100]);
+        assert!(a.head == NIL && b.head == NIL);
+        assert_eq!(slab.next.len(), 6);
     }
 
     #[test]
@@ -501,7 +619,7 @@ mod tests {
         t.insert(1, 0, "a");
         t.insert(1, 1, "b");
         t.insert(2, 0, "c");
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.len, 3);
         assert_eq!(t.remove(1, 0), Some("a"));
         assert_eq!(t.remove(1, 0), None);
         assert_eq!(t.remove(1, 1), Some("b"));
@@ -512,11 +630,11 @@ mod tests {
     #[test]
     fn pending_table_grows_on_collision() {
         let mut t: PendingTable<u64> = PendingTable::new(1);
-        let start_ways = t.ways();
+        let start_ways = t.ways;
         // Ordinals 0 and `ways` collide in the same slot → the table widens.
         t.insert(0, 0, 100);
         t.insert(0, start_ways as u64, 200);
-        assert!(t.ways() > start_ways);
+        assert!(t.ways > start_ways);
         assert_eq!(t.remove(0, 0), Some(100));
         assert_eq!(t.remove(0, start_ways as u64), Some(200));
     }
@@ -524,7 +642,7 @@ mod tests {
     #[test]
     fn pending_table_growth_handles_repeat_collisions() {
         let mut t: PendingTable<u64> = PendingTable::new(2);
-        let w = t.ways() as u64;
+        let w = t.ways as u64;
         // 0 and 2w collide at w ways *and* at 2w ways: growth must continue
         // doubling until the rehash is collision-free.
         t.insert(1, 0, 1);

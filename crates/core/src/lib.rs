@@ -32,10 +32,11 @@
 //! built-in [`DeliveryVerifier`].
 //!
 //! The slot loop of every buffer is allocation-free in steady state: the tail
-//! SRAM is an intrusive fixed-slab cell arena, in-flight DRAM requests live in
-//! dense index-addressed tables, and block buffers are recycled through a
-//! pool — see the [`hotpath`] module for the building blocks and the layout
-//! rationale.
+//! SRAM is an intrusive fixed-slab cell arena, every block in flight lives in
+//! one block slab per buffer and travels as a handle into it (RADS's DRAM is
+//! a per-queue FIFO of such handles), and in-flight DRAM requests live in
+//! dense index-addressed tables — see the [`hotpath`] module for the building
+//! blocks and the layout rationale.
 //!
 //! # Quickstart
 //!

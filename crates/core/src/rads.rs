@@ -3,9 +3,9 @@
 //! SRAM front end over one DRAM accessed `B` cells at a time.
 
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
-use dram_sim::{AddressMapper, DramStore, InterleavingConfig};
+use crate::hotpath::BlockFifo;
 use mma::sizing::rads_sram_size_cells;
-use pktbuf_model::{Cell, LogicalQueueId, PhysicalQueueId, RadsConfig};
+use pktbuf_model::{Cell, LogicalQueueId, RadsConfig};
 
 /// The RADS packet buffer: tail SRAM + single-resource DRAM + head SRAM, with
 /// DRAM transfers of `B` cells every `B` slots in each direction.
@@ -13,10 +13,12 @@ pub type RadsBuffer = HybridBuffer<RadsDram>;
 
 /// The RADS back end: one DRAM treated as a single resource, one write and
 /// one read of `B` cells per period, each read delivered `B` slots later.
+/// Each queue's blocks are written and read in order, so the DRAM is a FIFO
+/// of slab blocks per queue.
 #[derive(Debug)]
 pub struct RadsDram {
     cfg: RadsConfig,
-    dram: DramStore,
+    queues: Vec<BlockFifo>,
 }
 
 impl RadsBuffer {
@@ -28,15 +30,10 @@ impl RadsBuffer {
     pub fn new(cfg: RadsConfig) -> Self {
         cfg.validate().expect("invalid RADS configuration");
         let q = cfg.num_queues;
-        // RADS treats the DRAM as a single resource; a one-bank mapping with
-        // effectively unlimited per-group capacity stores the queue contents.
-        let mapper = AddressMapper::new(
-            InterleavingConfig::new(1, 1, q).expect("one-bank interleaving is always valid"),
-        );
         HybridBuffer {
             front: Front::new(q, cfg.granularity, cfg.effective_lookahead()),
             back: RadsDram {
-                dram: DramStore::new(mapper, usize::MAX / 4),
+                queues: std::iter::repeat_n(BlockFifo::EMPTY, q).collect(),
                 cfg,
             },
         }
@@ -59,12 +56,12 @@ impl RadsBuffer {
             "preload length must be a multiple of the granularity"
         );
         self.front.available.credit(queue, cells.len() as u64);
-        let physical = PhysicalQueueId::new(queue.index());
+        let fifo = &mut self.back.queues[queue.as_usize()];
+        let slab = &mut self.front.slab;
         for chunk in cells.chunks(b) {
-            self.back
-                .dram
-                .write_block(physical, chunk.to_vec())
-                .expect("unbounded RADS DRAM accepts preload");
+            let block = slab.alloc();
+            slab.cells_mut(block).copy_from_slice(chunk);
+            slab.push_back(fifo, block);
         }
     }
 
@@ -89,27 +86,29 @@ impl BackEnd for RadsDram {
     fn period_ops(&mut self, front: &mut Front, now: u64) {
         // Writeback: tail SRAM → DRAM.
         if let Some(queue) = front.writeback_candidate() {
-            let cells = front.take_writeback(queue);
-            self.dram
-                .write_block(PhysicalQueueId::new(queue.index()), cells)
-                .expect("unbounded RADS DRAM accepts writebacks"); // analyze: allow(panic-freedom) — the RADS DRAM is configured unbounded and always accepts writebacks
+            let block = front.take_writeback(queue);
+            front
+                .slab
+                .push_back(&mut self.queues[queue.as_usize()], block);
             front.stats.dram_writes += 1;
         }
         // Replenishment: DRAM → head SRAM, delivered one random access time
-        // later. Each queue's blocks are written and read in order, so the
-        // DRAM ordinal is the block's index in the queue's read stream.
+        // later. A queue whose blocks are all still on the tail path has
+        // nothing to read: the head MMA's credit is rolled back.
         if let Some(queue) = front.head_mma.select_replenishment() {
-            match self.dram.read_block(PhysicalQueueId::new(queue.index())) {
-                Ok((block_index, cells)) => {
+            let fifo = &mut self.queues[queue.as_usize()];
+            let block_index = fifo.popped;
+            match front.slab.pop_front(fifo) {
+                Some(block) => {
                     front.pending_deliveries.push_back(PendingDelivery {
                         deliver_slot: now + self.cfg.granularity as u64,
                         queue,
                         block_index,
-                        cells,
+                        block,
                     });
                     front.stats.dram_reads += 1;
                 }
-                Err(_) => front.unfulfilled(queue),
+                None => front.unfulfilled(queue),
             }
         }
     }
@@ -241,6 +240,48 @@ mod tests {
         assert_eq!(buf.stats().grants, requests);
         assert_eq!(buf.stats().drops, 0);
         assert_eq!(buf.stats().order_violations, 0);
+    }
+
+    #[test]
+    fn dram_block_index_runs_on_from_preload_into_writebacks() {
+        let (q, b) = (2, 2);
+        let mut buf = RadsBuffer::new(small_cfg(q, b));
+        // Blocks 0 and 1 of queue 0 are preloaded; blocks 2 and 3 arrive
+        // through the tail path and are written back behind them.
+        buf.preload_dram(lq(0), (0..4).map(|s| Cell::new(lq(0), s, 0)).collect());
+        for s in 4..8u64 {
+            buf.step(Some(Cell::new(lq(0), s, s)), None);
+        }
+        for _ in 0..4 * b {
+            buf.step(None, None);
+        }
+        assert_eq!(buf.requestable_cells(lq(0)), 8);
+        let mut granted = Vec::new();
+        for t in 0..8 + buf.pipeline_delay_slots() as u64 + 4 * b as u64 {
+            let out = buf.step(None, (t < 8).then_some(lq(0)));
+            granted.extend(out.granted.map(|c| c.seq()));
+        }
+        // Each read took the next index of the queue's block stream, so the
+        // head SRAM placed all four blocks in order.
+        assert_eq!(granted, (0..8).collect::<Vec<_>>());
+        assert_eq!(buf.back.queues[0].popped, 4);
+        assert_eq!(buf.front.slab.pop_front(&mut buf.back.queues[0]), None);
+        assert!(buf.stats().is_loss_free(), "{:?}", buf.stats());
+    }
+
+    #[test]
+    fn a_replenishment_of_an_empty_dram_queue_is_unfulfilled() {
+        let mut buf = RadsBuffer::new(small_cfg(2, 2));
+        // A request for queue 1, which holds nothing anywhere: the head MMA
+        // replenishes it, the DRAM FIFO is empty, the credit is rolled back.
+        buf.step(None, Some(lq(1)));
+        for _ in 0..buf.pipeline_delay_slots() + 4 {
+            buf.step(None, None);
+        }
+        assert!(buf.stats().unfulfilled_replenishments >= 1);
+        assert_eq!(buf.stats().dram_reads, 0);
+        assert_eq!(buf.back.queues[1].popped, 0);
+        assert_eq!(buf.stats().misses, 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   set of physical queues and consecutive `b`-cell blocks of a queue rotate
 //!   round-robin over the banks of its group.
 //! * [`DramStore`] — per-physical-queue block storage with per-group capacity
-//!   accounting (used to study DRAM fragmentation, §6).
+//!   accounting (used to study DRAM fragmentation, §6), over any
+//!   [`StoredBlock`]: `Vec<Cell>` by default, or a caller's block handle.
 //!
 //! # Example
 //!
@@ -58,4 +59,4 @@ pub use chip::{MultiChipConfig, SdramChip, SdramTimingCycles};
 pub use mapping::{AddressMapper, DecodedAddress, InterleavingConfig, MappingError};
 pub use request::{AccessKind, BankId, DramRequest, GroupId};
 pub use stats::DramStats;
-pub use store::{DramStore, StoreError};
+pub use store::{DramStore, StoreError, StoredBlock};

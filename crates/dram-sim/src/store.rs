@@ -4,6 +4,8 @@
 //! blocks that lives entirely inside its statically assigned bank group. The
 //! store tracks per-group occupancy so the fragmentation experiments (§6) can
 //! observe how much of the DRAM is actually usable with and without renaming.
+//! A block is any [`StoredBlock`]: a `Vec<Cell>` by default, or a handle to
+//! cells the caller keeps (a buffer's block slab).
 
 use crate::mapping::AddressMapper;
 use crate::request::GroupId;
@@ -73,44 +75,56 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
+/// What a [`DramStore`] holds per block: anything that knows its cell count.
+pub trait StoredBlock {
+    /// Cells in the block.
+    fn cell_count(&self) -> usize;
+}
+
+impl StoredBlock for Vec<Cell> {
+    fn cell_count(&self) -> usize {
+        self.len()
+    }
+}
+
 /// State of one ordinal position in a queue's block ring.
 #[derive(Debug, Clone)]
-enum BlockSlot {
+enum BlockSlot<T> {
     /// Never written at this ordinal (a scheduler hole awaiting its write).
     Vacant,
     /// Resident block.
-    Present(Vec<Cell>),
+    Present(T),
     /// Written and later read; kept only while trapped behind a vacant hole.
     Consumed,
 }
 
-impl BlockSlot {
+impl<T> BlockSlot<T> {
     fn is_present(&self) -> bool {
         matches!(self, BlockSlot::Present(_))
     }
 }
 
 /// Block storage of one physical queue: a dense ring indexed by
-/// `ordinal - base` instead of a `BTreeMap<u64, Vec<Cell>>`.
+/// `ordinal - base` instead of a `BTreeMap<u64, T>`.
 ///
 /// The CFDS scheduler may commit and fetch blocks out of ordinal order, but
 /// the live ordinals of a FIFO queue always form a narrow moving window, so a
 /// ring with a base offset gives O(1) index-addressed access with no per-block
 /// tree nodes to allocate or free on the simulation hot path.
-#[derive(Debug, Clone, Default)]
-struct QueueBlocks {
+#[derive(Debug, Clone)]
+struct QueueBlocks<T> {
     /// The bank group the queue is statically mapped to, resolved once at
     /// construction so a block access costs no division.
     group: GroupId,
     /// Ordinal of ring position 0.
     base: u64,
-    ring: VecDeque<BlockSlot>,
+    ring: VecDeque<BlockSlot<T>>,
     resident_blocks: usize,
     resident_cells: usize,
 }
 
-impl QueueBlocks {
-    fn slot(&self, ordinal: u64) -> Option<&BlockSlot> {
+impl<T> QueueBlocks<T> {
+    fn slot(&self, ordinal: u64) -> Option<&BlockSlot<T>> {
         if ordinal < self.base {
             return None;
         }
@@ -147,14 +161,14 @@ impl QueueBlocks {
 }
 
 /// FIFO block storage for every physical queue, constrained by per-group
-/// capacity.
+/// capacity. Blocks are `Vec<Cell>` unless the caller stores handles.
 #[derive(Debug, Clone)]
-pub struct DramStore {
+pub struct DramStore<T = Vec<Cell>> {
     mapper: AddressMapper,
     /// Per-queue block rings (see [`QueueBlocks`]). The CFDS scheduler may
     /// commit blocks to the DRAM out of ordinal order, which the ring absorbs
     /// as transient vacant holes.
-    queues: Vec<QueueBlocks>,
+    queues: Vec<QueueBlocks<T>>,
     /// Next block ordinal to be written, per queue (monotonically increasing).
     tail_ordinal: Vec<u64>,
     /// Ordinal of the block currently at the head, per queue.
@@ -165,7 +179,7 @@ pub struct DramStore {
     group_capacity_blocks: usize,
 }
 
-impl DramStore {
+impl<T: StoredBlock> DramStore<T> {
     /// Creates a store where each of the `G` groups can hold
     /// `group_capacity_blocks` blocks.
     pub fn new(mapper: AddressMapper, group_capacity_blocks: usize) -> Self {
@@ -175,7 +189,10 @@ impl DramStore {
             queues: (0..nq)
                 .map(|q| QueueBlocks {
                     group: mapper.group_of_queue(PhysicalQueueId::new(q as u32)),
-                    ..QueueBlocks::default()
+                    base: 0,
+                    ring: VecDeque::new(),
+                    resident_blocks: 0,
+                    resident_cells: 0,
                 })
                 .collect(),
             mapper,
@@ -209,7 +226,7 @@ impl DramStore {
         Ok(idx)
     }
 
-    /// Appends a block of cells to `queue`.
+    /// Appends a block to `queue`.
     ///
     /// Returns the ordinal assigned to the block (which determines the bank it
     /// lives in).
@@ -218,13 +235,9 @@ impl DramStore {
     ///
     /// [`StoreError::GroupFull`] when the queue's group has no free block;
     /// [`StoreError::QueueOutOfRange`] for an unknown queue.
-    pub fn write_block(
-        &mut self,
-        queue: PhysicalQueueId,
-        cells: Vec<Cell>,
-    ) -> Result<u64, StoreError> {
+    pub fn write_block(&mut self, queue: PhysicalQueueId, block: T) -> Result<u64, StoreError> {
         let ordinal = self.tail_ordinal[self.check_queue(queue)?];
-        self.write_block_at(queue, ordinal, cells)?;
+        self.write_block_at(queue, ordinal, block)?;
         Ok(ordinal)
     }
 
@@ -240,7 +253,7 @@ impl DramStore {
         &mut self,
         queue: PhysicalQueueId,
         ordinal: u64,
-        cells: Vec<Cell>,
+        block: T,
     ) -> Result<(), StoreError> {
         let idx = self.check_queue(queue)?;
         let q = &mut self.queues[idx];
@@ -256,8 +269,8 @@ impl DramStore {
         }
         let pos = q.slot_index_for_write(ordinal);
         q.resident_blocks += 1;
-        q.resident_cells += cells.len();
-        q.ring[pos] = BlockSlot::Present(cells);
+        q.resident_cells += block.cell_count();
+        q.ring[pos] = BlockSlot::Present(block);
         if ordinal >= self.tail_ordinal[idx] {
             self.tail_ordinal[idx] = ordinal + 1;
         }
@@ -272,7 +285,7 @@ impl DramStore {
     ///
     /// [`StoreError::QueueEmpty`] when the queue holds no block;
     /// [`StoreError::QueueOutOfRange`] for an unknown queue.
-    pub fn read_block(&mut self, queue: PhysicalQueueId) -> Result<(u64, Vec<Cell>), StoreError> {
+    pub fn read_block(&mut self, queue: PhysicalQueueId) -> Result<(u64, T), StoreError> {
         let idx = self.check_queue(queue)?;
         let q = &self.queues[idx];
         let ordinal = q
@@ -290,11 +303,7 @@ impl DramStore {
     /// # Errors
     ///
     /// [`StoreError::BlockMissing`] or [`StoreError::QueueOutOfRange`].
-    pub fn read_block_at(
-        &mut self,
-        queue: PhysicalQueueId,
-        ordinal: u64,
-    ) -> Result<Vec<Cell>, StoreError> {
+    pub fn read_block_at(&mut self, queue: PhysicalQueueId, ordinal: u64) -> Result<T, StoreError> {
         let idx = self.check_queue(queue)?;
         let q = &mut self.queues[idx];
         if !q.slot(ordinal).is_some_and(BlockSlot::is_present) {
@@ -308,7 +317,7 @@ impl DramStore {
             return Err(StoreError::BlockMissing { queue, ordinal });
         };
         q.resident_blocks -= 1;
-        q.resident_cells -= block.len();
+        q.resident_cells -= block.cell_count();
         q.trim_front();
         if ordinal >= self.head_ordinal[idx] {
             self.head_ordinal[idx] = ordinal + 1;
@@ -386,11 +395,6 @@ impl DramStore {
         self.group_capacity_blocks
     }
 
-    /// Whether `group` has room for at least one more block.
-    pub fn group_has_room(&self, group: GroupId) -> bool {
-        self.group_occupancy[group.index()] < self.group_capacity_blocks
-    }
-
     /// Total blocks resident across all groups.
     pub fn total_blocks(&self) -> usize {
         self.group_occupancy.iter().sum()
@@ -408,17 +412,6 @@ impl DramStore {
     /// The address mapper used by this store.
     pub fn mapper(&self) -> &AddressMapper {
         &self.mapper
-    }
-
-    /// Group with the fewest resident blocks (used by the renaming balancer).
-    pub fn least_loaded_group(&self) -> GroupId {
-        let (idx, _) = self
-            .group_occupancy
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, occ)| **occ)
-            .expect("at least one group"); // analyze: allow(panic-freedom) — a store always has at least one group (validated at construction)
-        GroupId::new(idx as u32)
     }
 
     /// Groups that currently have free space, ordered by ascending occupancy
@@ -488,11 +481,14 @@ mod tests {
         s.write_block(q4, mk_cells(4, 0, 4)).unwrap();
         let err = s.write_block(q0, mk_cells(0, 4, 4)).unwrap_err();
         assert!(matches!(err, StoreError::GroupFull { .. }));
-        assert!(!s.group_has_room(GroupId::new(0)));
-        assert!(s.group_has_room(GroupId::new(1)));
+        assert_eq!(
+            s.group_occupancy(GroupId::new(0)),
+            s.group_capacity_blocks()
+        );
+        assert!(s.group_occupancy(GroupId::new(1)) < s.group_capacity_blocks());
         // Draining frees space.
         s.read_block(q4).unwrap();
-        assert!(s.group_has_room(GroupId::new(0)));
+        assert!(s.group_occupancy(GroupId::new(0)) < s.group_capacity_blocks());
         s.write_block(q0, mk_cells(0, 4, 4)).unwrap();
     }
 
@@ -513,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_and_groups_with_room() {
+    fn groups_with_room_rank_the_emptiest_first() {
         let mut s = store(2);
         s.write_block(PhysicalQueueId::new(0), mk_cells(0, 0, 1))
             .unwrap();
@@ -522,13 +518,11 @@ mod tests {
         s.write_block(PhysicalQueueId::new(1), mk_cells(1, 0, 1))
             .unwrap();
         // Group 0 full, group 1 half, groups 2 and 3 empty.
-        let ll = s.least_loaded_group();
-        assert!(ll == GroupId::new(2) || ll == GroupId::new(3));
         let rooms = s.groups_with_room();
         assert!(!rooms.contains(&GroupId::new(0)));
         assert_eq!(rooms.len(), 3);
-        // Empty groups come first.
-        assert!(rooms[0] == GroupId::new(2) || rooms[0] == GroupId::new(3));
+        // Empty groups come first, ties to the lower index.
+        assert_eq!(rooms, [2, 3, 1].map(GroupId::new));
     }
 
     #[test]
@@ -616,10 +610,47 @@ mod tests {
         ));
     }
 
+    /// A handle to cells kept elsewhere, as a buffer's block slab hands out.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Handle {
+        index: u32,
+        cells: u32,
+    }
+
+    impl StoredBlock for Handle {
+        fn cell_count(&self) -> usize {
+            self.cells as usize
+        }
+    }
+
+    #[test]
+    fn handle_payloads_count_their_cells_and_forward() {
+        let mapper = AddressMapper::new(InterleavingConfig::new(16, 4, 8).unwrap());
+        let mut s: DramStore<Handle> = DramStore::new(mapper, 8);
+        let q = PhysicalQueueId::new(2);
+        let handle = |index, cells| Handle { index, cells };
+        assert_eq!(s.write_block(q, handle(7, 4)).unwrap(), 0);
+        s.write_block_at(q, 2, handle(3, 2)).unwrap();
+        assert_eq!(s.blocks_in_queue(q), 2);
+        assert_eq!(s.cells_in_queue(q), 6);
+        // Ordinal 1 was forwarded around the DRAM: reading past it finds
+        // ordinal 2, and the queue drains to nothing retained.
+        s.note_forwarded(q, 1).unwrap();
+        assert_eq!(s.read_block(q).unwrap(), (0, handle(7, 4)));
+        assert_eq!(s.cells_in_queue(q), 2);
+        assert_eq!(s.read_block(q).unwrap(), (2, handle(3, 2)));
+        assert_eq!((s.blocks_in_queue(q), s.cells_in_queue(q)), (0, 0));
+        assert!(matches!(
+            s.read_block(q),
+            Err(StoreError::QueueEmpty { .. })
+        ));
+        assert_eq!(s.total_blocks(), 0);
+    }
+
     #[test]
     fn with_total_capacity_divides_evenly() {
         let mapper = AddressMapper::new(InterleavingConfig::new(16, 4, 8).unwrap());
-        let s = DramStore::with_total_capacity(mapper, 1024, 4);
+        let s: DramStore = DramStore::with_total_capacity(mapper, 1024, 4);
         // 1024 cells / 4 cells per block = 256 blocks / 4 groups = 64.
         assert_eq!(s.group_capacity_blocks(), 64);
     }

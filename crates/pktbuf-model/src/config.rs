@@ -71,6 +71,12 @@ pub const MAX_LOOKAHEAD_SLOTS: usize = 1 << 22;
 /// 2 048 (k = 2, Q = 1 024); 2^20 leaves room for sweeps.
 pub const MAX_PHYSICAL_QUEUES: usize = 1 << 20;
 
+/// Most DRAM banks (`M`) a CFDS configuration may have. A buffer holds one
+/// 40-byte bank state machine per bank from construction, so this caps its
+/// bank array at 2.5 MiB. The most any shipped design point or paper
+/// artefact uses is 256 (Table 2); 2^16 leaves room for sweeps.
+pub const MAX_BANKS: usize = 1 << 16;
+
 /// ECQF zero-miss minimum lookahead `Q·(g − 1) + 1` (§3), `None` where it
 /// overflows (or `g` is zero).
 fn zero_miss_lookahead(num_queues: usize, granularity: usize) -> Option<usize> {
@@ -261,8 +267,8 @@ impl CfdsConfig {
     ///
     /// Returns [`ConfigError`] when `b` does not divide `B`, `B/b` does not
     /// divide `M`, any parameter is zero, `k × Q` is past
-    /// [`MAX_PHYSICAL_QUEUES`], or the lookahead is below the zero-miss
-    /// minimum or past [`MAX_LOOKAHEAD_SLOTS`].
+    /// [`MAX_PHYSICAL_QUEUES`], `M` is past [`MAX_BANKS`], or the lookahead
+    /// is below the zero-miss minimum or past [`MAX_LOOKAHEAD_SLOTS`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (v, name) in [
             (self.num_queues, "num_queues"),
@@ -282,6 +288,14 @@ impl CfdsConfig {
                 unit: "physical queues",
                 requested: physical,
                 maximum: MAX_PHYSICAL_QUEUES,
+            });
+        }
+        if self.num_banks > MAX_BANKS {
+            return Err(ConfigError::TooLarge {
+                parameter: "num_banks",
+                unit: "banks",
+                requested: Some(self.num_banks),
+                maximum: MAX_BANKS,
             });
         }
         if !self.rads_granularity.is_multiple_of(self.granularity) {
@@ -581,6 +595,14 @@ mod tests {
             .lookahead(MAX_LOOKAHEAD_SLOTS + 1)
             .build();
         assert_eq!(long.unwrap_err(), lookahead(Some(MAX_LOOKAHEAD_SLOTS + 1)));
+        let banks = |m: usize| CfdsConfig::builder().num_banks(m).build();
+        assert!(banks(MAX_BANKS).is_ok());
+        for m in [MAX_BANKS * 2, 1 << 31, 1 << 63] {
+            assert_eq!(
+                banks(m).unwrap_err(),
+                too_large("num_banks", "banks", Some(m), MAX_BANKS)
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum ConfigError {
     },
     /// A size past the bound that keeps what a buffer allocates at
     /// construction sane ([`crate::MAX_LOOKAHEAD_SLOTS`],
-    /// [`crate::MAX_PHYSICAL_QUEUES`]).
+    /// [`crate::MAX_PHYSICAL_QUEUES`], [`crate::MAX_BANKS`]).
     TooLarge {
         /// The size, as the configuration names it.
         parameter: &'static str,

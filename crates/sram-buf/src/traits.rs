@@ -59,8 +59,8 @@ pub trait SharedBuffer {
     /// a block are in FIFO order.
     ///
     /// The cells are copied into the buffer's own storage, so the caller
-    /// keeps its block buffer (typically a pooled `Vec<Cell>`) and nothing is
-    /// allocated per block.
+    /// keeps its block (typically a block of the buffer's block slab) and
+    /// nothing is allocated per block.
     ///
     /// # Errors
     ///

@@ -1,18 +1,23 @@
 //! Pins the tentpole claim of the hot-path rework: once warmed up, the slot
 //! loop of every buffer design performs **zero heap allocations** — all
 //! steady-state state lives in preallocated, index-addressed structures
-//! (`pktbuf::hotpath`, the ring-based DRAM store and head SRAM, the pooled
-//! block buffers). The linked-list SRAM organisation, which no buffer
-//! instantiates, is held to the same rule standalone.
+//! (`pktbuf::hotpath`: the tail arena and the block slab every block travels
+//! in as a handle; the ring-based DRAM store and head SRAM). The buffers are
+//! held to it standalone — RADS batched and cut-through (`B = 1`, the
+//! transport workload's buffer), CFDS, DRAM-only — inside the chunked
+//! engine, and as the ports of a warm 8-port `VoqSwitch`; the linked-list
+//! SRAM organisation, which no buffer instantiates, and the closed-loop
+//! reliable source are held to the same rule standalone.
 //!
 //! A counting global allocator wraps the system allocator; each design is
 //! driven through a warm-up phase (rings grow to their high-water marks, the
-//! block pool fills, the pending tables widen) and then through a measured
-//! phase during which the allocation counter must not move. The workload
-//! mixes live arrivals with a round-robin drain so every subsystem — tail
-//! arena, writeback, DRAM scheduler, head SRAM, grants — stays active while
-//! counting.
+//! block slab reaches its peak of blocks in flight, the pending tables
+//! widen) and then through a measured phase during which the allocation
+//! counter must not move. The workload mixes live arrivals with a
+//! round-robin drain so every subsystem — tail arena, writeback, DRAM
+//! scheduler, head SRAM, grants — stays active while counting.
 
+use fabric::{FabricConfig, NullSink, VoqSwitch};
 use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
 use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
@@ -129,6 +134,39 @@ fn drive_linked_list(
     popped
 }
 
+/// Ports of the switch in [`drive_switch`].
+const SWITCH_PORTS: usize = 8;
+
+/// Drives `switch` for `slots` slots from `*slot` with a periodic 50 %-load
+/// permutation: in even slots every input receives one cell, input `i` for
+/// output `(i + t / 16) mod N`, so each output is offered one cell every two
+/// slots and the VOQ backlog peaks within the first period of `16·N` slots.
+/// Returns the crossbar matches made.
+fn drive_switch(
+    switch: &mut VoqSwitch<RadsBuffer>,
+    slots: u64,
+    slot: &mut u64,
+    seqs: &mut [u64],
+) -> u64 {
+    let n = SWITCH_PORTS;
+    let mut arrivals = [None; SWITCH_PORTS];
+    let mut matches = 0;
+    for _ in 0..slots {
+        let t = *slot;
+        if t.is_multiple_of(2) {
+            for (i, arrival) in arrivals.iter_mut().enumerate() {
+                let j = (i + (t / 16) as usize) % n;
+                let seq = &mut seqs[i * n + j];
+                *arrival = Some(Cell::new(LogicalQueueId::new(j as u32), *seq, t));
+                *seq += 1;
+            }
+        }
+        matches += switch.step_coupled(&mut arrivals, &[], &mut NullSink);
+        *slot += 1;
+    }
+    matches
+}
+
 /// Drives `buffer` with a deterministic 50%-load arrival stream and a
 /// round-robin request stream (the paper's adversarial pattern), without any
 /// allocating generator machinery of its own.
@@ -215,6 +253,43 @@ fn steady_state_slot_loop_is_allocation_free() {
     };
     let mut rads = RadsBuffer::new(rads_cfg);
     assert_steady_state_alloc_free(&mut rads, "RADS", 2, true);
+
+    // Cut-through RADS (B = 1): every cell is its own slab block.
+    let cut_through = RadsConfig {
+        granularity: 1,
+        ..rads_cfg
+    };
+    let mut rads = RadsBuffer::new(cut_through);
+    assert_steady_state_alloc_free(&mut rads, "cut-through RADS", 2, true);
+
+    // A warm 8-port switch of RADS buffers, batched and cut-through: the
+    // arbiter, the egress FIFOs and every port's slab as a fabric drives
+    // them.
+    for granularity in [8, 1] {
+        let ports = SWITCH_PORTS;
+        let cfg = RadsConfig {
+            num_queues: ports,
+            granularity,
+            ..rads_cfg
+        };
+        let buffers = (0..ports).map(|_| RadsBuffer::new(cfg)).collect();
+        let mut switch = VoqSwitch::new(FabricConfig::new(ports), buffers);
+        let (mut slot, mut seqs) = (0u64, vec![0u64; ports * ports]);
+        drive_switch(&mut switch, WARMUP_SLOTS, &mut slot, &mut seqs);
+
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let matches = drive_switch(&mut switch, MEASURED_SLOTS, &mut slot, &mut seqs);
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+        assert_eq!(
+            after - before,
+            0,
+            "VoqSwitch<RadsBuffer> at B = {granularity}: warm slot loop allocated {} times \
+             over {MEASURED_SLOTS} slots",
+            after - before
+        );
+        assert!(matches > 0, "switch at B = {granularity}: no matches");
+    }
 
     // The linked-list SRAM standalone, B/b lanes per queue: every block
     // insertion copies its cells into the lists' preallocated entries.
