@@ -116,7 +116,8 @@ impl RenamingTable {
     ///
     /// `group_has_room` reports whether a group still has free DRAM blocks;
     /// `preferred_groups` is the caller's preference order for *new*
-    /// allocations (typically emptiest group first).
+    /// allocations (typically emptiest group first). Unlisted groups are
+    /// never allocated from.
     ///
     /// # Errors
     ///
@@ -128,89 +129,28 @@ impl RenamingTable {
         group_has_room: impl Fn(GroupId) -> bool,
         preferred_groups: &[GroupId],
     ) -> Result<PhysicalQueueId, RenamingError> {
-        self.physical_for_write_avoiding(logical, None, group_has_room, preferred_groups)
+        self.physical_for_write_ranked(logical, None, group_has_room, |group| {
+            preferred_groups.iter().position(|&g| g == group)
+        })
     }
 
-    /// Like [`RenamingTable::physical_for_write`] but, when possible, avoids
-    /// placing the written block in `avoid_group`.
+    /// Chooses the physical queue that the next written block of `logical`
+    /// should go to, when possible outside `avoid_group`.
     ///
-    /// The CFDS buffer uses this to keep a queue's *write* stream out of the
-    /// group its *read* stream is currently draining: a bank group sustains at
-    /// most one access per `b` slots, so a backlogged queue that both fills
-    /// and drains at the line rate needs its two streams in different groups.
-    /// The avoidance is best-effort — if no other group has room and a free
-    /// physical name, the avoided group is used after all.
+    /// The current chain tail is kept while its group has room and is not
+    /// avoided. Otherwise a new name is allocated from the group with room
+    /// and a free name that has the lowest `(rank, group index)`; `rank`
+    /// returns `None` for a group that must not be allocated from. Trying
+    /// groups in rank order and allocating from the first one with a free
+    /// name is the same thing, computed in one pass, so the per-period
+    /// writeback path neither sorts nor materialises a group list.
     ///
-    /// # Errors
-    ///
-    /// [`RenamingError::NoUsablePhysicalQueue`] when no group with room has a
-    /// free physical name.
-    pub fn physical_for_write_avoiding(
-        &mut self,
-        logical: LogicalQueueId,
-        avoid_group: Option<GroupId>,
-        group_has_room: impl Fn(GroupId) -> bool,
-        preferred_groups: &[GroupId],
-    ) -> Result<PhysicalQueueId, RenamingError> {
-        let idx = self.check(logical)?;
-        // Fast path: the current tail still has room in its group and does not
-        // collide with the group we are asked to avoid.
-        if let Some(tail) = self.registers[idx].back() {
-            let group = self.group_of(tail.physical);
-            if group_has_room(group) && Some(group) != avoid_group {
-                return Ok(tail.physical);
-            }
-        }
-        // Allocate a new physical queue in a group with room (in the caller's
-        // preference order), avoided group last. The candidates are consumed
-        // directly from `preferred_groups` — this runs every granularity
-        // period and must not build an intermediate list.
-        let mut allocated = None;
-        let mut any_candidate = false;
-        for group in preferred_groups.iter().copied() {
-            if !group_has_room(group) || Some(group) == avoid_group {
-                continue;
-            }
-            any_candidate = true;
-            if let Some(name) = self.allocate_in(group) {
-                allocated = Some(name);
-                break;
-            }
-        }
-        if allocated.is_none() && !any_candidate {
-            if let Some(avoid) = avoid_group {
-                // Fall back to the current tail (even in the avoided group)
-                // before burning a fresh name on it.
-                if let Some(tail) = self.registers[idx].back() {
-                    if group_has_room(self.group_of(tail.physical)) {
-                        return Ok(tail.physical);
-                    }
-                }
-                if group_has_room(avoid) {
-                    allocated = self.allocate_in(avoid);
-                }
-            }
-        }
-        match allocated {
-            Some(name) => {
-                self.registers[idx].push_back(RenameEntry {
-                    physical: name,
-                    blocks: 0,
-                });
-                Ok(name)
-            }
-            None => Err(RenamingError::NoUsablePhysicalQueue),
-        }
-    }
-
-    /// Like [`RenamingTable::physical_for_write_avoiding`] with the preferred
-    /// groups given *implicitly*: every group satisfying `group_has_room`,
-    /// ordered by ascending `(rank, group index)`.
-    ///
-    /// Trying groups in that order and allocating from the first one with a
-    /// free name is the same as allocating from the minimum-ranked group with
-    /// room and a free name — which this computes in one pass, so the
-    /// per-period writeback path neither sorts nor materialises a group list.
+    /// The CFDS buffer avoids the group a queue's *read* stream is currently
+    /// draining: a bank group sustains at most one access per `b` slots, so
+    /// a backlogged queue that both fills and drains at the line rate needs
+    /// its two streams in different groups. The avoidance is best-effort —
+    /// if no other group has room and a free physical name, the avoided group
+    /// is used after all.
     ///
     /// # Errors
     ///
@@ -221,15 +161,16 @@ impl RenamingTable {
         logical: LogicalQueueId,
         avoid_group: Option<GroupId>,
         group_has_room: impl Fn(GroupId) -> bool,
-        rank: impl Fn(GroupId) -> usize,
+        rank: impl Fn(GroupId) -> Option<usize>,
     ) -> Result<PhysicalQueueId, RenamingError> {
         let idx = self.check(logical)?;
-        // Fast path: identical to `physical_for_write_avoiding`.
-        if let Some(tail) = self.registers[idx].back() {
-            let group = self.group_of(tail.physical);
-            if group_has_room(group) && Some(group) != avoid_group {
-                return Ok(tail.physical);
-            }
+        // The chain tail, if its group has room.
+        let tail = self.registers[idx]
+            .back()
+            .map(|e| e.physical)
+            .filter(|&p| group_has_room(self.group_of(p)));
+        if let Some(tail) = tail.filter(|&p| Some(self.group_of(p)) != avoid_group) {
+            return Ok(tail);
         }
         let mut best: Option<(usize, usize)> = None;
         let mut any_candidate = false;
@@ -238,13 +179,17 @@ impl RenamingTable {
             if !group_has_room(group) || Some(group) == avoid_group {
                 continue;
             }
-            any_candidate = true;
-            if self.free[g].is_empty() {
+            let Some(r) = rank(group) else {
                 continue;
-            }
-            let r = rank(group);
-            if best.is_none_or(|(br, bg)| (r, g) < (br, bg)) {
+            };
+            any_candidate = true;
+            // Groups are walked in index order, so a tie keeps the lower
+            // index, and nothing after a rank-0 group ranks below it.
+            if !self.free[g].is_empty() && best.is_none_or(|(br, _)| r < br) {
                 best = Some((r, g));
+                if r == 0 {
+                    break;
+                }
             }
         }
         let mut allocated = best.and_then(|(_, g)| self.allocate_in(GroupId::new(g as u32)));
@@ -252,26 +197,20 @@ impl RenamingTable {
             if let Some(avoid) = avoid_group {
                 // Fall back to the current tail (even in the avoided group)
                 // before burning a fresh name on it.
-                if let Some(tail) = self.registers[idx].back() {
-                    if group_has_room(self.group_of(tail.physical)) {
-                        return Ok(tail.physical);
-                    }
+                if let Some(tail) = tail {
+                    return Ok(tail);
                 }
                 if group_has_room(avoid) {
                     allocated = self.allocate_in(avoid);
                 }
             }
         }
-        match allocated {
-            Some(name) => {
-                self.registers[idx].push_back(RenameEntry {
-                    physical: name,
-                    blocks: 0,
-                });
-                Ok(name)
-            }
-            None => Err(RenamingError::NoUsablePhysicalQueue),
-        }
+        let name = allocated.ok_or(RenamingError::NoUsablePhysicalQueue)?;
+        self.registers[idx].push_back(RenameEntry {
+            physical: name,
+            blocks: 0,
+        });
+        Ok(name)
     }
 
     /// Records that one block was written to DRAM under the current tail name
@@ -295,18 +234,6 @@ impl RenamingTable {
         self.registers[logical.as_usize()]
             .front()
             .filter(|e| e.blocks > 0)
-            .map(|e| e.physical)
-    }
-
-    /// Physical queue at the *write tail* of `logical`'s chain, if any.
-    ///
-    /// This is the name [`RenamingTable::physical_for_write_avoiding`] will
-    /// return on its fast path (tail group has room and is not avoided);
-    /// callers can probe it first and skip preparing the preferred-group
-    /// list — an allocation-order-preserving shortcut for the hot path.
-    pub fn write_tail(&self, logical: LogicalQueueId) -> Option<PhysicalQueueId> {
-        self.registers[logical.as_usize()]
-            .back()
             .map(|e| e.physical)
     }
 

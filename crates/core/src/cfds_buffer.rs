@@ -4,11 +4,15 @@
 //! scheduler, with the latency register and queue renaming.
 
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
-use crate::hotpath::{PendingTable, SlabBlock};
+use crate::hotpath::SlabBlock;
 use cfds::{
-    sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, LatencyRegister, RenamingTable,
+    sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, LatencyRegister, RenamingError,
+    RenamingTable,
 };
-use dram_sim::{AccessKind, AddressMapper, BankArray, DramStore, GroupId, InterleavingConfig};
+use dram_sim::{
+    AccessKind, AddressMapper, BankArray, DramStore, GroupId, InterleavingConfig, StoreError,
+    StoredBlock,
+};
 use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId};
 
 /// Construction options for a [`CfdsBuffer`].
@@ -43,22 +47,29 @@ pub type CfdsBuffer = HybridBuffer<CfdsDram>;
 pub struct CfdsDram {
     cfg: CfdsConfig,
     banks: BankArray,
-    /// The banked DRAM's contents: handles into the front end's block slab.
-    store: DramStore<SlabBlock>,
+    /// Every block from its write's submission to its read's issue.
+    store: DramStore<DramBlock>,
     dss: DramSchedulerSubsystem,
     renaming: RenamingTable,
-    /// Blocks whose write request has been submitted but not issued yet,
-    /// indexed by (physical queue, block ordinal).
-    pending_writes: PendingTable<SlabBlock>,
-    /// Pending (submitted, un-issued) write blocks per group, for capacity
-    /// accounting.
-    group_pending: Vec<usize>,
-    /// (physical queue, ordinal) → (logical queue, logical block index) for
-    /// submitted reads.
-    read_tags: PendingTable<(LogicalQueueId, u64)>,
-    /// Per-logical-queue count of read blocks submitted so far.
-    read_blocks_submitted: Vec<u64>,
+    /// Per logical queue, blocks written so far: the next block's index.
+    blocks_written: Vec<u64>,
     latency: LatencyRegister,
+}
+
+/// A block in the CFDS DRAM: its slab handle and its place in its logical
+/// queue. Renaming chains are FIFO, so the `index`-th block written for a
+/// queue is also the `index`-th read.
+#[derive(Debug, Clone, Copy)]
+struct DramBlock {
+    block: SlabBlock,
+    queue: LogicalQueueId,
+    index: u64,
+}
+
+impl StoredBlock for DramBlock {
+    fn cell_count(&self) -> usize {
+        self.block.cell_count()
+    }
 }
 
 impl CfdsBuffer {
@@ -98,10 +109,7 @@ impl CfdsBuffer {
                 store,
                 dss,
                 renaming: RenamingTable::new(q, cfg.num_physical_queues(), cfg.num_groups()),
-                pending_writes: PendingTable::new(cfg.num_physical_queues()),
-                group_pending: vec![0; cfg.num_groups()],
-                read_tags: PendingTable::new(cfg.num_physical_queues()),
-                read_blocks_submitted: vec![0; q],
+                blocks_written: vec![0; q],
                 latency: LatencyRegister::new(cfds_sizing::latency_slots(&cfg)),
                 cfg,
             },
@@ -154,26 +162,15 @@ impl CfdsBuffer {
         );
         self.front.available.credit(queue, cells.len() as u64);
         for chunk in cells.chunks(b) {
-            let preferred = back.store.groups_with_room();
-            let store = &back.store;
-            let group_pending = &back.group_pending;
             let physical = back
-                .renaming
-                .physical_for_write(
-                    queue,
-                    |g: GroupId| {
-                        store.group_occupancy(g) + group_pending[g.index()]
-                            < store.group_capacity_blocks()
-                    },
-                    &preferred,
-                )
+                .place_write(queue, None)
                 .expect("preload found no DRAM room");
-            back.renaming.note_block_written(queue);
             let block = self.front.slab.alloc();
             self.front.slab.cells_mut(block).copy_from_slice(chunk);
-            back.store
-                .write_block(physical, block)
-                .expect("preload write fits the group");
+            let ordinal = back
+                .reserve(physical, queue, block)
+                .expect("renaming placed the block in a group with room");
+            back.store.commit(physical, ordinal);
             back.dss.set_ordinals(
                 physical,
                 back.store.head_ordinal(physical),
@@ -184,6 +181,43 @@ impl CfdsBuffer {
 }
 
 impl CfdsDram {
+    /// The physical queue for `queue`'s next block: the chain tail while its
+    /// group has room, else the emptiest group with room, outside `avoid`
+    /// if possible.
+    fn place_write(
+        &mut self,
+        queue: LogicalQueueId,
+        avoid: Option<GroupId>,
+    ) -> Result<PhysicalQueueId, RenamingError> {
+        let store = &self.store;
+        self.renaming.physical_for_write_ranked(
+            queue,
+            avoid,
+            |g| store.group_has_room(g),
+            |g| Some(store.group_occupancy(g)),
+        )
+    }
+
+    /// Reserves `block`, `queue`'s next block, in the store under the name
+    /// renaming placed it in, and counts it in the renaming chain.
+    fn reserve(
+        &mut self,
+        physical: PhysicalQueueId,
+        queue: LogicalQueueId,
+        block: SlabBlock,
+    ) -> Result<u64, StoreError> {
+        let index = &mut self.blocks_written[queue.as_usize()];
+        let entry = DramBlock {
+            block,
+            queue,
+            index: *index,
+        };
+        let ordinal = self.store.reserve(physical, entry)?;
+        *index += 1;
+        self.renaming.note_block_written(queue);
+        Ok(ordinal)
+    }
+
     #[inline(always)]
     fn submit_writeback(&mut self, front: &mut Front, now: u64) {
         let Some(queue) = front.writeback_candidate() else {
@@ -196,45 +230,21 @@ impl CfdsDram {
             .renaming
             .physical_for_read(queue)
             .map(|p| self.store.mapper().group_of_queue(p));
-        let store = &self.store;
-        let group_pending = &self.group_pending;
-        let has_room = |g: GroupId| {
-            store.group_occupancy(g) + group_pending[g.index()] < store.group_capacity_blocks()
+        let Ok(physical) = self.place_write(queue, avoid) else {
+            front.stats.blocked_writebacks += 1;
+            return;
         };
-        // Fast path: the chain tail's group has room and is not avoided —
-        // exactly the first check of `physical_for_write_avoiding` — so the
-        // sorted preferred-group list is never needed.
-        let fast = self.renaming.write_tail(queue).filter(|p| {
-            let group = self.renaming.group_of(*p);
-            has_room(group) && Some(group) != avoid
-        });
-        let physical = match fast {
-            Some(p) => p,
-            None => {
-                // Slow path: pick the emptiest group with room and a free
-                // name in one pass (equivalent to sorting the groups by
-                // occupancy and trying them in order).
-                match self.renaming.physical_for_write_ranked(
-                    queue,
-                    avoid,
-                    has_room,
-                    |g: GroupId| store.group_occupancy(g),
-                ) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        front.stats.blocked_writebacks += 1;
-                        return;
-                    }
-                }
-            }
-        };
-        self.renaming.note_block_written(queue);
         let block = front.take_writeback(queue);
+        // Renaming placed the block in a group with room, so the store
+        // reserves it. Were it refused, its cells would be lost (and show
+        // as misses when requested).
+        let Ok(ordinal) = self.reserve(physical, queue, block) else {
+            front.slab.free(block);
+            front.stats.blocked_writebacks += 1;
+            return;
+        };
         let request = self.dss.submit_write(physical, now);
-        let group = self.store.mapper().group_of_queue(physical);
-        self.group_pending[group.index()] += 1;
-        self.pending_writes
-            .insert(physical.index(), request.block_ordinal, block);
+        debug_assert_eq!(request.block_ordinal, ordinal, "store and DSS ordinals");
     }
 
     #[inline(always)]
@@ -247,15 +257,7 @@ impl CfdsDram {
             return;
         };
         self.renaming.note_block_read(queue);
-        let request = self.dss.submit_read(physical, now);
-        let qi = queue.as_usize();
-        let block_index = self.read_blocks_submitted[qi];
-        self.read_blocks_submitted[qi] += 1;
-        self.read_tags.insert(
-            physical.index(),
-            request.block_ordinal,
-            (queue, block_index),
-        );
+        self.dss.submit_read(physical, now);
     }
 
     #[inline(always)]
@@ -273,53 +275,31 @@ impl CfdsDram {
             front.stats.max_dss_delay_slots =
                 front.stats.max_dss_delay_slots.max(issued.delay_slots());
             match issued.request.kind {
+                // A write whose read overtook it (ablation DSA policies only)
+                // finds its block taken, and writes nothing.
                 AccessKind::Write => {
-                    let group = self.store.mapper().group_of_queue(physical);
-                    self.group_pending[group.index()] =
-                        self.group_pending[group.index()].saturating_sub(1);
-                    if let Some(block) = self.pending_writes.remove(physical.index(), ordinal) {
-                        match self.store.write_block_at(physical, ordinal, block) {
-                            Ok(()) => front.stats.dram_writes += 1,
-                            Err(_) => {
-                                front.slab.free(block);
-                                front.stats.blocked_writebacks += 1;
-                            }
-                        }
+                    if self.store.commit(physical, ordinal) {
+                        front.stats.dram_writes += 1;
                     }
-                    // A missing entry means the block was already forwarded to
-                    // a read that overtook this write (only possible with the
-                    // ablation DSA policies); nothing further to do.
                 }
                 AccessKind::Read => {
-                    let (queue, block_index) = self
-                        .read_tags
-                        .remove(physical.index(), ordinal)
-                        .expect("every issued read was tagged at submit time"); // analyze: allow(panic-freedom) — every issued read was tagged at submit time and untagged only here
-                    let block = match self.store.read_block_at(physical, ordinal) {
-                        Ok(block) => block,
-                        Err(_) => {
-                            // Read overtook its producing write (ablation
-                            // policies only): forward the data directly and
-                            // tell the store the ordinal will never be
-                            // resident, so its ring does not keep a
-                            // permanently vacant hole at the front.
-                            let group = self.store.mapper().group_of_queue(physical);
-                            self.group_pending[group.index()] =
-                                self.group_pending[group.index()].saturating_sub(1);
-                            self.store
-                                .note_forwarded(physical, ordinal)
-                                .expect("issued reads target known queues"); // analyze: allow(panic-freedom) — the forwarded queue was registered with the store at write submit
-                            self.pending_writes
-                                .remove(physical.index(), ordinal)
-                                // analyze: allow(panic-freedom) — a read that overtook its write finds that write still pending by construction
-                                .expect("forwarded block exists among pending writes")
-                        }
+                    // Renaming counts a block at its write's submission, so
+                    // every submitted read finds its block here, resident or
+                    // still reserved (were it missing, its request would
+                    // surface as a miss).
+                    let Ok(DramBlock {
+                        block,
+                        queue,
+                        index,
+                    }) = self.store.take_block(physical, ordinal)
+                    else {
+                        continue;
                     };
                     front.stats.dram_reads += 1;
                     front.pending_deliveries.push_back(PendingDelivery {
                         deliver_slot: now + big_b,
                         queue,
-                        block_index,
+                        block_index: index,
                         block,
                     });
                 }
@@ -369,7 +349,6 @@ impl BackEnd for CfdsDram {
     /// boundary the empty RR's two issue opportunities only age the ORR lock
     /// window.
     fn advance_idle(&mut self, slots: u64, periods: u64) {
-        debug_assert!(self.pending_writes.is_empty() && self.read_tags.is_empty());
         self.latency.advance_idle(slots);
         self.dss.advance_idle(2 * periods);
     }
@@ -378,7 +357,7 @@ impl BackEnd for CfdsDram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PacketBuffer;
+    use crate::{BufferStats, PacketBuffer};
     use pktbuf_model::LineRate;
 
     fn small_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {
@@ -556,6 +535,65 @@ mod tests {
         assert!(format!("{buf:?}").contains("CfdsBuffer"));
         assert_eq!(buf.peak_head_sram(), 0);
         assert!(buf.analytical_head_sram() > 0);
+    }
+
+    /// Runs a renaming CFDS (Q = 32, b = 2, B = 8, M = 32, two physical
+    /// names per queue) under the random-eligible DSA for 40 000 slots:
+    /// random arrivals (90 % load over the first 30 000 slots) and random
+    /// admissible requests (80 %), both drawn from one xorshift word.
+    fn random_eligible_run(seed: u64, dram_capacity_cells: Option<usize>) -> BufferStats {
+        let mut cfg = small_cfg(32, 2, 8, 32);
+        cfg.physical_queue_factor = 2;
+        let options = CfdsBufferOptions {
+            dsa: DsaPolicy::RandomEligible { seed },
+            dram_capacity_cells,
+        };
+        let mut buf = CfdsBuffer::with_options(cfg, options);
+        let mut seqs = [0u64; 32];
+        let mut x = seed | 1;
+        for t in 0..40_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let arrival = (t < 30_000 && x % 10 < 9).then(|| {
+                let q = ((x >> 8) % 32) as usize;
+                seqs[q] += 1;
+                Cell::new(lq(q as u32), seqs[q] - 1, t)
+            });
+            let queue = lq(((x >> 20) % 32) as u32);
+            let request = ((x >> 40) % 10 < 8 && buf.requestable_cells(queue) > 0).then_some(queue);
+            buf.step(arrival, request);
+        }
+        *buf.stats()
+    }
+
+    /// A read that overtakes its write (possible under the random-eligible
+    /// DSA) takes the reserved block and releases its reservation once, so
+    /// a capacity-bound DRAM's room accounting cannot drift.
+    #[test]
+    fn capacity_bound_random_eligible_runs_complete() {
+        for seed in [3, 42, 99] {
+            let stats = random_eligible_run(seed, Some(128));
+            assert!(stats.grants > 0, "seed {seed}: {stats:?}");
+            assert_eq!(stats.misses, 0, "seed {seed}: {stats:?}");
+        }
+    }
+
+    /// With unbounded DRAM, seed 42 has four reads overtake their writes;
+    /// those writes count no DRAM write.
+    #[test]
+    fn overtaking_reads_deliver_their_reserved_blocks() {
+        let stats = random_eligible_run(42, None);
+        let got = (
+            stats.grants,
+            stats.drops,
+            stats.misses,
+            stats.order_violations,
+            stats.blocked_writebacks,
+            stats.dram_writes,
+            stats.dram_reads,
+        );
+        assert_eq!(got, (26_994, 0, 0, 0, 44, 13_493, 13_497), "{stats:?}");
     }
 
     #[test]

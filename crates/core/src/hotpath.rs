@@ -16,13 +16,8 @@
 //!   SRAM → DRAM → head SRAM as an 8-byte [`SlabBlock`] handle: its cells are
 //!   copied in at writeback and out at delivery only. The same links chain
 //!   a queue's blocks into a [`BlockFifo`], all RADS's DRAM needs.
-//! * [`PendingTable`] — a dense `(queue, ordinal)`-indexed table for
-//!   in-flight DRAM requests, replacing `HashMap<(u32, u64), _>`. In-flight
-//!   ordinals per queue form a narrow moving window, so `ordinal mod ways`
-//!   with a stored tag resolves the entry in O(1) without hashing; the table
-//!   rehashes (a warm-up cost) in the rare case two live ordinals collide.
 //!
-//! All three are sized (or grow to a high-water mark) during warm-up; in
+//! Both are sized (or grow to a high-water mark) during warm-up; in
 //! steady state none of their operations touches the heap, which the
 //! `alloc_free_steady_state` integration test pins down with a counting
 //! allocator.
@@ -358,99 +353,6 @@ impl BlockSlab {
     }
 }
 
-/// A dense map from `(queue, block ordinal)` to an in-flight payload.
-///
-/// Layout: `ways` slots per queue, entry for ordinal `o` lives at
-/// `queue * ways + (o % ways)` tagged with the full ordinal. Because a
-/// queue's in-flight ordinals form a contiguous moving window bounded by the
-/// Requests-Register residency, a small power-of-two `ways` almost never
-/// collides; when two live ordinals do map to the same slot the table doubles
-/// `ways` and reinserts (amortised warm-up, after which lookups are
-/// allocation- and hash-free).
-#[derive(Debug)]
-pub struct PendingTable<T> {
-    slots: Vec<Option<(u64, T)>>,
-    num_queues: usize,
-    ways: usize,
-    len: usize,
-}
-
-impl<T> PendingTable<T> {
-    /// Creates a table for `num_queues` queues with a small initial way count.
-    pub fn new(num_queues: usize) -> Self {
-        let ways = 4;
-        PendingTable {
-            slots: std::iter::repeat_with(|| None)
-                .take(num_queues * ways)
-                .collect(),
-            num_queues,
-            ways,
-            len: 0,
-        }
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn index(&self, queue: u32, ordinal: u64) -> usize {
-        queue as usize * self.ways + (ordinal & (self.ways as u64 - 1)) as usize
-    }
-
-    /// Inserts the payload for `(queue, ordinal)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an entry for the same `(queue, ordinal)` is already present
-    /// (in-flight ordinals are unique by construction).
-    pub fn insert(&mut self, queue: u32, ordinal: u64, value: T) {
-        debug_assert!((queue as usize) < self.num_queues, "queue out of range");
-        loop {
-            let idx = self.index(queue, ordinal);
-            match &self.slots[idx] {
-                None => {
-                    self.slots[idx] = Some((ordinal, value));
-                    self.len += 1;
-                    return;
-                }
-                Some((tag, _)) if *tag == ordinal => {
-                    // analyze: allow(panic-freedom) — corruption guard: a duplicate in-flight ordinal breaks the one-outstanding-access contract
-                    panic!("duplicate in-flight entry for queue {queue}, ordinal {ordinal}")
-                }
-                // Two live ordinals of this queue collide: widen the window.
-                Some(_) => self.grow(),
-            }
-        }
-    }
-
-    /// Removes and returns the payload for `(queue, ordinal)`, if present.
-    pub fn remove(&mut self, queue: u32, ordinal: u64) -> Option<T> {
-        let idx = self.index(queue, ordinal);
-        let slot = &mut self.slots[idx];
-        if slot.as_ref()?.0 != ordinal {
-            return None;
-        }
-        self.len -= 1;
-        slot.take().map(|(_, value)| value)
-    }
-
-    /// Doubles the way count and reinserts every entry; an entry that still
-    /// collides doubles it again (amortised: the window settles in warm-up).
-    fn grow(&mut self) {
-        let old_ways = self.ways;
-        self.ways *= 2;
-        let empty = std::iter::repeat_with(|| None).take(self.num_queues * self.ways);
-        let old = std::mem::replace(&mut self.slots, empty.collect()); // analyze: allow(hotpath-alloc) — rare rehash when two live ordinals collide; the window settles during warmup
-        self.len = 0;
-        for (old_idx, slot) in old.into_iter().enumerate() {
-            if let Some((ordinal, value)) = slot {
-                self.insert((old_idx / old_ways) as u32, ordinal, value);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,53 +513,5 @@ mod tests {
         assert_eq!(seqs(&slab, block), [99, 100]);
         assert!(a.head == NIL && b.head == NIL);
         assert_eq!(slab.next.len(), 6);
-    }
-
-    #[test]
-    fn pending_table_round_trips() {
-        let mut t: PendingTable<&'static str> = PendingTable::new(3);
-        t.insert(1, 0, "a");
-        t.insert(1, 1, "b");
-        t.insert(2, 0, "c");
-        assert_eq!(t.len, 3);
-        assert_eq!(t.remove(1, 0), Some("a"));
-        assert_eq!(t.remove(1, 0), None);
-        assert_eq!(t.remove(1, 1), Some("b"));
-        assert_eq!(t.remove(2, 0), Some("c"));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn pending_table_grows_on_collision() {
-        let mut t: PendingTable<u64> = PendingTable::new(1);
-        let start_ways = t.ways;
-        // Ordinals 0 and `ways` collide in the same slot → the table widens.
-        t.insert(0, 0, 100);
-        t.insert(0, start_ways as u64, 200);
-        assert!(t.ways > start_ways);
-        assert_eq!(t.remove(0, 0), Some(100));
-        assert_eq!(t.remove(0, start_ways as u64), Some(200));
-    }
-
-    #[test]
-    fn pending_table_growth_handles_repeat_collisions() {
-        let mut t: PendingTable<u64> = PendingTable::new(2);
-        let w = t.ways as u64;
-        // 0 and 2w collide at w ways *and* at 2w ways: growth must continue
-        // doubling until the rehash is collision-free.
-        t.insert(1, 0, 1);
-        t.insert(1, 2 * w, 2);
-        t.insert(1, 1, 3);
-        assert_eq!(t.remove(1, 0), Some(1));
-        assert_eq!(t.remove(1, 2 * w), Some(2));
-        assert_eq!(t.remove(1, 1), Some(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate in-flight entry")]
-    fn pending_table_rejects_duplicates() {
-        let mut t: PendingTable<u64> = PendingTable::new(1);
-        t.insert(0, 5, 1);
-        t.insert(0, 5, 2);
     }
 }

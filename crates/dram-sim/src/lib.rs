@@ -15,7 +15,10 @@
 //!   round-robin over the banks of its group.
 //! * [`DramStore`] — per-physical-queue block storage with per-group capacity
 //!   accounting (used to study DRAM fragmentation, §6), over any
-//!   [`StoredBlock`]: `Vec<Cell>` by default, or a caller's block handle.
+//!   [`StoredBlock`]: `Vec<Cell>` by default, or a caller's block handle. A
+//!   ring entry runs from its write's submission (reserved: it takes room)
+//!   through the write's issue (resident) to its read's issue, so a read
+//!   that overtakes its write still finds the block.
 //!
 //! # Example
 //!

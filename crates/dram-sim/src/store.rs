@@ -6,6 +6,13 @@
 //! observe how much of the DRAM is actually usable with and without renaming.
 //! A block is any [`StoredBlock`]: a `Vec<Cell>` by default, or a handle to
 //! cells the caller keeps (a buffer's block slab).
+//!
+//! A scheduled DRAM (CFDS) keeps each block here from its write's submission
+//! to its read's issue: [`DramStore::reserve`] appends it when the write
+//! request is submitted, [`DramStore::commit`] makes it resident when the
+//! write issues, and [`DramStore::take_block`] removes it when the read
+//! issues, even if that read overtook the write. [`DramStore::write_block`]
+//! and [`DramStore::read_block`] are the unscheduled forms.
 
 use crate::mapping::AddressMapper;
 use crate::request::GroupId;
@@ -29,18 +36,11 @@ pub enum StoreError {
         /// The empty queue.
         queue: PhysicalQueueId,
     },
-    /// The requested block ordinal is not resident.
+    /// The requested block ordinal is not in the store.
     BlockMissing {
         /// Queue of the missing block.
         queue: PhysicalQueueId,
         /// Requested ordinal.
-        ordinal: u64,
-    },
-    /// A block was written twice at the same ordinal.
-    BlockAlreadyPresent {
-        /// Queue of the duplicate block.
-        queue: PhysicalQueueId,
-        /// Duplicate ordinal.
         ordinal: u64,
     },
     /// Queue index outside the configured range.
@@ -63,9 +63,6 @@ impl fmt::Display for StoreError {
             StoreError::BlockMissing { queue, ordinal } => {
                 write!(f, "block {ordinal} of {queue} is not in DRAM")
             }
-            StoreError::BlockAlreadyPresent { queue, ordinal } => {
-                write!(f, "block {ordinal} of {queue} is already in DRAM")
-            }
             StoreError::QueueOutOfRange { queue, num_queues } => {
                 write!(f, "{queue} out of range ({num_queues} physical queues)")
             }
@@ -87,30 +84,20 @@ impl StoredBlock for Vec<Cell> {
     }
 }
 
-/// State of one ordinal position in a queue's block ring.
+/// One block in a queue's ring: reserved (its write submitted, not issued
+/// yet) or resident.
 #[derive(Debug, Clone)]
-enum BlockSlot<T> {
-    /// Never written at this ordinal (a scheduler hole awaiting its write).
-    Vacant,
-    /// Resident block.
-    Present(T),
-    /// Written and later read; kept only while trapped behind a vacant hole.
-    Consumed,
-}
-
-impl<T> BlockSlot<T> {
-    fn is_present(&self) -> bool {
-        matches!(self, BlockSlot::Present(_))
-    }
+struct Entry<T> {
+    block: T,
+    resident: bool,
 }
 
 /// Block storage of one physical queue: a dense ring indexed by
 /// `ordinal - base` instead of a `BTreeMap<u64, T>`.
 ///
-/// The CFDS scheduler may commit and fetch blocks out of ordinal order, but
-/// the live ordinals of a FIFO queue always form a narrow moving window, so a
-/// ring with a base offset gives O(1) index-addressed access with no per-block
-/// tree nodes to allocate or free on the simulation hot path.
+/// Blocks are appended in ordinal order, so the ring has no holes; reads
+/// may take them out of order (the CFDS scheduler reorders requests), which
+/// leaves a `None` in the ring until every older block has gone too.
 #[derive(Debug, Clone)]
 struct QueueBlocks<T> {
     /// The bank group the queue is statically mapped to, resolved once at
@@ -118,45 +105,15 @@ struct QueueBlocks<T> {
     group: GroupId,
     /// Ordinal of ring position 0.
     base: u64,
-    ring: VecDeque<BlockSlot<T>>,
+    ring: VecDeque<Option<Entry<T>>>,
     resident_blocks: usize,
     resident_cells: usize,
 }
 
 impl<T> QueueBlocks<T> {
-    fn slot(&self, ordinal: u64) -> Option<&BlockSlot<T>> {
-        if ordinal < self.base {
-            return None;
-        }
-        self.ring.get((ordinal - self.base) as usize)
-    }
-
-    /// Grows the ring (front or back) so `ordinal` has a slot, and returns its
-    /// index. Growth is a warm-up cost: once the window covers the queue's
-    /// steady-state span no further allocation happens.
-    fn slot_index_for_write(&mut self, ordinal: u64) -> usize {
-        if self.ring.is_empty() {
-            self.base = ordinal;
-        }
-        if ordinal < self.base {
-            for _ in 0..(self.base - ordinal) {
-                self.ring.push_front(BlockSlot::Vacant);
-            }
-            self.base = ordinal;
-        }
-        let idx = (ordinal - self.base) as usize;
-        while self.ring.len() <= idx {
-            self.ring.push_back(BlockSlot::Vacant);
-        }
-        idx
-    }
-
-    /// Drops consumed slots from the front so the ring tracks the live window.
-    fn trim_front(&mut self) {
-        while matches!(self.ring.front(), Some(BlockSlot::Consumed)) {
-            self.ring.pop_front();
-            self.base += 1;
-        }
+    fn slot_mut(&mut self, ordinal: u64) -> Option<&mut Option<Entry<T>>> {
+        let pos = ordinal.checked_sub(self.base)?;
+        self.ring.get_mut(pos as usize)
     }
 }
 
@@ -165,16 +122,12 @@ impl<T> QueueBlocks<T> {
 #[derive(Debug, Clone)]
 pub struct DramStore<T = Vec<Cell>> {
     mapper: AddressMapper,
-    /// Per-queue block rings (see [`QueueBlocks`]). The CFDS scheduler may
-    /// commit blocks to the DRAM out of ordinal order, which the ring absorbs
-    /// as transient vacant holes.
+    /// Per-queue block rings (see [`QueueBlocks`]).
     queues: Vec<QueueBlocks<T>>,
-    /// Next block ordinal to be written, per queue (monotonically increasing).
-    tail_ordinal: Vec<u64>,
-    /// Ordinal of the block currently at the head, per queue.
-    head_ordinal: Vec<u64>,
     /// Blocks currently resident, per group.
     group_occupancy: Vec<usize>,
+    /// Blocks reserved and not yet resident, per group.
+    group_reserved: Vec<usize>,
     /// Capacity of each group in blocks.
     group_capacity_blocks: usize,
 }
@@ -196,9 +149,8 @@ impl<T: StoredBlock> DramStore<T> {
                 })
                 .collect(),
             mapper,
-            tail_ordinal: vec![0; nq],
-            head_ordinal: vec![0; nq],
             group_occupancy: vec![0; ng],
+            group_reserved: vec![0; ng],
             group_capacity_blocks,
         }
     }
@@ -226,161 +178,142 @@ impl<T: StoredBlock> DramStore<T> {
         Ok(idx)
     }
 
-    /// Appends a block to `queue`.
+    /// Whether `group` has room for one more block: its resident and
+    /// reserved blocks together are below its capacity.
+    pub fn group_has_room(&self, group: GroupId) -> bool {
+        self.group_occupancy[group.index()] + self.group_reserved[group.index()]
+            < self.group_capacity_blocks
+    }
+
+    /// Appends a *reserved* block to `queue`: it takes room in the queue's
+    /// group, but is not resident until [`DramStore::commit`].
     ///
     /// Returns the ordinal assigned to the block (which determines the bank it
     /// lives in).
     ///
     /// # Errors
     ///
-    /// [`StoreError::GroupFull`] when the queue's group has no free block;
+    /// [`StoreError::GroupFull`] when the queue's group has no room;
     /// [`StoreError::QueueOutOfRange`] for an unknown queue.
-    pub fn write_block(&mut self, queue: PhysicalQueueId, block: T) -> Result<u64, StoreError> {
-        let ordinal = self.tail_ordinal[self.check_queue(queue)?];
-        self.write_block_at(queue, ordinal, block)?;
-        Ok(ordinal)
-    }
-
-    /// Writes a block at an explicit ordinal (used by the CFDS scheduler,
-    /// which assigns ordinals at submit time and may commit them out of
-    /// order).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::GroupFull`], [`StoreError::BlockAlreadyPresent`] or
-    /// [`StoreError::QueueOutOfRange`].
-    pub fn write_block_at(
-        &mut self,
-        queue: PhysicalQueueId,
-        ordinal: u64,
-        block: T,
-    ) -> Result<(), StoreError> {
+    pub fn reserve(&mut self, queue: PhysicalQueueId, block: T) -> Result<u64, StoreError> {
         let idx = self.check_queue(queue)?;
-        let q = &mut self.queues[idx];
-        let group = q.group;
-        if self.group_occupancy[group.index()] >= self.group_capacity_blocks {
+        let group = self.queues[idx].group;
+        if !self.group_has_room(group) {
             return Err(StoreError::GroupFull {
                 group,
                 capacity_blocks: self.group_capacity_blocks,
             });
         }
-        if q.slot(ordinal).is_some_and(BlockSlot::is_present) {
-            return Err(StoreError::BlockAlreadyPresent { queue, ordinal });
-        }
-        let pos = q.slot_index_for_write(ordinal);
-        q.resident_blocks += 1;
-        q.resident_cells += block.cell_count();
-        q.ring[pos] = BlockSlot::Present(block);
-        if ordinal >= self.tail_ordinal[idx] {
-            self.tail_ordinal[idx] = ordinal + 1;
-        }
-        self.group_occupancy[group.index()] += 1;
-        Ok(())
+        self.group_reserved[group.index()] += 1;
+        let q = &mut self.queues[idx];
+        q.ring.push_back(Some(Entry {
+            block,
+            resident: false,
+        }));
+        Ok(q.base + q.ring.len() as u64 - 1)
     }
 
-    /// Removes and returns the block at the head of `queue` together with its
-    /// ordinal.
+    /// Makes the reserved block at `ordinal` of `queue` resident. Returns
+    /// whether it did: `false` when no block is reserved there, as when a
+    /// read took it first.
+    pub fn commit(&mut self, queue: PhysicalQueueId, ordinal: u64) -> bool {
+        let Some(q) = self.queues.get_mut(queue.as_usize()) else {
+            return false;
+        };
+        let Some(entry) = q
+            .slot_mut(ordinal)
+            .and_then(|slot| slot.as_mut())
+            .filter(|e| !e.resident)
+        else {
+            return false;
+        };
+        entry.resident = true;
+        let cells = entry.block.cell_count();
+        q.resident_blocks += 1;
+        q.resident_cells += cells;
+        self.group_reserved[q.group.index()] -= 1;
+        self.group_occupancy[q.group.index()] += 1;
+        true
+    }
+
+    /// Appends a resident block to `queue`: [`DramStore::reserve`] and
+    /// [`DramStore::commit`] in one step.
+    ///
+    /// Returns the ordinal assigned to the block.
     ///
     /// # Errors
     ///
-    /// [`StoreError::QueueEmpty`] when the queue holds no block;
+    /// As [`DramStore::reserve`].
+    pub fn write_block(&mut self, queue: PhysicalQueueId, block: T) -> Result<u64, StoreError> {
+        let ordinal = self.reserve(queue, block)?;
+        self.commit(queue, ordinal);
+        Ok(ordinal)
+    }
+
+    /// Removes and returns the oldest resident block of `queue` together with
+    /// its ordinal.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::QueueEmpty`] when the queue holds no resident block;
     /// [`StoreError::QueueOutOfRange`] for an unknown queue.
     pub fn read_block(&mut self, queue: PhysicalQueueId) -> Result<(u64, T), StoreError> {
-        let idx = self.check_queue(queue)?;
-        let q = &self.queues[idx];
+        let q = &self.queues[self.check_queue(queue)?];
         let ordinal = q
             .ring
             .iter()
-            .position(BlockSlot::is_present)
+            .position(|e| e.as_ref().is_some_and(|e| e.resident))
             .map(|pos| q.base + pos as u64)
             .ok_or(StoreError::QueueEmpty { queue })?;
-        let block = self.read_block_at(queue, ordinal)?;
+        let block = self.take_block(queue, ordinal)?;
         Ok((ordinal, block))
     }
 
-    /// Removes and returns the block stored at `ordinal` for `queue`.
+    /// Removes and returns the block at `ordinal` of `queue`, resident or
+    /// reserved, releasing its residency or its reservation.
     ///
     /// # Errors
     ///
     /// [`StoreError::BlockMissing`] or [`StoreError::QueueOutOfRange`].
-    pub fn read_block_at(&mut self, queue: PhysicalQueueId, ordinal: u64) -> Result<T, StoreError> {
+    pub fn take_block(&mut self, queue: PhysicalQueueId, ordinal: u64) -> Result<T, StoreError> {
         let idx = self.check_queue(queue)?;
         let q = &mut self.queues[idx];
-        if !q.slot(ordinal).is_some_and(BlockSlot::is_present) {
-            return Err(StoreError::BlockMissing { queue, ordinal });
-        }
-        let pos = (ordinal - q.base) as usize;
-        let BlockSlot::Present(block) = std::mem::replace(&mut q.ring[pos], BlockSlot::Consumed)
-        else {
-            // The is_present probe above makes this unreachable; returning
-            // the miss error keeps the hot path free of panicking branches.
+        let Some(Entry { block, resident }) = q.slot_mut(ordinal).and_then(Option::take) else {
             return Err(StoreError::BlockMissing { queue, ordinal });
         };
-        q.resident_blocks -= 1;
-        q.resident_cells -= block.cell_count();
-        q.trim_front();
-        if ordinal >= self.head_ordinal[idx] {
-            self.head_ordinal[idx] = ordinal + 1;
+        let g = q.group.index();
+        if resident {
+            q.resident_blocks -= 1;
+            q.resident_cells -= block.cell_count();
+            self.group_occupancy[g] -= 1;
+        } else {
+            self.group_reserved[g] -= 1;
         }
-        self.group_occupancy[q.group.index()] -= 1;
+        while matches!(q.ring.front(), Some(None)) {
+            q.ring.pop_front();
+            q.base += 1;
+        }
         Ok(block)
     }
 
-    /// Records that the block at `ordinal` of `queue` was *forwarded* around
-    /// the DRAM (its read was issued before its producing write — possible
-    /// only under the ablation scheduler policies) and will therefore never
-    /// become resident. Without this the ordinal would stay a vacant hole at
-    /// the front of the queue's ring forever, pinning the ring's base and
-    /// growing it by one retained slot per later block.
-    ///
-    /// No observable state changes: the block was never resident, so group
-    /// occupancy and the per-queue block/cell counts are untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::QueueOutOfRange`] for an unknown queue.
-    pub fn note_forwarded(
-        &mut self,
-        queue: PhysicalQueueId,
-        ordinal: u64,
-    ) -> Result<(), StoreError> {
-        let idx = self.check_queue(queue)?;
-        let q = &mut self.queues[idx];
-        if ordinal < q.base {
-            return Ok(());
-        }
-        let pos = q.slot_index_for_write(ordinal);
-        if matches!(q.ring[pos], BlockSlot::Vacant) {
-            q.ring[pos] = BlockSlot::Consumed;
-            q.trim_front();
-        }
-        Ok(())
-    }
-
-    /// Whether a block is resident at `ordinal` for `queue`.
-    pub fn has_block(&self, queue: PhysicalQueueId, ordinal: u64) -> bool {
-        self.queues
-            .get(queue.as_usize())
-            .and_then(|q| q.slot(ordinal))
-            .is_some_and(BlockSlot::is_present)
-    }
-
-    /// Ordinal that the *next* written block of `queue` will receive.
+    /// Ordinal that the *next* block of `queue` will receive.
     pub fn next_write_ordinal(&self, queue: PhysicalQueueId) -> u64 {
-        self.tail_ordinal[queue.as_usize()]
+        let q = &self.queues[queue.as_usize()];
+        q.base + q.ring.len() as u64
     }
 
-    /// Ordinal of the block currently at the head of `queue`.
+    /// Ordinal of the oldest block still stored for `queue` (its next
+    /// ordinal when it holds none).
     pub fn head_ordinal(&self, queue: PhysicalQueueId) -> u64 {
-        self.head_ordinal[queue.as_usize()]
+        self.queues[queue.as_usize()].base
     }
 
-    /// Number of blocks currently stored for `queue`.
+    /// Number of blocks currently resident for `queue`.
     pub fn blocks_in_queue(&self, queue: PhysicalQueueId) -> usize {
         self.queues[queue.as_usize()].resident_blocks
     }
 
-    /// Number of cells currently stored for `queue`.
+    /// Number of cells currently resident for `queue`.
     pub fn cells_in_queue(&self, queue: PhysicalQueueId) -> usize {
         self.queues[queue.as_usize()].resident_cells
     }
@@ -400,7 +333,7 @@ impl<T: StoredBlock> DramStore<T> {
         self.group_occupancy.iter().sum()
     }
 
-    /// Fraction of the total DRAM block capacity currently used.
+    /// Fraction of the total DRAM block capacity currently resident.
     pub fn utilisation(&self) -> f64 {
         let cap = self.group_capacity_blocks * self.group_occupancy.len();
         if cap == 0 {
@@ -412,25 +345,6 @@ impl<T: StoredBlock> DramStore<T> {
     /// The address mapper used by this store.
     pub fn mapper(&self) -> &AddressMapper {
         &self.mapper
-    }
-
-    /// Groups that currently have free space, ordered by ascending occupancy
-    /// (ties resolve to the lower group index). Allocates — used on cold
-    /// paths only; the per-period writeback path ranks groups in one pass
-    /// without materialising a list (the renaming layer's ranked allocation
-    /// over [`DramStore::group_occupancy`]).
-    pub fn groups_with_room(&self) -> Vec<GroupId> {
-        let mut out: Vec<GroupId> = self
-            .group_occupancy
-            .iter()
-            .enumerate()
-            .filter(|(_, occ)| **occ < self.group_capacity_blocks)
-            .map(|(i, _)| GroupId::new(i as u32))
-            .collect(); // analyze: allow(hotpath-alloc) — documented cold-path accessor; the per-period writeback path ranks groups without materialising a list
-                        // (occupancy, index) keys are distinct, so the unstable in-place sort
-                        // produces exactly the stable by-occupancy order.
-        out.sort_unstable_by_key(|g| (self.group_occupancy[g.index()], g.index()));
-        out
     }
 }
 
@@ -509,23 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_with_room_rank_the_emptiest_first() {
-        let mut s = store(2);
-        s.write_block(PhysicalQueueId::new(0), mk_cells(0, 0, 1))
-            .unwrap();
-        s.write_block(PhysicalQueueId::new(0), mk_cells(0, 1, 1))
-            .unwrap();
-        s.write_block(PhysicalQueueId::new(1), mk_cells(1, 0, 1))
-            .unwrap();
-        // Group 0 full, group 1 half, groups 2 and 3 empty.
-        let rooms = s.groups_with_room();
-        assert!(!rooms.contains(&GroupId::new(0)));
-        assert_eq!(rooms.len(), 3);
-        // Empty groups come first, ties to the lower index.
-        assert_eq!(rooms, [2, 3, 1].map(GroupId::new));
-    }
-
-    #[test]
     fn out_of_range_queue_is_rejected() {
         let mut s = store(2);
         let bad = PhysicalQueueId::new(999);
@@ -553,59 +450,105 @@ mod tests {
     }
 
     #[test]
-    fn explicit_ordinal_writes_and_reads() {
-        let mut s = store(8);
-        let q = PhysicalQueueId::new(3);
-        // Commit out of order (ordinal 1 before 0), as the CFDS DSA may do.
-        s.write_block_at(q, 1, mk_cells(3, 4, 4)).unwrap();
-        s.write_block_at(q, 0, mk_cells(3, 0, 4)).unwrap();
-        assert!(s.has_block(q, 0));
-        assert!(s.has_block(q, 1));
-        assert!(!s.has_block(q, 2));
-        assert_eq!(s.next_write_ordinal(q), 2);
-        // FIFO read still returns the lowest ordinal first.
-        let (o, b) = s.read_block(q).unwrap();
-        assert_eq!(o, 0);
-        assert_eq!(b[0].seq(), 0);
-        let b1 = s.read_block_at(q, 1).unwrap();
-        assert_eq!(b1[0].seq(), 4);
+    fn a_reservation_takes_room_but_is_not_resident() {
+        let mut s = store(2);
+        // Queues 0 and 4 both map to group 0 (4 groups).
+        let (q0, q4) = (PhysicalQueueId::new(0), PhysicalQueueId::new(4));
+        let g0 = GroupId::new(0);
+        assert_eq!(s.reserve(q0, mk_cells(0, 0, 4)).unwrap(), 0);
+        assert!(s.group_has_room(g0));
+        assert_eq!(s.reserve(q4, mk_cells(4, 0, 4)).unwrap(), 0);
+        // Full by reservation alone, yet nothing is resident.
+        assert!(!s.group_has_room(g0));
         assert!(matches!(
-            s.read_block_at(q, 1),
-            Err(StoreError::BlockMissing { .. })
+            s.reserve(q0, mk_cells(0, 4, 4)),
+            Err(StoreError::GroupFull { .. })
         ));
-        // Duplicate write is rejected.
-        s.write_block_at(q, 5, mk_cells(3, 20, 4)).unwrap();
         assert!(matches!(
-            s.write_block_at(q, 5, mk_cells(3, 20, 4)),
-            Err(StoreError::BlockAlreadyPresent { .. })
+            s.write_block(q0, mk_cells(0, 4, 4)),
+            Err(StoreError::GroupFull { .. })
+        ));
+        assert_eq!(s.group_occupancy(g0), 0);
+        assert_eq!(s.utilisation(), 0.0);
+        assert_eq!((s.blocks_in_queue(q0), s.cells_in_queue(q0)), (0, 0));
+        assert_eq!(s.next_write_ordinal(q0), 1);
+        // A FIFO read sees only resident blocks.
+        assert!(matches!(
+            s.read_block(q0),
+            Err(StoreError::QueueEmpty { .. })
         ));
     }
 
     #[test]
-    fn forwarded_ordinals_do_not_pin_the_ring() {
-        let mut s = store(8);
+    fn committing_a_reservation_makes_it_resident() {
+        let mut s = store(2);
         let q = PhysicalQueueId::new(1);
-        // Ordinal 0 is forwarded around the DRAM (never written); ordinal 1
-        // commits out of order, leaving a vacant hole in front of it.
-        s.write_block_at(q, 1, mk_cells(1, 4, 4)).unwrap();
-        s.note_forwarded(q, 0).unwrap();
-        assert!(!s.has_block(q, 0));
-        assert_eq!(s.blocks_in_queue(q), 1);
-        // The hole is tombstoned: the FIFO read finds ordinal 1 and, once it
-        // is consumed, the queue is fully drained (nothing retained).
-        let (ordinal, block) = s.read_block(q).unwrap();
-        assert_eq!(ordinal, 1);
-        assert_eq!(block[0].seq(), 4);
-        assert_eq!(s.blocks_in_queue(q), 0);
+        let g1 = GroupId::new(1);
+        s.reserve(q, mk_cells(1, 0, 4)).unwrap();
+        s.reserve(q, mk_cells(1, 4, 4)).unwrap();
+        // Writes may issue out of ordinal order.
+        assert!(s.commit(q, 1));
+        assert_eq!(s.group_occupancy(g1), 1);
+        assert!(!s.commit(q, 1), "a block is committed once");
+        assert!(s.commit(q, 0));
+        assert!(!s.commit(q, 2), "ordinal 2 was never reserved");
+        assert_eq!(s.group_occupancy(g1), 2);
+        assert!(!s.group_has_room(g1));
+        assert_eq!((s.blocks_in_queue(q), s.cells_in_queue(q)), (2, 8));
+        assert!((s.utilisation() - 2.0 / 8.0).abs() < 1e-12);
+        let (o, b) = s.read_block(q).unwrap();
+        assert_eq!((o, b[0].seq()), (0, 0));
+        assert!(s.group_has_room(g1));
+    }
+
+    #[test]
+    fn a_read_that_takes_a_reservation_voids_its_commit() {
+        let mut s = store(2);
+        let q = PhysicalQueueId::new(3);
+        let g3 = GroupId::new(3);
+        s.reserve(q, mk_cells(3, 0, 4)).unwrap();
+        // The read overtakes its write: it takes the reserved block and
+        // releases the reservation.
+        assert_eq!(s.take_block(q, 0).unwrap()[0].seq(), 0);
+        assert!(s.group_has_room(g3));
+        assert!(!s.commit(q, 0), "the write issue finds nothing to commit");
+        assert_eq!(s.group_occupancy(g3), 0);
+        // The ring is empty and the queue runs on from ordinal 1.
+        assert_eq!((s.head_ordinal(q), s.next_write_ordinal(q)), (1, 1));
+        assert_eq!(s.reserve(q, mk_cells(3, 4, 4)).unwrap(), 1);
+        assert!(s.commit(q, 1));
+        assert_eq!(s.read_block(q).unwrap().0, 1);
+        assert_eq!(s.total_blocks(), 0);
+    }
+
+    #[test]
+    fn taking_an_absent_ordinal_is_block_missing() {
+        let mut s = store(8);
+        let q = PhysicalQueueId::new(2);
+        for seq in [0, 4, 8] {
+            s.write_block(q, mk_cells(2, seq, 4)).unwrap();
+        }
         assert!(matches!(
-            s.read_block(q),
-            Err(StoreError::QueueEmpty { .. })
+            s.take_block(q, 3),
+            Err(StoreError::BlockMissing { ordinal: 3, .. })
         ));
-        // Forwarding an already-trimmed ordinal is a no-op, and out-of-range
-        // queues are rejected.
-        s.note_forwarded(q, 0).unwrap();
+        // Reads may take blocks out of order; a taken ordinal is missing,
+        // trapped behind an older block or trimmed from the ring's front.
+        assert_eq!(s.take_block(q, 1).unwrap()[0].seq(), 4);
         assert!(matches!(
-            s.note_forwarded(PhysicalQueueId::new(999), 0),
+            s.take_block(q, 1),
+            Err(StoreError::BlockMissing { ordinal: 1, .. })
+        ));
+        assert_eq!(s.head_ordinal(q), 0);
+        assert_eq!(s.take_block(q, 0).unwrap()[0].seq(), 0);
+        assert_eq!(s.head_ordinal(q), 2);
+        assert!(matches!(
+            s.take_block(q, 0),
+            Err(StoreError::BlockMissing { ordinal: 0, .. })
+        ));
+        assert_eq!(s.read_block(q).unwrap().0, 2);
+        assert!(matches!(
+            s.take_block(PhysicalQueueId::new(999), 0),
             Err(StoreError::QueueOutOfRange { .. })
         ));
     }
@@ -624,18 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn handle_payloads_count_their_cells_and_forward() {
+    fn handle_payloads_count_their_cells() {
         let mapper = AddressMapper::new(InterleavingConfig::new(16, 4, 8).unwrap());
         let mut s: DramStore<Handle> = DramStore::new(mapper, 8);
         let q = PhysicalQueueId::new(2);
         let handle = |index, cells| Handle { index, cells };
         assert_eq!(s.write_block(q, handle(7, 4)).unwrap(), 0);
-        s.write_block_at(q, 2, handle(3, 2)).unwrap();
+        assert_eq!(s.reserve(q, handle(5, 3)).unwrap(), 1);
+        assert_eq!(s.reserve(q, handle(3, 2)).unwrap(), 2);
+        assert!(s.commit(q, 2));
         assert_eq!(s.blocks_in_queue(q), 2);
         assert_eq!(s.cells_in_queue(q), 6);
-        // Ordinal 1 was forwarded around the DRAM: reading past it finds
-        // ordinal 2, and the queue drains to nothing retained.
-        s.note_forwarded(q, 1).unwrap();
+        // Ordinal 1 is taken while still reserved: its cells never count.
+        assert_eq!(s.take_block(q, 1).unwrap(), handle(5, 3));
         assert_eq!(s.read_block(q).unwrap(), (0, handle(7, 4)));
         assert_eq!(s.cells_in_queue(q), 2);
         assert_eq!(s.read_block(q).unwrap(), (2, handle(3, 2)));
@@ -645,6 +589,7 @@ mod tests {
             Err(StoreError::QueueEmpty { .. })
         ));
         assert_eq!(s.total_blocks(), 0);
+        assert_eq!(s.head_ordinal(q), 3);
     }
 
     #[test]

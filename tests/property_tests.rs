@@ -162,6 +162,44 @@ proptest! {
         prop_assert_eq!(reads, writes);
         prop_assert_eq!(table.blocks_in_dram(q), 0);
     }
+
+    /// `physical_for_write` over groups listed by ascending `(occupancy,
+    /// index)` places a block exactly where `physical_for_write_ranked`
+    /// ranked by occupancy does: the same name, the same chains and free
+    /// lists afterwards.
+    #[test]
+    fn listed_and_ranked_write_placement_agree(
+        num_groups in 1usize..=8,
+        names_per_group in 1usize..=3,
+        history in proptest::collection::vec((0u32..4, prop::bool::ANY, 0u32..256), 0..40),
+        occupancy in proptest::collection::vec(0usize..6, 8..=8),
+        room in 0u32..256,
+        queue in 0u32..4,
+    ) {
+        // Prior allocations and releases under random room masks.
+        let all: Vec<GroupId> = (0..num_groups as u32).map(GroupId::new).collect();
+        let mut listed = RenamingTable::new(4, num_groups * names_per_group, num_groups);
+        for (q, write, mask) in history {
+            let q = LogicalQueueId::new(q);
+            if write {
+                if listed.physical_for_write(q, |g| mask >> g.index() & 1 == 1, &all).is_ok() {
+                    listed.note_block_written(q);
+                }
+            } else if listed.physical_for_read(q).is_some() {
+                listed.note_block_read(q);
+            }
+        }
+        let mut ranked = listed.clone();
+        let has_room = |g: GroupId| room >> g.index() & 1 == 1;
+        let mut preferred = all.clone();
+        preferred.sort_by_key(|g| (occupancy[g.index()], g.index()));
+        let q = LogicalQueueId::new(queue);
+        let by_list = listed.physical_for_write(q, has_room, &preferred);
+        let by_rank =
+            ranked.physical_for_write_ranked(q, None, has_room, |g| Some(occupancy[g.index()]));
+        prop_assert_eq!(by_list, by_rank);
+        prop_assert_eq!(format!("{listed:?}"), format!("{ranked:?}"));
+    }
 }
 
 /// Drives `buffer` for `slots` slots with a deterministic workload derived
