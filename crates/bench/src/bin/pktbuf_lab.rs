@@ -42,7 +42,6 @@ fn main() -> ExitCode {
         "sweep" => lab_command(&RunLayer { print_runs: true }, rest),
         "fabric" => lab_command(&FabricLayer, rest),
         "clos" => lab_command(&ClosLayer, rest),
-        "analyze" => analyze_command(rest),
         "paper" => paper_command(rest),
         "spec" => {
             println!("{}", template_spec().to_json());
@@ -72,18 +71,8 @@ USAGE:
     pktbuf-lab sweep  [SPEC FLAGS] [OUTPUT FLAGS]  same, and print the per-run table
     pktbuf-lab fabric [FABRIC FLAGS]               run N×N VOQ switch-fabric experiments
     pktbuf-lab clos   [CLOS FLAGS]                 run three-stage Clos fabric experiments
-    pktbuf-lab analyze [ANALYZE FLAGS]             check the source-level invariants
     pktbuf-lab paper  <ARTEFACT>                   regenerate a paper artefact
     pktbuf-lab spec                                print a template spec JSON
-
-ANALYZE FLAGS (static invariant checker: hot-path allocation/panic freedom,
-report determinism, cross-crate dispatch sync; rules and waiver syntax are
-documented in crates/analysis and README 'Static analysis'; exits non-zero
-on any unwaived error-severity diagnostic):
-    --root <DIR>             workspace root to scan            (default .)
-    --config <FILE>          rule config                       (default <root>/analysis.toml)
-    --json <FILE>            write the diagnostics artifact ('-' = stdout)
-    --show-waived            also print findings suppressed by waivers
 
 FABRIC FLAGS (whole-router runs: per-port packet buffers + crossbar arbiter +
 rate-limited egress; sweepable axes accept the same sweep syntax as below):
@@ -200,58 +189,6 @@ fn template_spec() -> ExperimentSpec {
         .seeds([1, 101])
         .build()
         .expect("the template spec is valid")
-}
-
-fn analyze_command(args: &[String]) -> Result<(), String> {
-    let mut root = ".".to_owned();
-    let mut config_path: Option<String> = None;
-    let mut json_out: Option<String> = None;
-    let mut show_waived = false;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--root" => root = value("--root")?,
-            "--config" => config_path = Some(value("--config")?),
-            "--json" => json_out = Some(value("--json")?),
-            "--show-waived" => show_waived = true,
-            other => return Err(format!("unknown analyze flag {other:?}")),
-        }
-    }
-    let root = std::path::PathBuf::from(root);
-    let config_file =
-        config_path.map_or_else(|| root.join("analysis.toml"), std::path::PathBuf::from);
-    let config = analysis::load_config(&config_file)?;
-    let report = analysis::analyze_workspace(&root, &config)?;
-    // Machine artifact on stdout moves the human lines to stderr, exactly
-    // like the run/fabric reports.
-    let emit = |line: &str| emit(json_out.as_deref() == Some("-"), line);
-    for diag in &report.diagnostics {
-        if !diag.waived || show_waived {
-            emit(&diag.to_string());
-        }
-    }
-    emit(&format!(
-        "analyze: {} files, {} errors, {} warnings, {} waived",
-        report.files_scanned,
-        report.error_count(),
-        report.warning_count(),
-        report.waived_count(),
-    ));
-    if let Some(path) = &json_out {
-        write_artifact(path, &report.to_json(), "analysis JSON report")?;
-    }
-    if report.error_count() > 0 {
-        return Err(format!(
-            "analyze found {} unwaived error(s)",
-            report.error_count()
-        ));
-    }
-    Ok(())
 }
 
 /// Crossbar utilisation the `--smoke` gate requires under the admissible

@@ -1,5 +1,17 @@
 //! DRAM Scheduler Algorithms (the selection policy of the DSS).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::orr::OngoingRequestsRegister;
 use crate::rr::RequestsRegister;
 

@@ -1,5 +1,17 @@
 //! The latency shift register (§5.4).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf_model::LogicalQueueId;
 
 /// A fixed-delay line inserted between the MMA lookahead and the SRAM read.
@@ -22,6 +34,7 @@ pub struct LatencyRegister {
 impl LatencyRegister {
     /// Creates a delay line of `capacity` slots. A capacity of zero forwards
     /// requests immediately (the RADS degenerate case).
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     pub fn new(capacity: usize) -> Self {
         LatencyRegister {
             slots: vec![None; capacity].into_boxed_slice(),

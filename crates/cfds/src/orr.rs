@@ -1,5 +1,17 @@
 //! The Ongoing Requests Register (ORR).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use dram_sim::BankId;
 use std::collections::VecDeque;
 
@@ -36,6 +48,7 @@ impl OngoingRequestsRegister {
     /// opportunities (`capacity` = lock window − 1, e.g. `B/b − 1` when one
     /// request is issued per `b` slots). A capacity of zero (the `b = B`
     /// degenerate case) locks nothing.
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new(capacity: usize) -> Self {
         OngoingRequestsRegister {
             slots: VecDeque::with_capacity(capacity + 1),
@@ -98,8 +111,12 @@ impl OngoingRequestsRegister {
     }
 
     /// Banks currently locked, oldest first.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "diagnostic accessor for tests; the slot loop never calls it"
+    )]
     pub fn locked_banks(&self) -> Vec<BankId> {
-        self.slots.iter().copied().flatten().collect() // analyze: allow(hotpath-alloc) — diagnostic accessor for tests, never called from the slot loop
+        self.slots.iter().copied().flatten().collect()
     }
 }
 

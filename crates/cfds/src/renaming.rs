@@ -9,6 +9,18 @@
 //! consume from its head (releasing the physical queue when its last block has
 //! been read).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use dram_sim::GroupId;
 use pktbuf_model::{LogicalQueueId, PhysicalQueueId};
 use std::collections::VecDeque;
@@ -71,6 +83,11 @@ impl RenamingTable {
     /// Creates a table for `num_logical` logical queues over a pool of
     /// `num_physical` physical queue names spread over `num_groups` groups
     /// (physical queue `p` belongs to group `p mod num_groups`).
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(num_logical: usize, num_physical: usize, num_groups: usize) -> Self {
         let num_groups = num_groups.max(1);
         let mut free = vec![Vec::new(); num_groups];
@@ -222,9 +239,13 @@ impl RenamingTable {
     /// Panics if `logical` has no physical queue assigned.
     pub fn note_block_written(&mut self, logical: LogicalQueueId) {
         let idx = logical.as_usize();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: callers write only to queues with an assigned physical chain"
+        )]
         let tail = self.registers[idx]
             .back_mut()
-            .expect("note_block_written without an assigned physical queue"); // analyze: allow(panic-freedom) — documented # Panics contract: callers write only to queues with an assigned physical chain
+            .expect("note_block_written without an assigned physical queue");
         tail.blocks += 1;
     }
 
@@ -246,15 +267,23 @@ impl RenamingTable {
     /// Panics if `logical` has no blocks recorded in DRAM.
     pub fn note_block_read(&mut self, logical: LogicalQueueId) -> Option<PhysicalQueueId> {
         let idx = logical.as_usize();
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: callers read only queues with recorded DRAM blocks"
+        )]
         let head = self.registers[idx]
             .front_mut()
-            .expect("note_block_read on a logical queue with no DRAM blocks"); // analyze: allow(panic-freedom) — documented # Panics contract: callers read only queues with recorded DRAM blocks
+            .expect("note_block_read on a logical queue with no DRAM blocks");
         assert!(head.blocks > 0, "note_block_read with zero recorded blocks");
         head.blocks -= 1;
         if head.blocks == 0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "the front_mut above proved the chain non-empty"
+            )]
             let released = self.registers[idx]
                 .pop_front()
-                .expect("head exists") // analyze: allow(panic-freedom) — the front_mut above proved the chain non-empty
+                .expect("head exists")
                 .physical;
             let group = self.group_of(released);
             self.free[group.index()].push(released);

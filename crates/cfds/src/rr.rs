@@ -1,5 +1,17 @@
 //! The Requests Register (RR).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use dram_sim::{BankId, DramRequest};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -84,10 +96,14 @@ impl RequestsRegister {
     ///
     /// Panics if `position` is out of range.
     pub fn take(&mut self, position: usize) -> RrEntry {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the scheduler passes positions from its own scan of this register"
+        )]
         let entry = self
             .entries
             .remove(position)
-            .expect("RequestsRegister::take position out of range"); // analyze: allow(panic-freedom) — documented # Panics contract: the scheduler passes positions from its own scan of this register
+            .expect("RequestsRegister::take position out of range");
         for older in self.entries.iter_mut().take(position) {
             older.skips += 1;
         }

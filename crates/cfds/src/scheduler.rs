@@ -1,5 +1,17 @@
 //! The DRAM Scheduler Subsystem (DSS).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::dsa::{Dsa, DsaPolicy};
 use crate::orr::OngoingRequestsRegister;
 use crate::rr::{RequestsRegister, RrEntry};
@@ -88,6 +100,7 @@ impl DramSchedulerSubsystem {
     ///
     /// `banks_per_group` is `B/b`; the ORR remembers the last `B/b − 1`
     /// issues.
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     pub fn new(mapper: AddressMapper, banks_per_group: usize, policy: DsaPolicy) -> Self {
         let nq = mapper.config().num_physical_queues();
         DramSchedulerSubsystem {
@@ -216,8 +229,12 @@ impl DramSchedulerSubsystem {
     }
 
     /// Kinds of the pending requests, oldest first (for debugging/tests).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "debugging and test accessor; the slot loop never calls it"
+    )]
     pub fn pending_kinds(&self) -> Vec<AccessKind> {
-        self.rr.iter().map(|e| e.request.kind).collect() // analyze: allow(hotpath-alloc) — debugging/test accessor, never called from the slot loop
+        self.rr.iter().map(|e| e.request.kind).collect()
     }
 }
 

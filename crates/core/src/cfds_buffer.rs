@@ -3,6 +3,18 @@
 //! end at granularity `b < B` over a banked DRAM behind the conflict-free
 //! scheduler, with the latency register and queue renaming.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
 use crate::hotpath::SlabBlock;
 use cfds::{
@@ -88,6 +100,11 @@ impl CfdsBuffer {
     /// # Panics
     ///
     /// Panics if the configuration does not validate.
+    #[expect(
+        clippy::expect_used,
+        clippy::disallowed_macros,
+        reason = "setup, not the slot loop"
+    )]
     pub fn with_options(cfg: CfdsConfig, options: CfdsBufferOptions) -> Self {
         cfg.validate().expect("invalid CFDS configuration");
         let q = cfg.num_queues;
@@ -150,9 +167,11 @@ impl CfdsBuffer {
     ///
     /// Panics if the number of cells is not a multiple of the granularity or
     /// if the DRAM has no room for them.
-    // By-value keeps the ~18 call sites moving their staging Vec straight in;
-    // this is a setup-only path, so the extra copy inside is irrelevant.
-    #[allow(clippy::needless_pass_by_value)]
+    #[expect(
+        clippy::needless_pass_by_value,
+        reason = "by value, the call sites move their staging Vec straight in; a setup-only copy"
+    )]
+    #[expect(clippy::expect_used, reason = "preloading runs before the slot loop")]
     pub fn preload_dram(&mut self, queue: LogicalQueueId, cells: Vec<Cell>) {
         let back = &mut self.back;
         let b = back.cfg.granularity;

@@ -6,6 +6,18 @@
 //! direction. This front end models exactly that and is used by the E1
 //! experiment to reproduce the introduction's motivation numbers.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::front::{Locals, SlotLoop, SlotSink};
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
@@ -39,6 +51,12 @@ impl DramOnlyBuffer {
     /// # Panics
     ///
     /// Panics if the configuration does not validate.
+    #[expect(
+        clippy::expect_used,
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(cfg: RadsConfig) -> Self {
         cfg.validate().expect("invalid DRAM-only configuration");
         DramOnlyBuffer {

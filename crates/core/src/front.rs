@@ -12,6 +12,18 @@
 //! fused `step_batch`; the DRAM-only baseline has its own body on the same
 //! skeleton.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::hotpath::{countdown_after, periods_crossed, BlockSlab, SlabBlock, TailCellArena};
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
@@ -185,6 +197,7 @@ pub struct Front {
 
 impl Front {
     /// A front end for `num_queues` queues at granularity `b`.
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub(crate) fn new(num_queues: usize, b: usize, lookahead: usize) -> Self {
         // The functional head SRAM is not capacity-limited: dimensioning is
         // checked by comparing the measured peak occupancy against the
@@ -255,9 +268,13 @@ impl Front {
             let Some(d) = self.pending_deliveries.pop_front() else {
                 break;
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "the head SRAM is functionally unbounded: occupancy is measured, not capped"
+            )]
             self.head_sram
                 .insert_block(d.queue, d.block_index, self.slab.cells(d.block))
-                .expect("head SRAM is functionally unbounded"); // analyze: allow(panic-freedom) — the head SRAM is configured functionally unbounded; occupancy is measured, not capped
+                .expect("head SRAM is functionally unbounded");
             self.slab.free(d.block);
             self.stats.peak_head_sram_cells = self
                 .stats

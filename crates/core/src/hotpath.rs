@@ -22,6 +22,18 @@
 //! `alloc_free_steady_state` integration test pins down with a counting
 //! allocator.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf_model::{Cell, LogicalQueueId};
 
 const NIL: u32 = u32::MAX;
@@ -101,6 +113,11 @@ impl TailCellArena {
     /// Creates an arena of `capacity` cell slots shared by `num_queues`
     /// queues; `threshold` is the writeback batch size used for the eligible
     /// count.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(num_queues: usize, capacity: usize, threshold: usize) -> Self {
         let capacity = capacity.min(NIL as usize - 1);
         let slots = (0..capacity)
@@ -221,11 +238,15 @@ impl TailCellArena {
     ///
     /// Panics if the queue holds fewer cells — the tail MMA only selects
     /// queues with a full batch.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: the tail MMA selects only queues holding a full batch"
+    )]
     pub fn pop_into(&mut self, queue: LogicalQueueId, out: &mut [Cell]) {
         for slot in out {
             *slot = self
                 .pop_front(queue)
-                .expect("tail MMA selected a queue with a full batch"); // analyze: allow(panic-freedom) — documented # Panics contract: the tail MMA selects only queues holding a full batch
+                .expect("tail MMA selected a queue with a full batch");
         }
     }
 }
@@ -278,6 +299,7 @@ pub struct BlockSlab {
 
 impl BlockSlab {
     /// An empty slab of `block_cells`-cell blocks.
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new(block_cells: usize) -> Self {
         BlockSlab {
             cells: Vec::new(),

@@ -2,6 +2,18 @@
 //! the hybrid SRAM/DRAM design of Iyer, Kompella and McKeown: the shared
 //! SRAM front end over one DRAM accessed `B` cells at a time.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
 use crate::hotpath::BlockFifo;
 use mma::sizing::rads_sram_size_cells;
@@ -27,6 +39,11 @@ impl RadsBuffer {
     /// # Panics
     ///
     /// Panics if the configuration does not validate.
+    #[expect(
+        clippy::expect_used,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(cfg: RadsConfig) -> Self {
         cfg.validate().expect("invalid RADS configuration");
         let q = cfg.num_queues;
@@ -46,9 +63,10 @@ impl RadsBuffer {
     /// # Panics
     ///
     /// Panics if the number of cells is not a multiple of the granularity.
-    // By-value keeps the ~18 call sites moving their staging Vec straight in;
-    // this is a setup-only path, so the extra copy inside is irrelevant.
-    #[allow(clippy::needless_pass_by_value)]
+    #[expect(
+        clippy::needless_pass_by_value,
+        reason = "by value, the call sites move their staging Vec straight in; a setup-only copy"
+    )]
     pub fn preload_dram(&mut self, queue: LogicalQueueId, cells: Vec<Cell>) {
         let b = self.back.cfg.granularity;
         assert!(

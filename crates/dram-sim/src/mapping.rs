@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn linear_addresses_are_block_aligned_and_distinct() {
         let m = AddressMapper::with_block_cells(InterleavingConfig::new(32, 4, 64).unwrap(), 4);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for q in 0..64u32 {
             for o in 0..8u64 {
                 let a = m.linear_address(PhysicalQueueId::new(q), o);

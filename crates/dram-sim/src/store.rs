@@ -14,6 +14,18 @@
 //! issues, even if that read overtook the write. [`DramStore::write_block`]
 //! and [`DramStore::read_block`] are the unscheduled forms.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::mapping::AddressMapper;
 use crate::request::GroupId;
 use pktbuf_model::{Cell, PhysicalQueueId};
@@ -135,6 +147,11 @@ pub struct DramStore<T = Vec<Cell>> {
 impl<T: StoredBlock> DramStore<T> {
     /// Creates a store where each of the `G` groups can hold
     /// `group_capacity_blocks` blocks.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(mapper: AddressMapper, group_capacity_blocks: usize) -> Self {
         let nq = mapper.config().num_physical_queues();
         let ng = mapper.config().num_groups();

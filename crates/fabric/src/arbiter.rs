@@ -37,6 +37,18 @@
 //! one. The unit tests fuzz both kernels against the cell-by-cell matcher
 //! they replaced.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::hint::select_unpredictable;
 use std::mem;
 
@@ -125,6 +137,7 @@ impl CrossbarArbiter {
     /// # Panics
     ///
     /// Panics unless `1 <= ports <= MAX_CROSSBAR_PORTS` (64).
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     pub fn new(kind: ArbiterKind, ports: usize) -> Self {
         assert!(
             (1..=MAX_CROSSBAR_PORTS).contains(&ports),

@@ -84,6 +84,18 @@
 //! Everything runs on the caller's thread; the only parallelism is across
 //! runs (`sim`'s `LabRunner`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::faults::{FaultKind, FaultLedger, FaultPlan, ImpactCounters, LinkBoundary, StageFaults};
 use crate::report::{FabricRunReport, HistogramReport};
 use crate::switch::{FabricConfig, StageSink, VoqSwitch, FABRIC_CHUNK_SLOTS};
@@ -278,6 +290,7 @@ struct Delivery {
 }
 
 impl Delivery {
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     fn new(ext_ports: usize) -> Self {
         Delivery {
             ext_ports,
@@ -579,6 +592,11 @@ struct Stage<B: PacketBuffer> {
 }
 
 impl<B: PacketBuffer> Stage<B> {
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     fn new(
         stage: ClosStage,
         config: &ClosConfig,
@@ -1065,6 +1083,7 @@ struct SlotScratch {
 }
 
 impl SlotScratch {
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     fn new(external_ports: usize) -> Self {
         SlotScratch {
             lines: vec![None; external_ports],
@@ -1118,6 +1137,7 @@ struct OpenLoop<'a, A> {
 }
 
 impl<'a, A: ArrivalGenerator> OpenLoop<'a, A> {
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     fn new(arrivals: &'a mut [A]) -> Self {
         OpenLoop {
             rings: vec![vec![None; FABRIC_CHUNK_SLOTS]; arrivals.len()],
@@ -1215,10 +1235,14 @@ impl LineSource for ClosedLoop<'_> {
             }
         }
         if let Some(trace) = self.record.as_deref_mut() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "recording path only; the steady-state drivers never take it"
+            )]
             let row: Vec<Option<(u32, u64)>> = lines
                 .iter()
                 .map(|c| c.as_ref().map(|c| (c.queue().index(), c.seq())))
-                .collect(); // analyze: allow(hotpath-alloc) — recording path only, never taken by the steady-state drivers
+                .collect();
             trace.record_slot(&row);
         }
     }
@@ -1277,6 +1301,7 @@ impl<B: PacketBuffer> ClosFabric<B> {
     /// does not match its stage's radix.
     ///
     /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new<F: FnMut(ClosStage) -> B>(config: ClosConfig, mut build: F) -> Self {
         let ClosConfig {
             radix,
@@ -1342,6 +1367,10 @@ impl<B: PacketBuffer> ClosFabric<B> {
     /// Panics when the plan fails [`FaultPlan::validate`] against this
     /// fabric's geometry, or when the fabric has already run (plans are
     /// armed at slot 0 so every schedule sees every fault identically).
+    #[expect(
+        clippy::panic,
+        reason = "an invalid fault plan is refused before slot 0"
+    )]
     pub fn arm_faults(&mut self, plan: &FaultPlan) {
         if plan.is_empty() {
             return;
@@ -1417,6 +1446,10 @@ impl<B: PacketBuffer> ClosFabric<B> {
     /// Panics when the fabric has already run (like fault plans, the
     /// transport is enabled at slot 0 so every schedule sees it
     /// identically).
+    #[expect(
+        clippy::expect_used,
+        reason = "the transport is enabled once, before slot 0"
+    )]
     pub fn enable_transport(&mut self, config: TransportConfig) {
         assert_eq!(self.clock, 0, "transport must be enabled before the run");
         let ext = self.config.external_ports();
@@ -1777,9 +1810,13 @@ impl<B: PacketBuffer> ClosFabric<B> {
         active_slots: u64,
         record: Option<&mut MatrixTrace>,
     ) -> ClosRunReport {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract, checked once before the slot loop"
+        )]
         let config = self
             .transport
-            .expect("enable_transport must be called before run_transport"); // analyze: allow(panic-freedom) — documented API contract, checked once at run entry before the slot loop
+            .expect("enable_transport must be called before run_transport");
         self.check_sources(sources);
         // Latency probes extend to the transport layer: each source tracks
         // first-injection-to-ack latency so retransmitted cells are timed
@@ -1794,12 +1831,16 @@ impl<B: PacketBuffer> ClosFabric<B> {
             record,
         };
         let mut report = self.drive(&mut source, active_slots);
+        #[expect(
+            clippy::expect_used,
+            reason = "enable_transport installed the sink; checked once after the slot loop"
+        )]
         let sink = self
             .egress
             .delivery
             .as_ref()
             .and_then(|d| d.transport.as_ref())
-            .expect("transport sink present on a transport run"); // analyze: allow(panic-freedom) — enable_transport installed the sink; checked once after the slot loop
+            .expect("transport sink present on a transport run");
         let sp = config.source_params();
         let first_injection_latency = {
             let mut merged: Option<Log2Histogram> = None;
@@ -1827,12 +1868,14 @@ impl<B: PacketBuffer> ClosFabric<B> {
             gave_up_cells: sources.iter().map(ClosedLoopSource::gave_up).sum(),
             in_flight_at_end: sources.iter().map(|s| s.in_flight_len() as u64).sum(),
             retransmissions_outstanding_at_end: sources.iter().map(|s| s.rq_len() as u64).sum(),
-            goodput: sink.goodput().to_vec(), // analyze: allow(hotpath-alloc) — report assembly, once after the run
+            #[expect(clippy::disallowed_methods, reason = "report, not the slot loop")]
+            goodput: sink.goodput().to_vec(),
             first_injection_latency,
         });
         report
     }
 
+    #[expect(clippy::disallowed_methods, reason = "report, not the slot loop")]
     fn stage_report(stage: &Stage<B>, active_slots: u64) -> ClosStageReport {
         let switches: Vec<FabricRunReport> = stage
             .switches
@@ -1856,6 +1899,11 @@ impl<B: PacketBuffer> ClosFabric<B> {
         }
     }
 
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "report, not the slot loop"
+    )]
     fn build_report(&self, active_slots: u64) -> ClosRunReport {
         let config = &self.config;
         let ext = config.external_ports();
@@ -2055,6 +2103,7 @@ impl<B: PacketBuffer> ClosFabric<B> {
     /// timeline: one `fault-open` at each event's start slot and, for bounded
     /// windows, one `fault-close` at its end. Locations map onto the
     /// stage/switch/port scheme of the real events; flow fields are zero.
+    #[expect(clippy::disallowed_methods, reason = "report, not the slot loop")]
     fn fault_trace_events(&self, plan: &FaultPlan) -> Vec<TraceEvent> {
         let radix = self.config.radix as u32;
         let mut events = Vec::new();
@@ -2143,6 +2192,7 @@ pub struct SeriesReport {
 }
 
 impl SeriesReport {
+    #[expect(clippy::disallowed_methods, reason = "report, not the slot loop")]
     fn from_ring(ring: &SeriesRing) -> Self {
         let samples = ring.samples();
         SeriesReport {

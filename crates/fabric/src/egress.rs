@@ -9,6 +9,18 @@
 //! same one) and leave at the line-rate cadence, where the end-to-end latency
 //! — transmit slot minus line-side arrival slot — is recorded.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use obs::Log2Histogram;
 use pktbuf_model::Cell;
 use std::collections::VecDeque;
@@ -51,6 +63,7 @@ fn accruals_before(end: u64, period: u64) -> u64 {
 impl EgressPort {
     /// Creates an egress port transmitting one cell every `period` slots
     /// (`0` is treated as `1`).
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new(period: u64) -> Self {
         EgressPort {
             period: period.max(1),

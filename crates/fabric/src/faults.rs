@@ -44,6 +44,18 @@
 //! stranded + every accounted loss (see
 //! [`crate::ClosRunReport::conservation_holds`]).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::clos::ClosStage;
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -116,6 +128,11 @@ impl FaultKind {
     }
 
     /// Human-readable description of what the fault targets.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "fault labels are built once, for the ledger after the drain"
+    )]
     pub fn target(&self) -> String {
         match self {
             FaultKind::MiddleDeath { switch } => format!("middle[{switch}]"),
@@ -265,6 +282,7 @@ impl FaultPlan {
     }
 
     /// A plan over the given events.
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new(events: impl IntoIterator<Item = FaultEvent>) -> Self {
         FaultPlan {
             events: events.into_iter().collect(),
@@ -354,6 +372,10 @@ impl FaultPlan {
     /// Every slot at which some fault turns on or (finitely) off, sorted.
     /// The drain uses these: as long as a transition lies ahead, stuck
     /// cells may still recover, so stepping must continue.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "computed once, when the plan is armed"
+    )]
     pub(crate) fn edges(&self) -> Vec<u64> {
         let mut edges: Vec<u64> = Vec::new();
         for event in &self.events {
@@ -384,6 +406,11 @@ impl FaultPlan {
     /// Compiles the plan into one stage's runtime fault state (the geometry
     /// was validated first). Link faults land on the *downstream* stage (the
     /// receiver stops popping; credits do the upstream backpressure).
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "the plan compiles once, before slot 0"
+    )]
     pub(crate) fn compile(
         &self,
         stage: ClosStage,
@@ -452,6 +479,7 @@ impl FaultPlan {
     }
 
     /// Renders the plan as pretty JSON (an array of event objects).
+    #[expect(clippy::expect_used, reason = "serialisation, outside the slot loop")]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("a fault plan always serializes")
     }
@@ -605,6 +633,7 @@ pub struct FaultLedger {
 impl FaultLedger {
     /// Builds the ledger from the plan's events and the merged per-event
     /// counters.
+    #[expect(clippy::disallowed_methods, reason = "report, not the slot loop")]
     pub(crate) fn from_events(events: &[FaultEvent], merged: &[ImpactCounters]) -> Self {
         let rows: Vec<FaultImpact> = events
             .iter()

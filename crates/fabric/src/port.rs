@@ -6,6 +6,18 @@
 //! that forwards the [`PacketBuffer`] contract with a single predictable
 //! branch per call — no heap indirection, no virtual dispatch.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf::{
     BatchReport, BufferStats, CfdsBuffer, DramOnlyBuffer, GrantSink, PacketBuffer, RadsBuffer,
     RequestSource, SlotOutcome,
@@ -18,7 +30,10 @@ use pktbuf_model::{Cell, LogicalQueueId};
 /// in a per-fabric `Vec<PortBuffer>` whose element size is dominated by the
 /// largest design either way, and boxing would put a pointer chase in front
 /// of every per-slot call.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "inline variants, no pointer chase per slot"
+)]
 #[derive(Debug)]
 pub enum PortBuffer {
     /// DRAM-only baseline (can miss under back-to-back requests).

@@ -27,6 +27,18 @@
 //! [`VoqSwitch::run_reference`] is the skip-free per-slot reference; the
 //! differential tests pin the two paths bit-identical.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::arbiter::{ArbiterKind, CrossbarArbiter};
 use crate::egress::EgressPort;
 use crate::report::{EgressReport, FabricRunReport, PortReport};
@@ -127,6 +139,11 @@ impl<B: PacketBuffer> VoqSwitch<B> {
     /// buffer's queue count differs from the port count (VOQ shape).
     ///
     /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(config: FabricConfig, buffers: Vec<B>) -> Self {
         let ports = config.ports;
         assert!(ports >= 2, "a fabric needs at least 2 ports");
@@ -185,8 +202,10 @@ impl<B: PacketBuffer> VoqSwitch<B> {
         active_slots: u64,
     ) -> FabricRunReport {
         self.check_generators(arrivals);
-        let mut rings: Vec<Vec<Option<Cell>>> = vec![vec![None; FABRIC_CHUNK_SLOTS]; self.ports]; // analyze: allow(hotpath-alloc) — per-run chunk rings allocated once at run entry, before the slot loop
-        let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports]; // analyze: allow(hotpath-alloc) — per-run scratch allocated once at run entry, before the slot loop
+        #[expect(clippy::disallowed_macros, reason = "once per run, before the loop")]
+        let mut rings: Vec<Vec<Option<Cell>>> = vec![vec![None; FABRIC_CHUNK_SLOTS]; self.ports];
+        #[expect(clippy::disallowed_macros, reason = "once per run, before the loop")]
+        let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports];
         let mut done = 0u64;
         while done < active_slots {
             let len = FABRIC_CHUNK_SLOTS.min((active_slots - done) as usize);
@@ -229,7 +248,8 @@ impl<B: PacketBuffer> VoqSwitch<B> {
         active_slots: u64,
     ) -> FabricRunReport {
         self.check_generators(arrivals);
-        let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports]; // analyze: allow(hotpath-alloc) — per-run scratch allocated once at run entry (reference engine)
+        #[expect(clippy::disallowed_macros, reason = "once per run, before the loop")]
+        let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports];
         for _ in 0..active_slots {
             let t = self.clock;
             for (slot_arrival, generator) in slot_arrivals.iter_mut().zip(arrivals.iter_mut()) {
@@ -465,7 +485,8 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             .max()
             .unwrap_or(0) as u64
             + 4;
-        let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports]; // analyze: allow(hotpath-alloc) — drain scratch allocated once when the run winds down
+        #[expect(clippy::disallowed_macros, reason = "once per drain, before its loop")]
+        let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports];
         let mut idle_streak = 0u64;
         loop {
             let requestable = self.buffers.iter().any(|b| b.requestable_total() > 0);
@@ -484,6 +505,7 @@ impl<B: PacketBuffer> VoqSwitch<B> {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "report, not the slot loop")]
     fn build_report(&self, active_slots: u64, active_matches: u64) -> FabricRunReport {
         let ports = self.ports;
         let per_port: Vec<PortReport> = self

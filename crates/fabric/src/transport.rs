@@ -39,6 +39,18 @@
 //! sender keeps retransmitting it until the stale copies themselves fill a
 //! DRAM batch, which turns every trickle flow into a timeout storm.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -109,6 +121,11 @@ pub(crate) struct SinkState {
 }
 
 impl SinkState {
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub(crate) fn new(ext_ports: usize, goodput_bucket: u64) -> Self {
         SinkState {
             ext_ports,

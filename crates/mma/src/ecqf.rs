@@ -1,5 +1,17 @@
 //! Earliest Critical Queue First (ECQF) head MMA.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::counters::OccupancyCounters;
 use crate::lookahead::LookaheadRegister;
 use pktbuf_model::LogicalQueueId;

@@ -1,5 +1,17 @@
 //! The lookahead shift register of arbiter requests.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf_model::LogicalQueueId;
 
 /// "No slot": the end of a chain, or a queue without a critical request.
@@ -68,6 +80,11 @@ impl LookaheadRegister {
     /// Panics if `capacity` is zero (ECQF needs at least one slot of
     /// lookahead to see a request before it is due), or if it does not fit
     /// the `u32` ring links.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "lookahead must have at least one slot");
         assert!(

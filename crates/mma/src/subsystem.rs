@@ -1,5 +1,17 @@
 //! The assembled head-MMA subsystem: lookahead + counters + ECQF.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::counters::OccupancyCounters;
 use crate::ecqf::EcqfMma;
 use crate::lookahead::{LookaheadRegister, NIL};

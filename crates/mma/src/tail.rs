@@ -1,5 +1,17 @@
 //! Tail-side Memory Management Algorithm.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf_model::LogicalQueueId;
 
 /// The simple threshold tail MMA of §3: write back (a batch of `B` cells from)

@@ -17,6 +17,18 @@
 //! containing the `ceil(p/100 * count)`-th smallest sample, clamped to the
 //! exact observed maximum.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 /// Number of buckets in a [`Log2Histogram`]: one per possible bit length of a
 /// `u64` (0 through 64).
 pub const HIST_BUCKETS: usize = 65;

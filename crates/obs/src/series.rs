@@ -13,6 +13,18 @@
 //! occupancy), so a fast-forwarded run and a fully stepped reference run
 //! emit byte-identical series.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 /// Largest capacity a [`SeriesRing`] preallocates, in samples (2^22). A
 /// [`SeriesSample`] is four `u64`s (32 bytes), so a full ring reserves
 /// 128 MiB per stage; a larger requested capacity is clamped to this.
@@ -50,6 +62,7 @@ impl SeriesRing {
     /// the first `capacity` samples (clamped to [`MAX_SERIES_CAPACITY`]).
     /// All storage is allocated here.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new(stride: u64, capacity: usize) -> Self {
         let stride = stride.max(1);
         Self {

@@ -12,6 +12,18 @@
 //! format (`chrome://tracing`, Perfetto): stages map to `pid`, switches to
 //! `tid`, slots to `ts`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 /// What happened to a cell (or a fault window) at a given slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
@@ -138,6 +150,7 @@ impl FlightRecorder {
     /// A recorder holding up to `capacity` events (clamped to
     /// [`MAX_TRACE_CAPACITY`]) passing `filter`.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
     pub fn new(capacity: usize, filter: TraceFilter) -> Self {
         Self {
             filter,
@@ -181,6 +194,10 @@ impl FlightRecorder {
 /// Merge per-stage event batches into one timeline ordered by
 /// [`TraceEvent::sort_key`].
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "merges a dump once, when the report is assembled"
+)]
 pub fn merge_events(parts: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
     let mut all: Vec<TraceEvent> = parts.into_iter().flatten().collect();
     all.sort_unstable_by_key(TraceEvent::sort_key);
@@ -192,6 +209,10 @@ pub fn merge_events(parts: Vec<Vec<TraceEvent>>) -> Vec<TraceEvent> {
 /// and switches become threads. All values are integers or fixed names, so
 /// the output needs no escaping and is byte-deterministic.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "serialises a dump once, when the report is assembled"
+)]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + events.len() * 128);

@@ -11,6 +11,18 @@
 //! [`RequestOracle`] is the question itself, so a generator is written once
 //! and runs against either the ledger or a plain closure.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::LogicalQueueId;
 
 /// What a request generator may ask about the requestable set.
@@ -67,6 +79,7 @@ pub struct RequestLedger {
 
 impl RequestLedger {
     /// Creates an all-zero ledger over `num_queues` queues.
+    #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     pub fn new(num_queues: usize) -> Self {
         RequestLedger {
             slots: vec![0; num_queues + num_queues.div_ceil(64)],

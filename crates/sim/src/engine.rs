@@ -1,5 +1,17 @@
 //! The slot-level simulation engine.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf::{BufferStats, GrantSink, PacketBuffer, RequestSource};
 use pktbuf_model::{Cell, LogicalQueueId, RequestOracle};
 use serde::{Serialize, Serializer};
@@ -65,12 +77,21 @@ static KNOWN_LABELS: &[(&str, &str, &str)] = label_table![
 /// Labels interned at run time for generator names outside [`KNOWN_LABELS`]
 /// (custom generators). Bounded by the number of *distinct* pairings ever
 /// simulated in the process.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a const-initialised static; Vec::new does not allocate"
+)]
 static DYNAMIC_LABELS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// The report label for an `"{arrivals}+{requests}"` workload, as a static
 /// string: known pairings come from a compile-time table (no allocation —
 /// report construction stays on the allocation-free slot path), unknown ones
 /// are interned once per distinct pairing and leaked.
+#[expect(
+    clippy::expect_used,
+    clippy::disallowed_macros,
+    reason = "labels are resolved once per run, before the slot loop"
+)]
 pub fn workload_label(arrivals: &str, requests: &str) -> &'static str {
     for (a, r, label) in KNOWN_LABELS {
         if *a == arrivals && *r == requests {
@@ -194,7 +215,8 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
         requests: &mut R,
         active_slots: u64,
     ) -> SimulationReport {
-        let mut grant_log = self.record_grants.then(Vec::new); // analyze: allow(hotpath-alloc) — grant-log setup at run entry, before the slot loop
+        #[expect(clippy::disallowed_methods, reason = "once per run, before the loop")]
+        let mut grant_log = self.record_grants.then(Vec::new);
         let workload = workload_label(arrivals.name(), requests.name());
         let buffer = self.buffer;
         // The drain flush horizon is a fixed property of the pipeline; query

@@ -26,23 +26,18 @@
 //!
 //! # The zero-loss envelope
 //!
-//! Within the *admissible* region — offered load at or below 95% of the
-//! line rate per port, fabrics of 8 ports or more — every workload above
-//! runs with **zero lost cells** on the worst-case designs (RADS, CFDS,
-//! mixed), which is what the `pktbuf-lab fabric --smoke` gate checks. Two
-//! boundaries are provisioning limits, not bugs, and are deliberate:
+//! The worst-case designs (RADS, CFDS, mixed) lose no cell on any workload
+//! above at up to 95% of the line rate per port, which is what the
+//! `pktbuf-lab fabric --smoke` gate checks on 16 ports. Small fabrics hold
+//! too: `--ports 2,4 --designs cfds,mixed --workloads bursty,hotspot,incast
+//! --arbiters all --load 85,95,100 --seeds 1,2,3,4 --slots 100000` gives 288
+//! runs and 0 lost cells.
 //!
-//! * At exactly 100% stochastic load the fabric is critically loaded (no
-//!   arbiter sustains unit throughput on a random matrix), backlog grows
-//!   without bound and eventually fragments CFDS renaming — the §6
-//!   phenomenon — until tail drops appear. Use a deterministic matrix or
-//!   back off the load.
-//! * A 4-port CFDS fabric under the bursty workload at ≥ 85% load sees
-//!   mean bursts (32 cells) that are 8× its VOQ count; the resulting DRAM
-//!   scheduler delay spikes exceed the latency register's compensation and
-//!   occasional misses surface. Larger fabrics dilute a burst across more
-//!   groups and do not exhibit this (see ROADMAP: fabric-aware latency
-//!   register sizing).
+//! At exactly 100% stochastic load the fabric is critically loaded (no
+//! arbiter sustains unit throughput on a random matrix), so the backlog
+//! grows with the run: in that sweep the worst 4-port bursty mean latency
+//! rises from 373 slots at 85% load to 2 114 at 100%, with no cell lost.
+//! Use a deterministic matrix or back off the load.
 
 use crate::experiment::{self, Axis, Expansion, Experiment};
 use crate::lab::{LabReport, RunRecord};

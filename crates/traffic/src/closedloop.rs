@@ -33,6 +33,18 @@
 //! [`ClosedLoopSource::poll`] for at most one cell to inject. Acks are
 //! `(dest, seq)` pairs; duplicate acks are ignored.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use obs::Log2Histogram;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -221,6 +233,11 @@ pub struct ClosedLoopSource {
 impl ClosedLoopSource {
     /// Creates the sender for external port `src` of a fabric with `ports`
     /// external ports. The config is [normalized](ClosedLoopConfig::normalized).
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new(src: u32, ports: usize, pattern: DemandPattern, cfg: ClosedLoopConfig) -> Self {
         let cfg = cfg.normalized();
         ClosedLoopSource {

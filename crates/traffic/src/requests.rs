@@ -1,5 +1,17 @@
 //! Arbiter request generators (switch-fabric side).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use pktbuf_model::{LogicalQueueId, RequestOracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
