@@ -20,33 +20,32 @@ use pktbuf_model::LogicalQueueId;
 /// request leaving the lookahead might ask for a cell whose block has not been
 /// written into the SRAM yet. Delaying every grant by the worst-case DSS delay
 /// (equation (3)) restores the zero-miss guarantee at the price of a fixed
-/// additional latency and a slightly larger SRAM.
+/// additional latency and a slightly larger SRAM. RADS uses the same line,
+/// `B` slots deep, as the stage its `B`-slot DRAM read occupies.
 #[derive(Debug, Clone)]
 pub struct LatencyRegister {
-    /// Fixed ring: the delay line fills once and then every push overwrites
-    /// the head slot in place (no deque push/pop pair on the slot path).
+    /// Fixed ring, pre-filled with idle slots: each push replaces the entry
+    /// at the cursor, which entered the line `capacity` pushes earlier. A
+    /// line holding no request needs no idle fast-forward: rotating a ring
+    /// of `None`s changes nothing a later push can observe.
     slots: Box<[Option<LogicalQueueId>]>,
     head: usize,
-    len: usize,
-    capacity: usize,
 }
 
 impl LatencyRegister {
     /// Creates a delay line of `capacity` slots. A capacity of zero forwards
-    /// requests immediately (the RADS degenerate case).
+    /// requests immediately.
     #[expect(clippy::disallowed_macros, reason = "setup, not the slot loop")]
     pub fn new(capacity: usize) -> Self {
         LatencyRegister {
             slots: vec![None; capacity].into_boxed_slice(),
             head: 0,
-            len: 0,
-            capacity,
         }
     }
 
     /// Length of the delay line in slots.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.slots.len()
     }
 
     /// Number of requests currently in flight inside the register.
@@ -54,52 +53,20 @@ impl LatencyRegister {
         self.slots.iter().filter(|r| r.is_some()).count()
     }
 
-    /// Fast-forwards the delay line by `slots` idle pushes at once: exactly
-    /// equivalent to calling [`LatencyRegister::push`]`(None)` `slots` times
-    /// while **no request is in flight**, but O(1). With an all-idle line,
-    /// pushes only rotate the ring cursor (and grow the fill length before
-    /// the line first fills); every stored entry is already `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if any request is in flight.
-    pub fn advance_idle(&mut self, slots: u64) {
-        if self.capacity == 0 {
-            return;
-        }
-        debug_assert_eq!(
-            self.in_flight(),
-            0,
-            "advance_idle on a latency register with requests in flight"
-        );
-        let fill = ((self.capacity - self.len) as u64).min(slots) as usize;
-        self.len += fill;
-        let remaining = slots - fill as u64;
-        self.head = (self.head + (remaining % self.capacity as u64) as usize) % self.capacity;
-    }
-
     /// Pushes the request leaving the lookahead this slot and returns the one
-    /// that completed its extra delay (if the register is full).
+    /// that completed its extra delay (`None` while the line is still
+    /// passing on the idle slots it started with).
+    #[inline(always)]
     pub fn push(&mut self, request: Option<LogicalQueueId>) -> Option<LogicalQueueId> {
-        if self.capacity == 0 {
+        let Some(slot) = self.slots.get_mut(self.head) else {
             return request;
+        };
+        let out = std::mem::replace(slot, request);
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
         }
-        if self.len < self.capacity {
-            let mut at = self.head + self.len;
-            if at >= self.capacity {
-                at -= self.capacity;
-            }
-            self.slots[at] = request;
-            self.len += 1;
-            None
-        } else {
-            let out = std::mem::replace(&mut self.slots[self.head], request);
-            self.head += 1;
-            if self.head >= self.capacity {
-                self.head = 0;
-            }
-            out
-        }
+        out
     }
 }
 

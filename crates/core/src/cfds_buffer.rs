@@ -18,8 +18,7 @@
 use crate::front::{BackEnd, Front, HybridBuffer, PendingDelivery};
 use crate::hotpath::SlabBlock;
 use cfds::{
-    sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, LatencyRegister, RenamingError,
-    RenamingTable,
+    sizing as cfds_sizing, DramSchedulerSubsystem, DsaPolicy, RenamingError, RenamingTable,
 };
 use dram_sim::{
     AccessKind, AddressMapper, BankArray, DramStore, GroupId, InterleavingConfig, StoreError,
@@ -53,8 +52,9 @@ impl Default for CfdsBufferOptions {
 /// each direction.
 pub type CfdsBuffer = HybridBuffer<CfdsDram>;
 
-/// The CFDS back end: the banked DRAM, its scheduler (DSS), queue renaming
-/// and the latency register that restores in-order delivery.
+/// The CFDS back end: the banked DRAM, its scheduler (DSS) and queue
+/// renaming. The latency register that absorbs the DSS's delay is the
+/// front end's delay line, sized by [`cfds_sizing::latency_slots`].
 #[derive(Debug)]
 pub struct CfdsDram {
     cfg: CfdsConfig,
@@ -65,7 +65,6 @@ pub struct CfdsDram {
     renaming: RenamingTable,
     /// Per logical queue, blocks written so far: the next block's index.
     blocks_written: Vec<u64>,
-    latency: LatencyRegister,
 }
 
 /// A block in the CFDS DRAM: its slab handle and its place in its logical
@@ -109,6 +108,7 @@ impl CfdsBuffer {
         cfg.validate().expect("invalid CFDS configuration");
         let q = cfg.num_queues;
         let b = cfg.granularity;
+        let latency = cfds_sizing::latency_slots(&cfg);
         let interleaving = InterleavingConfig::from_cfds(&cfg);
         let mapper = AddressMapper::with_block_cells(interleaving, b);
         let store = match options.dram_capacity_cells {
@@ -120,14 +120,13 @@ impl CfdsBuffer {
         // 2·(B/b) − 1 subsequent opportunities.
         let dss = DramSchedulerSubsystem::new(mapper, 2 * cfg.banks_per_group(), options.dsa);
         HybridBuffer {
-            front: Front::new(q, b, cfg.effective_lookahead()),
+            front: Front::new(q, b, cfg.effective_lookahead(), latency),
             back: CfdsDram {
                 banks: BankArray::new(cfg.num_banks, cfg.rads_granularity as u64),
                 store,
                 dss,
                 renaming: RenamingTable::new(q, cfg.num_physical_queues(), cfg.num_groups()),
                 blocks_written: vec![0; q],
-                latency: LatencyRegister::new(cfds_sizing::latency_slots(&cfg)),
                 cfg,
             },
         }
@@ -349,26 +348,13 @@ impl BackEnd for CfdsDram {
         self.issue_opportunities(front, now);
     }
 
-    /// The latency register: a request leaving the lookahead is served once
-    /// its block is certain to have arrived, whatever the DSS delay.
-    #[inline(always)]
-    fn delay(&mut self, due: Option<LogicalQueueId>) -> Option<LogicalQueueId> {
-        self.latency.push(due)
-    }
-
-    fn delay_slots(&self) -> usize {
-        self.latency.capacity()
-    }
-
     fn is_quiescent(&self) -> bool {
-        self.dss.pending() == 0 && self.latency.in_flight() == 0
+        self.dss.pending() == 0
     }
 
-    /// A quiescent slot rotates the (all-idle) latency register; at a period
-    /// boundary the empty RR's two issue opportunities only age the ORR lock
-    /// window.
-    fn advance_idle(&mut self, slots: u64, periods: u64) {
-        self.latency.advance_idle(slots);
+    /// At a period boundary the empty RR's two issue opportunities only age
+    /// the ORR lock window.
+    fn advance_idle(&mut self, periods: u64) {
         self.dss.advance_idle(2 * periods);
     }
 }

@@ -2,12 +2,14 @@
 //! loop every design runs.
 //!
 //! CFDS keeps RADS's front end — tail SRAM and threshold tail MMA, ECQF
-//! lookahead, head SRAM — and changes only what sits behind it. [`Front`]
-//! owns that state and [`HybridBuffer`] writes the slot once: deliver,
-//! arrive, request, back-end delay, period ops every `b` slots, serve. A
-//! [`BackEnd`] supplies what differs — its period ops, CFDS's latency
-//! register as the delay, its share of quiescence, idle fast-forward and
-//! pipeline delay — and is monomorphized: nothing in the slot dispatches on
+//! lookahead and the delay line after it, head SRAM — and changes only what
+//! sits behind it. [`Front`] owns that state and [`HybridBuffer`] writes the
+//! slot once: deliver, arrive, request, delay line, period ops every `b`
+//! slots, serve. The delay line is the DRAM read's stage: `B` slots for
+//! RADS, whose read takes `B` slots, and the latency register of equation
+//! (3) for CFDS, whose reads the DSS also delays. A [`BackEnd`] supplies
+//! what differs — its period ops and its share of quiescence and idle
+//! fast-forward — and is monomorphized: nothing in the slot dispatches on
 //! it. [`SlotLoop`] runs a design's single slot body as `step` and as the
 //! fused `step_batch`; the DRAM-only baseline has its own body on the same
 //! skeleton.
@@ -28,6 +30,7 @@ use crate::hotpath::{countdown_after, periods_crossed, BlockSlab, SlabBlock, Tai
 use crate::stats::BufferStats;
 use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
 use crate::verify::DeliveryVerifier;
+use cfds::LatencyRegister;
 use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
 use pktbuf_model::{Cell, LogicalQueueId, RequestLedger};
 use sram_buf::{GlobalCamBuffer, SharedBuffer};
@@ -169,8 +172,9 @@ pub(crate) struct PendingDelivery {
 }
 
 /// The SRAM front end: tail SRAM and tail MMA, the slab of blocks in flight
-/// to and from the DRAM, ECQF head MMA with its lookahead, head SRAM, the
-/// blocks due to reach it, and the requestable ledger.
+/// to and from the DRAM, ECQF head MMA with its lookahead, the delay line a
+/// request crosses after it, head SRAM, the blocks due to reach it, and the
+/// requestable ledger.
 #[derive(Debug)]
 pub struct Front {
     pub(crate) slot: u64,
@@ -187,6 +191,10 @@ pub struct Front {
     pub(crate) slab: BlockSlab,
     // Head side: the ECQF head MMA and the global-CAM head SRAM.
     pub(crate) head_mma: HeadMmaSubsystem,
+    /// The stage between the lookahead and the head-SRAM read: a request
+    /// that leaves the lookahead is served this many slots later, once the
+    /// block its replenishment read is certain to have arrived.
+    latency: LatencyRegister,
     pub(crate) head_sram: GlobalCamBuffer,
     pub(crate) pending_deliveries: VecDeque<PendingDelivery>,
     /// Cells written to DRAM minus requests accepted, per logical queue.
@@ -196,9 +204,11 @@ pub struct Front {
 }
 
 impl Front {
-    /// A front end for `num_queues` queues at granularity `b`.
+    /// A front end for `num_queues` queues at granularity `b`, whose
+    /// requests wait `lookahead` slots in the ECQF lookahead and then
+    /// `delay` slots for their block.
     #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
-    pub(crate) fn new(num_queues: usize, b: usize, lookahead: usize) -> Self {
+    pub(crate) fn new(num_queues: usize, b: usize, lookahead: usize, delay: usize) -> Self {
         // The functional head SRAM is not capacity-limited: dimensioning is
         // checked by comparing the measured peak occupancy against the
         // analytical bound, so that a sizing or policy bug surfaces as a
@@ -214,6 +224,7 @@ impl Front {
             tail_mma: ThresholdTailMma::new(b),
             slab: BlockSlab::new(b),
             head_mma: HeadMmaSubsystem::with_policy(EcqfMma::new(b), lookahead, num_queues),
+            latency: LatencyRegister::new(delay),
             head_sram: GlobalCamBuffer::with_block_size(num_queues, head_capacity, b),
             pending_deliveries: VecDeque::new(),
             available: RequestLedger::new(num_queues),
@@ -299,26 +310,13 @@ pub trait BackEnd {
     /// The DRAM work of one granularity period, at its first slot `now`.
     fn period_ops(&mut self, front: &mut Front, now: u64);
 
-    /// Delays the request that left the lookahead on its way to the head
-    /// SRAM; returns the one to serve this slot. RADS adds no delay.
-    #[inline(always)]
-    fn delay(&mut self, due: Option<LogicalQueueId>) -> Option<LogicalQueueId> {
-        due
-    }
-
-    /// Slots [`BackEnd::delay`] adds to the lookahead's.
-    fn delay_slots(&self) -> usize {
-        0
-    }
-
     /// Whether the back end holds nothing in flight.
     fn is_quiescent(&self) -> bool {
         true
     }
 
-    /// Fast-forwards `slots` quiescent slots crossing `periods` period
-    /// boundaries.
-    fn advance_idle(&mut self, _slots: u64, _periods: u64) {}
+    /// Fast-forwards quiescent slots crossing `periods` period boundaries.
+    fn advance_idle(&mut self, _periods: u64) {}
 }
 
 /// A hybrid SRAM/DRAM packet buffer: the shared [`Front`] over back end `D`.
@@ -406,8 +404,8 @@ impl<D: BackEnd> SlotLoop for HybridBuffer<D> {
         }
 
         // 3. One request may arrive from the arbiter; it enters the
-        //    lookahead, and the request that leaves it (if any) passes the
-        //    back end's delay on its way to the head SRAM.
+        //    lookahead, and the request that leaves it (if any) enters the
+        //    delay line on its way to the head SRAM.
         let due = if let Some(queue) = request {
             delta.requests += 1;
             front.available.debit(queue);
@@ -415,7 +413,7 @@ impl<D: BackEnd> SlotLoop for HybridBuffer<D> {
         } else {
             front.head_mma.on_request(None).due
         };
-        let due = self.back.delay(due);
+        let due = front.latency.push(due);
 
         // 4. Every b slots: the back end's DRAM work.
         if locals.regs == 0 {
@@ -461,7 +459,7 @@ impl<D: BackEnd> PacketBuffer for HybridBuffer<D> {
     }
 
     fn pipeline_delay_slots(&self) -> usize {
-        self.front.head_mma.lookahead().capacity() + self.back.delay_slots()
+        self.front.head_mma.lookahead().capacity() + self.front.latency.capacity()
     }
 
     fn stats(&self) -> &BufferStats {
@@ -496,20 +494,22 @@ impl<D: BackEnd> PacketBuffer for HybridBuffer<D> {
         // finds nothing eligible to write back and nothing critical to
         // replenish (ECQF selects `None` with an empty pending set). All of
         // that is pure counter/cursor motion, applied here arithmetically;
-        // the back end does the same for its own registers.
+        // the back end does the same for its own registers. The delay line
+        // is idle too, and an idle line serves the same rotated or not.
         let front = &mut self.front;
         let periods = periods_crossed(front.until_period, slots, front.period);
         front.slot += slots;
         front.stats.slots += slots;
         front.head_mma.advance_idle(slots);
         front.until_period = countdown_after(front.until_period, slots, front.period);
-        self.back.advance_idle(slots, periods);
+        self.back.advance_idle(periods);
     }
 
     fn is_quiescent(&self) -> bool {
         self.front.pending_deliveries.is_empty()
             && !self.front.tail.any_eligible()
             && self.front.head_mma.lookahead().pending_len() == 0
+            && self.front.latency.in_flight() == 0
             && self.back.is_quiescent()
     }
 

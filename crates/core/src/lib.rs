@@ -18,11 +18,13 @@
 //!   renaming that defeats DRAM fragmentation.
 //!
 //! RADS and CFDS are one SRAM front end (tail SRAM and tail MMA, ECQF
-//! lookahead, head SRAM) over two DRAM back ends, as in the paper: their
-//! slot — deliver, arrive, request, back-end delay, DRAM period ops, serve —
-//! is written once, in the crate-private `front` module, and each back end
-//! supplies only its period ops, its delay (CFDS's latency register), its
-//! share of idle fast-forward and quiescence, and preload. The DRAM-only
+//! lookahead, the delay line behind it, head SRAM) over two DRAM back ends,
+//! as in the paper: their slot — deliver, arrive, request, delay line, DRAM
+//! period ops, serve — is written once, in the crate-private `front`
+//! module. The delay line is `B` slots deep for RADS (its DRAM read) and
+//! the latency register of equation (3) for CFDS. Each back end supplies
+//! only its period ops, its share of idle fast-forward and quiescence, and
+//! preload. The DRAM-only
 //! baseline has a slot body of its own. Each design's `step` and fused
 //! [`PacketBuffer::step_batch`] run its one body through one shared
 //! skeleton.

@@ -156,9 +156,10 @@ pub trait PacketBuffer {
     /// (cells committed to the head path minus requests already accepted).
     fn requestable_cells(&self, queue: LogicalQueueId) -> u64;
 
-    /// Fixed pipeline delay of the head path in slots (lookahead plus, for
-    /// CFDS, the latency register). After the last request is injected, this
-    /// many further slots are needed to drain all grants.
+    /// Fixed pipeline delay of the head path in slots (lookahead plus the
+    /// delay line behind it: `B` slots for RADS, the latency register for
+    /// CFDS). After the last request is injected, this many further slots
+    /// are needed to drain all grants.
     fn pipeline_delay_slots(&self) -> usize;
 
     /// Aggregate statistics.

@@ -2507,15 +2507,11 @@ mod tests {
                 ClosStage::Middle => config.ingress_switches,
                 ClosStage::Ingress | ClosStage::Egress => config.radix,
             };
-            // Fabric ports need `B` slots of lookahead on top of the ECQF
-            // minimum: a crossbar arbiter can land a due request inside the
-            // in-flight replenishment window (see `sim`'s `rads_config`).
-            let granularity = 4;
             RadsBuffer::new(RadsConfig {
                 line_rate: LineRate::Oc3072,
                 num_queues,
-                granularity,
-                lookahead: Some(num_queues * (granularity - 1) + 1 + granularity),
+                granularity: 4,
+                lookahead: None,
                 dram: Default::default(),
             })
         }
@@ -2942,7 +2938,7 @@ mod tests {
                 line_rate: LineRate::Oc3072,
                 num_queues,
                 granularity: 1,
-                lookahead: Some(2),
+                lookahead: None,
                 dram: Default::default(),
             })
         })

@@ -50,11 +50,6 @@ pub fn rads_sram_size_bytes(lookahead: usize, num_queues: usize, granularity: us
     rads_sram_size_cells(lookahead, num_queues, granularity) * CELL_BYTES
 }
 
-/// Scheduler-visible delay (in slots) introduced by a RADS lookahead.
-pub fn rads_delay_slots(lookahead: usize) -> usize {
-    lookahead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +114,6 @@ mod tests {
         assert_eq!(rads_sram_size_cells(10, 0, 32), 0);
         assert_eq!(rads_sram_size_cells(10, 512, 0), 0);
         assert_eq!(ecqf_min_sram_cells(512, 1), 1);
-        assert_eq!(rads_delay_slots(42), 42);
     }
 
     #[test]

@@ -547,8 +547,9 @@ impl ClosScenario {
         }
     }
 
-    /// The RADS configuration of a `num_queues`-VOQ stage buffer: `B` slots
-    /// of lookahead above the ECQF minimum, like every switch and Clos port.
+    /// The RADS configuration of a `num_queues`-VOQ stage buffer: the ECQF
+    /// minimum lookahead, with the `B`-slot DRAM read as the stage behind
+    /// it, like every switch and Clos port.
     pub fn rads_config(&self, num_queues: usize) -> RadsConfig {
         self.provisioning().rads_config(num_queues)
     }

@@ -338,9 +338,10 @@ impl FabricScenario {
     }
 
     /// The CFDS configuration of this scenario's CFDS ports, or the reason
-    /// it is invalid: `B` slots of lookahead above the ECQF minimum and
-    /// `k = 2` physical queues per VOQ, both overridable through
-    /// [`ConfigOverrides`].
+    /// it is invalid: `B` slots of lookahead above the ECQF minimum (a
+    /// margin RADS ports do without; see `Provisioning::cfds_lookahead` in
+    /// `sim::ports`) and `k = 2` physical queues per VOQ, both overridable
+    /// through [`ConfigOverrides`].
     ///
     /// # Errors
     ///

@@ -40,26 +40,29 @@ pub(crate) struct Provisioning {
 }
 
 impl Provisioning {
-    /// Lookahead of a `queues`-VOQ port moving `granularity`-cell blocks:
-    /// `B` slots on top of the ECQF minimum `Q(g−1)+1`. The minimum assumes
-    /// a replenishment decision is usable immediately, but the block is in
-    /// the DRAM for `B` more slots, and a crossbar arbiter (unlike the
-    /// single-buffer request generators) can jitter a lock-step drain so a
-    /// due request lands inside that window; a by-definition ECQF replay of
-    /// such a trace misses without the margin. A zero granularity, or a sum
-    /// that overflows, saturates here and is rejected by the configuration
-    /// check this feeds.
-    fn lookahead(&self, queues: usize, granularity: usize) -> usize {
-        let ecqf_minimum = queues.saturating_mul(granularity.saturating_sub(1)) + 1;
+    /// Lookahead of a `queues`-VOQ CFDS port: `B` slots on top of the ECQF
+    /// minimum `Q(b−1)+1`. RADS ports run at the bare minimum, their
+    /// `B`-slot delay line covering the DRAM read. For `b < B` the latency
+    /// register covers it on CFDS ports (at 4 ports the bare minimum lost no
+    /// cell in 48 runs), but at `b = B` the register is zero slots deep and
+    /// the margin is the only cover. It stays until an exhaustive check at
+    /// toy geometry settles the register's depth; dropping it also shortens
+    /// every CFDS-port latency, which changes the `switch_islip` reports. A
+    /// zero granularity, or a sum that overflows, saturates here and is
+    /// rejected by the configuration check this feeds.
+    fn cfds_lookahead(&self, queues: usize) -> usize {
+        let ecqf_minimum = queues.saturating_mul(self.granularity.saturating_sub(1)) + 1;
         ecqf_minimum.saturating_add(self.rads_granularity)
     }
 
+    /// RADS (and DRAM-only) ports take the ECQF minimum lookahead: the
+    /// `B`-slot DRAM read is the stage behind it.
     pub(crate) fn rads_config(&self, queues: usize) -> RadsConfig {
         self.overrides.apply_rads(RadsConfig {
             line_rate: self.line_rate,
             num_queues: queues,
             granularity: self.rads_granularity,
-            lookahead: Some(self.lookahead(queues, self.rads_granularity)),
+            lookahead: None,
             dram: DramTiming::paper_design_point(),
         })
     }
@@ -78,7 +81,7 @@ impl Provisioning {
                     .granularity(self.granularity)
                     .rads_granularity(self.rads_granularity)
                     .num_banks(self.num_banks)
-                    .lookahead(self.lookahead(queues, self.granularity)),
+                    .lookahead(self.cfds_lookahead(queues)),
             )
             .build()
     }
