@@ -98,7 +98,6 @@ pub fn dram_only() {
         num_queues: 16,
         granularity: 32,
         lookahead: None,
-        dram: Default::default(),
     };
     let mut buf = DramOnlyBuffer::new(cfg);
     for (q, cells) in preload_cells(16, 256) {

@@ -43,9 +43,13 @@ pub fn max_skips(cfg: &CfdsConfig) -> usize {
 /// drain the RR in FIFO order plus the worst-case skipping, with one issue
 /// opportunity every `b` slots, plus the difference between the real DRAM
 /// access time (`B` slots) and the `b` slots the MMA already accounts for.
+///
+/// The degenerate `b = B` configuration reorders nothing, so its register is
+/// just the `B`-slot DRAM read, as RADS's delay line is. For `B/b ≥ 2` the
+/// formula gives at least `B + b`.
 pub fn latency_slots(cfg: &CfdsConfig) -> usize {
     if cfg.banks_per_group() <= 1 {
-        return 0;
+        return cfg.rads_granularity;
     }
     (rr_size(cfg) + max_skips(cfg)) * cfg.granularity + (cfg.rads_granularity - cfg.granularity)
 }
@@ -192,7 +196,7 @@ mod tests {
     fn degenerate_single_bank_group() {
         let cfg = oc3072(32);
         assert_eq!(max_skips(&cfg), 0);
-        assert_eq!(latency_slots(&cfg), 0);
-        assert_eq!(total_delay_slots(&cfg, 100), 100);
+        assert_eq!(latency_slots(&cfg), 32);
+        assert_eq!(total_delay_slots(&cfg, 100), 132);
     }
 }

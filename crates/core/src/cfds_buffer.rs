@@ -362,6 +362,7 @@ impl BackEnd for CfdsDram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::short_streams::assert_every_short_stream_is_served;
     use crate::{BufferStats, PacketBuffer};
     use pktbuf_model::LineRate;
 
@@ -427,6 +428,22 @@ mod tests {
             buf.peak_rr_occupancy(),
             buf.analytical_rr_size()
         );
+    }
+
+    /// RADS's exhaustive check over CFDS at Q = 2: every oracle-respecting
+    /// request stream of up to eight slots, at `b = B` (the register is just
+    /// the `B`-slot read) and at `B/b = 2`. None misses, and the head SRAM
+    /// stays within equation (4).
+    #[test]
+    fn every_short_request_stream_is_served() {
+        for (b, big_b, m) in [(2, 2, 2), (3, 3, 3), (1, 2, 2), (2, 4, 4)] {
+            assert_every_short_stream_is_served(
+                || CfdsBuffer::new(small_cfg(2, b, big_b, m)),
+                CfdsBuffer::preload_dram,
+                CfdsBuffer::analytical_head_sram,
+                b,
+            );
+        }
     }
 
     #[test]

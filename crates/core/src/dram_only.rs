@@ -241,7 +241,6 @@ mod tests {
             num_queues: 4,
             granularity: 8,
             lookahead: None,
-            dram: Default::default(),
         }
     }
 

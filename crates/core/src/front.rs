@@ -517,3 +517,67 @@ impl<D: BackEnd> PacketBuffer for HybridBuffer<D> {
         self.front.available.total()
     }
 }
+
+#[cfg(test)]
+/// Exhaustive check of the hybrid buffers at toy geometry: every
+/// oracle-respecting request stream of up to eight slots over two queues,
+/// with one or two blocks of each queue preloaded in DRAM.
+pub(crate) mod short_streams {
+    use super::{BackEnd, HybridBuffer};
+    use crate::PacketBuffer;
+    use pktbuf_model::{Cell, LogicalQueueId};
+
+    /// Runs every request stream of up to eight slots over queues 0 and 1
+    /// through a fresh buffer from `new`, after `preload` has put one or two
+    /// blocks of `block` cells of each queue in DRAM. Asserts that no request
+    /// misses, every request is granted, and the peak head SRAM stays within
+    /// `bound`. A failure names the configuration, the preload and the stream.
+    pub(crate) fn assert_every_short_stream_is_served<D: BackEnd>(
+        new: impl Fn() -> HybridBuffer<D>,
+        preload: impl Fn(&mut HybridBuffer<D>, LogicalQueueId, Vec<Cell>),
+        bound: impl Fn(&HybridBuffer<D>) -> usize,
+        block: usize,
+    ) {
+        const SLOTS: u32 = 8;
+        for blocks in [[1, 1], [1, 2], [2, 1], [2, 2]] {
+            // Digit t of `code` in base 3 is slot t's request: 0 for none,
+            // else queue digit − 1. Shorter streams end in idle slots.
+            'streams: for code in 0..3u32.pow(SLOTS) {
+                let stream: Vec<Option<LogicalQueueId>> = (0..SLOTS)
+                    .map(|t| {
+                        (code / 3u32.pow(t) % 3)
+                            .checked_sub(1)
+                            .map(LogicalQueueId::new)
+                    })
+                    .collect();
+                let mut buf = new();
+                let context = format!("{:?}, blocks {blocks:?}, stream {stream:?}", buf.config());
+                for (i, &n) in blocks.iter().enumerate() {
+                    let queue = LogicalQueueId::new(i as u32);
+                    let cells = (0..n * block as u64).map(|s| Cell::new(queue, s, 0));
+                    preload(&mut buf, queue, cells.collect());
+                }
+                let horizon = stream.len() + buf.pipeline_delay_slots() + 2 * block;
+                for t in 0..horizon {
+                    let request = stream.get(t).copied().flatten();
+                    if request.is_some_and(|queue| buf.requestable_cells(queue) == 0) {
+                        continue 'streams;
+                    }
+                    let out = buf.step(None, request);
+                    assert!(out.miss.is_none(), "{context}: miss at slot {t}");
+                }
+                let stats = buf.stats();
+                assert!(
+                    stats.is_loss_free() && stats.grants == stats.requests,
+                    "{context}: {stats:?}"
+                );
+                assert!(
+                    buf.peak_head_sram() <= bound(&buf),
+                    "{context}: peak head SRAM {} vs analytical {}",
+                    buf.peak_head_sram(),
+                    bound(&buf)
+                );
+            }
+        }
+    }
+}

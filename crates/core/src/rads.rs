@@ -146,8 +146,9 @@ impl BackEnd for RadsDram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::front::short_streams::assert_every_short_stream_is_served;
     use crate::PacketBuffer;
-    use pktbuf_model::{DramTiming, LineRate};
+    use pktbuf_model::LineRate;
 
     fn small_cfg(q: usize, b: usize) -> RadsConfig {
         RadsConfig {
@@ -155,7 +156,6 @@ mod tests {
             num_queues: q,
             granularity: b,
             lookahead: None,
-            dram: DramTiming::paper_design_point(),
         }
     }
 
@@ -216,48 +216,12 @@ mod tests {
     /// analytical bound.
     #[test]
     fn every_short_request_stream_is_served() {
-        const SLOTS: u32 = 8;
-        let (q, b) = (2, 2);
-        for blocks in [[1, 1], [1, 2], [2, 1], [2, 2]] {
-            // Digit t of `code` in base 3 is slot t's request: 0 for none,
-            // else queue digit − 1. Shorter streams end in idle slots.
-            'streams: for code in 0..3u32.pow(SLOTS) {
-                let stream: Vec<Option<LogicalQueueId>> = (0..SLOTS)
-                    .map(|t| (code / 3u32.pow(t) % 3).checked_sub(1).map(lq))
-                    .collect();
-                let mut buf = RadsBuffer::new(small_cfg(q, b));
-                for (i, &n) in blocks.iter().enumerate() {
-                    let queue = lq(i as u32);
-                    buf.preload_dram(
-                        queue,
-                        (0..n * b as u64).map(|s| Cell::new(queue, s, 0)).collect(),
-                    );
-                }
-                let horizon = stream.len() + buf.pipeline_delay_slots() + 2 * b;
-                for t in 0..horizon {
-                    let request = stream.get(t).copied().flatten();
-                    if request.is_some_and(|queue| buf.requestable_cells(queue) == 0) {
-                        continue 'streams;
-                    }
-                    let out = buf.step(None, request);
-                    assert!(
-                        out.miss.is_none(),
-                        "blocks {blocks:?}, stream {stream:?}: miss at slot {t}"
-                    );
-                }
-                let stats = buf.stats();
-                assert!(
-                    stats.is_loss_free() && stats.grants == stats.requests,
-                    "blocks {blocks:?}, stream {stream:?}: {stats:?}"
-                );
-                assert!(
-                    buf.peak_head_sram() <= buf.analytical_head_sram(),
-                    "blocks {blocks:?}, stream {stream:?}: peak {} vs analytical {}",
-                    buf.peak_head_sram(),
-                    buf.analytical_head_sram()
-                );
-            }
-        }
+        assert_every_short_stream_is_served(
+            || RadsBuffer::new(small_cfg(2, 2)),
+            RadsBuffer::preload_dram,
+            RadsBuffer::analytical_head_sram,
+            2,
+        );
     }
 
     #[test]

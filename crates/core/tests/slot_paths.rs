@@ -13,9 +13,7 @@ use pktbuf::{
     BufferStats, CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, GrantSink, PacketBuffer,
     RadsBuffer, RequestSource,
 };
-use pktbuf_model::{
-    Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig, RequestOracle,
-};
+use pktbuf_model::{Cell, CfdsConfig, LineRate, LogicalQueueId, RadsConfig, RequestOracle};
 
 const CHUNKS: [usize; 4] = [1, 7, 64, 256];
 
@@ -29,7 +27,6 @@ fn rads_cfg(q: usize, b: usize) -> RadsConfig {
         num_queues: q,
         granularity: b,
         lookahead: None,
-        dram: DramTiming::paper_design_point(),
     }
 }
 

@@ -2512,7 +2512,6 @@ mod tests {
                 num_queues,
                 granularity: 4,
                 lookahead: None,
-                dram: Default::default(),
             })
         }
     }
@@ -2939,7 +2938,6 @@ mod tests {
                 num_queues,
                 granularity: 1,
                 lookahead: None,
-                dram: Default::default(),
             })
         })
     }

@@ -53,7 +53,6 @@
 //!             num_queues: ports,
 //!             granularity: 4,
 //!             lookahead: None,
-//!             dram: Default::default(),
 //!         })
 //!     })
 //!     .collect();

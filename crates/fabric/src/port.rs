@@ -136,7 +136,6 @@ mod tests {
             num_queues: 4,
             granularity: 4,
             lookahead: None,
-            dram: Default::default(),
         };
         let mut port: PortBuffer = RadsBuffer::new(cfg).into();
         assert_eq!(port.design_name(), "RADS");
@@ -171,7 +170,6 @@ mod tests {
             num_queues: 4,
             granularity: 4,
             lookahead: None,
-            dram: Default::default(),
         };
         let q = LogicalQueueId::new(0);
         let slots = 256u64;

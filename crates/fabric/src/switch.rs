@@ -616,7 +616,6 @@ mod tests {
                     num_queues: ports,
                     granularity: 4,
                     lookahead: None,
-                    dram: Default::default(),
                 })
             })
             .collect()

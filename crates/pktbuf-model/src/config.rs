@@ -2,60 +2,12 @@
 
 use crate::error::ConfigError;
 use crate::rate::LineRate;
-use crate::time::Nanoseconds;
 use serde::{Deserialize, Serialize};
 
-/// DRAM timing parameters relevant to the buffer design.
-///
-/// Only the *random access time* matters for worst-case dimensioning: it is the
-/// spacing that RADS must leave between any two accesses, and the per-bank busy
-/// time that CFDS must respect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DramTiming {
-    /// Random access (activate + read/write + precharge) time of one bank.
-    pub random_access: Nanoseconds,
-    /// Time needed to broadcast a new address / command on the bus. Limits how
-    /// often a new bank access can be *initiated* even when banks are free.
-    pub address_cycle: Nanoseconds,
-}
-
-impl DramTiming {
-    /// The paper's assumed commodity DRAM: 48 ns random access time, with an
-    /// address bus fast enough not to be the bottleneck at the studied rates.
-    pub fn commodity_2003() -> Self {
-        DramTiming {
-            random_access: Nanoseconds::new(48.0),
-            address_cycle: Nanoseconds::new(3.2),
-        }
-    }
-
-    /// A conservative 102.4 ns device (= 32 slots at OC-3072, 8 slots at
-    /// OC-768), matching the granularity values `B = 32` and `B = 8` that the
-    /// paper uses for its two design points.
-    pub fn paper_design_point() -> Self {
-        DramTiming {
-            random_access: Nanoseconds::new(102.4),
-            address_cycle: Nanoseconds::new(3.2),
-        }
-    }
-
-    /// RADS granularity `B` (slots per DRAM access) at `rate`.
-    pub fn rads_granularity(&self, rate: LineRate) -> usize {
-        let slot = rate.slot_duration().as_ns();
-        (self.random_access.as_ns() / slot).ceil() as usize
-    }
-
-    /// Bank busy time expressed in slots at `rate`.
-    pub fn busy_slots(&self, rate: LineRate) -> u64 {
-        self.rads_granularity(rate) as u64
-    }
-}
-
-impl Default for DramTiming {
-    fn default() -> Self {
-        DramTiming::paper_design_point()
-    }
-}
+/// Random access time of the paper's DRAM device in nanoseconds: 32 slots
+/// at OC-3072 and 8 at OC-768, the granularities `B` of its two design
+/// points. The default `B` of a configuration is this time in slots.
+const PAPER_DRAM_RANDOM_ACCESS_NS: f64 = 102.4;
 
 /// Longest lookahead a configuration may ask for, in slots. The lookahead
 /// ring holds an 8-byte entry per slot from construction and a 4-byte link
@@ -112,29 +64,6 @@ fn check_lookahead(
     Ok(())
 }
 
-/// Derived sizing summary shared by RADS and CFDS front ends.
-///
-/// Produced by the sizing routines in the `mma` and `cfds` crates; collected
-/// here so that the reporting/benchmark layer can treat both designs uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct BufferSizing {
-    /// Head (and tail) SRAM capacity in cells.
-    pub sram_cells: usize,
-    /// Lookahead shift-register length in slots.
-    pub lookahead_slots: usize,
-    /// Additional latency-register length in slots (zero for RADS).
-    pub latency_slots: usize,
-    /// Requests-register entries (zero for RADS).
-    pub rr_entries: usize,
-}
-
-impl BufferSizing {
-    /// Total scheduler-visible delay in slots (lookahead plus reorder latency).
-    pub fn total_delay_slots(&self) -> usize {
-        self.lookahead_slots + self.latency_slots
-    }
-}
-
 /// Configuration of the Random Access DRAM System (RADS) baseline (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RadsConfig {
@@ -147,22 +76,18 @@ pub struct RadsConfig {
     /// Lookahead length in slots. `None` selects the ECQF minimum
     /// `Q·(B − 1) + 1`.
     pub lookahead: Option<usize>,
-    /// DRAM timing assumptions.
-    pub dram: DramTiming,
 }
 
 impl RadsConfig {
-    /// Builds the paper's design point for a line rate: `B` follows from the
-    /// DRAM random access time (8 at OC-768, 32 at OC-3072 with the 102.4 ns
-    /// device), lookahead defaults to the ECQF minimum.
+    /// Builds the paper's design point for a line rate: `B` is the random
+    /// access time of the paper's 102.4 ns DRAM in slots (8 at OC-768, 32 at
+    /// OC-3072), lookahead defaults to the ECQF minimum.
     pub fn for_line_rate(line_rate: LineRate, num_queues: usize) -> Self {
-        let dram = DramTiming::paper_design_point();
         RadsConfig {
             line_rate,
             num_queues,
-            granularity: dram.rads_granularity(line_rate),
+            granularity: line_rate.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS),
             lookahead: None,
-            dram,
         }
     }
 
@@ -218,8 +143,6 @@ pub struct CfdsConfig {
     /// Lookahead length in slots. `None` selects the ECQF minimum computed with
     /// granularity `b`.
     pub lookahead: Option<usize>,
-    /// DRAM timing assumptions.
-    pub dram: DramTiming,
 }
 
 impl CfdsConfig {
@@ -313,18 +236,6 @@ impl CfdsConfig {
         }
         check_lookahead(self.num_queues, self.granularity, self.lookahead)
     }
-
-    /// The RADS configuration this CFDS instance is refining (same `Q`, same
-    /// DRAM, granularity `B`). Useful for side-by-side comparisons.
-    pub fn equivalent_rads(&self) -> RadsConfig {
-        RadsConfig {
-            line_rate: self.line_rate,
-            num_queues: self.num_queues,
-            granularity: self.rads_granularity,
-            lookahead: None,
-            dram: self.dram,
-        }
-    }
 }
 
 /// Optional knobs a declarative experiment spec can turn without rebuilding a
@@ -349,12 +260,6 @@ pub struct ConfigOverrides {
     /// CFDS physical-queue oversubscription factor `k` (§6).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub physical_queue_factor: Option<usize>,
-    /// DRAM random access time in nanoseconds.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub dram_random_access_ns: Option<f64>,
-    /// DRAM address/command cycle time in nanoseconds.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub dram_address_cycle_ns: Option<f64>,
     /// Total DRAM capacity in cells (buffer-level; CFDS only today).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub dram_capacity_cells: Option<u64>,
@@ -371,18 +276,6 @@ impl ConfigOverrides {
         *self == ConfigOverrides::default()
     }
 
-    /// `base` with any overridden DRAM timing parameters substituted.
-    pub fn dram_timing(&self, base: DramTiming) -> DramTiming {
-        DramTiming {
-            random_access: self
-                .dram_random_access_ns
-                .map_or(base.random_access, Nanoseconds::new),
-            address_cycle: self
-                .dram_address_cycle_ns
-                .map_or(base.address_cycle, Nanoseconds::new),
-        }
-    }
-
     /// Applies the relevant knobs to a RADS configuration.
     ///
     /// The result is *not* revalidated here — callers that accept untrusted
@@ -391,7 +284,6 @@ impl ConfigOverrides {
         if let Some(l) = self.lookahead {
             cfg.lookahead = Some(l);
         }
-        cfg.dram = self.dram_timing(cfg.dram);
         cfg
     }
 
@@ -404,8 +296,7 @@ impl ConfigOverrides {
         if let Some(k) = self.physical_queue_factor {
             builder = builder.physical_queue_factor(k);
         }
-        let base = builder.dram;
-        builder.dram(self.dram_timing(base))
+        builder
     }
 }
 
@@ -423,7 +314,6 @@ pub struct CfdsConfigBuilder {
     rads_granularity: Option<usize>,
     num_banks: usize,
     lookahead: Option<usize>,
-    dram: DramTiming,
 }
 
 impl Default for CfdsConfigBuilder {
@@ -443,7 +333,6 @@ impl CfdsConfigBuilder {
             rads_granularity: None,
             num_banks: 256,
             lookahead: None,
-            dram: DramTiming::paper_design_point(),
         }
     }
 
@@ -471,8 +360,8 @@ impl CfdsConfigBuilder {
         self
     }
 
-    /// Overrides the RADS granularity `B`. By default it is derived from the
-    /// DRAM random access time and the line rate.
+    /// Overrides the RADS granularity `B`. By default it is the random access
+    /// time of the paper's 102.4 ns DRAM in slots at the line rate.
     pub fn rads_granularity(mut self, big_b: usize) -> Self {
         self.rads_granularity = Some(big_b);
         self
@@ -490,12 +379,6 @@ impl CfdsConfigBuilder {
         self
     }
 
-    /// Sets the DRAM timing assumptions.
-    pub fn dram(mut self, dram: DramTiming) -> Self {
-        self.dram = dram;
-        self
-    }
-
     /// Finalises and validates the configuration.
     ///
     /// # Errors
@@ -504,7 +387,7 @@ impl CfdsConfigBuilder {
     pub fn build(self) -> Result<CfdsConfig, ConfigError> {
         let rads_granularity = self
             .rads_granularity
-            .unwrap_or_else(|| self.dram.rads_granularity(self.line_rate));
+            .unwrap_or_else(|| self.line_rate.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS));
         let cfg = CfdsConfig {
             line_rate: self.line_rate,
             num_queues: self.num_queues,
@@ -513,7 +396,6 @@ impl CfdsConfigBuilder {
             rads_granularity,
             num_banks: self.num_banks,
             lookahead: self.lookahead,
-            dram: self.dram,
         };
         cfg.validate()?;
         Ok(cfg)
@@ -523,17 +405,6 @@ impl CfdsConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dram_timing_granularities() {
-        let d = DramTiming::paper_design_point();
-        assert_eq!(d.rads_granularity(LineRate::Oc3072), 32);
-        assert_eq!(d.rads_granularity(LineRate::Oc768), 8);
-        assert_eq!(d.busy_slots(LineRate::Oc3072), 32);
-        let c = DramTiming::commodity_2003();
-        assert_eq!(c.rads_granularity(LineRate::Oc3072), 15);
-        assert_eq!(DramTiming::default(), DramTiming::paper_design_point());
-    }
 
     #[test]
     fn rads_min_lookahead_formula() {
@@ -671,15 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn cfds_equivalent_rads_shares_parameters() {
-        let cfds = CfdsConfig::builder().build().unwrap();
-        let rads = cfds.equivalent_rads();
-        assert_eq!(rads.num_queues, cfds.num_queues);
-        assert_eq!(rads.granularity, cfds.rads_granularity);
-        assert_eq!(rads.line_rate, cfds.line_rate);
-    }
-
-    #[test]
     fn cfds_oversubscription() {
         let cfg = CfdsConfig::builder()
             .physical_queue_factor(2)
@@ -687,18 +549,6 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.num_physical_queues(), 1024);
         assert_eq!(cfg.queues_per_group(), 32);
-    }
-
-    #[test]
-    fn buffer_sizing_total_delay() {
-        let s = BufferSizing {
-            sram_cells: 100,
-            lookahead_slots: 50,
-            latency_slots: 20,
-            rr_entries: 8,
-        };
-        assert_eq!(s.total_delay_slots(), 70);
-        assert_eq!(BufferSizing::default().total_delay_slots(), 0);
     }
 
     #[test]
@@ -716,24 +566,14 @@ mod tests {
         let ov = ConfigOverrides {
             lookahead: Some(20_000),
             physical_queue_factor: Some(2),
-            dram_random_access_ns: Some(48.0),
-            dram_address_cycle_ns: Some(1.6),
             dram_capacity_cells: Some(4_096),
         };
         assert!(!ov.is_none());
         let rads = ov.apply_rads(RadsConfig::for_line_rate(LineRate::Oc3072, 512));
         assert_eq!(rads.lookahead, Some(20_000));
-        assert_eq!(rads.dram.random_access, Nanoseconds::new(48.0));
-        assert_eq!(rads.dram.address_cycle, Nanoseconds::new(1.6));
-        // The 48 ns override changes the derived `B` (ceil(48/3.2) = 15), so
-        // pin `B = 32` explicitly to keep the divisibility constraints happy.
-        let cfds = ov
-            .apply_cfds(CfdsConfig::builder().rads_granularity(32))
-            .build()
-            .unwrap();
+        let cfds = ov.apply_cfds(CfdsConfig::builder()).build().unwrap();
         assert_eq!(cfds.lookahead, Some(20_000));
         assert_eq!(cfds.physical_queue_factor, 2);
-        assert_eq!(cfds.dram.random_access, Nanoseconds::new(48.0));
     }
 
     #[test]

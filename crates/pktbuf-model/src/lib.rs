@@ -55,8 +55,8 @@ mod time;
 
 pub use cell::{Cell, CELL_BYTES};
 pub use config::{
-    BufferSizing, CfdsConfig, CfdsConfigBuilder, ConfigOverrides, DramTiming, RadsConfig,
-    MAX_BANKS, MAX_LOOKAHEAD_SLOTS, MAX_PHYSICAL_QUEUES,
+    CfdsConfig, CfdsConfigBuilder, ConfigOverrides, RadsConfig, MAX_BANKS, MAX_LOOKAHEAD_SLOTS,
+    MAX_PHYSICAL_QUEUES,
 };
 pub use error::{ConfigError, ModelError};
 pub use ledger::{RequestLedger, RequestOracle};

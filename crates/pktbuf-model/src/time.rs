@@ -128,11 +128,6 @@ impl SlotDuration {
     pub fn times(self, n: u64) -> Nanoseconds {
         Nanoseconds(self.as_ns() * n as f64)
     }
-
-    /// Number of whole slots needed to cover `duration` (ceiling).
-    pub fn slots_to_cover(self, duration: Nanoseconds) -> u64 {
-        (duration.as_ns() / self.as_ns()).ceil() as u64
-    }
 }
 
 impl fmt::Display for SlotDuration {
@@ -175,8 +170,6 @@ mod tests {
     #[test]
     fn slot_duration_cover_and_times() {
         let d = SlotDuration::from_ns(3.2);
-        assert_eq!(d.slots_to_cover(Nanoseconds::new(48.0)), 15);
-        assert_eq!(d.slots_to_cover(Nanoseconds::new(3.2)), 1);
         assert!((d.times(10).as_ns() - 32.0).abs() < 1e-9);
         assert!(d.to_string().contains("per slot"));
     }

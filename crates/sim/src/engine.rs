@@ -493,7 +493,6 @@ mod tests {
             num_queues: 4,
             granularity: 4,
             lookahead: None,
-            dram: Default::default(),
         };
         let mut buf = RadsBuffer::new(cfg);
         let buffer: &mut dyn PacketBuffer = &mut buf;

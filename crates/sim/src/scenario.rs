@@ -3,7 +3,7 @@
 use crate::engine::{SimulationEngine, SimulationReport};
 use pktbuf::{CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, PacketBuffer, RadsBuffer};
 use pktbuf_model::{
-    CfdsConfig, ConfigError, ConfigOverrides, DramTiming, LineRate, LogicalQueueId, RadsConfig,
+    CfdsConfig, ConfigError, ConfigOverrides, LineRate, LogicalQueueId, RadsConfig,
 };
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -290,7 +290,6 @@ impl Scenario {
             num_queues: self.num_queues,
             granularity: self.rads_granularity,
             lookahead: None,
-            dram: DramTiming::paper_design_point(),
         })
     }
 

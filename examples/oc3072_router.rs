@@ -45,7 +45,6 @@ fn main() {
         num_queues: QUEUES,
         granularity: 32,
         lookahead: None,
-        dram: Default::default(),
     };
     let mut dram_only = DramOnlyBuffer::new(rads_cfg);
     for (q, cells) in preload_cells(QUEUES, CELLS_PER_QUEUE) {

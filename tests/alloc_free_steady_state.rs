@@ -19,7 +19,7 @@
 
 use fabric::{FabricConfig, NullSink, VoqSwitch};
 use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
-use pktbuf_model::{Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, RadsConfig};
+use pktbuf_model::{Cell, CfdsConfig, LineRate, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
 use sram_buf::{SharedBuffer, UnifiedLinkedListBuffer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -249,7 +249,6 @@ fn steady_state_slot_loop_is_allocation_free() {
         num_queues: 16,
         granularity: 8,
         lookahead: None,
-        dram: DramTiming::paper_design_point(),
     };
     let mut rads = RadsBuffer::new(rads_cfg);
     assert_steady_state_alloc_free(&mut rads, "RADS", 2, true);

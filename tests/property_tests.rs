@@ -5,7 +5,7 @@ use future_packet_buffers::buffers::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, R
 use future_packet_buffers::cfds::{DramSchedulerSubsystem, DsaPolicy, RenamingTable};
 use future_packet_buffers::dram::{AddressMapper, GroupId, InterleavingConfig};
 use future_packet_buffers::model::{
-    Cell, CfdsConfig, DramTiming, LineRate, LogicalQueueId, PhysicalQueueId, RadsConfig,
+    Cell, CfdsConfig, LineRate, LogicalQueueId, PhysicalQueueId, RadsConfig,
 };
 use future_packet_buffers::srambuf::{GlobalCamBuffer, SharedBuffer, UnifiedLinkedListBuffer};
 use proptest::prelude::*;
@@ -300,7 +300,6 @@ proptest! {
             num_queues: 8,
             granularity: 4,
             lookahead: None,
-            dram: DramTiming::paper_design_point(),
         };
         check_advance_idle_equivalence(
             RadsBuffer::new(rads_cfg),

@@ -122,7 +122,7 @@ fn experiment_spec() -> ExperimentSpec {
 }
 
 /// The experiment fixture with every [`ConfigOverrides`] knob set (the
-/// other fixtures leave all five at "keep the configuration's value").
+/// other fixtures leave all three at "keep the configuration's value").
 fn overrides_spec() -> ExperimentSpec {
     ExperimentSpec::builder()
         .name("fixture-overrides")
@@ -137,8 +137,6 @@ fn overrides_spec() -> ExperimentSpec {
         .overrides(ConfigOverrides {
             lookahead: Some(64),
             physical_queue_factor: Some(2),
-            dram_random_access_ns: Some(51.2),
-            dram_address_cycle_ns: Some(1.6),
             dram_capacity_cells: Some(4_096),
         })
         .build()

@@ -13,8 +13,8 @@ use future_packet_buffers::dram::{
     MultiChipConfig, SdramChip, SdramTimingCycles,
 };
 use future_packet_buffers::model::{
-    BufferSizing, Cell, CfdsConfig, ConfigOverrides, DramTiming, LineRate, LogicalQueueId,
-    Nanoseconds, PhysicalQueueId, QueueKind, RadsConfig, Slot, SlotDuration,
+    Cell, CfdsConfig, ConfigOverrides, LineRate, LogicalQueueId, Nanoseconds, PhysicalQueueId,
+    QueueKind, RadsConfig, Slot, SlotDuration,
 };
 use future_packet_buffers::sim::clos::{ClosScenario, ClosSpec, ObsScenario, TransportScenario};
 use future_packet_buffers::sim::fabric::{FabricScenario, FabricSpec};
@@ -50,16 +50,6 @@ fn every_derive_site_round_trips_through_json() {
     round_trip(&Slot::new(9));
     round_trip(&Nanoseconds::new(3.2));
     round_trip(&SlotDuration::from_ns(12.8));
-    assert_eq!(
-        round_trip(&DramTiming::paper_design_point()),
-        r#"{"random_access":102.4,"address_cycle":3.2}"#
-    );
-    round_trip(&BufferSizing {
-        sram_cells: 100,
-        lookahead_slots: 50,
-        latency_slots: 20,
-        rr_entries: 8,
-    });
     round_trip(&RadsConfig::for_line_rate(LineRate::Oc768, 128));
     let cfds = CfdsConfig::builder().lookahead(2_000).build().unwrap();
     round_trip(&cfds);

@@ -122,7 +122,6 @@ fn rads_peak_head_sram_respects_the_ecqf_bound() {
             num_queues: q,
             granularity: big_b,
             lookahead: None,
-            dram: Default::default(),
         };
         let mut buf = RadsBuffer::new(cfg);
         for (queue, cells) in preload_cells(q, 64) {
@@ -136,7 +135,7 @@ fn rads_peak_head_sram_respects_the_ecqf_bound() {
         }
         assert!(buf.stats().is_loss_free());
         assert!(
-            buf.peak_head_sram() <= buf.analytical_head_sram() + big_b,
+            buf.peak_head_sram() <= buf.analytical_head_sram(),
             "peak {} vs analytical {} (Q={q}, B={big_b})",
             buf.peak_head_sram(),
             buf.analytical_head_sram()
