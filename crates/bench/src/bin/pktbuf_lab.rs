@@ -17,7 +17,6 @@ use bench::cli::{
     emit, lab_command, parse_int, parse_list_or_all, parse_seeds, parse_sweep, read_spec_text, set,
     write_artifact, Artifacts, LabLayer, SpecFlag,
 };
-use pktbuf_model::LineRate;
 use serde::{Serialize, Serializer};
 use sim::clos::{ClosLabReport, ClosSpec, DispatchChoice, ObsScenario, TransportScenario};
 use sim::fabric::{ArbiterChoice, FabricDesign, FabricLabReport, FabricSpec, FabricWorkload};
@@ -89,7 +88,7 @@ rate-limited egress; sweepable axes accept the same sweep syntax as below):
     --iters <N>              iSLIP iterations per slot, 0 = auto (default 0)
     --load <SWEEP>           offered load per port, percent      (default 90)
     --egress-period <N>      slots per egress cell, 1 = line rate (default 1)
-    -b/-B/--banks, --rate, --slots, --seeds, --name, --threads, --json, --csv
+    -b/-B/--banks, --slots, --seeds, --name, --threads, --json, --csv
                              as for `run`/`sweep`
 
 CLOS FLAGS (three-stage folded Clos: r ingress switches of radix N, m middle,
@@ -145,7 +144,7 @@ same sweep syntax as below):
                              recovery leg's faulted run with the recorder
                              armed over the fault windows; otherwise arms the
                              recorder in every run and dumps the first one
-    --rate, -b/-B/--banks, --slots, --seeds, --name, --threads, --json, --csv
+    -b/-B/--banks, --slots, --seeds, --name, --threads, --json, --csv
                              as for `run`/`sweep`
 
 SPEC FLAGS (inline specs; every axis accepts 'v', 'v1,v2,…', 'a..b*factor', 'a..b+step'):
@@ -153,7 +152,6 @@ SPEC FLAGS (inline specs; every axis accepts 'v', 'v1,v2,…', 'a..b*factor', 'a
     --name <NAME>            experiment name
     --designs <LIST|all>     dram-only, rads, cfds            (default cfds)
     --workloads <LIST|all>   adversarial-round-robin, uniform-random, bursty, hotspot, greedy-drain
-    --rate <RATE>            oc192 | oc768 | oc3072 | <Gb/s>  (default oc3072)
     --queues <SWEEP>         logical queues Q                 (default 32)
     -b, --granularity <SWEEP>     CFDS granularity b          (default 4)
     -B, --rads-granularity <SWEEP> RADS granularity B         (default 16)
@@ -219,11 +217,6 @@ fn fabric_smoke_spec() -> FabricSpec {
         .expect("the fabric smoke spec is valid")
 }
 
-/// Parses the `--rate` flag value.
-fn parse_rate(text: &str) -> Result<LineRate, String> {
-    text.parse().map_err(|e| format!("--rate: {e}"))
-}
-
 // The list flags `fabric` and `clos` share.
 fn fabric_designs(text: &str) -> Result<Vec<FabricDesign>, String> {
     parse_list_or_all(text, "fabric design", FabricDesign::all())
@@ -262,7 +255,6 @@ impl LabLayer for FabricLayer {
         SpecFlag::value(&["--egress-period"], |s, v| {
             set(&mut s.egress_period, parse_int(v, "--egress-period"))
         }),
-        SpecFlag::value(&["--rate"], |s, v| set(&mut s.line_rate, parse_rate(v))),
         SpecFlag::value(&["-b", "--granularity"], |s, v| {
             set(&mut s.granularity, parse_sweep(v, "--granularity"))
         }),
@@ -755,7 +747,6 @@ impl LabLayer for ClosLayer {
         SpecFlag::value(&["--egress-period"], |s, v| {
             set(&mut s.egress_period, parse_int(v, "--egress-period"))
         }),
-        SpecFlag::value(&["--rate"], |s, v| set(&mut s.line_rate, parse_rate(v))),
         SpecFlag::value(&["-b", "--granularity"], |s, v| {
             set(&mut s.granularity, parse_int(v, "--granularity"))
         }),
@@ -1281,7 +1272,6 @@ impl LabLayer for RunLayer {
                 parse_list_or_all(v, "workload", Workload::all()),
             )
         }),
-        SpecFlag::value(&["--rate"], |s, v| set(&mut s.line_rate, parse_rate(v))),
         SpecFlag::value(&["--queues"], |s, v| {
             set(&mut s.num_queues, parse_sweep(v, "--queues"))
         }),

@@ -34,12 +34,11 @@ pub fn oc3072_parameters() -> (LineRate, usize, usize, usize) {
 
 /// CFDS configurations swept in Figures 10/11 and Table 2 (granularity `b`).
 pub fn oc3072_cfds_sweep() -> Vec<CfdsConfig> {
-    let (rate, q, big_b, m) = oc3072_parameters();
+    let (_, q, big_b, m) = oc3072_parameters();
     [16usize, 8, 4, 2, 1]
         .iter()
         .filter_map(|b| {
             CfdsConfig::builder()
-                .line_rate(rate)
                 .num_queues(q)
                 .granularity(*b)
                 .rads_granularity(big_b)
@@ -50,13 +49,17 @@ pub fn oc3072_cfds_sweep() -> Vec<CfdsConfig> {
         .collect()
 }
 
-/// Evenly spaced lookahead sweep between a small value and the ECQF maximum.
+/// Evenly spaced lookahead sweep from a small value up to the ECQF minimum
+/// `Q(g − 1) + 1`, the longest lookahead worth having. Where that is already
+/// below the small value (`g = 1`: one slot) the sweep is that one point.
 pub fn lookahead_sweep(num_queues: usize, granularity: usize, points: usize) -> Vec<usize> {
     let max = mma::sizing::min_lookahead(num_queues, granularity);
-    let min = (num_queues / 2).max(1);
-    (0..points)
+    let min = (num_queues / 2).clamp(1, max);
+    let mut sweep: Vec<usize> = (0..points)
         .map(|i| min + (max - min) * i / (points - 1).max(1))
-        .collect()
+        .collect();
+    sweep.dedup();
+    sweep
 }
 
 #[cfg(test)]
@@ -70,6 +73,7 @@ mod tests {
         assert_eq!(sweep.len(), 8);
         assert!(sweep.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*sweep.last().unwrap(), 512 * 31 + 1);
+        assert_eq!(lookahead_sweep(512, 1, 6), vec![1]);
         let (_, q, b) = oc768_parameters();
         assert_eq!((q, b), (128, 8));
     }

@@ -94,7 +94,6 @@ pub fn dram_only() {
 
     println!("== E1b: slot-level DRAM-only buffer under back-to-back requests ==\n");
     let cfg = RadsConfig {
-        line_rate: LineRate::Oc3072,
         num_queues: 16,
         granularity: 32,
         lookahead: None,
@@ -138,7 +137,7 @@ fn fig8_panel(rate: LineRate, q: usize, big_b: usize, node: &ProcessNode) {
         "LL time-mux area (cm2)",
     ]);
     for lookahead in lookahead_sweep(q, big_b, 10) {
-        let p = rads_point(rate, q, big_b, lookahead, node);
+        let p = rads_point(q, big_b, lookahead, node);
         let cam = p.head_impl(SramImplKind::GlobalCam);
         let ll = p.head_impl(SramImplKind::UnifiedLinkedListTimeMux);
         table.push_row(vec![
@@ -166,7 +165,7 @@ pub fn fig8() {
     println!("implementation reaches the 3.2 ns slot and the areas approach or exceed 1 cm2.");
 }
 
-fn table2_row(rate: LineRate, q: usize, big_b: usize, m: usize) {
+fn table2_panel(rate: LineRate, q: usize, big_b: usize, m: usize) {
     use cfds::sizing::{rr_size, scheduling_time_ns};
     println!("-- {rate}: Q = {q}, B = {big_b}, M = {m} --\n");
     let mut table = TextTable::new(vec!["b", "RR size (entries)", "scheduling time (ns)"]);
@@ -175,7 +174,6 @@ fn table2_row(rate: LineRate, q: usize, big_b: usize, m: usize) {
             continue;
         }
         let cfg = CfdsConfig::builder()
-            .line_rate(rate)
             .num_queues(q)
             .granularity(b)
             .rads_granularity(big_b)
@@ -185,7 +183,7 @@ fn table2_row(rate: LineRate, q: usize, big_b: usize, m: usize) {
         table.push_row(vec![
             format!("{b}"),
             format!("{}", rr_size(&cfg)),
-            format!("{:.1}", scheduling_time_ns(&cfg)),
+            format!("{:.1}", scheduling_time_ns(&cfg, rate)),
         ]);
     }
     println!("{}", table.render());
@@ -194,8 +192,8 @@ fn table2_row(rate: LineRate, q: usize, big_b: usize, m: usize) {
 /// Table 2: Requests-Register size and scheduling time vs. granularity `b`.
 pub fn table2() {
     println!("== Table 2: Requests Register size and scheduling time ==\n");
-    table2_row(LineRate::Oc768, 128, 8, 256);
-    table2_row(LineRate::Oc3072, 512, 32, 256);
+    table2_panel(LineRate::Oc768, 128, 8, 256);
+    table2_panel(LineRate::Oc3072, 512, 32, 256);
     println!("Paper (OC-3072): RR = 0, 8, 64, 256, 1024, 4096 for b = 32…1;");
     println!("our closed form matches for b <= 8 and reports the conservative bound at b = 16.");
     println!("Reference point: the Alpha 21264 selects from a 20-entry window in ~1 ns (0.35 um).");
@@ -212,11 +210,11 @@ fn fig10_series(label: &str, points: &[DesignPoint]) {
     ]);
     for p in points {
         table.push_row(vec![
-            format!("{:.1}", p.delay_seconds * 1e6),
+            format!("{:.1}", p.delay_seconds(LineRate::Oc3072) * 1e6),
             format!("{}", p.head_sram_cells),
             format!("{:.2}", p.best_access_time_ns()),
             format!("{:.2}", p.total_area_cm2()),
-            format!("{}", p.meets(pktbuf_model::LineRate::Oc3072)),
+            format!("{}", p.meets(LineRate::Oc3072)),
         ]);
     }
     println!("{}", table.render());
@@ -226,18 +224,17 @@ fn fig10_series(label: &str, points: &[DesignPoint]) {
 /// delay at OC-3072.
 pub fn fig10() {
     let node = ProcessNode::node_130nm();
-    let (rate, q, big_b, m) = oc3072_parameters();
+    let (_, q, big_b, m) = oc3072_parameters();
     println!("== Figure 10: RADS vs CFDS SRAM cost as a function of delay (OC-3072, Q = 512) ==\n");
 
     let rads: Vec<DesignPoint> = lookahead_sweep(q, big_b, 6)
         .into_iter()
-        .map(|l| rads_point(rate, q, big_b, l, &node))
+        .map(|l| rads_point(q, big_b, l, &node))
         .collect();
     fig10_series("RADS (b = 32)", &rads);
 
     for b in [16usize, 8, 4, 2, 1] {
         let Ok(cfg) = CfdsConfig::builder()
-            .line_rate(rate)
             .num_queues(q)
             .granularity(b)
             .rads_granularity(big_b)
@@ -380,7 +377,6 @@ fn validate_row(run: &sim::lab::RunRecord<ExperimentSpec>, preloaded: bool) -> V
 
 fn fragmentation_run(oversubscription: usize, hot_queues: usize) -> (f64, usize, u64) {
     let cfg = CfdsConfig::builder()
-        .line_rate(LineRate::Oc3072)
         .num_queues(32)
         .granularity(2)
         .rads_granularity(8)
@@ -452,7 +448,6 @@ pub fn fragmentation() {
 
 fn ablation_run(policy: DsaPolicy) -> (String, pktbuf::BufferStats, usize, u64) {
     let cfg = CfdsConfig::builder()
-        .line_rate(LineRate::Oc3072)
         .num_queues(32)
         .granularity(2)
         .rads_granularity(8)

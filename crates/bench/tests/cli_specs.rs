@@ -65,7 +65,9 @@ fn assert_matches_fixture(name: &str, actual: &str) {
         .position(|(a, c)| a != c)
         .unwrap_or_else(|| actual.lines().count().min(committed.lines().count()));
     let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    std::fs::write(&fresh, actual).expect("the test tmpdir is writable");
+    std::fs::create_dir_all(fresh.parent().expect("a file under the tmpdir"))
+        .and_then(|()| std::fs::write(&fresh, actual))
+        .expect("the test tmpdir is writable");
     panic!(
         "tests/fixtures/{name} differs from what the binary printed, first at line {}:\n  \
          committed: {:?}\n  printed:   {:?}\nthe printed bytes are in {fresh:?}",
@@ -90,7 +92,7 @@ fn words(line: &str) -> Vec<&str> {
 /// Every `fabric` spec flag, each at a non-default value.
 const FABRIC_FLAGS: &str = "fabric --name cli-fabric --ports 4,6 --designs rads,mixed \
     --workloads hotspot,bursty --arbiters maximal,islip --iters 3 --load 50..70+10 \
-    --egress-period 2 --rate oc768 -b 2,4 -B 8..16*2 --banks 16,32 --slots 1234 --seeds 3,5 \
+    --egress-period 2 -b 2,4 -B 8..16*2 --banks 16,32 --slots 1234 --seeds 3,5 \
     --print-spec";
 
 /// Every `clos` spec flag but `--transport` (it needs cut-through buffers,
@@ -100,13 +102,13 @@ const FABRIC_FLAGS: &str = "fabric --name cli-fabric --ports 4,6 --designs rads,
 const CLOS_FLAGS: &str = "clos --name cli-clos --radix 2,3 --ingress 2..4+1 --middle 2 \
     --designs rads,dram-only --workloads incast,hotspot --dispatches flowhash,occupancy-spray \
     --arbiters maximal --iters 2 --load 40,60 --link-capacity 4..16*4 --link-latency 3 \
-    --egress-period 2 --rate oc192 -b 4 -B 16 --banks 32 --slots 777 --seeds 9,11 --obs \
+    --egress-period 2 -b 4 -B 16 --banks 32 --slots 777 --seeds 9,11 --obs \
     --series 25 --trace-json unwritten.json --print-spec";
 
 /// Every `run` spec flag at toy size. `--slots` then `--preload`: the later
 /// phase flag switches the earlier one off, so the spec runs the preload with
 /// no live arrivals.
-const RUN_FLAGS: &str = "run --name cli-run --designs rads,cfds --workloads bursty --rate oc768 \
+const RUN_FLAGS: &str = "run --name cli-run --designs rads,cfds --workloads bursty \
     --queues 4 -b 2 -B 4 --banks 8 --slots 300 --preload 8 --seeds 2,4 --record-grants \
     --threads 1 --json -";
 
@@ -114,6 +116,16 @@ const FAULT_PLAN: &str = r#"[
   {"fault": "middle-death", "switch": 1, "start": 100, "duration": 50},
   {"fault": "link-flap", "boundary": "middle-egress", "switch": 0, "output": 1, "start": 300, "duration": 20}
 ]"#;
+
+/// Every paper artefact prints the bytes committed under
+/// `tests/fixtures/paper/`.
+#[test]
+fn paper_artefacts_print_their_committed_bytes() {
+    for name in bench::paper::ARTEFACTS {
+        let printed = lab_stdout(&["paper", name]);
+        assert_matches_fixture(&format!("paper/{name}.txt"), &printed);
+    }
+}
 
 #[test]
 fn every_fabric_flag_reaches_its_field() {
@@ -444,6 +456,38 @@ fn legacy_and_foreign_spec_documents() {
     assert_matches_fixture(
         "cli_clos_print_spec.json",
         &lab_stdout(&["clos", "--spec", &legacy, "--print-spec"]),
+    );
+    // Specs saved while every layer carried a line rate that no run read.
+    let with_line_rate =
+        |spec: &str| spec.replacen('{', "{\n  \"line_rate\": \"OC-768 (40 Gb/s)\",", 1);
+    for (command, name) in [
+        ("fabric", "cli_fabric_print_spec.json"),
+        ("clos", "cli_clos_print_spec.json"),
+    ] {
+        let committed = std::fs::read_to_string(fixture_path(name)).unwrap();
+        let legacy = scratch_file(
+            &format!("cli_{command}_legacy_line_rate.json"),
+            &with_line_rate(&committed),
+        );
+        assert_matches_fixture(
+            name,
+            &lab_stdout(&[command, "--spec", &legacy, "--print-spec"]),
+        );
+    }
+    // `run` prints no spec alone; its report echoes the spec it ran.
+    let report = std::fs::read_to_string(fixture_path("cli_run_report.json")).unwrap();
+    let serde_json::Value::Object(report) = serde_json::from_str(&report).unwrap() else {
+        panic!("a run report is a JSON object");
+    };
+    let spec: sim::ExperimentSpec = serde_json::from_value(report.get("spec").unwrap().clone())
+        .expect("the report echoes its spec");
+    let legacy = scratch_file(
+        "cli_run_legacy_line_rate.json",
+        &with_line_rate(&spec.to_json()),
+    );
+    assert_matches_fixture(
+        "cli_run_report.json",
+        &lab_stdout(&["run", "--spec", &legacy, "--threads", "1", "--json", "-"]),
     );
     // Each layer refuses the others' documents, whole or by the tag alone.
     let clos_path = fixture_path("cli_clos_print_spec.json");

@@ -1,13 +1,16 @@
 //! CFDS dimensioning formulas (equations (1)–(4) of §5, reconstructed).
 //!
 //! The scanned equations are partly garbled; the reconstructions below follow
-//! the surrounding prose and are cross-checked against Table 2 (the `table2`
-//! binary in the `bench` crate prints the reproduced column next to the
+//! the surrounding prose and are cross-checked against Table 2
+//! (`pktbuf-lab paper table2` prints the reproduced column next to the
 //! paper's, including the residual discrepancies at `b = B/2` and `b = B`)
 //! and against the empirical maxima measured by the slot-level simulator.
+//!
+//! Everything here counts slots and cells; only [`scheduling_time_ns`] takes
+//! a line rate, to turn its slot count into nanoseconds.
 
 use mma::sizing::rads_sram_size_cells;
-use pktbuf_model::CfdsConfig;
+use pktbuf_model::{CfdsConfig, LineRate};
 
 /// Requests Register size (equation (1)): the DSS manages reads and writes of
 /// `Q` logical queues (hence `2Q` request streams) spread over `G` groups of
@@ -67,45 +70,18 @@ pub fn total_delay_slots(cfg: &CfdsConfig, lookahead: usize) -> usize {
     lookahead + latency_slots(cfg)
 }
 
-/// Total scheduler-visible delay in seconds.
-pub fn total_delay_seconds(cfg: &CfdsConfig, lookahead: usize) -> f64 {
-    total_delay_slots(cfg, lookahead) as f64 * cfg.line_rate.slot_duration().as_ns() * 1e-9
-}
-
 /// Time available to the RR scheduling logic to select one request, in
-/// nanoseconds (Table 2): one selection every `b` slots.
-pub fn scheduling_time_ns(cfg: &CfdsConfig) -> f64 {
-    cfg.granularity as f64 * cfg.line_rate.slot_duration().as_ns()
-}
-
-/// A row of Table 2 for a given configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Table2Row {
-    /// CFDS granularity `b`.
-    pub granularity: usize,
-    /// Requests Register size (entries).
-    pub rr_size: usize,
-    /// Time available to schedule one request (ns).
-    pub scheduling_time_ns: f64,
-}
-
-/// Computes the Table 2 row for `cfg`.
-pub fn table2_row(cfg: &CfdsConfig) -> Table2Row {
-    Table2Row {
-        granularity: cfg.granularity,
-        rr_size: rr_size(cfg),
-        scheduling_time_ns: scheduling_time_ns(cfg),
-    }
+/// nanoseconds (Table 2): one selection every `b` slots at `rate`.
+pub fn scheduling_time_ns(cfg: &CfdsConfig, rate: LineRate) -> f64 {
+    cfg.granularity as f64 * rate.slot_duration().as_ns()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pktbuf_model::LineRate;
 
     fn oc3072(b: usize) -> CfdsConfig {
         CfdsConfig::builder()
-            .line_rate(LineRate::Oc3072)
             .num_queues(512)
             .granularity(b)
             .rads_granularity(32)
@@ -116,7 +92,6 @@ mod tests {
 
     fn oc768(b: usize) -> CfdsConfig {
         CfdsConfig::builder()
-            .line_rate(LineRate::Oc768)
             .num_queues(128)
             .granularity(b)
             .rads_granularity(8)
@@ -139,10 +114,10 @@ mod tests {
     #[test]
     fn table2_oc3072_scheduling_times() {
         // One selection every b slots of 3.2 ns.
-        assert!((scheduling_time_ns(&oc3072(16)) - 51.2).abs() < 1e-9);
-        assert!((scheduling_time_ns(&oc3072(8)) - 25.6).abs() < 1e-9);
-        assert!((scheduling_time_ns(&oc3072(4)) - 12.8).abs() < 1e-9);
-        assert!((scheduling_time_ns(&oc3072(1)) - 3.2).abs() < 1e-9);
+        assert!((scheduling_time_ns(&oc3072(16), LineRate::Oc3072) - 51.2).abs() < 1e-9);
+        assert!((scheduling_time_ns(&oc3072(8), LineRate::Oc3072) - 25.6).abs() < 1e-9);
+        assert!((scheduling_time_ns(&oc3072(4), LineRate::Oc3072) - 12.8).abs() < 1e-9);
+        assert!((scheduling_time_ns(&oc3072(1), LineRate::Oc3072) - 3.2).abs() < 1e-9);
     }
 
     #[test]
@@ -151,7 +126,7 @@ mod tests {
         assert_eq!(rr_size(&oc768(2)), 16);
         assert_eq!(rr_size(&oc768(1)), 64);
         assert_eq!(rr_size(&oc768(8)), 0);
-        assert!((scheduling_time_ns(&oc768(1)) - 12.8).abs() < 1e-9);
+        assert!((scheduling_time_ns(&oc768(1), LineRate::Oc768) - 12.8).abs() < 1e-9);
     }
 
     #[test]
@@ -175,21 +150,15 @@ mod tests {
     #[test]
     fn cfds_delay_is_an_order_of_magnitude_below_rads() {
         // §10: CFDS meets OC-3072 with ~10 µs delay, RADS needs > 50 µs.
-        let cfds = oc3072(4);
-        let cfds_delay = total_delay_seconds(&cfds, cfds.min_lookahead());
-        let rads = oc3072(32);
-        let rads_delay = total_delay_seconds(&rads, rads.min_lookahead());
+        let seconds = |cfg: CfdsConfig| {
+            let slots = total_delay_slots(&cfg, cfg.min_lookahead());
+            slots as f64 * LineRate::Oc3072.slot_duration().as_ns() * 1e-9
+        };
+        let cfds_delay = seconds(oc3072(4));
+        let rads_delay = seconds(oc3072(32));
         assert!(cfds_delay < 1.5e-5, "CFDS delay {cfds_delay}");
         assert!(rads_delay > 4.0e-5, "RADS delay {rads_delay}");
         assert!(rads_delay / cfds_delay > 3.0);
-    }
-
-    #[test]
-    fn table2_row_bundles_fields() {
-        let row = table2_row(&oc3072(4));
-        assert_eq!(row.granularity, 4);
-        assert_eq!(row.rr_size, 256);
-        assert!((row.scheduling_time_ns - 12.8).abs() < 1e-9);
     }
 
     #[test]

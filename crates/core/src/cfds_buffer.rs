@@ -364,11 +364,9 @@ mod tests {
     use super::*;
     use crate::front::short_streams::assert_every_short_stream_is_served;
     use crate::{BufferStats, PacketBuffer};
-    use pktbuf_model::LineRate;
 
     fn small_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {
         CfdsConfig::builder()
-            .line_rate(LineRate::Oc3072)
             .num_queues(q)
             .granularity(b)
             .rads_granularity(big_b)

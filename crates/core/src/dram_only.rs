@@ -233,11 +233,9 @@ impl PacketBuffer for DramOnlyBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pktbuf_model::LineRate;
 
     fn cfg() -> RadsConfig {
         RadsConfig {
-            line_rate: LineRate::Oc3072,
             num_queues: 4,
             granularity: 8,
             lookahead: None,

@@ -44,11 +44,10 @@
 //!
 //! ```
 //! use pktbuf::{CfdsBuffer, PacketBuffer};
-//! use pktbuf_model::{Cell, CfdsConfig, LineRate, LogicalQueueId};
+//! use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId};
 //!
 //! // A small CFDS instance: 8 queues, b = 2, B = 8, 16 banks.
 //! let cfg = CfdsConfig::builder()
-//!     .line_rate(LineRate::Oc3072)
 //!     .num_queues(8)
 //!     .granularity(2)
 //!     .rads_granularity(8)

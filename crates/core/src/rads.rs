@@ -148,11 +148,9 @@ mod tests {
     use super::*;
     use crate::front::short_streams::assert_every_short_stream_is_served;
     use crate::PacketBuffer;
-    use pktbuf_model::LineRate;
 
     fn small_cfg(q: usize, b: usize) -> RadsConfig {
         RadsConfig {
-            line_rate: LineRate::Oc3072,
             num_queues: q,
             granularity: b,
             lookahead: None,

@@ -13,7 +13,7 @@ use pktbuf::{
     BufferStats, CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, GrantSink, PacketBuffer,
     RadsBuffer, RequestSource,
 };
-use pktbuf_model::{Cell, CfdsConfig, LineRate, LogicalQueueId, RadsConfig, RequestOracle};
+use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, RadsConfig, RequestOracle};
 
 const CHUNKS: [usize; 4] = [1, 7, 64, 256];
 
@@ -23,7 +23,6 @@ fn lq(i: u32) -> LogicalQueueId {
 
 fn rads_cfg(q: usize, b: usize) -> RadsConfig {
     RadsConfig {
-        line_rate: LineRate::Oc3072,
         num_queues: q,
         granularity: b,
         lookahead: None,
@@ -32,7 +31,6 @@ fn rads_cfg(q: usize, b: usize) -> RadsConfig {
 
 fn cfds_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {
     CfdsConfig::builder()
-        .line_rate(LineRate::Oc3072)
         .num_queues(q)
         .granularity(b)
         .rads_granularity(big_b)

@@ -2496,7 +2496,7 @@ mod tests {
     use super::*;
     use crate::faults::{FaultEvent, FaultKind, LinkBoundary};
     use pktbuf::RadsBuffer;
-    use pktbuf_model::{LineRate, RadsConfig};
+    use pktbuf_model::RadsConfig;
     use traffic::{stream_seed, BurstyArrivals, UniformArrivals};
 
     /// RADS buffers sized for whichever stage asks: `N` VOQs at the edges,
@@ -2508,7 +2508,6 @@ mod tests {
                 ClosStage::Ingress | ClosStage::Egress => config.radix,
             };
             RadsBuffer::new(RadsConfig {
-                line_rate: LineRate::Oc3072,
                 num_queues,
                 granularity: 4,
                 lookahead: None,
@@ -2934,7 +2933,6 @@ mod tests {
                 ClosStage::Ingress | ClosStage::Egress => config.radix,
             };
             RadsBuffer::new(RadsConfig {
-                line_rate: LineRate::Oc3072,
                 num_queues,
                 granularity: 1,
                 lookahead: None,

@@ -42,14 +42,13 @@
 //! ```
 //! use fabric::{FabricConfig, VoqSwitch};
 //! use pktbuf::RadsBuffer;
-//! use pktbuf_model::{LineRate, RadsConfig};
+//! use pktbuf_model::RadsConfig;
 //! use traffic::{stream_seed, UniformArrivals};
 //!
 //! let ports = 4;
 //! let buffers: Vec<RadsBuffer> = (0..ports)
 //!     .map(|_| {
 //!         RadsBuffer::new(RadsConfig {
-//!             line_rate: LineRate::Oc3072,
 //!             num_queues: ports,
 //!             granularity: 4,
 //!             lookahead: None,

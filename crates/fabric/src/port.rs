@@ -127,12 +127,11 @@ impl PacketBuffer for PortBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pktbuf_model::{LineRate, RadsConfig, RequestOracle};
+    use pktbuf_model::{RadsConfig, RequestOracle};
 
     #[test]
     fn port_buffer_forwards_the_contract() {
         let cfg = RadsConfig {
-            line_rate: LineRate::Oc3072,
             num_queues: 4,
             granularity: 4,
             lookahead: None,
@@ -166,7 +165,6 @@ mod tests {
     #[test]
     fn step_batch_through_the_enum_matches_the_per_slot_reference() {
         let cfg = RadsConfig {
-            line_rate: LineRate::Oc3072,
             num_queues: 4,
             granularity: 4,
             lookahead: None,

@@ -605,14 +605,13 @@ impl<B: PacketBuffer> VoqSwitch<B> {
 mod tests {
     use super::*;
     use pktbuf::RadsBuffer;
-    use pktbuf_model::{LineRate, RadsConfig};
+    use pktbuf_model::RadsConfig;
     use traffic::{stream_seed, BurstyArrivals, UniformArrivals};
 
     fn rads_ports(ports: usize) -> Vec<RadsBuffer> {
         (0..ports)
             .map(|_| {
                 RadsBuffer::new(RadsConfig {
-                    line_rate: LineRate::Oc3072,
                     num_queues: ports,
                     granularity: 4,
                     lookahead: None,

@@ -67,8 +67,6 @@ fn check_lookahead(
 /// Configuration of the Random Access DRAM System (RADS) baseline (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RadsConfig {
-    /// Line rate of the interface this buffer serves.
-    pub line_rate: LineRate,
     /// Number of VOQs `Q`.
     pub num_queues: usize,
     /// DRAM access granularity `B` in cells.
@@ -84,7 +82,6 @@ impl RadsConfig {
     /// OC-3072), lookahead defaults to the ECQF minimum.
     pub fn for_line_rate(line_rate: LineRate, num_queues: usize) -> Self {
         RadsConfig {
-            line_rate,
             num_queues,
             granularity: line_rate.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS),
             lookahead: None,
@@ -125,8 +122,6 @@ impl RadsConfig {
 /// contribution (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CfdsConfig {
-    /// Line rate of the interface this buffer serves.
-    pub line_rate: LineRate,
     /// Number of *logical* VOQs `Q`.
     pub num_queues: usize,
     /// Oversubscription factor `k`: number of physical queues is
@@ -307,7 +302,6 @@ impl ConfigOverrides {
 /// ECQF minimum lookahead.
 #[derive(Debug, Clone)]
 pub struct CfdsConfigBuilder {
-    line_rate: LineRate,
     num_queues: usize,
     physical_queue_factor: usize,
     granularity: usize,
@@ -326,7 +320,6 @@ impl CfdsConfigBuilder {
     /// Creates a builder with the paper's OC-3072 defaults.
     pub fn new() -> Self {
         CfdsConfigBuilder {
-            line_rate: LineRate::Oc3072,
             num_queues: 512,
             physical_queue_factor: 1,
             granularity: 4,
@@ -334,12 +327,6 @@ impl CfdsConfigBuilder {
             num_banks: 256,
             lookahead: None,
         }
-    }
-
-    /// Sets the line rate.
-    pub fn line_rate(mut self, rate: LineRate) -> Self {
-        self.line_rate = rate;
-        self
     }
 
     /// Sets the number of logical VOQs `Q`.
@@ -361,7 +348,7 @@ impl CfdsConfigBuilder {
     }
 
     /// Overrides the RADS granularity `B`. By default it is the random access
-    /// time of the paper's 102.4 ns DRAM in slots at the line rate.
+    /// time of the paper's 102.4 ns DRAM in slots at OC-3072, i.e. 32.
     pub fn rads_granularity(mut self, big_b: usize) -> Self {
         self.rads_granularity = Some(big_b);
         self
@@ -387,9 +374,8 @@ impl CfdsConfigBuilder {
     pub fn build(self) -> Result<CfdsConfig, ConfigError> {
         let rads_granularity = self
             .rads_granularity
-            .unwrap_or_else(|| self.line_rate.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS));
+            .unwrap_or_else(|| LineRate::Oc3072.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS));
         let cfg = CfdsConfig {
-            line_rate: self.line_rate,
             num_queues: self.num_queues,
             physical_queue_factor: self.physical_queue_factor,
             granularity: self.granularity,

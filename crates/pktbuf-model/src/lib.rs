@@ -31,7 +31,6 @@
 //!
 //! // A CFDS refinement with b = 4 and M = 256 banks.
 //! let cfds = CfdsConfig::builder()
-//!     .line_rate(LineRate::Oc3072)
 //!     .num_queues(512)
 //!     .granularity(4)
 //!     .num_banks(256)
@@ -61,5 +60,5 @@ pub use config::{
 pub use error::{ConfigError, ModelError};
 pub use ledger::{RequestLedger, RequestOracle};
 pub use queue::{LogicalQueueId, PhysicalQueueId, QueueKind};
-pub use rate::{LineRate, ParseLineRateError};
+pub use rate::LineRate;
 pub use time::{Nanoseconds, Slot, SlotDuration};

@@ -35,7 +35,7 @@ use ::fabric::{
     MAX_CROSSBAR_PORTS, MAX_LINK_CAPACITY, MAX_LINK_LATENCY,
 };
 use pktbuf::PacketBuffer;
-use pktbuf_model::{ConfigError, ConfigOverrides, LineRate, RadsConfig};
+use pktbuf_model::{ConfigError, ConfigOverrides, RadsConfig};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
@@ -432,8 +432,6 @@ pub struct ClosScenario {
     pub arbiter: ArbiterChoice,
     /// iSLIP iterations per slot (`0` = auto).
     pub islip_iterations: u64,
-    /// Line rate of every port.
-    pub line_rate: LineRate,
     /// CFDS granularity `b` of CFDS buffers.
     pub granularity: usize,
     /// RADS granularity `B` (all designs).
@@ -490,7 +488,6 @@ impl ClosScenario {
             dispatch: DispatchChoice::Spray,
             arbiter: ArbiterChoice::Islip,
             islip_iterations: 0,
-            line_rate: LineRate::Oc3072,
             granularity: 2,
             rads_granularity: 8,
             num_banks: 16,
@@ -539,7 +536,6 @@ impl ClosScenario {
 
     fn provisioning(&self) -> Provisioning {
         Provisioning {
-            line_rate: self.line_rate,
             granularity: self.granularity,
             rads_granularity: self.rads_granularity,
             num_banks: self.num_banks,
@@ -750,8 +746,6 @@ pub struct ClosSpec {
     pub dispatches: Vec<DispatchChoice>,
     /// Arbiters to cross.
     pub arbiters: Vec<ArbiterChoice>,
-    /// Line rate shared by every run.
-    pub line_rate: LineRate,
     /// Sweep of the switch radix `N`.
     pub radix: Sweep,
     /// Sweep of the ingress (= egress) switch count `r`.
@@ -843,7 +837,6 @@ impl Default for ClosSpec {
             workloads: vec![FabricWorkload::Uniform],
             dispatches: vec![DispatchChoice::Spray],
             arbiters: vec![ArbiterChoice::Islip],
-            line_rate: LineRate::Oc3072,
             radix: Sweep::Fixed(4),
             ingress_switches: Sweep::Fixed(4),
             middle_switches: Sweep::Fixed(4),
@@ -899,12 +892,6 @@ impl ClosSpecBuilder {
     /// Sets the arbiters axis.
     pub fn arbiters(mut self, arbiters: impl IntoIterator<Item = ArbiterChoice>) -> Self {
         self.spec.arbiters = arbiters.into_iter().collect();
-        self
-    }
-
-    /// Sets the line rate.
-    pub fn line_rate(mut self, rate: LineRate) -> Self {
-        self.spec.line_rate = rate;
         self
     }
 
@@ -1064,7 +1051,9 @@ impl Experiment for ClosSpec {
     const KIND: Option<&'static str> = Some("clos");
     // `workers`: written while a per-stage worker pipeline existed
     // (`--print-spec` always emitted 1); reports never depended on it.
-    const RETIRED_KEYS: &'static [&'static str] = &["workers"];
+    // `line_rate`: written while configurations carried a line rate that no
+    // run read.
+    const RETIRED_KEYS: &'static [&'static str] = &["workers", "line_rate"];
     const CSV_HEADER: &'static [&'static str] = &[
         "index",
         "radix",
@@ -1124,7 +1113,6 @@ impl Experiment for ClosSpec {
             dispatch: self.dispatches[dispatch as usize],
             arbiter: self.arbiters[arbiter as usize],
             islip_iterations: self.islip_iterations,
-            line_rate: self.line_rate,
             granularity: self.granularity as usize,
             rads_granularity: self.rads_granularity as usize,
             num_banks: self.num_banks as usize,

@@ -455,7 +455,7 @@ mod tests {
     use super::*;
     use crate::scenario::{Scenario, Workload};
     use pktbuf::{CfdsBuffer, PacketBuffer, RadsBuffer};
-    use pktbuf_model::{CfdsConfig, LineRate, RadsConfig};
+    use pktbuf_model::{CfdsConfig, RadsConfig};
     use traffic::{AdversarialRoundRobin, UniformArrivals};
 
     #[test]
@@ -489,7 +489,6 @@ mod tests {
     #[test]
     fn engine_runs_rads_end_to_end() {
         let cfg = RadsConfig {
-            line_rate: LineRate::Oc3072,
             num_queues: 4,
             granularity: 4,
             lookahead: None,

@@ -47,7 +47,7 @@ use crate::spec::{SpecError, Sweep};
 pub use ::fabric::FabricRunReport;
 use ::fabric::{ArbiterKind, FabricConfig, VoqSwitch, MAX_CROSSBAR_PORTS};
 use pktbuf::PacketBuffer;
-use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, LineRate};
+use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
@@ -272,8 +272,6 @@ pub struct FabricScenario {
     pub arbiter: ArbiterChoice,
     /// iSLIP iterations per slot (`0` = auto: `⌈log₂ ports⌉`).
     pub islip_iterations: u64,
-    /// Line rate of every port.
-    pub line_rate: LineRate,
     /// CFDS granularity `b` of CFDS ports.
     pub granularity: usize,
     /// RADS granularity `B` (all designs).
@@ -310,7 +308,6 @@ impl FabricScenario {
             workload: FabricWorkload::Uniform,
             arbiter: ArbiterChoice::Islip,
             islip_iterations: 0,
-            line_rate: LineRate::Oc3072,
             granularity: 2,
             rads_granularity: 8,
             num_banks: 16,
@@ -329,7 +326,6 @@ impl FabricScenario {
 
     fn provisioning(&self) -> Provisioning {
         Provisioning {
-            line_rate: self.line_rate,
             granularity: self.granularity,
             rads_granularity: self.rads_granularity,
             num_banks: self.num_banks,
@@ -433,8 +429,6 @@ pub struct FabricSpec {
     pub workloads: Vec<FabricWorkload>,
     /// Arbiters to cross.
     pub arbiters: Vec<ArbiterChoice>,
-    /// Line rate shared by every run.
-    pub line_rate: LineRate,
     /// Sweep of the port count `N`.
     pub ports: Sweep,
     /// Sweep of the per-port offered load, percent.
@@ -501,7 +495,6 @@ impl Default for FabricSpec {
             designs: vec![FabricDesign::Fixed(DesignKind::Cfds)],
             workloads: vec![FabricWorkload::Uniform],
             arbiters: vec![ArbiterChoice::Islip],
-            line_rate: LineRate::Oc3072,
             ports: Sweep::Fixed(8),
             load_percent: Sweep::Fixed(90),
             granularity: Sweep::Fixed(4),
@@ -544,12 +537,6 @@ impl FabricSpecBuilder {
     /// Sets the arbiters axis.
     pub fn arbiters(mut self, arbiters: impl IntoIterator<Item = ArbiterChoice>) -> Self {
         self.spec.arbiters = arbiters.into_iter().collect();
-        self
-    }
-
-    /// Sets the line rate.
-    pub fn line_rate(mut self, rate: LineRate) -> Self {
-        self.spec.line_rate = rate;
         self
     }
 
@@ -661,6 +648,9 @@ impl Experiment for FabricSpec {
     type Invalid = FabricScenarioError;
 
     const KIND: Option<&'static str> = Some("fabric");
+    // `line_rate`: written while configurations carried a line rate that no
+    // run read; `--print-spec` always emitted it.
+    const RETIRED_KEYS: &'static [&'static str] = &["line_rate"];
     const CSV_HEADER: &'static [&'static str] = &[
         "index",
         "ports",
@@ -713,7 +703,6 @@ impl Experiment for FabricSpec {
             workload: self.workloads[workload as usize],
             arbiter: self.arbiters[arbiter as usize],
             islip_iterations: self.islip_iterations,
-            line_rate: self.line_rate,
             granularity: b as usize,
             rads_granularity: big_b as usize,
             num_banks: m as usize,

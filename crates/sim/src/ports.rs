@@ -8,7 +8,7 @@ use crate::fabric::{FabricDesign, FabricWorkload};
 use crate::scenario::{cfds_options, DesignKind};
 use ::fabric::PortBuffer;
 use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
-use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, LineRate, RadsConfig};
+use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, RadsConfig};
 use traffic::{
     plane_seed, ArrivalGenerator, BurstyArrivals, HotspotArrivals, IncastArrivals, UniformArrivals,
 };
@@ -32,7 +32,6 @@ pub(crate) trait DriveArrivals {
 /// The buffer parameters a switch or Clos scenario gives every port.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Provisioning {
-    pub(crate) line_rate: LineRate,
     pub(crate) granularity: usize,
     pub(crate) rads_granularity: usize,
     pub(crate) num_banks: usize,
@@ -60,7 +59,6 @@ impl Provisioning {
     /// `B`-slot DRAM read is the stage behind it.
     pub(crate) fn rads_config(&self, queues: usize) -> RadsConfig {
         self.overrides.apply_rads(RadsConfig {
-            line_rate: self.line_rate,
             num_queues: queues,
             granularity: self.rads_granularity,
             lookahead: None,
@@ -75,7 +73,6 @@ impl Provisioning {
         self.overrides
             .apply_cfds(
                 CfdsConfig::builder()
-                    .line_rate(self.line_rate)
                     .num_queues(queues)
                     .physical_queue_factor(2)
                     .granularity(self.granularity)

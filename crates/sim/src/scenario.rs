@@ -2,9 +2,7 @@
 
 use crate::engine::{SimulationEngine, SimulationReport};
 use pktbuf::{CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, PacketBuffer, RadsBuffer};
-use pktbuf_model::{
-    CfdsConfig, ConfigError, ConfigOverrides, LineRate, LogicalQueueId, RadsConfig,
-};
+use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, LogicalQueueId, RadsConfig};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
@@ -203,9 +201,9 @@ pub(crate) use serde_via_string;
 /// [`crate::spec::ExperimentSpec`], or a hand-built one-off.
 ///
 /// As JSON a scenario is a flat object. The design, the workload and the
-/// four dimensioning parameters are required; `line_rate` (OC-3072),
-/// `overrides` (none), `preload_cells_per_queue` (0), `arrival_slots` (0) and
-/// `seed` (1) may be omitted; unknown keys are rejected.
+/// four dimensioning parameters are required; `overrides` (none),
+/// `preload_cells_per_queue` (0), `arrival_slots` (0) and `seed` (1) may be
+/// omitted; unknown keys are rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct Scenario {
@@ -213,9 +211,6 @@ pub struct Scenario {
     pub design: DesignKind,
     /// Workload applied.
     pub workload: Workload,
-    /// Line rate of the interface (sets the slot duration).
-    #[serde(default)]
-    pub line_rate: LineRate,
     /// Number of logical queues `Q`.
     pub num_queues: usize,
     /// CFDS granularity `b` (ignored by RADS and DRAM-only).
@@ -271,7 +266,6 @@ impl Scenario {
         Scenario {
             design: DesignKind::Cfds,
             workload: Workload::AdversarialRoundRobin,
-            line_rate: LineRate::Oc3072,
             num_queues: 8,
             granularity: 2,
             rads_granularity: 8,
@@ -286,7 +280,6 @@ impl Scenario {
     /// The RADS configuration implied by this scenario.
     pub fn rads_config(&self) -> RadsConfig {
         self.overrides.apply_rads(RadsConfig {
-            line_rate: self.line_rate,
             num_queues: self.num_queues,
             granularity: self.rads_granularity,
             lookahead: None,
@@ -305,7 +298,6 @@ impl Scenario {
         self.overrides
             .apply_cfds(
                 CfdsConfig::builder()
-                    .line_rate(self.line_rate)
                     .num_queues(self.num_queues)
                     .granularity(self.granularity)
                     .rads_granularity(self.rads_granularity)
@@ -732,7 +724,6 @@ mod tests {
              \"granularity\":2,\"rads_granularity\":8,\"num_banks\":16}",
         )
         .unwrap();
-        assert_eq!(minimal.line_rate, pktbuf_model::LineRate::Oc3072);
         assert_eq!(minimal.seed, 1);
         assert!(minimal.overrides.is_none());
     }

@@ -16,7 +16,7 @@ use crate::experiment::{self, Axis, Expansion, Experiment};
 use crate::lab::RunRecord;
 use crate::scenario::{DesignKind, Scenario, Workload};
 use crate::SimulationReport;
-use pktbuf_model::{ConfigError, ConfigOverrides, LineRate};
+use pktbuf_model::{ConfigError, ConfigOverrides};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
@@ -345,8 +345,6 @@ pub struct ExperimentSpec {
     pub designs: Vec<DesignKind>,
     /// Workloads to cross.
     pub workloads: Vec<Workload>,
-    /// Line rate shared by every run.
-    pub line_rate: LineRate,
     /// Sweep of the number of logical queues `Q`.
     pub num_queues: Sweep,
     /// Sweep of the CFDS granularity `b`.
@@ -438,11 +436,13 @@ impl Experiment for ExperimentSpec {
     type Aggregate = LabAggregate;
     type Invalid = ConfigError;
 
+    // `line_rate`: written while configurations carried a line rate that no
+    // run read; `--print-spec` always emitted it.
+    const RETIRED_KEYS: &'static [&'static str] = &["line_rate"];
     const CSV_HEADER: &'static [&'static str] = &[
         "index",
         "design",
         "workload",
-        "line_rate_gbps",
         "num_queues",
         "granularity",
         "rads_granularity",
@@ -491,7 +491,6 @@ impl Experiment for ExperimentSpec {
         Scenario {
             design: self.designs[design as usize],
             workload: self.workloads[workload as usize],
-            line_rate: self.line_rate,
             num_queues: q as usize,
             granularity: b as usize,
             rads_granularity: big_b as usize,
@@ -546,7 +545,6 @@ impl Experiment for ExperimentSpec {
             run.index.to_string(),
             s.design.to_string(),
             s.workload.to_string(),
-            format!("{}", s.line_rate.gbps()),
             s.num_queues.to_string(),
             s.granularity.to_string(),
             s.rads_granularity.to_string(),
@@ -574,7 +572,6 @@ impl Default for ExperimentSpec {
             name: "experiment".to_owned(),
             designs: vec![DesignKind::Cfds],
             workloads: vec![Workload::AdversarialRoundRobin],
-            line_rate: LineRate::Oc3072,
             num_queues: Sweep::Fixed(32),
             granularity: Sweep::Fixed(4),
             rads_granularity: Sweep::Fixed(16),
@@ -610,12 +607,6 @@ impl ExperimentSpecBuilder {
     /// Sets the workloads axis.
     pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> Self {
         self.spec.workloads = workloads.into_iter().collect();
-        self
-    }
-
-    /// Sets the line rate.
-    pub fn line_rate(mut self, rate: LineRate) -> Self {
-        self.spec.line_rate = rate;
         self
     }
 
@@ -711,7 +702,6 @@ impl<'de> Deserialize<'de> for ExperimentSpec {
                         "name" => spec.name = map.next_value()?,
                         "designs" => spec.designs = map.next_value()?,
                         "workloads" => spec.workloads = map.next_value()?,
-                        "line_rate" => spec.line_rate = map.next_value()?,
                         "num_queues" => spec.num_queues = map.next_value()?,
                         "granularity" => spec.granularity = map.next_value()?,
                         "rads_granularity" => spec.rads_granularity = map.next_value()?,
@@ -935,7 +925,6 @@ mod tests {
             .name("fig-sweep")
             .designs([DesignKind::DramOnly, DesignKind::Rads, DesignKind::Cfds])
             .workloads(Workload::all())
-            .line_rate(LineRate::Oc768)
             .num_queues(Sweep::doubling(64, 1024))
             .granularity(Sweep::list([1, 2, 4, 8, 16]))
             .rads_granularity(Sweep::fixed(32))

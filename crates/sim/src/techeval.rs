@@ -80,9 +80,9 @@ pub struct DesignPoint {
     pub granularity: usize,
     /// Lookahead in slots.
     pub lookahead_slots: usize,
-    /// Total scheduler-visible delay in seconds (lookahead plus, for CFDS,
+    /// Total scheduler-visible delay in slots (lookahead plus, for CFDS,
     /// the latency register).
-    pub delay_seconds: f64,
+    pub delay_slots: usize,
     /// Head-SRAM size in cells.
     pub head_sram_cells: usize,
     /// Tail-SRAM size in cells.
@@ -145,6 +145,11 @@ impl DesignPoint {
                 .area_cm2
     }
 
+    /// [`DesignPoint::delay_slots`] in seconds at `rate`.
+    pub fn delay_seconds(&self, rate: LineRate) -> f64 {
+        self.delay_slots as f64 * rate.slot_duration().as_ns() * 1e-9
+    }
+
     /// Whether the fastest organisation meets the per-slot access-time target
     /// of `line_rate`.
     pub fn meets(&self, line_rate: LineRate) -> bool {
@@ -162,7 +167,6 @@ fn evaluate_all(cells: usize, num_queues: usize, node: &ProcessNode) -> Vec<Sram
 /// Figure 8 point: a RADS design with `num_queues`, granularity `big_b` and
 /// the given lookahead.
 pub fn rads_point(
-    line_rate: LineRate,
     num_queues: usize,
     big_b: usize,
     lookahead: usize,
@@ -174,7 +178,7 @@ pub fn rads_point(
         design: "RADS".to_string(),
         granularity: big_b,
         lookahead_slots: lookahead,
-        delay_seconds: lookahead as f64 * line_rate.slot_duration().as_ns() * 1e-9,
+        delay_slots: lookahead,
         head_sram_cells: head_cells,
         tail_sram_cells: tail_cells,
         head_impls: evaluate_all(head_cells, num_queues, node),
@@ -191,7 +195,7 @@ pub fn cfds_point(cfg: &CfdsConfig, lookahead: usize, node: &ProcessNode) -> Des
         design: "CFDS".to_string(),
         granularity: cfg.granularity,
         lookahead_slots: lookahead,
-        delay_seconds: cfds_sizing::total_delay_seconds(cfg, lookahead),
+        delay_slots: cfds_sizing::total_delay_slots(cfg, lookahead),
         head_sram_cells: head_cells,
         tail_sram_cells: tail_cells,
         head_impls: evaluate_all(head_cells, cfg.num_queues, node),
@@ -221,16 +225,9 @@ pub fn max_queues_meeting_target(
             return true;
         }
         let point = if granularity >= big_b {
-            rads_point(
-                line_rate,
-                q,
-                big_b,
-                rads_sizing::min_lookahead(q, big_b),
-                node,
-            )
+            rads_point(q, big_b, rads_sizing::min_lookahead(q, big_b), node)
         } else {
             let cfg = CfdsConfig::builder()
-                .line_rate(line_rate)
                 .num_queues(q)
                 .granularity(granularity)
                 .rads_granularity(big_b)
@@ -292,19 +289,13 @@ mod tests {
     fn paper_oc768_rads_is_feasible_and_oc3072_is_not() {
         // §7.2: RADS is fine at OC-768 (12.8 ns slot) even at the shortest
         // lookahead, but cannot meet OC-3072 (3.2 ns) even at the longest.
-        let oc768 = rads_point(LineRate::Oc768, 128, 8, 64, &node());
+        let oc768 = rads_point(128, 8, 64, &node());
         assert!(
             oc768.meets(LineRate::Oc768),
             "{}",
             oc768.best_access_time_ns()
         );
-        let oc3072 = rads_point(
-            LineRate::Oc3072,
-            512,
-            32,
-            rads_sizing::min_lookahead(512, 32),
-            &node(),
-        );
+        let oc3072 = rads_point(512, 32, rads_sizing::min_lookahead(512, 32), &node());
         assert!(
             !oc3072.meets(LineRate::Oc3072),
             "{}",
@@ -329,16 +320,11 @@ mod tests {
             "{}",
             point.best_access_time_ns()
         );
-        assert!(point.delay_seconds < 3e-5, "{}", point.delay_seconds);
+        let delay = point.delay_seconds(LineRate::Oc3072);
+        assert!(delay < 3e-5, "{delay}");
         assert!(point.total_area_cm2() < 1.5, "{}", point.total_area_cm2());
         // And it is both faster and smaller than the RADS equivalent.
-        let rads = rads_point(
-            LineRate::Oc3072,
-            512,
-            32,
-            rads_sizing::min_lookahead(512, 32),
-            &node(),
-        );
+        let rads = rads_point(512, 32, rads_sizing::min_lookahead(512, 32), &node());
         assert!(point.best_access_time_ns() < rads.best_access_time_ns());
         assert!(point.total_area_cm2() < rads.total_area_cm2());
     }
@@ -371,7 +357,7 @@ mod tests {
 
     #[test]
     fn best_kind_is_one_of_the_paper_candidates() {
-        let point = rads_point(LineRate::Oc3072, 512, 32, 4096, &node());
+        let point = rads_point(512, 32, 4096, &node());
         let kind = point.best_kind();
         assert!(matches!(
             kind,

@@ -41,7 +41,6 @@ fn main() {
 
     // DRAM-only baseline.
     let rads_cfg = RadsConfig {
-        line_rate: LineRate::Oc3072,
         num_queues: QUEUES,
         granularity: 32,
         lookahead: None,
@@ -66,7 +65,6 @@ fn main() {
 
     // CFDS with b = 4.
     let cfds_cfg = CfdsConfig::builder()
-        .line_rate(LineRate::Oc3072)
         .num_queues(QUEUES)
         .granularity(4)
         .rads_granularity(32)
@@ -90,7 +88,6 @@ fn main() {
     println!("\n== 0.13 um technology view at Q = 512 (the paper's Figure 10 headline) ==\n");
     let node = ProcessNode::node_130nm();
     let rads_point = techeval::rads_point(
-        LineRate::Oc3072,
         512,
         32,
         future_packet_buffers::mma::sizing::min_lookahead(512, 32),
@@ -103,7 +100,7 @@ fn main() {
             "{:10} b={:2}  delay {:6.1} us  head SRAM {:8} cells  access {:5.2} ns  area {:5.2} cm^2  meets 3.2 ns: {}",
             p.design,
             p.granularity,
-            p.delay_seconds * 1e6,
+            p.delay_seconds(LineRate::Oc3072) * 1e6,
             p.head_sram_cells,
             p.best_access_time_ns(),
             p.total_area_cm2(),

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use future_packet_buffers::buffers::{CfdsBuffer, PacketBuffer};
-use future_packet_buffers::model::{CfdsConfig, LineRate, LogicalQueueId};
+use future_packet_buffers::model::{CfdsConfig, LogicalQueueId};
 use future_packet_buffers::traffic::{
     AdversarialRoundRobin, ArrivalGenerator, RequestGenerator, RoundRobinArrivals,
 };
@@ -13,7 +13,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A modest CFDS instance: 16 VOQs, transfers of b = 2 cells over a DRAM
     // whose random access time is B = 8 slots, 32 banks.
     let cfg = CfdsConfig::builder()
-        .line_rate(LineRate::Oc3072)
         .num_queues(16)
         .granularity(2)
         .rads_granularity(8)

@@ -38,56 +38,32 @@ fn main() {
         if !big_b.is_multiple_of(b) || !banks.is_multiple_of(big_b / b) {
             continue;
         }
-        let point = if b == big_b {
-            techeval::rads_point(
-                line_rate,
+        // b = B is the RADS baseline: no reorder latency, no Requests Register.
+        let cfds = (b < big_b).then(|| {
+            CfdsConfig::builder()
+                .num_queues(num_queues)
+                .granularity(b)
+                .rads_granularity(big_b)
+                .num_banks(banks)
+                .build()
+                .expect("valid configuration")
+        });
+        let point = match &cfds {
+            Some(cfg) => techeval::cfds_point(cfg, cfg.min_lookahead(), &node),
+            None => techeval::rads_point(
                 num_queues,
                 big_b,
                 rads_sizing::min_lookahead(num_queues, big_b),
                 &node,
-            )
-        } else {
-            let cfg = CfdsConfig::builder()
-                .line_rate(line_rate)
-                .num_queues(num_queues)
-                .granularity(b)
-                .rads_granularity(big_b)
-                .num_banks(banks)
-                .build()
-                .expect("valid configuration");
-            techeval::cfds_point(&cfg, cfg.min_lookahead(), &node)
+            ),
         };
-        let latency = if b == big_b {
-            0
-        } else {
-            let cfg = CfdsConfig::builder()
-                .line_rate(line_rate)
-                .num_queues(num_queues)
-                .granularity(b)
-                .rads_granularity(big_b)
-                .num_banks(banks)
-                .build()
-                .unwrap();
-            cfds_sizing::latency_slots(&cfg)
-        };
-        let rr = if b == big_b {
-            0
-        } else {
-            let cfg = CfdsConfig::builder()
-                .line_rate(line_rate)
-                .num_queues(num_queues)
-                .granularity(b)
-                .rads_granularity(big_b)
-                .num_banks(banks)
-                .build()
-                .unwrap();
-            cfds_sizing::rr_size(&cfg)
-        };
+        let latency = cfds.as_ref().map_or(0, cfds_sizing::latency_slots);
+        let rr = cfds.as_ref().map_or(0, cfds_sizing::rr_size);
         table.push_row(vec![
             format!("{b}"),
             format!("{}", point.lookahead_slots),
             format!("{latency}"),
-            format!("{:.1}", point.delay_seconds * 1e6),
+            format!("{:.1}", point.delay_seconds(line_rate) * 1e6),
             format_bytes((point.head_sram_cells * 64) as f64),
             format!("{rr}"),
             format!("{:.2}", point.best_access_time_ns()),

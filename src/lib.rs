@@ -55,7 +55,6 @@ pub mod design_points {
     /// OC-3072 CFDS design point: `Q = 512`, `b = 4`, `B = 32`, `M = 256`.
     pub fn oc3072_cfds() -> CfdsConfig {
         CfdsConfig::builder()
-            .line_rate(LineRate::Oc3072)
             .num_queues(512)
             .granularity(4)
             .rads_granularity(32)

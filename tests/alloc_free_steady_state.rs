@@ -19,7 +19,7 @@
 
 use fabric::{FabricConfig, NullSink, VoqSwitch};
 use pktbuf::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
-use pktbuf_model::{Cell, CfdsConfig, LineRate, LogicalQueueId, RadsConfig};
+use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, RadsConfig};
 use sim::SimulationEngine;
 use sram_buf::{SharedBuffer, UnifiedLinkedListBuffer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -245,7 +245,6 @@ fn assert_steady_state_alloc_free(
 #[test]
 fn steady_state_slot_loop_is_allocation_free() {
     let rads_cfg = RadsConfig {
-        line_rate: LineRate::Oc3072,
         num_queues: 16,
         granularity: 8,
         lookahead: None,
@@ -316,7 +315,6 @@ fn steady_state_slot_loop_is_allocation_free() {
     assert!(popped > 0, "linked-list SRAM: no cells popped during test");
 
     let cfds_cfg = CfdsConfig::builder()
-        .line_rate(LineRate::Oc3072)
         .num_queues(16)
         .granularity(2)
         .rads_granularity(8)

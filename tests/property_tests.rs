@@ -4,9 +4,7 @@
 use future_packet_buffers::buffers::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
 use future_packet_buffers::cfds::{DramSchedulerSubsystem, DsaPolicy, RenamingTable};
 use future_packet_buffers::dram::{AddressMapper, GroupId, InterleavingConfig};
-use future_packet_buffers::model::{
-    Cell, CfdsConfig, LineRate, LogicalQueueId, PhysicalQueueId, RadsConfig,
-};
+use future_packet_buffers::model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId, RadsConfig};
 use future_packet_buffers::srambuf::{GlobalCamBuffer, SharedBuffer, UnifiedLinkedListBuffer};
 use proptest::prelude::*;
 
@@ -296,7 +294,6 @@ proptest! {
         postfix in 1u64..1_200,
     ) {
         let rads_cfg = RadsConfig {
-            line_rate: LineRate::Oc3072,
             num_queues: 8,
             granularity: 4,
             lookahead: None,
@@ -316,7 +313,6 @@ proptest! {
             postfix,
         );
         let cfds_cfg = CfdsConfig::builder()
-            .line_rate(LineRate::Oc3072)
             .num_queues(8)
             .granularity(2)
             .rads_granularity(8)
@@ -345,7 +341,6 @@ proptest! {
         b in prop::sample::select(vec![1usize, 2, 4]),
     ) {
         let cfg = CfdsConfig::builder()
-            .line_rate(LineRate::Oc3072)
             .num_queues(8)
             .granularity(b)
             .rads_granularity(8)

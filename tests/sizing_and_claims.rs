@@ -42,21 +42,15 @@ fn table2_rr_sizes_match_the_paper_for_the_main_design_points() {
 #[test]
 fn headline_claim_cfds_meets_oc3072_where_rads_cannot() {
     let node = ProcessNode::node_130nm();
-    let rads = techeval::rads_point(
-        LineRate::Oc3072,
-        512,
-        32,
-        rads_sizing::min_lookahead(512, 32),
-        &node,
-    );
+    let rads = techeval::rads_point(512, 32, rads_sizing::min_lookahead(512, 32), &node);
     let cfds_cfg = design_points::oc3072_cfds();
     let cfds = techeval::cfds_point(&cfds_cfg, cfds_cfg.min_lookahead(), &node);
     // §10: the constraint is fulfilled by CFDS with ~10 µs of delay, while
     // RADS cannot reach 3.2 ns even with > 50 µs of delay.
     assert!(cfds.meets(LineRate::Oc3072));
     assert!(!rads.meets(LineRate::Oc3072));
-    assert!(cfds.delay_seconds < 2.0e-5);
-    assert!(rads.delay_seconds > 4.0e-5);
+    assert!(cfds.delay_seconds(LineRate::Oc3072) < 2.0e-5);
+    assert!(rads.delay_seconds(LineRate::Oc3072) > 4.0e-5);
     // SRAM an order of magnitude smaller (cells), area several times smaller.
     assert!(rads.head_sram_cells as f64 / cfds.head_sram_cells as f64 > 4.0);
     assert!(rads.total_area_cm2() / cfds.total_area_cm2() > 2.0);
