@@ -17,7 +17,7 @@
 
 #![forbid(unsafe_code)]
 
-use pktbuf_model::{CfdsConfig, LineRate};
+use pktbuf_model::LineRate;
 
 pub mod cli;
 pub mod paper;
@@ -30,23 +30,6 @@ pub fn oc768_parameters() -> (LineRate, usize, usize) {
 /// The OC-3072 evaluation point of §7/§8 (Q = 512, B = 32, M = 256).
 pub fn oc3072_parameters() -> (LineRate, usize, usize, usize) {
     (LineRate::Oc3072, 512, 32, 256)
-}
-
-/// CFDS configurations swept in Figures 10/11 and Table 2 (granularity `b`).
-pub fn oc3072_cfds_sweep() -> Vec<CfdsConfig> {
-    let (_, q, big_b, m) = oc3072_parameters();
-    [16usize, 8, 4, 2, 1]
-        .iter()
-        .filter_map(|b| {
-            CfdsConfig::builder()
-                .num_queues(q)
-                .granularity(*b)
-                .rads_granularity(big_b)
-                .num_banks(m)
-                .build()
-                .ok()
-        })
-        .collect()
 }
 
 /// Evenly spaced lookahead sweep from a small value up to the ECQF minimum
@@ -68,7 +51,6 @@ mod tests {
 
     #[test]
     fn sweeps_are_well_formed() {
-        assert_eq!(oc3072_cfds_sweep().len(), 5);
         let sweep = lookahead_sweep(512, 32, 8);
         assert_eq!(sweep.len(), 8);
         assert!(sweep.windows(2).all(|w| w[0] < w[1]));

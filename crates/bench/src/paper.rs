@@ -13,16 +13,14 @@ use crate::{lookahead_sweep, oc3072_parameters, oc768_parameters};
 use cacti_lite::ProcessNode;
 use cfds::DsaPolicy;
 use dram_sim::{MultiChipConfig, SdramChip};
-use pktbuf::{CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, PacketBuffer};
+use pktbuf::{CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, PacketBuffer, RequestSource};
 use pktbuf_model::{Cell, CfdsConfig, LineRate, LogicalQueueId, RadsConfig};
 use sim::lab::{ExperimentReport, LabRunner};
 use sim::report::{format_bytes, TextTable};
 use sim::scenario::{DesignKind, Workload};
 use sim::spec::{ExperimentSpec, Sweep};
 use sim::techeval::{cfds_point, max_queues_meeting_target, rads_point, DesignPoint};
-use traffic::{
-    preload_cells, AdversarialRoundRobin, ArrivalGenerator, BurstyArrivals, RequestGenerator,
-};
+use traffic::{preload_cells, AdversarialRoundRobin, ArrivalGenerator, BurstyArrivals};
 
 /// The names `paper` artefacts are addressable by (CLI + CI).
 pub const ARTEFACTS: [&str; 8] = [
@@ -173,13 +171,14 @@ fn table2_panel(rate: LineRate, q: usize, big_b: usize, m: usize) {
         if b > big_b || !big_b.is_multiple_of(b) || !m.is_multiple_of(big_b / b) {
             continue;
         }
-        let cfg = CfdsConfig::builder()
-            .num_queues(q)
-            .granularity(b)
-            .rads_granularity(big_b)
-            .num_banks(m)
-            .build()
-            .expect("valid configuration");
+        let cfg = CfdsConfig {
+            num_queues: q,
+            granularity: b,
+            rads_granularity: big_b,
+            num_banks: m,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().expect("valid configuration");
         table.push_row(vec![
             format!("{b}"),
             format!("{}", rr_size(&cfg)),
@@ -234,15 +233,16 @@ pub fn fig10() {
     fig10_series("RADS (b = 32)", &rads);
 
     for b in [16usize, 8, 4, 2, 1] {
-        let Ok(cfg) = CfdsConfig::builder()
-            .num_queues(q)
-            .granularity(b)
-            .rads_granularity(big_b)
-            .num_banks(m)
-            .build()
-        else {
-            continue;
+        let cfg = CfdsConfig {
+            num_queues: q,
+            granularity: b,
+            rads_granularity: big_b,
+            num_banks: m,
+            ..CfdsConfig::default()
         };
+        if cfg.validate().is_err() {
+            continue;
+        }
         let points: Vec<DesignPoint> = lookahead_sweep(q, b, 6)
             .into_iter()
             .map(|l| cfds_point(&cfg, l, &node))
@@ -376,14 +376,15 @@ fn validate_row(run: &sim::lab::RunRecord<ExperimentSpec>, preloaded: bool) -> V
 }
 
 fn fragmentation_run(oversubscription: usize, hot_queues: usize) -> (f64, usize, u64) {
-    let cfg = CfdsConfig::builder()
-        .num_queues(32)
-        .granularity(2)
-        .rads_granularity(8)
-        .num_banks(32)
-        .physical_queue_factor(oversubscription)
-        .build()
-        .expect("valid configuration");
+    let cfg = CfdsConfig {
+        num_queues: 32,
+        granularity: 2,
+        rads_granularity: 8,
+        num_banks: 32,
+        physical_queue_factor: oversubscription,
+        ..CfdsConfig::default()
+    };
+    cfg.validate().expect("valid configuration");
     // Small DRAM so that per-group capacity actually binds: 512 blocks total.
     let options = CfdsBufferOptions {
         dram_capacity_cells: Some(1024),
@@ -447,14 +448,15 @@ pub fn fragmentation() {
 }
 
 fn ablation_run(policy: DsaPolicy) -> (String, pktbuf::BufferStats, usize, u64) {
-    let cfg = CfdsConfig::builder()
-        .num_queues(32)
-        .granularity(2)
-        .rads_granularity(8)
-        .num_banks(32)
-        .physical_queue_factor(2)
-        .build()
-        .expect("valid configuration");
+    let cfg = CfdsConfig {
+        num_queues: 32,
+        granularity: 2,
+        rads_granularity: 8,
+        num_banks: 32,
+        physical_queue_factor: 2,
+        ..CfdsConfig::default()
+    };
+    cfg.validate().expect("valid configuration");
     let options = CfdsBufferOptions {
         dsa: policy,
         ..CfdsBufferOptions::default()
@@ -465,7 +467,7 @@ fn ablation_run(policy: DsaPolicy) -> (String, pktbuf::BufferStats, usize, u64) 
     let active = 20_000u64;
     for t in 0..(active + buf.pipeline_delay_slots() as u64 + 2_048) {
         let arrival = (t < active).then(|| arrivals.next(t)).flatten();
-        let request = requests.next(t, &|q: LogicalQueueId| buf.requestable_cells(q));
+        let request = requests.next_request(t, &|q: LogicalQueueId| buf.requestable_cells(q));
         buf.step(arrival, request);
     }
     let label = match policy {

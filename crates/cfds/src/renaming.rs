@@ -308,11 +308,6 @@ impl RenamingTable {
         self.registers[logical.as_usize()].len()
     }
 
-    /// Free physical queue names remaining in `group`.
-    pub fn free_in_group(&self, group: GroupId) -> usize {
-        self.free[group.index()].len()
-    }
-
     /// Total allocations performed.
     pub fn allocations(&self) -> u64 {
         self.allocations
@@ -436,9 +431,8 @@ mod tests {
             t.note_block_read(lq(2));
         }
         assert_eq!(t.blocks_in_dram(lq(2)), 0);
-        // Released names are reusable.
-        assert_eq!(t.free_in_group(t.group_of(pa)), 2);
-        let _ = pb;
+        // Both names went back to their groups once drained.
+        assert_eq!(t.releases(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::dsa::{Dsa, DsaPolicy};
 use crate::orr::OngoingRequestsRegister;
 use crate::rr::{RequestsRegister, RrEntry};
-use dram_sim::{AccessKind, AddressMapper, BankId, DramRequest};
+use dram_sim::{AddressMapper, BankId, DramRequest};
 use pktbuf_model::PhysicalQueueId;
 
 /// A request the DSS has decided to issue to the DRAM in the current issue
@@ -54,19 +54,6 @@ pub struct DssStats {
     pub max_delay_slots: u64,
     /// Largest skip count observed.
     pub max_skips: u32,
-    /// Sum of delays, for mean computation.
-    pub total_delay_slots: u64,
-}
-
-impl DssStats {
-    /// Mean queueing delay in slots.
-    pub fn mean_delay_slots(&self) -> f64 {
-        if self.issued == 0 {
-            0.0
-        } else {
-            self.total_delay_slots as f64 / self.issued as f64
-        }
-    }
 }
 
 /// The DRAM Scheduler Subsystem (§5.3): hides the banked organisation from the
@@ -168,7 +155,6 @@ impl DramSchedulerSubsystem {
                 };
                 self.stats.issued += 1;
                 self.stats.max_delay_slots = self.stats.max_delay_slots.max(issued.delay_slots());
-                self.stats.total_delay_slots += issued.delay_slots();
                 self.stats.max_skips = self.stats.max_skips.max(skips);
                 Some(issued)
             }
@@ -226,15 +212,6 @@ impl DramSchedulerSubsystem {
     /// Name of the configured DSA policy.
     pub fn policy_name(&self) -> &'static str {
         self.dsa.name()
-    }
-
-    /// Kinds of the pending requests, oldest first (for debugging/tests).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "debugging and test accessor; the slot loop never calls it"
-    )]
-    pub fn pending_kinds(&self) -> Vec<AccessKind> {
-        self.rr.iter().map(|e| e.request.kind).collect()
     }
 }
 
@@ -328,7 +305,7 @@ mod tests {
         assert_eq!(w0.block_ordinal, 0);
         assert_eq!(w1.block_ordinal, 1);
         assert_eq!(r0.block_ordinal, 0);
-        assert_eq!(d.pending_kinds().len(), 3);
+        assert_eq!(d.peak_rr_occupancy(), 3);
         d.set_ordinals(q, 5, 7);
         assert_eq!(d.submit_read(q, 3).block_ordinal, 5);
         assert_eq!(d.submit_write(q, 4).block_ordinal, 7);
@@ -339,7 +316,7 @@ mod tests {
         let mut d = dss(DsaPolicy::OldestFirst);
         assert!(d.issue(0).is_none());
         assert_eq!(d.stats().stalls, 0);
-        assert_eq!(d.stats().mean_delay_slots(), 0.0);
+        assert_eq!(d.stats().max_delay_slots, 0);
         assert!(d.locked_banks().is_empty());
         assert_eq!(d.policy_name(), "oldest-first");
         assert!(format!("{d:?}").contains("oldest-first"));
@@ -355,7 +332,6 @@ mod tests {
         d.issue(12).unwrap();
         assert_eq!(d.stats().issued, 2);
         assert_eq!(d.stats().max_delay_slots, 12);
-        assert!((d.stats().mean_delay_slots() - 10.0).abs() < 1e-12);
         assert_eq!(d.peak_rr_occupancy(), 2);
     }
 }

@@ -81,23 +81,27 @@ mod tests {
     use super::*;
 
     fn oc3072(b: usize) -> CfdsConfig {
-        CfdsConfig::builder()
-            .num_queues(512)
-            .granularity(b)
-            .rads_granularity(32)
-            .num_banks(256)
-            .build()
-            .unwrap()
+        let cfg = CfdsConfig {
+            num_queues: 512,
+            granularity: b,
+            rads_granularity: 32,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
+        cfg
     }
 
     fn oc768(b: usize) -> CfdsConfig {
-        CfdsConfig::builder()
-            .num_queues(128)
-            .granularity(b)
-            .rads_granularity(8)
-            .num_banks(256)
-            .build()
-            .unwrap()
+        let cfg = CfdsConfig {
+            num_queues: 128,
+            granularity: b,
+            rads_granularity: 8,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
+        cfg
     }
 
     #[test]

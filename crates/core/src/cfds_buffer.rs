@@ -22,7 +22,6 @@ use cfds::{
 };
 use dram_sim::{
     AccessKind, AddressMapper, BankArray, DramStore, GroupId, InterleavingConfig, StoreError,
-    StoredBlock,
 };
 use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId, PhysicalQueueId};
 
@@ -77,12 +76,6 @@ struct DramBlock {
     index: u64,
 }
 
-impl StoredBlock for DramBlock {
-    fn cell_count(&self) -> usize {
-        self.block.cell_count()
-    }
-}
-
 impl CfdsBuffer {
     /// Creates a CFDS buffer with default options (oldest-first DSA,
     /// unbounded DRAM).
@@ -110,7 +103,7 @@ impl CfdsBuffer {
         let b = cfg.granularity;
         let latency = cfds_sizing::latency_slots(&cfg);
         let interleaving = InterleavingConfig::from_cfds(&cfg);
-        let mapper = AddressMapper::with_block_cells(interleaving, b);
+        let mapper = AddressMapper::new(interleaving);
         let store = match options.dram_capacity_cells {
             Some(cells) => DramStore::with_total_capacity(mapper, cells, b),
             None => DramStore::new(mapper, usize::MAX / 4),
@@ -366,13 +359,15 @@ mod tests {
     use crate::{BufferStats, PacketBuffer};
 
     fn small_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {
-        CfdsConfig::builder()
-            .num_queues(q)
-            .granularity(b)
-            .rads_granularity(big_b)
-            .num_banks(m)
-            .build()
-            .unwrap()
+        let cfg = CfdsConfig {
+            num_queues: q,
+            granularity: b,
+            rads_granularity: big_b,
+            num_banks: m,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
+        cfg
     }
 
     fn lq(i: u32) -> LogicalQueueId {

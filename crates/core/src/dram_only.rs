@@ -20,9 +20,9 @@
 
 use crate::front::{Locals, SlotLoop, SlotSink};
 use crate::stats::BufferStats;
-use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
+use crate::traits::{BatchReport, GrantSink, PacketBuffer, SlotOutcome};
 use crate::verify::DeliveryVerifier;
-use pktbuf_model::{Cell, LogicalQueueId, RadsConfig, RequestLedger};
+use pktbuf_model::{Cell, LogicalQueueId, RadsConfig, RequestLedger, RequestSource};
 use std::collections::VecDeque;
 
 /// A packet buffer whose only storage is the DRAM itself.

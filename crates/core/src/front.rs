@@ -28,11 +28,11 @@
 
 use crate::hotpath::{countdown_after, periods_crossed, BlockSlab, SlabBlock, TailCellArena};
 use crate::stats::BufferStats;
-use crate::traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
+use crate::traits::{BatchReport, GrantSink, PacketBuffer, SlotOutcome};
 use crate::verify::DeliveryVerifier;
 use cfds::LatencyRegister;
 use mma::{EcqfMma, HeadMmaSubsystem, ThresholdTailMma};
-use pktbuf_model::{Cell, LogicalQueueId, RequestLedger};
+use pktbuf_model::{Cell, LogicalQueueId, RequestLedger, RequestSource};
 use sram_buf::{GlobalCamBuffer, SharedBuffer};
 use std::collections::VecDeque;
 

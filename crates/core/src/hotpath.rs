@@ -259,12 +259,6 @@ pub struct SlabBlock {
     cells: u32,
 }
 
-impl dram_sim::StoredBlock for SlabBlock {
-    fn cell_count(&self) -> usize {
-        self.cells as usize
-    }
-}
-
 /// A FIFO of [`SlabBlock`]s chained through their slab's links.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockFifo {
@@ -471,7 +465,6 @@ mod tests {
         let mut slab = BlockSlab::new(3);
         let blocks: Vec<SlabBlock> = (0..3).map(|_| slab.alloc()).collect();
         assert_eq!(slab.next.len(), 3);
-        assert_eq!(dram_sim::StoredBlock::cell_count(&blocks[0]), 3);
         slab.free(blocks[0]);
         slab.free(blocks[2]);
         // LIFO: the most recently freed block comes back first, and no new

@@ -47,12 +47,14 @@
 //! use pktbuf_model::{Cell, CfdsConfig, LogicalQueueId};
 //!
 //! // A small CFDS instance: 8 queues, b = 2, B = 8, 16 banks.
-//! let cfg = CfdsConfig::builder()
-//!     .num_queues(8)
-//!     .granularity(2)
-//!     .rads_granularity(8)
-//!     .num_banks(16)
-//!     .build()?;
+//! let cfg = CfdsConfig {
+//!     num_queues: 8,
+//!     granularity: 2,
+//!     rads_granularity: 8,
+//!     num_banks: 16,
+//!     ..CfdsConfig::default()
+//! };
+//! cfg.validate()?;
 //! let mut buf = CfdsBuffer::new(cfg);
 //!
 //! // Preload a backlog and drain it round-robin, checking worst-case
@@ -92,7 +94,8 @@ mod verify;
 
 pub use cfds_buffer::{CfdsBuffer, CfdsBufferOptions};
 pub use dram_only::DramOnlyBuffer;
+pub use pktbuf_model::RequestSource;
 pub use rads::RadsBuffer;
 pub use stats::BufferStats;
-pub use traits::{BatchReport, GrantSink, PacketBuffer, RequestSource, SlotOutcome};
+pub use traits::{BatchReport, GrantSink, PacketBuffer, SlotOutcome};
 pub use verify::DeliveryVerifier;

@@ -82,16 +82,6 @@ impl BufferStats {
         }
     }
 
-    /// Fraction of offered cells that were dropped at the tail.
-    pub fn drop_rate(&self) -> f64 {
-        let offered = self.arrivals + self.drops;
-        if offered == 0 {
-            0.0
-        } else {
-            self.drops as f64 / offered as f64
-        }
-    }
-
     /// Whether the run upheld the worst-case guarantees the paper requires:
     /// no miss, no drop, no FIFO violation and no bank conflict.
     pub fn is_loss_free(&self) -> bool {
@@ -125,7 +115,6 @@ mod tests {
     fn rates_handle_zero_denominators() {
         let s = BufferStats::default();
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.drop_rate(), 0.0);
         assert!(s.is_loss_free());
     }
 
@@ -139,7 +128,6 @@ mod tests {
             ..BufferStats::default()
         };
         assert!((s.miss_rate() - 0.05).abs() < 1e-12);
-        assert!((s.drop_rate() - 0.1).abs() < 1e-12);
         assert!(!s.is_loss_free());
     }
 

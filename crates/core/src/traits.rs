@@ -1,7 +1,7 @@
 //! The common interface of all packet-buffer memory systems.
 
 use crate::stats::BufferStats;
-use pktbuf_model::{Cell, LogicalQueueId, RequestOracle};
+use pktbuf_model::{Cell, LogicalQueueId, RequestSource};
 
 /// What happened during one slot of buffer operation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -26,38 +26,6 @@ impl SlotOutcome {
     /// Whether this slot completed without a miss or a drop.
     pub fn is_clean(&self) -> bool {
         self.miss.is_none() && self.dropped_arrival.is_none()
-    }
-}
-
-/// A closed-loop source of arbiter requests driven by the buffer's own
-/// availability, consumed by [`PacketBuffer::step_batch`].
-///
-/// This mirrors the request-generator interface of the `traffic` crate with a
-/// *generic* [`RequestOracle`]. Inside a fused batch loop the oracle is the
-/// buffer's own [`pktbuf_model::RequestLedger`], whose
-/// [`RequestOracle::first_from`] is a word scan of its non-zero bitmask, so
-/// "the next queue with cells" costs the same whether one queue or all of
-/// them have any. A closure `Fn(LogicalQueueId) -> u64` is an oracle too
-/// (the per-slot engine and the `slot_paths` reference pass one over
-/// [`PacketBuffer::requestable_cells`]) and answers `first_from` with the
-/// trait's default, a linear probe of at most `span` queues: a closure can
-/// only be asked about one queue at a time, and that probe is the reference
-/// the mask scan is tested against. (`sim` adapts
-/// `traffic::RequestGenerator` to this trait; the indirection keeps `pktbuf`
-/// independent of the workload crate.)
-pub trait RequestSource {
-    /// Returns the queue requested at `slot`, if any. `requestable` reports
-    /// how many further cells of a queue the arbiter may request; sources
-    /// must not request a queue whose count is zero.
-    fn next_request<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
-    where
-        O: RequestOracle + ?Sized;
-
-    /// Whether a call that returns `None` because no queue is requestable
-    /// leaves the source bit-identical (see
-    /// `traffic::RequestGenerator::idle_skippable`).
-    fn idle_skippable(&self) -> bool {
-        false
     }
 }
 

@@ -30,13 +30,15 @@ fn rads_cfg(q: usize, b: usize) -> RadsConfig {
 }
 
 fn cfds_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {
-    CfdsConfig::builder()
-        .num_queues(q)
-        .granularity(b)
-        .rads_granularity(big_b)
-        .num_banks(m)
-        .build()
-        .unwrap()
+    let cfg = CfdsConfig {
+        num_queues: q,
+        granularity: b,
+        rads_granularity: big_b,
+        num_banks: m,
+        ..CfdsConfig::default()
+    };
+    cfg.validate().unwrap();
+    cfg
 }
 
 /// A contract-abiding source: round-robin over the queues with cells, from

@@ -72,23 +72,9 @@ impl BankArray {
         res
     }
 
-    /// Returns the banks that are busy at slot `now`.
-    pub fn busy_banks(&self, now: u64) -> Vec<BankId> {
-        self.banks
-            .iter()
-            .filter(|b| b.is_busy(now))
-            .map(|b| b.id())
-            .collect()
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
-    }
-
-    /// Per-bank access counts (for load-balance analysis).
-    pub fn per_bank_accesses(&self) -> Vec<u64> {
-        self.banks.iter().map(|b| b.accesses()).collect()
     }
 }
 
@@ -105,7 +91,7 @@ mod tests {
         arr.start_access(BankId::new(3), 3).unwrap();
         assert_eq!(arr.stats().accesses, 4);
         assert_eq!(arr.stats().conflicts, 0);
-        assert_eq!(arr.busy_banks(3).len(), 4);
+        assert!((0..4).all(|i| arr.is_busy(BankId::new(i), 3)));
     }
 
     #[test]
@@ -117,17 +103,6 @@ mod tests {
         assert_eq!(arr.stats().accesses, 1);
         assert!(arr.is_busy(BankId::new(0), 4));
         assert!(!arr.is_busy(BankId::new(1), 4));
-    }
-
-    #[test]
-    fn per_bank_accesses_tracks_counts() {
-        let mut arr = BankArray::new(3, 2);
-        arr.start_access(BankId::new(1), 0).unwrap();
-        arr.start_access(BankId::new(1), 2).unwrap();
-        arr.start_access(BankId::new(2), 0).unwrap();
-        assert_eq!(arr.per_bank_accesses(), vec![0, 2, 1]);
-        assert_eq!(arr.num_banks(), 3);
-        assert_eq!(arr.busy_slots(), 2);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   set of physical queues and consecutive `b`-cell blocks of a queue rotate
 //!   round-robin over the banks of its group.
 //! * [`DramStore`] — per-physical-queue block storage with per-group capacity
-//!   accounting (used to study DRAM fragmentation, §6), over any
-//!   [`StoredBlock`]: `Vec<Cell>` by default, or a caller's block handle. A
+//!   accounting (used to study DRAM fragmentation, §6), of `Vec<Cell>`
+//!   blocks by default, or of a caller's block handles. A
 //!   ring entry runs from its write's submission (reserved: it takes room)
 //!   through the write's issue (resident) to its read's issue, so a read
 //!   that overtakes its write still finds the block.
@@ -62,4 +62,4 @@ pub use chip::{MultiChipConfig, SdramChip, SdramTimingCycles};
 pub use mapping::{AddressMapper, DecodedAddress, InterleavingConfig, MappingError};
 pub use request::{AccessKind, BankId, DramRequest, GroupId};
 pub use stats::DramStats;
-pub use store::{DramStore, StoreError, StoredBlock};
+pub use store::{DramStore, StoreError};

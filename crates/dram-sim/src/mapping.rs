@@ -8,7 +8,7 @@
 //! the same queue touch `B/b` distinct banks and can be fully overlapped.
 
 use crate::request::{BankId, GroupId};
-use pktbuf_model::{CfdsConfig, PhysicalQueueId, CELL_BYTES};
+use pktbuf_model::{CfdsConfig, PhysicalQueueId};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -137,32 +137,17 @@ pub struct DecodedAddress {
     pub row: u64,
 }
 
-/// Maps `(physical queue, block ordinal)` pairs onto banks and linear
-/// addresses according to the block-cyclic interleaving.
+/// Maps `(physical queue, block ordinal)` pairs onto banks according to the
+/// block-cyclic interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AddressMapper {
     cfg: InterleavingConfig,
-    block_bytes_log2: u32,
 }
 
 impl AddressMapper {
-    /// Creates a mapper for `cfg`, assuming `b = banks-per-group`-independent
-    /// block payloads of `b × 64` bytes. The block size only affects the
-    /// low-order zero bits of the linear address and defaults to one cell.
+    /// Creates a mapper for `cfg`.
     pub fn new(cfg: InterleavingConfig) -> Self {
-        AddressMapper {
-            cfg,
-            block_bytes_log2: (CELL_BYTES as u32).trailing_zeros(),
-        }
-    }
-
-    /// Creates a mapper whose linear addresses account for `b`-cell blocks.
-    pub fn with_block_cells(cfg: InterleavingConfig, cells_per_block: usize) -> Self {
-        let bytes = (cells_per_block.max(1) * CELL_BYTES).next_power_of_two();
-        AddressMapper {
-            cfg,
-            block_bytes_log2: bytes.trailing_zeros(),
-        }
+        AddressMapper { cfg }
     }
 
     /// The interleaving parameters.
@@ -201,29 +186,6 @@ impl AddressMapper {
             bank,
             row: ordinal / self.cfg.banks_per_group as u64,
         }
-    }
-
-    /// Linear byte address of the block, following the bit layout of Figure 6:
-    /// low-order zero bits for the block payload, then the bank-in-group
-    /// index, then the group index, then the remaining queue/ordinal bits.
-    pub fn linear_address(&self, queue: PhysicalQueueId, ordinal: u64) -> u64 {
-        let d = self.decode(queue, ordinal);
-        let groups = self.cfg.num_groups() as u64;
-        let bpg = self.cfg.banks_per_group as u64;
-        let queue_high = queue.as_usize() as u64 / groups;
-        // Row index within the bank combines the per-bank block row and the
-        // high-order queue bits (each queue owns a contiguous row range).
-        let row = queue_high.wrapping_mul(1 << 20).wrapping_add(d.row);
-        let mut addr = row;
-        addr = addr * groups + d.group.index() as u64;
-        addr = addr * bpg + d.bank_in_group as u64;
-        addr << self.block_bytes_log2
-    }
-
-    /// Maximum number of *distinct* banks touched by `count` consecutive
-    /// blocks of the same queue (used by conflict-freedom arguments).
-    pub fn distinct_banks_in_window(&self, count: usize) -> usize {
-        count.min(self.cfg.banks_per_group)
     }
 }
 
@@ -311,29 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn linear_addresses_are_block_aligned_and_distinct() {
-        let m = AddressMapper::with_block_cells(InterleavingConfig::new(32, 4, 64).unwrap(), 4);
-        let mut seen = std::collections::BTreeSet::new();
-        for q in 0..64u32 {
-            for o in 0..8u64 {
-                let a = m.linear_address(PhysicalQueueId::new(q), o);
-                assert_eq!(a % 256, 0, "addresses are 4-cell (256 B) aligned");
-                assert!(seen.insert(a), "address collision for q={q} o={o}");
-            }
-        }
-    }
-
-    #[test]
-    fn distinct_banks_in_window_saturates() {
-        let m = mapper();
-        assert_eq!(m.distinct_banks_in_window(3), 3);
-        assert_eq!(m.distinct_banks_in_window(8), 8);
-        assert_eq!(m.distinct_banks_in_window(100), 8);
-    }
-
-    #[test]
     fn from_cfds_matches_manual_construction() {
-        let cfg = CfdsConfig::builder().build().unwrap();
+        let cfg = CfdsConfig::default();
         let ic = InterleavingConfig::from_cfds(&cfg);
         assert_eq!(ic.num_banks(), 256);
         assert_eq!(ic.banks_per_group(), 8);

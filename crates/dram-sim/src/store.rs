@@ -4,8 +4,8 @@
 //! blocks that lives entirely inside its statically assigned bank group. The
 //! store tracks per-group occupancy so the fragmentation experiments (§6) can
 //! observe how much of the DRAM is actually usable with and without renaming.
-//! A block is any [`StoredBlock`]: a `Vec<Cell>` by default, or a handle to
-//! cells the caller keeps (a buffer's block slab).
+//! A block is a `Vec<Cell>` by default, or any handle to cells the caller
+//! keeps (a buffer's block slab).
 //!
 //! A scheduled DRAM (CFDS) keeps each block here from its write's submission
 //! to its read's issue: [`DramStore::reserve`] appends it when the write
@@ -84,18 +84,6 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
-/// What a [`DramStore`] holds per block: anything that knows its cell count.
-pub trait StoredBlock {
-    /// Cells in the block.
-    fn cell_count(&self) -> usize;
-}
-
-impl StoredBlock for Vec<Cell> {
-    fn cell_count(&self) -> usize {
-        self.len()
-    }
-}
-
 /// One block in a queue's ring: reserved (its write submitted, not issued
 /// yet) or resident.
 #[derive(Debug, Clone)]
@@ -118,8 +106,6 @@ struct QueueBlocks<T> {
     /// Ordinal of ring position 0.
     base: u64,
     ring: VecDeque<Option<Entry<T>>>,
-    resident_blocks: usize,
-    resident_cells: usize,
 }
 
 impl<T> QueueBlocks<T> {
@@ -144,7 +130,7 @@ pub struct DramStore<T = Vec<Cell>> {
     group_capacity_blocks: usize,
 }
 
-impl<T: StoredBlock> DramStore<T> {
+impl<T> DramStore<T> {
     /// Creates a store where each of the `G` groups can hold
     /// `group_capacity_blocks` blocks.
     #[expect(
@@ -161,8 +147,6 @@ impl<T: StoredBlock> DramStore<T> {
                     group: mapper.group_of_queue(PhysicalQueueId::new(q as u32)),
                     base: 0,
                     ring: VecDeque::new(),
-                    resident_blocks: 0,
-                    resident_cells: 0,
                 })
                 .collect(),
             mapper,
@@ -245,9 +229,6 @@ impl<T: StoredBlock> DramStore<T> {
             return false;
         };
         entry.resident = true;
-        let cells = entry.block.cell_count();
-        q.resident_blocks += 1;
-        q.resident_cells += cells;
         self.group_reserved[q.group.index()] -= 1;
         self.group_occupancy[q.group.index()] += 1;
         true
@@ -300,8 +281,6 @@ impl<T: StoredBlock> DramStore<T> {
         };
         let g = q.group.index();
         if resident {
-            q.resident_blocks -= 1;
-            q.resident_cells -= block.cell_count();
             self.group_occupancy[g] -= 1;
         } else {
             self.group_reserved[g] -= 1;
@@ -323,16 +302,6 @@ impl<T: StoredBlock> DramStore<T> {
     /// ordinal when it holds none).
     pub fn head_ordinal(&self, queue: PhysicalQueueId) -> u64 {
         self.queues[queue.as_usize()].base
-    }
-
-    /// Number of blocks currently resident for `queue`.
-    pub fn blocks_in_queue(&self, queue: PhysicalQueueId) -> usize {
-        self.queues[queue.as_usize()].resident_blocks
-    }
-
-    /// Number of cells currently resident for `queue`.
-    pub fn cells_in_queue(&self, queue: PhysicalQueueId) -> usize {
-        self.queues[queue.as_usize()].resident_cells
     }
 
     /// Blocks currently resident in `group`.
@@ -388,8 +357,7 @@ mod tests {
         let q = PhysicalQueueId::new(1);
         assert_eq!(s.write_block(q, mk_cells(1, 0, 4)).unwrap(), 0);
         assert_eq!(s.write_block(q, mk_cells(1, 4, 4)).unwrap(), 1);
-        assert_eq!(s.blocks_in_queue(q), 2);
-        assert_eq!(s.cells_in_queue(q), 8);
+        assert_eq!(s.total_blocks(), 2);
         let (o0, b0) = s.read_block(q).unwrap();
         assert_eq!(o0, 0);
         assert_eq!(b0[0].seq(), 0);
@@ -487,7 +455,7 @@ mod tests {
         ));
         assert_eq!(s.group_occupancy(g0), 0);
         assert_eq!(s.utilisation(), 0.0);
-        assert_eq!((s.blocks_in_queue(q0), s.cells_in_queue(q0)), (0, 0));
+        assert_eq!(s.total_blocks(), 0);
         assert_eq!(s.next_write_ordinal(q0), 1);
         // A FIFO read sees only resident blocks.
         assert!(matches!(
@@ -511,7 +479,7 @@ mod tests {
         assert!(!s.commit(q, 2), "ordinal 2 was never reserved");
         assert_eq!(s.group_occupancy(g1), 2);
         assert!(!s.group_has_room(g1));
-        assert_eq!((s.blocks_in_queue(q), s.cells_in_queue(q)), (2, 8));
+        assert_eq!(s.total_blocks(), 2);
         assert!((s.utilisation() - 2.0 / 8.0).abs() < 1e-12);
         let (o, b) = s.read_block(q).unwrap();
         assert_eq!((o, b[0].seq()), (0, 0));
@@ -577,14 +545,8 @@ mod tests {
         cells: u32,
     }
 
-    impl StoredBlock for Handle {
-        fn cell_count(&self) -> usize {
-            self.cells as usize
-        }
-    }
-
     #[test]
-    fn handle_payloads_count_their_cells() {
+    fn handle_payloads_round_trip() {
         let mapper = AddressMapper::new(InterleavingConfig::new(16, 4, 8).unwrap());
         let mut s: DramStore<Handle> = DramStore::new(mapper, 8);
         let q = PhysicalQueueId::new(2);
@@ -593,14 +555,12 @@ mod tests {
         assert_eq!(s.reserve(q, handle(5, 3)).unwrap(), 1);
         assert_eq!(s.reserve(q, handle(3, 2)).unwrap(), 2);
         assert!(s.commit(q, 2));
-        assert_eq!(s.blocks_in_queue(q), 2);
-        assert_eq!(s.cells_in_queue(q), 6);
-        // Ordinal 1 is taken while still reserved: its cells never count.
+        assert_eq!(s.total_blocks(), 2);
+        // Ordinal 1 is taken while still reserved: it never becomes resident.
         assert_eq!(s.take_block(q, 1).unwrap(), handle(5, 3));
+        assert_eq!(s.total_blocks(), 2);
         assert_eq!(s.read_block(q).unwrap(), (0, handle(7, 4)));
-        assert_eq!(s.cells_in_queue(q), 2);
         assert_eq!(s.read_block(q).unwrap(), (2, handle(3, 2)));
-        assert_eq!((s.blocks_in_queue(q), s.cells_in_queue(q)), (0, 0));
         assert!(matches!(
             s.read_block(q),
             Err(StoreError::QueueEmpty { .. })

@@ -183,12 +183,6 @@ impl FlightRecorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Consume the recorder, returning its events.
-    #[must_use]
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
 }
 
 /// Merge per-stage event batches into one timeline ordered by

@@ -140,12 +140,22 @@ pub struct CfdsConfig {
     pub lookahead: Option<usize>,
 }
 
-impl CfdsConfig {
-    /// Starts a builder pre-loaded with the paper's OC-3072 defaults.
-    pub fn builder() -> CfdsConfigBuilder {
-        CfdsConfigBuilder::new()
+/// The paper's OC-3072 evaluation: `Q = 512`, `B = 32`, `b = 4`, `M = 256`,
+/// one physical queue per logical queue and the ECQF minimum lookahead.
+impl Default for CfdsConfig {
+    fn default() -> Self {
+        CfdsConfig {
+            num_queues: 512,
+            physical_queue_factor: 1,
+            granularity: 4,
+            rads_granularity: LineRate::Oc3072.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS),
+            num_banks: 256,
+            lookahead: None,
+        }
     }
+}
 
+impl CfdsConfig {
     /// Number of banks per group, `B/b`.
     pub fn banks_per_group(&self) -> usize {
         self.rads_granularity / self.granularity
@@ -282,109 +292,18 @@ impl ConfigOverrides {
         cfg
     }
 
-    /// Applies the relevant knobs to a CFDS configuration builder (so that the
-    /// result is revalidated by [`CfdsConfigBuilder::build`]).
-    pub fn apply_cfds(&self, mut builder: CfdsConfigBuilder) -> CfdsConfigBuilder {
+    /// Applies the relevant knobs to a CFDS configuration.
+    ///
+    /// The result is *not* revalidated here — callers that accept untrusted
+    /// specs should run [`CfdsConfig::validate`] afterwards.
+    pub fn apply_cfds(&self, mut cfg: CfdsConfig) -> CfdsConfig {
         if let Some(l) = self.lookahead {
-            builder = builder.lookahead(l);
+            cfg.lookahead = Some(l);
         }
         if let Some(k) = self.physical_queue_factor {
-            builder = builder.physical_queue_factor(k);
+            cfg.physical_queue_factor = k;
         }
-        builder
-    }
-}
-
-/// Builder for [`CfdsConfig`].
-///
-/// Defaults correspond to the paper's OC-3072 evaluation: `Q = 512`,
-/// `B = 32`, `b = 4`, `M = 256`, one physical queue per logical queue and the
-/// ECQF minimum lookahead.
-#[derive(Debug, Clone)]
-pub struct CfdsConfigBuilder {
-    num_queues: usize,
-    physical_queue_factor: usize,
-    granularity: usize,
-    rads_granularity: Option<usize>,
-    num_banks: usize,
-    lookahead: Option<usize>,
-}
-
-impl Default for CfdsConfigBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CfdsConfigBuilder {
-    /// Creates a builder with the paper's OC-3072 defaults.
-    pub fn new() -> Self {
-        CfdsConfigBuilder {
-            num_queues: 512,
-            physical_queue_factor: 1,
-            granularity: 4,
-            rads_granularity: None,
-            num_banks: 256,
-            lookahead: None,
-        }
-    }
-
-    /// Sets the number of logical VOQs `Q`.
-    pub fn num_queues(mut self, q: usize) -> Self {
-        self.num_queues = q;
-        self
-    }
-
-    /// Sets the physical-queue oversubscription factor `k`.
-    pub fn physical_queue_factor(mut self, k: usize) -> Self {
-        self.physical_queue_factor = k;
-        self
-    }
-
-    /// Sets the CFDS granularity `b` (cells per DRAM access).
-    pub fn granularity(mut self, b: usize) -> Self {
-        self.granularity = b;
-        self
-    }
-
-    /// Overrides the RADS granularity `B`. By default it is the random access
-    /// time of the paper's 102.4 ns DRAM in slots at OC-3072, i.e. 32.
-    pub fn rads_granularity(mut self, big_b: usize) -> Self {
-        self.rads_granularity = Some(big_b);
-        self
-    }
-
-    /// Sets the number of DRAM banks `M`.
-    pub fn num_banks(mut self, m: usize) -> Self {
-        self.num_banks = m;
-        self
-    }
-
-    /// Sets an explicit lookahead length (slots).
-    pub fn lookahead(mut self, slots: usize) -> Self {
-        self.lookahead = Some(slots);
-        self
-    }
-
-    /// Finalises and validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`ConfigError`] from [`CfdsConfig::validate`].
-    pub fn build(self) -> Result<CfdsConfig, ConfigError> {
-        let rads_granularity = self
-            .rads_granularity
-            .unwrap_or_else(|| LineRate::Oc3072.rads_granularity(PAPER_DRAM_RANDOM_ACCESS_NS));
-        let cfg = CfdsConfig {
-            num_queues: self.num_queues,
-            physical_queue_factor: self.physical_queue_factor,
-            granularity: self.granularity,
-            rads_granularity,
-            num_banks: self.num_banks,
-            lookahead: self.lookahead,
-        };
-        cfg.validate()?;
-        Ok(cfg)
+        cfg
     }
 }
 
@@ -441,23 +360,39 @@ mod tests {
 
         let physical =
             |requested| too_large("k·Q", "physical queues", requested, MAX_PHYSICAL_QUEUES);
-        let cfds = |k: usize| CfdsConfig::builder().physical_queue_factor(k).build();
+        let cfds = |physical_queue_factor| {
+            CfdsConfig {
+                physical_queue_factor,
+                ..CfdsConfig::default()
+            }
+            .validate()
+        };
         assert!(cfds(MAX_PHYSICAL_QUEUES / 512).is_ok());
         assert_eq!(
-            cfds(MAX_PHYSICAL_QUEUES / 512 + 1).unwrap_err(),
-            physical(Some(MAX_PHYSICAL_QUEUES + 512))
+            cfds(MAX_PHYSICAL_QUEUES / 512 + 1),
+            Err(physical(Some(MAX_PHYSICAL_QUEUES + 512)))
         );
-        assert_eq!(cfds(usize::MAX / 4).unwrap_err(), physical(None));
-        let long = CfdsConfig::builder()
-            .lookahead(MAX_LOOKAHEAD_SLOTS + 1)
-            .build();
-        assert_eq!(long.unwrap_err(), lookahead(Some(MAX_LOOKAHEAD_SLOTS + 1)));
-        let banks = |m: usize| CfdsConfig::builder().num_banks(m).build();
+        assert_eq!(cfds(usize::MAX / 4), Err(physical(None)));
+        let long = CfdsConfig {
+            lookahead: Some(MAX_LOOKAHEAD_SLOTS + 1),
+            ..CfdsConfig::default()
+        };
+        assert_eq!(
+            long.validate(),
+            Err(lookahead(Some(MAX_LOOKAHEAD_SLOTS + 1)))
+        );
+        let banks = |num_banks| {
+            CfdsConfig {
+                num_banks,
+                ..CfdsConfig::default()
+            }
+            .validate()
+        };
         assert!(banks(MAX_BANKS).is_ok());
         for m in [MAX_BANKS * 2, 1 << 31, 1 << 63] {
             assert_eq!(
-                banks(m).unwrap_err(),
-                too_large("num_banks", "banks", Some(m), MAX_BANKS)
+                banks(m),
+                Err(too_large("num_banks", "banks", Some(m), MAX_BANKS))
             );
         }
     }
@@ -479,8 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn cfds_builder_defaults_match_paper() {
-        let cfg = CfdsConfig::builder().build().unwrap();
+    fn cfds_defaults_match_paper() {
+        let cfg = CfdsConfig::default();
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.num_queues, 512);
         assert_eq!(cfg.rads_granularity, 32);
         assert_eq!(cfg.granularity, 4);
@@ -493,15 +429,23 @@ mod tests {
 
     #[test]
     fn cfds_divisibility_checks() {
-        let err = CfdsConfig::builder().granularity(5).build().unwrap_err();
-        assert!(matches!(err, ConfigError::GranularityNotDivisor { .. }));
+        let err = CfdsConfig {
+            granularity: 5,
+            ..CfdsConfig::default()
+        }
+        .validate();
+        assert!(matches!(
+            err,
+            Err(ConfigError::GranularityNotDivisor { .. })
+        ));
 
-        let err = CfdsConfig::builder()
-            .granularity(4)
-            .num_banks(100)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::BanksNotDivisible { .. }));
+        let err = CfdsConfig {
+            granularity: 4,
+            num_banks: 100,
+            ..CfdsConfig::default()
+        }
+        .validate();
+        assert!(matches!(err, Err(ConfigError::BanksNotDivisible { .. })));
     }
 
     #[test]
@@ -509,30 +453,39 @@ mod tests {
         // B/b = 2, G = 128 groups but only 4 physical queues: some groups are
         // simply unused, which is legal (and what the degenerate b = B RADS
         // configuration looks like).
-        let cfg = CfdsConfig::builder()
-            .num_queues(4)
-            .granularity(16)
-            .num_banks(256)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            num_queues: 4,
+            granularity: 16,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.num_groups(), 128);
         assert_eq!(cfg.queues_per_group(), 1);
     }
 
     #[test]
     fn cfds_lookahead_validation() {
-        let err = CfdsConfig::builder().lookahead(3).build().unwrap_err();
-        assert!(matches!(err, ConfigError::LookaheadTooShort { .. }));
-        let ok = CfdsConfig::builder().lookahead(2000).build().unwrap();
+        let with_lookahead = |slots| CfdsConfig {
+            lookahead: Some(slots),
+            ..CfdsConfig::default()
+        };
+        assert!(matches!(
+            with_lookahead(3).validate(),
+            Err(ConfigError::LookaheadTooShort { .. })
+        ));
+        let ok = with_lookahead(2000);
+        assert_eq!(ok.validate(), Ok(()));
         assert_eq!(ok.effective_lookahead(), 2000);
     }
 
     #[test]
     fn cfds_oversubscription() {
-        let cfg = CfdsConfig::builder()
-            .physical_queue_factor(2)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            physical_queue_factor: 2,
+            ..CfdsConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(cfg.num_physical_queues(), 1024);
         assert_eq!(cfg.queues_per_group(), 32);
     }
@@ -543,8 +496,7 @@ mod tests {
         assert!(ov.is_none());
         let rads = RadsConfig::for_line_rate(LineRate::Oc3072, 512);
         assert_eq!(ov.apply_rads(rads), rads);
-        let cfds = ov.apply_cfds(CfdsConfig::builder()).build().unwrap();
-        assert_eq!(cfds, CfdsConfig::builder().build().unwrap());
+        assert_eq!(ov.apply_cfds(CfdsConfig::default()), CfdsConfig::default());
     }
 
     #[test]
@@ -557,18 +509,23 @@ mod tests {
         assert!(!ov.is_none());
         let rads = ov.apply_rads(RadsConfig::for_line_rate(LineRate::Oc3072, 512));
         assert_eq!(rads.lookahead, Some(20_000));
-        let cfds = ov.apply_cfds(CfdsConfig::builder()).build().unwrap();
+        let cfds = ov.apply_cfds(CfdsConfig::default());
+        assert_eq!(cfds.validate(), Ok(()));
         assert_eq!(cfds.lookahead, Some(20_000));
         assert_eq!(cfds.physical_queue_factor, 2);
     }
 
     #[test]
     fn zero_parameter_detection_in_cfds() {
-        let mut cfg = CfdsConfig::builder().build().unwrap();
-        cfg.num_banks = 0;
+        let cfg = CfdsConfig {
+            num_banks: 0,
+            ..CfdsConfig::default()
+        };
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter("num_banks")));
-        let mut cfg = CfdsConfig::builder().build().unwrap();
-        cfg.physical_queue_factor = 0;
+        let cfg = CfdsConfig {
+            physical_queue_factor: 0,
+            ..CfdsConfig::default()
+        };
         assert_eq!(
             cfg.validate(),
             Err(ConfigError::ZeroParameter("physical_queue_factor"))

@@ -10,6 +10,8 @@
 //! beside the counts and answers with a shift and `trailing_zeros`.
 //! [`RequestOracle`] is the question itself, so a generator is written once
 //! and runs against either the ledger or a plain closure.
+//! [`RequestSource`] is the generator: the arbiter side of a buffer, asking
+//! the oracle once per slot.
 
 #![cfg_attr(
     not(test),
@@ -169,6 +171,34 @@ impl RequestOracle for RequestLedger {
         let start = start.min(span);
         self.first_set(start, span)
             .or_else(|| self.first_set(0, start))
+    }
+}
+
+/// A source of arbiter requests, at most one per slot, driven by the
+/// buffer's own availability.
+///
+/// The oracle is generic. Inside a buffer's fused batch loop it is the
+/// buffer's [`RequestLedger`], so "the next queue with cells" is a word scan
+/// of its mask; a closure `Fn(LogicalQueueId) -> u64` over the buffer's
+/// per-queue counts answers the same question with
+/// [`RequestOracle::first_from`]'s linear probe — the reference the mask scan
+/// is tested against.
+pub trait RequestSource {
+    /// Returns the queue requested at `slot`, if any. `requestable` reports
+    /// how many further cells of a queue the arbiter may request; sources
+    /// must not request a queue whose count is zero (the paper's system
+    /// model: the scheduler only asks for cells that are in the buffer).
+    fn next_request<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
+    where
+        O: RequestOracle + ?Sized;
+
+    /// Whether a call that returns `None` because *no queue has requestable
+    /// cells* leaves the source bit-identical (no RNG draw, no cursor move).
+    /// An idle fast-forward may then skip such calls without changing any
+    /// later request. Sources that consume randomness on every call must
+    /// return `false` (the default).
+    fn idle_skippable(&self) -> bool {
+        false
     }
 }
 

@@ -14,9 +14,10 @@
 //!   time-slot duration (§2).
 //! * [`Slot`] — the synchronous time base of the buffer (one cell transmission
 //!   time at the line rate).
-//! * [`RequestLedger`] / [`RequestOracle`] — the set of cells the arbiter may
-//!   still request (§2: only cells that are in the buffer), and the question
-//!   request generators ask of it.
+//! * [`RequestLedger`] / [`RequestOracle`] / [`RequestSource`] — the set of
+//!   cells the arbiter may still request (§2: only cells that are in the
+//!   buffer), the question request generators ask of it, and the generators
+//!   themselves.
 //! * [`RadsConfig`] / [`CfdsConfig`] — dimensioning parameters of the two memory
 //!   architectures (Table 1 of the paper).
 //!
@@ -30,12 +31,13 @@
 //! assert_eq!(rads.granularity, 32);
 //!
 //! // A CFDS refinement with b = 4 and M = 256 banks.
-//! let cfds = CfdsConfig::builder()
-//!     .num_queues(512)
-//!     .granularity(4)
-//!     .num_banks(256)
-//!     .build()
-//!     .expect("valid configuration");
+//! let cfds = CfdsConfig {
+//!     num_queues: 512,
+//!     granularity: 4,
+//!     num_banks: 256,
+//!     ..CfdsConfig::default()
+//! };
+//! cfds.validate().expect("valid configuration");
 //! assert_eq!(cfds.banks_per_group(), 8);
 //! assert_eq!(cfds.num_groups(), 32);
 //! ```
@@ -54,11 +56,10 @@ mod time;
 
 pub use cell::{Cell, CELL_BYTES};
 pub use config::{
-    CfdsConfig, CfdsConfigBuilder, ConfigOverrides, RadsConfig, MAX_BANKS, MAX_LOOKAHEAD_SLOTS,
-    MAX_PHYSICAL_QUEUES,
+    CfdsConfig, ConfigOverrides, RadsConfig, MAX_BANKS, MAX_LOOKAHEAD_SLOTS, MAX_PHYSICAL_QUEUES,
 };
 pub use error::{ConfigError, ModelError};
-pub use ledger::{RequestLedger, RequestOracle};
+pub use ledger::{RequestLedger, RequestOracle, RequestSource};
 pub use queue::{LogicalQueueId, PhysicalQueueId, QueueKind};
 pub use rate::LineRate;
 pub use time::{Nanoseconds, Slot, SlotDuration};

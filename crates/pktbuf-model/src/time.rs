@@ -88,16 +88,6 @@ impl Nanoseconds {
     pub fn as_ns(self) -> f64 {
         self.0
     }
-
-    /// Value in seconds.
-    pub fn as_secs(self) -> f64 {
-        self.0 * 1e-9
-    }
-
-    /// Value in microseconds.
-    pub fn as_us(self) -> f64 {
-        self.0 * 1e-3
-    }
 }
 
 impl fmt::Display for Nanoseconds {
@@ -162,8 +152,7 @@ mod tests {
     #[test]
     fn nanoseconds_conversions() {
         let ns = Nanoseconds::new(3200.0);
-        assert!((ns.as_secs() - 3.2e-6).abs() < 1e-18);
-        assert!((ns.as_us() - 3.2).abs() < 1e-12);
+        assert_eq!(ns.as_ns(), 3200.0);
         assert_eq!(ns.to_string(), "3200.000 ns");
     }
 

@@ -12,8 +12,8 @@
     )
 )]
 
-use pktbuf::{BufferStats, GrantSink, PacketBuffer, RequestSource};
-use pktbuf_model::{Cell, LogicalQueueId, RequestOracle};
+use pktbuf::{BufferStats, GrantSink, PacketBuffer};
+use pktbuf_model::{Cell, LogicalQueueId};
 use serde::{Serialize, Serializer};
 use std::sync::Mutex;
 use traffic::{ArrivalGenerator, RequestGenerator};
@@ -146,23 +146,19 @@ impl SimulationReport {
 /// Drives a packet buffer with workload generators.
 ///
 /// The engine is generic over the buffer type: [`SimulationEngine::new_mono`]
-/// over a concrete buffer monomorphises the whole slot loop — no per-slot
-/// virtual dispatch — which is what [`crate::scenario::Scenario`], the lab
-/// runner and the benchmark run; over a `&mut dyn PacketBuffer` the same
-/// constructor gives runtime composition on the per-slot loop.
+/// monomorphises the whole slot loop — no per-slot virtual dispatch.
 ///
 /// Two loop shapes exist: [`SimulationEngine::run`] is the slot-by-slot
-/// reference (any buffer, sized or not) and
-/// [`SimulationEngine::run_chunked`] is the production batch engine (chunked
-/// arrival generation, fused `step_batch` loops, idle fast-forward; concrete
-/// buffers only). Both produce bit-identical reports, pinned by the
+/// reference and [`SimulationEngine::run_chunked`] is the production batch
+/// engine (chunked arrival generation, fused `step_batch` loops, idle
+/// fast-forward). Both produce bit-identical reports, pinned by the
 /// `chunked_equivalence` test suite.
-pub struct SimulationEngine<'a, B: PacketBuffer + ?Sized> {
+pub struct SimulationEngine<'a, B: PacketBuffer> {
     buffer: &'a mut B,
     record_grants: bool,
 }
 
-impl<'a, B: PacketBuffer + ?Sized> std::fmt::Debug for SimulationEngine<'a, B> {
+impl<'a, B: PacketBuffer> std::fmt::Debug for SimulationEngine<'a, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimulationEngine")
             .field("design", &self.buffer.design_name())
@@ -171,10 +167,9 @@ impl<'a, B: PacketBuffer + ?Sized> std::fmt::Debug for SimulationEngine<'a, B> {
     }
 }
 
-impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
-    /// Creates an engine around `buffer`. With a concrete buffer type the
-    /// slot loop is monomorphized: the fast path used by the lab runner and
-    /// the benchmark.
+impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
+    /// Creates an engine around `buffer`, its slot loops monomorphized over
+    /// the buffer type.
     pub fn new_mono(buffer: &'a mut B) -> Self {
         SimulationEngine {
             buffer,
@@ -198,18 +193,19 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
     /// produces bit-identical reports by processing slots in batches; the
     /// `chunked_equivalence` suite pins the two together.
     ///
-    /// Generic over the generator types for the same reason the engine is
-    /// generic over the buffer: concrete generators compile to a slot loop
-    /// with no virtual dispatch, while `&mut dyn` generators still work for
-    /// runtime composition.
+    /// The request oracle is a `&dyn Fn` over
+    /// [`PacketBuffer::requestable_cells`]: the generator probes it queue by
+    /// queue (the linear probe the buffers' mask scan is tested against),
+    /// one virtual call a probe — the reference cost that
+    /// `sim.per_slot_engine_ratio` compares the chunked engine to.
     ///
     /// Generators observe the **buffer clock**: the slot number passed to
-    /// `arrivals.next` / `requests.next` is `buffer.current_slot()` at that
+    /// `arrivals.next` / `requests.next_request` is `buffer.current_slot()` at that
     /// slot, so driving a warm (already-stepped) buffer continues the slot
     /// numbering instead of restarting it — the same convention the chunked
     /// engine's fused batch loops follow, which is what keeps the two
     /// engines bit-identical for slot-sensitive generators.
-    pub fn run<A: ArrivalGenerator + ?Sized, R: RequestGenerator + ?Sized>(
+    pub fn run<A: ArrivalGenerator + ?Sized, R: RequestGenerator>(
         self,
         arrivals: &mut A,
         requests: &mut R,
@@ -228,7 +224,8 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
             let arrival = arrivals.next(t);
             let request = {
                 let probe = &*buffer;
-                requests.next(t, &|q: LogicalQueueId| probe.requestable_cells(q))
+                let oracle: &dyn Fn(LogicalQueueId) -> u64 = &|q| probe.requestable_cells(q);
+                requests.next_request(t, oracle)
             };
             let outcome = buffer.step(arrival, request);
             if let (Some(log), Some(cell)) = (grant_log.as_mut(), &outcome.granted) {
@@ -243,7 +240,8 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
         while idle_streak <= flush {
             let request = {
                 let probe = &*buffer;
-                requests.next(t, &|q: LogicalQueueId| probe.requestable_cells(q))
+                let oracle: &dyn Fn(LogicalQueueId) -> u64 = &|q| probe.requestable_cells(q);
+                requests.next_request(t, oracle)
             };
             if request.is_none() {
                 idle_streak += 1;
@@ -273,30 +271,6 @@ impl<'a, B: PacketBuffer + ?Sized> SimulationEngine<'a, B> {
 /// amortised over enough slots to vanish.
 pub const CHUNK_SLOTS: usize = 256;
 
-/// Adapts a `traffic::RequestGenerator` to the buffer-side
-/// [`pktbuf::RequestSource`] contract. A wrapper type (rather than a
-/// blanket impl) keeps `pktbuf` independent of the workload crate while the
-/// whole probe chain — generator scan and availability oracle — stays
-/// monomorphized. Public so benchmarks driving
-/// [`pktbuf::PacketBuffer::step_batch`] directly use the exact adapter the
-/// engine uses.
-#[derive(Debug)]
-pub struct GeneratorSource<'r, R>(pub &'r mut R);
-
-impl<R: RequestGenerator> RequestSource for GeneratorSource<'_, R> {
-    #[inline]
-    fn next_request<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
-    where
-        O: RequestOracle + ?Sized,
-    {
-        self.0.next_inline(slot, requestable)
-    }
-
-    fn idle_skippable(&self) -> bool {
-        self.0.idle_skippable()
-    }
-}
-
 /// Debug-build differential hook: captures buffer/sink counters at a chunk
 /// boundary and cross-checks the chunked path's accounting after the chunk —
 /// every slot must be stepped (or arithmetically skipped) exactly once, and
@@ -312,7 +286,7 @@ struct ChunkCheck {
 
 impl ChunkCheck {
     #[cfg(debug_assertions)]
-    fn before<B: PacketBuffer + ?Sized>(buffer: &B, sink: &GrantSink) -> Self {
+    fn before<B: PacketBuffer>(buffer: &B, sink: &GrantSink) -> Self {
         ChunkCheck {
             slot: buffer.current_slot(),
             grants: buffer.stats().grants,
@@ -322,12 +296,12 @@ impl ChunkCheck {
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
-    fn before<B: PacketBuffer + ?Sized>(_buffer: &B, _sink: &GrantSink) -> Self {
+    fn before<B: PacketBuffer>(_buffer: &B, _sink: &GrantSink) -> Self {
         ChunkCheck {}
     }
 
     #[cfg(debug_assertions)]
-    fn after<B: PacketBuffer + ?Sized>(self, buffer: &B, sink: &GrantSink, slots: u64) {
+    fn after<B: PacketBuffer>(self, buffer: &B, sink: &GrantSink, slots: u64) {
         debug_assert_eq!(
             buffer.current_slot(),
             self.slot + slots,
@@ -349,7 +323,7 @@ impl ChunkCheck {
 
     #[cfg(not(debug_assertions))]
     #[inline(always)]
-    fn after<B: PacketBuffer + ?Sized>(self, _buffer: &B, _sink: &GrantSink, _slots: u64) {}
+    fn after<B: PacketBuffer>(self, _buffer: &B, _sink: &GrantSink, _slots: u64) {}
 }
 
 impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
@@ -368,7 +342,7 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
     /// observe the buffer clock in both engines — and a fast-forward is
     /// taken only when the skipped calls are unobservable (the request
     /// generator contract — never request an empty queue — plus, during the
-    /// active phase, [`traffic::RequestGenerator::idle_skippable`]). Debug
+    /// active phase, [`pktbuf::RequestSource::idle_skippable`]). Debug
     /// builds cross-check the accounting at every chunk boundary.
     pub fn run_chunked<A: ArrivalGenerator + ?Sized, R: RequestGenerator>(
         self,
@@ -384,7 +358,6 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
         let flush = buffer.pipeline_delay_slots() as u64 + 4;
         let start = buffer.current_slot();
         let mut ring: [Option<Cell>; CHUNK_SLOTS] = std::array::from_fn(|_| None);
-        let mut source = GeneratorSource(requests);
 
         // Active phase.
         let mut done = 0u64;
@@ -395,7 +368,7 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
             let produced = arrivals.fill_arrivals(start + done, chunk);
             let check = ChunkCheck::before(buffer, &sink);
             if produced == 0
-                && source.idle_skippable()
+                && requests.idle_skippable()
                 && buffer.is_quiescent()
                 && buffer.requestable_total() == 0
             {
@@ -404,7 +377,7 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
                 // `None` throughout — and a pipeline with nothing in flight.
                 buffer.advance_idle(len as u64);
             } else {
-                buffer.step_batch(chunk, &mut source, &mut sink);
+                buffer.step_batch(chunk, requests, &mut sink);
             }
             check.after(buffer, &sink, len as u64);
             done += len as u64;
@@ -431,7 +404,7 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
             let len = CHUNK_SLOTS.min((flush + 1 - idle_streak) as usize);
             let chunk = &mut ring[..len];
             let check = ChunkCheck::before(buffer, &sink);
-            let batch = buffer.step_batch(chunk, &mut source, &mut sink);
+            let batch = buffer.step_batch(chunk, requests, &mut sink);
             check.after(buffer, &sink, len as u64);
             idle_streak = if batch.requests > 0 {
                 batch.trailing_requestless
@@ -482,10 +455,6 @@ mod tests {
         }
     }
 
-    // Both tests drive the engine fully type-erased — `&mut dyn PacketBuffer`
-    // with `&mut dyn` generators — so the trait's object safety and the
-    // per-slot loop over unsized types stay compiled and exercised.
-
     #[test]
     fn engine_runs_rads_end_to_end() {
         let cfg = RadsConfig {
@@ -494,12 +463,13 @@ mod tests {
             lookahead: None,
         };
         let mut buf = RadsBuffer::new(cfg);
-        let buffer: &mut dyn PacketBuffer = &mut buf;
-        let arrivals: &mut dyn ArrivalGenerator = &mut UniformArrivals::new(4, 0.8, 42);
-        let requests: &mut dyn RequestGenerator = &mut AdversarialRoundRobin::new(4);
-        let report = SimulationEngine::new_mono(buffer)
+        let report = SimulationEngine::new_mono(&mut buf)
             .record_grants(true)
-            .run(arrivals, requests, 2_000);
+            .run(
+                &mut UniformArrivals::new(4, 0.8, 42),
+                &mut AdversarialRoundRobin::new(4),
+                2_000,
+            );
         assert_eq!(report.design, "RADS");
         assert_eq!(report.workload, "uniform+adversarial-round-robin");
         assert!(report.stats.is_loss_free(), "{:?}", report.stats);
@@ -513,18 +483,20 @@ mod tests {
 
     #[test]
     fn engine_runs_cfds_end_to_end() {
-        let cfg = CfdsConfig::builder()
-            .num_queues(4)
-            .granularity(2)
-            .rads_granularity(8)
-            .num_banks(16)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            num_queues: 4,
+            granularity: 2,
+            rads_granularity: 8,
+            num_banks: 16,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
         let mut buf = CfdsBuffer::new(cfg);
-        let buffer: &mut dyn PacketBuffer = &mut buf;
-        let arrivals: &mut dyn ArrivalGenerator = &mut UniformArrivals::new(4, 0.8, 7);
-        let requests: &mut dyn RequestGenerator = &mut AdversarialRoundRobin::new(4);
-        let report = SimulationEngine::new_mono(buffer).run(arrivals, requests, 2_000);
+        let report = SimulationEngine::new_mono(&mut buf).run(
+            &mut UniformArrivals::new(4, 0.8, 7),
+            &mut AdversarialRoundRobin::new(4),
+            2_000,
+        );
         assert_eq!(report.design, "CFDS");
         assert!(report.stats.is_loss_free(), "{:?}", report.stats);
         assert_eq!(report.stats.bank_conflicts, 0);

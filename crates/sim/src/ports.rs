@@ -70,17 +70,16 @@ impl Provisioning {
     /// renaming table of free names (its read and write chains must live in
     /// different groups), the fragmentation §6's oversubscription absorbs.
     pub(crate) fn try_cfds_config(&self, queues: usize) -> Result<CfdsConfig, ConfigError> {
-        self.overrides
-            .apply_cfds(
-                CfdsConfig::builder()
-                    .num_queues(queues)
-                    .physical_queue_factor(2)
-                    .granularity(self.granularity)
-                    .rads_granularity(self.rads_granularity)
-                    .num_banks(self.num_banks)
-                    .lookahead(self.cfds_lookahead(queues)),
-            )
-            .build()
+        let cfg = self.overrides.apply_cfds(CfdsConfig {
+            num_queues: queues,
+            physical_queue_factor: 2,
+            granularity: self.granularity,
+            rads_granularity: self.rads_granularity,
+            num_banks: self.num_banks,
+            lookahead: Some(self.cfds_lookahead(queues)),
+        });
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// Checks every port `design` builds at each VOQ count in `queue_counts`.

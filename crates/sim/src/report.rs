@@ -23,11 +23,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -93,7 +88,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("RR size"));
         assert!(s.lines().count() >= 4);
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(s.lines().filter(|l| l.contains("12.8")).count(), 1);
         let csv = t.to_csv();
         assert!(csv.starts_with("b,RR size,time\n"));
         assert!(csv.contains("4,256,12.8"));

@@ -2,7 +2,7 @@
 
 use crate::engine::{SimulationEngine, SimulationReport};
 use pktbuf::{CfdsBuffer, CfdsBufferOptions, DramOnlyBuffer, PacketBuffer, RadsBuffer};
-use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, LogicalQueueId, RadsConfig};
+use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides, RadsConfig};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 use std::str::FromStr;
@@ -295,15 +295,15 @@ impl Scenario {
     /// or lookahead constraints (a sweep's cartesian product may contain such
     /// combinations; the spec layer skips them).
     pub fn try_cfds_config(&self) -> Result<CfdsConfig, ConfigError> {
-        self.overrides
-            .apply_cfds(
-                CfdsConfig::builder()
-                    .num_queues(self.num_queues)
-                    .granularity(self.granularity)
-                    .rads_granularity(self.rads_granularity)
-                    .num_banks(self.num_banks),
-            )
-            .build()
+        let cfg = self.overrides.apply_cfds(CfdsConfig {
+            num_queues: self.num_queues,
+            granularity: self.granularity,
+            rads_granularity: self.rads_granularity,
+            num_banks: self.num_banks,
+            ..CfdsConfig::default()
+        });
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// The CFDS configuration implied by this scenario.
@@ -595,11 +595,6 @@ pub fn grants_per_queue(report: &SimulationReport, num_queues: usize) -> Vec<u64
     counts
 }
 
-/// Helper used by binaries: the set of queues a request generator may touch.
-pub fn all_queues(num_queues: usize) -> Vec<LogicalQueueId> {
-    (0..num_queues as u32).map(LogicalQueueId::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,7 +660,6 @@ mod tests {
     fn enumerations_cover_all_variants() {
         assert_eq!(DesignKind::all().len(), 3);
         assert_eq!(Workload::all().len(), 5);
-        assert_eq!(all_queues(3).len(), 3);
     }
 
     #[test]

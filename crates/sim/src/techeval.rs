@@ -227,16 +227,17 @@ pub fn max_queues_meeting_target(
         let point = if granularity >= big_b {
             rads_point(q, big_b, rads_sizing::min_lookahead(q, big_b), node)
         } else {
-            let cfg = CfdsConfig::builder()
-                .num_queues(q)
-                .granularity(granularity)
-                .rads_granularity(big_b)
-                .num_banks(num_banks)
-                .build();
-            match cfg {
-                Ok(cfg) => cfds_point(&cfg, cfg.min_lookahead(), node),
-                Err(_) => return false,
+            let cfg = CfdsConfig {
+                num_queues: q,
+                granularity,
+                rads_granularity: big_b,
+                num_banks,
+                ..CfdsConfig::default()
+            };
+            if cfg.validate().is_err() {
+                return false;
             }
+            cfds_point(&cfg, cfg.min_lookahead(), node)
         };
         point.meets(line_rate)
     };
@@ -307,13 +308,14 @@ mod tests {
     fn paper_oc3072_cfds_meets_the_constraint_with_modest_cost() {
         // §8.3: a CFDS system with b = 4 meets 3.2 ns with ~10 µs delay and
         // a fraction of a cm² of SRAM.
-        let cfg = CfdsConfig::builder()
-            .num_queues(512)
-            .granularity(4)
-            .rads_granularity(32)
-            .num_banks(256)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            num_queues: 512,
+            granularity: 4,
+            rads_granularity: 32,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
         let point = cfds_point(&cfg, cfg.min_lookahead(), &node());
         assert!(
             point.meets(LineRate::Oc3072),

@@ -2,7 +2,7 @@
 
 use crate::traits::{BufferError, SharedBuffer};
 use pktbuf_model::{Cell, LogicalQueueId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-queue cell storage: a dense ring indexed by `order - head_order`.
 ///
@@ -23,7 +23,7 @@ impl QueueRing {
     /// Inserts `cell` at `order`, mirroring `BTreeMap::insert` semantics
     /// (silent overwrite). Returns whether the slot was previously empty.
     fn put(&mut self, order: u64, cell: Cell) -> bool {
-        debug_assert!(order >= self.base, "stale orders are routed to `stale`");
+        debug_assert!(order >= self.base, "orders below the head are refused");
         let pos = (order - self.base) as usize;
         // Fast path: in-order delivery appends directly at the window's end.
         if pos == self.ring.len() {
@@ -50,18 +50,15 @@ impl QueueRing {
 /// can be written in any order and the head of each queue is found with a
 /// single associative search — the functional counterpart of the paper's
 /// "global CAM" organisation. Functionally the tag match is resolved through
-/// per-queue order-indexed rings (`QueueRing`); the observable contract is
-/// identical to the earlier tag-map implementation.
+/// per-queue order-indexed rings (`QueueRing`). A block whose first cell
+/// lies below its queue's head could never be granted (the head only moves
+/// forward), so [`SharedBuffer::insert_block`] refuses it as a
+/// [`BufferError::DuplicateBlock`].
 #[derive(Debug, Clone)]
 pub struct GlobalCamBuffer {
     /// One order-indexed ring per queue.
     rings: Vec<QueueRing>,
-    /// Cells inserted at an order below a queue's head. Such cells can never
-    /// be granted (the head only moves forward) but still occupy SRAM space;
-    /// keeping them in a side map preserves the occupancy accounting of the
-    /// tag-map implementation. Empty in any well-formed run.
-    stale: BTreeMap<(u32, u64), Cell>,
-    /// Resident cells inside the rings (excluding `stale`).
+    /// Resident cells inside the rings.
     ring_cells: usize,
     /// Next cell order to assign at the tail of each queue (for `push_cell`
     /// and for mapping block ordinals to cell orders).
@@ -84,7 +81,6 @@ impl GlobalCamBuffer {
     pub fn with_block_size(num_queues: usize, capacity: usize, cells_per_block: usize) -> Self {
         GlobalCamBuffer {
             rings: vec![QueueRing::default(); num_queues],
-            stale: BTreeMap::new(),
             ring_cells: 0,
             tail_order: vec![0; num_queues],
             cells_per_block: cells_per_block.max(1),
@@ -104,18 +100,11 @@ impl GlobalCamBuffer {
         Ok(idx)
     }
 
-    /// Stores one tagged cell, routing orders below the head to `stale`.
-    fn put(&mut self, idx: usize, queue: LogicalQueueId, order: u64, cell: Cell) {
-        let ring = &mut self.rings[idx];
-        if order < ring.base {
-            self.stale.insert((queue.index(), order), cell);
-        } else if ring.put(order, cell) {
+    /// Stores one tagged cell at an order at or above its queue's head.
+    fn put(&mut self, idx: usize, order: u64, cell: Cell) {
+        if self.rings[idx].put(order, cell) {
             self.ring_cells += 1;
         }
-    }
-
-    fn contains(&self, idx: usize, queue: LogicalQueueId, order: u64) -> bool {
-        self.rings[idx].get(order).is_some() || self.stale.contains_key(&(queue.index(), order))
     }
 
     fn note_peak(&mut self) {
@@ -137,11 +126,11 @@ impl SharedBuffer for GlobalCamBuffer {
             });
         }
         let base = ordinal * self.cells_per_block as u64;
-        if self.contains(idx, queue, base) {
+        let ring = &mut self.rings[idx];
+        if base < ring.base || ring.get(base).is_some() {
             return Err(BufferError::DuplicateBlock { queue, ordinal });
         }
-        let ring = &mut self.rings[idx];
-        if base >= ring.base && (base - ring.base) as usize == ring.ring.len() {
+        if (base - ring.base) as usize == ring.ring.len() {
             // In-order delivery (the overwhelmingly common case): the block
             // extends the window's end, so append the cells in one pass
             // without per-cell position bookkeeping.
@@ -149,7 +138,7 @@ impl SharedBuffer for GlobalCamBuffer {
             self.ring_cells += cells.len();
         } else {
             for (i, &cell) in cells.iter().enumerate() {
-                self.put(idx, queue, base + i as u64, cell);
+                self.put(idx, base + i as u64, cell);
             }
         }
         // Keep the tail order monotone so push_cell after block inserts works.
@@ -170,7 +159,7 @@ impl SharedBuffer for GlobalCamBuffer {
         }
         let order = self.tail_order[idx];
         self.tail_order[idx] += 1;
-        self.put(idx, queue, order, cell);
+        self.put(idx, order, cell);
         self.note_peak();
         Ok(())
     }
@@ -202,7 +191,7 @@ impl SharedBuffer for GlobalCamBuffer {
     }
 
     fn occupancy(&self) -> usize {
-        self.ring_cells + self.stale.len()
+        self.ring_cells
     }
 
     fn capacity(&self) -> usize {
@@ -280,6 +269,33 @@ mod tests {
             b.insert_block(q, 9, &cells(0, 36, 4)),
             Err(BufferError::DuplicateBlock { .. })
         ));
+    }
+
+    #[test]
+    fn a_block_below_the_head_is_refused() {
+        let q = LogicalQueueId::new(0);
+        let mut b = GlobalCamBuffer::with_block_size(1, 64, 4);
+        b.insert_block(q, 0, &cells(0, 0, 4)).unwrap();
+        b.insert_block(q, 1, &cells(0, 4, 4)).unwrap();
+        for i in 0..6 {
+            assert_eq!(b.pop_front(q).unwrap().seq(), i);
+        }
+        // Block 0 is consumed and block 1 half consumed: both start below
+        // the head, so neither can be stored again, and nothing is counted.
+        for ordinal in [0, 1] {
+            assert_eq!(
+                b.insert_block(q, ordinal, &cells(0, 4 * ordinal, 4)),
+                Err(BufferError::DuplicateBlock { queue: q, ordinal })
+            );
+        }
+        assert_eq!(b.occupancy(), 2);
+        assert_eq!(b.available(q), 2);
+        // The next block still lands behind the resident cells.
+        b.insert_block(q, 2, &cells(0, 8, 4)).unwrap();
+        assert_eq!(b.occupancy(), 6);
+        for i in 6..12 {
+            assert_eq!(b.pop_front(q).unwrap().seq(), i);
+        }
     }
 
     #[test]

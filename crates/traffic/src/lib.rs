@@ -17,7 +17,8 @@
 //!   scheduler drains all queues in lock-step so that they all run dry at the
 //!   same time, putting maximum pressure on the MMA.
 //!
-//! Request generators receive a `requestable` oracle
+//! Request generators implement [`pktbuf_model::RequestSource`], the trait a
+//! buffer's batch loop drives, and receive a `requestable` oracle
 //! ([`pktbuf_model::RequestOracle`]: a buffer's `RequestLedger`, or any
 //! closure `Fn(LogicalQueueId) -> u64`) so that they never ask for a cell
 //! that is not in the buffer's head path — the system-model assumption the
@@ -26,15 +27,15 @@
 //! # Example
 //!
 //! ```
-//! use traffic::{AdversarialRoundRobin, RequestGenerator};
-//! use pktbuf_model::LogicalQueueId;
+//! use traffic::AdversarialRoundRobin;
+//! use pktbuf_model::{LogicalQueueId, RequestSource};
 //!
 //! let mut gen = AdversarialRoundRobin::new(4);
 //! // All queues have cells available: requests cycle 0, 1, 2, 3, 0, …
 //! let all = |_q: LogicalQueueId| 1u64;
-//! assert_eq!(gen.next(0, &all).unwrap().index(), 0);
-//! assert_eq!(gen.next(1, &all).unwrap().index(), 1);
-//! assert_eq!(gen.next(2, &all).unwrap().index(), 2);
+//! assert_eq!(gen.next_request(0, &all).unwrap().index(), 0);
+//! assert_eq!(gen.next_request(1, &all).unwrap().index(), 1);
+//! assert_eq!(gen.next_request(2, &all).unwrap().index(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -232,23 +233,19 @@ mod tests {
     /// available oracle so the RNG is the only source of variation).
     #[test]
     fn request_generators_are_deterministic_in_their_seed() {
-        type Maker = fn(u64) -> Box<dyn RequestGenerator>;
-        let makers: [(&str, Maker); 2] = [
-            ("uniform-random", |s| {
-                Box::new(UniformRandomRequests::new(16, 0.7, s))
-            }),
-            ("hotspot", |s| Box::new(HotspotRequests::new(16, 2, 0.8, s))),
-        ];
-        let all = |_q: pktbuf_model::LogicalQueueId| 1u64;
-        for (name, make) in makers {
+        fn assert_seeded<G: RequestGenerator>(make: impl Fn(u64) -> G) {
+            let all = |_q: pktbuf_model::LogicalQueueId| 1u64;
             let stream = |seed: u64| -> Vec<Option<u32>> {
                 let mut g = make(seed);
                 (0..5_000)
-                    .map(|t| g.next(t, &all).map(|q| q.index()))
+                    .map(|t| g.next_request(t, &all).map(|q| q.index()))
                     .collect()
             };
+            let name = make(0).name();
             assert_eq!(stream(42), stream(42), "{name}: same seed must replay");
             assert_ne!(stream(42), stream(43), "{name}: seeds must matter");
         }
+        assert_seeded(|s| UniformRandomRequests::new(16, 0.7, s));
+        assert_seeded(|s| HotspotRequests::new(16, 2, 0.8, s));
     }
 }

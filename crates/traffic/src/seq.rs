@@ -40,11 +40,6 @@ impl SeqTracker {
     pub fn minted(&self, queue: LogicalQueueId) -> u64 {
         self.next[queue.as_usize()]
     }
-
-    /// Total cells minted.
-    pub fn total_minted(&self) -> u64 {
-        self.next.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +55,7 @@ mod tests {
         assert_eq!(t.mint(q0, 1).seq(), 1);
         assert_eq!(t.mint(q1, 2).seq(), 0);
         assert_eq!(t.minted(q0), 2);
-        assert_eq!(t.total_minted(), 3);
+        assert_eq!(t.minted(q1), 1);
         assert_eq!(t.num_queues(), 2);
     }
 

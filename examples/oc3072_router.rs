@@ -9,11 +9,13 @@
 //!
 //! Run with: `cargo run --release --example oc3072_router`
 
-use future_packet_buffers::buffers::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
+use future_packet_buffers::buffers::{
+    CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer, RequestSource,
+};
 use future_packet_buffers::cacti::ProcessNode;
 use future_packet_buffers::model::{CfdsConfig, LineRate, LogicalQueueId, RadsConfig};
 use future_packet_buffers::sim::techeval;
-use future_packet_buffers::traffic::{preload_cells, AdversarialRoundRobin, RequestGenerator};
+use future_packet_buffers::traffic::{preload_cells, AdversarialRoundRobin};
 
 const QUEUES: usize = 64; // scaled from 512 to keep the example fast
 const CELLS_PER_QUEUE: u64 = 64;
@@ -23,7 +25,7 @@ fn drain(buf: &mut dyn PacketBuffer, label: &str) {
     let total = QUEUES as u64 * CELLS_PER_QUEUE;
     let horizon = total + buf.pipeline_delay_slots() as u64 + 4_096;
     for t in 0..horizon {
-        let request = requests.next(t, &|q: LogicalQueueId| buf.requestable_cells(q));
+        let request = requests.next_request(t, &|q: LogicalQueueId| buf.requestable_cells(q));
         buf.step(None, request);
     }
     let s = buf.stats();
@@ -64,13 +66,14 @@ fn main() {
     );
 
     // CFDS with b = 4.
-    let cfds_cfg = CfdsConfig::builder()
-        .num_queues(QUEUES)
-        .granularity(4)
-        .rads_granularity(32)
-        .num_banks(256)
-        .build()
-        .expect("valid CFDS configuration");
+    let cfds_cfg = CfdsConfig {
+        num_queues: QUEUES,
+        granularity: 4,
+        rads_granularity: 32,
+        num_banks: 256,
+        ..CfdsConfig::default()
+    };
+    cfds_cfg.validate().expect("valid CFDS configuration");
     let mut cfds = CfdsBuffer::new(cfds_cfg);
     for (q, cells) in preload_cells(QUEUES, CELLS_PER_QUEUE) {
         cfds.preload_dram(q, cells);

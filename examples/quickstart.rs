@@ -3,21 +3,21 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use future_packet_buffers::buffers::{CfdsBuffer, PacketBuffer};
+use future_packet_buffers::buffers::{CfdsBuffer, PacketBuffer, RequestSource};
 use future_packet_buffers::model::{CfdsConfig, LogicalQueueId};
-use future_packet_buffers::traffic::{
-    AdversarialRoundRobin, ArrivalGenerator, RequestGenerator, RoundRobinArrivals,
-};
+use future_packet_buffers::traffic::{AdversarialRoundRobin, ArrivalGenerator, RoundRobinArrivals};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A modest CFDS instance: 16 VOQs, transfers of b = 2 cells over a DRAM
     // whose random access time is B = 8 slots, 32 banks.
-    let cfg = CfdsConfig::builder()
-        .num_queues(16)
-        .granularity(2)
-        .rads_granularity(8)
-        .num_banks(32)
-        .build()?;
+    let cfg = CfdsConfig {
+        num_queues: 16,
+        granularity: 2,
+        rads_granularity: 8,
+        num_banks: 32,
+        ..CfdsConfig::default()
+    };
+    cfg.validate()?;
     println!(
         "CFDS: Q={} b={} B={} M={} (groups of {} banks)",
         cfg.num_queues,
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let drain = buf.pipeline_delay_slots() as u64 + 512;
     for t in 0..(active + drain) {
         let arrival = (t < active).then(|| arrivals.next(t)).flatten();
-        let request = requests.next(t, &|q: LogicalQueueId| buf.requestable_cells(q));
+        let request = requests.next_request(t, &|q: LogicalQueueId| buf.requestable_cells(q));
         let outcome = buf.step(arrival, request);
         assert!(
             outcome.miss.is_none(),

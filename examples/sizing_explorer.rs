@@ -40,13 +40,15 @@ fn main() {
         }
         // b = B is the RADS baseline: no reorder latency, no Requests Register.
         let cfds = (b < big_b).then(|| {
-            CfdsConfig::builder()
-                .num_queues(num_queues)
-                .granularity(b)
-                .rads_granularity(big_b)
-                .num_banks(banks)
-                .build()
-                .expect("valid configuration")
+            let cfg = CfdsConfig {
+                num_queues,
+                granularity: b,
+                rads_granularity: big_b,
+                num_banks: banks,
+                ..CfdsConfig::default()
+            };
+            cfg.validate().expect("valid configuration");
+            cfg
         });
         let point = match &cfds {
             Some(cfg) => techeval::cfds_point(cfg, cfg.min_lookahead(), &node),

@@ -54,13 +54,15 @@ pub mod design_points {
 
     /// OC-3072 CFDS design point: `Q = 512`, `b = 4`, `B = 32`, `M = 256`.
     pub fn oc3072_cfds() -> CfdsConfig {
-        CfdsConfig::builder()
-            .num_queues(512)
-            .granularity(4)
-            .rads_granularity(32)
-            .num_banks(256)
-            .build()
-            .expect("the paper's design point is valid")
+        let cfg = CfdsConfig {
+            num_queues: 512,
+            granularity: 4,
+            rads_granularity: 32,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().expect("the paper's design point is valid");
+        cfg
     }
 
     #[cfg(test)]

@@ -314,13 +314,14 @@ fn steady_state_slot_loop_is_allocation_free() {
     );
     assert!(popped > 0, "linked-list SRAM: no cells popped during test");
 
-    let cfds_cfg = CfdsConfig::builder()
-        .num_queues(16)
-        .granularity(2)
-        .rads_granularity(8)
-        .num_banks(16)
-        .build()
-        .unwrap();
+    let cfds_cfg = CfdsConfig {
+        num_queues: 16,
+        granularity: 2,
+        rads_granularity: 8,
+        num_banks: 16,
+        ..CfdsConfig::default()
+    };
+    cfds_cfg.validate().unwrap();
     let mut cfds = CfdsBuffer::new(cfds_cfg);
     assert_steady_state_alloc_free(&mut cfds, "CFDS", 2, true);
 

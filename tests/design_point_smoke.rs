@@ -3,10 +3,12 @@
 //! end to end, and the built-in delivery verification reports zero misses,
 //! zero drops and zero order violations.
 
-use future_packet_buffers::buffers::{CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer};
+use future_packet_buffers::buffers::{
+    CfdsBuffer, DramOnlyBuffer, PacketBuffer, RadsBuffer, RequestSource,
+};
 use future_packet_buffers::design_points;
 use future_packet_buffers::model::LogicalQueueId;
-use future_packet_buffers::traffic::{preload_cells, AdversarialRoundRobin, RequestGenerator};
+use future_packet_buffers::traffic::{preload_cells, AdversarialRoundRobin};
 
 /// Preloads `cells_per_queue` cells into every queue of `buf` via `preload`,
 /// drains the buffer with the adversarial round-robin arbiter, and checks the
@@ -24,7 +26,8 @@ fn drain_and_verify<B: PacketBuffer>(
     let mut requests = AdversarialRoundRobin::new(q);
     let horizon = total + buf.pipeline_delay_slots() as u64 + 1_024;
     for t in 0..horizon {
-        let request = requests.next(t, &|queue: LogicalQueueId| buf.requestable_cells(queue));
+        let request =
+            requests.next_request(t, &|queue: LogicalQueueId| buf.requestable_cells(queue));
         let out = buf.step(None, request);
         assert!(
             out.miss.is_none(),

@@ -312,13 +312,14 @@ proptest! {
             idle,
             postfix,
         );
-        let cfds_cfg = CfdsConfig::builder()
-            .num_queues(8)
-            .granularity(2)
-            .rads_granularity(8)
-            .num_banks(16)
-            .build()
-            .unwrap();
+        let cfds_cfg = CfdsConfig {
+            num_queues: 8,
+            granularity: 2,
+            rads_granularity: 8,
+            num_banks: 16,
+            ..CfdsConfig::default()
+        };
+        cfds_cfg.validate().unwrap();
         check_advance_idle_equivalence(
             CfdsBuffer::new(cfds_cfg),
             CfdsBuffer::new(cfds_cfg),
@@ -340,13 +341,14 @@ proptest! {
         pattern in proptest::collection::vec(0u32..8, 256..512),
         b in prop::sample::select(vec![1usize, 2, 4]),
     ) {
-        let cfg = CfdsConfig::builder()
-            .num_queues(8)
-            .granularity(b)
-            .rads_granularity(8)
-            .num_banks(16)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            num_queues: 8,
+            granularity: b,
+            rads_granularity: 8,
+            num_banks: 16,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
         let mut buf = CfdsBuffer::new(cfg);
         for q in 0..8u32 {
             let queue = LogicalQueueId::new(q);

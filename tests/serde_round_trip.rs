@@ -51,7 +51,11 @@ fn every_derive_site_round_trips_through_json() {
     round_trip(&Nanoseconds::new(3.2));
     round_trip(&SlotDuration::from_ns(12.8));
     round_trip(&RadsConfig::for_line_rate(LineRate::Oc768, 128));
-    let cfds = CfdsConfig::builder().lookahead(2_000).build().unwrap();
+    let cfds = CfdsConfig {
+        lookahead: Some(2_000),
+        ..CfdsConfig::default()
+    };
+    cfds.validate().unwrap();
     round_trip(&cfds);
     assert_eq!(round_trip(&ConfigOverrides::none()), "{}");
     // `Cell` decodes through `Cell::new`; the payload is not part of the

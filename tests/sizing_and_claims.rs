@@ -24,13 +24,14 @@ fn section_7_2_sram_size_quotes() {
 #[test]
 fn table2_rr_sizes_match_the_paper_for_the_main_design_points() {
     let rr = |b: usize| {
-        let cfg = CfdsConfig::builder()
-            .num_queues(512)
-            .granularity(b)
-            .rads_granularity(32)
-            .num_banks(256)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            num_queues: 512,
+            granularity: b,
+            rads_granularity: 32,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
         cfds_sizing::rr_size(&cfg)
     };
     assert_eq!(rr(8), 64);
@@ -75,13 +76,14 @@ fn figure_10_shape_optimum_granularity_is_interior() {
     // at an intermediate granularity, not at either extreme (§8.3).
     let node = ProcessNode::node_130nm();
     let access = |b: usize| {
-        let cfg = CfdsConfig::builder()
-            .num_queues(512)
-            .granularity(b)
-            .rads_granularity(32)
-            .num_banks(256)
-            .build()
-            .unwrap();
+        let cfg = CfdsConfig {
+            num_queues: 512,
+            granularity: b,
+            rads_granularity: 32,
+            num_banks: 256,
+            ..CfdsConfig::default()
+        };
+        cfg.validate().unwrap();
         techeval::cfds_point(&cfg, cfg.min_lookahead(), &node).best_access_time_ns()
     };
     let coarse = access(16);

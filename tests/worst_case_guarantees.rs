@@ -2,21 +2,23 @@
 //! zero drop, FIFO order, zero bank conflicts, bounded reordering state) hold
 //! end to end, across designs and workloads.
 
-use future_packet_buffers::buffers::{CfdsBuffer, PacketBuffer, RadsBuffer};
+use future_packet_buffers::buffers::{CfdsBuffer, PacketBuffer, RadsBuffer, RequestSource};
 use future_packet_buffers::model::{CfdsConfig, LogicalQueueId, RadsConfig};
 use future_packet_buffers::sim::scenario::{
     grants_per_queue, run_design_comparison, DesignKind, Scenario, Workload,
 };
-use future_packet_buffers::traffic::{preload_cells, AdversarialRoundRobin, RequestGenerator};
+use future_packet_buffers::traffic::{preload_cells, AdversarialRoundRobin};
 
 fn cfds_cfg(q: usize, b: usize, big_b: usize, m: usize) -> CfdsConfig {
-    CfdsConfig::builder()
-        .num_queues(q)
-        .granularity(b)
-        .rads_granularity(big_b)
-        .num_banks(m)
-        .build()
-        .unwrap()
+    let cfg = CfdsConfig {
+        num_queues: q,
+        granularity: b,
+        rads_granularity: big_b,
+        num_banks: m,
+        ..CfdsConfig::default()
+    };
+    cfg.validate().unwrap();
+    cfg
 }
 
 #[test]
@@ -92,7 +94,7 @@ fn cfds_peak_rr_and_delay_respect_the_analytical_bounds() {
         let mut requests = AdversarialRoundRobin::new(q);
         let total = q as u64 * 64;
         for t in 0..(total + buf.pipeline_delay_slots() as u64 + 512) {
-            let request = requests.next(t, &|qq: LogicalQueueId| buf.requestable_cells(qq));
+            let request = requests.next_request(t, &|qq: LogicalQueueId| buf.requestable_cells(qq));
             let out = buf.step(None, request);
             assert!(out.miss.is_none(), "miss (Q={q}, b={b}, B={big_b}, M={m})");
         }
@@ -128,7 +130,7 @@ fn rads_peak_head_sram_respects_the_ecqf_bound() {
         let mut requests = AdversarialRoundRobin::new(q);
         let total = q as u64 * 64;
         for t in 0..(total + buf.pipeline_delay_slots() as u64 + 64) {
-            let request = requests.next(t, &|qq: LogicalQueueId| buf.requestable_cells(qq));
+            let request = requests.next_request(t, &|qq: LogicalQueueId| buf.requestable_cells(qq));
             assert!(buf.step(None, request).miss.is_none());
         }
         assert!(buf.stats().is_loss_free());
@@ -154,7 +156,7 @@ fn cfds_handles_interleaved_arrivals_and_requests_for_long_runs() {
         let cell =
             future_packet_buffers::model::Cell::new(LogicalQueueId::new(qi as u32), seqs[qi], t);
         seqs[qi] += 1;
-        let request = requests.next(t, &|qq: LogicalQueueId| buf.requestable_cells(qq));
+        let request = requests.next_request(t, &|qq: LogicalQueueId| buf.requestable_cells(qq));
         let out = buf.step(Some(cell), request);
         assert!(out.miss.is_none(), "miss at slot {t}");
         assert!(out.dropped_arrival.is_none(), "drop at slot {t}");
