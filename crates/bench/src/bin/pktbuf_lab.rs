@@ -19,6 +19,7 @@ use bench::cli::{
 };
 use serde::{Serialize, Serializer};
 use sim::clos::{ClosLabReport, ClosSpec, DispatchChoice, ObsScenario, TransportScenario};
+use sim::experiment;
 use sim::fabric::{ArbiterChoice, FabricDesign, FabricLabReport, FabricSpec, FabricWorkload};
 use sim::lab::{ExperimentReport, LabRunner};
 use sim::report::TextTable;
@@ -43,7 +44,7 @@ fn main() -> ExitCode {
         "clos" => lab_command(&ClosLayer, rest),
         "paper" => paper_command(rest),
         "spec" => {
-            println!("{}", template_spec().to_json());
+            println!("{}", experiment::to_json(&template_spec()));
             Ok(())
         }
         "help" | "--help" | "-h" => {
@@ -175,18 +176,18 @@ PAPER ARTEFACTS:
 /// The template printed by `pktbuf-lab spec`: a small two-design sweep that
 /// finishes quickly and demonstrates every field.
 fn template_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .name("example-sweep")
-        .designs([DesignKind::Rads, DesignKind::Cfds])
-        .workloads([Workload::AdversarialRoundRobin, Workload::Bursty])
-        .num_queues(Sweep::list([16, 32]))
-        .granularity(Sweep::fixed(4))
-        .rads_granularity(Sweep::fixed(16))
-        .num_banks(Sweep::fixed(64))
-        .arrival_slots(5_000)
-        .seeds([1, 101])
-        .build()
-        .expect("the template spec is valid")
+    ExperimentSpec {
+        name: "example-sweep".into(),
+        designs: vec![DesignKind::Rads, DesignKind::Cfds],
+        workloads: vec![Workload::AdversarialRoundRobin, Workload::Bursty],
+        num_queues: Sweep::list([16, 32]),
+        granularity: Sweep::fixed(4),
+        rads_granularity: Sweep::fixed(16),
+        num_banks: Sweep::fixed(64),
+        arrival_slots: 5_000,
+        seeds: vec![1, 101],
+        ..ExperimentSpec::default()
+    }
 }
 
 /// Crossbar utilisation the `--smoke` gate requires under the admissible
@@ -205,16 +206,16 @@ const SMOKE_LOADS: [u64; 2] = [25, 95];
 /// incast and the admissible-uniform workload, both arbiters, at a
 /// convergent and a near-saturation load.
 fn fabric_smoke_spec() -> FabricSpec {
-    FabricSpec::builder()
-        .name("fabric-smoke")
-        .designs([FabricDesign::Fixed(DesignKind::Cfds)])
-        .workloads([FabricWorkload::Incast, FabricWorkload::Uniform])
-        .arbiters(ArbiterChoice::all())
-        .ports(Sweep::fixed(16))
-        .load_percent(Sweep::list(SMOKE_LOADS))
-        .arrival_slots(20_000)
-        .build()
-        .expect("the fabric smoke spec is valid")
+    FabricSpec {
+        name: "fabric-smoke".into(),
+        designs: vec![FabricDesign::Fixed(DesignKind::Cfds)],
+        workloads: vec![FabricWorkload::Incast, FabricWorkload::Uniform],
+        arbiters: ArbiterChoice::all().to_vec(),
+        ports: Sweep::fixed(16),
+        load_percent: Sweep::list(SMOKE_LOADS),
+        arrival_slots: 20_000,
+        ..FabricSpec::default()
+    }
 }
 
 // The list flags `fabric` and `clos` share.
@@ -400,18 +401,18 @@ fn print_fabric_summary(report: &FabricLabReport, to_stderr: bool) {
 /// stress point (every uplink load-balanced); flow-hash runs gate the
 /// ordering guarantee on top of zero loss.
 fn clos_smoke_spec() -> ClosSpec {
-    ClosSpec::builder()
-        .name("clos-smoke")
-        .designs([FabricDesign::Fixed(DesignKind::Rads)])
-        .workloads([FabricWorkload::Uniform])
-        .dispatches(DispatchChoice::all())
-        .radix(Sweep::fixed(8))
-        .ingress_switches(Sweep::fixed(8))
-        .middle_switches(Sweep::fixed(8))
-        .load_percent(Sweep::list([50, 85]))
-        .arrival_slots(10_000)
-        .build()
-        .expect("the clos smoke spec is valid")
+    ClosSpec {
+        name: "clos-smoke".into(),
+        designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
+        workloads: vec![FabricWorkload::Uniform],
+        dispatches: DispatchChoice::all().to_vec(),
+        radix: Sweep::fixed(8),
+        ingress_switches: Sweep::fixed(8),
+        middle_switches: Sweep::fixed(8),
+        load_percent: Sweep::list([50, 85]),
+        arrival_slots: 10_000,
+        ..ClosSpec::default()
+    }
 }
 
 /// The fixed fault plan of the `clos --smoke` degraded-mode leg: middle
@@ -438,19 +439,12 @@ fn clos_fault_smoke_plan() -> FaultPlan {
 /// 64-port-equivalent Clos as [`clos_smoke_spec`], spray + flow-hash at the
 /// near-saturation load, with [`clos_fault_smoke_plan`] armed in every run.
 fn clos_fault_smoke_spec() -> ClosSpec {
-    ClosSpec::builder()
-        .name("clos-fault-smoke")
-        .designs([FabricDesign::Fixed(DesignKind::Rads)])
-        .workloads([FabricWorkload::Uniform])
-        .dispatches(DispatchChoice::all())
-        .radix(Sweep::fixed(8))
-        .ingress_switches(Sweep::fixed(8))
-        .middle_switches(Sweep::fixed(8))
-        .load_percent(Sweep::fixed(85))
-        .arrival_slots(10_000)
-        .faults(clos_fault_smoke_plan())
-        .build()
-        .expect("the clos fault smoke spec is valid")
+    ClosSpec {
+        name: "clos-fault-smoke".into(),
+        load_percent: Sweep::fixed(85),
+        faults: clos_fault_smoke_plan(),
+        ..clos_smoke_spec()
+    }
 }
 
 /// Flight-recorder ring capacity (events per stage) the `--trace-json` flag
@@ -564,20 +558,20 @@ impl Serialize for ClosFaultRecord<'_> {
 /// batched writeback would park sub-batch tails as permanent residents and
 /// the reliable sources would retransmit against them forever.
 fn clos_transport_smoke_spec() -> ClosSpec {
-    ClosSpec::builder()
-        .name("clos-transport-smoke")
-        .designs([FabricDesign::Fixed(DesignKind::Rads)])
-        .workloads([FabricWorkload::Uniform])
-        .dispatches([DispatchChoice::Spray])
-        .radix(Sweep::fixed(4))
-        .ingress_switches(Sweep::fixed(4))
-        .middle_switches(Sweep::fixed(4))
-        .load_percent(Sweep::fixed(85))
-        .rads_granularity(1)
-        .arrival_slots(6_000)
-        .transport(TransportScenario::default())
-        .build()
-        .expect("the clos transport smoke spec is valid")
+    ClosSpec {
+        name: "clos-transport-smoke".into(),
+        designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
+        workloads: vec![FabricWorkload::Uniform],
+        dispatches: vec![DispatchChoice::Spray],
+        radix: Sweep::fixed(4),
+        ingress_switches: Sweep::fixed(4),
+        middle_switches: Sweep::fixed(4),
+        load_percent: Sweep::fixed(85),
+        rads_granularity: 1,
+        arrival_slots: 6_000,
+        transport: Some(TransportScenario::default()),
+        ..ClosSpec::default()
+    }
 }
 
 /// The fixed fault plan of the recovery leg: middle switch 1 dies at slot
@@ -604,10 +598,11 @@ fn clos_recovery_smoke_plan() -> FaultPlan {
 /// The faulted twin of [`clos_transport_smoke_spec`]: same geometry, same
 /// sources, same transport config, with [`clos_recovery_smoke_plan`] armed.
 fn clos_recovery_fault_smoke_spec() -> ClosSpec {
-    let mut spec = clos_transport_smoke_spec();
-    spec.name = "clos-recovery-smoke".to_owned();
-    spec.faults = clos_recovery_smoke_plan();
-    spec
+    ClosSpec {
+        name: "clos-recovery-smoke".into(),
+        faults: clos_recovery_smoke_plan(),
+        ..clos_transport_smoke_spec()
+    }
 }
 
 /// One paired run's slice of the `--recovery-json` artifact: the fault-free
@@ -1380,8 +1375,9 @@ mod tests {
     #[test]
     fn template_spec_is_the_committed_fixture() {
         assert_eq!(
-            format!("{}\n", template_spec().to_json()),
+            format!("{}\n", experiment::to_json(&template_spec())),
             include_str!("../../../../tests/fixtures/spec_template.json")
         );
+        experiment::expand(&template_spec()).expect("the template spec is valid");
     }
 }

@@ -287,35 +287,36 @@ pub fn fig11() {
 /// The declarative spec behind the live-workload half of [`validate`]:
 /// RADS × CFDS under every workload at the standard validation design point.
 pub fn validate_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .name("validate-live")
-        .designs([DesignKind::Rads, DesignKind::Cfds])
-        .workloads(Workload::all())
-        .num_queues(Sweep::fixed(32))
-        .granularity(Sweep::fixed(4))
-        .rads_granularity(Sweep::fixed(16))
-        .num_banks(Sweep::fixed(64))
-        .arrival_slots(20_000)
-        .seeds([7])
-        .build()
-        .expect("the validation spec is valid")
+    ExperimentSpec {
+        name: "validate-live".into(),
+        designs: vec![DesignKind::Rads, DesignKind::Cfds],
+        workloads: Workload::all().to_vec(),
+        num_queues: Sweep::fixed(32),
+        granularity: Sweep::fixed(4),
+        rads_granularity: Sweep::fixed(16),
+        num_banks: Sweep::fixed(64),
+        arrival_slots: 20_000,
+        seeds: vec![7],
+        ..ExperimentSpec::default()
+    }
 }
 
 /// The preloaded adversarial-drain half of [`validate`] (the paper's worst
 /// case) at a larger scale.
 pub fn validate_preload_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .name("validate-preloaded")
-        .designs([DesignKind::Rads, DesignKind::Cfds])
-        .workloads([Workload::AdversarialRoundRobin])
-        .num_queues(Sweep::fixed(64))
-        .granularity(Sweep::fixed(4))
-        .rads_granularity(Sweep::fixed(16))
-        .num_banks(Sweep::fixed(64))
-        .preload_cells_per_queue(128)
-        .seeds([11])
-        .build()
-        .expect("the preloaded validation spec is valid")
+    ExperimentSpec {
+        name: "validate-preloaded".into(),
+        designs: vec![DesignKind::Rads, DesignKind::Cfds],
+        workloads: vec![Workload::AdversarialRoundRobin],
+        num_queues: Sweep::fixed(64),
+        granularity: Sweep::fixed(4),
+        rads_granularity: Sweep::fixed(16),
+        num_banks: Sweep::fixed(64),
+        preload_cells_per_queue: 128,
+        arrival_slots: 0,
+        seeds: vec![11],
+        ..ExperimentSpec::default()
+    }
 }
 
 /// Experiment E7: slot-level validation of the worst-case claims of §5 —
@@ -520,6 +521,7 @@ pub fn ablation_dsa() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::experiment;
 
     #[test]
     fn artefact_names_dispatch() {
@@ -529,10 +531,10 @@ mod tests {
 
     #[test]
     fn validation_specs_expand_to_the_legacy_run_sets() {
-        let live = validate_spec().expand().unwrap();
+        let live = experiment::expand(&validate_spec()).unwrap();
         assert_eq!(live.runs.len(), 2 * 5, "2 designs x 5 workloads");
         assert_eq!(live.skipped_invalid, 0);
-        let preloaded = validate_preload_spec().expand().unwrap();
+        let preloaded = experiment::expand(&validate_preload_spec()).unwrap();
         assert_eq!(preloaded.runs.len(), 2);
         assert!(preloaded
             .runs

@@ -10,6 +10,7 @@
 //! bytes under `CARGO_TARGET_TMPDIR`; copy that file over the fixture when
 //! the change is intended.
 
+use sim::experiment;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -148,7 +149,9 @@ fn every_run_flag_reaches_its_field_and_the_report() {
 
 #[test]
 fn clos_transport_flag_forces_cut_through_in_command_line_order() {
-    let spec = |args: &[&str]| sim::ClosSpec::from_json(&lab_stdout(args)).expect("a Clos spec");
+    let spec = |args: &[&str]| -> sim::ClosSpec {
+        experiment::from_json(&lab_stdout(args)).expect("a Clos spec")
+    };
     let forced = spec(&["clos", "-B", "16", "--transport", "--print-spec"]);
     assert_eq!(forced.rads_granularity, 1);
     assert_eq!(forced.transport, Some(sim::TransportScenario::default()));
@@ -483,7 +486,7 @@ fn legacy_and_foreign_spec_documents() {
         .expect("the report echoes its spec");
     let legacy = scratch_file(
         "cli_run_legacy_line_rate.json",
-        &with_line_rate(&spec.to_json()),
+        &with_line_rate(&experiment::to_json(&spec)),
     );
     assert_matches_fixture(
         "cli_run_report.json",

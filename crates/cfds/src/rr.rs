@@ -109,12 +109,6 @@ impl RequestsRegister {
         }
         entry
     }
-
-    /// Maximum skip count among pending entries (for verifying the `d_max`
-    /// bound of equation (2)).
-    pub fn max_pending_skips(&self) -> u32 {
-        self.entries.iter().map(|e| e.skips).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -148,20 +142,19 @@ mod tests {
         rr.push(req(0, 0), BankId::new(0), 0);
         rr.push(req(1, 0), BankId::new(1), 4);
         rr.push(req(2, 0), BankId::new(2), 8);
+        let skips = |rr: &RequestsRegister| rr.iter().map(|e| e.skips).collect::<Vec<_>>();
         // Taking position 2 skips over positions 0 and 1.
         rr.take(2);
-        assert_eq!(rr.max_pending_skips(), 1);
+        assert_eq!(skips(&rr), [1, 1]);
         // Taking position 1 skips over position 0 again.
         rr.take(1);
-        assert_eq!(rr.max_pending_skips(), 2);
-        assert!(rr.iter().next().unwrap().skips == 2);
+        assert_eq!(skips(&rr), [2]);
     }
 
     #[test]
     fn empty_register_reports_zero() {
         let rr = RequestsRegister::new();
         assert!(rr.is_empty());
-        assert_eq!(rr.max_pending_skips(), 0);
         assert_eq!(rr.peak_occupancy(), 0);
     }
 

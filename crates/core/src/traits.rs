@@ -22,13 +22,6 @@ const _: () = assert!(
     "SlotOutcome must stay within 72 bytes (it was 104 with a 40-byte Cell)"
 );
 
-impl SlotOutcome {
-    /// Whether this slot completed without a miss or a drop.
-    pub fn is_clean(&self) -> bool {
-        self.miss.is_none() && self.dropped_arrival.is_none()
-    }
-}
-
 /// Collects the grants of a batch of slots (the queue index of every granted
 /// cell, in grant order) for [`PacketBuffer::step_batch`].
 ///
@@ -196,25 +189,4 @@ pub trait PacketBuffer {
     /// Total requestable cells over all queues
     /// (Σ [`PacketBuffer::requestable_cells`]).
     fn requestable_total(&self) -> u64;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn slot_outcome_is_clean() {
-        assert!(SlotOutcome::default().is_clean());
-        let with_miss = SlotOutcome {
-            miss: Some(LogicalQueueId::new(1)),
-            ..SlotOutcome::default()
-        };
-        assert!(!with_miss.is_clean());
-        let q = LogicalQueueId::new(0);
-        let with_drop = SlotOutcome {
-            dropped_arrival: Some(Cell::new(q, 0, 0)),
-            ..SlotOutcome::default()
-        };
-        assert!(!with_drop.is_clean());
-    }
 }

@@ -65,8 +65,6 @@ impl Error for BankConflict {}
 pub struct Bank {
     id: BankId,
     state: BankState,
-    accesses: u64,
-    busy_slots_total: u64,
 }
 
 impl Bank {
@@ -75,14 +73,7 @@ impl Bank {
         Bank {
             id,
             state: BankState::Idle,
-            accesses: 0,
-            busy_slots_total: 0,
         }
-    }
-
-    /// The bank identifier.
-    pub fn id(&self) -> BankId {
-        self.id
     }
 
     /// Current state, after accounting for the passage of time up to `now`.
@@ -114,19 +105,7 @@ impl Bank {
         self.state = BankState::Busy {
             until_slot: now + busy_slots,
         };
-        self.accesses += 1;
-        self.busy_slots_total += busy_slots;
         Ok(())
-    }
-
-    /// Number of accesses performed so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Total number of slots spent busy.
-    pub fn busy_slots_total(&self) -> u64 {
-        self.busy_slots_total
     }
 }
 
@@ -142,8 +121,6 @@ mod tests {
         assert!(b.is_busy(0));
         assert!(b.is_busy(7));
         assert!(!b.is_busy(8));
-        assert_eq!(b.accesses(), 1);
-        assert_eq!(b.busy_slots_total(), 8);
     }
 
     #[test]
@@ -157,7 +134,7 @@ mod tests {
         assert!(err.to_string().contains("bank3"));
         // Once free again, access succeeds.
         b.start_access(42, 32).unwrap();
-        assert_eq!(b.accesses(), 2);
+        assert_eq!(b.state_at(42), BankState::Busy { until_slot: 74 });
     }
 
     #[test]
@@ -175,7 +152,7 @@ mod tests {
         for i in 0..10u64 {
             b.start_access(i * 8, 8).unwrap();
         }
-        assert_eq!(b.accesses(), 10);
-        assert_eq!(b.busy_slots_total(), 80);
+        assert_eq!(b.state_at(79), BankState::Busy { until_slot: 80 });
+        assert!(!b.is_busy(80));
     }
 }

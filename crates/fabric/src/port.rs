@@ -143,7 +143,7 @@ mod tests {
         assert_eq!(port.requestable_total(), 0);
         let q = LogicalQueueId::new(1);
         let outcome = port.step(Some(Cell::new(q, 0, 0)), None);
-        assert!(outcome.is_clean());
+        assert_eq!(outcome, SlotOutcome::default(), "no grant, miss or drop");
         port.advance_idle(8);
         assert_eq!(port.current_slot(), 9);
         assert_eq!(port.stats().arrivals, 1);

@@ -56,11 +56,6 @@ impl OccupancyCounters {
         &self.counters
     }
 
-    /// Snapshot of all counters (index = queue index).
-    pub fn snapshot(&self) -> Vec<i64> {
-        self.counters.clone()
-    }
-
     /// Smallest counter value (useful to assert that no queue went negative,
     /// i.e. that no miss occurred).
     pub fn min(&self) -> i64 {
@@ -93,7 +88,7 @@ mod tests {
         assert_eq!(c.total(), 11);
         assert_eq!(c.min(), 0);
         assert_eq!(c.num_queues(), 3);
-        assert_eq!(c.snapshot(), vec![7, 0, 4]);
+        assert_eq!(c.as_slice(), [7, 0, 4]);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Cell {
     pub fn arrival_slot(&self) -> u64 {
         self.arrival_slot
     }
-
-    /// Size of the cell on the wire, in bits.
-    pub fn size_bits() -> u64 {
-        (CELL_BYTES as u64) * 8
-    }
 }
 
 impl fmt::Display for Cell {
@@ -125,7 +120,6 @@ mod tests {
     #[test]
     fn cell_bytes_is_64() {
         assert_eq!(CELL_BYTES, 64);
-        assert_eq!(Cell::size_bits(), 512);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! per ingress switch, one stream per port) so that sweeping the geometry
 //! never makes two ports share an RNG stream.
 
-use crate::experiment::{self, Axis, Expansion, Experiment};
+use crate::experiment::{self, Axis, Experiment};
 use crate::fabric::{ArbiterChoice, FabricDesign, FabricWorkload};
 use crate::lab::{LabReport, RunRecord};
 use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
@@ -728,9 +728,11 @@ impl<B: PacketBuffer> DriveArrivals for ClosRun<ClosFabric<B>> {
 
 /// A declarative, serializable Clos experiment: designs × workloads ×
 /// dispatches × arbiters × swept geometry/provisioning × seeds, expanded
-/// into [`ClosScenario`]s.
+/// into [`ClosScenario`]s by [`experiment::expand`]. The axes expand in
+/// field order, designs outermost and seeds innermost; invalid combinations
+/// (e.g. `m > N` from crossed geometry sweeps) are skipped and counted.
 ///
-/// As JSON, omitted keys keep the builder defaults, unknown keys are
+/// As JSON, omitted keys keep the spec's defaults, unknown keys are
 /// rejected, and the document carries a `"kind": "clos"` tag; an empty fault
 /// plan and absent `transport` / `obs` layers are not written.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -792,44 +794,32 @@ pub struct ClosSpec {
 }
 
 impl ClosSpec {
-    /// Starts a builder with smoke-test defaults (the
-    /// [`ClosScenario::small`] geometry, uniform spray traffic at 80% load
-    /// under iSLIP, 3 000 live slots, seed 1).
+    /// A builder over [`ClosSpec::default`]. Kept only because the fenced
+    /// `benchmark/src/layers.rs` calls it; goes with ROADMAP item 3.
     pub fn builder() -> ClosSpecBuilder {
         ClosSpecBuilder::default()
     }
 
-    /// Expands the spec ([`experiment::expand`]) in the order designs ▸
-    /// workloads ▸ dispatches ▸ arbiters ▸ radix ▸ ingress switches ▸ middle
-    /// switches ▸ load ▸ link capacity ▸ seeds (left outermost). Invalid
-    /// combinations (e.g. `m > N` from crossed geometry sweeps) are skipped
-    /// and counted.
-    ///
-    /// # Errors
-    ///
-    /// As [`experiment::expand`].
-    pub fn expand(&self) -> Result<Expansion<ClosScenario>, SpecError> {
-        experiment::expand(self)
-    }
-
-    /// Renders the spec as pretty JSON.
+    /// [`experiment::to_json`]. Kept only because the fenced
+    /// `benchmark/src/layers.rs` calls it; goes with ROADMAP item 3.
     pub fn to_json(&self) -> String {
         experiment::to_json(self)
     }
 
-    /// Parses a spec from JSON text.
+    /// [`experiment::from_json`]. Kept only because the fenced
+    /// `benchmark/src/layers.rs` calls it; goes with ROADMAP item 3.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
-    /// fields.
+    /// As [`experiment::from_json`].
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         experiment::from_json(text)
     }
 }
 
 impl Default for ClosSpec {
-    /// The [`ClosSpec::builder`] defaults.
+    /// The spec's defaults: the [`ClosScenario::small`] geometry, uniform
+    /// spray traffic at 80% load under iSLIP, 3 000 live slots, seed 1.
     fn default() -> Self {
         ClosSpec {
             name: "clos".to_owned(),
@@ -858,7 +848,8 @@ impl Default for ClosSpec {
     }
 }
 
-/// Builder for [`ClosSpec`].
+/// Field setters over [`ClosSpec::default`]. Kept only because the fenced
+/// `benchmark/src/layers.rs` calls it; goes with ROADMAP item 3.
 #[derive(Debug, Clone, Default)]
 pub struct ClosSpecBuilder {
     spec: ClosSpec,
@@ -868,30 +859,6 @@ impl ClosSpecBuilder {
     /// Sets the experiment name.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.spec.name = name.into();
-        self
-    }
-
-    /// Sets the designs axis.
-    pub fn designs(mut self, designs: impl IntoIterator<Item = FabricDesign>) -> Self {
-        self.spec.designs = designs.into_iter().collect();
-        self
-    }
-
-    /// Sets the workloads axis.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = FabricWorkload>) -> Self {
-        self.spec.workloads = workloads.into_iter().collect();
-        self
-    }
-
-    /// Sets the dispatch-policy axis.
-    pub fn dispatches(mut self, dispatches: impl IntoIterator<Item = DispatchChoice>) -> Self {
-        self.spec.dispatches = dispatches.into_iter().collect();
-        self
-    }
-
-    /// Sets the arbiters axis.
-    pub fn arbiters(mut self, arbiters: impl IntoIterator<Item = ArbiterChoice>) -> Self {
-        self.spec.arbiters = arbiters.into_iter().collect();
         self
     }
 
@@ -919,48 +886,6 @@ impl ClosSpecBuilder {
         self
     }
 
-    /// Sets the inter-stage link capacity axis.
-    pub fn link_capacity(mut self, sweep: Sweep) -> Self {
-        self.spec.link_capacity = sweep;
-        self
-    }
-
-    /// Sets the CFDS granularity `b`.
-    pub fn granularity(mut self, granularity: u64) -> Self {
-        self.spec.granularity = granularity;
-        self
-    }
-
-    /// Sets the RADS granularity `B`.
-    pub fn rads_granularity(mut self, granularity: u64) -> Self {
-        self.spec.rads_granularity = granularity;
-        self
-    }
-
-    /// Sets the DRAM bank count `M`.
-    pub fn num_banks(mut self, banks: u64) -> Self {
-        self.spec.num_banks = banks;
-        self
-    }
-
-    /// Sets the iSLIP iteration count (`0` = auto).
-    pub fn islip_iterations(mut self, iterations: u64) -> Self {
-        self.spec.islip_iterations = iterations;
-        self
-    }
-
-    /// Sets the egress period (slots per transmitted cell).
-    pub fn egress_period(mut self, period: u64) -> Self {
-        self.spec.egress_period = period;
-        self
-    }
-
-    /// Sets the one-way inter-stage link latency (slots).
-    pub fn link_latency(mut self, latency: u64) -> Self {
-        self.spec.link_latency = latency;
-        self
-    }
-
     /// Sets the number of live-arrival slots.
     pub fn arrival_slots(mut self, slots: u64) -> Self {
         self.spec.arrival_slots = slots;
@@ -973,37 +898,13 @@ impl ClosSpecBuilder {
         self
     }
 
-    /// Sets the configuration overrides applied to every stage buffer.
-    pub fn overrides(mut self, overrides: ConfigOverrides) -> Self {
-        self.spec.overrides = overrides;
-        self
-    }
-
-    /// Sets the fault plan armed in every expanded run.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.spec.faults = faults;
-        self
-    }
-
-    /// Layers closed-loop transport over every expanded run.
-    pub fn transport(mut self, transport: TransportScenario) -> Self {
-        self.spec.transport = Some(transport);
-        self
-    }
-
-    /// Arms deterministic probes in every expanded run.
-    pub fn obs(mut self, obs: ObsScenario) -> Self {
-        self.spec.obs = Some(obs);
-        self
-    }
-
     /// Finalises the spec, checking that it expands to at least one run.
     ///
     /// # Errors
     ///
-    /// Propagates any [`SpecError`] from [`ClosSpec::expand`].
+    /// Propagates any [`SpecError`] from [`experiment::expand`].
     pub fn build(self) -> Result<ClosSpec, SpecError> {
-        self.spec.expand()?;
+        experiment::expand(&self.spec)?;
         Ok(self.spec)
     }
 }
@@ -1219,6 +1120,8 @@ mod tests {
     use super::*;
     use crate::experiment::checks;
     use crate::lab::LabRunner;
+    use crate::scenario::Workload;
+    use crate::spec::ExperimentSpec;
 
     fn quick() -> ClosScenario {
         ClosScenario {
@@ -1412,16 +1315,16 @@ mod tests {
         let open = serde_json::to_string_pretty(ClosScenario::small()).unwrap();
         assert!(!open.contains("\"transport\""));
         // And a spec carries the layer into every expanded run.
-        let spec = ClosSpec::builder()
-            .rads_granularity(1)
-            .load_percent(Sweep::list([60, 85]))
-            .arrival_slots(400)
-            .transport(TransportScenario::default())
-            .build()
-            .unwrap();
-        let spec_json = spec.to_json();
-        assert_eq!(ClosSpec::from_json(&spec_json).unwrap(), spec);
-        let expansion = spec.expand().unwrap();
+        let spec = ClosSpec {
+            rads_granularity: 1,
+            load_percent: Sweep::list([60, 85]),
+            arrival_slots: 400,
+            transport: Some(TransportScenario::default()),
+            ..ClosSpec::default()
+        };
+        let spec_json = experiment::to_json(&spec);
+        assert_eq!(experiment::from_json::<ClosSpec>(&spec_json).unwrap(), spec);
+        let expansion = experiment::expand(&spec).unwrap();
         assert!(expansion
             .runs
             .iter()
@@ -1449,14 +1352,15 @@ mod tests {
             serde_json::from_str::<ClosScenario>("{\"radix\": 4, \"obs\": {\"x\": 1}}").is_err()
         );
         // A spec carries the probes into every expanded run.
-        let spec = ClosSpec::builder()
-            .load_percent(Sweep::list([60, 85]))
-            .arrival_slots(400)
-            .obs(ObsScenario::standard())
-            .build()
-            .unwrap();
-        assert_eq!(ClosSpec::from_json(&spec.to_json()).unwrap(), spec);
-        let expansion = spec.expand().unwrap();
+        let spec = ClosSpec {
+            load_percent: Sweep::list([60, 85]),
+            arrival_slots: 400,
+            obs: Some(ObsScenario::standard()),
+            ..ClosSpec::default()
+        };
+        let spec_json = experiment::to_json(&spec);
+        assert_eq!(experiment::from_json::<ClosSpec>(&spec_json).unwrap(), spec);
+        let expansion = experiment::expand(&spec).unwrap();
         assert!(expansion.runs.iter().all(|run| run.obs == spec.obs));
     }
 
@@ -1482,7 +1386,7 @@ mod tests {
         // The lab CSV exposes the percentiles for armed runs and leaves the
         // columns empty for unarmed ones.
         let lab = ClosLabReport {
-            spec: ClosSpec::builder().build().unwrap(),
+            spec: ClosSpec::default(),
             skipped_invalid: 0,
             runs: vec![
                 RunRecord {
@@ -1600,14 +1504,14 @@ mod tests {
 
     #[test]
     fn spec_expansion_skips_invalid_geometry() {
-        let spec = ClosSpec::builder()
-            .radix(Sweep::list([3, 4]))
-            .middle_switches(Sweep::list([3, 4]))
-            .ingress_switches(Sweep::fixed(3))
-            .arrival_slots(400)
-            .build()
-            .unwrap();
-        let expansion = spec.expand().unwrap();
+        let spec = ClosSpec {
+            radix: Sweep::list([3, 4]),
+            middle_switches: Sweep::list([3, 4]),
+            ingress_switches: Sweep::fixed(3),
+            arrival_slots: 400,
+            ..ClosSpec::default()
+        };
+        let expansion = experiment::expand(&spec).unwrap();
         // m = 4 > N = 3 is skipped; the other three combinations survive.
         assert_eq!(expansion.runs.len(), 3);
         assert_eq!(expansion.skipped_invalid, 1);
@@ -1615,29 +1519,30 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_json() {
-        let spec = ClosSpec::builder()
-            .name("clos-sweep")
-            .designs([
+        let spec = ClosSpec {
+            name: "clos-sweep".into(),
+            designs: vec![
                 FabricDesign::Fixed(DesignKind::Rads),
                 FabricDesign::Fixed(DesignKind::Cfds),
-            ])
-            .dispatches(DispatchChoice::all())
-            .arbiters(ArbiterChoice::all())
-            .radix(Sweep::list([3, 4]))
-            .load_percent(Sweep::list([60, 90]))
-            .link_capacity(Sweep::list([2, 8]))
-            .arrival_slots(500)
-            .seeds([1, 101])
-            .build()
-            .unwrap();
+            ],
+            dispatches: DispatchChoice::all().to_vec(),
+            arbiters: ArbiterChoice::all().to_vec(),
+            radix: Sweep::list([3, 4]),
+            load_percent: Sweep::list([60, 90]),
+            link_capacity: Sweep::list([2, 8]),
+            arrival_slots: 500,
+            seeds: vec![1, 101],
+            ..ClosSpec::default()
+        };
+        experiment::expand(&spec).unwrap();
         checks::spec_documents_round_trip(&spec);
         // Specs saved before the per-stage worker pipeline was removed carry
         // `"workers": 1`: the key still loads, its value is discarded, and
         // it is never written again.
-        let json = spec.to_json();
+        let json = experiment::to_json(&spec);
         assert!(!json.contains("\"workers\""));
         let legacy = json.replacen('{', "{\n  \"workers\": 1,", 1);
-        assert_eq!(ClosSpec::from_json(&legacy).unwrap(), spec);
+        assert_eq!(experiment::from_json::<ClosSpec>(&legacy).unwrap(), spec);
     }
 
     #[test]
@@ -1725,18 +1630,18 @@ mod tests {
             100,
             50,
         )]);
-        let spec = ClosSpec::builder()
-            .radix(Sweep::fixed(3))
-            .ingress_switches(Sweep::fixed(3))
-            .middle_switches(Sweep::fixed(3))
-            .load_percent(Sweep::list([60, 85]))
-            .arrival_slots(400)
-            .faults(plan.clone())
-            .build()
-            .unwrap();
-        let json = spec.to_json();
-        assert_eq!(ClosSpec::from_json(&json).unwrap(), spec);
-        let expansion = spec.expand().unwrap();
+        let spec = ClosSpec {
+            radix: Sweep::fixed(3),
+            ingress_switches: Sweep::fixed(3),
+            middle_switches: Sweep::fixed(3),
+            load_percent: Sweep::list([60, 85]),
+            arrival_slots: 400,
+            faults: plan.clone(),
+            ..ClosSpec::default()
+        };
+        let json = experiment::to_json(&spec);
+        assert_eq!(experiment::from_json::<ClosSpec>(&json).unwrap(), spec);
+        let expansion = experiment::expand(&spec).unwrap();
         assert_eq!(expansion.runs.len(), 2);
         assert!(expansion.runs.iter().all(|run| run.faults == plan));
         let report = LabRunner::new().with_threads(2).run(&spec).unwrap();
@@ -1746,19 +1651,90 @@ mod tests {
 
     #[test]
     fn lab_runner_report_is_thread_count_invariant() {
-        let spec = ClosSpec::builder()
-            .dispatches(DispatchChoice::all())
-            .load_percent(Sweep::list([60, 85]))
-            .radix(Sweep::fixed(3))
-            .ingress_switches(Sweep::fixed(3))
-            .middle_switches(Sweep::fixed(3))
-            .arrival_slots(600)
-            .build()
-            .unwrap();
+        let spec = ClosSpec {
+            dispatches: DispatchChoice::all().to_vec(),
+            load_percent: Sweep::list([60, 85]),
+            radix: Sweep::fixed(3),
+            ingress_switches: Sweep::fixed(3),
+            middle_switches: Sweep::fixed(3),
+            arrival_slots: 600,
+            ..ClosSpec::default()
+        };
         checks::thread_count_does_not_change_the_report(&spec, 6);
         let report = LabRunner::new().run(&spec).unwrap();
         assert!(report.aggregate.all_zero_loss);
         assert!(report.aggregate.all_conserving);
+    }
+
+    /// The benchmark package still writes its two specs through
+    /// `ExperimentSpec::builder` and `ClosSpec::builder`, and round-trips the
+    /// Clos one through `ClosSpec::{to_json, from_json}`: those chains must
+    /// build what the struct literals do, and the wrappers must encode and
+    /// decode as `experiment::{to_json, from_json}`.
+    #[test]
+    fn the_benchmark_builder_chains_equal_their_struct_literals() {
+        let built = ExperimentSpec::builder()
+            .name("lab-overhead")
+            .designs([DesignKind::Cfds])
+            .workloads([Workload::AdversarialRoundRobin])
+            .num_queues(Sweep::fixed(32))
+            .granularity(Sweep::fixed(4))
+            .rads_granularity(Sweep::fixed(16))
+            .num_banks(Sweep::fixed(64))
+            .arrival_slots(1_024)
+            .seeds(0..64)
+            .build()
+            .unwrap();
+        let literal = ExperimentSpec {
+            name: "lab-overhead".into(),
+            designs: vec![DesignKind::Cfds],
+            workloads: vec![Workload::AdversarialRoundRobin],
+            num_queues: Sweep::fixed(32),
+            granularity: Sweep::fixed(4),
+            rads_granularity: Sweep::fixed(16),
+            num_banks: Sweep::fixed(64),
+            arrival_slots: 1_024,
+            seeds: (0..64).collect(),
+            ..ExperimentSpec::default()
+        };
+        assert_eq!(built, literal);
+
+        let built = ClosSpec::builder()
+            .name("roundtrip")
+            .radix(Sweep::fixed(8))
+            .ingress_switches(Sweep::fixed(8))
+            .middle_switches(Sweep::fixed(8))
+            .load_percent(Sweep::list([50, 85]))
+            .arrival_slots(400)
+            .seeds([1, 101, 201])
+            .build()
+            .unwrap();
+        let literal = ClosSpec {
+            name: "roundtrip".into(),
+            radix: Sweep::fixed(8),
+            ingress_switches: Sweep::fixed(8),
+            middle_switches: Sweep::fixed(8),
+            load_percent: Sweep::list([50, 85]),
+            arrival_slots: 400,
+            seeds: vec![1, 101, 201],
+            ..ClosSpec::default()
+        };
+        assert_eq!(built, literal);
+        let text = literal.to_json();
+        assert_eq!(text, experiment::to_json(&literal));
+        assert_eq!(
+            ClosSpec::from_json(&text),
+            experiment::from_json::<ClosSpec>(&text)
+        );
+        assert_eq!(ClosSpec::from_json(&text).unwrap(), literal);
+        let refused = "{\"kind\": \"fabric\"}";
+        assert_eq!(
+            ClosSpec::from_json(refused),
+            experiment::from_json::<ClosSpec>(refused)
+        );
+        assert!(ClosSpec::from_json(refused).is_err());
+        let built = ClosSpec::builder().middle_switches(Sweep::fixed(5)).build();
+        assert!(matches!(built, Err(SpecError::NoValidRuns(_))), "{built:?}");
     }
 
     #[test]

@@ -70,9 +70,9 @@ impl Axis<'_> {
 ///   any order; the report must be a function of the spec and the scenario,
 ///   which is what makes a [`LabReport`](crate::lab::LabReport) independent
 ///   of the thread count.
-/// * **`Default` is what an omitted key means.** It is the layer's builder
-///   defaults: a spec document with no keys decodes to it, and `pktbuf-lab`
-///   starts from it when no `--spec` is given.
+/// * **`Default` is what an omitted key means.** A spec document with no
+///   keys decodes to it, code writes specs as struct literals over it, and
+///   `pktbuf-lab` starts from it when no `--spec` is given.
 /// * **The document is the derived one.** `Serialize` / `Deserialize`
 ///   describe the spec's own fields; the `"kind"` tag and keys retired from
 ///   older versions are handled by [`to_json`] / [`from_json`], not by the

@@ -39,11 +39,11 @@
 //! rises from 373 slots at 85% load to 2 114 at 100%, with no cell lost.
 //! Use a deterministic matrix or back off the load.
 
-use crate::experiment::{self, Axis, Expansion, Experiment};
+use crate::experiment::{Axis, Experiment};
 use crate::lab::{LabReport, RunRecord};
 use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
-use crate::spec::{SpecError, Sweep};
+use crate::spec::Sweep;
 pub use ::fabric::FabricRunReport;
 use ::fabric::{ArbiterKind, FabricConfig, VoqSwitch, MAX_CROSSBAR_PORTS};
 use pktbuf::PacketBuffer;
@@ -414,9 +414,12 @@ impl<B: PacketBuffer> DriveArrivals for VoqSwitch<B> {
 }
 
 /// A declarative, serializable fabric experiment: designs × workloads ×
-/// arbiters × swept parameters × seeds, expanded into [`FabricScenario`]s.
+/// arbiters × swept parameters × seeds, expanded into [`FabricScenario`]s by
+/// [`crate::experiment::expand`]. The axes expand in field order, designs
+/// outermost and seeds innermost; `granularity` and `num_banks` collapse to
+/// their first value for fabrics without CFDS ports.
 ///
-/// As JSON, omitted keys keep the builder defaults, unknown keys are
+/// As JSON, omitted keys keep the spec's defaults, unknown keys are
 /// rejected, and the document carries a `"kind": "fabric"` tag.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
@@ -451,44 +454,9 @@ pub struct FabricSpec {
     pub overrides: ConfigOverrides,
 }
 
-impl FabricSpec {
-    /// Starts a builder with smoke-test defaults (8-port CFDS fabric,
-    /// uniform traffic at 90% load under iSLIP, 10 000 live slots, seed 1).
-    pub fn builder() -> FabricSpecBuilder {
-        FabricSpecBuilder::default()
-    }
-
-    /// Expands the spec ([`experiment::expand`]) in the order designs ▸
-    /// workloads ▸ arbiters ▸ ports ▸ load ▸ granularity ▸ RADS granularity ▸
-    /// banks ▸ seeds (left outermost). Invalid combinations are skipped and
-    /// counted; the CFDS-only axes (`granularity`, `num_banks`) collapse to
-    /// their first value for fabrics without CFDS ports.
-    ///
-    /// # Errors
-    ///
-    /// As [`experiment::expand`].
-    pub fn expand(&self) -> Result<Expansion<FabricScenario>, SpecError> {
-        experiment::expand(self)
-    }
-
-    /// Renders the spec as pretty JSON.
-    pub fn to_json(&self) -> String {
-        experiment::to_json(self)
-    }
-
-    /// Parses a spec from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
-    /// fields.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        experiment::from_json(text)
-    }
-}
-
 impl Default for FabricSpec {
-    /// The [`FabricSpec::builder`] defaults.
+    /// The spec's defaults: an 8-port CFDS fabric, uniform traffic at 90%
+    /// load under iSLIP, 10 000 live slots, seed 1.
     fn default() -> Self {
         FabricSpec {
             name: "fabric".to_owned(),
@@ -506,108 +474,6 @@ impl Default for FabricSpec {
             seeds: vec![1],
             overrides: ConfigOverrides::none(),
         }
-    }
-}
-
-/// Builder for [`FabricSpec`].
-#[derive(Debug, Clone, Default)]
-pub struct FabricSpecBuilder {
-    spec: FabricSpec,
-}
-
-impl FabricSpecBuilder {
-    /// Sets the experiment name.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.spec.name = name.into();
-        self
-    }
-
-    /// Sets the designs axis.
-    pub fn designs(mut self, designs: impl IntoIterator<Item = FabricDesign>) -> Self {
-        self.spec.designs = designs.into_iter().collect();
-        self
-    }
-
-    /// Sets the workloads axis.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = FabricWorkload>) -> Self {
-        self.spec.workloads = workloads.into_iter().collect();
-        self
-    }
-
-    /// Sets the arbiters axis.
-    pub fn arbiters(mut self, arbiters: impl IntoIterator<Item = ArbiterChoice>) -> Self {
-        self.spec.arbiters = arbiters.into_iter().collect();
-        self
-    }
-
-    /// Sets the port-count axis.
-    pub fn ports(mut self, sweep: Sweep) -> Self {
-        self.spec.ports = sweep;
-        self
-    }
-
-    /// Sets the offered-load axis (percent).
-    pub fn load_percent(mut self, sweep: Sweep) -> Self {
-        self.spec.load_percent = sweep;
-        self
-    }
-
-    /// Sets the CFDS granularity axis.
-    pub fn granularity(mut self, sweep: Sweep) -> Self {
-        self.spec.granularity = sweep;
-        self
-    }
-
-    /// Sets the RADS granularity axis.
-    pub fn rads_granularity(mut self, sweep: Sweep) -> Self {
-        self.spec.rads_granularity = sweep;
-        self
-    }
-
-    /// Sets the DRAM banks axis.
-    pub fn num_banks(mut self, sweep: Sweep) -> Self {
-        self.spec.num_banks = sweep;
-        self
-    }
-
-    /// Sets the iSLIP iteration count (`0` = auto).
-    pub fn islip_iterations(mut self, iterations: u64) -> Self {
-        self.spec.islip_iterations = iterations;
-        self
-    }
-
-    /// Sets the egress period (slots per transmitted cell).
-    pub fn egress_period(mut self, period: u64) -> Self {
-        self.spec.egress_period = period;
-        self
-    }
-
-    /// Sets the number of live-arrival slots.
-    pub fn arrival_slots(mut self, slots: u64) -> Self {
-        self.spec.arrival_slots = slots;
-        self
-    }
-
-    /// Sets the seeds axis.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.spec.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Sets the configuration overrides applied to every port buffer.
-    pub fn overrides(mut self, overrides: ConfigOverrides) -> Self {
-        self.spec.overrides = overrides;
-        self
-    }
-
-    /// Finalises the spec, checking that it expands to at least one run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`SpecError`] from [`FabricSpec::expand`].
-    pub fn build(self) -> Result<FabricSpec, SpecError> {
-        self.spec.expand()?;
-        Ok(self.spec)
     }
 }
 
@@ -789,8 +655,9 @@ impl Experiment for FabricSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::checks;
+    use crate::experiment::{self, checks};
     use crate::lab::LabRunner;
+    use crate::spec::SpecError;
 
     #[test]
     fn small_fabric_scenario_is_zero_loss_and_conserving() {
@@ -938,20 +805,20 @@ mod tests {
 
     #[test]
     fn spec_expands_and_collapses_cfds_axes() {
-        let spec = FabricSpec::builder()
-            .designs([
+        let spec = FabricSpec {
+            designs: vec![
                 FabricDesign::Fixed(DesignKind::Rads),
                 FabricDesign::Fixed(DesignKind::Cfds),
-            ])
-            .workloads([FabricWorkload::Uniform, FabricWorkload::Incast])
-            .ports(Sweep::list([4, 8]))
-            .granularity(Sweep::list([2, 4]))
-            .rads_granularity(Sweep::fixed(8))
-            .num_banks(Sweep::fixed(16))
-            .arrival_slots(500)
-            .build()
-            .unwrap();
-        let expansion = spec.expand().unwrap();
+            ],
+            workloads: vec![FabricWorkload::Uniform, FabricWorkload::Incast],
+            ports: Sweep::list([4, 8]),
+            granularity: Sweep::list([2, 4]),
+            rads_granularity: Sweep::fixed(8),
+            num_banks: Sweep::fixed(16),
+            arrival_slots: 500,
+            ..FabricSpec::default()
+        };
+        let expansion = experiment::expand(&spec).unwrap();
         let rads_runs = expansion
             .runs
             .iter()
@@ -969,12 +836,12 @@ mod tests {
 
     #[test]
     fn port_sweeps_stop_at_the_widest_crossbar() {
-        let spec = FabricSpec::builder()
-            .ports("32..128*2".parse().unwrap())
-            .arrival_slots(100)
-            .build()
-            .unwrap();
-        let expansion = spec.expand().unwrap();
+        let spec = FabricSpec {
+            ports: "32..128*2".parse().unwrap(),
+            arrival_slots: 100,
+            ..FabricSpec::default()
+        };
+        let expansion = experiment::expand(&spec).unwrap();
         let ports: Vec<usize> = expansion.runs.iter().map(|r| r.ports).collect();
         assert_eq!(ports, [32, 64]);
         assert_eq!(expansion.skipped_invalid, 1, "128 ports is refused");
@@ -984,24 +851,25 @@ mod tests {
             ..spec
         };
         assert_eq!(
-            too_wide.expand().unwrap_err(),
+            experiment::expand(&too_wide).unwrap_err(),
             SpecError::NoValidRuns("a crossbar takes 2 to 64 ports, got 128".into())
         );
     }
 
     #[test]
     fn spec_round_trips_through_json() {
-        let spec = FabricSpec::builder()
-            .name("fabric-sweep")
-            .designs(FabricDesign::all())
-            .workloads(FabricWorkload::all())
-            .arbiters(ArbiterChoice::all())
-            .ports(Sweep::doubling(4, 16))
-            .load_percent(Sweep::list([60, 90]))
-            .arrival_slots(2_000)
-            .seeds([1, 101])
-            .build()
-            .unwrap();
+        let spec = FabricSpec {
+            name: "fabric-sweep".into(),
+            designs: FabricDesign::all().to_vec(),
+            workloads: FabricWorkload::all().to_vec(),
+            arbiters: ArbiterChoice::all().to_vec(),
+            ports: Sweep::doubling(4, 16),
+            load_percent: Sweep::list([60, 90]),
+            arrival_slots: 2_000,
+            seeds: vec![1, 101],
+            ..FabricSpec::default()
+        };
+        experiment::expand(&spec).unwrap();
         checks::spec_documents_round_trip(&spec);
     }
 
@@ -1025,17 +893,17 @@ mod tests {
 
     #[test]
     fn lab_runner_report_is_thread_count_invariant() {
-        let spec = FabricSpec::builder()
-            .designs([FabricDesign::Fixed(DesignKind::Rads), FabricDesign::Mixed])
-            .workloads([FabricWorkload::Uniform, FabricWorkload::Bursty])
-            .ports(Sweep::fixed(4))
-            .load_percent(Sweep::fixed(75))
-            .granularity(Sweep::fixed(2))
-            .rads_granularity(Sweep::fixed(8))
-            .num_banks(Sweep::fixed(16))
-            .arrival_slots(600)
-            .build()
-            .unwrap();
+        let spec = FabricSpec {
+            designs: vec![FabricDesign::Fixed(DesignKind::Rads), FabricDesign::Mixed],
+            workloads: vec![FabricWorkload::Uniform, FabricWorkload::Bursty],
+            ports: Sweep::fixed(4),
+            load_percent: Sweep::fixed(75),
+            granularity: Sweep::fixed(2),
+            rads_granularity: Sweep::fixed(8),
+            num_banks: Sweep::fixed(16),
+            arrival_slots: 600,
+            ..FabricSpec::default()
+        };
         checks::thread_count_does_not_change_the_report(&spec, 4);
         let report = LabRunner::new().run(&spec).unwrap();
         assert!(report.aggregate.all_zero_loss);

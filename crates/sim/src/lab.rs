@@ -199,18 +199,18 @@ mod tests {
     use crate::spec::Sweep;
 
     fn small_spec() -> ExperimentSpec {
-        ExperimentSpec::builder()
-            .name("lab-test")
-            .designs([DesignKind::Rads, DesignKind::Cfds])
-            .workloads([Workload::AdversarialRoundRobin, Workload::UniformRandom])
-            .num_queues(Sweep::list([4, 8]))
-            .granularity(Sweep::fixed(2))
-            .rads_granularity(Sweep::fixed(8))
-            .num_banks(Sweep::fixed(16))
-            .arrival_slots(1_000)
-            .seeds([5])
-            .build()
-            .unwrap()
+        ExperimentSpec {
+            name: "lab-test".into(),
+            designs: vec![DesignKind::Rads, DesignKind::Cfds],
+            workloads: vec![Workload::AdversarialRoundRobin, Workload::UniformRandom],
+            num_queues: Sweep::list([4, 8]),
+            granularity: Sweep::fixed(2),
+            rads_granularity: Sweep::fixed(8),
+            num_banks: Sweep::fixed(16),
+            arrival_slots: 1_000,
+            seeds: vec![5],
+            ..ExperimentSpec::default()
+        }
     }
 
     #[test]
@@ -280,6 +280,7 @@ mod tests {
         assert_eq!(object.get("runs").unwrap().as_array().unwrap().len(), 8);
         // The echoed spec inside the report parses back into the same spec.
         let spec_json = object.get("spec").unwrap().to_json_string();
-        assert_eq!(ExperimentSpec::from_json(&spec_json).unwrap(), small_spec());
+        let spec: ExperimentSpec = experiment::from_json(&spec_json).unwrap();
+        assert_eq!(spec, small_spec());
     }
 }

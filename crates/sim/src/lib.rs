@@ -41,26 +41,28 @@
 //!
 //! # Example: a declarative experiment
 //!
-//! Experiments are *data*: an [`spec::ExperimentSpec`] sweeps axes into a
-//! cartesian product of scenarios and a [`lab::LabRunner`] executes them on a
-//! thread pool, deterministically.
+//! Experiments are *data*: an [`spec::ExperimentSpec`], written as a struct
+//! literal over its `Default`, sweeps axes into a cartesian product of
+//! scenarios and a [`lab::LabRunner`] expands and executes them on a thread
+//! pool, deterministically.
 //!
 //! ```
 //! use sim::lab::LabRunner;
 //! use sim::scenario::{DesignKind, Workload};
 //! use sim::spec::{ExperimentSpec, Sweep};
 //!
-//! let spec = ExperimentSpec::builder()
-//!     .name("doc-sweep")
-//!     .designs([DesignKind::Rads, DesignKind::Cfds])
-//!     .workloads([Workload::AdversarialRoundRobin])
-//!     .num_queues(Sweep::list([4, 8]))
-//!     .granularity(Sweep::fixed(2))
-//!     .rads_granularity(Sweep::fixed(8))
-//!     .num_banks(Sweep::fixed(16))
-//!     .preload_cells_per_queue(16)
-//!     .build()
-//!     .unwrap();
+//! let spec = ExperimentSpec {
+//!     name: "doc-sweep".into(),
+//!     designs: vec![DesignKind::Rads, DesignKind::Cfds],
+//!     workloads: vec![Workload::AdversarialRoundRobin],
+//!     num_queues: Sweep::list([4, 8]),
+//!     granularity: Sweep::fixed(2),
+//!     rads_granularity: Sweep::fixed(8),
+//!     num_banks: Sweep::fixed(16),
+//!     preload_cells_per_queue: 16,
+//!     arrival_slots: 0,
+//!     ..ExperimentSpec::default()
+//! };
 //! let report = LabRunner::new().run(&spec).unwrap();
 //! assert_eq!(report.runs.len(), 4);
 //! assert!(report.aggregate.all_loss_free);
@@ -85,7 +87,7 @@
 //! | `check` | a constraint on the spec as a whole (optional) |
 //! | `has_cfds` | which designs the CFDS-only axes collapse for (optional) |
 //! | `scenario_at` | the scenario at one point of the product |
-//! | `is_valid` | whether that point is a configuration that can run |
+//! | `validate` | whether that point is a configuration that can run |
 //! | `run_scenario` | the run |
 //! | `aggregate` | the statistics |
 //! | `CSV_HEADER`, `csv_row` | the CSV columns |

@@ -7,12 +7,12 @@
 //! executes — experiments are *data*, not hand-wired binaries. It is the
 //! single-buffer layer of the shared stack in [`crate::experiment`].
 //!
-//! Specs round-trip through JSON (see [`ExperimentSpec::to_json`] /
-//! [`ExperimentSpec::from_json`]) and every axis value also parses from the
+//! Specs round-trip through JSON (see [`experiment::to_json`] /
+//! [`experiment::from_json`]) and every axis value also parses from the
 //! compact CLI syntax of [`Sweep`]'s `FromStr` (`64`, `64,128,256`,
 //! `64..1024*2`, `64..256+64`).
 
-use crate::experiment::{self, Axis, Expansion, Experiment};
+use crate::experiment::{self, Axis, Experiment};
 use crate::lab::RunRecord;
 use crate::scenario::{DesignKind, Scenario, Workload};
 use crate::SimulationReport;
@@ -336,7 +336,10 @@ impl<'de> Deserialize<'de> for Sweep {
 }
 
 /// A declarative, serializable experiment: designs × workloads × swept
-/// parameters × seeds, expanded into [`Scenario`]s.
+/// parameters × seeds, expanded into [`Scenario`]s by
+/// [`experiment::expand`]. The axes expand in field order, designs outermost
+/// and seeds innermost; `granularity` and `num_banks` collapse to their first
+/// value for RADS and DRAM-only runs, which do not read them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentSpec {
     /// Experiment name (used in reports and file names).
@@ -366,42 +369,10 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Starts a builder with smoke-test defaults (CFDS, the adversarial
-    /// round-robin workload, 32 queues, `b = 4`, `B = 16`, 64 banks, 10 000
-    /// live-arrival slots, seed 1).
+    /// A builder over [`ExperimentSpec::default`]. Kept only because the
+    /// fenced `benchmark/src/layers.rs` calls it; goes with ROADMAP item 3.
     pub fn builder() -> ExperimentSpecBuilder {
         ExperimentSpecBuilder::default()
-    }
-
-    /// Expands the spec ([`experiment::expand`]) in the order designs ▸
-    /// workloads ▸ queues ▸ granularity ▸ RADS granularity ▸ banks ▸ seeds
-    /// (left outermost). Combinations that do not form a valid configuration
-    /// (a sweep can produce e.g. `b ∤ B`) are skipped and counted. For RADS
-    /// and DRAM-only runs the CFDS-only axes (`granularity`, `num_banks`)
-    /// collapse to their first value — those parameters do not affect the
-    /// simulation, and repeating it would skew the aggregate.
-    ///
-    /// # Errors
-    ///
-    /// As [`experiment::expand`]; [`SpecError::PreloadAndArrivals`] when
-    /// preload and live arrivals are both requested.
-    pub fn expand(&self) -> Result<Expansion<Scenario>, SpecError> {
-        experiment::expand(self)
-    }
-
-    /// Renders the spec as pretty JSON.
-    pub fn to_json(&self) -> String {
-        experiment::to_json(self)
-    }
-
-    /// Parses a spec from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Json`] on malformed JSON or unknown/ill-typed
-    /// fields.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        experiment::from_json(text)
     }
 }
 
@@ -566,7 +537,8 @@ impl Experiment for ExperimentSpec {
 }
 
 impl Default for ExperimentSpec {
-    /// The [`ExperimentSpec::builder`] defaults.
+    /// The spec's defaults: CFDS, the adversarial round-robin workload, 32
+    /// queues, `b = 4`, `B = 16`, 64 banks, 10 000 live-arrival slots, seed 1.
     fn default() -> Self {
         ExperimentSpec {
             name: "experiment".to_owned(),
@@ -585,7 +557,8 @@ impl Default for ExperimentSpec {
     }
 }
 
-/// Builder for [`ExperimentSpec`].
+/// Field setters over [`ExperimentSpec::default`]. Kept only because the
+/// fenced `benchmark/src/layers.rs` calls it; goes with ROADMAP item 3.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentSpecBuilder {
     spec: ExperimentSpec,
@@ -634,15 +607,6 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Preloads cells instead of running live arrivals.
-    pub fn preload_cells_per_queue(mut self, cells: u64) -> Self {
-        self.spec.preload_cells_per_queue = cells;
-        if cells > 0 {
-            self.spec.arrival_slots = 0;
-        }
-        self
-    }
-
     /// Sets the number of live-arrival slots.
     pub fn arrival_slots(mut self, slots: u64) -> Self {
         self.spec.arrival_slots = slots;
@@ -655,31 +619,19 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Records per-grant queue logs in every run.
-    pub fn record_grants(mut self, record: bool) -> Self {
-        self.spec.record_grants = record;
-        self
-    }
-
-    /// Sets the configuration overrides applied to every run.
-    pub fn overrides(mut self, overrides: ConfigOverrides) -> Self {
-        self.spec.overrides = overrides;
-        self
-    }
-
     /// Finalises the spec, checking that it expands to at least one run.
     ///
     /// # Errors
     ///
-    /// Propagates any [`SpecError`] from [`ExperimentSpec::expand`].
+    /// Propagates any [`SpecError`] from [`experiment::expand`].
     pub fn build(self) -> Result<ExperimentSpec, SpecError> {
-        self.spec.expand()?;
+        experiment::expand(&self.spec)?;
         Ok(self.spec)
     }
 }
 
 // Hand-written (the derive has no rule that looks at two keys): omitted keys
-// keep the builder defaults, except that a preload turns an *unwritten*
+// keep the spec's defaults, except that a preload turns an *unwritten*
 // `arrival_slots` off.
 impl<'de> Deserialize<'de> for ExperimentSpec {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
@@ -694,7 +646,7 @@ impl<'de> Deserialize<'de> for ExperimentSpec {
                 mut map: A,
             ) -> Result<ExperimentSpec, A::Error> {
                 // Unknown fields are rejected; omitted fields keep the
-                // builder defaults, so a minimal spec file stays minimal.
+                // spec's defaults, so a minimal spec file stays minimal.
                 let mut spec = ExperimentSpec::default();
                 let mut arrival_slots_written = false;
                 while let Some(key) = map.next_key::<String>()? {
@@ -848,17 +800,17 @@ mod tests {
 
     #[test]
     fn spec_expands_the_cartesian_product_in_document_order() {
-        let spec = ExperimentSpec::builder()
-            .designs([DesignKind::Rads, DesignKind::Cfds])
-            .workloads([Workload::AdversarialRoundRobin, Workload::Bursty])
-            .num_queues(Sweep::list([8, 16]))
-            .granularity(Sweep::fixed(2))
-            .rads_granularity(Sweep::fixed(8))
-            .num_banks(Sweep::fixed(16))
-            .seeds([1, 2])
-            .build()
-            .unwrap();
-        let expansion = spec.expand().unwrap();
+        let spec = ExperimentSpec {
+            designs: vec![DesignKind::Rads, DesignKind::Cfds],
+            workloads: vec![Workload::AdversarialRoundRobin, Workload::Bursty],
+            num_queues: Sweep::list([8, 16]),
+            granularity: Sweep::fixed(2),
+            rads_granularity: Sweep::fixed(8),
+            num_banks: Sweep::fixed(16),
+            seeds: vec![1, 2],
+            ..ExperimentSpec::default()
+        };
+        let expansion = experiment::expand(&spec).unwrap();
         assert_eq!(expansion.runs.len(), 2 * 2 * 2 * 2);
         assert_eq!(expansion.skipped_invalid, 0);
         // Designs are the outermost axis, seeds the innermost.
@@ -874,13 +826,13 @@ mod tests {
     #[test]
     fn invalid_combinations_are_skipped_not_fatal() {
         // b = 3 does not divide B = 8 → invalid for CFDS, irrelevant to RADS.
-        let spec = ExperimentSpec::builder()
-            .designs([DesignKind::Rads, DesignKind::Cfds])
-            .granularity(Sweep::list([2, 3]))
-            .rads_granularity(Sweep::fixed(8))
-            .build()
-            .unwrap();
-        let expansion = spec.expand().unwrap();
+        let spec = ExperimentSpec {
+            designs: vec![DesignKind::Rads, DesignKind::Cfds],
+            granularity: Sweep::list([2, 3]),
+            rads_granularity: Sweep::fixed(8),
+            ..ExperimentSpec::default()
+        };
+        let expansion = experiment::expand(&spec).unwrap();
         assert_eq!(expansion.runs.len(), 2, "RADS once + CFDS b=2");
         assert_eq!(expansion.skipped_invalid, 1);
     }
@@ -889,14 +841,14 @@ mod tests {
     fn cfds_only_axes_collapse_for_other_designs() {
         // b and M do not affect RADS/DRAM-only; sweeping them must not
         // duplicate those runs.
-        let spec = ExperimentSpec::builder()
-            .designs([DesignKind::DramOnly, DesignKind::Rads, DesignKind::Cfds])
-            .granularity(Sweep::list([2, 4, 8]))
-            .num_banks(Sweep::list([32, 64]))
-            .rads_granularity(Sweep::fixed(16))
-            .build()
-            .unwrap();
-        let expansion = spec.expand().unwrap();
+        let spec = ExperimentSpec {
+            designs: vec![DesignKind::DramOnly, DesignKind::Rads, DesignKind::Cfds],
+            granularity: Sweep::list([2, 4, 8]),
+            num_banks: Sweep::list([32, 64]),
+            rads_granularity: Sweep::fixed(16),
+            ..ExperimentSpec::default()
+        };
+        let expansion = experiment::expand(&spec).unwrap();
         let count =
             |design: DesignKind| expansion.runs.iter().filter(|r| r.design == design).count();
         assert_eq!(count(DesignKind::DramOnly), 1);
@@ -906,60 +858,72 @@ mod tests {
 
     #[test]
     fn empty_axes_and_conflicting_phases_error() {
+        let expand = |spec| experiment::expand(&spec).unwrap_err();
         assert_eq!(
-            ExperimentSpec::builder().designs([]).build().unwrap_err(),
+            expand(ExperimentSpec {
+                designs: vec![],
+                ..ExperimentSpec::default()
+            }),
             SpecError::EmptyAxis("designs")
         );
         assert_eq!(
-            ExperimentSpec::builder().seeds([]).build().unwrap_err(),
+            expand(ExperimentSpec {
+                seeds: vec![],
+                ..ExperimentSpec::default()
+            }),
             SpecError::EmptyAxis("seeds")
         );
-        let mut spec = ExperimentSpec::builder().build().unwrap();
-        spec.preload_cells_per_queue = 8;
-        assert_eq!(spec.expand().unwrap_err(), SpecError::PreloadAndArrivals);
+        assert_eq!(
+            expand(ExperimentSpec {
+                preload_cells_per_queue: 8,
+                ..ExperimentSpec::default()
+            }),
+            SpecError::PreloadAndArrivals
+        );
     }
 
     #[test]
     fn spec_round_trips_through_json() {
-        let spec = ExperimentSpec::builder()
-            .name("fig-sweep")
-            .designs([DesignKind::DramOnly, DesignKind::Rads, DesignKind::Cfds])
-            .workloads(Workload::all())
-            .num_queues(Sweep::doubling(64, 1024))
-            .granularity(Sweep::list([1, 2, 4, 8, 16]))
-            .rads_granularity(Sweep::fixed(32))
-            .num_banks(Sweep::fixed(256))
-            .arrival_slots(5_000)
-            .seeds([7, 11, 13])
-            .record_grants(true)
-            .overrides(ConfigOverrides {
+        let spec = ExperimentSpec {
+            name: "fig-sweep".into(),
+            designs: vec![DesignKind::DramOnly, DesignKind::Rads, DesignKind::Cfds],
+            workloads: Workload::all().to_vec(),
+            num_queues: Sweep::doubling(64, 1024),
+            granularity: Sweep::list([1, 2, 4, 8, 16]),
+            rads_granularity: Sweep::fixed(32),
+            num_banks: Sweep::fixed(256),
+            arrival_slots: 5_000,
+            seeds: vec![7, 11, 13],
+            record_grants: true,
+            overrides: ConfigOverrides {
                 physical_queue_factor: Some(2),
                 dram_capacity_cells: Some(1 << 20),
                 ..Default::default()
-            })
-            .build()
-            .unwrap();
+            },
+            ..ExperimentSpec::default()
+        };
+        experiment::expand(&spec).unwrap();
         checks::spec_documents_round_trip(&spec);
     }
 
     #[test]
     fn minimal_json_gets_builder_defaults() {
-        let spec = ExperimentSpec::from_json("{\"name\": \"tiny\"}").unwrap();
+        let spec: ExperimentSpec = experiment::from_json("{\"name\": \"tiny\"}").unwrap();
         assert_eq!(spec.name, "tiny");
         assert_eq!(spec.designs, vec![DesignKind::Cfds]);
         assert_eq!(spec.arrival_slots, 10_000);
-        let preload = ExperimentSpec::from_json("{\"preload_cells_per_queue\": 64}").unwrap();
+        let preload: ExperimentSpec =
+            experiment::from_json("{\"preload_cells_per_queue\": 64}").unwrap();
         assert_eq!(preload.arrival_slots, 0, "preload implies no live arrivals");
-        assert!(preload.expand().is_ok());
+        assert!(experiment::expand(&preload).is_ok());
         // …but an *explicit* arrival_slots is never silently rewritten, even
-        // when it happens to equal the builder default.
-        let conflicted = ExperimentSpec::from_json(
-            "{\"preload_cells_per_queue\": 64, \"arrival_slots\": 10000}",
-        )
-        .unwrap();
+        // when it happens to equal the default.
+        let conflicted: ExperimentSpec =
+            experiment::from_json("{\"preload_cells_per_queue\": 64, \"arrival_slots\": 10000}")
+                .unwrap();
         assert_eq!(conflicted.arrival_slots, 10_000);
         assert_eq!(
-            conflicted.expand().unwrap_err(),
+            experiment::expand(&conflicted).unwrap_err(),
             SpecError::PreloadAndArrivals
         );
     }
@@ -973,7 +937,10 @@ mod tests {
             "{\"workloads\": \"bursty\"}",
             "not json",
         ] {
-            assert!(ExperimentSpec::from_json(bad).is_err(), "accepted {bad}");
+            assert!(
+                experiment::from_json::<ExperimentSpec>(bad).is_err(),
+                "accepted {bad}"
+            );
         }
     }
 }

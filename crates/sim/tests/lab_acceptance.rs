@@ -1,6 +1,7 @@
 //! Acceptance tests for the declarative experiment layer: cross-design
 //! equivalence, sweep-scale loss-freedom, and determinism of the runner.
 
+use sim::experiment;
 use sim::lab::LabRunner;
 use sim::scenario::{grants_per_queue, DesignKind, Scenario, Workload};
 use sim::spec::{ExperimentSpec, Sweep};
@@ -41,19 +42,19 @@ fn rads_and_cfds_grant_logs_are_equivalent_under_every_workload() {
 /// claims it.
 #[test]
 fn a_two_dozen_run_sweep_is_loss_free() {
-    let spec = ExperimentSpec::builder()
-        .name("acceptance-sweep")
-        .designs([DesignKind::Rads, DesignKind::Cfds])
-        .workloads(Workload::all())
-        .num_queues(Sweep::list([8, 16, 32]))
-        .granularity(Sweep::fixed(2))
-        .rads_granularity(Sweep::fixed(8))
-        .num_banks(Sweep::fixed(32))
-        .arrival_slots(1_200)
-        .seeds([9])
-        .build()
-        .unwrap();
-    let expansion = spec.expand().unwrap();
+    let spec = ExperimentSpec {
+        name: "acceptance-sweep".into(),
+        designs: vec![DesignKind::Rads, DesignKind::Cfds],
+        workloads: Workload::all().to_vec(),
+        num_queues: Sweep::list([8, 16, 32]),
+        granularity: Sweep::fixed(2),
+        rads_granularity: Sweep::fixed(8),
+        num_banks: Sweep::fixed(32),
+        arrival_slots: 1_200,
+        seeds: vec![9],
+        ..ExperimentSpec::default()
+    };
+    let expansion = experiment::expand(&spec).unwrap();
     assert!(
         expansion.runs.len() >= 24,
         "need a sweep of at least 24 runs, got {}",
@@ -81,22 +82,22 @@ fn a_two_dozen_run_sweep_is_loss_free() {
 /// spec must round-trip through JSON before running.
 #[test]
 fn reports_are_bit_identical_for_identical_seeds_even_via_json() {
-    let spec = ExperimentSpec::builder()
-        .name("determinism")
-        .designs([DesignKind::Cfds])
-        .workloads([Workload::UniformRandom, Workload::Bursty, Workload::Hotspot])
-        .num_queues(Sweep::fixed(16))
-        .granularity(Sweep::fixed(2))
-        .rads_granularity(Sweep::fixed(8))
-        .num_banks(Sweep::fixed(32))
-        .arrival_slots(2_000)
-        .seeds([21])
-        .record_grants(true)
-        .build()
-        .unwrap();
+    let spec = ExperimentSpec {
+        name: "determinism".into(),
+        designs: vec![DesignKind::Cfds],
+        workloads: vec![Workload::UniformRandom, Workload::Bursty, Workload::Hotspot],
+        num_queues: Sweep::fixed(16),
+        granularity: Sweep::fixed(2),
+        rads_granularity: Sweep::fixed(8),
+        num_banks: Sweep::fixed(32),
+        arrival_slots: 2_000,
+        seeds: vec![21],
+        record_grants: true,
+        ..ExperimentSpec::default()
+    };
     // Round-trip the spec through JSON first: the executed experiment is the
     // *serialized* description, not just the in-memory one.
-    let reparsed = ExperimentSpec::from_json(&spec.to_json()).unwrap();
+    let reparsed: ExperimentSpec = experiment::from_json(&experiment::to_json(&spec)).unwrap();
     assert_eq!(reparsed, spec);
 
     let a = LabRunner::new().run(&spec).unwrap();

@@ -1,33 +1,35 @@
-//! The declarative experiment pipeline, end to end: build an
-//! `ExperimentSpec`, round-trip it through JSON (the same text
+//! The declarative experiment pipeline, end to end: write an
+//! `ExperimentSpec` as a struct literal, round-trip it through JSON (the same text
 //! `pktbuf-lab run --spec` would read), execute it on a `LabRunner`, and
 //! inspect the structured report.
 //!
 //! Run with `cargo run --example lab_spec`.
 
+use future_packet_buffers::sim::experiment;
 use future_packet_buffers::sim::lab::LabRunner;
 use future_packet_buffers::sim::scenario::{DesignKind, Workload};
 use future_packet_buffers::sim::spec::{ExperimentSpec, Sweep};
 
 fn main() {
     // Designs × workloads × queue counts × seeds — 2 × 2 × 2 × 1 = 8 runs.
-    let spec = ExperimentSpec::builder()
-        .name("example-lab-sweep")
-        .designs([DesignKind::Rads, DesignKind::Cfds])
-        .workloads([Workload::AdversarialRoundRobin, Workload::Hotspot])
-        .num_queues(Sweep::doubling(16, 32))
-        .granularity(Sweep::fixed(4))
-        .rads_granularity(Sweep::fixed(16))
-        .num_banks(Sweep::fixed(64))
-        .arrival_slots(5_000)
-        .seeds([13])
-        .build()
-        .expect("the example spec is valid");
+    // Fields left out keep `ExperimentSpec::default()`.
+    let spec = ExperimentSpec {
+        name: "example-lab-sweep".into(),
+        designs: vec![DesignKind::Rads, DesignKind::Cfds],
+        workloads: vec![Workload::AdversarialRoundRobin, Workload::Hotspot],
+        num_queues: Sweep::doubling(16, 32),
+        granularity: Sweep::fixed(4),
+        rads_granularity: Sweep::fixed(16),
+        num_banks: Sweep::fixed(64),
+        arrival_slots: 5_000,
+        seeds: vec![13],
+        ..ExperimentSpec::default()
+    };
 
     // The spec is data: this JSON is exactly what a spec file contains.
-    let json = spec.to_json();
+    let json = experiment::to_json(&spec);
     println!("-- the experiment, as data --\n{json}\n");
-    let reparsed = ExperimentSpec::from_json(&json).expect("round-trips");
+    let reparsed: ExperimentSpec = experiment::from_json(&json).expect("round-trips");
     assert_eq!(reparsed, spec);
 
     // Execute across worker threads; the report is deterministic regardless.

@@ -1,23 +1,22 @@
 //! Byte-level schema fixtures: the committed spec documents, one small
 //! seeded report per layer and the switch and Clos design matrices under
-//! `tests/fixtures/`, rebuilt here through the public builders and
+//! `tests/fixtures/`, rebuilt here from spec struct literals and
 //! `LabRunner::with_threads(1)` and compared byte for byte. A change to a
 //! serde impl (derived or hand-written), a report field, a workload label or
 //! a simulated number shows up as a `git diff` of a fixture instead of
 //! having to be spotted by eye.
 //!
-//! Each fixture holds exactly what the CLI would print: `to_json()` plus the
+//! Each fixture holds exactly what the CLI would print: `to_json` plus the
 //! trailing newline, or `to_csv()`. On a mismatch the test names the first
 //! differing line and leaves the fresh bytes under `CARGO_TARGET_TMPDIR`;
 //! copy that file over the fixture when the change is intended. (`spec_template.json`, the
-//! output of `pktbuf-lab spec`, is pinned to its builder by a unit test next
+//! output of `pktbuf-lab spec`, is pinned to its spec by a unit test next
 //! to `template_spec` in the `pktbuf-lab` binary; here it only round-trips.)
 
 use future_packet_buffers::fabric::RecoveryReport;
 use future_packet_buffers::model::ConfigOverrides;
-use future_packet_buffers::sim::clos::{
-    ClosSpec, ClosSpecBuilder, ObsScenario, TransportMode, TransportScenario,
-};
+use future_packet_buffers::sim::clos::{ClosSpec, ObsScenario, TransportMode, TransportScenario};
+use future_packet_buffers::sim::experiment;
 use future_packet_buffers::sim::fabric::{FabricDesign, FabricSpec, FabricWorkload};
 use future_packet_buffers::sim::lab::LabRunner;
 use future_packet_buffers::sim::scenario::{DesignKind, Workload};
@@ -58,17 +57,19 @@ fn assert_matches_fixture(name: &str, json: &str) {
 
 /// The toy Clos every Clos fixture shares: 4 external ports (r = m = N = 2),
 /// cut-through RADS (what the transport requires), 300 live slots.
-fn toy_clos() -> ClosSpecBuilder {
-    ClosSpec::builder()
-        .name("fixture-clos")
-        .designs([FabricDesign::Fixed(DesignKind::Rads)])
-        .workloads([FabricWorkload::Uniform])
-        .radix(Sweep::fixed(2))
-        .ingress_switches(Sweep::fixed(2))
-        .middle_switches(Sweep::fixed(2))
-        .rads_granularity(1)
-        .arrival_slots(300)
-        .seeds([7])
+fn toy_clos() -> ClosSpec {
+    ClosSpec {
+        name: "fixture-clos".into(),
+        designs: vec![FabricDesign::Fixed(DesignKind::Rads)],
+        workloads: vec![FabricWorkload::Uniform],
+        radix: Sweep::fixed(2),
+        ingress_switches: Sweep::fixed(2),
+        middle_switches: Sweep::fixed(2),
+        rads_granularity: 1,
+        arrival_slots: 300,
+        seeds: vec![7],
+        ..ClosSpec::default()
+    }
 }
 
 /// The toy Clos with every omit-when-default section set: a fault plan that
@@ -80,67 +81,61 @@ fn full_clos_spec() -> ClosSpec {
         switch: 1,
         output: 0,
     };
-    toy_clos()
-        .faults(FaultPlan::new([
+    ClosSpec {
+        faults: FaultPlan::new([
             FaultEvent::windowed(FaultKind::MiddleDeath { switch: 1 }, 60, 50),
             FaultEvent::windowed(flap, 150, 30),
             FaultEvent::windowed(FaultKind::EgressSlowdown { port: 1, factor: 2 }, 100, 40),
             FaultEvent::permanent(FaultKind::DropOnFull, 0),
             FaultEvent::permanent(FaultKind::IngressPortDeath { port: 3 }, 250),
-        ]))
-        .transport(TransportScenario {
+        ]),
+        transport: Some(TransportScenario {
             mode: TransportMode::Incast,
             incast_target: 1,
             max_retries: 6,
             ..TransportScenario::default()
-        })
-        .obs(ObsScenario {
+        }),
+        obs: Some(ObsScenario {
             series_stride: 100,
             series_capacity: 8,
             trace_capacity: 4,
             trace_from_slot: 60,
             trace_to_slot: 80,
             ..ObsScenario::standard()
-        })
-        .build()
-        .expect("the full Clos fixture spec is valid")
+        }),
+        ..toy_clos()
+    }
 }
 
 fn experiment_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .name("fixture-experiment")
-        .designs(DesignKind::all())
-        .workloads([Workload::Bursty])
-        .num_queues(Sweep::fixed(4))
-        .granularity(Sweep::fixed(2))
-        .rads_granularity(Sweep::fixed(4))
-        .num_banks(Sweep::fixed(8))
-        .arrival_slots(300)
-        .seeds([7])
-        .build()
-        .expect("the experiment fixture spec is valid")
+    ExperimentSpec {
+        name: "fixture-experiment".into(),
+        designs: DesignKind::all().to_vec(),
+        workloads: vec![Workload::Bursty],
+        num_queues: Sweep::fixed(4),
+        granularity: Sweep::fixed(2),
+        rads_granularity: Sweep::fixed(4),
+        num_banks: Sweep::fixed(8),
+        arrival_slots: 300,
+        seeds: vec![7],
+        ..ExperimentSpec::default()
+    }
 }
 
 /// The experiment fixture with every [`ConfigOverrides`] knob set (the
 /// other fixtures leave all three at "keep the configuration's value").
 fn overrides_spec() -> ExperimentSpec {
-    ExperimentSpec::builder()
-        .name("fixture-overrides")
-        .designs([DesignKind::Rads, DesignKind::Cfds])
-        .workloads([Workload::Bursty])
-        .num_queues(Sweep::fixed(4))
-        .granularity(Sweep::fixed(2))
-        .rads_granularity(Sweep::fixed(4))
-        .num_banks(Sweep::fixed(8))
-        .arrival_slots(200)
-        .seeds([7])
-        .overrides(ConfigOverrides {
+    ExperimentSpec {
+        name: "fixture-overrides".into(),
+        designs: vec![DesignKind::Rads, DesignKind::Cfds],
+        arrival_slots: 200,
+        overrides: ConfigOverrides {
             lookahead: Some(64),
             physical_queue_factor: Some(2),
             dram_capacity_cells: Some(4_096),
-        })
-        .build()
-        .expect("the overrides fixture spec is valid")
+        },
+        ..experiment_spec()
+    }
 }
 
 /// The toy Clos under the default closed-loop transport, measured against
@@ -149,74 +144,86 @@ fn overrides_spec() -> ExperimentSpec {
 /// with a port that never comes back and no probes (never recovers: `null`
 /// slots, percentile keys absent).
 fn recovery_reports() -> [RecoveryReport; 2] {
-    let transport = || toy_clos().transport(TransportScenario::default());
+    let transport = ClosSpec {
+        transport: Some(TransportScenario::default()),
+        ..toy_clos()
+    };
     let flap = FaultKind::LinkFlap {
         boundary: LinkBoundary::IngressMiddle,
         switch: 1,
         output: 0,
     };
     let runner = LabRunner::new().with_threads(1);
-    let run = |builder: ClosSpecBuilder| {
-        let spec = builder.build().expect("the recovery fixture spec is valid");
+    let run = |spec: ClosSpec| {
         let report = runner.run(&spec).expect("the spec expands");
         report.runs.into_iter().next().expect("one run").report
     };
-    let healthy = run(transport());
-    let recovered = run(transport()
-        .faults(FaultPlan::new([FaultEvent::windowed(
+    let healthy = run(transport.clone());
+    let recovered = run(ClosSpec {
+        faults: FaultPlan::new([FaultEvent::windowed(
             FaultKind::MiddleDeath { switch: 1 },
             60,
             50,
-        )]))
-        .obs(ObsScenario {
+        )]),
+        obs: Some(ObsScenario {
             latency_hist: true,
             ..ObsScenario::default()
-        }));
-    let lost = run(transport().faults(FaultPlan::new([
-        FaultEvent::windowed(flap, 60, 30),
-        FaultEvent::permanent(FaultKind::IngressPortDeath { port: 3 }, 100),
-    ])));
+        }),
+        ..transport.clone()
+    });
+    let lost = run(ClosSpec {
+        faults: FaultPlan::new([
+            FaultEvent::windowed(flap, 60, 30),
+            FaultEvent::permanent(FaultKind::IngressPortDeath { port: 3 }, 100),
+        ]),
+        ..transport
+    });
     [&recovered, &lost].map(|faulted| {
         RecoveryReport::measure(&healthy, faulted).expect("both twins ran the transport")
     })
 }
 
 fn fabric_spec() -> FabricSpec {
-    FabricSpec::builder()
-        .name("fixture-fabric")
-        .ports(Sweep::fixed(2))
-        .arrival_slots(300)
-        .seeds([7])
-        .build()
-        .expect("the fabric fixture spec is valid")
+    FabricSpec {
+        name: "fixture-fabric".into(),
+        ports: Sweep::fixed(2),
+        arrival_slots: 300,
+        seeds: vec![7],
+        ..FabricSpec::default()
+    }
 }
 
 #[test]
 fn spec_documents_match_their_builders_and_round_trip() {
     let template = fixture("spec_template.json");
-    let parsed = ExperimentSpec::from_json(&template).expect("the template parses");
-    assert_matches_fixture("spec_template.json", &parsed.to_json());
+    let parsed: ExperimentSpec = experiment::from_json(&template).expect("the template parses");
+    assert_matches_fixture("spec_template.json", &experiment::to_json(&parsed));
 
     let overrides = overrides_spec();
-    assert_matches_fixture("experiment_spec_overrides.json", &overrides.to_json());
-    let parsed = ExperimentSpec::from_json(&fixture("experiment_spec_overrides.json"));
+    let json = experiment::to_json(&overrides);
+    assert_matches_fixture("experiment_spec_overrides.json", &json);
+    let parsed =
+        experiment::from_json::<ExperimentSpec>(&fixture("experiment_spec_overrides.json"));
     assert_eq!(parsed.expect("the overrides fixture parses"), overrides);
 
-    let fabric = FabricSpec::builder().build().expect("the default is valid");
-    assert_matches_fixture("fabric_spec_default.json", &fabric.to_json());
-    let parsed = FabricSpec::from_json(&fixture("fabric_spec_default.json"));
+    let fabric = FabricSpec::default();
+    experiment::expand(&fabric).expect("the default is valid");
+    assert_matches_fixture("fabric_spec_default.json", &experiment::to_json(&fabric));
+    let parsed = experiment::from_json::<FabricSpec>(&fixture("fabric_spec_default.json"));
     assert_eq!(parsed.expect("the fabric fixture parses"), fabric);
 
     // Every omit-when-default key present once, and every one omitted.
     let full = full_clos_spec();
-    let minimal = toy_clos().build().expect("the minimal Clos spec is valid");
+    let minimal = toy_clos();
     for (name, spec, sections_written) in [
         ("clos_spec_full.json", &full, true),
         ("clos_spec_minimal.json", &minimal, false),
     ] {
-        let json = spec.to_json();
+        experiment::expand(spec).expect("the Clos fixture spec is valid");
+        let json = experiment::to_json(spec);
         assert_matches_fixture(name, &json);
-        let parsed = ClosSpec::from_json(&fixture(name)).expect("the Clos fixture parses");
+        let parsed: ClosSpec =
+            experiment::from_json(&fixture(name)).expect("the Clos fixture parses");
         assert_eq!(&parsed, spec, "{name}");
         for key in ["\"faults\"", "\"transport\"", "\"obs\""] {
             assert_eq!(json.contains(key), sections_written, "{name}: {key}");
@@ -245,29 +252,29 @@ fn seeded_reports_match_their_fixtures_byte_for_byte() {
 #[test]
 fn design_matrices_match_their_fixtures() {
     let runner = LabRunner::new().with_threads(1);
-    let fabric = FabricSpec::builder()
-        .name("fixture-fabric-matrix")
-        .designs(FabricDesign::all())
-        .workloads(FabricWorkload::all())
-        .ports(Sweep::fixed(4))
-        .granularity(Sweep::fixed(2))
-        .rads_granularity(Sweep::fixed(8))
-        .num_banks(Sweep::fixed(16))
-        .arrival_slots(300)
-        .seeds([7])
-        .build()
-        .expect("the fabric matrix spec is valid");
-    let clos = ClosSpec::builder()
-        .name("fixture-clos-matrix")
-        .designs(FabricDesign::all())
-        .workloads(FabricWorkload::all())
-        .radix(Sweep::fixed(2))
-        .ingress_switches(Sweep::fixed(2))
-        .middle_switches(Sweep::fixed(2))
-        .arrival_slots(300)
-        .seeds([7])
-        .build()
-        .expect("the Clos matrix spec is valid");
+    let fabric = FabricSpec {
+        name: "fixture-fabric-matrix".into(),
+        designs: FabricDesign::all().to_vec(),
+        workloads: FabricWorkload::all().to_vec(),
+        ports: Sweep::fixed(4),
+        granularity: Sweep::fixed(2),
+        rads_granularity: Sweep::fixed(8),
+        num_banks: Sweep::fixed(16),
+        arrival_slots: 300,
+        seeds: vec![7],
+        ..FabricSpec::default()
+    };
+    let clos = ClosSpec {
+        name: "fixture-clos-matrix".into(),
+        designs: FabricDesign::all().to_vec(),
+        workloads: FabricWorkload::all().to_vec(),
+        radix: Sweep::fixed(2),
+        ingress_switches: Sweep::fixed(2),
+        middle_switches: Sweep::fixed(2),
+        arrival_slots: 300,
+        seeds: vec![7],
+        ..ClosSpec::default()
+    };
     let fabric = runner.run(&fabric).expect("the spec expands");
     let clos = runner.run(&clos).expect("the spec expands");
     for (name, skipped, runs, csv) in [
