@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One entry of the Requests Register: a pending DRAM request together with
-/// the bank it will access and bookkeeping for delay statistics.
+/// the bank it will access and its submit slot, for the delay statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RrEntry {
     /// The pending request (queue, block ordinal, read/write).
@@ -27,8 +27,6 @@ pub struct RrEntry {
     pub bank: BankId,
     /// Slot at which the request entered the RR.
     pub submitted_slot: u64,
-    /// Number of times the DSA has skipped over this entry so far.
-    pub skips: u32,
 }
 
 /// The Requests Register: an age-ordered buffer of MMA requests that have not
@@ -77,7 +75,6 @@ impl RequestsRegister {
             request,
             bank,
             submitted_slot: now,
-            skips: 0,
         });
         self.total_submitted += 1;
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
@@ -88,9 +85,8 @@ impl RequestsRegister {
         self.entries.iter()
     }
 
-    /// Removes and returns the entry at `position` (0 = oldest). All entries
-    /// older than it have their skip counter incremented — they were passed
-    /// over by a younger request.
+    /// Removes and returns the entry at `position` (0 = oldest); the entries
+    /// on either side keep their age order.
     ///
     /// # Panics
     ///
@@ -100,14 +96,9 @@ impl RequestsRegister {
             clippy::expect_used,
             reason = "documented panic: the scheduler passes positions from its own scan of this register"
         )]
-        let entry = self
-            .entries
+        self.entries
             .remove(position)
-            .expect("RequestsRegister::take position out of range");
-        for older in self.entries.iter_mut().take(position) {
-            older.skips += 1;
-        }
-        entry
+            .expect("RequestsRegister::take position out of range")
     }
 }
 
@@ -134,21 +125,6 @@ mod tests {
         assert_eq!(remaining, vec![0, 2]);
         assert_eq!(rr.peak_occupancy(), 3);
         assert_eq!(rr.total_submitted(), 3);
-    }
-
-    #[test]
-    fn skip_counters_increment_for_passed_over_entries() {
-        let mut rr = RequestsRegister::new();
-        rr.push(req(0, 0), BankId::new(0), 0);
-        rr.push(req(1, 0), BankId::new(1), 4);
-        rr.push(req(2, 0), BankId::new(2), 8);
-        let skips = |rr: &RequestsRegister| rr.iter().map(|e| e.skips).collect::<Vec<_>>();
-        // Taking position 2 skips over positions 0 and 1.
-        rr.take(2);
-        assert_eq!(skips(&rr), [1, 1]);
-        // Taking position 1 skips over position 0 again.
-        rr.take(1);
-        assert_eq!(skips(&rr), [2]);
     }
 
     #[test]

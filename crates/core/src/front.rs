@@ -111,7 +111,8 @@ pub(crate) trait SlotLoop {
         out: &mut K,
     );
 
-    /// [`PacketBuffer::step`]: the slot body once.
+    /// [`PacketBuffer::step`]: the slot body once, then the requestable set
+    /// it leaves behind as the outcome's request word.
     #[inline]
     fn run_slot(
         &mut self,
@@ -124,6 +125,7 @@ pub(crate) trait SlotLoop {
         locals.now += 1;
         locals.delta.slots += 1;
         self.store(&locals);
+        outcome.requestable = self.requestable().low_word();
         outcome
     }
 

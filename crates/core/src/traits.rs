@@ -3,7 +3,8 @@
 use crate::stats::BufferStats;
 use pktbuf_model::{Cell, LogicalQueueId, RequestSource};
 
-/// What happened during one slot of buffer operation.
+/// What happened during one slot of buffer operation, and what the arbiter
+/// may request from the next slot on.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SlotOutcome {
     /// Cell granted to the arbiter this slot, if any.
@@ -13,13 +14,21 @@ pub struct SlotOutcome {
     pub miss: Option<LogicalQueueId>,
     /// An arriving cell was dropped because the tail SRAM was full.
     pub dropped_arrival: Option<Cell>,
+    /// The requestable set at the end of the slot, as the arbiter's request
+    /// bit-vector: bit `q` is set iff queue `q < 64` has
+    /// [`PacketBuffer::requestable_cells`] `> 0`. Queues from 64 up are not
+    /// reported; a crossbar input holds at most 64 VOQs, so for it this is
+    /// the whole set and the switch arbitrates on it without probing.
+    pub requestable: u64,
 }
 
 // `step` returns one outcome per buffer per slot, 192 of them a slot in the
-// r = m = N = 8 Clos: two 32-byte `Option<Cell>`s and the miss.
+// r = m = N = 8 Clos: two 32-byte `Option<Cell>`s, the miss and the
+// requestable word. The word's 8 bytes replace the 8–16 per-queue
+// `requestable_cells` probes a switch made per buffer-step to rebuild it.
 const _: () = assert!(
-    std::mem::size_of::<SlotOutcome>() <= 72,
-    "SlotOutcome must stay within 72 bytes (it was 104 with a 40-byte Cell)"
+    std::mem::size_of::<SlotOutcome>() <= 80,
+    "SlotOutcome must stay within 80 bytes (it was 104 with a 40-byte Cell and no requestable word)"
 );
 
 /// Collects the grants of a batch of slots (the queue index of every granted
@@ -104,7 +113,12 @@ impl BatchReport {
 /// [`PacketBuffer::requestable_cells`] reports how many further requests a
 /// queue can absorb; well-behaved workloads consult it.
 pub trait PacketBuffer {
-    /// Advances the buffer by one slot.
+    /// Advances the buffer by one slot. The outcome also carries the
+    /// requestable set as of the slot's end
+    /// ([`SlotOutcome::requestable`]): exactly what
+    /// [`PacketBuffer::requestable_cells`] reports for queues below 64 until
+    /// the next `step`, so a caller that sees every `step` may keep that
+    /// word instead of probing.
     fn step(&mut self, arrival: Option<Cell>, request: Option<LogicalQueueId>) -> SlotOutcome;
 
     /// The current slot (number of `step` calls performed).

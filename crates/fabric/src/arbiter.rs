@@ -160,19 +160,17 @@ impl CrossbarArbiter {
         self.kind
     }
 
-    /// Computes the matching of slot `slot`.
+    /// Computes the matching of slot `slot` from the request bit-vectors
+    /// the inputs already hold: `rows[i]` bit `j` is set iff input `i` has a
+    /// requestable cell for output `j`, and `ready` bit `j` iff output `j`
+    /// has an egress credit this slot. Bits at or above `ports` are ignored.
+    /// The matching lands in `match_in` (per input: the matched output) and
+    /// `match_out` (per output: the matched input); both are cleared first.
+    /// Returns the number of matched pairs.
     ///
-    /// `eligible(i, j)` reports whether input `i` has a requestable cell for
-    /// output `j`; `output_ready[j]` whether output `j` has an egress credit
-    /// this slot. The matching lands in `match_in` (per input: the matched
-    /// output) and `match_out` (per output: the matched input); both are
-    /// cleared first. Returns the number of matched pairs.
-    ///
-    /// `eligible` must be a pure function of the slot's buffer state: it is
-    /// evaluated exactly once per `(i, j)` pair, row by row, up front — one
-    /// sequential pass over each input's occupancy counters, packed into
-    /// that input's one-word mask row; the matching itself never calls it.
-    /// The crossbar has at most [`MAX_CROSSBAR_PORTS`] ports (checked by
+    /// This is the one matcher body: each row is ANDed with `ready`, then
+    /// iSLIP or the maximal matcher runs on the masked rows. The crossbar has
+    /// at most [`MAX_CROSSBAR_PORTS`] ports (checked by
     /// [`CrossbarArbiter::new`]), so every row, column and free set is a
     /// single `u64`.
     ///
@@ -187,6 +185,37 @@ impl CrossbarArbiter {
     ///
     /// Panics when a slice is not `ports` long: the masks would silently
     /// drop the ports of a short one and misindex a long one.
+    pub fn schedule_rows(
+        &mut self,
+        slot: u64,
+        rows: &[u64],
+        ready: u64,
+        match_in: &mut [Option<u32>],
+        match_out: &mut [Option<u32>],
+    ) -> u64 {
+        assert_eq!(rows.len(), self.ports, "rows: one word per input");
+        self.rows.copy_from_slice(rows);
+        self.match_rows(slot, ready, match_in, match_out)
+    }
+
+    /// [`CrossbarArbiter::schedule_rows`] over a per-pair oracle and one
+    /// flag per output: packs `eligible` and `output_ready` into words, then
+    /// runs the same matcher. Kept for the benchmark's
+    /// `arbiter_schedule_n8/n16_ns` kernels and for the scalar-reference
+    /// tests, which ask pair by pair; a switch hands its rows to
+    /// `schedule_rows` directly.
+    ///
+    /// `eligible(i, j)` reports whether input `i` has a requestable cell for
+    /// output `j`; `output_ready[j]` whether output `j` has an egress credit
+    /// this slot. `eligible` must be a pure function of the slot's state: it
+    /// is evaluated exactly once per `(i, j)` pair, row by row, up front,
+    /// unready outputs included — one sequential pass over each input's
+    /// state, packed into that input's mask row; the matching itself never
+    /// calls it. The idle contract and the matching are `schedule_rows`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice is not `ports` long.
     pub fn schedule<F>(
         &mut self,
         slot: u64,
@@ -200,16 +229,30 @@ impl CrossbarArbiter {
     {
         let n = self.ports;
         assert_eq!(output_ready.len(), n, "output_ready: one flag per output");
+        let ready = (0..n).fold(0u64, |mask, j| mask | u64::from(output_ready[j]) << j);
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            *row = (0..n).fold(0u64, |wants, j| wants | u64::from(eligible(i, j)) << j);
+        }
+        self.match_rows(slot, ready, match_in, match_out)
+    }
+
+    /// The matcher over `self.rows` as loaded by the two entry points.
+    fn match_rows(
+        &mut self,
+        slot: u64,
+        ready: u64,
+        match_in: &mut [Option<u32>],
+        match_out: &mut [Option<u32>],
+    ) -> u64 {
+        let n = self.ports;
         assert_eq!(match_in.len(), n, "match_in: one entry per input");
         assert_eq!(match_out.len(), n, "match_out: one entry per output");
         match_in.fill(None);
         match_out.fill(None);
-        let ready = (0..n).fold(0u64, |mask, j| mask | u64::from(output_ready[j]) << j);
+        let ready = ready & (u64::MAX >> (MAX_CROSSBAR_PORTS - n));
         let mut requested = 0;
-        for (i, row) in self.rows.iter_mut().enumerate() {
-            // Every pair is asked, unready outputs included.
-            let wants = (0..n).fold(0u64, |wants, j| wants | u64::from(eligible(i, j)) << j);
-            *row = wants & ready;
+        for row in &mut self.rows {
+            *row &= ready;
             requested |= *row;
         }
         if requested == 0 {
@@ -457,33 +500,56 @@ mod tests {
         ArbiterKind::Maximal,
     ];
 
-    /// The mask kernels against the scalar reference, slot for slot on shared
-    /// pointer state: small port counts and the word edge (bit 63, the full
-    /// 64-bit mask), both algorithms, explicit iteration counts, random
-    /// densities and credits.
+    /// The rows and ready word of one random slot, with random garbage above
+    /// bit `n - 1` that `schedule_rows` must ignore.
+    fn pack(rng: &mut StdRng, n: usize, demand: &[bool], ready: &[bool]) -> (Vec<u64>, u64) {
+        let above = |rng: &mut StdRng| rng.gen::<u64>().checked_shl(n as u32).unwrap_or(0);
+        let word = |bits: &[bool]| (0..n).fold(0u64, |w, j| w | u64::from(bits[j]) << j);
+        let rows = (0..n)
+            .map(|i| word(&demand[i * n..(i + 1) * n]) | above(rng))
+            .collect();
+        (rows, word(ready) | above(rng))
+    }
+
+    /// Both entry points against the scalar reference, slot for slot, each on
+    /// its own arbiter whose pointer state must track the reference's: small
+    /// port counts and the word edge (bit 63, the full 64-bit mask), both
+    /// algorithms, explicit iteration counts, random densities and credits.
     #[test]
     fn mask_kernels_match_the_scalar_reference_slot_for_slot() {
         let mut rng = StdRng::seed_from_u64(0x15_11b);
         for n in (1..=9).chain([16, 33, 63, 64]) {
             for kind in ALL_KINDS {
-                let mut new = CrossbarArbiter::new(kind, n);
+                let mut by_pair = CrossbarArbiter::new(kind, n);
+                let mut by_rows = CrossbarArbiter::new(kind, n);
                 let mut old = ScalarArbiter::new(kind, n);
-                let (mut new_in, mut new_out) = (vec![None; n], vec![None; n]);
+                let (mut pair_in, mut pair_out) = (vec![None; n], vec![None; n]);
+                let (mut rows_in, mut rows_out) = (vec![None; n], vec![None; n]);
                 let (mut old_in, mut old_out) = (vec![None; n], vec![None; n]);
                 // Start mid-rotation so the maximal priority wraps in-run.
                 let first_slot = rng.gen_range(0..1_000u64);
                 for slot in first_slot..first_slot + 40 {
                     let (demand, ready) = random_slot(&mut rng, n);
+                    let (rows, ready_word) = pack(&mut rng, n, &demand, &ready);
                     let oracle = |i: usize, j: usize| demand[i * n + j];
-                    let matched = new.schedule(slot, oracle, &ready, &mut new_in, &mut new_out);
                     let expected = old.schedule(slot, oracle, &ready, &mut old_in, &mut old_out);
-                    let at = format!("{kind:?}, {n} ports, slot {slot}");
+                    let matched =
+                        by_pair.schedule(slot, oracle, &ready, &mut pair_in, &mut pair_out);
+                    let at = format!("schedule, {kind:?}, {n} ports, slot {slot}");
                     assert_eq!(matched, expected, "match count diverged: {at}");
-                    assert_eq!(new_in, old_in, "match_in diverged: {at}");
-                    assert_eq!(new_out, old_out, "match_out diverged: {at}");
+                    assert_eq!(pair_in, old_in, "match_in diverged: {at}");
+                    assert_eq!(pair_out, old_out, "match_out diverged: {at}");
+                    let matched =
+                        by_rows.schedule_rows(slot, &rows, ready_word, &mut rows_in, &mut rows_out);
+                    let at = format!("schedule_rows, {kind:?}, {n} ports, slot {slot}");
+                    assert_eq!(matched, expected, "match count diverged: {at}");
+                    assert_eq!(rows_in, old_in, "match_in diverged: {at}");
+                    assert_eq!(rows_out, old_out, "match_out diverged: {at}");
                 }
-                assert_eq!(new.grant_ptr, old.grant_ptr, "{kind:?}, {n} ports");
-                assert_eq!(new.accept_ptr, old.accept_ptr, "{kind:?}, {n} ports");
+                for arbiter in [&by_pair, &by_rows] {
+                    assert_eq!(arbiter.grant_ptr, old.grant_ptr, "{kind:?}, {n} ports");
+                    assert_eq!(arbiter.accept_ptr, old.accept_ptr, "{kind:?}, {n} ports");
+                }
             }
         }
     }
@@ -574,6 +640,30 @@ mod tests {
             &vec![true; ready],
             &mut vec![None; match_in],
             &mut vec![None; match_out],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rows: one word per input")]
+    fn short_rows_are_rejected() {
+        CrossbarArbiter::new(ArbiterKind::Islip { iterations: 0 }, 4).schedule_rows(
+            0,
+            &[1, 2, 4],
+            !0,
+            &mut [None; 4],
+            &mut [None; 4],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rows: one word per input")]
+    fn long_rows_are_rejected() {
+        CrossbarArbiter::new(ArbiterKind::Maximal, 4).schedule_rows(
+            0,
+            &[1, 2, 4, 8, 1],
+            !0,
+            &mut [None; 4],
+            &mut [None; 4],
         );
     }
 

@@ -3,11 +3,21 @@
 //!
 //! # Slot anatomy
 //!
-//! Every slot the fabric (in this order): accrues egress credits, computes a
-//! crossbar matching over the VOQ occupancy ([`crate::CrossbarArbiter`]),
-//! steps every ingress buffer once — the matched ports with a request for
-//! their matched VOQ, all ports with their line-side arrival — hands granted
-//! cells to their egress FIFO, and transmits at the egress cadence.
+//! Every slot the fabric (in this order): accrues egress credits into one
+//! ready word, computes a crossbar matching
+//! ([`crate::CrossbarArbiter::schedule_rows`]) over one request word per
+//! input, steps every ingress buffer once — the matched ports with a request
+//! for their matched VOQ, all ports with their line-side arrival — hands
+//! granted cells to their egress FIFO, and transmits at the egress cadence.
+//!
+//! The request words are the previous slot's outcomes: each `step` returns
+//! its buffer's requestable set as [`pktbuf::SlotOutcome::requestable`], and
+//! the switch keeps it as that input's row until the buffer's next `step`.
+//! A buffer holds one VOQ per output and a crossbar at most 64 outputs, so
+//! the word is the whole set, and no slot probes
+//! [`pktbuf::PacketBuffer::requestable_cells`]: only [`VoqSwitch::new`] does,
+//! once per buffer, since buffers may arrive preloaded. Debug builds check
+//! every row against that probe at the start of every slot.
 //!
 //! # Batch hot path
 //!
@@ -122,10 +132,12 @@ pub struct VoqSwitch<B: PacketBuffer> {
     arrivals_matrix: Vec<u64>,
     /// Row-major `ports × ports`: cells granted out of input `i`'s VOQ `j`.
     departures_matrix: Vec<u64>,
+    /// Per input: the request word its buffer's last `step` returned (bit
+    /// `j`: VOQ `j` has requestable cells).
+    rows: Vec<u64>,
     // Per-slot scratch, sized once.
     match_in: Vec<Option<u32>>,
     match_out: Vec<Option<u32>>,
-    output_ready: Vec<bool>,
 }
 
 impl<B: PacketBuffer> VoqSwitch<B> {
@@ -157,6 +169,7 @@ impl<B: PacketBuffer> VoqSwitch<B> {
         }
         VoqSwitch {
             ports,
+            rows: buffers.iter().map(|b| probe_row(b, ports)).collect(),
             arbiter: CrossbarArbiter::new(config.arbiter, ports),
             egress: (0..ports)
                 .map(|_| EgressPort::new(config.egress_period))
@@ -170,7 +183,6 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             departures_matrix: vec![0; ports * ports],
             match_in: vec![None; ports],
             match_out: vec![None; ports],
-            output_ready: vec![false; ports],
         }
     }
 
@@ -310,32 +322,20 @@ impl<B: PacketBuffer> VoqSwitch<B> {
         let clock = self.clock;
         let ports = self.ports;
         let ungated = output_gate.is_empty();
-        for (j, (ready, egress)) in self
-            .output_ready
-            .iter_mut()
-            .zip(self.egress.iter_mut())
-            .enumerate()
-        {
+        #[cfg(debug_assertions)]
+        self.assert_rows_match_probes();
+        let mut ready = 0u64;
+        for (j, egress) in self.egress.iter_mut().enumerate() {
             egress.begin_slot(clock);
-            *ready = egress.ready() && (ungated || output_gate[j]);
+            ready |= u64::from(egress.ready() && (ungated || output_gate[j])) << j;
         }
-        let matched = {
-            let Self {
-                buffers,
-                arbiter,
-                match_in,
-                match_out,
-                output_ready,
-                ..
-            } = self;
-            arbiter.schedule(
-                clock,
-                |i, j| buffers[i].requestable_cells(LogicalQueueId::new(j as u32)) > 0,
-                output_ready,
-                match_in,
-                match_out,
-            )
-        };
+        let matched = self.arbiter.schedule_rows(
+            clock,
+            &self.rows,
+            ready,
+            &mut self.match_in,
+            &mut self.match_out,
+        );
         self.matches += matched;
         for (i, arrival_slot) in arrivals.iter_mut().enumerate() {
             let request = self.match_in[i].map(LogicalQueueId::new);
@@ -348,6 +348,7 @@ impl<B: PacketBuffer> VoqSwitch<B> {
                 self.arrivals_total += 1;
             }
             let outcome = self.buffers[i].step(arrival, request);
+            self.rows[i] = outcome.requestable;
             if let Some(cell) = outcome.granted {
                 let dst = cell.queue().as_usize();
                 self.departures_matrix[i * ports + dst] += 1;
@@ -376,10 +377,22 @@ impl<B: PacketBuffer> VoqSwitch<B> {
     /// empty.
     pub fn is_idle(&self) -> bool {
         self.egress.iter().all(EgressPort::is_empty)
-            && self
-                .buffers
-                .iter()
-                .all(|b| b.is_quiescent() && b.requestable_total() == 0)
+            && self.rows.iter().all(|&row| row == 0)
+            && self.buffers.iter().all(PacketBuffer::is_quiescent)
+    }
+
+    /// Panics, naming the row and the slot, when a request word differs from
+    /// the one [`probe_row`] builds from its buffer.
+    #[cfg(debug_assertions)]
+    fn assert_rows_match_probes(&self) {
+        for (i, (buffer, &row)) in self.buffers.iter().zip(&self.rows).enumerate() {
+            let probed = probe_row(buffer, self.ports);
+            debug_assert_eq!(
+                row, probed,
+                "row {i} left its requestable_cells probe at slot {}",
+                self.clock
+            );
+        }
     }
 
     /// Total requestable cells over every VOQ of every ingress buffer.
@@ -457,6 +470,11 @@ impl<B: PacketBuffer> VoqSwitch<B> {
     /// (Clos) engine additionally checks that no cell is in flight on any
     /// inter-stage link before skipping a chunk.
     pub fn advance_idle(&mut self, slots: u64) {
+        debug_assert!(
+            self.rows.iter().all(|&row| row == 0),
+            "advance_idle at slot {} with requestable cells",
+            self.clock
+        );
         for buffer in &mut self.buffers {
             buffer.advance_idle(slots);
         }
@@ -489,8 +507,7 @@ impl<B: PacketBuffer> VoqSwitch<B> {
         let mut slot_arrivals: Vec<Option<Cell>> = vec![None; self.ports];
         let mut idle_streak = 0u64;
         loop {
-            let requestable = self.buffers.iter().any(|b| b.requestable_total() > 0);
-            if requestable {
+            if self.rows.iter().any(|&row| row != 0) {
                 idle_streak = 0;
             } else {
                 let quiescent = self.buffers.iter().all(PacketBuffer::is_quiescent);
@@ -599,6 +616,14 @@ impl<B: PacketBuffer> VoqSwitch<B> {
             departures_matrix: self.departures_matrix.clone(),
         }
     }
+}
+
+/// `buffer`'s request word, probed VOQ by VOQ: bit `j` iff output `j`'s
+/// queue has requestable cells. What each row mirrors.
+fn probe_row<B: PacketBuffer>(buffer: &B, ports: usize) -> u64 {
+    (0..ports).fold(0, |row, j| {
+        row | u64::from(buffer.requestable_cells(LogicalQueueId::new(j as u32)) > 0) << j
+    })
 }
 
 #[cfg(test)]

@@ -66,11 +66,11 @@ impl<F: Fn(LogicalQueueId) -> u64 + ?Sized> RequestOracle for F {
 /// Counts and mask share one allocation, `[counts…, mask words…]`, so the
 /// mask word a credit or debit rewrites sits beside the counts the same slot
 /// touches rather than on a cache line of its own; the counts come first so
-/// that [`RequestLedger::get`] — asked 8–16 times per buffer-step inside a
-/// switch — indexes from the base. `credit` and `debit` rewrite the queue's
-/// mask bit from its new count unconditionally: a branch on the 0 ↔ non-0
-/// crossing would be data-dependent (in-fabric queues hover around zero),
-/// and the write goes to a line the count has just dirtied.
+/// that [`RequestLedger::get`] indexes from the base. `credit` and `debit`
+/// rewrite the queue's mask bit from its new count unconditionally: a
+/// branch on the 0 ↔ non-0 crossing would be data-dependent (in-fabric
+/// queues hover around zero), and the write goes to a line the count has
+/// just dirtied.
 #[derive(Debug, Clone)]
 pub struct RequestLedger {
     /// `[counts…, mask words…]`, split at `queues`.
@@ -105,6 +105,14 @@ impl RequestLedger {
     #[inline]
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// Mask word 0: bit `q` is set iff queue `q < 64` has requestable cells
+    /// (0 for a ledger of no queues). The whole requestable set when
+    /// `num_queues() <= 64`, as in every crossbar input buffer.
+    #[inline]
+    pub fn low_word(&self) -> u64 {
+        self.slots.get(self.queues).copied().unwrap_or(0)
     }
 
     /// `cells` more cells of `queue` became requestable.
@@ -230,6 +238,10 @@ mod tests {
                 assert_eq!(set, qi < n && ledger.get(q(qi)) > 0, "bit {qi} of {n}");
             }
         }
+        let low = (0..n.min(64)).fold(0u64, |word, qi| {
+            word | u64::from(ledger.get(q(qi)) > 0) << qi
+        });
+        assert_eq!(ledger.low_word(), low, "low word of {n}");
         assert_eq!(
             ledger.total(),
             (0..n).map(|qi| ledger.get(q(qi))).sum::<u64>()
@@ -317,6 +329,7 @@ mod tests {
     fn empty_spans_and_empty_ledgers_find_nothing() {
         let mut ledger = RequestLedger::new(0);
         assert_eq!(ledger.num_queues(), 0);
+        assert_eq!(ledger.low_word(), 0);
         assert_eq!(ledger.first_from(0, 0), None);
         assert_eq!(ledger.first_from(0, 5), None);
         for n in QUEUE_COUNTS {

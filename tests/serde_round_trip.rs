@@ -106,7 +106,6 @@ fn every_derive_site_round_trips_through_json() {
         request,
         bank: BankId::new(6),
         submitted_slot: 41,
-        skips: 2,
     });
     // The hand-written encoder adds the computed `loss_free`; the derived
     // decoder skips it as an unknown key.
