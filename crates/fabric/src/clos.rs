@@ -6,6 +6,8 @@
 //! the canonical scale-out topology: every ingress switch has one link to
 //! every middle switch, every middle switch one link to every egress switch,
 //! and with `m ≥ N` the fabric is rearrangeably non-blocking.
+//! [`ClosConfig::validate`] is the one check of this geometry and of the
+//! link provisioning below; [`ClosFabric::new`] panics with its message.
 //!
 //! # Inter-stage links and credit flow control
 //!
@@ -98,7 +100,7 @@
 
 use crate::faults::{FaultKind, FaultLedger, FaultPlan, ImpactCounters, LinkBoundary, StageFaults};
 use crate::report::{FabricRunReport, HistogramReport};
-use crate::switch::{FabricConfig, StageSink, VoqSwitch, FABRIC_CHUNK_SLOTS};
+use crate::switch::{FabricConfig, FabricConfigError, StageSink, VoqSwitch, FABRIC_CHUNK_SLOTS};
 use crate::transport::{SinkState, TransportConfig, TransportReport};
 use crate::ArbiterKind;
 use obs::{
@@ -219,7 +221,97 @@ impl ClosConfig {
     pub fn external_ports(&self) -> usize {
         self.ingress_switches * self.radix
     }
+
+    /// Checks that a Clos of this geometry and link provisioning can be
+    /// built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClosConfigError`] when an ingress/egress switch (`N`
+    /// ports) or a middle switch (`r` ports) fails
+    /// [`FabricConfig::validate`], `m` is outside `1..=N`, `link_capacity`
+    /// is 0 or above [`MAX_LINK_CAPACITY`], or `link_latency` is above
+    /// [`MAX_LINK_LATENCY`].
+    pub fn validate(&self) -> Result<(), ClosConfigError> {
+        for (ports, sizes) in [
+            (
+                self.radix,
+                "the radix N sizes the ingress and egress switches",
+            ),
+            (
+                self.ingress_switches,
+                "the ingress switch count r sizes the middle switches",
+            ),
+        ] {
+            FabricConfig::new(ports)
+                .validate()
+                .map_err(|e| ClosConfigError::Switch(sizes, e))?;
+        }
+        if !(1..=self.radix).contains(&self.middle_switches) {
+            return Err(ClosConfigError::MiddleOutOfRange(
+                self.middle_switches,
+                self.radix,
+            ));
+        }
+        if self.link_capacity == 0 {
+            return Err(ClosConfigError::NoLinkCredit);
+        }
+        let capacity = (
+            "link_capacity",
+            MAX_LINK_CAPACITY as u64,
+            self.link_capacity as u64,
+        );
+        let latency = ("link_latency", MAX_LINK_LATENCY, self.link_latency);
+        match [capacity, latency]
+            .into_iter()
+            .find(|&(_, bound, value)| value > bound)
+        {
+            Some((field, bound, value)) => {
+                Err(ClosConfigError::LinkOutOfRange(field, bound, value))
+            }
+            None => Ok(()),
+        }
+    }
 }
+
+/// Why a [`ClosConfig`] cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClosConfigError {
+    /// A stage's switches are invalid: the Clos parameter that sizes them,
+    /// and why.
+    Switch(&'static str, FabricConfigError),
+    /// The middle stage must satisfy `1 ≤ m ≤ N`: `m`, then `N`.
+    MiddleOutOfRange(usize, usize),
+    /// Inter-stage links need at least one credit.
+    NoLinkCredit,
+    /// A link field is above its bound ([`MAX_LINK_CAPACITY`] or
+    /// [`MAX_LINK_LATENCY`]): the field, the bound, the value.
+    LinkOutOfRange(&'static str, u64, u64),
+}
+
+impl std::fmt::Display for ClosConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClosConfigError::Switch(sizes, e) => write!(f, "{sizes}: {e}"),
+            ClosConfigError::MiddleOutOfRange(m, n) => {
+                write!(
+                    f,
+                    "middle switches must satisfy 1 <= m <= N, got m={m}, N={n}"
+                )
+            }
+            ClosConfigError::NoLinkCredit => {
+                f.write_str("inter-stage links need at least one credit, got 0")
+            }
+            ClosConfigError::LinkOutOfRange(field, bound, value) => write!(
+                f,
+                "{field} must be at most {bound}, got {value} (a larger value overflows the \
+                 link's credit or slot arithmetic)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ClosConfigError {}
 
 /// Flow identity riding beside the buffers: minted once at the external
 /// ingress line, preserved hop to hop while the cell itself is re-sequenced.
@@ -1292,38 +1384,24 @@ impl<B: PacketBuffer> ClosFabric<B> {
     ///
     /// # Panics
     ///
-    /// Panics when the geometry is invalid (`N < 2`, `r < 2`,
-    /// `m < 1`, `m > N`, `link_capacity < 1`), when `N` or `r` exceeds
-    /// [`MAX_CROSSBAR_PORTS`] (64: the ingress and egress switches are
-    /// `N`-port crossbars and the middle switches `r`-port ones), when
-    /// `link_capacity` exceeds [`MAX_LINK_CAPACITY`] or `link_latency`
-    /// exceeds [`MAX_LINK_LATENCY`], or when a built buffer's queue count
-    /// does not match its stage's radix.
-    ///
-    /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
-    #[expect(clippy::disallowed_methods, reason = "setup, not the slot loop")]
+    /// Panics with the [`ClosConfigError`] message when `config` fails
+    /// [`ClosConfig::validate`], or when a built buffer's queue count does
+    /// not match its stage's radix.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::panic,
+        reason = "setup, not the slot loop"
+    )]
     pub fn new<F: FnMut(ClosStage) -> B>(config: ClosConfig, mut build: F) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let ClosConfig {
             radix,
             ingress_switches: r,
             middle_switches: m,
             ..
         } = config;
-        assert!(radix >= 2, "ingress/egress switches need radix >= 2");
-        assert!(r >= 2, "a Clos needs at least 2 ingress switches");
-        assert!(
-            (1..=radix).contains(&m),
-            "middle switches must satisfy 1 <= m <= N"
-        );
-        assert!(config.link_capacity >= 1, "links need at least one credit");
-        assert!(
-            config.link_capacity <= MAX_LINK_CAPACITY,
-            "link_capacity must be at most {MAX_LINK_CAPACITY}"
-        );
-        assert!(
-            config.link_latency <= MAX_LINK_LATENCY,
-            "link_latency must be at most {MAX_LINK_LATENCY}"
-        );
         let mut config = config;
         config.link_latency = config.link_latency.max(1);
         let arbiter = config.arbiter;
@@ -2919,7 +2997,7 @@ mod tests {
 
     // ----- reliable transport (closed-loop) ---------------------------
 
-    use traffic::{ClosedLoopSource, DemandPattern, MatrixTrace};
+    use traffic::{ClosedLoopConfig, ClosedLoopSource, DemandPattern, MatrixTrace};
 
     /// Cut-through RADS buffers (granularity 1): every accepted cell is
     /// requestable immediately. Closed-loop transport needs this — batched
@@ -3000,8 +3078,11 @@ mod tests {
     fn transport_recovers_lost_cells_under_death_and_flap() {
         let config = ClosConfig::new(4, 4, 4);
         let t = TransportConfig {
-            rto_initial: 16,
-            rto_cap: 256,
+            sender: ClosedLoopConfig {
+                rto_initial: 16,
+                rto_cap: 256,
+                ..ClosedLoopConfig::default()
+            },
             ..TransportConfig::default()
         };
         let plan = death_and_flap_plan();
@@ -3029,10 +3110,12 @@ mod tests {
     fn goodput_recovers_after_the_fault_window_closes() {
         let config = ClosConfig::new(4, 4, 4);
         let t = TransportConfig {
-            rto_initial: 16,
-            rto_cap: 256,
+            sender: ClosedLoopConfig {
+                rto_initial: 16,
+                rto_cap: 256,
+                ..ClosedLoopConfig::default()
+            },
             goodput_bucket: 250,
-            ..TransportConfig::default()
         };
         let plan = death_and_flap_plan();
         let baseline = transport_clos(config, &t, None).run_transport(
@@ -3067,9 +3150,12 @@ mod tests {
     fn permanent_port_death_abandons_but_still_conserves() {
         let config = ClosConfig::new(3, 3, 3);
         let t = TransportConfig {
-            rto_initial: 8,
-            rto_cap: 64,
-            max_retries: 4,
+            sender: ClosedLoopConfig {
+                rto_initial: 8,
+                rto_cap: 64,
+                max_retries: 4,
+                ..ClosedLoopConfig::default()
+            },
             ..TransportConfig::default()
         };
         // A dead external ingress line refuses everything its source offers
@@ -3099,9 +3185,12 @@ mod tests {
     fn incast_mode_synchronizes_retries_and_still_delivers_exactly_once() {
         let config = ClosConfig::new(3, 3, 3);
         let t = TransportConfig {
-            rto_initial: 16,
-            rto_cap: 128,
-            cwnd_max: 16,
+            sender: ClosedLoopConfig {
+                rto_initial: 16,
+                rto_cap: 128,
+                cwnd_max: 16,
+                ..ClosedLoopConfig::default()
+            },
             ..TransportConfig::default()
         };
         let ext = config.external_ports();
@@ -3155,9 +3244,12 @@ mod tests {
     fn recorded_transport_run_replays_bit_identically_through_an_open_loop_fabric() {
         let config = ClosConfig::new(3, 3, 3);
         let t = TransportConfig {
-            rto_initial: 16,
-            rto_cap: 256,
-            max_retries: 6,
+            sender: ClosedLoopConfig {
+                rto_initial: 16,
+                rto_cap: 256,
+                max_retries: 6,
+                ..ClosedLoopConfig::default()
+            },
             ..TransportConfig::default()
         };
         // The late port death leaves its source retrying into an otherwise
@@ -3406,8 +3498,11 @@ mod tests {
     fn flight_recorder_captures_the_death_and_flap_lifecycle() {
         let config = ClosConfig::new(4, 4, 4);
         let t = TransportConfig {
-            rto_initial: 16,
-            rto_cap: 256,
+            sender: ClosedLoopConfig {
+                rto_initial: 16,
+                rto_cap: 256,
+                ..ClosedLoopConfig::default()
+            },
             ..TransportConfig::default()
         };
         let plan = death_and_flap_plan();
@@ -3469,7 +3564,7 @@ mod tests {
         let first = rt.first_injection_latency.as_ref().unwrap();
         assert_eq!(first.count, rt.acked_cells);
         assert!(
-            first.max >= t.rto_initial,
+            first.max >= t.sender.rto_initial,
             "a retransmitted cell waited out at least one timer: {first:?}"
         );
         // And the whole thing renders as a Chrome trace.

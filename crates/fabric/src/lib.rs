@@ -80,9 +80,9 @@ pub mod transport;
 
 pub use arbiter::{ArbiterKind, CrossbarArbiter, MAX_CROSSBAR_PORTS};
 pub use clos::{
-    ClosConfig, ClosFabric, ClosObsReport, ClosRunReport, ClosStage, ClosStageObsReport,
-    ClosStageReport, DispatchPolicy, SeriesReport, TraceReport, MAX_LINK_CAPACITY,
-    MAX_LINK_LATENCY,
+    ClosConfig, ClosConfigError, ClosFabric, ClosObsReport, ClosRunReport, ClosStage,
+    ClosStageObsReport, ClosStageReport, DispatchPolicy, SeriesReport, TraceReport,
+    MAX_LINK_CAPACITY, MAX_LINK_LATENCY,
 };
 pub use egress::EgressPort;
 pub use faults::{
@@ -90,5 +90,7 @@ pub use faults::{
 };
 pub use port::PortBuffer;
 pub use report::{EgressReport, FabricRunReport, HistogramReport, PortReport};
-pub use switch::{FabricConfig, NullSink, StageSink, VoqSwitch, FABRIC_CHUNK_SLOTS};
+pub use switch::{
+    FabricConfig, FabricConfigError, NullSink, StageSink, VoqSwitch, FABRIC_CHUNK_SLOTS,
+};
 pub use transport::{RecoveryReport, TransportConfig, TransportReport};

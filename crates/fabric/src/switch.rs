@@ -49,7 +49,7 @@
     )
 )]
 
-use crate::arbiter::{ArbiterKind, CrossbarArbiter};
+use crate::arbiter::{ArbiterKind, CrossbarArbiter, MAX_CROSSBAR_PORTS};
 use crate::egress::EgressPort;
 use crate::report::{EgressReport, FabricRunReport, PortReport};
 use pktbuf::PacketBuffer;
@@ -111,7 +111,44 @@ impl FabricConfig {
             arbiter: ArbiterKind::Islip { iterations: 0 },
         }
     }
+
+    /// Checks that a switch of this shape can be built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricConfigError`] when the port count is outside
+    /// `2..=`[`MAX_CROSSBAR_PORTS`].
+    pub fn validate(&self) -> Result<(), FabricConfigError> {
+        if (2..=MAX_CROSSBAR_PORTS).contains(&self.ports) {
+            Ok(())
+        } else {
+            Err(FabricConfigError::PortsOutOfRange(self.ports))
+        }
+    }
 }
+
+/// Why a [`FabricConfig`] cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricConfigError {
+    /// A switch is one crossbar: 2 to [`MAX_CROSSBAR_PORTS`] ports (one mask
+    /// word per arbiter row; build larger fabrics as a [`crate::ClosFabric`]).
+    PortsOutOfRange(usize),
+}
+
+impl std::fmt::Display for FabricConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FabricConfigError::PortsOutOfRange(p) => {
+                write!(
+                    f,
+                    "a crossbar takes 2 to {MAX_CROSSBAR_PORTS} ports, got {p}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for FabricConfigError {}
 
 /// An `N×N` virtual-output-queued switch over any [`PacketBuffer`] design.
 ///
@@ -145,20 +182,21 @@ impl<B: PacketBuffer> VoqSwitch<B> {
     ///
     /// # Panics
     ///
-    /// Panics when the port count is outside `2..=`[`MAX_CROSSBAR_PORTS`]
-    /// (64, one mask word per arbiter row; build larger fabrics as a
-    /// [`crate::ClosFabric`]), does not match the configuration, or any
-    /// buffer's queue count differs from the port count (VOQ shape).
-    ///
-    /// [`MAX_CROSSBAR_PORTS`]: crate::MAX_CROSSBAR_PORTS
+    /// Panics with the [`FabricConfigError`] message when `config` fails
+    /// [`FabricConfig::validate`], or when the buffer count does not match
+    /// the port count or any buffer's queue count differs from it (VOQ
+    /// shape).
     #[expect(
         clippy::disallowed_macros,
         clippy::disallowed_methods,
+        clippy::panic,
         reason = "setup, not the slot loop"
     )]
     pub fn new(config: FabricConfig, buffers: Vec<B>) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let ports = config.ports;
-        assert!(ports >= 2, "a fabric needs at least 2 ports");
         assert_eq!(buffers.len(), ports, "one ingress buffer per port");
         for (i, buffer) in buffers.iter().enumerate() {
             assert_eq!(

@@ -7,7 +7,9 @@
 //! [`traffic::ClosedLoopSource`]): egress ports acknowledge every delivered
 //! cell on the existing credit-return path and deduplicate retransmitted
 //! copies, so the run as a whole provides exactly-once delivery on top of a
-//! lossy fabric.
+//! lossy fabric. [`TransportConfig`] holds the senders' parameters as the
+//! `traffic` crate declares them ([`traffic::ClosedLoopConfig`]) next to the
+//! sink's goodput bucket.
 //!
 //! End-to-end conservation nests the PR-8 fault ledger one level up. The
 //! fabric-level identity (arrivals = delivered + resident + drops + …) still
@@ -54,23 +56,13 @@
 use serde::Serialize;
 use std::collections::BTreeSet;
 
-/// Parameters of the reliable transport layered over a Clos run.
-///
-/// The sender-side fields mirror [`traffic::ClosedLoopConfig`] (see
-/// [`TransportConfig::source_params`]); `goodput_bucket` is the sink-side
-/// histogram resolution used by the recovery metric.
+/// Parameters of the reliable transport layered over a Clos run: the
+/// sending sources' [`traffic::ClosedLoopConfig`] and the sink-side
+/// histogram resolution the recovery metric reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
-    /// Initial / minimum retransmission timeout, in slots.
-    pub rto_initial: u64,
-    /// Upper bound on any backed-off RTO, in slots.
-    pub rto_cap: u64,
-    /// Retransmission attempts before a cell is abandoned.
-    pub max_retries: u32,
-    /// Initial AIMD congestion window, in cells.
-    pub cwnd_init: u64,
-    /// Maximum AIMD congestion window, in cells.
-    pub cwnd_max: u64,
+    /// Timers and window of every closed-loop source.
+    pub sender: traffic::ClosedLoopConfig,
     /// Goodput histogram bucket width, in slots (clamped to ≥ 1).
     pub goodput_bucket: u64,
 }
@@ -78,28 +70,18 @@ pub struct TransportConfig {
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            rto_initial: 32,
-            rto_cap: 1024,
-            max_retries: 32,
-            cwnd_init: 2,
-            cwnd_max: 32,
+            sender: traffic::ClosedLoopConfig::default(),
             goodput_bucket: 200,
         }
     }
 }
 
 impl TransportConfig {
-    /// The sender-side slice of this config, for building
+    /// The sender parameters clamped into their valid ranges
+    /// ([`traffic::ClosedLoopConfig::normalized`]), for building
     /// [`traffic::ClosedLoopSource`]s.
     pub fn source_params(&self) -> traffic::ClosedLoopConfig {
-        traffic::ClosedLoopConfig {
-            rto_initial: self.rto_initial,
-            rto_cap: self.rto_cap,
-            max_retries: self.max_retries,
-            cwnd_init: self.cwnd_init,
-            cwnd_max: self.cwnd_max,
-        }
-        .normalized()
+        self.sender.normalized()
     }
 }
 
@@ -358,28 +340,5 @@ mod tests {
         assert!(sink.deliver(0, 2, 0, 0));
         assert_eq!(sink.delivered_unique(), 3);
         assert_eq!(sink.duplicates_filtered(), 0);
-    }
-
-    #[test]
-    fn source_params_round_trips_the_sender_fields() {
-        let cfg = TransportConfig {
-            rto_initial: 7,
-            rto_cap: 70,
-            max_retries: 5,
-            cwnd_init: 3,
-            cwnd_max: 9,
-            goodput_bucket: 50,
-        };
-        let p = cfg.source_params();
-        assert_eq!(
-            (
-                p.rto_initial,
-                p.rto_cap,
-                p.max_retries,
-                p.cwnd_init,
-                p.cwnd_max
-            ),
-            (7, 70, 5, 3, 9)
-        );
     }
 }

@@ -31,8 +31,7 @@ use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameErr
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
 use ::fabric::{
-    ClosConfig, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError,
-    MAX_CROSSBAR_PORTS, MAX_LINK_CAPACITY, MAX_LINK_LATENCY,
+    ClosConfig, ClosConfigError, ClosFabric, ClosStage, DispatchPolicy, FaultPlan, FaultPlanError,
 };
 use pktbuf::PacketBuffer;
 use pktbuf_model::{ConfigError, ConfigOverrides, RadsConfig};
@@ -156,7 +155,10 @@ serde_via_string!(TransportMode, "a transport mode name (sweep, incast)");
 /// tails as permanent residents that a reliable sender would retransmit
 /// forever; [`ClosScenario::validate`] enforces this.
 ///
-/// As JSON, omitted keys keep the [`Default`] values and unknown keys are
+/// This is the flat JSON form of [`fabric::TransportConfig`]: the five
+/// sender fields are [`traffic::ClosedLoopConfig`]'s, written at the top
+/// level (the vendored serde derive cannot flatten a nested struct). As
+/// JSON, omitted keys keep the [`Default`] values and unknown keys are
 /// rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(default, deny_unknown_fields)]
@@ -181,29 +183,34 @@ pub struct TransportScenario {
 
 impl Default for TransportScenario {
     fn default() -> Self {
-        let t = ::fabric::TransportConfig::default();
+        let ::fabric::TransportConfig {
+            sender: s,
+            goodput_bucket,
+        } = ::fabric::TransportConfig::default();
         TransportScenario {
             mode: TransportMode::Sweep,
             incast_target: 0,
-            rto_initial: t.rto_initial,
-            rto_cap: t.rto_cap,
-            max_retries: t.max_retries,
-            cwnd_init: t.cwnd_init,
-            cwnd_max: t.cwnd_max,
-            goodput_bucket: t.goodput_bucket,
+            rto_initial: s.rto_initial,
+            rto_cap: s.rto_cap,
+            max_retries: s.max_retries,
+            cwnd_init: s.cwnd_init,
+            cwnd_max: s.cwnd_max,
+            goodput_bucket,
         }
     }
 }
 
 impl TransportScenario {
-    /// The fabric-crate transport configuration.
+    /// The fabric-crate transport configuration, fields as given (unclamped).
     pub fn to_config(self) -> ::fabric::TransportConfig {
         ::fabric::TransportConfig {
-            rto_initial: self.rto_initial,
-            rto_cap: self.rto_cap,
-            max_retries: self.max_retries,
-            cwnd_init: self.cwnd_init,
-            cwnd_max: self.cwnd_max,
+            sender: traffic::ClosedLoopConfig {
+                rto_initial: self.rto_initial,
+                rto_cap: self.rto_cap,
+                max_retries: self.max_retries,
+                cwnd_init: self.cwnd_init,
+                cwnd_max: self.cwnd_max,
+            },
             goodput_bucket: self.goodput_bucket,
         }
     }
@@ -306,21 +313,10 @@ impl ObsScenario {
 /// Why a Clos scenario is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClosScenarioError {
-    /// Ingress/egress switches are `N`-port crossbars: 2 ≤ `N` ≤
-    /// [`MAX_CROSSBAR_PORTS`].
-    BadRadix(usize),
-    /// The `r` ingress switches make the middle switches `r`-port crossbars:
-    /// 2 ≤ `r` ≤ [`MAX_CROSSBAR_PORTS`].
-    IngressOutOfRange(usize),
-    /// The middle stage must satisfy `1 ≤ m ≤ N`.
-    BadMiddle(usize, usize),
+    /// The geometry or link provisioning fails [`ClosConfig::validate`].
+    Geometry(ClosConfigError),
     /// Offered load must stay in (0, 100] percent.
     BadLoad(u64),
-    /// Inter-stage links need at least one credit.
-    BadLinkCapacity(usize),
-    /// A link field is above its bound ([`MAX_LINK_CAPACITY`] or
-    /// [`MAX_LINK_LATENCY`]): the field, the bound, the value.
-    LinkOutOfRange(&'static str, u64, u64),
     /// A per-stage buffer configuration is invalid.
     Config(ConfigError),
     /// The fault plan does not fit the geometry or is malformed.
@@ -341,34 +337,9 @@ pub enum ClosScenarioError {
 impl fmt::Display for ClosScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClosScenarioError::BadRadix(n) => write!(
-                f,
-                "the radix N sizes the ingress and egress switches: a crossbar takes 2 to \
-                 {MAX_CROSSBAR_PORTS} ports, got {n}"
-            ),
-            ClosScenarioError::IngressOutOfRange(r) => write!(
-                f,
-                "the ingress switch count r sizes the middle switches: a crossbar takes 2 to \
-                 {MAX_CROSSBAR_PORTS} ports, got {r}"
-            ),
-            ClosScenarioError::BadMiddle(m, n) => {
-                write!(
-                    f,
-                    "middle switches must satisfy 1 <= m <= N, got m={m}, N={n}"
-                )
-            }
+            ClosScenarioError::Geometry(e) => e.fmt(f),
             ClosScenarioError::BadLoad(pct) => {
                 write!(f, "offered load must be in (0, 100] percent, got {pct}")
-            }
-            ClosScenarioError::BadLinkCapacity(c) => {
-                write!(f, "inter-stage links need at least one credit, got {c}")
-            }
-            ClosScenarioError::LinkOutOfRange(field, bound, value) => {
-                write!(
-                    f,
-                    "{field} must be at most {bound}, got {value} (a larger value overflows \
-                     the link's credit or slot arithmetic)"
-                )
             }
             ClosScenarioError::Config(e) => write!(f, "stage buffer configuration: {e}"),
             ClosScenarioError::Faults(e) => write!(f, "fault plan: {e}"),
@@ -575,37 +546,11 @@ impl ClosScenario {
     /// provisioning, a transport parameter or any stage buffer configuration
     /// is invalid.
     pub fn validate(&self) -> Result<(), ClosScenarioError> {
-        let crossbar = 2..=MAX_CROSSBAR_PORTS;
-        if !crossbar.contains(&self.radix) {
-            return Err(ClosScenarioError::BadRadix(self.radix));
-        }
-        if !crossbar.contains(&self.ingress_switches) {
-            return Err(ClosScenarioError::IngressOutOfRange(self.ingress_switches));
-        }
-        if !(1..=self.radix).contains(&self.middle_switches) {
-            return Err(ClosScenarioError::BadMiddle(
-                self.middle_switches,
-                self.radix,
-            ));
-        }
+        self.clos_config()
+            .validate()
+            .map_err(ClosScenarioError::Geometry)?;
         if self.load_percent == 0 || self.load_percent > 100 {
             return Err(ClosScenarioError::BadLoad(self.load_percent));
-        }
-        if self.link_capacity < 1 {
-            return Err(ClosScenarioError::BadLinkCapacity(self.link_capacity));
-        }
-        if let Some((field, bound, value)) = [
-            (
-                "link_capacity",
-                MAX_LINK_CAPACITY as u64,
-                self.link_capacity as u64,
-            ),
-            ("link_latency", MAX_LINK_LATENCY, self.link_latency),
-        ]
-        .into_iter()
-        .find(|&(_, bound, value)| value > bound)
-        {
-            return Err(ClosScenarioError::LinkOutOfRange(field, bound, value));
         }
         self.faults
             .validate(self.radix, self.ingress_switches, self.middle_switches)
@@ -625,15 +570,7 @@ impl ClosScenario {
                     self.external_ports(),
                 ));
             }
-            // The fields as given: `source_params` would clamp them.
-            let given = traffic::ClosedLoopConfig {
-                rto_initial: t.rto_initial,
-                rto_cap: t.rto_cap,
-                max_retries: t.max_retries,
-                cwnd_init: t.cwnd_init,
-                cwnd_max: t.cwnd_max,
-            };
-            if let Some((field, bound, value)) = given.out_of_range() {
+            if let Some((field, bound, value)) = t.to_config().sender.out_of_range() {
                 return Err(ClosScenarioError::TransportOutOfRange(field, bound, value));
             }
         }
@@ -1270,32 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_links_past_their_bounds() {
-        let at_bounds = ClosScenario {
-            link_capacity: MAX_LINK_CAPACITY,
-            link_latency: MAX_LINK_LATENCY,
-            ..ClosScenario::small()
-        };
-        assert_eq!(at_bounds.validate(), Ok(()));
-        let wide = ClosScenario {
-            link_capacity: MAX_LINK_CAPACITY + 1,
-            ..ClosScenario::small()
-        };
-        assert_eq!(
-            wide.validate().unwrap_err(),
-            ClosScenarioError::LinkOutOfRange("link_capacity", u64::from(u32::MAX), 1 << 32)
-        );
-        let slow = ClosScenario {
-            link_latency: u64::MAX,
-            ..ClosScenario::small()
-        };
-        assert_eq!(
-            slow.validate().unwrap_err(),
-            ClosScenarioError::LinkOutOfRange("link_latency", 1 << 32, u64::MAX)
-        );
-    }
-
-    #[test]
     fn transport_scenario_round_trips_through_json() {
         let scenario = ClosScenario {
             transport: Some(TransportScenario {
@@ -1418,60 +1329,83 @@ mod tests {
     #[test]
     fn scenario_validation_catches_bad_parameters() {
         assert!(ClosScenario::small().validate().is_ok());
-        let bad = |s: ClosScenario| s.validate().unwrap_err();
-        assert_eq!(
-            bad(ClosScenario {
-                radix: 1,
-                ..ClosScenario::small()
-            }),
-            ClosScenarioError::BadRadix(1)
-        );
-        assert_eq!(
-            bad(ClosScenario {
-                ingress_switches: 1,
-                ..ClosScenario::small()
-            }),
-            ClosScenarioError::IngressOutOfRange(1)
-        );
-        // One word per arbiter row: N sizes the outer switches and r the
-        // middle ones, so each stops at 64.
-        for (radix, ingress_switches, verdict) in [
-            (64, 4, Ok(())),
-            (4, 64, Ok(())),
-            (65, 4, Err(ClosScenarioError::BadRadix(65))),
-            (4, 65, Err(ClosScenarioError::IngressOutOfRange(65))),
+        // One invalid field each: the geometry is checked by
+        // `ClosConfig::validate`, and the message is its text, unwrapped.
+        let small = ClosScenario::small;
+        for (scenario, message) in [
+            (
+                ClosScenario {
+                    radix: 1,
+                    ..small()
+                },
+                "the radix N sizes the ingress and egress switches: a crossbar takes 2 to 64 \
+                 ports, got 1",
+            ),
+            (
+                ClosScenario {
+                    radix: 65,
+                    ..small()
+                },
+                "the radix N sizes the ingress and egress switches: a crossbar takes 2 to 64 \
+                 ports, got 65",
+            ),
+            (
+                ClosScenario {
+                    ingress_switches: 65,
+                    ..small()
+                },
+                "the ingress switch count r sizes the middle switches: a crossbar takes 2 to 64 \
+                 ports, got 65",
+            ),
+            (
+                ClosScenario {
+                    middle_switches: 5,
+                    ..small()
+                },
+                "middle switches must satisfy 1 <= m <= N, got m=5, N=4",
+            ),
+            (
+                ClosScenario {
+                    link_capacity: 0,
+                    ..small()
+                },
+                "inter-stage links need at least one credit, got 0",
+            ),
+            (
+                ClosScenario {
+                    link_capacity: 1 << 32,
+                    ..small()
+                },
+                "link_capacity must be at most 4294967295, got 4294967296 (a larger value \
+                 overflows the link's credit or slot arithmetic)",
+            ),
+            (
+                ClosScenario {
+                    link_latency: u64::MAX,
+                    ..small()
+                },
+                "link_latency must be at most 4294967296, got 18446744073709551615 (a larger \
+                 value overflows the link's credit or slot arithmetic)",
+            ),
+            (
+                ClosScenario {
+                    load_percent: 0,
+                    ..small()
+                },
+                "offered load must be in (0, 100] percent, got 0",
+            ),
         ] {
-            let scenario = ClosScenario {
-                radix,
-                ingress_switches,
-                ..ClosScenario::small()
-            };
-            assert_eq!(
-                scenario.validate(),
-                verdict,
-                "N = {radix}, r = {ingress_switches}"
-            );
+            assert_eq!(scenario.validate().unwrap_err().to_string(), message);
         }
         assert_eq!(
-            bad(ClosScenario {
-                middle_switches: 5,
-                ..ClosScenario::small()
-            }),
-            ClosScenarioError::BadMiddle(5, 4)
-        );
-        assert_eq!(
-            bad(ClosScenario {
-                load_percent: 0,
-                ..ClosScenario::small()
-            }),
-            ClosScenarioError::BadLoad(0)
-        );
-        assert_eq!(
-            bad(ClosScenario {
-                link_capacity: 0,
-                ..ClosScenario::small()
-            }),
-            ClosScenarioError::BadLinkCapacity(0)
+            ClosScenario {
+                middle_switches: 0,
+                ..small()
+            }
+            .validate(),
+            Err(ClosScenarioError::Geometry(
+                ClosConfigError::MiddleOutOfRange(0, 4)
+            ))
         );
         let bad_cfds = ClosScenario {
             design: FabricDesign::Fixed(DesignKind::Cfds),

@@ -15,7 +15,6 @@
 use pktbuf::{BufferStats, GrantSink, PacketBuffer};
 use pktbuf_model::{Cell, LogicalQueueId};
 use serde::{Serialize, Serializer};
-use std::sync::Mutex;
 use traffic::{ArrivalGenerator, RequestGenerator};
 
 /// Result of one simulation run.
@@ -25,10 +24,13 @@ pub struct SimulationReport {
     /// buffer's static name — reports are built once per run and must not
     /// allocate a fresh `String` each time.
     pub design: &'static str,
-    /// Workload name (`"{arrivals}+{requests}"`). Interned: the known
-    /// generator combinations resolve to static labels so building a report
-    /// allocates nothing (see [`workload_label`]).
-    pub workload: &'static str,
+    /// Name of the arrival generator ([`ArrivalGenerator::name`]).
+    pub arrivals: &'static str,
+    /// Name of the request generator ([`RequestGenerator::name`]). JSON
+    /// writes the two names as one `"workload": "{arrivals}+{requests}"`
+    /// field, built at serialization so that building a report allocates
+    /// nothing.
+    pub requests: &'static str,
     /// Slots simulated, including the drain phase.
     pub slots: u64,
     /// Buffer statistics at the end of the run.
@@ -38,92 +40,16 @@ pub struct SimulationReport {
     pub grant_log: Option<Vec<u32>>,
 }
 
-/// Builds one `"{arrivals}+{requests}"` label table row per known generator
-/// pair, with the combined label computed at compile time.
-macro_rules! label_table {
-    ($(($arrivals:literal, $requests:literal)),* $(,)?) => {
-        &[$(($arrivals, $requests, concat!($arrivals, "+", $requests))),*]
-    };
-}
-
-/// Every generator pairing reachable through the `traffic` crate's shipped
-/// generators: 5 arrival sources × 4 request sources. Scenario-built
-/// workloads use 9 of these (`scenario_workloads_resolve_to_known_labels`
-/// pins that every one resolves here, never through [`DYNAMIC_LABELS`]); the
-/// rest cover hand-composed engines.
-static KNOWN_LABELS: &[(&str, &str, &str)] = label_table![
-    ("uniform", "adversarial-round-robin"),
-    ("uniform", "uniform-random"),
-    ("uniform", "greedy-queue-drain"),
-    ("uniform", "hotspot"),
-    ("bursty", "adversarial-round-robin"),
-    ("bursty", "uniform-random"),
-    ("bursty", "greedy-queue-drain"),
-    ("bursty", "hotspot"),
-    ("hotspot", "adversarial-round-robin"),
-    ("hotspot", "uniform-random"),
-    ("hotspot", "greedy-queue-drain"),
-    ("hotspot", "hotspot"),
-    ("round-robin", "adversarial-round-robin"),
-    ("round-robin", "uniform-random"),
-    ("round-robin", "greedy-queue-drain"),
-    ("round-robin", "hotspot"),
-    ("preload-only", "adversarial-round-robin"),
-    ("preload-only", "uniform-random"),
-    ("preload-only", "greedy-queue-drain"),
-    ("preload-only", "hotspot"),
-];
-
-/// Labels interned at run time for generator names outside [`KNOWN_LABELS`]
-/// (custom generators). Bounded by the number of *distinct* pairings ever
-/// simulated in the process.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "a const-initialised static; Vec::new does not allocate"
-)]
-static DYNAMIC_LABELS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// The report label for an `"{arrivals}+{requests}"` workload, as a static
-/// string: known pairings come from a compile-time table (no allocation —
-/// report construction stays on the allocation-free slot path), unknown ones
-/// are interned once per distinct pairing and leaked.
-#[expect(
-    clippy::expect_used,
-    clippy::disallowed_macros,
-    reason = "labels are resolved once per run, before the slot loop"
-)]
-pub fn workload_label(arrivals: &str, requests: &str) -> &'static str {
-    for (a, r, label) in KNOWN_LABELS {
-        if *a == arrivals && *r == requests {
-            return label;
-        }
-    }
-    let mut dynamic = DYNAMIC_LABELS.lock().expect("label intern table poisoned");
-    if let Some(label) = dynamic
-        .iter()
-        .find(|l| {
-            l.len() == arrivals.len() + 1 + requests.len()
-                && l.starts_with(arrivals)
-                && l.ends_with(requests)
-                && l.as_bytes()[arrivals.len()] == b'+'
-        })
-        .copied()
-    {
-        return label;
-    }
-    let label: &'static str = Box::leak(format!("{arrivals}+{requests}").into_boxed_str());
-    dynamic.push(label);
-    label
-}
-
-// Hand-written (the derive has no computed fields): `grants_per_slot` is
-// derived from the counters. Reports are write-only: there is no Deserialize.
+// Hand-written (the derive has no computed fields): `workload` joins the
+// two generator names and `grants_per_slot` is derived from the counters.
+// Reports are write-only: there is no Deserialize.
 impl Serialize for SimulationReport {
+    #[expect(clippy::disallowed_macros, reason = "serialization, once per report")]
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct as _;
         let mut st = serializer.serialize_struct("SimulationReport", 6)?;
         st.serialize_field("design", &self.design)?;
-        st.serialize_field("workload", &self.workload)?;
+        st.serialize_field("workload", &format!("{}+{}", self.arrivals, self.requests))?;
         st.serialize_field("slots", &self.slots)?;
         st.serialize_field("grants_per_slot", &self.grants_per_slot())?;
         st.serialize_field("stats", &self.stats)?;
@@ -213,7 +139,6 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
     ) -> SimulationReport {
         #[expect(clippy::disallowed_methods, reason = "once per run, before the loop")]
         let mut grant_log = self.record_grants.then(Vec::new);
-        let workload = workload_label(arrivals.name(), requests.name());
         let buffer = self.buffer;
         // The drain flush horizon is a fixed property of the pipeline; query
         // it once instead of once per drain decision.
@@ -257,7 +182,8 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
 
         SimulationReport {
             design: buffer.design_name(),
-            workload,
+            arrivals: arrivals.name(),
+            requests: requests.name(),
             slots: buffer.current_slot(),
             stats: *buffer.stats(),
             grant_log,
@@ -350,7 +276,6 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
         requests: &mut R,
         active_slots: u64,
     ) -> SimulationReport {
-        let workload = workload_label(arrivals.name(), requests.name());
         let mut sink = GrantSink::new(self.record_grants);
         let buffer = self.buffer;
         // The drain flush horizon is a fixed property of the pipeline; query
@@ -415,7 +340,8 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
 
         SimulationReport {
             design: buffer.design_name(),
-            workload,
+            arrivals: arrivals.name(),
+            requests: requests.name(),
             slots: buffer.current_slot(),
             stats: *buffer.stats(),
             grant_log: sink.into_log(),
@@ -426,32 +352,70 @@ impl<'a, B: PacketBuffer> SimulationEngine<'a, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Scenario, Workload};
     use pktbuf::{CfdsBuffer, PacketBuffer, RadsBuffer};
-    use pktbuf_model::{CfdsConfig, RadsConfig};
+    use pktbuf_model::{CfdsConfig, RadsConfig, RequestOracle, RequestSource};
     use traffic::{AdversarialRoundRobin, UniformArrivals};
 
+    /// A shipped generator under a name of its own, as a custom generator
+    /// outside the `traffic` crate would have.
+    struct Renamed<G>(G);
+
+    impl<G: ArrivalGenerator> ArrivalGenerator for Renamed<G> {
+        fn next(&mut self, slot: u64) -> Option<Cell> {
+            self.0.next(slot)
+        }
+
+        fn num_queues(&self) -> usize {
+            self.0.num_queues()
+        }
+
+        fn name(&self) -> &'static str {
+            "replayed"
+        }
+    }
+
+    impl<G: RequestSource> RequestSource for Renamed<G> {
+        fn next_request<O>(&mut self, slot: u64, requestable: &O) -> Option<LogicalQueueId>
+        where
+            O: RequestOracle + ?Sized,
+        {
+            self.0.next_request(slot, requestable)
+        }
+
+        fn idle_skippable(&self) -> bool {
+            self.0.idle_skippable()
+        }
+    }
+
+    impl<G: RequestSource> RequestGenerator for Renamed<G> {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+    }
+
     #[test]
-    fn scenario_workloads_resolve_to_known_labels() {
-        // Every generator pair a `Scenario` can build must hit the
-        // compile-time table: a miss would send report construction through
-        // the allocating, leaking `DYNAMIC_LABELS` path on every lab run.
-        for workload in Workload::all() {
-            for (arrival_slots, preload) in [(300, 0), (0, 16)] {
-                let report = Scenario {
-                    workload,
-                    arrival_slots,
-                    preload_cells_per_queue: preload,
-                    ..Scenario::small_cfds()
-                }
-                .run();
-                assert!(
-                    KNOWN_LABELS.iter().any(|(_, _, l)| *l == report.workload),
-                    "{workload:?} (live={}) reports {:?}, not in KNOWN_LABELS",
-                    arrival_slots > 0,
-                    report.workload
-                );
-            }
+    fn custom_generators_name_the_workload() {
+        let cfg = RadsConfig {
+            num_queues: 4,
+            granularity: 4,
+            lookahead: None,
+        };
+        for chunked in [false, true] {
+            let mut buf = RadsBuffer::new(cfg);
+            let engine = SimulationEngine::new_mono(&mut buf);
+            let mut arrivals = Renamed(UniformArrivals::new(4, 0.5, 3));
+            let mut requests = Renamed(AdversarialRoundRobin::new(4));
+            let report = if chunked {
+                engine.run_chunked(&mut arrivals, &mut requests, 500)
+            } else {
+                engine.run(&mut arrivals, &mut requests, 500)
+            };
+            assert_eq!((report.arrivals, report.requests), ("replayed", "scripted"));
+            let json = serde_json::to_string(&report).unwrap();
+            assert!(
+                json.starts_with(r#"{"design":"RADS","workload":"replayed+scripted","slots":"#),
+                "{json}"
+            );
         }
     }
 
@@ -471,7 +435,10 @@ mod tests {
                 2_000,
             );
         assert_eq!(report.design, "RADS");
-        assert_eq!(report.workload, "uniform+adversarial-round-robin");
+        assert_eq!(
+            (report.arrivals, report.requests),
+            ("uniform", "adversarial-round-robin")
+        );
         assert!(report.stats.is_loss_free(), "{:?}", report.stats);
         assert!(report.stats.grants > 0);
         assert!(report.grants_per_slot() > 0.0);

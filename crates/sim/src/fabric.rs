@@ -45,7 +45,7 @@ use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
 use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::Sweep;
 pub use ::fabric::FabricRunReport;
-use ::fabric::{ArbiterKind, FabricConfig, VoqSwitch, MAX_CROSSBAR_PORTS};
+use ::fabric::{ArbiterKind, FabricConfig, FabricConfigError, VoqSwitch};
 use pktbuf::PacketBuffer;
 use pktbuf_model::{CfdsConfig, ConfigError, ConfigOverrides};
 use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
@@ -226,8 +226,8 @@ serde_via_string!(ArbiterChoice, "an arbiter name (islip, maximal)");
 /// Why a fabric scenario is invalid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricScenarioError {
-    /// A fabric is one crossbar: 2 to [`MAX_CROSSBAR_PORTS`] ports.
-    PortsOutOfRange(usize),
+    /// The port count fails [`FabricConfig::validate`].
+    Geometry(FabricConfigError),
     /// Offered load must stay in (0, 100] percent.
     BadLoad(u64),
     /// A per-port buffer configuration is invalid.
@@ -237,12 +237,7 @@ pub enum FabricScenarioError {
 impl fmt::Display for FabricScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FabricScenarioError::PortsOutOfRange(p) => {
-                write!(
-                    f,
-                    "a crossbar takes 2 to {MAX_CROSSBAR_PORTS} ports, got {p}"
-                )
-            }
+            FabricScenarioError::Geometry(e) => e.fmt(f),
             FabricScenarioError::BadLoad(pct) => {
                 write!(f, "offered load must be in (0, 100] percent, got {pct}")
             }
@@ -355,9 +350,9 @@ impl FabricScenario {
     /// Returns [`FabricScenarioError`] when the port count, load or any
     /// per-port buffer configuration is invalid.
     pub fn validate(&self) -> Result<(), FabricScenarioError> {
-        if !(2..=MAX_CROSSBAR_PORTS).contains(&self.ports) {
-            return Err(FabricScenarioError::PortsOutOfRange(self.ports));
-        }
+        self.fabric_config()
+            .validate()
+            .map_err(FabricScenarioError::Geometry)?;
         if self.load_percent == 0 || self.load_percent > 100 {
             return Err(FabricScenarioError::BadLoad(self.load_percent));
         }
@@ -755,12 +750,19 @@ mod tests {
         };
         assert_eq!(
             too_small.validate(),
-            Err(FabricScenarioError::PortsOutOfRange(1))
+            Err(FabricScenarioError::Geometry(
+                FabricConfigError::PortsOutOfRange(1)
+            ))
         );
         // One word per arbiter row: 64 ports is the widest crossbar.
         for (ports, verdict) in [
             (64, Ok(())),
-            (65, Err(FabricScenarioError::PortsOutOfRange(65))),
+            (
+                65,
+                Err(FabricScenarioError::Geometry(
+                    FabricConfigError::PortsOutOfRange(65),
+                )),
+            ),
         ] {
             let scenario = FabricScenario {
                 ports,

@@ -127,6 +127,6 @@ pub use ::fabric::{
     FaultEvent, FaultKind, FaultLedger, FaultPlan, FaultPlanError, LinkBoundary, RecoveryReport,
     TransportConfig, TransportReport,
 };
-pub use engine::{workload_label, SimulationEngine, SimulationReport, CHUNK_SLOTS};
+pub use engine::{SimulationEngine, SimulationReport, CHUNK_SLOTS};
 pub use lab::{ExperimentReport, LabRunner};
 pub use spec::{ExperimentSpec, Sweep};

@@ -334,8 +334,7 @@ fn steady_state_slot_loop_is_allocation_free() {
 
     // And the whole *engine* path on a warm buffer: chunked arrival
     // generation, fused slot batches, the drain with its idle fast-forward,
-    // and — the point of the interned workload labels — the construction of
-    // the `SimulationReport` itself. The first run is the warm-up (rings and
+    // and the construction of the `SimulationReport` itself. The first run is the warm-up (rings and
     // pools grow to their high-water marks); the second, identical run must
     // not allocate at all.
     let warmup_slots = 60_000u64; // multiple of q: seq offsets line up below
@@ -365,8 +364,11 @@ fn steady_state_slot_loop_is_allocation_free() {
         after - before
     );
     assert!(report.stats.grants > 0, "engine run did no work");
-    // The label came out of the static intern table, not a fresh `String`.
-    assert_eq!(report.workload, "round-robin+adversarial-round-robin");
+    // The report carries the generators' static names, not a fresh `String`.
+    assert_eq!(
+        (report.arrivals, report.requests),
+        ("round-robin", "adversarial-round-robin")
+    );
     assert_eq!(report.design, "RADS");
     assert!(report.grant_log.is_none());
 
