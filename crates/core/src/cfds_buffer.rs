@@ -611,6 +611,16 @@ mod tests {
         assert_eq!(got, (26_994, 0, 0, 0, 44, 13_493, 13_497), "{stats:?}");
     }
 
+    /// Seed 3 with unbounded DRAM drops cells at the tail. Each is one
+    /// drop and nothing more: the grants after it skip its sequence number
+    /// in order.
+    #[test]
+    fn tail_drops_are_not_order_violations() {
+        let stats = random_eligible_run(3, None);
+        assert!(stats.drops > 0, "{stats:?}");
+        assert_eq!(stats.order_violations, 0, "{stats:?}");
+    }
+
     #[test]
     #[should_panic(expected = "multiple of the granularity")]
     fn preload_must_be_block_aligned() {

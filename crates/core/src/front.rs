@@ -401,6 +401,7 @@ impl<D: BackEnd> SlotLoop for HybridBuffer<D> {
                 delta.arrivals += 1;
             } else {
                 delta.drops += 1;
+                front.verifier.note_drop(cell.queue());
                 out.drop_arrival(cell);
             }
         }
