@@ -233,39 +233,31 @@ impl ClosConfig {
     /// is 0 or above [`MAX_LINK_CAPACITY`], or `link_latency` is above
     /// [`MAX_LINK_LATENCY`].
     pub fn validate(&self) -> Result<(), ClosConfigError> {
-        for (ports, sizes) in [
-            (
-                self.radix,
-                "the radix N sizes the ingress and egress switches",
-            ),
-            (
-                self.ingress_switches,
-                "the ingress switch count r sizes the middle switches",
-            ),
-        ] {
+        let stages = [
+            (ClosStage::Ingress, self.radix),
+            (ClosStage::Middle, self.ingress_switches),
+        ];
+        for (stage, ports) in stages {
             FabricConfig::new(ports)
                 .validate()
-                .map_err(|e| ClosConfigError::Switch(sizes, e))?;
+                .map_err(|e| ClosConfigError::Switch(stage, e))?;
         }
-        if !(1..=self.radix).contains(&self.middle_switches) {
-            return Err(ClosConfigError::MiddleOutOfRange(
-                self.middle_switches,
-                self.radix,
-            ));
+        let (m, n) = (self.middle_switches, self.radix);
+        if !(1..=n).contains(&m) {
+            return Err(ClosConfigError::MiddleOutOfRange(m, n));
         }
         if self.link_capacity == 0 {
             return Err(ClosConfigError::NoLinkCredit);
         }
-        let capacity = (
-            "link_capacity",
-            MAX_LINK_CAPACITY as u64,
-            self.link_capacity as u64,
-        );
-        let latency = ("link_latency", MAX_LINK_LATENCY, self.link_latency);
-        match [capacity, latency]
-            .into_iter()
-            .find(|&(_, bound, value)| value > bound)
-        {
+        let links = [
+            (
+                "link_capacity",
+                MAX_LINK_CAPACITY as u64,
+                self.link_capacity as u64,
+            ),
+            ("link_latency", MAX_LINK_LATENCY, self.link_latency),
+        ];
+        match links.into_iter().find(|&(_, bound, value)| value > bound) {
             Some((field, bound, value)) => {
                 Err(ClosConfigError::LinkOutOfRange(field, bound, value))
             }
@@ -277,9 +269,10 @@ impl ClosConfig {
 /// Why a [`ClosConfig`] cannot be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClosConfigError {
-    /// A stage's switches are invalid: the Clos parameter that sizes them,
-    /// and why.
-    Switch(&'static str, FabricConfigError),
+    /// A stage's switches are invalid crossbars: the ingress/egress
+    /// switches have `N` ports ([`ClosStage::Ingress`] here), the middle
+    /// ones `r` ([`ClosStage::Middle`]).
+    Switch(ClosStage, FabricConfigError),
     /// The middle stage must satisfy `1 ≤ m ≤ N`: `m`, then `N`.
     MiddleOutOfRange(usize, usize),
     /// Inter-stage links need at least one credit.
@@ -292,7 +285,15 @@ pub enum ClosConfigError {
 impl std::fmt::Display for ClosConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ClosConfigError::Switch(sizes, e) => write!(f, "{sizes}: {e}"),
+            ClosConfigError::Switch(ClosStage::Middle, e) => {
+                write!(
+                    f,
+                    "the ingress switch count r sizes the middle switches: {e}"
+                )
+            }
+            ClosConfigError::Switch(_, e) => {
+                write!(f, "the radix N sizes the ingress and egress switches: {e}")
+            }
             ClosConfigError::MiddleOutOfRange(m, n) => {
                 write!(
                     f,

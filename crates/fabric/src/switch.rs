@@ -137,14 +137,11 @@ pub enum FabricConfigError {
 
 impl std::fmt::Display for FabricConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FabricConfigError::PortsOutOfRange(p) => {
-                write!(
-                    f,
-                    "a crossbar takes 2 to {MAX_CROSSBAR_PORTS} ports, got {p}"
-                )
-            }
-        }
+        let FabricConfigError::PortsOutOfRange(p) = self;
+        write!(
+            f,
+            "a crossbar takes 2 to {MAX_CROSSBAR_PORTS} ports, got {p}"
+        )
     }
 }
 

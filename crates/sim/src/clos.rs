@@ -27,7 +27,7 @@ use crate::experiment::{self, Axis, Experiment};
 use crate::fabric::{ArbiterChoice, FabricDesign, FabricWorkload};
 use crate::lab::{LabReport, RunRecord};
 use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
-use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
+use crate::scenario::{parse_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::{SpecError, Sweep};
 pub use ::fabric::ClosRunReport;
 use ::fabric::{
@@ -82,16 +82,7 @@ impl FromStr for DispatchChoice {
     type Err = ParseNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match normalize_name(s).as_str() {
-            "spray" => Ok(DispatchChoice::Spray),
-            "flowhash" => Ok(DispatchChoice::FlowHash),
-            "occupancyspray" => Ok(DispatchChoice::OccupancySpray),
-            _ => Err(ParseNameError::new(
-                "dispatch policy",
-                s,
-                "spray, flowhash, occupancy-spray",
-            )),
-        }
+        parse_name(s, "dispatch policy", &DispatchChoice::all(), &[])
     }
 }
 
@@ -122,10 +113,7 @@ impl TransportMode {
 
 impl fmt::Display for TransportMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TransportMode::Sweep => "sweep",
-            TransportMode::Incast => "incast",
-        })
+        f.write_str(self.to_pattern(0).label())
     }
 }
 
@@ -133,11 +121,8 @@ impl FromStr for TransportMode {
     type Err = ParseNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match normalize_name(s).as_str() {
-            "sweep" => Ok(TransportMode::Sweep),
-            "incast" => Ok(TransportMode::Incast),
-            _ => Err(ParseNameError::new("transport mode", s, "sweep, incast")),
-        }
+        let all = [TransportMode::Sweep, TransportMode::Incast];
+        parse_name(s, "transport mode", &all, &[])
     }
 }
 
@@ -263,23 +248,17 @@ pub struct ObsScenario {
 
 impl Default for ObsScenario {
     fn default() -> Self {
-        let c = obs::ObsConfig::off();
-        ObsScenario {
-            latency_hist: c.latency_hist,
-            occupancy_hist: c.occupancy_hist,
-            series_stride: c.series_stride,
-            series_capacity: c.series_capacity,
-            trace_capacity: c.trace_capacity,
-            trace_from_slot: c.trace_from_slot,
-            trace_to_slot: c.trace_to_slot,
-        }
+        ObsScenario::from_config(&obs::ObsConfig::off())
     }
 }
 
 impl ObsScenario {
     /// The histogram + series preset ([`obs::ObsConfig::standard`]).
     pub fn standard() -> Self {
-        let c = obs::ObsConfig::standard();
+        ObsScenario::from_config(&obs::ObsConfig::standard())
+    }
+
+    fn from_config(c: &obs::ObsConfig) -> Self {
         ObsScenario {
             latency_hist: c.latency_hist,
             occupancy_hist: c.occupancy_hist,

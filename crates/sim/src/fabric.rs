@@ -42,7 +42,7 @@
 use crate::experiment::{Axis, Experiment};
 use crate::lab::{LabReport, RunRecord};
 use crate::ports::{BuildPorts, DriveArrivals, Provisioning, Traffic};
-use crate::scenario::{normalize_name, serde_via_string, DesignKind, ParseNameError};
+use crate::scenario::{parse_name, serde_via_string, DesignKind, ParseNameError};
 use crate::spec::Sweep;
 pub use ::fabric::FabricRunReport;
 use ::fabric::{ArbiterKind, FabricConfig, FabricConfigError, VoqSwitch};
@@ -76,21 +76,17 @@ impl FabricWorkload {
             FabricWorkload::Bursty,
         ]
     }
+}
 
-    /// Kebab-case canonical name.
-    pub fn label(self) -> &'static str {
-        match self {
+impl fmt::Display for FabricWorkload {
+    /// The kebab-case canonical name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             FabricWorkload::Uniform => "uniform",
             FabricWorkload::Hotspot => "hotspot",
             FabricWorkload::Incast => "incast",
             FabricWorkload::Bursty => "bursty",
-        }
-    }
-}
-
-impl fmt::Display for FabricWorkload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+        })
     }
 }
 
@@ -98,17 +94,7 @@ impl FromStr for FabricWorkload {
     type Err = ParseNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match normalize_name(s).as_str() {
-            "uniform" => Ok(FabricWorkload::Uniform),
-            "hotspot" => Ok(FabricWorkload::Hotspot),
-            "incast" => Ok(FabricWorkload::Incast),
-            "bursty" => Ok(FabricWorkload::Bursty),
-            _ => Err(ParseNameError::new(
-                "fabric workload",
-                s,
-                "uniform, hotspot, incast, bursty",
-            )),
-        }
+        parse_name(s, "fabric workload", &FabricWorkload::all(), &[])
     }
 }
 
@@ -161,12 +147,8 @@ impl FromStr for FabricDesign {
     type Err = ParseNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if normalize_name(s) == "mixed" {
-            return Ok(FabricDesign::Mixed);
-        }
-        s.parse::<DesignKind>()
-            .map(FabricDesign::Fixed)
-            .map_err(|_| ParseNameError::new("fabric design", s, "dram-only, rads, cfds, mixed"))
+        let aliases = [("dram", FabricDesign::Fixed(DesignKind::DramOnly))];
+        parse_name(s, "fabric design", &FabricDesign::all(), &aliases)
     }
 }
 
@@ -197,10 +179,7 @@ impl ArbiterChoice {
 
 impl fmt::Display for ArbiterChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ArbiterChoice::Islip => "islip",
-            ArbiterChoice::Maximal => "maximal",
-        })
+        f.write_str(self.to_kind(0).label())
     }
 }
 
@@ -208,11 +187,8 @@ impl FromStr for ArbiterChoice {
     type Err = ParseNameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match normalize_name(s).as_str() {
-            "islip" => Ok(ArbiterChoice::Islip),
-            "maximal" | "maximalmatching" => Ok(ArbiterChoice::Maximal),
-            _ => Err(ParseNameError::new("arbiter", s, "islip, maximal")),
-        }
+        let aliases = [("maximalmatching", ArbiterChoice::Maximal)];
+        parse_name(s, "arbiter", &ArbiterChoice::all(), &aliases)
     }
 }
 

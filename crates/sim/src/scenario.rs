@@ -16,18 +16,7 @@ use traffic::{
 pub struct ParseNameError {
     what: &'static str,
     input: String,
-    expected: &'static str,
-}
-
-impl ParseNameError {
-    /// Creates a parse error (shared with the fabric layer's name enums).
-    pub(crate) fn new(what: &'static str, input: &str, expected: &'static str) -> Self {
-        ParseNameError {
-            what,
-            input: input.to_owned(),
-            expected,
-        }
-    }
+    expected: String,
 }
 
 impl fmt::Display for ParseNameError {
@@ -44,12 +33,40 @@ impl std::error::Error for ParseNameError {}
 
 /// Lower-cases and strips `-`/`_` so that `"DRAM-only"`, `"dram_only"` and
 /// `"dramonly"` all compare equal.
-pub(crate) fn normalize_name(s: &str) -> String {
+fn normalize_name(s: &str) -> String {
     s.trim()
         .chars()
         .filter(|c| *c != '-' && *c != '_')
         .map(|c| c.to_ascii_lowercase())
         .collect()
+}
+
+/// The one `FromStr` of the name enums (shared with the fabric and Clos
+/// layers): `s` names the value of `all` whose `Display` form it matches,
+/// or the value of an `aliases` entry (a normalized spelling), where
+/// matching ignores case, `-` and `_`. The error names `what` was parsed
+/// and lists the `Display` names, lower-cased.
+pub(crate) fn parse_name<T: Copy + fmt::Display>(
+    s: &str,
+    what: &'static str,
+    all: &[T],
+    aliases: &[(&str, T)],
+) -> Result<T, ParseNameError> {
+    let name = normalize_name(s);
+    let by_alias = || aliases.iter().find(|(a, _)| *a == name).map(|&(_, v)| v);
+    all.iter()
+        .copied()
+        .find(|v| normalize_name(&v.to_string()) == name)
+        .or_else(by_alias)
+        .ok_or_else(|| ParseNameError {
+            what,
+            input: s.to_owned(),
+            expected: all
+                .iter()
+                .map(|v| v.to_string().to_lowercase())
+                .collect::<Vec<_>>()
+                .join(", "),
+        })
 }
 
 /// Which packet-buffer design a scenario exercises.
@@ -88,16 +105,8 @@ impl FromStr for DesignKind {
     /// Case-insensitive; `-` and `_` are ignored, so `dram-only`,
     /// `DRAM_only` and the `Display` form all parse.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match normalize_name(s).as_str() {
-            "dramonly" | "dram" => Ok(DesignKind::DramOnly),
-            "rads" => Ok(DesignKind::Rads),
-            "cfds" => Ok(DesignKind::Cfds),
-            _ => Err(ParseNameError {
-                what: "design",
-                input: s.to_owned(),
-                expected: "dram-only, rads, cfds",
-            }),
-        }
+        let aliases = [("dram", DesignKind::DramOnly)];
+        parse_name(s, "design", &DesignKind::all(), &aliases)
     }
 }
 
@@ -148,18 +157,12 @@ impl FromStr for Workload {
     /// Case-insensitive; `-` and `_` are ignored, so the `Display` form, the
     /// Rust variant name and obvious abbreviations all parse.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match normalize_name(s).as_str() {
-            "adversarialroundrobin" | "arr" => Ok(Workload::AdversarialRoundRobin),
-            "uniformrandom" | "uniform" => Ok(Workload::UniformRandom),
-            "bursty" => Ok(Workload::Bursty),
-            "hotspot" => Ok(Workload::Hotspot),
-            "greedydrain" | "greedy" => Ok(Workload::GreedyDrain),
-            _ => Err(ParseNameError {
-                what: "workload",
-                input: s.to_owned(),
-                expected: "adversarial-round-robin, uniform-random, bursty, hotspot, greedy-drain",
-            }),
-        }
+        let aliases = [
+            ("arr", Workload::AdversarialRoundRobin),
+            ("uniform", Workload::UniformRandom),
+            ("greedy", Workload::GreedyDrain),
+        ];
+        parse_name(s, "workload", &Workload::all(), &aliases)
     }
 }
 
