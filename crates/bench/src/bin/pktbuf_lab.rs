@@ -14,7 +14,7 @@
 //! ```
 
 use bench::cli::{
-    emit, lab_command, parse_int, parse_list_or_all, parse_seeds, parse_sweep, read_spec_text, set,
+    emit, lab_command, parse_int, parse_list_or_all, parse_seeds, read_spec_text, set,
     write_artifact, Artifacts, LabLayer, SpecFlag,
 };
 use serde::{Serialize, Serializer};
@@ -237,9 +237,7 @@ impl LabLayer for FabricLayer {
     const WHAT: &'static str = "fabric ";
     const FLAGS: &'static [SpecFlag<FabricSpec>] = &[
         SpecFlag::value(&["--name"], |s, v| set(&mut s.name, Ok(v.to_owned()))),
-        SpecFlag::value(&["--ports"], |s, v| {
-            set(&mut s.ports, parse_sweep(v, "--ports"))
-        }),
+        SpecFlag::sweep(&["--ports"], |s| &mut s.ports),
         SpecFlag::value(&["--designs"], |s, v| {
             set(&mut s.designs, fabric_designs(v))
         }),
@@ -247,30 +245,13 @@ impl LabLayer for FabricLayer {
             set(&mut s.workloads, fabric_workloads(v))
         }),
         SpecFlag::value(&["--arbiters"], |s, v| set(&mut s.arbiters, arbiters(v))),
-        SpecFlag::value(&["--iters"], |s, v| {
-            set(&mut s.islip_iterations, parse_int(v, "--iters"))
-        }),
-        SpecFlag::value(&["--load"], |s, v| {
-            set(&mut s.load_percent, parse_sweep(v, "--load"))
-        }),
-        SpecFlag::value(&["--egress-period"], |s, v| {
-            set(&mut s.egress_period, parse_int(v, "--egress-period"))
-        }),
-        SpecFlag::value(&["-b", "--granularity"], |s, v| {
-            set(&mut s.granularity, parse_sweep(v, "--granularity"))
-        }),
-        SpecFlag::value(&["-B", "--rads-granularity"], |s, v| {
-            set(
-                &mut s.rads_granularity,
-                parse_sweep(v, "--rads-granularity"),
-            )
-        }),
-        SpecFlag::value(&["--banks"], |s, v| {
-            set(&mut s.num_banks, parse_sweep(v, "--banks"))
-        }),
-        SpecFlag::value(&["--slots"], |s, v| {
-            set(&mut s.arrival_slots, parse_int(v, "--slots"))
-        }),
+        SpecFlag::int(&["--iters"], |s| &mut s.islip_iterations),
+        SpecFlag::sweep(&["--load"], |s| &mut s.load_percent),
+        SpecFlag::int(&["--egress-period"], |s| &mut s.egress_period),
+        SpecFlag::sweep(&["-b", "--granularity"], |s| &mut s.granularity),
+        SpecFlag::sweep(&["-B", "--rads-granularity"], |s| &mut s.rads_granularity),
+        SpecFlag::sweep(&["--banks"], |s| &mut s.num_banks),
+        SpecFlag::int(&["--slots"], |s| &mut s.arrival_slots),
         SpecFlag::value(&["--seeds"], |s, v| set(&mut s.seeds, parse_seeds(v))),
     ];
 
@@ -705,15 +686,9 @@ impl LabLayer for ClosLayer {
     const WHAT: &'static str = "clos ";
     const FLAGS: &'static [SpecFlag<ClosSpec>] = &[
         SpecFlag::value(&["--name"], |s, v| set(&mut s.name, Ok(v.to_owned()))),
-        SpecFlag::value(&["--radix"], |s, v| {
-            set(&mut s.radix, parse_sweep(v, "--radix"))
-        }),
-        SpecFlag::value(&["--ingress"], |s, v| {
-            set(&mut s.ingress_switches, parse_sweep(v, "--ingress"))
-        }),
-        SpecFlag::value(&["--middle"], |s, v| {
-            set(&mut s.middle_switches, parse_sweep(v, "--middle"))
-        }),
+        SpecFlag::sweep(&["--radix"], |s| &mut s.radix),
+        SpecFlag::sweep(&["--ingress"], |s| &mut s.ingress_switches),
+        SpecFlag::sweep(&["--middle"], |s| &mut s.middle_switches),
         SpecFlag::value(&["--designs"], |s, v| {
             set(&mut s.designs, fabric_designs(v))
         }),
@@ -727,33 +702,15 @@ impl LabLayer for ClosLayer {
             )
         }),
         SpecFlag::value(&["--arbiters"], |s, v| set(&mut s.arbiters, arbiters(v))),
-        SpecFlag::value(&["--iters"], |s, v| {
-            set(&mut s.islip_iterations, parse_int(v, "--iters"))
-        }),
-        SpecFlag::value(&["--load"], |s, v| {
-            set(&mut s.load_percent, parse_sweep(v, "--load"))
-        }),
-        SpecFlag::value(&["--link-capacity"], |s, v| {
-            set(&mut s.link_capacity, parse_sweep(v, "--link-capacity"))
-        }),
-        SpecFlag::value(&["--link-latency"], |s, v| {
-            set(&mut s.link_latency, parse_int(v, "--link-latency"))
-        }),
-        SpecFlag::value(&["--egress-period"], |s, v| {
-            set(&mut s.egress_period, parse_int(v, "--egress-period"))
-        }),
-        SpecFlag::value(&["-b", "--granularity"], |s, v| {
-            set(&mut s.granularity, parse_int(v, "--granularity"))
-        }),
-        SpecFlag::value(&["-B", "--rads-granularity"], |s, v| {
-            set(&mut s.rads_granularity, parse_int(v, "--rads-granularity"))
-        }),
-        SpecFlag::value(&["--banks"], |s, v| {
-            set(&mut s.num_banks, parse_int(v, "--banks"))
-        }),
-        SpecFlag::value(&["--slots"], |s, v| {
-            set(&mut s.arrival_slots, parse_int(v, "--slots"))
-        }),
+        SpecFlag::int(&["--iters"], |s| &mut s.islip_iterations),
+        SpecFlag::sweep(&["--load"], |s| &mut s.load_percent),
+        SpecFlag::sweep(&["--link-capacity"], |s| &mut s.link_capacity),
+        SpecFlag::int(&["--link-latency"], |s| &mut s.link_latency),
+        SpecFlag::int(&["--egress-period"], |s| &mut s.egress_period),
+        SpecFlag::int(&["-b", "--granularity"], |s| &mut s.granularity),
+        SpecFlag::int(&["-B", "--rads-granularity"], |s| &mut s.rads_granularity),
+        SpecFlag::int(&["--banks"], |s| &mut s.num_banks),
+        SpecFlag::int(&["--slots"], |s| &mut s.arrival_slots),
         SpecFlag::value(&["--seeds"], |s, v| set(&mut s.seeds, parse_seeds(v))),
         SpecFlag::value(&["--faults"], |s, v| set(&mut s.faults, read_fault_plan(v))),
         // The transport needs cut-through buffers fabric-wide.
@@ -1267,21 +1224,10 @@ impl LabLayer for RunLayer {
                 parse_list_or_all(v, "workload", Workload::all()),
             )
         }),
-        SpecFlag::value(&["--queues"], |s, v| {
-            set(&mut s.num_queues, parse_sweep(v, "--queues"))
-        }),
-        SpecFlag::value(&["-b", "--granularity"], |s, v| {
-            set(&mut s.granularity, parse_sweep(v, "--granularity"))
-        }),
-        SpecFlag::value(&["-B", "--rads-granularity"], |s, v| {
-            set(
-                &mut s.rads_granularity,
-                parse_sweep(v, "--rads-granularity"),
-            )
-        }),
-        SpecFlag::value(&["--banks"], |s, v| {
-            set(&mut s.num_banks, parse_sweep(v, "--banks"))
-        }),
+        SpecFlag::sweep(&["--queues"], |s| &mut s.num_queues),
+        SpecFlag::sweep(&["-b", "--granularity"], |s| &mut s.granularity),
+        SpecFlag::sweep(&["-B", "--rads-granularity"], |s| &mut s.rads_granularity),
+        SpecFlag::sweep(&["--banks"], |s| &mut s.num_banks),
         // The two phases exclude each other: asking for one switches the
         // other off.
         SpecFlag::value(&["--slots"], |s, v| {

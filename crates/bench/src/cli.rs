@@ -220,6 +220,10 @@ pub fn emit(to_stderr: bool, line: &str) {
 enum SpecEdit<S> {
     /// The flag is followed by a value.
     Value(fn(&mut S, &str) -> Result<(), String>),
+    /// The flag's value is a sweep, stored in the field `fn` returns.
+    Sweep(fn(&mut S) -> &mut Sweep),
+    /// The flag's value is an unsigned integer, stored likewise.
+    Int(fn(&mut S) -> &mut u64),
     /// The flag stands alone.
     Switch(fn(&mut S)),
 }
@@ -244,12 +248,35 @@ impl<S> SpecFlag<S> {
         }
     }
 
+    /// A flag whose value is a sweep ([`parse_sweep`], errors naming the
+    /// last spelling), stored in the field `field` returns.
+    pub const fn sweep(names: &'static [&'static str], field: fn(&mut S) -> &mut Sweep) -> Self {
+        SpecFlag {
+            names,
+            edit: SpecEdit::Sweep(field),
+        }
+    }
+
+    /// A flag whose value is an unsigned integer ([`parse_int`]), stored
+    /// like a [`SpecFlag::sweep`].
+    pub const fn int(names: &'static [&'static str], field: fn(&mut S) -> &mut u64) -> Self {
+        SpecFlag {
+            names,
+            edit: SpecEdit::Int(field),
+        }
+    }
+
     /// A flag that stands alone.
     pub const fn switch(names: &'static [&'static str], apply: fn(&mut S)) -> Self {
         SpecFlag {
             names,
             edit: SpecEdit::Switch(apply),
         }
+    }
+
+    /// The spelling errors name: the last one.
+    fn long(&self) -> &'static str {
+        self.names.last().expect("a flag has a spelling")
     }
 }
 
@@ -349,7 +376,7 @@ pub fn lab_command<L: LabLayer>(layer: &L, args: &[String]) -> Result<(), String
     // Spec flags are collected first and applied over the base afterwards,
     // so `--seeds 9 --spec file` reseeds the saved experiment like
     // `--spec file --seeds 9` does.
-    let mut edits: Vec<(&SpecEdit<L::Spec>, &str)> = Vec::new();
+    let mut edits: Vec<(&SpecFlag<L::Spec>, &str)> = Vec::new();
     let gated = smoke_spec.is_some();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -374,10 +401,9 @@ pub fn lab_command<L: LabLayer>(layer: &L, args: &[String]) -> Result<(), String
                 if let Some(slot) = artifacts.0.iter_mut().find(|(name, _)| *name == other) {
                     slot.1 = Some(value(slot.0)?.to_owned());
                 } else if let Some(flag) = L::FLAGS.iter().find(|f| f.names.contains(&other)) {
-                    let long = flag.names.last().expect("a flag has a spelling");
                     edits.push(match flag.edit {
-                        SpecEdit::Value(_) => (&flag.edit, value(long)?),
-                        SpecEdit::Switch(_) => (&flag.edit, ""),
+                        SpecEdit::Switch(_) => (flag, ""),
+                        _ => (flag, value(flag.long())?),
                     });
                 } else {
                     return Err(format!(
@@ -403,9 +429,11 @@ pub fn lab_command<L: LabLayer>(layer: &L, args: &[String]) -> Result<(), String
         Some(fixed) if smoke => fixed,
         _ => base.unwrap_or_default(),
     };
-    for (edit, value) in edits {
-        match edit {
+    for (flag, value) in edits {
+        match flag.edit {
             SpecEdit::Value(apply) => apply(&mut spec, value)?,
+            SpecEdit::Sweep(field) => *field(&mut spec) = parse_sweep(value, flag.long())?,
+            SpecEdit::Int(field) => *field(&mut spec) = parse_int(value, flag.long())?,
             SpecEdit::Switch(apply) => apply(&mut spec),
         }
     }
