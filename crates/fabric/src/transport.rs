@@ -341,4 +341,41 @@ mod tests {
         assert_eq!(sink.delivered_unique(), 3);
         assert_eq!(sink.duplicates_filtered(), 0);
     }
+
+    #[test]
+    fn source_params_round_trips_the_sender_fields() {
+        let sender = traffic::ClosedLoopConfig {
+            rto_initial: 7,
+            rto_cap: 70,
+            max_retries: 5,
+            cwnd_init: 3,
+            cwnd_max: 9,
+        };
+        let cfg = TransportConfig {
+            sender,
+            goodput_bucket: 50,
+        };
+        assert_eq!(cfg.source_params(), sender, "in-range fields pass as given");
+        let clamped = TransportConfig {
+            sender: traffic::ClosedLoopConfig {
+                rto_initial: 0,
+                rto_cap: 0,
+                cwnd_init: 0,
+                cwnd_max: 0,
+                ..sender
+            },
+            ..cfg
+        };
+        let p = clamped.source_params();
+        assert_eq!(
+            (
+                p.rto_initial,
+                p.rto_cap,
+                p.max_retries,
+                p.cwnd_init,
+                p.cwnd_max
+            ),
+            (1, 1, 5, 1, 1)
+        );
+    }
 }

@@ -1186,6 +1186,40 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_links_past_their_bounds() {
+        let at_bounds = ClosScenario {
+            link_capacity: ::fabric::MAX_LINK_CAPACITY,
+            link_latency: ::fabric::MAX_LINK_LATENCY,
+            ..ClosScenario::small()
+        };
+        assert_eq!(at_bounds.validate(), Ok(()));
+        let wide = ClosScenario {
+            link_capacity: ::fabric::MAX_LINK_CAPACITY + 1,
+            ..ClosScenario::small()
+        };
+        assert_eq!(
+            wide.validate().unwrap_err(),
+            ClosScenarioError::Geometry(ClosConfigError::LinkOutOfRange(
+                "link_capacity",
+                u64::from(u32::MAX),
+                1 << 32
+            ))
+        );
+        let slow = ClosScenario {
+            link_latency: u64::MAX,
+            ..ClosScenario::small()
+        };
+        assert_eq!(
+            slow.validate().unwrap_err(),
+            ClosScenarioError::Geometry(ClosConfigError::LinkOutOfRange(
+                "link_latency",
+                1 << 32,
+                u64::MAX
+            ))
+        );
+    }
+
+    #[test]
     fn transport_scenario_round_trips_through_json() {
         let scenario = ClosScenario {
             transport: Some(TransportScenario {

@@ -420,6 +420,51 @@ mod tests {
     }
 
     #[test]
+    fn scenario_workloads_resolve_to_known_labels() {
+        // Every generator pair a `Scenario` can build reports one of the
+        // workload labels reports and CSVs have always carried.
+        const ARRIVALS: [&str; 5] = [
+            "uniform",
+            "bursty",
+            "hotspot",
+            "round-robin",
+            "preload-only",
+        ];
+        const REQUESTS: [&str; 4] = [
+            "adversarial-round-robin",
+            "uniform-random",
+            "greedy-queue-drain",
+            "hotspot",
+        ];
+        for workload in crate::scenario::Workload::all() {
+            for (arrival_slots, preload) in [(300, 0), (0, 16)] {
+                let report = crate::scenario::Scenario {
+                    workload,
+                    arrival_slots,
+                    preload_cells_per_queue: preload,
+                    ..crate::scenario::Scenario::small_cfds()
+                }
+                .run();
+                assert!(
+                    ARRIVALS.contains(&report.arrivals) && REQUESTS.contains(&report.requests),
+                    "{workload:?} (live={}) reports {:?}+{:?}, not a known label",
+                    arrival_slots > 0,
+                    report.arrivals,
+                    report.requests
+                );
+                assert_eq!(
+                    report.arrivals == "preload-only",
+                    arrival_slots == 0,
+                    "{workload:?}"
+                );
+                let json = serde_json::to_string(&report).unwrap();
+                let label = format!(r#""workload":"{}+{}""#, report.arrivals, report.requests);
+                assert!(json.contains(&label), "{json}");
+            }
+        }
+    }
+
+    #[test]
     fn engine_runs_rads_end_to_end() {
         let cfg = RadsConfig {
             num_queues: 4,
