@@ -7,8 +7,15 @@ use pktbuf_model::{Cell, LogicalQueueId};
 ///
 /// A cell the tail SRAM dropped leaves a gap in its queue's sequence
 /// numbers. The buffer notes each drop ([`DeliveryVerifier::note_drop`]),
-/// and a grant that skips only noted drops is in order, so a lost cell is
-/// counted once, as a drop, and not again as an order violation.
+/// and a grant that skips no more sequence numbers than its queue has
+/// noted drops pending is in order, so a lost cell is counted once, as a
+/// drop, and not again as an order violation.
+///
+/// Drops cover gaps by count per queue, not by sequence number. A tail
+/// drop is noted when the cell arrives, before earlier cells of its queue
+/// are granted, so a pending drop can cover the gap of an earlier cell lost
+/// some other way: that loss then shows as a violation only at the dropped
+/// cell's gap, and not at all if the run ends before it is granted past.
 ///
 /// The verifier is part of the library (rather than only of the tests) so that
 /// examples and long-running experiments can assert the worst-case guarantees
@@ -39,7 +46,8 @@ impl DeliveryVerifier {
 
     /// Verifies one grant. Returns `true` if the grant is consistent: the
     /// cell belongs to the requested queue and carries that queue's next
-    /// sequence number, or skips only sequence numbers of noted drops.
+    /// sequence number, or skips no more of them than the queue has noted
+    /// drops pending.
     ///
     /// A grant ahead of its queue resyncs the queue to it, covered or not,
     /// so one gap is at most one violation. A reordered grant (behind its
@@ -115,5 +123,17 @@ mod tests {
         // spent on this gap rather than left to hide a later one.
         assert!(!v.check(q(0), &Cell::new(q(0), 3, 0)));
         assert!(!v.check(q(0), &Cell::new(q(0), 5, 0)));
+    }
+
+    #[test]
+    fn a_pending_drop_defers_an_earlier_loss_to_its_own_gap() {
+        let mut v = DeliveryVerifier::new(1);
+        // Seq 3 is tail-dropped (noted on arrival); seq 1 is lost unnoted.
+        v.note_drop(q(0));
+        assert!(v.check(q(0), &Cell::new(q(0), 0, 0)));
+        // The drop is counted per queue, so it covers seq 1's gap ...
+        assert!(v.check(q(0), &Cell::new(q(0), 2, 0)));
+        // ... and the loss shows at seq 3's gap instead.
+        assert!(!v.check(q(0), &Cell::new(q(0), 4, 0)));
     }
 }

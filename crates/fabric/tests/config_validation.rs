@@ -8,7 +8,9 @@ use fabric::{
 };
 use pktbuf::RadsBuffer;
 use pktbuf_model::RadsConfig;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 
 fn buffer(num_queues: usize) -> RadsBuffer {
     RadsBuffer::new(RadsConfig {
@@ -18,13 +20,29 @@ fn buffer(num_queues: usize) -> RadsBuffer {
     })
 }
 
-/// Runs `build` with the panic hook silenced (hundreds of refusals would
-/// otherwise each print a backtrace note) and returns its panic message.
+thread_local! {
+    /// Set while this thread runs a build whose panic is expected.
+    static QUIET: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `build` and returns its panic message. The panic hook is swapped
+/// once, process-wide, for one that is silent while its thread is inside
+/// this call (hundreds of refusals would otherwise each print a backtrace
+/// note) and passes every other panic, such as a failed assertion in
+/// either test, to the default hook.
 fn panic_message(build: impl FnOnce()) -> Option<String> {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !QUIET.with(Cell::get) {
+                default(info);
+            }
+        }));
+    });
+    QUIET.with(|quiet| quiet.set(true));
     let result = catch_unwind(AssertUnwindSafe(build));
-    std::panic::set_hook(hook);
+    QUIET.with(|quiet| quiet.set(false));
     result
         .err()
         .map(|payload| match payload.downcast::<String>() {

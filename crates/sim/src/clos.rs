@@ -1364,6 +1364,14 @@ mod tests {
             ),
             (
                 ClosScenario {
+                    ingress_switches: 1,
+                    ..small()
+                },
+                "the ingress switch count r sizes the middle switches: a crossbar takes 2 to 64 \
+                 ports, got 1",
+            ),
+            (
+                ClosScenario {
                     ingress_switches: 65,
                     ..small()
                 },
@@ -1409,6 +1417,21 @@ mod tests {
             ),
         ] {
             assert_eq!(scenario.validate().unwrap_err().to_string(), message);
+        }
+        // One word per arbiter row: N sizes the outer switches and r the
+        // middle ones, so each may reach 64, and the whole scenario (the
+        // provisioning of 64-queue stage buffers included) validates there.
+        for (radix, ingress_switches) in [(64, 4), (4, 64)] {
+            let scenario = ClosScenario {
+                radix,
+                ingress_switches,
+                ..small()
+            };
+            assert_eq!(
+                scenario.validate(),
+                Ok(()),
+                "N = {radix}, r = {ingress_switches}"
+            );
         }
         assert_eq!(
             ClosScenario {
